@@ -41,6 +41,7 @@ module Accelerator = Qca.Accelerator
 module Host = Qca.Host
 module Rb = Qca.Rb
 module Stack = Qca.Stack
+module Runner = Qca.Runner
 module Trl = Qca.Trl
 module Rng = Qca_util.Rng
 
@@ -98,11 +99,15 @@ let e2 () =
   Printf.printf "%-36s %-10s %-12s %-10s\n" "stack" "qubits" "P(GHZ)" "microarch";
   List.iter
     (fun stack ->
-      let run = Stack.execute ~shots:400 ~rng:(Rng.create 42) stack logic in
-      let p = Stack.success_probability run ~accept:ghz_accept in
+      let run =
+        match Runner.run ~rng:(Rng.create 42) (Stack.spec ~shots:400 stack logic) with
+        | Ok o -> o
+        | Error e -> failwith (Qca_util.Error.to_string e)
+      in
+      let p = Runner.success_probability run ~accept:ghz_accept in
       Printf.printf "%-36s %-10d %-12.3f %-10s\n" stack.Stack.stack_name
         stack.Stack.platform.Platform.qubit_count p
-        (match run.Stack.microarch_stats with Some _ -> "yes" | None -> "no"))
+        (match run.Runner.microarch_stats with Some _ -> "yes" | None -> "no"))
     [
       Stack.genome ~qubits:3 ();
       Stack.realistic_of (Stack.genome ~qubits:3 ());
@@ -269,8 +274,9 @@ let e6 () =
         (fun (_, circuit, accept) ->
           let rng = Rng.create 11 in
           let success =
-            Sim.success_probability ~noise:(Noise.depolarizing p) ~rng ~shots:1200 ~accept
-              circuit
+            Engine.success_probability
+              (Engine.run ~noise:(Noise.depolarizing p) ~rng ~shots:1200 circuit)
+              ~accept
           in
           Printf.printf " %-12.4f" success)
         circuits;

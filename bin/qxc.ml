@@ -18,6 +18,7 @@ module Eqasm = Qca_compiler.Eqasm
 module Controller = Qca_microarch.Controller
 module Rng = Qca_util.Rng
 module Error = Qca_util.Error
+module Trace = Qca_util.Trace
 module Diagnostic = Qca_analysis.Diagnostic
 module Verify = Qca_analysis.Verify
 module Estimate = Qca_analysis.Estimate
@@ -36,12 +37,19 @@ let read_file path =
   close_in ic;
   content
 
-let load_program path =
-  try Ok (Cqasm.parse (read_file path)) with
+(* The file's text and its parse: jobs carry the text as a [Source]
+   payload, so program directives (error_model) reach Job_spec. *)
+let load_source path =
+  try
+    let text = read_file path in
+    Ok (text, Cqasm.parse text)
+  with
   | Qca_util.Error.Error { kind = Qca_util.Error.Syntax { line; reason; _ }; _ } ->
       Error (Printf.sprintf "%s:%d: parse error: %s" path line reason)
   | Sys_error msg -> Error msg
   | Invalid_argument msg -> Error (Printf.sprintf "%s: %s" path msg)
+
+let load_program path = Result.map snd (load_source path)
 
 let load_circuit path = Result.map Cqasm.flatten (load_program path)
 
@@ -298,22 +306,10 @@ let print_resilience gate report =
       | Some msg -> Printf.sprintf " (degraded: %s)" msg)
   end
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let histogram_json hist =
   "{"
   ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" (json_escape k) v) hist)
+      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" (Trace.json_escape k) v) hist)
   ^ "}"
 
 (* --- check --- *)
@@ -326,19 +322,19 @@ let check_command common file no_verify =
     if json then begin
       let pass_json (p : Verify.pass_report) =
         Printf.sprintf "{\"pass\":\"%s\",\"introduced\":[%s],\"diagnostics\":%s}"
-          (Diagnostic.json_escape p.Verify.pass_name)
+          (Trace.json_escape p.Verify.pass_name)
           (String.concat ","
              (List.map
-                (fun c -> "\"" ^ Diagnostic.json_escape c ^ "\"")
+                (fun c -> "\"" ^ Trace.json_escape c ^ "\"")
                 p.Verify.introduced))
           (Diagnostic.json_of_list p.Verify.diagnostics)
       in
       Printf.printf
         "{\"file\":\"%s\",\"diagnostics\":%s,\"passes\":[%s],\"summary\":\"%s\"}\n"
-        (Diagnostic.json_escape file)
+        (Trace.json_escape file)
         (Diagnostic.json_of_list all)
         (String.concat "," (List.map pass_json passes))
-        (Diagnostic.json_escape (Diagnostic.summary all))
+        (Trace.json_escape (Diagnostic.summary all))
     end
     else begin
       List.iter (fun d -> print_endline (Diagnostic.to_string d)) source;
@@ -468,9 +464,9 @@ let estimate_command common file plan target_error physical_error =
       in
       Printf.printf
         "{\"file\":\"%s\",\"estimate\":%s,\"ft\":%s,\"diagnostics\":%s,\"summary\":\"%s\"}\n"
-        (Diagnostic.json_escape file) est_json ft_json
+        (Trace.json_escape file) est_json ft_json
         (Diagnostic.json_of_list diags)
-        (Diagnostic.json_escape (Diagnostic.summary diags))
+        (Trace.json_escape (Diagnostic.summary diags))
     end
     else begin
       (match est_ft with
@@ -490,11 +486,17 @@ let estimate_command common file plan target_error physical_error =
   if common.shots <= 0 then
     flag_error (Printf.sprintf "--shots must be positive (got %d)" common.shots)
   else
-    match load_program file with
+    let loaded =
+      Result.bind (load_program file) (fun program ->
+          match Job_spec.program_noise ?noise:common.noise ~site:file program with
+          | Ok noise -> Ok (program, noise)
+          | Error e -> Error (Error.to_string e))
+    in
+    match loaded with
     | Error msg ->
         finish None
           [ Diagnostic.make Diagnostic.Error ~code:"X01" ~check:"parse-error" ~site:file msg ]
-    | Ok program -> (
+    | Ok (program, noise) -> (
         let platform =
           match common.platform with
           | None -> Ok None
@@ -506,10 +508,11 @@ let estimate_command common file plan target_error physical_error =
         | Error msg -> flag_error msg
         | Ok platform ->
             (* The plan prediction follows Job_spec.estimate's notion of
-               "noisy": --noise forces trajectories on the direct route,
-               and a compiled target's own model does the same. *)
+               "noisy": --noise (or the program's error_model directive)
+               forces trajectories on the direct route, and a compiled
+               target's own model does the same. *)
             let noisy =
-              common.noise <> None
+              noise <> None
               || (match platform with
                  | Some p -> not (Qca_qx.Noise.is_ideal p.Platform.noise)
                  | None -> false)
@@ -558,12 +561,12 @@ let estimate_cmd =
 let run_command common file plan trajectory no_fusion lint lint_json =
   if not (check_shots common.shots) then 1
   else
-    match load_program file with
+    match load_source file with
     | Error msg ->
         prerr_endline msg;
         1
-    | Ok program when not (run_lint ~lint ~lint_json program) -> 2
-    | Ok program -> (
+    | Ok (_, program) when not (run_lint ~lint ~lint_json program) -> 2
+    | Ok (text, program) -> (
         let circuit = Cqasm.flatten program in
         match
           Result.bind (router_of_common common) (fun router ->
@@ -582,7 +585,7 @@ let run_command common file plan trajectory no_fusion lint lint_json =
                        ~plan:(resolve_plan plan trajectory)
                        ~fusion:(not no_fusion))
                     with
-                    Job_spec.payload = Job_spec.Circuit circuit;
+                    Job_spec.payload = Job_spec.Source { name = file; text };
                   }
                 in
                 match Runner.run spec with
@@ -658,10 +661,10 @@ let compile_metrics_json (out : Compiler.output) =
         in
         ( Printf.sprintf
             "{\"pass\":\"%s\",\"gates\":%d,\"two_qubit\":%d,\"depth\":%d,\"d_gates\":%d,\"d_depth\":%d,\"note\":\"%s\"}"
-            (json_escape p.Compiler.pass_name)
+            (Trace.json_escape p.Compiler.pass_name)
             p.Compiler.gates p.Compiler.two_qubit_gates p.Compiler.depth
             d_gates d_depth
-            (json_escape p.Compiler.note)
+            (Trace.json_escape p.Compiler.note)
           :: acc,
           Some (p.Compiler.gates, p.Compiler.depth) ))
       ([], None) out.Compiler.passes
@@ -678,7 +681,7 @@ let compile_metrics_json (out : Compiler.output) =
     | _ -> "null"
   in
   Printf.sprintf "{\"platform\":\"%s\",\"mode\":\"%s\",\"passes\":[%s],\"total\":%s}"
-    (json_escape out.Compiler.platform.Qca_compiler.Platform.name)
+    (Trace.json_escape out.Compiler.platform.Qca_compiler.Platform.name)
     (Compiler.mode_to_string out.Compiler.mode)
     (String.concat "," (List.rev rows_rev))
     totals
@@ -852,11 +855,12 @@ let submit_command common dir tenant priority deadline_ms durable file plan
     trajectory no_fusion =
   if not (check_shots common.shots) then 1
   else
-    match load_circuit file with
+    match load_source file with
     | Error msg ->
         prerr_endline msg;
         1
-    | Ok circuit -> (
+    | Ok (text, program) -> (
+        let circuit = Cqasm.flatten program in
         match
           Result.bind (router_of_common common) (fun router ->
               Spool.route_of_names ~router ~platform:common.platform
@@ -873,7 +877,7 @@ let submit_command common dir tenant priority deadline_ms durable file plan
                    ~plan:(resolve_plan plan trajectory)
                    ~fusion:(not no_fusion))
                 with
-                Job_spec.payload = Job_spec.Circuit circuit;
+                Job_spec.payload = Job_spec.Source { name = file; text };
                 priority;
                 deadline_ms;
               }
@@ -885,7 +889,7 @@ let submit_command common dir tenant priority deadline_ms durable file plan
             | Ok id ->
                 if common.json then
                   Printf.printf "{\"id\":\"%s\",\"tenant\":\"%s\"}\n" id
-                    (json_escape tenant)
+                    (Trace.json_escape tenant)
                 else Printf.printf "submitted %s\n" id;
                 0))
 
@@ -934,7 +938,7 @@ let spool_status json dir =
         Printf.printf
           "{\"daemon\":{\"pid\":%d,\"state\":\"%s\",\"alive\":%b},\"inbox\":%d,\"active\":%d}\n"
           hb.Spool.hb_pid
-          (json_escape hb.Spool.hb_state)
+          (Trace.json_escape hb.Spool.hb_state)
           alive inbox active
       else begin
         Printf.printf "daemon: pid %d %s (%s)\n" hb.Spool.hb_pid

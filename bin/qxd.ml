@@ -17,6 +17,7 @@
 
 module Engine = Qca_qx.Engine
 module Error = Qca_util.Error
+module Trace = Qca_util.Trace
 module Job_spec = Qca.Job_spec
 module Runner = Qca.Runner
 module Service = Qca_service.Service
@@ -24,27 +25,15 @@ module Spool = Qca_service.Spool
 
 open Cmdliner
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let histogram_json hist =
   "{"
   ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" (json_escape k) v) hist)
+      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" (Trace.json_escape k) v) hist)
   ^ "}"
 
 let result_line ~id ~tenant ~label status body =
   Printf.sprintf "{\"id\":\"%s\",\"tenant\":\"%s\",\"label\":\"%s\",\"status\":\"%s\"%s}"
-    (json_escape id) (json_escape tenant) (json_escape label) status body
+    (Trace.json_escape id) (Trace.json_escape tenant) (Trace.json_escape label) status body
 
 let done_line ~id ~tenant ~label (o : Runner.outcome) =
   result_line ~id ~tenant ~label "done"
@@ -55,8 +44,8 @@ let done_line ~id ~tenant ~label (o : Runner.outcome) =
 let error_line ~id ~tenant ~label status (e : Error.t) =
   result_line ~id ~tenant ~label status
     (Printf.sprintf ",\"error\":{\"kind\":\"%s\",\"message\":\"%s\"}"
-       (json_escape (Error.kind_label e.Error.kind))
-       (json_escape (Error.to_string e)))
+       (Trace.json_escape (Error.kind_label e.Error.kind))
+       (Trace.json_escape (Error.to_string e)))
 
 (* One admitted job the daemon is tracking: spool id + service handle. *)
 type tracked = {

@@ -7,7 +7,7 @@
 module Gate = Qca_circuit.Gate
 module Circuit = Qca_circuit.Circuit
 module Library = Qca_circuit.Library
-module Sim = Qca_qx.Sim
+module Engine = Qca_qx.Engine
 module Noise = Qca_qx.Noise
 module Rng = Qca_util.Rng
 module Code = Qca_qec.Code
@@ -27,7 +27,9 @@ let () =
     (fun p ->
       let rng = Rng.create 11 in
       let success =
-        Sim.success_probability ~noise:(Noise.depolarizing p) ~rng ~shots:1500 ~accept ghz
+        Engine.success_probability
+          (Engine.run ~noise:(Noise.depolarizing p) ~rng ~shots:1500 ghz)
+          ~accept
       in
       Printf.printf "%-10.0e %-10.4f\n" p success)
     rates;

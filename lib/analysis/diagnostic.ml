@@ -1,3 +1,5 @@
+module Trace = Qca_util.Trace
+
 type severity = Error | Warning | Hint
 
 type t = {
@@ -61,29 +63,14 @@ let summary diags =
 let render diags =
   String.concat "" (List.map (fun d -> to_string d ^ "\n") diags) ^ summary diags ^ "\n"
 
-let json_escape s =
-  let buffer = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buffer "\\\""
-      | '\\' -> Buffer.add_string buffer "\\\\"
-      | '\n' -> Buffer.add_string buffer "\\n"
-      | '\t' -> Buffer.add_string buffer "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buffer c)
-    s;
-  Buffer.contents buffer
-
 let to_json d =
   Printf.sprintf
     "{\"severity\":\"%s\",\"code\":\"%s\",\"check\":\"%s\",\"site\":\"%s\",\"message\":\"%s\"%s}"
-    (severity_label d.severity) (json_escape d.code) (json_escape d.check)
-    (json_escape d.site) (json_escape d.message)
+    (severity_label d.severity) (Trace.json_escape d.code) (Trace.json_escape d.check)
+    (Trace.json_escape d.site) (Trace.json_escape d.message)
     (match d.fixit with
     | None -> ""
-    | Some f -> Printf.sprintf ",\"fixit\":\"%s\"" (json_escape f))
+    | Some f -> Printf.sprintf ",\"fixit\":\"%s\"" (Trace.json_escape f))
 
 let json_of_list diags =
   "[" ^ String.concat "," (List.map to_json diags) ^ "]"

@@ -44,9 +44,6 @@ val summary : t list -> string
 val render : t list -> string
 (** One {!to_string} line per diagnostic, then the {!summary} line. *)
 
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON literal (no quotes added). *)
-
 val to_json : t -> string
 (** One diagnostic as a JSON object. *)
 

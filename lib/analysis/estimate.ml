@@ -245,12 +245,13 @@ let walk_repeat profile base qubit_count instrs iters =
   end
 
 (* ------------------------------------------------------------------ *)
-(* Plan prediction: Engine.analyse's decision table evaluated on symbolic
-   totals. Structure and total-Clifford verdicts are invariant under
-   truncating every subcircuit repetition at 2 (the walk's monotone flags
-   saturate in the first copy and first violations happen within two), so a
-   cheap probe stands in for the unrolled circuit while the shots-monotone
-   cost model gets the exact symbolic gate/measure totals.              *)
+(* Plan prediction: Engine.choose_plan, the planner's own decision table,
+   evaluated on symbolic totals. Structure and total-Clifford verdicts are
+   invariant under truncating every subcircuit repetition at 2 (the walk's
+   monotone flags saturate in the first copy and first violations happen
+   within two), so a cheap probe stands in for the unrolled circuit while
+   the shots-monotone cost model gets the exact symbolic gate/measure
+   totals.                                                              *)
 
 let probe_of_program (p : Cqasm.program) =
   List.fold_left
@@ -258,28 +259,6 @@ let probe_of_program (p : Cqasm.program) =
       Circuit.append acc (Circuit.repeat (min iters 2) body))
     (Circuit.create p.Cqasm.qubit_count)
     p.Cqasm.subcircuits
-
-let predict_plan ~noisy ~shots ~gates ~measures probe =
-  if noisy then (Engine.Trajectory, "stochastic noise model")
-  else begin
-    let structure, structure_reason = Engine.structure probe in
-    match Engine.clifford_blocker probe with
-    | Some _ -> (structure, structure_reason)
-    | None -> (
-        let n = Circuit.qubit_count probe in
-        match structure with
-        | Engine.Trajectory ->
-            (Engine.Clifford, "all-Clifford gates; " ^ structure_reason)
-        | Engine.Sampled ->
-            if Engine.clifford_wins ~n ~gates ~measures ~shots then
-              ( Engine.Clifford,
-                Printf.sprintf
-                  "all-Clifford gates; tableau cheaper than the \
-                   2^%d-amplitude state vector"
-                  n )
-            else (Engine.Sampled, structure_reason)
-        | Engine.Clifford -> assert false)
-  end
 
 (* ------------------------------------------------------------------ *)
 (* Cost model (docs/estimate.md): state-vector plans hold 2^n complex
@@ -366,7 +345,7 @@ let of_program ?(calibration = default_calibration) ?(shots = 1024)
     match plan with
     | Some forced -> (forced, "forced")
     | None ->
-        predict_plan ~noisy ~shots ~gates ~measures (probe_of_program p)
+        Engine.choose_plan ~noisy ~shots ~gates ~measures (probe_of_program p)
   in
   let amplitudes, state_bytes, sim_ns =
     cost calibration ~plan ~n:qubit_count ~shots ~classes ~measures
@@ -496,7 +475,7 @@ let to_json est =
     est.measurements est.preps est.barriers est.depth est.depth_exact
     (json_number est.clifford_fraction)
     (Engine.plan_to_string est.plan)
-    (Diagnostic.json_escape est.plan_reason)
+    (Qca_util.Trace.json_escape est.plan_reason)
     est.shots
     (json_number est.amplitudes)
     (json_number est.state_bytes)

@@ -244,17 +244,6 @@ let compile ?(strategy = Mapping.Sabre) ?(placement = Mapping.Trivial)
         passes = List.rev !passes;
       })
 
-let execute_result ?(shots = 1024) ?seed ?rng output =
-  let noise =
-    match output.mode with
-    | Perfect -> Qca_qx.Noise.ideal
-    | Realistic | Real -> output.platform.Platform.noise
-  in
-  Qca_qx.Engine.run ~noise ?seed ?rng ~shots output.physical
-
-let execute ?shots ?rng output =
-  (execute_result ?shots ?rng output).Qca_qx.Engine.histogram
-
 let report output =
   let buffer = Buffer.create 512 in
   Buffer.add_string buffer

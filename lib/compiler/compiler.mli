@@ -70,21 +70,5 @@ val compile :
     [qxc --metrics] can report per-pass deltas. When absent the pipeline
     pays one branch per pass. *)
 
-val execute_result :
-  ?shots:int ->
-  ?seed:int ->
-  ?rng:Qca_util.Rng.t ->
-  output ->
-  Qca_qx.Engine.result
-(** Run the compiled circuit through {!Qca_qx.Engine.run}: ideal qubits in
-    Perfect mode, the platform noise model otherwise. Terminal-measurement
-    circuits under ideal noise take the single-pass sampled plan; the
-    result carries the histogram plus the per-run metrics report. *)
-
-val execute :
-  ?shots:int -> ?rng:Qca_util.Rng.t -> output -> (string * int) list
-(** [execute_result] reduced to the measured-bitstring histogram (kept for
-    callers that only want counts). *)
-
 val report : output -> string
 (** Human-readable pass-by-pass compilation report (the E3 table rows). *)

@@ -85,4 +85,4 @@ let compile ?strategy ?placement ~platform ~mode p =
   Compiler.compile ?strategy ?placement platform mode (to_circuit p)
 
 let simulate ?noise ?rng ?(shots = 1024) p =
-  Qca_qx.Sim.histogram ?noise ?rng ~shots (to_circuit p)
+  (Qca_qx.Engine.run ?noise ?rng ~shots (to_circuit p)).Qca_qx.Engine.histogram

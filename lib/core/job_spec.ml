@@ -77,32 +77,52 @@ let of_circuit ?label circuit = make ?label (Circuit circuit)
 let of_source ?(label = "job") text =
   make ~label (Source { name = label; text })
 
-let resolve spec =
+let ( let* ) = Result.bind
+
+(* The QX convention: a cQASM [error_model depolarizing_channel, p]
+   directive sets the noise of a program run without an explicit rate. *)
+let program_noise ?noise ?(site = "Job_spec.program_noise") (program : Cqasm.program) =
+  match (noise, program.Cqasm.error_model) with
+  | Some _, _ | None, None -> Ok noise
+  | None, Some ("depolarizing_channel", p) -> Ok (Some p)
+  | None, Some (model, _) ->
+      Stdlib.Error
+        (Error.make ~site
+           ~context:[ ("model", model) ]
+           (Error.Invalid "unknown error_model (expected depolarizing_channel)"))
+
+let elaborate spec =
   match spec.payload with
-  | Circuit c -> Ok c
+  | Circuit c -> Ok (spec, c)
   | Source { name; text } ->
-      Error.protect ~site:("Job_spec.resolve(" ^ name ^ ")") (fun () ->
-          Cqasm.parse_circuit text)
+      let site = "Job_spec.resolve(" ^ name ^ ")" in
+      let* program = Error.protect ~site (fun () -> Cqasm.parse text) in
+      let* noise = program_noise ?noise:spec.noise ~site program in
+      let* circuit = Error.protect ~site (fun () -> Cqasm.flatten program) in
+      Ok ({ spec with noise }, circuit)
+
+let resolve spec = Result.map snd (elaborate spec)
 
 (* The one estimation semantics shared by qxc, the service's admission
    oracle and qxd's pre-claim gate: Source payloads are parsed but NOT
    flattened, so repeated subcircuits estimate symbolically in O(body). *)
 let estimate spec =
-  let noisy =
-    match spec.route with
-    | Direct -> spec.noise <> None
-    | Compiled { platform; _ } -> not (Qca_qx.Noise.is_ideal platform.Platform.noise)
+  let site = "Job_spec.estimate(" ^ spec.label ^ ")" in
+  let of_program ~noise program =
+    let noisy =
+      match spec.route with
+      | Direct -> noise <> None
+      | Compiled { platform; _ } -> not (Qca_qx.Noise.is_ideal platform.Platform.noise)
+    in
+    Error.protect ~site (fun () ->
+        Qca_analysis.Estimate.of_program ~shots:spec.shots ~noisy ?plan:spec.plan program)
   in
-  let run () =
-    match spec.payload with
-    | Circuit c ->
-        Qca_analysis.Estimate.of_circuit ~shots:spec.shots ~noisy
-          ?plan:spec.plan c
-    | Source { text; _ } ->
-        Qca_analysis.Estimate.of_program ~shots:spec.shots ~noisy
-          ?plan:spec.plan (Cqasm.parse text)
-  in
-  Error.protect ~site:("Job_spec.estimate(" ^ spec.label ^ ")") run
+  match spec.payload with
+  | Circuit c -> of_program ~noise:spec.noise (Cqasm.of_circuit c)
+  | Source { text; _ } ->
+      let* program = Error.protect ~site (fun () -> Cqasm.parse text) in
+      let* noise = program_noise ?noise:spec.noise ~site program in
+      of_program ~noise program
 
 (* The digest covers the semantic content only: qubit count plus the
    instruction list. The circuit's name is presentation, not semantics —

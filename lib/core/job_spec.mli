@@ -1,12 +1,13 @@
 (** The canonical "run request" record of the stack.
 
-    Every execution surface — [qxc run]/[exec], {!Stack.execute}, the
-    {!Runner} entry points and the multi-tenant job service
-    ({!Qca_service.Service}) — is a consumer of this one record: what to
-    run (a circuit, or cQASM source to parse), where to run it (the
-    {!route}), and the run parameters (shots, seed, noise, plan override,
-    fusion, fault-injection and retry policy). The CLI and the daemon are
-    therefore thin clients of the same code path; see [docs/service.md].
+    {!Runner.run} is the one job path, and this record is its input: what
+    to run (a circuit, or cQASM source to parse), where to run it (the
+    {!route}: the QX engine directly, or the compiler followed by the
+    micro-architecture or QX), and the run parameters (shots, seed, noise,
+    plan override, fusion, fault-injection and retry policy). [qxc run]/
+    [exec], {!Stack.spec} and the multi-tenant job service
+    ({!Qca_service.Service}) all build one, so the CLI and the daemon are
+    thin clients of the same code path; see [docs/service.md].
 
     All fields are plain data (no RNG or injector state), so a spec can be
     serialised over the service's spool protocol and re-hydrated
@@ -30,8 +31,8 @@ type route =
           (** Required for micro-architecture (Real-mode) execution. *)
       ladder : bool;
           (** [true]: walk the degradation ladder on failure
-              (micro-architecture -> realistic QX, the {!Stack.execute}
-              semantics). [false]: fail fast with the structured error
+              (micro-architecture -> realistic QX, as {!Stack.spec}
+              jobs do). [false]: fail fast with the structured error
               (the [qxc exec] semantics). *)
       router : Qca_compiler.Mapping.strategy;
           (** Routing strategy forwarded to
@@ -103,16 +104,39 @@ val of_source : ?label:string -> string -> t
 
 val resolve : t -> (Qca_circuit.Circuit.t, Qca_util.Error.t) result
 (** The payload as a circuit: [Circuit c] unwrapped, [Source] parsed and
-    flattened (parse failures become [Error]). *)
+    flattened (parse failures become [Error]). [resolve spec] is
+    [Result.map snd (elaborate spec)]. *)
+
+val elaborate : t -> (t * Qca_circuit.Circuit.t, Qca_util.Error.t) result
+(** {!resolve}, plus the run parameters the payload itself carries folded
+    into the spec: a [Source] payload's [error_model depolarizing_channel,
+    p] directive (the QX convention, [docs/languages.md]) sets
+    [noise = Some p] when the spec has no explicit [noise]
+    ({!program_noise}). [Circuit] payloads and
+    specs with an explicit [noise] come back unchanged. {!Runner.run} and
+    the job service run the elaborated spec, so [qxc run], [qxc submit]
+    and [qxd] agree on a program's noise. *)
+
+val program_noise :
+  ?noise:float ->
+  ?site:string ->
+  Qca_circuit.Cqasm.program ->
+  (float option, Qca_util.Error.t) result
+(** The depolarising rate a run of [program] uses: an explicit [noise]
+    wins; otherwise the program's [error_model depolarizing_channel, p]
+    directive gives [Some p]; otherwise [None] (ideal). Any other model
+    name is a structured [Invalid] error (at [site]) whose context names
+    it. The one mapping behind {!elaborate}, {!estimate} and
+    [qxc estimate]. *)
 
 val estimate : t -> (Qca_analysis.Estimate.t, Qca_util.Error.t) result
 (** Static resource estimate of the job ({!Qca_analysis.Estimate}): the
     shared semantics behind [qxc estimate], [qxc run --metrics] and the
     service's admission oracle. [Source] payloads are parsed but {e not}
     flattened, so repeated subcircuits estimate symbolically in O(body);
-    the spec's shots, plan override and noise (platform noise for
-    [Compiled] routes) feed the prediction. Parse failures become
-    [Error]. *)
+    the spec's shots, plan override and noise (the [error_model] directive
+    as in {!elaborate}; platform noise for [Compiled] routes) feed the
+    prediction. Parse failures become [Error]. *)
 
 val digest : Qca_circuit.Circuit.t -> string
 (** Hex digest of the circuit's canonical form (qubit count +

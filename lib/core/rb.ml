@@ -3,7 +3,7 @@ module Circuit = Qca_circuit.Circuit
 module Matrix = Qca_util.Matrix
 module Rng = Qca_util.Rng
 module Stats = Qca_util.Stats
-module Sim = Qca_qx.Sim
+module Engine = Qca_qx.Engine
 
 type clifford = { gates : Gate.unitary list; matrix : Matrix.t; mutable inverse_index : int }
 
@@ -120,9 +120,9 @@ let run_with ?interleave ~lengths ~sequences ~shots ~noise ~rng () =
           let circuit =
             interleaved_sequence_circuit ?interleave rng ~qubit:0 ~total_qubits:1 ~length
           in
-          Sim.success_probability ~noise ~rng ~shots
-            ~accept:(fun bits -> bits.(0) = 0)
-            circuit)
+          Engine.success_probability
+            (Engine.run ~noise ~rng ~shots circuit)
+            ~accept:(fun bits -> bits.(0) = 0))
     in
     Stats.mean per_sequence
   in

@@ -1,8 +1,10 @@
 module Engine = Qca_qx.Engine
+module Noise = Qca_qx.Noise
 module Compiler = Qca_compiler.Compiler
 module Platform = Qca_compiler.Platform
 module Controller = Qca_microarch.Controller
 module Error = Qca_util.Error
+module Resilience = Qca_util.Resilience
 
 type outcome = {
   histogram : (string * int) list;
@@ -11,143 +13,94 @@ type outcome = {
   microarch_stats : Controller.run_stats option;
 }
 
-module type RUNNER = sig
-  val runner_name : string
+let with_degraded report msg =
+  let r = report.Engine.resilience in
+  { report with Engine.resilience = { r with Engine.degraded = Some msg } }
 
-  val run :
-    ?rng:Qca_util.Rng.t ->
-    ?faults:Qca_util.Fault.t ->
-    Job_spec.t ->
-    (outcome, Qca_util.Error.t) result
-end
+(* Rung 2 of the degradation ladder (docs/resilience.md): a
+   micro-architecture run whose faulted-shot ratio exceeds the policy
+   threshold, or that failed outright, is re-executed on QX. *)
+let ladder_reason ~policy ~shots = function
+  | Error e ->
+      Some
+        (Printf.sprintf "microarch failed (%s); fell back to realistic QX simulation"
+           (Error.to_string e))
+  | Ok r ->
+      let faulted = r.Controller.report.Engine.resilience.Engine.faulted_shots in
+      let ratio = float_of_int faulted /. float_of_int (max 1 shots) in
+      if ratio > policy.Resilience.degrade_threshold then
+        Some
+          (Printf.sprintf
+             "microarch faulted %d/%d shots (threshold %.0f%%); fell back to \
+              realistic QX simulation"
+             faulted shots
+             (100.0 *. policy.Resilience.degrade_threshold))
+      else None
 
-let wrong_route ~site spec =
-  Stdlib.Error
-    (Error.make ~site
-       ~context:[ ("route", Job_spec.route_description spec) ]
-       (Error.Invalid "job spec routed to the wrong runner"))
-
-module Engine_runner = struct
-  let runner_name = "engine"
-
-  let run ?rng ?faults (spec : Job_spec.t) =
-    match spec.Job_spec.route with
-    | Job_spec.Compiled _ -> wrong_route ~site:"Runner.Engine_runner" spec
-    | Job_spec.Direct -> (
-        match Job_spec.resolve spec with
-        | Error e -> Stdlib.Error e
-        | Ok circuit -> (
-            let faults =
-              match faults with
-              | Some _ as f -> f
-              | None -> Job_spec.faults spec
-            in
-            match
-              Engine.run_checked ~noise:(Job_spec.noise_model spec)
-                ?seed:spec.Job_spec.seed ?rng ?plan:spec.Job_spec.plan
-                ~shots:spec.Job_spec.shots
-                ?faults ~policy:(Job_spec.retry_policy spec)
-                ~fusion:spec.Job_spec.fusion circuit
-            with
-            | Error e -> Stdlib.Error e
-            | Ok result ->
-                Ok
-                  {
-                    histogram = result.Engine.histogram;
-                    report = result.Engine.report;
-                    compiled = None;
-                    microarch_stats = None;
-                  }))
-end
-
-module Microarch_runner = struct
-  let runner_name = "microarch"
-
-  let run ?rng ?faults (spec : Job_spec.t) =
-    match spec.Job_spec.route with
-    | Job_spec.Compiled
-        {
-          platform;
-          mode = Compiler.Real;
-          technology = Some technology;
-          router;
-          _;
-        }
-      -> (
-        match Job_spec.resolve spec with
-        | Error e -> Stdlib.Error e
-        | Ok circuit ->
-            let faults =
-              match faults with
-              | Some _ as f -> f
-              | None -> Job_spec.faults spec
-            in
-            Error.protect ~site:"Runner.Microarch_runner" (fun () ->
-                let out =
-                  Compiler.compile ~strategy:router platform Compiler.Real
-                    circuit
-                in
-                match out.Compiler.eqasm with
-                | None ->
-                    Error.fail ~site:"Runner.Microarch_runner"
-                      ~context:[ ("platform", platform.Platform.name) ]
-                      (Error.Invalid "compiler produced no eQASM")
-                | Some program ->
-                    let r =
-                      Controller.run_shots ~noise:platform.Platform.noise
-                        ?seed:spec.Job_spec.seed ?rng
-                        ~shots:spec.Job_spec.shots ?faults
-                        ~policy:(Job_spec.retry_policy spec) technology program
-                    in
-                    {
-                      histogram = r.Controller.histogram;
-                      report = r.Controller.report;
-                      compiled = Some out;
-                      microarch_stats = Some r.Controller.last.Controller.stats;
-                    }))
-    | _ -> wrong_route ~site:"Runner.Microarch_runner" spec
-end
-
-module Stack_runner = struct
-  let runner_name = "stack"
-
-  let model_of_mode = function
-    | Compiler.Perfect -> Qubit_model.Perfect
-    | Compiler.Realistic -> Qubit_model.Realistic
-    | Compiler.Real -> Qubit_model.Real
-
-  let run ?rng ?faults (spec : Job_spec.t) =
-    match spec.Job_spec.route with
-    | Job_spec.Direct -> wrong_route ~site:"Runner.Stack_runner" spec
-    | Job_spec.Compiled { platform; mode; technology; _ } -> (
-        let stack =
-          {
-            Stack.stack_name = spec.Job_spec.label ^ "-stack";
-            platform;
-            model = model_of_mode mode;
-            technology;
-          }
-        in
-        match Stack.run_spec ?rng ?faults stack spec with
-        | Error e -> Stdlib.Error e
-        | Ok r ->
-            Ok
-              {
-                histogram = r.Stack.histogram;
-                report = r.Stack.engine_report;
-                compiled = Some r.Stack.compiled;
-                microarch_stats = r.Stack.microarch_stats;
-              })
-end
-
-let select (spec : Job_spec.t) : (module RUNNER) =
+let run ?rng ?faults (spec : Job_spec.t) =
+  let ( let* ) = Result.bind in
+  let* spec, circuit = Job_spec.elaborate spec in
+  let shots = spec.Job_spec.shots and seed = spec.Job_spec.seed in
+  let policy = Job_spec.retry_policy spec in
+  let faults = match faults with Some _ as f -> f | None -> Job_spec.faults spec in
+  let engine ?faults ?plan ?compiled ~noise circuit =
+    let* r =
+      Engine.run_checked ~noise ?seed ?rng ?plan ~shots ?faults ~policy
+        ~fusion:spec.Job_spec.fusion circuit
+    in
+    Ok
+      {
+        histogram = r.Engine.histogram;
+        report = r.Engine.report;
+        compiled;
+        microarch_stats = None;
+      }
+  in
   match spec.Job_spec.route with
-  | Job_spec.Direct -> (module Engine_runner)
-  | Job_spec.Compiled
-      { mode = Compiler.Real; technology = Some _; ladder = false; _ } ->
-      (module Microarch_runner)
-  | Job_spec.Compiled _ -> (module Stack_runner)
+  | Job_spec.Direct ->
+      engine ?faults ?plan:spec.Job_spec.plan ~noise:(Job_spec.noise_model spec) circuit
+  | Job_spec.Compiled { platform; mode; technology; ladder; router } -> (
+      let* compiled =
+        Error.protect ~site:"Runner.run" (fun () ->
+            Compiler.compile ~strategy:router platform mode circuit)
+      in
+      let noise =
+        match mode with
+        | Compiler.Perfect -> Noise.ideal
+        | Compiler.Realistic | Compiler.Real -> platform.Platform.noise
+      in
+      (* The QX rung runs the already-compiled program, so histogram keys
+         keep the platform width whichever backend produced them. *)
+      let on_qx () = engine ~compiled ~noise compiled.Compiler.physical in
+      match (technology, compiled.Compiler.eqasm) with
+      | Some technology, Some program -> (
+          let microarch =
+            Error.protect ~site:"Runner.run" (fun () ->
+                Controller.run_shots ~noise ?seed ?rng ~shots ?faults ~policy
+                  technology program)
+          in
+          match
+            (microarch, if ladder then ladder_reason ~policy ~shots microarch else None)
+          with
+          | _, Some reason ->
+              let* o = on_qx () in
+              Ok { o with report = with_degraded o.report reason }
+          | Error e, None -> Error e
+          | Ok r, None ->
+              Ok
+                {
+                  histogram = r.Controller.histogram;
+                  report = r.Controller.report;
+                  compiled = Some compiled;
+                  microarch_stats = Some r.Controller.last.Controller.stats;
+                })
+      | _ -> on_qx ())
 
-let run ?rng ?faults spec =
-  let (module R) = select spec in
-  R.run ?rng ?faults spec
+let success_probability outcome ~accept =
+  let total = List.fold_left (fun acc (_, c) -> acc + c) 0 outcome.histogram in
+  let hits =
+    List.fold_left
+      (fun acc (key, c) -> if accept key then acc + c else acc)
+      0 outcome.histogram
+  in
+  if total = 0 then 0.0 else float_of_int hits /. float_of_int total

@@ -1,12 +1,21 @@
-(** The one execution entry point: dispatch a {!Job_spec.t} to the right
-    backend surface.
+(** The one job path of the stack: run a {!Job_spec.t} on the backend its
+    route names.
 
-    Historically the stack grew three parallel result-typed entry points —
-    [Qca_qx.Engine.run_checked], [Qca_microarch.Controller.run_checked] and
-    {!Stack.run_checked} — each with its own argument list. They remain as
-    thin compatibility wrappers, but the canonical path is now: build a
-    {!Job_spec.t}, call {!run}. [qxc run]/[exec], the examples and the job
-    service ({!Qca_service.Service}) all go through here, so every consumer
+    - A [Direct] route runs the circuit on the QX engine
+      ({!Qca_qx.Engine.run_checked}) with the spec's noise, plan override
+      and fault injection.
+    - A [Compiled] route compiles once ({!Qca_compiler.Compiler.compile}).
+      When the route has a micro-architecture and the compiler emitted
+      eQASM, every shot runs through the cycle-accurate controller
+      ({!Qca_microarch.Controller.run_shots}); with [ladder = true] a
+      controller failure, or a faulted-shot ratio above the retry policy's
+      [degrade_threshold], falls back to QX on the already-compiled program
+      and records the event in [report.resilience.degraded]. Every other
+      compiled route runs the compiled program on QX under its mode's noise
+      (ideal for [Perfect], the platform's model otherwise).
+
+    [qxc run]/[exec], the job service ({!Qca_service.Service}), {!Stack},
+    the examples and the benchmarks all go through here, so every consumer
     sees the same seed semantics, fault handling and report schema
     ([docs/service.md]). *)
 
@@ -18,45 +27,21 @@ type outcome = {
   compiled : Qca_compiler.Compiler.output option;
       (** Present for [Compiled] routes. *)
   microarch_stats : Qca_microarch.Controller.run_stats option;
-      (** Last-shot pipeline stats for micro-architecture execution. *)
+      (** Last-shot pipeline stats when the micro-architecture ran the job
+          ([None] after a ladder fallback). *)
 }
-
-(** The shared shape of an execution surface. [?rng] overrides the spec's
-    seed (engine precedence rules); [?faults] threads an existing injector
-    through instead of building one from the spec — both exist so the job
-    service can slice a job across scheduler ticks while keeping the
-    merged result bit-identical to one uninterrupted run. *)
-module type RUNNER = sig
-  val runner_name : string
-
-  val run :
-    ?rng:Qca_util.Rng.t ->
-    ?faults:Qca_util.Fault.t ->
-    Job_spec.t ->
-    (outcome, Qca_util.Error.t) result
-end
-
-module Engine_runner : RUNNER
-(** [Direct] routes: straight QX engine execution ({!Qca_qx.Engine.run});
-    rejects [Compiled] specs. *)
-
-module Microarch_runner : RUNNER
-(** [Compiled] routes with a technology, Real mode and [ladder = false]:
-    compile to eQASM and execute every shot through the cycle-accurate
-    controller, failing fast on structured errors (the [qxc exec]
-    semantics). *)
-
-module Stack_runner : RUNNER
-(** Every other [Compiled] route: full-stack execution via
-    {!Stack.execute_spec}, including the micro-architecture -> realistic-QX
-    degradation ladder when [ladder = true]. *)
-
-val select : Job_spec.t -> (module RUNNER)
-(** The runner {!run} would dispatch to. *)
 
 val run :
   ?rng:Qca_util.Rng.t ->
   ?faults:Qca_util.Fault.t ->
   Job_spec.t ->
   (outcome, Qca_util.Error.t) result
-(** [run spec] = [let (module R) = select spec in R.run spec]. *)
+(** Run the job. [?rng] overrides the spec's seed (engine precedence
+    rules); [?faults] threads an existing injector through instead of
+    building one from the spec — both exist so the job service can slice a
+    job across scheduler ticks while keeping the merged result
+    bit-identical to one uninterrupted run. Payload, compilation and
+    execution failures are all structured [Error]s. *)
+
+val success_probability : outcome -> accept:(string -> bool) -> float
+(** Fraction of histogram mass on accepted bitstrings. *)

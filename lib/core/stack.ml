@@ -1,9 +1,6 @@
 module Platform = Qca_compiler.Platform
-module Compiler = Qca_compiler.Compiler
 module Controller = Qca_microarch.Controller
 module Circuit = Qca_circuit.Circuit
-module Engine = Qca_qx.Engine
-module Trace = Qca_util.Trace
 
 type t = {
   stack_name : string;
@@ -59,126 +56,18 @@ let realistic_of stack =
     stack_name = stack.stack_name ^ "-realistic";
   }
 
-type run = {
-  compiled : Compiler.output;
-  histogram : (string * int) list;
-  microarch_stats : Controller.run_stats option;
-  engine_report : Engine.run_report;
-}
-
-let with_degraded report msg =
-  let r = report.Engine.resilience in
-  { report with Engine.resilience = { r with Engine.degraded = Some msg } }
-
-(* The spec-consuming executor: the one canonical code path. [execute] and
-   [Runner.Stack_runner] are both thin clients of it. The stack's own
-   platform/model/technology decide the route; the spec contributes the
-   run parameters (shots, seed, retry policy, payload). *)
-let execute_spec ?rng ?faults stack (spec : Job_spec.t) =
-  let shots = spec.Job_spec.shots in
-  let seed = spec.Job_spec.seed in
-  let policy = Job_spec.retry_policy spec in
-  let faults =
-    match faults with Some _ as f -> f | None -> Job_spec.faults spec
-  in
-  let circuit =
-    match Job_spec.resolve spec with
-    | Ok c -> c
-    | Error e -> raise (Qca_util.Error.Error e)
-  in
-  Trace.with_span "stack.execute" (fun stack_sp ->
-  Trace.annotate stack_sp (fun () ->
-      [
-        ("stack", Trace.String stack.stack_name);
-        ("platform", Trace.String stack.platform.Platform.name);
-        ("model", Trace.String (Qubit_model.to_string stack.model));
-      ]);
-  let mode = Qubit_model.compiler_mode stack.model in
-  let strategy = Job_spec.route_router spec.Job_spec.route in
-  let compiled = Compiler.compile ~strategy stack.platform mode circuit in
-  let noise = Qubit_model.noise stack.model stack.platform in
-  (* Realistic-Sim fallback: execute the already-compiled output directly on
-     QX. Same platform width as the micro-architecture path, so histogram
-     keys stay comparable after a degradation. *)
-  let fallback reason =
-    (match reason with
-    | Some msg -> Trace.add_attr stack_sp "degraded" (Trace.String msg)
-    | None -> ());
-    let result = Compiler.execute_result ~shots ?seed ?rng compiled in
-    {
-      compiled;
-      histogram = result.Engine.histogram;
-      microarch_stats = None;
-      engine_report =
-        (match reason with
-        | None -> result.Engine.report
-        | Some msg -> with_degraded result.Engine.report msg);
-    }
-  in
-  match stack.technology, compiled.Compiler.eqasm with
-  | Some technology, Some program -> (
-      (* Execute every shot through the micro-architecture; if the injected
-         fault load exceeds the policy threshold (or every shot faults), the
-         stack degrades to direct realistic-QX execution of the same
-         compiled program. *)
-      match
-        Qca_util.Error.protect ~site:"Stack.execute" (fun () ->
-            Controller.run_shots ~noise ?seed ?rng ~shots ?faults ~policy
-              technology program)
-      with
-      | Ok r ->
-          let faulted =
-            r.Controller.report.Engine.resilience.Engine.faulted_shots
-          in
-          let ratio = float_of_int faulted /. float_of_int (max 1 shots) in
-          if ratio > policy.Qca_util.Resilience.degrade_threshold then
-            fallback
-              (Some
-                 (Printf.sprintf
-                    "microarch faulted %d/%d shots (threshold %.0f%%); fell \
-                     back to realistic QX simulation"
-                    faulted shots
-                    (100.0 *. policy.Qca_util.Resilience.degrade_threshold)))
-          else
-            {
-              compiled;
-              histogram = r.Controller.histogram;
-              microarch_stats = Some r.Controller.last.Controller.stats;
-              engine_report = r.Controller.report;
-            }
-      | Error e ->
-          fallback
-            (Some
-               (Printf.sprintf
-                  "microarch failed (%s); fell back to realistic QX simulation"
-                  (Qca_util.Error.to_string e))))
-  | None, _ | _, None -> fallback None)
-
-let run_spec ?rng ?faults stack spec =
-  Qca_util.Error.protect ~site:"Stack.run_spec" (fun () ->
-      execute_spec ?rng ?faults stack spec)
-
-let spec_of ?(shots = 512) ?seed ?(policy = Qca_util.Resilience.default_policy)
-    circuit =
+let spec ?(shots = 512) ?seed stack circuit =
   Job_spec.make ~label:(Circuit.name circuit) ~shots ?seed
-    ~max_retries:policy.Qca_util.Resilience.max_retries
-    ~backoff_ns:policy.Qca_util.Resilience.backoff_ns
-    ~degrade_threshold:policy.Qca_util.Resilience.degrade_threshold
+    ~route:
+      (Job_spec.Compiled
+         {
+           platform = stack.platform;
+           mode = Qubit_model.compiler_mode stack.model;
+           technology = stack.technology;
+           ladder = true;
+           router = Qca_compiler.Mapping.Sabre;
+         })
     (Job_spec.Circuit circuit)
-
-let execute ?shots ?seed ?rng ?faults ?policy stack circuit =
-  execute_spec ?rng ?faults stack (spec_of ?shots ?seed ?policy circuit)
-
-let run_checked ?shots ?seed ?rng ?faults ?policy stack circuit =
-  Qca_util.Error.protect ~site:"Stack.run_checked" (fun () ->
-      execute ?shots ?seed ?rng ?faults ?policy stack circuit)
-
-let success_probability run ~accept =
-  let total = List.fold_left (fun acc (_, c) -> acc + c) 0 run.histogram in
-  let hits =
-    List.fold_left (fun acc (key, c) -> if accept key then acc + c else acc) 0 run.histogram
-  in
-  if total = 0 then 0.0 else float_of_int hits /. float_of_int total
 
 let describe stack =
   Printf.sprintf "%s: platform=%s qubits=%s model=%s microarch=%s" stack.stack_name

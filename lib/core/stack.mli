@@ -1,7 +1,9 @@
-(** The three full-stack accelerator instances of section 3, with one
-    uniform execution path: OpenQL-style compile, cQASM, then either direct
-    QX execution (perfect qubits) or eQASM through the cycle-accurate
-    micro-architecture driving QX (real/realistic qubits). *)
+(** The full-stack accelerator instances of section 3, as descriptors: a
+    platform, a qubit model and, for real qubits, a micro-architecture. A
+    stack runs nothing itself; {!spec} builds the job it denotes
+    (OpenQL-style compile, cQASM, then either direct QX execution for
+    perfect qubits or eQASM through the cycle-accurate micro-architecture
+    driving QX) and {!Runner.run} executes it. *)
 
 type t = {
   stack_name : string;
@@ -30,80 +32,13 @@ val realistic_of : t -> t
 (** The same stack with realistic (simulated, noisy) qubits — Figure 2's
     third dimension. *)
 
-type run = {
-  compiled : Qca_compiler.Compiler.output;
-  histogram : (string * int) list;
-  microarch_stats : Qca_microarch.Controller.run_stats option;
-      (** Last-shot pipeline stats when the stack has a micro-architecture. *)
-  engine_report : Qca_qx.Engine.run_report;
-      (** Per-run execution metrics: plan chosen, gate applies, phase
-          timings. Micro-architecture stacks always report the trajectory
-          plan; direct-QX stacks take the sampled plan when the circuit
-          allows it. *)
-}
-
-val execute :
-  ?shots:int ->
-  ?seed:int ->
-  ?rng:Qca_util.Rng.t ->
-  ?faults:Qca_util.Fault.t ->
-  ?policy:Qca_util.Resilience.policy ->
-  t ->
-  Qca_circuit.Circuit.t ->
-  run
-(** Push a circuit through the whole stack. Default 512 shots. Seed
-    semantics follow {!Qca_qx.Engine.run}: [?rng] wins over [?seed]; with
-    neither, a process-wide stream advances across calls.
-
-    With a [faults] injector attached to a micro-architecture stack, shots
-    are retried per [policy] (default
-    {!Qca_util.Resilience.default_policy}). When the faulted-shot ratio
-    exceeds [policy.degrade_threshold] — or the controller fails outright —
-    the stack degrades: the already-compiled program re-executes directly
-    on QX (realistic simulation), [microarch_stats] is [None], and
-    [engine_report.resilience.degraded] records the event. Histogram keys
-    stay platform-width across the fallback. *)
-
-val run_checked :
-  ?shots:int ->
-  ?seed:int ->
-  ?rng:Qca_util.Rng.t ->
-  ?faults:Qca_util.Fault.t ->
-  ?policy:Qca_util.Resilience.policy ->
-  t ->
-  Qca_circuit.Circuit.t ->
-  (run, Qca_util.Error.t) result
-(** [execute] with structured errors instead of exceptions (compilation
-    failures included).
-
-    @deprecated Thin compatibility wrapper: new callers should build a
-    {!Job_spec.t} and go through {!Runner.run} (or {!run_spec}), the
-    canonical execution path. *)
-
-(** {2 Job-spec surface}
-
-    [execute] is itself a thin client of this path: it builds a
-    {!Job_spec.t} from its arguments and calls {!execute_spec}. The
-    [Runner.Stack_runner] instance and the job service enter here. *)
-
-val execute_spec :
-  ?rng:Qca_util.Rng.t -> ?faults:Qca_util.Fault.t -> t -> Job_spec.t -> run
-(** Run a job spec through this stack. The stack's platform/model/
-    technology decide the route ([spec.route] is not consulted); the spec
-    contributes payload, shots, seed and the fault/retry policy. An
-    explicit [?faults] injector wins over the spec's [fault_rate] (so a
-    caller can thread one injector across several calls). Raises
-    {!Qca_util.Error.Error} on unresolvable payloads. *)
-
-val run_spec :
-  ?rng:Qca_util.Rng.t ->
-  ?faults:Qca_util.Fault.t ->
-  t ->
-  Job_spec.t ->
-  (run, Qca_util.Error.t) result
-(** [execute_spec] with structured errors instead of exceptions. *)
-
-val success_probability : run -> accept:(string -> bool) -> float
-(** Fraction of histogram mass on accepted bitstrings. *)
+val spec : ?shots:int -> ?seed:int -> t -> Qca_circuit.Circuit.t -> Job_spec.t
+(** The job this stack denotes for [circuit], ready for {!Runner.run}: a
+    [Compiled] route on the stack's platform, in its qubit model's compiler
+    mode, with its micro-architecture and the degradation ladder on
+    (micro-architecture -> realistic QX), routed with
+    {!Qca_compiler.Mapping.Sabre}. Default 512 shots; the other run
+    parameters take the {!Job_spec.make} defaults and can be overridden on
+    the returned record. *)
 
 val describe : t -> string

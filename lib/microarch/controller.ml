@@ -342,9 +342,6 @@ let collect session (program : Eqasm.program) =
 let run ?noise ?rng ?faults technology program =
   collect (run_session ?noise ?rng ?faults technology program) program
 
-let run_checked ?noise ?rng ?faults technology program =
-  Qerror.protect ~site:"Controller.run" (fun () -> run ?noise ?rng ?faults technology program)
-
 type shots_result = {
   histogram : (string * int) list;
   last : result;

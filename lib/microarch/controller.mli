@@ -54,15 +54,6 @@ val run :
     [?rng], randomness comes from a process-wide stream that advances
     across calls (see {!Qca_qx.Engine.default_rng} for the semantics). *)
 
-val run_checked :
-  ?noise:Qca_qx.Noise.model ->
-  ?rng:Qca_util.Rng.t ->
-  ?faults:Qca_util.Fault.t ->
-  technology ->
-  Qca_compiler.Eqasm.program ->
-  (result, Qca_util.Error.t) Stdlib.result
-(** [run] with structured errors instead of exceptions. *)
-
 type shots_result = {
   histogram : (string * int) list;
       (** Measured bitstrings over all shots (count-descending; qubit 0

@@ -197,37 +197,31 @@ let clifford_wins ~n ~gates ~measures ~shots =
    force trajectories (mid-circuit measurement, feedback, resets — the big
    win: per-shot cost drops from O(gates * 2^n) to O(poly n)) or when the
    cost model says the state vector is more expensive (wide terminal
-   circuits); otherwise the sampled/trajectory structure analysis stands. *)
-let choose_auto ~noise ~shots circuit =
-  if not (Noise.is_ideal noise) then (Trajectory, "stochastic noise model", [||])
+   circuits); otherwise the sampled/trajectory structure analysis stands.
+   The structure and Clifford verdicts are read off [circuit]; [gates] and
+   [measures] feed only the cost model, so the static estimator can pass
+   symbolic totals alongside a truncated probe of the program. *)
+let choose_plan ~noisy ~shots ~gates ~measures circuit =
+  if noisy then (Trajectory, "stochastic noise model")
   else
-    let structure, structure_reason, measured = classify_structure circuit in
-    match clifford_blocker circuit with
-    | Some _ -> (structure, structure_reason, measured)
-    | None -> (
+    let structure, structure_reason, _ = classify_structure circuit in
+    match (clifford_blocker circuit, structure) with
+    | Some _, _ -> (structure, structure_reason)
+    | None, Trajectory -> (Clifford, "all-Clifford gates; " ^ structure_reason)
+    | None, Sampled ->
         let n = Circuit.qubit_count circuit in
-        let gates, measures = count_work circuit in
-        match structure with
-        | Trajectory ->
-            (Clifford, "all-Clifford gates; " ^ structure_reason, measured)
-        | Sampled ->
-            if clifford_wins ~n ~gates ~measures ~shots then
-              ( Clifford,
-                Printf.sprintf
-                  "all-Clifford gates; tableau cheaper than the 2^%d-amplitude \
-                   state vector"
-                  n,
-                measured )
-            else (Sampled, structure_reason, measured)
-        | Clifford -> assert false)
+        if clifford_wins ~n ~gates ~measures ~shots then
+          ( Clifford,
+            Printf.sprintf
+              "all-Clifford gates; tableau cheaper than the 2^%d-amplitude \
+               state vector"
+              n )
+        else (Sampled, structure_reason)
+    | None, Clifford -> assert false
 
 let analyse ?(noise = Noise.ideal) ?(shots = 1024) circuit =
-  let plan, reason, _ = choose_auto ~noise ~shots circuit in
-  (plan, reason)
-
-let structure circuit =
-  let plan, reason, _ = classify_structure circuit in
-  (plan, reason)
+  let gates, measures = count_work circuit in
+  choose_plan ~noisy:(not (Noise.is_ideal noise)) ~shots ~gates ~measures circuit
 
 let terminal_split circuit =
   match classify_structure circuit with
@@ -356,87 +350,57 @@ let compile_micro ~fusion instrs =
   in
   (Array.of_list ops, fstats)
 
-(* --- trajectory executor ----------------------------------------------- *)
+(* --- the per-shot interpreter ------------------------------------------ *)
 
-(* The canonical per-shot executor (also backing [Sim.run]): one fresh state
-   vector per shot, measurement collapse, classical feedback, per-gate
-   stochastic noise. *)
-let exec_instrumented ?(noise = Noise.ideal) ?tally rng circuit =
-  let n = Circuit.qubit_count circuit in
+let record tally name =
+  count_apply tally name;
+  if Trace.enabled () then Trace.add_counter ("qx.apply." ^ name) 1
+
+(* The one state-vector shot executor (trajectory plan, [Sim.run],
+   [fold_trajectories]): a fresh state per shot, measurement collapse,
+   classical feedback, and — for a stochastic [noise] model — per-gate
+   errors after every kernel, prep errors and readout flips. Randomness is
+   drawn in program order, gate by gate: a noisy program is compiled
+   unfused, and fused kernels (ideal runs only) are bit-identical to
+   gate-by-gate application and draw nothing. The tally counts every
+   {e logical} gate: fused kernels record each constituent gate name. *)
+let exec_micro ~noise ~tally rng ops n =
   let state = State.create n in
   let classical = Array.make n (-1) in
   let ideal = Noise.is_ideal noise in
-  (* Gate-class counters feed the tracing layer; the [enabled] guard keeps
-     the string construction off the disabled hot path. *)
-  let record name =
-    (match tally with Some t -> count_apply t name | None -> ());
-    if Trace.enabled () then Trace.add_counter ("qx.apply." ^ name) 1
-  in
-  let execute instr =
-    match instr with
-    | Gate.Unitary (u, ops) ->
-        State.apply state u ops;
-        record (Gate.name u);
-        if not ideal then Noise.after_gate noise state rng u ops
-    | Gate.Conditional (bit, u, ops) ->
-        if classical.(bit) = 1 then begin
-          State.apply state u ops;
-          record (Gate.name u);
-          if not ideal then Noise.after_gate noise state rng u ops
-        end
-    | Gate.Prep q ->
-        let current = State.measure state rng q in
-        if current = 1 then State.apply state Gate.X [| q |];
-        if (not ideal) && Rng.bernoulli rng noise.Noise.prep_error then
-          State.apply state Gate.X [| q |]
-    | Gate.Measure q ->
-        let outcome = State.measure state rng q in
-        (match tally with Some t -> t.measures <- t.measures + 1 | None -> ());
-        if Trace.enabled () then Trace.add_counter "qx.measure" 1;
-        classical.(q) <- (if ideal then outcome else Noise.flip_readout noise rng outcome)
-    | Gate.Barrier _ -> ()
-  in
-  List.iter execute (Circuit.instructions circuit);
-  (state, classical)
-
-let exec_shot ?noise rng circuit = exec_instrumented ?noise rng circuit
-
-(* Ideal-noise per-shot executor over the compiled (possibly fused)
-   micro-program. Consumes randomness exactly where [exec_instrumented]
-   does (Prep and Measure only — the program exists only for ideal noise),
-   and fused kernels are bit-identical to gate-by-gate application, so
-   trajectories match the unfused executor bit for bit. The tally still
-   counts every {e logical} gate: fused kernels record each constituent
-   gate name. *)
-let exec_micro ~tally rng ops n =
-  let state = State.create n in
-  let classical = Array.make n (-1) in
-  let record name =
-    count_apply tally name;
-    if Trace.enabled () then Trace.add_counter ("qx.apply." ^ name) 1
-  in
   for i = 0 to Array.length ops - 1 do
     match Array.unsafe_get ops i with
     | M_kernel k -> (
         apply_kernel state k;
         match k with
-        | Single (_, _, name) -> record name
-        | Fused_1q (_, _, names) | Fused_diag (_, names) -> List.iter record names)
+        | Single (u, o, name) ->
+            record tally name;
+            if not ideal then Noise.after_gate noise state rng u o
+        | Fused_1q (_, _, names) | Fused_diag (_, names) -> List.iter (record tally) names)
     | M_cond (bit, u, o, name) ->
         if classical.(bit) = 1 then begin
           State.apply state u o;
-          record name
+          record tally name;
+          if not ideal then Noise.after_gate noise state rng u o
         end
     | M_prep q ->
         let current = State.measure state rng q in
-        if current = 1 then State.apply state Gate.X [| q |]
+        if current = 1 then State.apply state Gate.X [| q |];
+        if (not ideal) && Rng.bernoulli rng noise.Noise.prep_error then
+          State.apply state Gate.X [| q |]
     | M_measure q ->
         let outcome = State.measure state rng q in
         tally.measures <- tally.measures + 1;
         if Trace.enabled () then Trace.add_counter "qx.measure" 1;
-        classical.(q) <- outcome
+        classical.(q) <- (if ideal then outcome else Noise.flip_readout noise rng outcome)
   done;
-  classical
+  (state, classical)
+
+let unfused_program circuit = fst (compile_micro ~fusion:false (Circuit.instructions circuit))
+
+let exec_shot ?(noise = Noise.ideal) rng circuit =
+  exec_micro ~noise ~tally:(fresh_tally ()) rng (unfused_program circuit)
+    (Circuit.qubit_count circuit)
 
 (* Clifford-plan executor: the same micro-program, dispatched onto a reused
    tableau ([Tableau.reset] per shot, no allocation). Seeding discipline
@@ -451,10 +415,7 @@ let exec_micro_tableau ~tally rng tab ops =
   Tableau.reset tab;
   let n = Tableau.qubit_count tab in
   let classical = Array.make n (-1) in
-  let record name =
-    count_apply tally name;
-    if Trace.enabled () then Trace.add_counter ("qx.apply." ^ name) 1
-  in
+  let record = record tally in
   let measure q =
     let draw = Rng.float rng 1.0 in
     Tableau.measure_with tab q ~random_outcome:(fun () ->
@@ -505,11 +466,16 @@ let merge_tally ~into src =
 let batch_shots shots =
   Parallel.available () && (not (Trace.enabled ())) && shots > shot_chunk
 
-let fold_trajectories ?noise ~rng ~shots ~init ~f circuit =
+let fold_trajectories ?(noise = Noise.ideal) ~rng ~shots ~init ~f circuit =
+  (* Compiled once; each shot gets its own tally so parallel shots share
+     nothing mutable. *)
+  let ops = unfused_program circuit in
+  let n = Circuit.qubit_count circuit in
+  let exec_shot rng = exec_micro ~noise ~tally:(fresh_tally ()) rng ops n in
   let sequential () =
     let acc = ref init in
     for _ = 1 to shots do
-      let state, classical = exec_shot ?noise (Rng.split rng) circuit in
+      let state, classical = exec_shot (Rng.split rng) in
       acc := f !acc state classical
     done;
     !acc
@@ -517,7 +483,6 @@ let fold_trajectories ?noise ~rng ~shots ~init ~f circuit =
   (* Parallel windows keep one in-flight state per shot, so the window is
      bounded by a memory budget as well as the pool width; the fold itself
      runs in shot order, so results are bit-identical to sequential. *)
-  let n = Circuit.qubit_count circuit in
   let state_bytes = 16.0 *. ldexp 1.0 n in
   let window =
     let budget = 268_435_456.0 (* 256 MB of in-flight states *) in
@@ -534,8 +499,7 @@ let fold_trajectories ?noise ~rng ~shots ~init ~f circuit =
       let results = Array.make w None in
       Parallel.for_tasks ~chunk:1 w (fun lo hi ->
           for i = lo to hi - 1 do
-            let state, classical = exec_shot ?noise streams.(i) circuit in
-            results.(i) <- Some (state, classical)
+            results.(i) <- Some (exec_shot streams.(i))
           done);
       Array.iter
         (function
@@ -631,7 +595,7 @@ let surviving_shots ?(faults = None) ~policy ~counters shots =
       for _ = 1 to shots do
         match
           Resilience.with_retries policy counters (fun () ->
-              inject_backend_fault faults ~site:"Engine.run_sampled")
+              inject_backend_fault faults ~site:"Engine.surviving_shots")
         with
         | Ok () -> incr ok
         | Error _ ->
@@ -678,40 +642,6 @@ let sample_histogram ~probabilities ~measured ~rng ~shots =
   Hashtbl.fold (fun k count acc -> (key_of k, count) :: acc) counts []
   |> List.sort (fun (_, a) (_, b) -> compare b a)
 
-let run_sampled ~tally rng ~shots ~measured ~ops circuit =
-  (* [shots] here is the surviving-shot count (faults already applied). *)
-  let n = Circuit.qubit_count circuit in
-  let state = State.create n in
-  let record name =
-    count_apply tally name;
-    if Trace.enabled () then Trace.add_counter ("qx.apply." ^ name) 1
-  in
-  let sim_sp = Trace.begin_span "engine.simulate" in
-  Array.iter
-    (fun op ->
-      match op with
-      | M_kernel k -> (
-          apply_kernel state k;
-          match k with
-          | Single (_, _, name) -> record name
-          | Fused_1q (_, _, names) | Fused_diag (_, names) -> List.iter record names)
-      | M_prep _ | M_measure _ -> ()
-      | M_cond _ -> invalid_arg "Engine: conditional gate in sampled plan")
-    ops;
-  Trace.annotate sim_sp (fun () ->
-      [ ("gate_applies", Trace.Int (Hashtbl.fold (fun _ c acc -> acc + c) tally.applies 0)) ]);
-  Trace.end_span sim_sp;
-  let t_sim = Sys.time () in
-  let histogram =
-    Trace.with_span "engine.sample" (fun sample_sp ->
-        Trace.annotate sample_sp (fun () -> [ ("shots", Trace.Int shots) ]);
-        sample_histogram ~probabilities:(State.probabilities state) ~measured ~rng ~shots)
-  in
-  let measured_count = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 measured in
-  tally.measures <- shots * measured_count;
-  if Trace.enabled () then Trace.add_counter "qx.measure" tally.measures;
-  (histogram, t_sim)
-
 (* --- shared sampled-plan distribution ---------------------------------- *)
 
 type sampled_distribution = {
@@ -721,27 +651,32 @@ type sampled_distribution = {
   dist_gate_applies : (string * int) list;
 }
 
+(* The sampled plan's one simulation pass: evolve |0...0> through the
+   unitary prefix and return the final distribution. Consumes no
+   randomness; preps and measures are terminal (the plan's precondition). *)
+let prefix_probabilities ~record ops n =
+  let state = State.create n in
+  Array.iter
+    (function
+      | M_kernel k -> (
+          apply_kernel state k;
+          match k with
+          | Single (_, _, name) -> record name
+          | Fused_1q (_, _, names) | Fused_diag (_, names) -> List.iter record names)
+      | M_cond _ | M_prep _ | M_measure _ -> ())
+    ops;
+  State.probabilities state
+
 let sampled_distribution ?(fusion = true) circuit =
   match classify_structure circuit with
   | (Trajectory | Clifford), _, _ -> None
   | Sampled, _, measured ->
       let ops, fstats = compile_micro ~fusion (Circuit.instructions circuit) in
       let tally = fresh_tally () in
-      let state = State.create (Circuit.qubit_count circuit) in
-      Array.iter
-        (fun op ->
-          match op with
-          | M_kernel k -> (
-              apply_kernel state k;
-              match k with
-              | Single (_, _, name) -> count_apply tally name
-              | Fused_1q (_, _, names) | Fused_diag (_, names) ->
-                  List.iter (count_apply tally) names)
-          | M_cond _ | M_prep _ | M_measure _ -> ())
-        ops;
       Some
         {
-          probabilities = State.probabilities state;
+          probabilities =
+            prefix_probabilities ~record:(count_apply tally) ops (Circuit.qubit_count circuit);
           dist_measured = measured;
           dist_fusion = fstats;
           dist_gate_applies = gate_applies_of tally;
@@ -756,17 +691,17 @@ let run ?(noise = Noise.ideal) ?seed ?rng ?plan ?(shots = 1024) ?faults
   let counters = Resilience.fresh_counters () in
   let t0 = Sys.time () in
   let analyse_sp = Trace.begin_span "engine.analyse" in
-  let chosen, reason, measured =
+  let chosen, reason =
     match plan with
-    | None -> choose_auto ~noise ~shots circuit
-    | Some Trajectory -> (Trajectory, "trajectory plan forced by caller", [||])
+    | None -> analyse ~noise ~shots circuit
+    | Some Trajectory -> (Trajectory, "trajectory plan forced by caller")
     | Some Sampled -> (
         if not (Noise.is_ideal noise) then
           invalid_arg
             "Engine.run: sampled plan forced but circuit needs trajectories: \
              stochastic noise model";
         match classify_structure circuit with
-        | Sampled, _, measured -> (Sampled, "sampled plan forced by caller", measured)
+        | Sampled, _, _ -> (Sampled, "sampled plan forced by caller")
         | Trajectory, r, _ ->
             invalid_arg ("Engine.run: sampled plan forced but circuit needs trajectories: " ^ r)
         | Clifford, _, _ -> assert false)
@@ -781,7 +716,7 @@ let run ?(noise = Noise.ideal) ?seed ?rng ?plan ?(shots = 1024) ?faults
             Qerror.fail ~site:"Engine.run"
               ~context:[ ("gate", gate); ("index", string_of_int index) ]
               (Qerror.Invalid "clifford plan forced on a non-Clifford circuit")
-        | None -> (Clifford, "clifford plan forced by caller", [||]))
+        | None -> (Clifford, "clifford plan forced by caller"))
   in
   Trace.annotate analyse_sp (fun () ->
       [ ("plan", Trace.String (plan_to_string chosen)); ("reason", Trace.String reason) ]);
@@ -795,13 +730,14 @@ let run ?(noise = Noise.ideal) ?seed ?rng ?plan ?(shots = 1024) ?faults
       ]);
   let rng = resolve_rng seed rng in
   (* Fusion pre-pass: only for ideal noise (per-gate stochastic noise pins
-     the gate-by-gate schedule). [~fusion:false] still compiles — into
-     single-gate kernels — so both paths run the same executor. *)
+     the gate-by-gate schedule, so a noisy program compiles unfused and
+     reports no fusion). [~fusion:false] still compiles — into single-gate
+     kernels — so every path runs the same executor. *)
   let ideal = Noise.is_ideal noise in
   (* The Clifford plan feeds every kernel to the tableau one gate at a time,
      so it compiles unfused (fused kernels carry state-vector plans). *)
   let fusion = fusion && chosen <> Clifford in
-  let prog, fstats =
+  let ops, fstats =
     if ideal then
       Trace.with_span "engine.fuse" (fun fuse_sp ->
           let ops, stats = compile_micro ~fusion (Circuit.instructions circuit) in
@@ -817,41 +753,55 @@ let run ?(noise = Noise.ideal) ?seed ?rng ?plan ?(shots = 1024) ?faults
             Trace.add_counter "qx.fusion.gates_in" stats.gates_in;
             Trace.add_counter "qx.fusion.kernels" stats.kernels
           end;
-          (Some ops, stats))
-    else (None, no_fusion)
+          (ops, stats))
+    else (unfused_program circuit, no_fusion)
   in
+  let n = Circuit.qubit_count circuit in
   let t1 = Sys.time () in
   let tally = fresh_tally () in
   let simulate make_exec =
-    Trace.with_span "engine.simulate" (fun sim_sp ->
-        Trace.annotate sim_sp (fun () ->
-            [
-              ("plan", Trace.String (plan_to_string chosen));
-              ("trajectories", Trace.Int shots);
-            ]);
-        run_trajectory ~faults ~policy ~counters ~tally ~make_exec ~rng ~shots ())
+    let histogram =
+      Trace.with_span "engine.simulate" (fun sim_sp ->
+          Trace.annotate sim_sp (fun () ->
+              [
+                ("plan", Trace.String (plan_to_string chosen));
+                ("trajectories", Trace.Int shots);
+              ]);
+          run_trajectory ~faults ~policy ~counters ~tally ~make_exec ~rng ~shots ())
+    in
+    (* Read the clock only once the shots have run: they are all simulation. *)
+    (histogram, Sys.time ())
   in
   let histogram, t_sample_start =
     match chosen with
     | Sampled ->
         let survivors = surviving_shots ~faults ~policy ~counters shots in
-        run_sampled ~tally rng ~shots:survivors ~measured ~ops:(Option.get prog) circuit
-    | Trajectory ->
-        let n = Circuit.qubit_count circuit in
-        let make_exec =
-          match prog with
-          | Some ops -> fun () t r -> exec_micro ~tally:t r ops n
-          | None -> fun () t r -> snd (exec_instrumented ~noise ~tally:t r circuit)
+        let _, _, measured = classify_structure circuit in
+        let probabilities =
+          Trace.with_span "engine.simulate" (fun sim_sp ->
+              let p = prefix_probabilities ~record:(record tally) ops n in
+              Trace.annotate sim_sp (fun () ->
+                  [
+                    ( "gate_applies",
+                      Trace.Int (Hashtbl.fold (fun _ c acc -> acc + c) tally.applies 0) );
+                  ]);
+              p)
         in
-        (simulate make_exec, Sys.time ())
+        let t_sim = Sys.time () in
+        let histogram =
+          Trace.with_span "engine.sample" (fun sample_sp ->
+              Trace.annotate sample_sp (fun () -> [ ("shots", Trace.Int survivors) ]);
+              sample_histogram ~probabilities ~measured ~rng ~shots:survivors)
+        in
+        let measured_count = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 measured in
+        tally.measures <- survivors * measured_count;
+        if Trace.enabled () then Trace.add_counter "qx.measure" tally.measures;
+        (histogram, t_sim)
+    | Trajectory -> simulate (fun () t r -> snd (exec_micro ~noise ~tally:t r ops n))
     | Clifford ->
-        let n = Circuit.qubit_count circuit in
-        let ops = Option.get prog in
-        let make_exec () =
-          let tab = Tableau.create n in
-          fun t r -> exec_micro_tableau ~tally:t r tab ops
-        in
-        (simulate make_exec, Sys.time ())
+        simulate (fun () ->
+            let tab = Tableau.create n in
+            fun t r -> exec_micro_tableau ~tally:t r tab ops)
   in
   let t2 = Sys.time () in
   let resilience =
@@ -915,23 +865,11 @@ let success_probability result ~accept =
 
 (* --- metrics as JSON --------------------------------------------------- *)
 
-let json_escape s =
-  let buffer = Buffer.create (String.length s) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buffer "\\\""
-      | '\\' -> Buffer.add_string buffer "\\\\"
-      | '\n' -> Buffer.add_string buffer "\\n"
-      | c -> Buffer.add_char buffer c)
-    s;
-  Buffer.contents buffer
-
 let report_to_json r =
   let buffer = Buffer.create 256 in
   Buffer.add_string buffer
     (Printf.sprintf "{\"plan\":\"%s\",\"plan_reason\":\"%s\",\"shots\":%d,\"seed\":%s,"
-       (plan_to_string r.plan) (json_escape r.plan_reason) r.shots
+       (plan_to_string r.plan) (Trace.json_escape r.plan_reason) r.shots
        (match r.seed with Some s -> string_of_int s | None -> "null"));
   Buffer.add_string buffer
     (Printf.sprintf "\"qubits\":%d,\"instructions\":%d,\"measurements\":%d,"
@@ -940,7 +878,7 @@ let report_to_json r =
   List.iteri
     (fun i (name, count) ->
       if i > 0 then Buffer.add_char buffer ',';
-      Buffer.add_string buffer (Printf.sprintf "\"%s\":%d" (json_escape name) count))
+      Buffer.add_string buffer (Printf.sprintf "\"%s\":%d" (Trace.json_escape name) count))
     r.gate_applies;
   Buffer.add_string buffer "},";
   Buffer.add_string buffer
@@ -958,13 +896,13 @@ let report_to_json r =
   List.iteri
     (fun i (site, count) ->
       if i > 0 then Buffer.add_char buffer ',';
-      Buffer.add_string buffer (Printf.sprintf "\"%s\":%d" (json_escape site) count))
+      Buffer.add_string buffer (Printf.sprintf "\"%s\":%d" (Trace.json_escape site) count))
     r.resilience.faults_injected;
   Buffer.add_string buffer
     (Printf.sprintf "},\"retries\":%d,\"faulted_shots\":%d,\"backoff_ns\":%d,\"degraded\":%s},"
        r.resilience.retries r.resilience.faulted_shots r.resilience.backoff_ns
        (match r.resilience.degraded with
-       | Some why -> "\"" ^ json_escape why ^ "\""
+       | Some why -> "\"" ^ Trace.json_escape why ^ "\""
        | None -> "null"));
   Buffer.add_string buffer
     (Printf.sprintf "\"cache\":{\"hits\":%d,\"shared\":%d}}}" r.cache.cache_hits

@@ -153,18 +153,23 @@ val sv_max_qubits : int
 (** Width ceiling of the state-vector layer (30): beyond it only the
     tableau plan can run the circuit. *)
 
-val structure : Qca_circuit.Circuit.t -> plan * string
-(** The sampled-vs-trajectory {e structure} verdict alone — the first stage
-    of {!analyse}, before noise and the Clifford upgrade are considered.
-    [Sampled] means terminal unconditioned measurements; [Trajectory]
-    carries the structural reason (mid-circuit measurement, feedback,
-    reset of a live qubit). Never returns [Clifford]. *)
-
-val clifford_wins : n:int -> gates:int -> measures:int -> shots:int -> bool
-(** The sampled-vs-tableau cost model used by {!analyse} for all-Clifford
-    circuits with sampled structure, exposed so the static estimator
-    ({!Qca_analysis.Estimate}) can reproduce the planner's decision from
-    symbolic gate counts without building the unrolled circuit. *)
+val choose_plan :
+  noisy:bool ->
+  shots:int ->
+  gates:int ->
+  measures:int ->
+  Qca_circuit.Circuit.t ->
+  plan * string
+(** The planner's decision table, the one copy shared by {!analyse} and the
+    static estimator ({!Qca_analysis.Estimate}). Pure: [noisy] forces
+    trajectories; otherwise the circuit's structure verdict
+    (sampled-vs-trajectory) and Clifford verdict ({!clifford_blocker}) are
+    read off the circuit, and for an all-Clifford circuit of sampled
+    structure the tableau-vs-state-vector cost model over [n], [gates],
+    [measures] and [shots] decides. [gates]/[measures] feed only the cost
+    model, so the estimator passes exact symbolic totals alongside a
+    truncated probe of a repeated program. [analyse] is [choose_plan] with
+    the circuit's own counts. *)
 
 val run :
   ?noise:Noise.model ->
@@ -235,8 +240,9 @@ val exec_shot :
   Qca_circuit.Circuit.t ->
   State.t * int array
 (** One per-shot trajectory: fresh |0...0> state, measurement collapse,
-    classical feedback, per-gate stochastic noise. This is the executor
-    behind {!Sim.run} and the engine's trajectory plan. *)
+    classical feedback, per-gate stochastic noise. The circuit is compiled
+    unfused and run by the same interpreter as the engine's trajectory plan;
+    this is the executor behind {!Sim.run}. *)
 
 val fold_trajectories :
   ?noise:Noise.model ->

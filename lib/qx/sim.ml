@@ -1,6 +1,5 @@
 module Circuit = Qca_circuit.Circuit
 module Gate = Qca_circuit.Gate
-module Cqasm = Qca_circuit.Cqasm
 module Rng = Qca_util.Rng
 
 type outcome = { state : State.t; classical : int array }
@@ -9,29 +8,6 @@ let run ?noise ?rng circuit =
   let rng = match rng with Some r -> r | None -> Engine.default_rng () in
   let state, classical = Engine.exec_shot ?noise rng circuit in
   { state; classical }
-
-let noise_of_error_model = function
-  | None -> None
-  | Some (model, rate) -> begin
-      match model with
-      | "depolarizing_channel" -> Some (Noise.depolarizing rate)
-      | other -> invalid_arg (Printf.sprintf "Sim: unknown error model '%s'" other)
-    end
-
-let run_cqasm ?noise ?rng source =
-  let program = Cqasm.parse source in
-  let noise =
-    match noise with
-    | Some n -> Some n
-    | None -> noise_of_error_model program.Cqasm.error_model
-  in
-  run ?noise ?rng (Cqasm.flatten program)
-
-let histogram ?noise ?rng ~shots circuit =
-  (Engine.run ?noise ?rng ~shots circuit).Engine.histogram
-
-let success_probability ?noise ?rng ~shots ~accept circuit =
-  Engine.success_probability (Engine.run ?noise ?rng ~shots circuit) ~accept
 
 let expectation_z ?(noise = Noise.ideal) ?rng circuit q =
   let result = run ~noise ?rng circuit in

@@ -1,12 +1,12 @@
-(** QX simulator front end: execute circuits on perfect or realistic qubits.
+(** QX simulator front end: single trajectories on perfect or realistic
+    qubits, and the state-vector backend descriptors.
 
     The paper's QX engine executes cQASM, measures, and returns results to
-    the micro-architecture; this module is that execution engine. Shot
-    estimators ({!histogram}, {!success_probability}) are routed through
-    {!Engine}, which simulates terminal-measurement circuits once and
-    samples all shots from the final distribution; per-shot trajectory
-    loops are the fallback for feedback, mid-circuit measurement and noise
-    (see [docs/engine.md]).
+    the micro-architecture; this module exposes one shot of it with its
+    final state. Shot-level estimates (histograms, success probabilities)
+    come from {!Engine.run}, which simulates terminal-measurement circuits
+    once and samples all shots from the final distribution (see
+    [docs/engine.md]); whole jobs go through [Qca.Runner.run].
 
     Seed semantics: every entry point that omits [?rng] draws from the
     engine's process-wide default stream, which advances across calls —
@@ -25,33 +25,6 @@ val run :
   ?noise:Noise.model -> ?rng:Qca_util.Rng.t -> Qca_circuit.Circuit.t -> outcome
 (** Execute a circuit once (one trajectory). [noise] defaults to
     {!Noise.ideal} (perfect qubits). *)
-
-val run_cqasm : ?noise:Noise.model -> ?rng:Qca_util.Rng.t -> string -> outcome
-(** Parse cQASM source and run it. When the source carries an
-    [error_model depolarizing_channel, p] directive (the QX convention) and
-    no [noise] is passed, that model is used. *)
-
-val histogram :
-  ?noise:Noise.model ->
-  ?rng:Qca_util.Rng.t ->
-  shots:int ->
-  Qca_circuit.Circuit.t ->
-  (string * int) list
-(** Count measured bitstrings over [shots] executions (qubit 0 is the
-    rightmost character; unmeasured qubits render as '-'). Sorted by
-    decreasing count. Routed through {!Engine.run}: terminal-measurement
-    circuits under ideal noise are simulated once and sampled in a single
-    pass. *)
-
-val success_probability :
-  ?noise:Noise.model ->
-  ?rng:Qca_util.Rng.t ->
-  shots:int ->
-  accept:(int array -> bool) ->
-  Qca_circuit.Circuit.t ->
-  float
-(** Fraction of shots whose classical record satisfies [accept]. Routed
-    through {!Engine.run} like {!histogram}. *)
 
 val expectation_z :
   ?noise:Noise.model -> ?rng:Qca_util.Rng.t -> Qca_circuit.Circuit.t -> int -> float

@@ -405,11 +405,11 @@ let preflight t spec =
 
 let submit t ~tenant spec =
   t.s_submitted <- t.s_submitted + 1;
-  match Job_spec.resolve spec with
+  match Job_spec.elaborate spec with
   | Error e ->
       t.s_rejected <- t.s_rejected + 1;
       Error e
-  | Ok circuit -> (
+  | Ok (spec, circuit) -> (
       let ts = tenant_state t tenant in
       let digest = Job_spec.digest circuit in
       let key = Job_spec.cache_key spec circuit in
@@ -502,8 +502,9 @@ let classify t job =
                (* Consult the planner: a job it would run per-shot (tableau
                   or state-vector trajectories) must be Sliced, or the
                   service's sampled semantics would diverge from a solo
-                  [Engine.run] of the same spec. [clifford_wins] is monotone
-                  in shots, so slicing never flips the plan mid-job. *)
+                  [Engine.run] of the same spec. The planner's cost model
+                  is monotone in shots, so slicing never flips the plan
+                  mid-job. *)
                (match
                   Engine.analyse ~shots:job.spec.Job_spec.shots job.circuit
                 with

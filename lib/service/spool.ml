@@ -61,9 +61,9 @@ let route_of_names ?(router = Qca_compiler.Mapping.Sabre) ~platform ~mode
 (* ---- serialisation --------------------------------------------------- *)
 
 let encode ~tenant spec =
-  match Job_spec.resolve spec with
+  match Job_spec.elaborate spec with
   | Error e -> Error e
-  | Ok circuit ->
+  | Ok (spec, circuit) ->
       let b = Buffer.create 512 in
       let add k v = Printf.bprintf b "%s=%s\n" k v in
       add "tenant" tenant;

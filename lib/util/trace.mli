@@ -143,3 +143,9 @@ val to_chrome_json : collector -> string
     timestamps relative to the first span, attributes and sim-ns under
     ["args"]; counters as one final counter ("ph":"C") event each. Loads
     in [chrome://tracing] and Perfetto. *)
+
+val json_escape : string -> string
+(** Escape a string for embedding in a JSON string literal (no quotes
+    added): quote, backslash and every control character. The one JSON
+    string escaper of the stack — span names, diagnostics, run reports and
+    the service's result lines all go through it. *)

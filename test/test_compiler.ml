@@ -428,7 +428,10 @@ let test_compile_realistic_bell_runs () =
   let out = Compiler.compile p Compiler.Realistic circuit in
   Alcotest.(check bool) "eqasm present" true (out.Compiler.eqasm <> None);
   let rng = Rng.create 31337 in
-  let hist = Compiler.execute ~shots:400 ~rng out in
+  let hist =
+    (Qca_qx.Engine.run ~noise:p.Platform.noise ~rng ~shots:400 out.Compiler.physical)
+      .Qca_qx.Engine.histogram
+  in
   (* Bell correlations should dominate despite realistic noise. *)
   let correlated =
     List.fold_left

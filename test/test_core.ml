@@ -7,6 +7,7 @@ module Accelerator = Qca.Accelerator
 module Host = Qca.Host
 module Rb = Qca.Rb
 module Stack = Qca.Stack
+module Runner = Qca.Runner
 module Trl = Qca.Trl
 module Gate = Qca_circuit.Gate
 module Circuit = Qca_circuit.Circuit
@@ -283,22 +284,28 @@ let test_stack_descriptions () =
       Alcotest.(check bool) (Stack.describe stack) true (String.length (Stack.describe stack) > 10))
     [ Stack.superconducting (); Stack.semiconducting (); Stack.genome (); Stack.optimisation () ]
 
+(* A stack denotes a job; Runner.run is the one path that executes it. *)
+let execute ?shots ?seed ?faults stack circuit =
+  match Runner.run ?faults (Stack.spec ?shots ?seed stack circuit) with
+  | Ok o -> o
+  | Error e -> Alcotest.fail (Qca_util.Error.to_string e)
+
 let test_genome_stack_perfect_bell () =
   let stack = Stack.genome ~qubits:2 () in
-  let run = Stack.execute ~shots:300 stack (bell_measured ()) in
+  let run = execute ~shots:300 stack (bell_measured ()) in
   let p =
-    Stack.success_probability run ~accept:(fun key ->
+    Runner.success_probability run ~accept:(fun key ->
         key = "00" || key = "11")
   in
   check_float "perfect correlations" 1.0 p;
-  Alcotest.(check bool) "no microarch" true (run.Stack.microarch_stats = None)
+  Alcotest.(check bool) "no microarch" true (run.Runner.microarch_stats = None)
 
 let test_superconducting_stack_runs_microarch () =
   let stack = Stack.superconducting () in
-  let run = Stack.execute ~shots:60 stack (bell_measured ()) in
-  Alcotest.(check bool) "microarch engaged" true (run.Stack.microarch_stats <> None);
+  let run = execute ~shots:60 stack (bell_measured ()) in
+  Alcotest.(check bool) "microarch engaged" true (run.Runner.microarch_stats <> None);
   let p =
-    Stack.success_probability run ~accept:(fun key ->
+    Runner.success_probability run ~accept:(fun key ->
         let n = String.length key in
         key.[n - 1] = key.[n - 2] && key.[n - 1] <> '-')
   in
@@ -312,16 +319,16 @@ let test_realistic_of_degrades () =
 let test_stack_engine_report () =
   let module Engine = Qca_qx.Engine in
   (* Direct-QX perfect stack: terminal measurements take the sampled plan. *)
-  let run = Stack.execute ~shots:100 ~seed:8 (Stack.genome ~qubits:2 ()) (bell_measured ()) in
+  let run = execute ~shots:100 ~seed:8 (Stack.genome ~qubits:2 ()) (bell_measured ()) in
   Alcotest.(check bool) "perfect stack samples" true
-    (run.Stack.engine_report.Engine.plan = Engine.Sampled);
-  Alcotest.(check int) "shots recorded" 100 run.Stack.engine_report.Engine.shots;
+    (run.Runner.report.Engine.plan = Engine.Sampled);
+  Alcotest.(check int) "shots recorded" 100 run.Runner.report.Engine.shots;
   (* Micro-architecture stack: inherently per-shot. *)
-  let run_sc = Stack.execute ~shots:20 ~seed:8 (Stack.superconducting ()) (bell_measured ()) in
+  let run_sc = execute ~shots:20 ~seed:8 (Stack.superconducting ()) (bell_measured ()) in
   Alcotest.(check bool) "microarch stack is trajectory" true
-    (run_sc.Stack.engine_report.Engine.plan = Engine.Trajectory);
+    (run_sc.Runner.report.Engine.plan = Engine.Trajectory);
   Alcotest.(check bool) "gate applies counted" true
-    (run_sc.Stack.engine_report.Engine.gate_applies <> [])
+    (run_sc.Runner.report.Engine.gate_applies <> [])
 
 let test_stack_degrades_to_sim () =
   let module Engine = Qca_qx.Engine in
@@ -330,25 +337,39 @@ let test_stack_degrades_to_sim () =
      micro-architecture run must fall back to direct realistic QX. *)
   let stack = Stack.superconducting () in
   let faults = Fault.make ~seed:4 { Fault.off with Fault.backend = 1.0 } in
-  let run = Stack.execute ~shots:80 ~seed:12 ~faults stack (bell_measured ()) in
-  let res = run.Stack.engine_report.Engine.resilience in
+  let run = execute ~shots:80 ~seed:12 ~faults stack (bell_measured ()) in
+  let res = run.Runner.report.Engine.resilience in
   Alcotest.(check bool) "degradation recorded" true (res.Engine.degraded <> None);
   Alcotest.(check bool) "no microarch stats after fallback" true
-    (run.Stack.microarch_stats = None);
+    (run.Runner.microarch_stats = None);
   (* The fallback executes the already-compiled program, so histogram keys
      keep the 17-qubit platform width. *)
   List.iter
     (fun (key, _) ->
       Alcotest.(check int) "platform-width key" 17 (String.length key))
-    run.Stack.histogram;
-  let total = List.fold_left (fun acc (_, c) -> acc + c) 0 run.Stack.histogram in
-  Alcotest.(check int) "all shots delivered by fallback" 80 total
+    run.Runner.histogram;
+  let total = List.fold_left (fun acc (_, c) -> acc + c) 0 run.Runner.histogram in
+  Alcotest.(check int) "all shots delivered by fallback" 80 total;
+  (* Without the ladder the same load fails fast with the structured error
+     instead of degrading (the [qxc exec] semantics). *)
+  let spec = Stack.spec ~shots:80 ~seed:12 stack (bell_measured ()) in
+  let no_ladder =
+    match spec.Qca.Job_spec.route with
+    | Qca.Job_spec.Compiled r ->
+        { spec with Qca.Job_spec.route = Qca.Job_spec.Compiled { r with ladder = false } }
+    | Qca.Job_spec.Direct -> Alcotest.fail "stack spec must be compiled"
+  in
+  let faults = Fault.make ~seed:4 { Fault.off with Fault.backend = 1.0 } in
+  match Runner.run ~faults no_ladder with
+  | Ok _ -> Alcotest.fail "no-ladder route degraded instead of failing"
+  | Error e ->
+      Alcotest.(check bool) "permanent error" false e.Qca_util.Error.transient
 
-let test_stack_run_checked () =
+let test_stack_runner_errors () =
   let stack = Stack.genome ~qubits:2 () in
-  (match Stack.run_checked ~shots:50 ~seed:3 stack (bell_measured ()) with
+  (match Runner.run (Stack.spec ~shots:50 ~seed:3 stack (bell_measured ())) with
   | Ok run ->
-      let total = List.fold_left (fun acc (_, c) -> acc + c) 0 run.Stack.histogram in
+      let total = List.fold_left (fun acc (_, c) -> acc + c) 0 run.Runner.histogram in
       Alcotest.(check int) "shots" 50 total
   | Error e -> Alcotest.fail (Qca_util.Error.to_string e));
   (* A gate the platform cannot express surfaces as a structured error, not
@@ -362,7 +383,7 @@ let test_stack_run_checked () =
       technology = None;
     }
   in
-  match Stack.run_checked ~shots:10 tiny (bell_measured ()) with
+  match Runner.run (Stack.spec ~shots:10 tiny (bell_measured ())) with
   | Ok _ -> Alcotest.fail "unsupported gate accepted"
   | Error e ->
       Alcotest.(check bool) "unsupported-gate kind" true
@@ -682,7 +703,7 @@ let () =
           Alcotest.test_case "realistic_of" `Quick test_realistic_of_degrades;
           Alcotest.test_case "engine report" `Quick test_stack_engine_report;
           Alcotest.test_case "degrades to sim" `Quick test_stack_degrades_to_sim;
-          Alcotest.test_case "run_checked" `Quick test_stack_run_checked;
+          Alcotest.test_case "runner errors" `Quick test_stack_runner_errors;
           Alcotest.test_case "backend swap" `Quick test_backend_swap;
           Alcotest.test_case "accelerator with_backend" `Quick test_accelerator_with_backend;
         ] );

@@ -133,7 +133,11 @@ let test_qaoa_through_realistic_stack () =
     Qca_compiler.Compiler.compile Qca_compiler.Platform.superconducting_17
       Qca_compiler.Compiler.Realistic with_meas
   in
-  let hist = Qca_compiler.Compiler.execute ~shots:400 ~rng out in
+  let hist =
+    (Qca_qx.Engine.run ~noise:Qca_compiler.Platform.superconducting_17.Qca_compiler.Platform.noise
+       ~rng ~shots:400 out.Qca_compiler.Compiler.physical)
+      .Qca_qx.Engine.histogram
+  in
   let ground_mass =
     List.fold_left
       (fun acc (key, count) ->

@@ -264,7 +264,7 @@ let test_run_bell_histogram () =
     Circuit.append (Library.bell ())
       (Circuit.of_list 2 [ Gate.Measure 0; Gate.Measure 1 ])
   in
-  let hist = Sim.histogram ~shots:2000 circuit in
+  let hist = (Qca_qx.Engine.run ~shots:2000 circuit).Qca_qx.Engine.histogram in
   let total = List.fold_left (fun acc (_, c) -> acc + c) 0 hist in
   Alcotest.(check int) "all shots" 2000 total;
   List.iter
@@ -285,27 +285,59 @@ let test_unmeasured_is_minus_one () =
   let result = Sim.run (Library.bell ()) in
   Alcotest.(check int) "no measurement" (-1) result.Sim.classical.(0)
 
-let test_run_cqasm_error_model () =
+(* The cQASM [error_model] directive is job-level: Job_spec folds it into
+   the spec's noise, so every consumer of Runner.run sees it. *)
+let ghz3_source ?(directive = "error_model depolarizing_channel, 0.2\n") () =
+  "version 1.0\nqubits 3\n" ^ directive
+  ^ "h q[0]\ncnot q[0], q[1]\ncnot q[1], q[2]\nmeasure_all\n"
+
+let run_source ?noise src =
+  let spec =
+    { (Qca.Job_spec.of_source ~label:"ghz3" src) with
+      Qca.Job_spec.shots = 300; seed = Some 2025; noise }
+  in
+  Qca.Runner.run spec
+
+let test_source_error_model () =
   (* the embedded error model must be picked up: GHZ with heavy noise shows
      uncorrelated outcomes sometimes *)
-  let src =
-    "version 1.0\nqubits 3\nerror_model depolarizing_channel, 0.2\nh q[0]\ncnot q[0], \
-     q[1]\ncnot q[1], q[2]\nmeasure_all\n"
-  in
-  let rng = Rng.create 2025 in
-  let mismatched = ref 0 in
-  for _ = 1 to 300 do
-    let result = Sim.run_cqasm ~rng src in
-    let c = result.Sim.classical in
-    if not (c.(0) = c.(1) && c.(1) = c.(2)) then incr mismatched
-  done;
-  Alcotest.(check bool) "noise applied from directive" true (!mismatched > 10)
+  match run_source (ghz3_source ()) with
+  | Error e -> Alcotest.fail (Qca_util.Error.to_string e)
+  | Ok o ->
+      let mismatched =
+        List.fold_left
+          (fun acc (key, c) -> if key = "000" || key = "111" then acc else acc + c)
+          0 o.Qca.Runner.histogram
+      in
+      Alcotest.(check bool) "noise applied from directive" true (mismatched > 10);
+      Alcotest.(check string) "trajectory plan" "stochastic noise model"
+        o.Qca.Runner.report.Qca_qx.Engine.plan_reason;
+      (* An explicit rate wins over the directive. *)
+      (match run_source ~noise:0.0 (ghz3_source ()) with
+      | Ok o0 ->
+          List.iter
+            (fun (key, _) ->
+              Alcotest.(check bool) ("explicit noise wins: " ^ key) true
+                (key = "000" || key = "111"))
+            o0.Qca.Runner.histogram
+      | Error e -> Alcotest.fail (Qca_util.Error.to_string e));
+      (* An unknown model is a structured error naming it. *)
+      match run_source (ghz3_source ~directive:"error_model amplitude_soup, 0.1\n" ()) with
+      | Ok _ -> Alcotest.fail "unknown error model accepted"
+      | Error e ->
+          Alcotest.(check bool) "invalid kind" true
+            (match e.Qca_util.Error.kind with Qca_util.Error.Invalid _ -> true | _ -> false);
+          Alcotest.(check (option string)) "model named" (Some "amplitude_soup")
+            (List.assoc_opt "model" e.Qca_util.Error.context)
 
-let test_run_cqasm () =
+let test_source_spec () =
   let src = "version 1.0\nqubits 2\nh q[0]\ncnot q[0], q[1]\nmeasure_all\n" in
-  let rng = Rng.create 77 in
-  let result = Sim.run_cqasm ~rng src in
-  Alcotest.(check int) "correlated" result.Sim.classical.(0) result.Sim.classical.(1)
+  match run_source src with
+  | Error e -> Alcotest.fail (Qca_util.Error.to_string e)
+  | Ok o ->
+      List.iter
+        (fun (key, _) -> Alcotest.(check bool) ("correlated: " ^ key) true (key = "00" || key = "11"))
+        o.Qca.Runner.histogram
 
 let test_success_probability_ghz () =
   let circuit =
@@ -313,7 +345,7 @@ let test_success_probability_ghz () =
       (Circuit.of_list 3 [ Gate.Measure 0; Gate.Measure 1; Gate.Measure 2 ])
   in
   let accept bits = bits.(0) = bits.(1) && bits.(1) = bits.(2) in
-  let p = Sim.success_probability ~shots:500 ~accept circuit in
+  let p = Qca_qx.Engine.(success_probability (run ~shots:500 circuit) ~accept) in
   check_float "always correlated" 1.0 p
 
 let test_noisy_ghz_degrades () =
@@ -323,7 +355,10 @@ let test_noisy_ghz_degrades () =
   in
   let accept bits = bits.(0) = bits.(1) && bits.(1) = bits.(2) in
   let rng = Rng.create 88 in
-  let p = Sim.success_probability ~noise:(Noise.depolarizing 0.05) ~rng ~shots:800 ~accept circuit in
+  let p =
+    Qca_qx.Engine.(
+      success_probability (run ~noise:(Noise.depolarizing 0.05) ~rng ~shots:800 circuit) ~accept)
+  in
   Alcotest.(check bool) "degraded below perfect" true (p < 1.0);
   Alcotest.(check bool) "still better than chance" true (p > 0.5)
 
@@ -594,6 +629,24 @@ let test_report_metrics () =
   Alcotest.(check bool) "json has plan" true (contains "\"plan\":\"sampled\"");
   Alcotest.(check bool) "json has seed" true (contains "\"seed\":3");
   Alcotest.(check bool) "json has gate applies" true (contains "\"cnot\":1")
+
+(* Per-shot plans spend their time simulating, not sampling: the phase
+   clock must be read after the shots run, not before. *)
+let test_per_shot_phase_times () =
+  let check name result =
+    let w = result.Engine.report.Engine.wall in
+    Alcotest.(check bool)
+      (Printf.sprintf "%s: simulate_s %.6f >= sample_s %.6f" name w.Engine.simulate_s
+         w.Engine.sample_s)
+      true
+      (w.Engine.simulate_s > 0.0 && w.Engine.simulate_s >= w.Engine.sample_s)
+  in
+  let qft = measured_all 10 (Library.qft 10) in
+  check "forced trajectory" (Engine.run ~seed:4 ~plan:Engine.Trajectory ~shots:400 qft);
+  check "noisy trajectory"
+    (Engine.run ~seed:4 ~noise:(Noise.depolarizing 0.01) ~shots:400 qft);
+  check "clifford"
+    (Engine.run ~seed:4 ~plan:Engine.Clifford ~shots:4000 (measured_all 40 (Library.ghz 40)))
 
 let test_plans_agree_deterministic () =
   (* A deterministic circuit must give the identical histogram on both
@@ -1104,8 +1157,8 @@ let () =
           Alcotest.test_case "bell histogram" `Quick test_run_bell_histogram;
           Alcotest.test_case "prep resets" `Quick test_run_prep_resets;
           Alcotest.test_case "unmeasured -1" `Quick test_unmeasured_is_minus_one;
-          Alcotest.test_case "run cqasm" `Quick test_run_cqasm;
-          Alcotest.test_case "cqasm error_model" `Quick test_run_cqasm_error_model;
+          Alcotest.test_case "run cqasm" `Quick test_source_spec;
+          Alcotest.test_case "cqasm error_model" `Quick test_source_error_model;
           Alcotest.test_case "ghz success" `Quick test_success_probability_ghz;
           Alcotest.test_case "noisy ghz degrades" `Quick test_noisy_ghz_degrades;
           Alcotest.test_case "expectation z" `Quick test_expectation_z_plus_state;
@@ -1147,6 +1200,7 @@ let () =
           Alcotest.test_case "backends agree" `Quick test_backends_agree;
           Alcotest.test_case "density backend domain" `Quick
             test_density_backend_rejects_feedback;
+          Alcotest.test_case "per-shot phase times" `Quick test_per_shot_phase_times;
         ] );
       ( "trace",
         [
