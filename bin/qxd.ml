@@ -53,7 +53,6 @@ type tracked = {
   tr_tenant : string;
   tr_label : string;
   tr_handle : Service.handle;
-  mutable tr_published : bool;
 }
 
 let serve_command dir once interval workers max_queue degrade_above slice_shots
@@ -93,7 +92,7 @@ let serve_command dir once interval workers max_queue degrade_above slice_shots
     }
   in
   let service = Service.create ~config () in
-  let tracked = ref [] (* newest first; published in id order *) in
+  let tracked = ref [] (* jobs in flight; published in id order *) in
   let publish_line id line =
     (* The result file is the commit point: write it first, then clear
        the journal entry and any consumed cancel marker. Re-crashing
@@ -132,7 +131,6 @@ let serve_command dir once interval workers max_queue degrade_above slice_shots
                   tr_tenant = tenant;
                   tr_label = label;
                   tr_handle = h;
-                  tr_published = false;
                 }
                 :: !tracked
           | Error e ->
@@ -200,15 +198,17 @@ let serve_command dir once interval workers max_queue degrade_above slice_shots
   let apply_cancels () =
     List.iter
       (fun tr ->
-        if (not tr.tr_published) && Spool.cancel_requested ~dir tr.tr_id then
+        if Spool.cancel_requested ~dir tr.tr_id then
           if Service.cancel service tr.tr_handle then
             say "cancelled %s" tr.tr_id)
       !tracked
   in
+  (* A published job leaves [tracked], so each loop sorts and polls only
+     the jobs still in flight. *)
   let publish () =
-    List.iter
-      (fun tr ->
-        if not tr.tr_published then
+    tracked :=
+      List.filter
+        (fun tr ->
           let line =
             match Service.poll service tr.tr_handle with
             | Service.Queued _ | Service.Running _ -> None
@@ -226,12 +226,12 @@ let serve_command dir once interval workers max_queue degrade_above slice_shots
                      ~label:tr.tr_label "cancelled" "")
           in
           match line with
-          | None -> ()
+          | None -> true
           | Some line ->
               publish_line tr.tr_id line;
-              tr.tr_published <- true;
-              say "published %s" tr.tr_id)
-      (List.sort (fun a b -> compare a.tr_id b.tr_id) !tracked)
+              say "published %s" tr.tr_id;
+              false)
+        (List.sort (fun a b -> compare a.tr_id b.tr_id) !tracked)
   in
   let finish () =
     if print_stats then print_endline (Service.stats_to_json service);

@@ -1,6 +1,8 @@
-(* Backend swapping: the same circuit on every execution target through the
-   one Backend.S contract — state-vector engine, exact density matrix, and
-   the cycle-accurate micro-architecture.
+(* Backend swapping: one job, one Job_spec, run on every execution target
+   by changing only its route — the QX state-vector engine directly, the
+   compiled program on QX under the platform's noise, and the compiled
+   eQASM on the cycle-accurate micro-architecture — with the exact
+   density-matrix distribution alongside as the oracle.
 
      dune exec examples/backend_swap.exe *)
 
@@ -8,32 +10,47 @@ module Gate = Qca_circuit.Gate
 module Circuit = Qca_circuit.Circuit
 module Library = Qca_circuit.Library
 module Engine = Qca_qx.Engine
+module Compiler = Qca_compiler.Compiler
+module Platform = Qca_compiler.Platform
+module Job_spec = Qca.Job_spec
+
+let show label plan histogram =
+  Printf.printf "%-37s plan=%-10s " label (Engine.plan_to_string plan);
+  (* Compiled keys are platform-width; show the top outcomes. *)
+  List.iteri
+    (fun i (key, count) -> if i < 2 then Printf.printf " %s:%d" key count)
+    histogram;
+  print_newline ()
 
 let () =
   let bell =
     Circuit.append (Library.bell ())
       (Circuit.of_list 2 [ Gate.Measure 0; Gate.Measure 1 ])
   in
-  let targets : (module Qca_qx.Backend.S) list =
-    [
-      (module Qca_qx.Sim.Backend);
-      (module Qca_qx.Density.Backend);
-      Qca_qx.Sim.backend ~noise:(Qca_qx.Noise.depolarizing 0.01) ();
-      Qca_microarch.Controller.backend
-        ~platform:Qca_compiler.Platform.semiconducting_4
-        ~technology:Qca_microarch.Controller.semiconducting ();
-    ]
+  let spec = Job_spec.make ~shots:2000 ~seed:7 (Job_spec.Circuit bell) in
+  let compiled mode technology =
+    Job_spec.Compiled
+      {
+        platform = Platform.semiconducting_4;
+        mode;
+        technology;
+        ladder = false;
+        router = Qca_compiler.Mapping.Sabre;
+      }
   in
   List.iter
-    (fun (module B : Qca_qx.Backend.S) ->
-      let result = B.run ~shots:2000 ~seed:7 bell in
-      let report = result.Engine.report in
-      Printf.printf "%-24s plan=%-10s  " B.name (Engine.plan_to_string report.Engine.plan);
-      (* Micro-architecture keys are platform-width; show the top outcomes. *)
-      List.iteri
-        (fun i (key, count) -> if i < 2 then Printf.printf "%s:%d  " key count)
-        result.Engine.histogram;
-      Printf.printf "(%.4fs)\n"
-        (report.Engine.wall.Engine.simulate_s +. report.Engine.wall.Engine.sample_s))
-    targets;
-  print_endline "same Backend.S contract; the caller never changes."
+    (fun route ->
+      let spec = { spec with Job_spec.route } in
+      match Qca.Runner.run spec with
+      | Ok o ->
+          show (Job_spec.route_description spec) o.Qca.Runner.report.Engine.plan
+            o.Qca.Runner.histogram
+      | Error e -> print_endline (Qca_util.Error.to_string e))
+    [
+      Job_spec.Direct;
+      compiled Compiler.Realistic None;
+      compiled Compiler.Real (Some Qca_microarch.Controller.semiconducting);
+    ];
+  let oracle = Qca_qx.Density.sample ~shots:2000 ~seed:7 bell in
+  show "density oracle" oracle.Engine.report.Engine.plan oracle.Engine.histogram;
+  print_endline "same Job_spec, only the route changes; the caller never does."

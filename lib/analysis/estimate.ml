@@ -456,8 +456,10 @@ let check ?platform ?(host_bytes = host_bytes_default)
 (* ------------------------------------------------------------------ *)
 (* Renderers.                                                          *)
 
+(* JSON has no infinity or NaN: a non-finite estimate prints as null. *)
 let json_number f =
-  if Float.is_integer f && Float.abs f < 1e15 then
+  if not (Float.is_finite f) then "null"
+  else if Float.is_integer f && Float.abs f < 1e15 then
     Printf.sprintf "%.0f" f
   else Printf.sprintf "%g" f
 

@@ -30,13 +30,3 @@ let default_park () =
   ]
 
 let run_payload t arg = match t.payload with Some f -> f arg | None -> arg
-
-let with_backend (module B : Qca_qx.Backend.S) ?(shots = 1024) ?seed t =
-  let payload source =
-    let circuit = Qca_circuit.Cqasm.parse_circuit source in
-    let result = B.run ~shots ?seed circuit in
-    result.Qca_qx.Engine.histogram
-    |> List.map (fun (key, count) -> Printf.sprintf "%s:%d" key count)
-    |> String.concat " "
-  in
-  { t with name = t.name ^ "@" ^ B.name; payload = Some payload }

@@ -38,12 +38,3 @@ val default_park : unit -> t list
 
 val run_payload : t -> string -> string
 (** Execute the payload (identity when none is attached). *)
-
-val with_backend :
-  (module Qca_qx.Backend.S) -> ?shots:int -> ?seed:int -> t -> t
-(** Attach an execution-target payload: kernel arguments are parsed as
-    cQASM, run on the backend for [shots] (default 1024), and the
-    measured-bitstring histogram comes back as space-separated
-    ["bits:count"] pairs (count-descending). The accelerator is renamed
-    ["<name>@<backend-name>"] so host traces show which target served the
-    kernel. *)

@@ -142,10 +142,13 @@ let ft_to_string ft =
     ft.logical_error ft.target ft.physical_error
 
 let ft_to_json ft =
+  (* JSON has no infinity or NaN: a non-finite figure prints as null. *)
+  let num f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null" in
   Printf.sprintf
     "{\"code\":\"%s\",\"distance\":%d,\"logical_qubits\":%d,\
-     \"physical_qubits\":%d,\"cycles\":%d,\"runtime_ns\":%.6g,\
-     \"logical_error\":%.6g,\"target\":%.6g,\"physical_error\":%.6g,\
+     \"physical_qubits\":%d,\"cycles\":%d,\"runtime_ns\":%s,\
+     \"logical_error\":%s,\"target\":%s,\"physical_error\":%s,\
      \"feasible\":%b}"
     ft.code ft.distance ft.logical_qubits ft.ft_physical_qubits ft.cycles
-    ft.runtime_ns ft.logical_error ft.target ft.physical_error ft.feasible
+    (num ft.runtime_ns) (num ft.logical_error) (num ft.target)
+    (num ft.physical_error) ft.feasible

@@ -1,52 +1,7 @@
 module Circuit = Qca_circuit.Circuit
 module Code = Qca_qec.Code
-module Engine = Qca_qx.Engine
-module Noise = Qca_qx.Noise
 
 let cycle_circuit ?(rounds = 1) code =
   if rounds < 1 then
     invalid_arg "Qec_run.cycle_circuit: rounds must be positive";
   Circuit.repeat rounds (Code.syndrome_circuit code)
-
-type outcome = {
-  rounds : int;
-  shots : int;
-  plan : Engine.plan;
-  quiet_fraction : float;
-  histogram : (string * int) list;
-  report : Engine.run_report;
-}
-
-(* Histogram keys put qubit 0 rightmost, so the ancillas — the
-   highest-numbered qubits — occupy the first [ancillas] characters. *)
-let trivial_syndrome ~ancillas key =
-  let ok = ref true in
-  for i = 0 to ancillas - 1 do
-    if key.[i] = '1' then ok := false
-  done;
-  !ok
-
-let run ?(rounds = 1) ?(shots = 1024) ?seed ?noise ?plan code =
-  let circuit = cycle_circuit ~rounds code in
-  let noise_model =
-    match noise with None -> Noise.ideal | Some p -> Noise.depolarizing p
-  in
-  match Engine.run_checked ~noise:noise_model ?seed ?plan ~shots circuit with
-  | Error e -> Error e
-  | Ok r ->
-      let ancillas = Code.ancilla_count code in
-      let quiet =
-        List.fold_left
-          (fun acc (key, count) ->
-            if trivial_syndrome ~ancillas key then acc + count else acc)
-          0 r.Engine.histogram
-      in
-      Ok
-        {
-          rounds;
-          shots;
-          plan = r.Engine.report.Engine.plan;
-          quiet_fraction = float_of_int quiet /. float_of_int shots;
-          histogram = r.Engine.histogram;
-          report = r.Engine.report;
-        }

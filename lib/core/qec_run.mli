@@ -1,46 +1,20 @@
-(** Planner-driven QEC-cycle execution: repeated circuit-level syndrome
-    extraction ({!Qca_qec.Code.syndrome_circuit}) run through the QX
-    simulation planner.
+(** Circuit-level QEC cycles: repeated syndrome extraction
+    ({!Qca_qec.Code.syndrome_circuit}) as one circuit, run like any other
+    job through [Runner.run] on a [Direct] route.
 
     Syndrome-extraction rounds are pure Clifford with mid-circuit
-    preparation and measurement, so ideal runs take the tableau fast path
-    (plan [Clifford], polynomial in qubit count) while noisy runs fall
-    back to state-vector trajectories — the dispatch that makes repeated
+    preparation and measurement, so the planner sends ideal runs to the
+    tableau (plan [Clifford], polynomial in qubit count) and noisy runs to
+    state-vector trajectories — the dispatch that makes repeated
     stabilization affordable above the simulator layer. The
     algebraic/tableau-level harnesses stay in {!Qca_qec.Qec_experiment};
-    this module is the circuit-level, engine-routed counterpart (the QEC
-    layer cannot depend on the engine). *)
+    this module is the circuit-level counterpart (the QEC layer cannot
+    depend on the engine). *)
 
 val cycle_circuit : ?rounds:int -> Qca_qec.Code.t -> Qca_circuit.Circuit.t
 (** [rounds] (default 1) concatenated syndrome-extraction rounds on data
     qubits [0 .. n-1] with one ancilla per stabilizer at [n + i]; each
     round re-prepares its ancillas, so the classical record after the run
-    holds the last round's syndrome. Raises [Invalid_argument] on
-    [rounds < 1]. *)
-
-type outcome = {
-  rounds : int;
-  shots : int;
-  plan : Qca_qx.Engine.plan;  (** What the planner actually chose. *)
-  quiet_fraction : float;
-      (** Fraction of shots whose final-round syndrome is trivial (all
-          ancilla bits 0). 1.0 for a stabilized state under ideal noise;
-          codes whose stabilizers do not fix |0...0> (e.g. surface codes)
-          project on the first round and stay below 1.0 even ideally. *)
-  histogram : (string * int) list;
-  report : Qca_qx.Engine.run_report;
-}
-
-val run :
-  ?rounds:int ->
-  ?shots:int ->
-  ?seed:int ->
-  ?noise:float ->
-  ?plan:Qca_qx.Engine.plan ->
-  Qca_qec.Code.t ->
-  (outcome, Qca_util.Error.t) result
-(** Run [shots] (default 1024) shots of {!cycle_circuit} through
-    {!Qca_qx.Engine.run_checked}. [noise] is a depolarising rate ([None] =
-    ideal, which the planner sends to the tableau); [plan] forces a
-    backend exactly as [qxc run --plan] does, structured errors
-    included. *)
+    holds the last round's syndrome. Histogram keys put qubit 0 rightmost,
+    so the ancilla bits are the first [Code.ancilla_count code]
+    characters. Raises [Invalid_argument] on [rounds < 1]. *)

@@ -17,7 +17,7 @@ let with_degraded report msg =
   let r = report.Engine.resilience in
   { report with Engine.resilience = { r with Engine.degraded = Some msg } }
 
-(* Rung 2 of the degradation ladder (docs/resilience.md): a
+(* Rung 1 of the degradation ladder (docs/resilience.md): a
    micro-architecture run whose faulted-shot ratio exceeds the policy
    threshold, or that failed outright, is re-executed on QX. *)
 let ladder_reason ~policy ~shots = function

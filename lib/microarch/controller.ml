@@ -455,29 +455,6 @@ let run_shots ?noise ?seed ?rng ?(shots = 1024) ?faults
       in
       raise (Qerror.Error { e with Qerror.transient = false }))
 
-let backend ?(platform = Qca_compiler.Platform.superconducting_17)
-    ?(technology = superconducting) ?faults ?policy () =
-  (module struct
-    let name = "microarch-" ^ technology.tech_name
-
-    let run ?shots ?seed circuit =
-      let compiled =
-        Qca_compiler.Compiler.compile platform Qca_compiler.Compiler.Real circuit
-      in
-      match compiled.Qca_compiler.Compiler.eqasm with
-      | None ->
-          Qerror.fail ~site:"Controller.backend"
-            (Qerror.Invalid "compiler produced no eQASM")
-      | Some program ->
-          let r =
-            run_shots ~noise:platform.Qca_compiler.Platform.noise ?seed ?shots ?faults
-              ?policy technology program
-          in
-          { Engine.histogram = r.histogram; report = r.report }
-  end : Qca_qx.Backend.S)
-
-module Backend = (val backend ())
-
 let trace_to_string (result : result) =
   let buffer = Buffer.create 512 in
   Buffer.add_string buffer "  time_ns  q   opcode  pulse      dur_ns\n";

@@ -91,23 +91,6 @@ val run_shots :
     ladder can take over. Without [faults] behaviour is bit-identical to
     the pre-resilience path. *)
 
-val backend :
-  ?platform:Qca_compiler.Platform.t ->
-  ?technology:technology ->
-  ?faults:Qca_util.Fault.t ->
-  ?policy:Qca_util.Resilience.policy ->
-  unit ->
-  (module Qca_qx.Backend.S)
-(** An execution target that compiles the circuit for [platform] (default
-    the 17-qubit superconducting platform, Real mode), then pushes every
-    shot through the micro-architecture under the platform noise model.
-    Histogram keys are platform-width (the mapper may relocate logical
-    qubits). [faults]/[policy] thread through to {!run_shots}; wrap the
-    result with {!Qca_qx.Resilient.wrap} to add backend-level fallback. *)
-
-module Backend : Qca_qx.Backend.S
-(** [backend ()] with the defaults: "microarch-superconducting". *)
-
 (** {2 Stepwise execution}
 
     The QISA interpreter (Figure 5) interleaves classical instructions with

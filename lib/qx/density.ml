@@ -172,19 +172,19 @@ let run ?(noise = Noise.ideal) circuit =
     (Circuit.instructions circuit);
   d
 
-(* --- Backend conformance ---------------------------------------------- *)
+(* --- Exact-distribution sampling --------------------------------------- *)
 
 (* Terminal measurements are sampled from the exact diagonal of rho, so the
-   density target serves the same run contract as the trajectory engine
-   (and validates it without sampling error in the evolution itself). *)
-let run_backend ~noise ?(shots = 1024) ?seed circuit =
-  if shots < 1 then invalid_arg "Density.Backend: shots must be positive";
+   result has the engine's shape (and validates it without sampling error
+   in the evolution itself). *)
+let sample ?(noise = Noise.ideal) ?(shots = 1024) ?seed circuit =
+  if shots < 1 then invalid_arg "Density.sample: shots must be positive";
   Trace.with_span "density.run" (fun run_sp ->
   let t0 = Sys.time () in
   match Engine.terminal_split circuit with
   | None ->
       invalid_arg
-        "Density.Backend: circuit needs trajectory execution (conditional, \
+        "Density.sample: circuit needs trajectory execution (conditional, \
          mid-circuit measurement or reset)"
   | Some (prefix, measured) ->
       let n = Circuit.qubit_count circuit in
@@ -243,14 +243,3 @@ let run_backend ~noise ?(shots = 1024) ?seed circuit =
             cache = Engine.no_cache;
           };
       })
-
-let backend ?(noise = Noise.ideal) () =
-  (module struct
-    let name = if Noise.is_ideal noise then "qx-density" else "qx-density-noisy"
-    let run ?shots ?seed circuit = run_backend ~noise ?shots ?seed circuit
-  end : Backend.S)
-
-module Backend = struct
-  let name = "qx-density"
-  let run ?shots ?seed circuit = run_backend ~noise:Noise.ideal ?shots ?seed circuit
-end

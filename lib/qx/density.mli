@@ -48,13 +48,15 @@ val run : ?noise:Noise.model -> Qca_circuit.Circuit.t -> t
     Measurement, preparation and conditional instructions are rejected —
     use the trajectory simulator for those. *)
 
-val backend : ?noise:Noise.model -> unit -> (module Backend.S)
-(** A density-matrix execution target with a fixed noise model baked in
-    (channels applied as exact Kraus sums, no trajectory sampling). *)
-
-module Backend : Backend.S
-(** Exact density-matrix execution target ("qx-density"): evolves rho
-    through the unitary prefix and samples terminal measurements from its
-    diagonal. Raises [Invalid_argument] for circuits that need trajectory
-    execution (feedback, mid-circuit measurement/reset) or more than 8
-    qubits. *)
+val sample :
+  ?noise:Noise.model -> ?shots:int -> ?seed:int -> Qca_circuit.Circuit.t -> Engine.result
+(** The exact-distribution oracle: evolve rho through the circuit's unitary
+    prefix under [noise] (default {!Noise.ideal}; channels as exact Kraus
+    sums, no trajectory sampling), then sample [shots] (default 1024)
+    terminal measurements from its diagonal with the engine's sampler, so
+    with one seed an ideal circuit gives the histogram {!Engine.run} gives.
+    The differential tests compare the engine against it; it is not an
+    execution target (jobs go through [Qca.Runner.run]). Raises
+    [Invalid_argument] for circuits that need trajectory execution
+    (feedback, mid-circuit measurement/reset), more than 8 qubits, or
+    [shots < 1]. *)

@@ -271,7 +271,7 @@ val sample_histogram :
   shots:int ->
   (string * int) list
 (** Draw [shots] bitstrings from an explicit distribution, masking
-    unmeasured qubits to '-' (shared with the density backend). *)
+    unmeasured qubits to '-' (shared with {!Density.sample}). *)
 
 type sampled_distribution = {
   probabilities : float array;  (** Final-state distribution, length 2^n. *)

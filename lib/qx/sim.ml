@@ -22,16 +22,3 @@ let state_fidelity_vs_ideal ~noise ~rng ~shots circuit =
       circuit
   in
   acc /. float_of_int shots
-
-let backend ?(noise = Noise.ideal) () =
-  (module struct
-    let name =
-      if Noise.is_ideal noise then "qx-statevector" else "qx-statevector-noisy"
-
-    let run ?shots ?seed circuit = Engine.run ~noise ?shots ?seed circuit
-  end : Backend.S)
-
-module Backend = struct
-  let name = "qx-statevector"
-  let run ?shots ?seed circuit = Engine.run ?shots ?seed circuit
-end

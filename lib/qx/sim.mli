@@ -1,5 +1,5 @@
 (** QX simulator front end: single trajectories on perfect or realistic
-    qubits, and the state-vector backend descriptors.
+    qubits.
 
     The paper's QX engine executes cQASM, measures, and returns results to
     the micro-architecture; this module exposes one shot of it with its
@@ -34,9 +34,3 @@ val state_fidelity_vs_ideal :
   noise:Noise.model -> rng:Qca_util.Rng.t -> shots:int -> Qca_circuit.Circuit.t -> float
 (** Average over trajectories of |<psi_noisy|psi_ideal>|^2 for a
     measurement-free circuit (via {!Engine.fold_trajectories}). *)
-
-val backend : ?noise:Noise.model -> unit -> (module Backend.S)
-(** An execution target with a fixed noise model baked in. *)
-
-module Backend : Backend.S
-(** Ideal-qubit state-vector execution target ("qx-statevector"). *)

@@ -881,7 +881,7 @@ let stats_to_json t =
   List.iteri
     (fun i (name, completed) ->
       if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf "\"%s\":%d" (String.escaped name) completed)
+      Printf.bprintf buf "\"%s\":%d" (Qca_util.Trace.json_escape name) completed)
     s.per_tenant;
   Buffer.add_string buf "}}}";
   Buffer.contents buf

@@ -314,13 +314,15 @@ let ids_in path =
   else []
 
 (* active/ and failed/ participate: a claimed or retired job's id must not
-   be reissued while its journal entry is still alive. *)
+   be reissued while its journal entry is still alive. Directories are
+   scanned in lifecycle order, so a job the daemon moves on mid-scan lands
+   in a directory not yet read instead of one already passed. *)
 let next_id dir =
   let top =
     List.fold_left
       (fun acc d -> List.fold_left max acc (ids_in d))
       0
-      [ inbox dir; results dir; cancels dir; active_dir dir; failed_dir dir ]
+      [ inbox dir; active_dir dir; results dir; failed_dir dir; cancels dir ]
   in
   Printf.sprintf "%06d" (top + 1)
 

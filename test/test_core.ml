@@ -123,6 +123,50 @@ let test_host_payload_output () =
   Alcotest.(check (list (pair string string))) "output captured" [ ("grover", "result:db") ]
     exec.Host.outputs
 
+let test_host_quantum_kernel_payload () =
+  (* A quantum accelerator's payload is an ordinary job: the kernel argument
+     is cQASM, submitted as a [Source] payload to [Runner.run], and the
+     histogram comes back as space-separated "bits:count" pairs. *)
+  let payload text =
+    let spec =
+      Qca.Job_spec.make ~shots:300 ~seed:5
+        (Qca.Job_spec.Source { name = "kernel"; text })
+    in
+    match Runner.run spec with
+    | Ok o ->
+        o.Runner.histogram
+        |> List.map (fun (key, count) -> Printf.sprintf "%s:%d" key count)
+        |> String.concat " "
+    | Error e -> Alcotest.fail (Qca_util.Error.to_string e)
+  in
+  let qpu =
+    Accelerator.make ~payload ~name:"qpu0" ~kind:Accelerator.Quantum_gate
+      ~speed_factor:1000.0 ~offload_overhead:2.0 ()
+  in
+  let source =
+    "version 1.0\nqubits 2\nh q[0]\ncnot q[0], q[1]\nmeasure q[0]\nmeasure q[1]\n"
+  in
+  let exec = Host.run ~accelerators:[ qpu ] [ Host.Offload ("qpu0", "bell", 10.0, source) ] in
+  let output =
+    match exec.Host.outputs with
+    | [ ("bell", output) ] -> output
+    | _ -> Alcotest.fail "expected one kernel output"
+  in
+  let entries =
+    List.map
+      (fun entry ->
+        match String.split_on_char ':' entry with
+        | [ bits; count ] -> (bits, int_of_string count)
+        | _ -> Alcotest.fail ("unparseable payload entry: " ^ entry))
+      (String.split_on_char ' ' output)
+  in
+  Alcotest.(check int) "payload counts sum to shots" 300
+    (List.fold_left (fun acc (_, c) -> acc + c) 0 entries);
+  List.iter
+    (fun (bits, _) ->
+      Alcotest.(check bool) ("correlated outcome " ^ bits) true (bits = "00" || bits = "11"))
+    entries
+
 (* --- RB --- *)
 
 let test_clifford_group_size () =
@@ -365,6 +409,42 @@ let test_stack_degrades_to_sim () =
   | Error e ->
       Alcotest.(check bool) "permanent error" false e.Qca_util.Error.transient
 
+let test_ladder_passthrough () =
+  let module Engine = Qca_qx.Engine in
+  (* A healthy micro-architecture run passes through the ladder untouched:
+     the same histogram as the fail-fast route, and no degradation. *)
+  let spec = Stack.spec ~shots:60 ~seed:11 (Stack.superconducting ()) (bell_measured ()) in
+  let no_ladder =
+    match spec.Qca.Job_spec.route with
+    | Qca.Job_spec.Compiled r ->
+        { spec with Qca.Job_spec.route = Qca.Job_spec.Compiled { r with ladder = false } }
+    | Qca.Job_spec.Direct -> Alcotest.fail "stack spec must be compiled"
+  in
+  match (Runner.run spec, Runner.run no_ladder) with
+  | Ok laddered, Ok direct ->
+      Alcotest.(check (list (pair string int))) "same histogram"
+        direct.Runner.histogram laddered.Runner.histogram;
+      Alcotest.(check bool) "not degraded" true
+        (laddered.Runner.report.Engine.resilience.Engine.degraded = None);
+      Alcotest.(check bool) "microarch engaged" true
+        (laddered.Runner.microarch_stats <> None)
+  | Error e, _ | _, Error e -> Alcotest.fail (Qca_util.Error.to_string e)
+
+let test_ladder_tolerates_faults_under_threshold () =
+  let module Engine = Qca_qx.Engine in
+  let module Fault = Qca_util.Fault in
+  (* Faulted shots under the policy threshold keep the micro-architecture
+     result: the ladder degrades only past [degrade_threshold]. *)
+  let faults = Fault.make ~seed:4 { Fault.off with Fault.backend = 0.5 } in
+  let run = execute ~shots:80 ~seed:12 ~faults (Stack.superconducting ()) (bell_measured ()) in
+  let res = run.Runner.report.Engine.resilience in
+  Alcotest.(check bool) "some shots faulted" true (res.Engine.faulted_shots > 0);
+  Alcotest.(check bool) "not degraded" true (res.Engine.degraded = None);
+  Alcotest.(check bool) "microarch kept" true (run.Runner.microarch_stats <> None);
+  Alcotest.(check bool) "under threshold" true
+    (float_of_int res.Engine.faulted_shots /. 80.0
+     <= Qca_util.Resilience.default_policy.Qca_util.Resilience.degrade_threshold)
+
 let test_stack_runner_errors () =
   let stack = Stack.genome ~qubits:2 () in
   (match Runner.run (Stack.spec ~shots:50 ~seed:3 stack (bell_measured ())) with
@@ -391,24 +471,34 @@ let test_stack_runner_errors () =
         | Qca_util.Error.Unsupported_gate _ -> true
         | _ -> false)
 
-(* --- backend swapping (the Backend.S contract) --- *)
+(* --- backend swapping: one Job_spec, only the route changes --- *)
 
 let test_backend_swap () =
   let module Engine = Qca_qx.Engine in
+  let module Job_spec = Qca.Job_spec in
   let bell = bell_measured () in
-  let targets : (module Qca_qx.Backend.S) list =
-    [
-      (module Qca_qx.Sim.Backend);
-      (module Qca_qx.Density.Backend);
-      Qca_microarch.Controller.backend ~platform:Platform.semiconducting_4
-        ~technology:Qca_microarch.Controller.semiconducting ();
-    ]
+  let spec = Job_spec.make ~shots:200 ~seed:13 (Job_spec.Circuit bell) in
+  let microarch =
+    Job_spec.Compiled
+      {
+        platform = Platform.semiconducting_4;
+        mode = Compiler.Real;
+        technology = Some Qca_microarch.Controller.semiconducting;
+        ladder = false;
+        router = Qca_compiler.Mapping.Sabre;
+      }
   in
+  let on_route route =
+    let spec = { spec with Job_spec.route } in
+    match Runner.run spec with
+    | Ok o -> (Job_spec.route_description spec, o.Runner.histogram)
+    | Error e -> Alcotest.fail (Qca_util.Error.to_string e)
+  in
+  let oracle = Qca_qx.Density.sample ~shots:200 ~seed:13 bell in
   List.iter
-    (fun (module B : Qca_qx.Backend.S) ->
-      let result = B.run ~shots:200 ~seed:13 bell in
-      let total = List.fold_left (fun acc (_, c) -> acc + c) 0 result.Engine.histogram in
-      Alcotest.(check int) (B.name ^ ": histogram mass") 200 total;
+    (fun (name, histogram) ->
+      let total = List.fold_left (fun acc (_, c) -> acc + c) 0 histogram in
+      Alcotest.(check int) (name ^ ": histogram mass") 200 total;
       (* The mapper may relocate qubits and noise may leak, but the Bell
          correlation must dominate on every target. *)
       let correlated =
@@ -418,45 +508,17 @@ let test_backend_swap () =
             match bits with
             | [ a; b ] when a = b -> acc + c
             | _ -> acc)
-          0 result.Engine.histogram
+          0 histogram
       in
       Alcotest.(check bool)
-        (B.name ^ ": correlated mass dominates")
+        (name ^ ": correlated mass dominates")
         true
         (float_of_int correlated /. float_of_int total > 0.8))
-    targets
-
-let test_accelerator_with_backend () =
-  let source =
-    "version 1.0\nqubits 2\nh q[0]\ncnot q[0], q[1]\nmeasure q[0]\nmeasure q[1]\n"
-  in
-  let qpu =
-    Accelerator.make ~name:"qpu0" ~kind:Accelerator.Quantum_gate ~speed_factor:1000.0
-      ~offload_overhead:2.0 ()
-  in
-  let backed =
-    Accelerator.with_backend (module Qca_qx.Sim.Backend) ~shots:300 ~seed:5 qpu
-  in
-  Alcotest.(check string) "renamed" "qpu0@qx-statevector" backed.Accelerator.name;
-  let output = Accelerator.run_payload backed source in
-  let entries = String.split_on_char ' ' output in
-  let total =
-    List.fold_left
-      (fun acc entry ->
-        match String.split_on_char ':' entry with
-        | [ _bits; count ] -> acc + int_of_string count
-        | _ -> Alcotest.fail ("unparseable payload entry: " ^ entry))
-      0 entries
-  in
-  Alcotest.(check int) "payload counts sum to shots" 300 total;
-  List.iter
-    (fun entry ->
-      match String.split_on_char ':' entry with
-      | [ bits; _ ] ->
-          Alcotest.(check bool) ("correlated outcome " ^ bits) true
-            (bits = "00" || bits = "11")
-      | _ -> ())
-    entries
+    [
+      on_route Job_spec.Direct;
+      ("density oracle", oracle.Engine.histogram);
+      on_route microarch;
+    ]
 
 (* --- in-memory (section 5) --- *)
 
@@ -671,6 +733,7 @@ let () =
           Alcotest.test_case "matches amdahl" `Quick test_host_matches_amdahl;
           Alcotest.test_case "unknown accelerator" `Quick test_host_unknown_accelerator;
           Alcotest.test_case "payload output" `Quick test_host_payload_output;
+          Alcotest.test_case "quantum kernel payload" `Quick test_host_quantum_kernel_payload;
         ] );
       ( "rb",
         [
@@ -703,9 +766,11 @@ let () =
           Alcotest.test_case "realistic_of" `Quick test_realistic_of_degrades;
           Alcotest.test_case "engine report" `Quick test_stack_engine_report;
           Alcotest.test_case "degrades to sim" `Quick test_stack_degrades_to_sim;
+          Alcotest.test_case "ladder passthrough" `Quick test_ladder_passthrough;
+          Alcotest.test_case "ladder tolerates faults" `Quick
+            test_ladder_tolerates_faults_under_threshold;
           Alcotest.test_case "runner errors" `Quick test_stack_runner_errors;
           Alcotest.test_case "backend swap" `Quick test_backend_swap;
-          Alcotest.test_case "accelerator with_backend" `Quick test_accelerator_with_backend;
         ] );
       ( "in-memory",
         [

@@ -254,27 +254,42 @@ let test_auto_overhead_guard () =
 
 (* --- the planner-driven QEC cycle runner --- *)
 
-let test_qec_run_ideal_takes_tableau () =
-  match Qca.Qec_run.run ~rounds:3 ~shots:256 ~seed:11 (Code.bit_flip_repetition 3) with
+(* A QEC cycle is an ordinary job: [cycle_circuit] on a [Direct] route. *)
+let run_cycles ?noise ~rounds ~shots code =
+  let circuit = Qca.Qec_run.cycle_circuit ~rounds code in
+  let spec = Qca.Job_spec.make ~shots ~seed:11 ?noise (Qca.Job_spec.Circuit circuit) in
+  match Qca.Runner.run spec with
   | Error e -> Alcotest.failf "qec run failed: %s" (Error.to_string e)
-  | Ok o ->
-      Alcotest.(check bool)
-        "ideal cycles take the tableau" true
-        (o.Qca.Qec_run.plan = Engine.Clifford);
-      (* |000> is a codeword of the repetition code: every syndrome is
-         trivial under ideal noise. *)
-      Alcotest.(check (float 1e-9)) "quiet" 1.0 o.Qca.Qec_run.quiet_fraction
+  | Ok o -> o
+
+(* Fraction of shots whose final-round syndrome is trivial: histogram keys
+   put qubit 0 rightmost, so the ancillas lead each key. *)
+let quiet_fraction code (o : Qca.Runner.outcome) =
+  let ancillas = Code.ancilla_count code in
+  let quiet, total =
+    List.fold_left
+      (fun (quiet, total) (key, count) ->
+        let trivial = not (String.contains (String.sub key 0 ancillas) '1') in
+        ((if trivial then quiet + count else quiet), total + count))
+      (0, 0) o.Qca.Runner.histogram
+  in
+  float_of_int quiet /. float_of_int total
+
+let test_qec_run_ideal_takes_tableau () =
+  let code = Code.bit_flip_repetition 3 in
+  let o = run_cycles ~rounds:3 ~shots:256 code in
+  Alcotest.(check bool)
+    "ideal cycles take the tableau" true
+    (o.Qca.Runner.report.Engine.plan = Engine.Clifford);
+  (* |000> is a codeword of the repetition code: every syndrome is
+     trivial under ideal noise. *)
+  Alcotest.(check (float 1e-9)) "quiet" 1.0 (quiet_fraction code o)
 
 let test_qec_run_noisy_takes_trajectories () =
-  match
-    Qca.Qec_run.run ~rounds:2 ~shots:64 ~seed:11 ~noise:0.05
-      (Code.bit_flip_repetition 3)
-  with
-  | Error e -> Alcotest.failf "qec run failed: %s" (Error.to_string e)
-  | Ok o ->
-      Alcotest.(check bool)
-        "noisy cycles take trajectories" true
-        (o.Qca.Qec_run.plan = Engine.Trajectory)
+  let o = run_cycles ~noise:0.05 ~rounds:2 ~shots:64 (Code.bit_flip_repetition 3) in
+  Alcotest.(check bool)
+    "noisy cycles take trajectories" true
+    (o.Qca.Runner.report.Engine.plan = Engine.Trajectory)
 
 let () =
   let qtest = QCheck_alcotest.to_alcotest in

@@ -674,22 +674,48 @@ let test_same_seed_reproducible () =
     (Engine.default_rng () == Engine.default_rng ())
 
 let test_backends_agree () =
-  (* The state-vector and density backends sample the same distribution with
-     the same generator, so with one seed they agree bit for bit. *)
+  (* The state-vector engine and the density-matrix oracle sample the same
+     distribution with the same generator, so with one seed they agree bit
+     for bit. *)
   let bell = measured_all 2 (Library.bell ()) in
-  let module Sv = (val (module Sim.Backend : Qca_qx.Backend.S)) in
-  let module Dm = (val (module Density.Backend : Qca_qx.Backend.S)) in
-  let sv = Sv.run ~shots:2000 ~seed:7 bell in
-  let dm = Dm.run ~shots:2000 ~seed:7 bell in
+  let sv = Engine.run ~shots:2000 ~seed:7 bell in
+  let dm = Density.sample ~shots:2000 ~seed:7 bell in
   Alcotest.(check (list (pair string int))) "identical histograms"
-    sv.Engine.histogram dm.Engine.histogram;
-  Alcotest.(check bool) "names differ" true (Sv.name <> Dm.name)
+    sv.Engine.histogram dm.Engine.histogram
 
 let test_density_backend_rejects_feedback () =
   let c = Circuit.of_list 2 [ Gate.Measure 0; Gate.Conditional (0, Gate.X, [| 1 |]) ] in
-  match Density.Backend.run ~shots:8 c with
+  match Density.sample ~shots:8 c with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "density backend accepted a feedback circuit"
+  | _ -> Alcotest.fail "density sampler accepted a feedback circuit"
+
+let test_density_sample_under_noise () =
+  (* Under gate noise the oracle applies the exact channels: with enough
+     shots its histogram and the engine's noisy trajectories agree in
+     distribution, and the oracle shows the noise as odd-parity mass. The
+     oracle models gate channels only, not readout or preparation errors,
+     so those stay off here. *)
+  let bell = measured_all 2 (Library.bell ()) in
+  let noise = { (Noise.depolarizing 0.05) with Noise.readout_error = 0.0; prep_error = 0.0 } in
+  let shots = 4000 in
+  let dm = Density.sample ~noise ~shots ~seed:7 bell in
+  let sv = Engine.run ~noise ~shots ~seed:7 bell in
+  let freq h key =
+    float_of_int (try List.assoc key h with Not_found -> 0) /. float_of_int shots
+  in
+  let mass h = List.fold_left (fun acc (_, c) -> acc + c) 0 h in
+  Alcotest.(check int) "oracle mass" shots (mass dm.Engine.histogram);
+  let keys = [ "00"; "01"; "10"; "11" ] in
+  let tv =
+    0.5
+    *. List.fold_left
+         (fun acc k ->
+           acc +. Float.abs (freq dm.Engine.histogram k -. freq sv.Engine.histogram k))
+         0.0 keys
+  in
+  Alcotest.(check bool) (Printf.sprintf "tv distance %.3f < 0.05" tv) true (tv < 0.05);
+  let odd h = freq h "01" +. freq h "10" in
+  Alcotest.(check bool) "oracle shows the noise" true (odd dm.Engine.histogram > 0.0)
 
 (* --- resilience --- *)
 
@@ -735,42 +761,6 @@ let prop_faulted_shots_accounting =
       let r = Engine.run ~seed ~shots:100 ~faults bell in
       let total = List.fold_left (fun acc (_, c) -> acc + c) 0 r.Engine.histogram in
       r.Engine.report.Engine.resilience.Engine.faulted_shots + total = 100)
-
-let test_resilient_wrap_degrades () =
-  let module Flaky = struct
-    let name = "always-fails"
-
-    let run ?shots:_ ?seed:_ _ =
-      Qca_util.Error.fail ~site:"Flaky.run" (Qca_util.Error.Invalid "broken")
-  end in
-  let module Wrapped =
-    (val Qca_qx.Resilient.wrap
-           ~fallback:(module Sim.Backend)
-           (module Flaky : Qca_qx.Backend.S))
-  in
-  let bell = measured_all 2 (Library.bell ()) in
-  let r = Wrapped.run ~shots:200 ~seed:3 bell in
-  let res = r.Engine.report.Engine.resilience in
-  Alcotest.(check bool) "degradation recorded" true (res.Engine.degraded <> None);
-  let total = List.fold_left (fun acc (_, c) -> acc + c) 0 r.Engine.histogram in
-  Alcotest.(check int) "fallback delivered shots" 200 total;
-  Alcotest.(check bool) "wrapped name" true
-    (Wrapped.name = "resilient(always-fails->qx-statevector)")
-
-let test_resilient_wrap_passthrough () =
-  (* A healthy primary passes through untouched, modulo merged counters. *)
-  let module Wrapped =
-    (val Qca_qx.Resilient.wrap
-           ~fallback:(module Density.Backend)
-           (module Sim.Backend : Qca_qx.Backend.S))
-  in
-  let bell = measured_all 2 (Library.bell ()) in
-  let direct = Sim.Backend.run ~shots:300 ~seed:11 bell in
-  let wrapped = Wrapped.run ~shots:300 ~seed:11 bell in
-  Alcotest.(check (list (pair string int))) "same histogram"
-    direct.Engine.histogram wrapped.Engine.histogram;
-  Alcotest.(check bool) "not degraded" true
-    (wrapped.Engine.report.Engine.resilience.Engine.degraded = None)
 
 (* --- properties --- *)
 
@@ -1200,6 +1190,8 @@ let () =
           Alcotest.test_case "backends agree" `Quick test_backends_agree;
           Alcotest.test_case "density backend domain" `Quick
             test_density_backend_rejects_feedback;
+          Alcotest.test_case "density sample under noise" `Quick
+            test_density_sample_under_noise;
           Alcotest.test_case "per-shot phase times" `Quick test_per_shot_phase_times;
         ] );
       ( "trace",
@@ -1215,9 +1207,6 @@ let () =
             test_fault_rate_zero_bit_identical;
           Alcotest.test_case "transients retry to completion" `Quick
             test_transient_faults_retry_to_completion;
-          Alcotest.test_case "wrap degrades to fallback" `Quick
-            test_resilient_wrap_degrades;
-          Alcotest.test_case "wrap passthrough" `Quick test_resilient_wrap_passthrough;
           qtest prop_faulted_shots_accounting;
         ] );
       ( "kernels",
