@@ -4,6 +4,7 @@ module Gate = Qca_circuit.Gate
 module Engine = Qca_qx.Engine
 module Platform = Qca_compiler.Platform
 module Noise = Qca_qx.Noise
+module Tableau = Qca_qec.Tableau
 
 type classes = {
   t_count : int;
@@ -266,7 +267,8 @@ let probe_of_program (p : Cqasm.program) =
    per gate at the calibrated per-amplitude rate. The sampled plan pays one
    pass plus O(n) per shot of sampling; trajectories pay the pass (plus
    measurement collapses) per shot; the tableau plan pays O(n) per gate and
-   O(n^2) per measurement per shot over ~16n(2n+1) bytes of rows.       *)
+   O(n^2) per measurement per shot over its bit-packed rows
+   ([Tableau.memory_bytes], ~64 n ceil(n/62) bytes).                     *)
 
 let pass_ns cal classes dim =
   dim
@@ -283,8 +285,7 @@ let cost cal ~plan ~n ~shots ~classes ~measures =
   let fmeasures = float_of_int measures in
   match plan with
   | Engine.Clifford ->
-      let rows = (2.0 *. fn) +. 1.0 in
-      let bytes = (16.0 *. fn *. rows) +. (8.0 *. rows) in
+      let bytes = Tableau.memory_bytes n in
       let gates = float_of_int (classes_total classes) in
       let ns =
         fshots *. cal.ns_row

@@ -94,21 +94,6 @@ let classical_of_key key =
       | '1' -> 1
       | c -> invalid_arg (Printf.sprintf "Engine.classical_of_key: '%c'" c))
 
-(* --- instrumentation --------------------------------------------------- *)
-
-type tally = { applies : (string, int) Hashtbl.t; mutable measures : int }
-
-let fresh_tally () = { applies = Hashtbl.create 16; measures = 0 }
-
-let count_apply tally name =
-  Hashtbl.replace tally.applies name
-    (1 + Option.value ~default:0 (Hashtbl.find_opt tally.applies name))
-
-let gate_applies_of tally =
-  Hashtbl.fold (fun name count acc -> (name, count) :: acc) tally.applies []
-  |> List.sort (fun (na, a) (nb, b) ->
-         match compare b a with 0 -> compare na nb | c -> c)
-
 (* --- run-plan analysis ------------------------------------------------- *)
 
 (* A circuit takes the single-pass sampled plan when its measurements are
@@ -324,37 +309,94 @@ let apply_kernel state = function
 
 (* The compiled form every executor dispatches over: a flat array of
    micro-ops walked by one indexed loop, instead of re-walking a cons list
-   of plan steps per shot. Barriers are dropped at compile time and
-   conditional gate names are cached, so the per-shot loop does no list
-   traversal and no string construction. *)
+   of plan steps per shot. Barriers are dropped at compile time and each
+   conditional gets a tally slot, so the per-shot loop does no list
+   traversal, no string construction and no table lookup. *)
 type micro_op =
   | M_kernel of fused_kernel
-  | M_cond of int * Gate.unitary * int array * string
+  | M_cond of int * Gate.unitary * int array * int  (* ..., conditional slot *)
   | M_prep of int
   | M_measure of int
 
+(* Gate applies are counted statically: every pass over a program applies
+   each kernel's logical gates once and measures each [M_measure] once, so
+   the compiled program carries those per-pass totals and a run only
+   counts its passes and, per conditional slot, how often it fired. *)
+type program = {
+  ops : micro_op array;
+  pass_applies : (string * int) list;  (* unconditional gates per pass, by name *)
+  pass_measures : int;
+  cond_names : string array;  (* slot -> gate name *)
+}
+
 let compile_micro ~fusion instrs =
   let steps, fstats = compile_steps ~fusion instrs in
+  let applies = Hashtbl.create 16 and measures = ref 0 in
+  let conds = ref [] and slots = ref 0 in
+  let count name =
+    Hashtbl.replace applies name (1 + Option.value ~default:0 (Hashtbl.find_opt applies name))
+  in
   let ops =
     List.filter_map
       (fun step ->
         match step with
-        | Kernel k -> Some (M_kernel k)
+        | Kernel k ->
+            (match k with
+            | Single (_, _, name) -> count name
+            | Fused_1q (_, _, names) | Fused_diag (_, names) -> List.iter count names);
+            Some (M_kernel k)
         | Instr (Gate.Conditional (bit, u, o)) ->
-            Some (M_cond (bit, u, o, Gate.name u))
+            conds := Gate.name u :: !conds;
+            incr slots;
+            Some (M_cond (bit, u, o, !slots - 1))
         | Instr (Gate.Prep q) -> Some (M_prep q)
-        | Instr (Gate.Measure q) -> Some (M_measure q)
+        | Instr (Gate.Measure q) ->
+            incr measures;
+            Some (M_measure q)
         | Instr (Gate.Barrier _) -> None
         | Instr (Gate.Unitary _) -> assert false)
       steps
   in
-  (Array.of_list ops, fstats)
+  ( {
+      ops = Array.of_list ops;
+      pass_applies = Hashtbl.fold (fun name c acc -> (name, c) :: acc) applies [];
+      pass_measures = !measures;
+      cond_names = Array.of_list (List.rev !conds);
+    },
+    fstats )
+
+(* --- instrumentation --------------------------------------------------- *)
+
+type tally = { mutable passes : int; fired : int array }
+
+let fresh_tally program =
+  { passes = 0; fired = Array.make (Array.length program.cond_names) 0 }
+
+let merge_tally ~into src =
+  into.passes <- into.passes + src.passes;
+  Array.iteri (fun slot c -> into.fired.(slot) <- into.fired.(slot) + c) src.fired
+
+let gate_applies_of program tally =
+  let table = Hashtbl.create 16 in
+  let add name c =
+    if c > 0 then
+      Hashtbl.replace table name (c + Option.value ~default:0 (Hashtbl.find_opt table name))
+  in
+  List.iter (fun (name, c) -> add name (c * tally.passes)) program.pass_applies;
+  Array.iteri (fun slot name -> add name tally.fired.(slot)) program.cond_names;
+  Hashtbl.fold (fun name count acc -> (name, count) :: acc) table []
+  |> List.sort (fun (na, a) (nb, b) ->
+         match compare b a with 0 -> compare na nb | c -> c)
+
+(* The [qx.apply.*] and [qx.measure] trace counters, added in bulk once the
+   shots have run: the totals are the report's own. *)
+let trace_counters ~gate_applies ~measurements =
+  if Trace.enabled () then begin
+    List.iter (fun (name, c) -> Trace.add_counter ("qx.apply." ^ name) c) gate_applies;
+    if measurements > 0 then Trace.add_counter "qx.measure" measurements
+  end
 
 (* --- the per-shot interpreter ------------------------------------------ *)
-
-let record tally name =
-  count_apply tally name;
-  if Trace.enabled () then Trace.add_counter ("qx.apply." ^ name) 1
 
 (* The one state-vector shot executor (trajectory plan, [Sim.run],
    [fold_trajectories]): a fresh state per shot, measurement collapse,
@@ -362,9 +404,11 @@ let record tally name =
    errors after every kernel, prep errors and readout flips. Randomness is
    drawn in program order, gate by gate: a noisy program is compiled
    unfused, and fused kernels (ideal runs only) are bit-identical to
-   gate-by-gate application and draw nothing. The tally counts every
-   {e logical} gate: fused kernels record each constituent gate name. *)
-let exec_micro ~noise ~tally rng ops n =
+   gate-by-gate application and draw nothing. The tally counts the pass and
+   the conditionals that fired; the program's static totals supply the
+   rest. *)
+let exec_micro ~noise ~tally rng program n =
+  let ops = program.ops in
   let state = State.create n in
   let classical = Array.make n (-1) in
   let ideal = Noise.is_ideal noise in
@@ -373,14 +417,12 @@ let exec_micro ~noise ~tally rng ops n =
     | M_kernel k -> (
         apply_kernel state k;
         match k with
-        | Single (u, o, name) ->
-            record tally name;
-            if not ideal then Noise.after_gate noise state rng u o
-        | Fused_1q (_, _, names) | Fused_diag (_, names) -> List.iter (record tally) names)
-    | M_cond (bit, u, o, name) ->
+        | Single (u, o, _) -> if not ideal then Noise.after_gate noise state rng u o
+        | Fused_1q _ | Fused_diag _ -> ())
+    | M_cond (bit, u, o, slot) ->
         if classical.(bit) = 1 then begin
           State.apply state u o;
-          record tally name;
+          tally.fired.(slot) <- tally.fired.(slot) + 1;
           if not ideal then Noise.after_gate noise state rng u o
         end
     | M_prep q ->
@@ -390,17 +432,16 @@ let exec_micro ~noise ~tally rng ops n =
           State.apply state Gate.X [| q |]
     | M_measure q ->
         let outcome = State.measure state rng q in
-        tally.measures <- tally.measures + 1;
-        if Trace.enabled () then Trace.add_counter "qx.measure" 1;
         classical.(q) <- (if ideal then outcome else Noise.flip_readout noise rng outcome)
   done;
+  tally.passes <- tally.passes + 1;
   (state, classical)
 
 let unfused_program circuit = fst (compile_micro ~fusion:false (Circuit.instructions circuit))
 
 let exec_shot ?(noise = Noise.ideal) rng circuit =
-  exec_micro ~noise ~tally:(fresh_tally ()) rng (unfused_program circuit)
-    (Circuit.qubit_count circuit)
+  let program = unfused_program circuit in
+  exec_micro ~noise ~tally:(fresh_tally program) rng program (Circuit.qubit_count circuit)
 
 (* Clifford-plan executor: the same micro-program, dispatched onto a reused
    tableau ([Tableau.reset] per shot, no allocation). Seeding discipline
@@ -411,38 +452,29 @@ let exec_shot ?(noise = Noise.ideal) rng circuit =
    seed-identical histograms across the two plans. Deterministic outcomes
    consume the draw without using it, as [State.measure] also always
    draws. *)
-let exec_micro_tableau ~tally rng tab ops =
+let measure_tableau rng tab q =
+  let random_outcome = if Rng.float rng 1.0 < 0.5 then 1 else 0 in
+  Tableau.measure_with tab q ~random_outcome
+
+let exec_micro_tableau ~tally rng tab program =
+  let ops = program.ops in
   Tableau.reset tab;
-  let n = Tableau.qubit_count tab in
-  let classical = Array.make n (-1) in
-  let record = record tally in
-  let measure q =
-    let draw = Rng.float rng 1.0 in
-    Tableau.measure_with tab q ~random_outcome:(fun () ->
-        if draw < 0.5 then 1 else 0)
-  in
+  let classical = Array.make (Tableau.qubit_count tab) (-1) in
   for i = 0 to Array.length ops - 1 do
     match Array.unsafe_get ops i with
-    | M_kernel (Single (u, o, name)) ->
-        Tableau.apply_gate tab u o;
-        record name
+    | M_kernel (Single (u, o, _)) -> Tableau.apply_gate tab u o
     | M_kernel (Fused_1q _ | Fused_diag _) ->
         (* The Clifford plan compiles with [~fusion:false]. *)
         assert false
-    | M_cond (bit, u, o, name) ->
+    | M_cond (bit, u, o, slot) ->
         if classical.(bit) = 1 then begin
           Tableau.apply_gate tab u o;
-          record name
+          tally.fired.(slot) <- tally.fired.(slot) + 1
         end
-    | M_prep q ->
-        let current = measure q in
-        if current = 1 then Tableau.x tab q
-    | M_measure q ->
-        let outcome = measure q in
-        tally.measures <- tally.measures + 1;
-        if Trace.enabled () then Trace.add_counter "qx.measure" 1;
-        classical.(q) <- outcome
+    | M_prep q -> if measure_tableau rng tab q = 1 then Tableau.x tab q
+    | M_measure q -> classical.(q) <- measure_tableau rng tab q
   done;
+  tally.passes <- tally.passes + 1;
   classical
 
 (* --- batched trajectories ---------------------------------------------- *)
@@ -451,14 +483,6 @@ let exec_micro_tableau ~tally rng tab ops =
    enough that a few hundred shots spread over every domain, large enough
    to amortise chunk claims and per-chunk scratch (one tableau). *)
 let shot_chunk = 8
-
-let merge_tally ~into src =
-  Hashtbl.iter
-    (fun name c ->
-      Hashtbl.replace into.applies name
-        (c + Option.value ~default:0 (Hashtbl.find_opt into.applies name)))
-    src.applies;
-  into.measures <- into.measures + src.measures
 
 (* Whether a batch of shots is worth dispatching to the pool: tracing runs
    stay sequential (trace counters are not domain-safe), and trivially
@@ -469,9 +493,9 @@ let batch_shots shots =
 let fold_trajectories ?(noise = Noise.ideal) ~rng ~shots ~init ~f circuit =
   (* Compiled once; each shot gets its own tally so parallel shots share
      nothing mutable. *)
-  let ops = unfused_program circuit in
+  let program = unfused_program circuit in
   let n = Circuit.qubit_count circuit in
-  let exec_shot rng = exec_micro ~noise ~tally:(fresh_tally ()) rng ops n in
+  let exec_shot rng = exec_micro ~noise ~tally:(fresh_tally program) rng program n in
   let sequential () =
     let acc = ref init in
     for _ = 1 to shots do
@@ -538,8 +562,8 @@ let inject_backend_fault faults ~site =
    sums, so the merge order cannot change the report. The histogram is
    tallied from a keys array in shot order, keeping even hash-table
    iteration order identical to a sequential run. *)
-let run_trajectory ?(faults = None) ~policy ~counters ~tally ~make_exec ~rng
-    ~shots () =
+let run_trajectory ?(faults = None) ~policy ~counters ~program ~tally ~make_exec
+    ~rng ~shots () =
   let table = Hashtbl.create 64 in
   let record key =
     Hashtbl.replace table key (1 + Option.value ~default:0 (Hashtbl.find_opt table key))
@@ -551,7 +575,7 @@ let run_trajectory ?(faults = None) ~policy ~counters ~tally ~make_exec ~rng
       if batch_shots shots then begin
         let merge_lock = Mutex.create () in
         Parallel.for_tasks ~chunk:shot_chunk shots (fun lo hi ->
-            let local = fresh_tally () in
+            let local = fresh_tally program in
             let exec = make_exec () in
             for i = lo to hi - 1 do
               keys.(i) <- bitstring (exec local streams.(i))
@@ -654,32 +678,32 @@ type sampled_distribution = {
 (* The sampled plan's one simulation pass: evolve |0...0> through the
    unitary prefix and return the final distribution. Consumes no
    randomness; preps and measures are terminal (the plan's precondition). *)
-let prefix_probabilities ~record ops n =
+let prefix_probabilities program n =
   let state = State.create n in
   Array.iter
     (function
-      | M_kernel k -> (
-          apply_kernel state k;
-          match k with
-          | Single (_, _, name) -> record name
-          | Fused_1q (_, _, names) | Fused_diag (_, names) -> List.iter record names)
+      | M_kernel k -> apply_kernel state k
       | M_cond _ | M_prep _ | M_measure _ -> ())
-    ops;
+    program.ops;
   State.probabilities state
+
+(* The sampled plan's gate tally: one pass, no conditionals. *)
+let single_pass program =
+  let tally = fresh_tally program in
+  tally.passes <- 1;
+  gate_applies_of program tally
 
 let sampled_distribution ?(fusion = true) circuit =
   match classify_structure circuit with
   | (Trajectory | Clifford), _, _ -> None
   | Sampled, _, measured ->
-      let ops, fstats = compile_micro ~fusion (Circuit.instructions circuit) in
-      let tally = fresh_tally () in
+      let program, fstats = compile_micro ~fusion (Circuit.instructions circuit) in
       Some
         {
-          probabilities =
-            prefix_probabilities ~record:(count_apply tally) ops (Circuit.qubit_count circuit);
+          probabilities = prefix_probabilities program (Circuit.qubit_count circuit);
           dist_measured = measured;
           dist_fusion = fstats;
-          dist_gate_applies = gate_applies_of tally;
+          dist_gate_applies = single_pass program;
         }
 
 (* --- the run surface --------------------------------------------------- *)
@@ -718,6 +742,14 @@ let run ?(noise = Noise.ideal) ?seed ?rng ?plan ?(shots = 1024) ?faults
               (Qerror.Invalid "clifford plan forced on a non-Clifford circuit")
         | None -> (Clifford, "clifford plan forced by caller"))
   in
+  if chosen = Clifford && Circuit.qubit_count circuit > Tableau.max_qubits then
+    Qerror.fail ~site:"Engine.run"
+      ~context:
+        [
+          ("qubits", string_of_int (Circuit.qubit_count circuit));
+          ("limit", string_of_int Tableau.max_qubits);
+        ]
+      (Qerror.Invalid "circuit is wider than the stabilizer tableau limit");
   Trace.annotate analyse_sp (fun () ->
       [ ("plan", Trace.String (plan_to_string chosen)); ("reason", Trace.String reason) ]);
   Trace.end_span analyse_sp;
@@ -737,10 +769,10 @@ let run ?(noise = Noise.ideal) ?seed ?rng ?plan ?(shots = 1024) ?faults
   (* The Clifford plan feeds every kernel to the tableau one gate at a time,
      so it compiles unfused (fused kernels carry state-vector plans). *)
   let fusion = fusion && chosen <> Clifford in
-  let ops, fstats =
+  let program, fstats =
     if ideal then
       Trace.with_span "engine.fuse" (fun fuse_sp ->
-          let ops, stats = compile_micro ~fusion (Circuit.instructions circuit) in
+          let program, stats = compile_micro ~fusion (Circuit.instructions circuit) in
           Trace.annotate fuse_sp (fun () ->
               [
                 ("fusion", Trace.Bool fusion);
@@ -753,12 +785,12 @@ let run ?(noise = Noise.ideal) ?seed ?rng ?plan ?(shots = 1024) ?faults
             Trace.add_counter "qx.fusion.gates_in" stats.gates_in;
             Trace.add_counter "qx.fusion.kernels" stats.kernels
           end;
-          (ops, stats))
+          (program, stats))
     else (unfused_program circuit, no_fusion)
   in
   let n = Circuit.qubit_count circuit in
   let t1 = Sys.time () in
-  let tally = fresh_tally () in
+  let tally = fresh_tally program in
   let simulate make_exec =
     let histogram =
       Trace.with_span "engine.simulate" (fun sim_sp ->
@@ -767,23 +799,30 @@ let run ?(noise = Noise.ideal) ?seed ?rng ?plan ?(shots = 1024) ?faults
                 ("plan", Trace.String (plan_to_string chosen));
                 ("trajectories", Trace.Int shots);
               ]);
-          run_trajectory ~faults ~policy ~counters ~tally ~make_exec ~rng ~shots ())
+          run_trajectory ~faults ~policy ~counters ~program ~tally ~make_exec ~rng
+            ~shots ())
     in
     (* Read the clock only once the shots have run: they are all simulation. *)
-    (histogram, Sys.time ())
+    let t_sim = Sys.time () in
+    let gate_applies = gate_applies_of program tally
+    and measurements = tally.passes * program.pass_measures in
+    trace_counters ~gate_applies ~measurements;
+    (histogram, t_sim, gate_applies, measurements)
   in
-  let histogram, t_sample_start =
+  let histogram, t_sample_start, gate_applies, measurements =
     match chosen with
     | Sampled ->
         let survivors = surviving_shots ~faults ~policy ~counters shots in
         let _, _, measured = classify_structure circuit in
+        let gate_applies = single_pass program in
+        trace_counters ~gate_applies ~measurements:0;
         let probabilities =
           Trace.with_span "engine.simulate" (fun sim_sp ->
-              let p = prefix_probabilities ~record:(record tally) ops n in
+              let p = prefix_probabilities program n in
               Trace.annotate sim_sp (fun () ->
                   [
                     ( "gate_applies",
-                      Trace.Int (Hashtbl.fold (fun _ c acc -> acc + c) tally.applies 0) );
+                      Trace.Int (List.fold_left (fun acc (_, c) -> acc + c) 0 gate_applies) );
                   ]);
               p)
         in
@@ -794,14 +833,14 @@ let run ?(noise = Noise.ideal) ?seed ?rng ?plan ?(shots = 1024) ?faults
               sample_histogram ~probabilities ~measured ~rng ~shots:survivors)
         in
         let measured_count = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 measured in
-        tally.measures <- survivors * measured_count;
-        if Trace.enabled () then Trace.add_counter "qx.measure" tally.measures;
-        (histogram, t_sim)
-    | Trajectory -> simulate (fun () t r -> snd (exec_micro ~noise ~tally:t r ops n))
+        let measurements = survivors * measured_count in
+        if Trace.enabled () then Trace.add_counter "qx.measure" measurements;
+        (histogram, t_sim, gate_applies, measurements)
+    | Trajectory -> simulate (fun () t r -> snd (exec_micro ~noise ~tally:t r program n))
     | Clifford ->
         simulate (fun () ->
             let tab = Tableau.create n in
-            fun t r -> exec_micro_tableau ~tally:t r tab ops)
+            fun t r -> exec_micro_tableau ~tally:t r tab program)
   in
   let t2 = Sys.time () in
   let resilience =
@@ -834,8 +873,8 @@ let run ?(noise = Noise.ideal) ?seed ?rng ?plan ?(shots = 1024) ?faults
         seed;
         qubit_count = Circuit.qubit_count circuit;
         instruction_count = Circuit.length circuit;
-        gate_applies = gate_applies_of tally;
-        measurements = tally.measures;
+        gate_applies;
+        measurements;
         wall =
           {
             analyse_s = t1 -. t0;

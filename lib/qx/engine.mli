@@ -112,9 +112,11 @@ type run_report = {
   qubit_count : int;
   instruction_count : int;
   gate_applies : (string * int) list;
-      (** State-vector kernel invocations by gate name, sorted by decreasing
-          count. Trajectory runs aggregate over all shots; sampled runs count
-          the single pass. *)
+      (** Logical gate applications by gate name, sorted by decreasing
+          count. Trajectory and Clifford runs aggregate over all shots;
+          sampled runs count the single pass. Counted statically: the
+          compiled program's per-pass totals times the passes run, plus
+          each conditional's firings. *)
   measurements : int;
       (** Measurement events: actual collapses for trajectory runs,
           [shots * measured qubits] for sampled runs. *)

@@ -180,7 +180,11 @@ let prop_clifford_plan_matches_trajectory =
       assert (Engine.clifford_blocker circuit = None);
       let tab = Engine.run ~seed ~plan:Engine.Clifford ~shots:64 circuit in
       let sv = Engine.run ~seed ~plan:Engine.Trajectory ~shots:64 circuit in
-      canon tab.Engine.histogram = canon sv.Engine.histogram)
+      canon tab.Engine.histogram = canon sv.Engine.histogram
+      (* The static tally: same gate applies (conditionals included) and
+         measurements on both executors. *)
+      && tab.Engine.report.Engine.gate_applies = sv.Engine.report.Engine.gate_applies
+      && tab.Engine.report.Engine.measurements = sv.Engine.report.Engine.measurements)
 
 (* --- parallel batching: bit-identical at every domain-pool size --- *)
 

@@ -55,10 +55,18 @@ let clifford_gates =
   ]
 
 (* Run a random Clifford circuit on both simulators and compare Z-measurement
-   determinism/outcomes on each qubit. *)
-let compare_simulators seed qubits gates =
+   determinism/outcomes on each qubit, then measure every qubit (in a random
+   order) on the same draws, using the engine's rule for the tableau: one
+   uniform draw per measurement, a random outcome is 1 iff the draw is
+   below 1/2. Finally every stabilizer generator the tableau reports must
+   stabilise the state vector. [embed] relabels the compact circuit's
+   qubits onto a [width]-qubit tableau while the state vector stays
+   compact; the other tableau qubits stay |0>. *)
+let compare_simulators ?embed ?width seed qubits gates =
+  let embed = match embed with Some e -> e | None -> Array.init qubits Fun.id in
+  let width = match width with Some w -> w | None -> 1 + Array.fold_left max 0 embed in
   let rng = Rng.create seed in
-  let tab = Tableau.create qubits in
+  let tab = Tableau.create width in
   let vec = State.create qubits in
   let usable =
     List.filter (fun (_, arity) -> arity <= qubits) clifford_gates
@@ -72,18 +80,44 @@ let compare_simulators seed qubits gates =
         let q2 = (q1 + 1 + Rng.int rng (qubits - 1)) mod qubits in
         [| q1; q2 |]
     in
-    Tableau.apply_gate tab u ops;
+    Tableau.apply_gate tab u (Array.map (fun q -> embed.(q)) ops);
     State.apply vec u ops
   done;
   let ok = ref true in
   for q = 0 to qubits - 1 do
     let p1 = State.prob_one vec q in
-    (match Tableau.expectation_z tab q with
+    (match Tableau.expectation_z tab embed.(q) with
     | Some 0 -> if p1 > 1e-9 then ok := false
     | Some 1 -> if p1 < 1.0 -. 1e-9 then ok := false
     | Some _ -> assert false
     | None -> if Float.abs (p1 -. 0.5) > 1e-9 then ok := false)
   done;
+  for q = 0 to width - 1 do
+    if (not (Array.mem q embed)) && Tableau.expectation_z tab q <> Some 0 then ok := false
+  done;
+  let order = Array.init qubits Fun.id in
+  Rng.shuffle rng order;
+  let draws_vec = Rng.create (seed + 1) and draws_tab = Rng.create (seed + 1) in
+  Array.iter
+    (fun q ->
+      let a = State.measure vec draws_vec q in
+      let random_outcome = if Rng.float draws_tab 1.0 < 0.5 then 1 else 0 in
+      if Tableau.measure_with tab embed.(q) ~random_outcome <> a then ok := false)
+    order;
+  List.iter
+    (fun g ->
+      let terms = ref [] in
+      String.iteri
+        (fun i c ->
+          let q = i - 1 in
+          if i > 0 && c <> 'I' then
+            match Array.find_index (( = ) q) embed with
+            | Some compact -> terms := (compact, c) :: !terms
+            | None -> if c <> 'Z' then ok := false)
+        g;
+      let sign = if g.[0] = '-' then -1.0 else 1.0 in
+      if Float.abs (State.expectation_pauli vec !terms -. sign) > 1e-9 then ok := false)
+    (Tableau.stabilizer_strings tab);
   !ok
 
 let prop_tableau_matches_statevector =
@@ -92,6 +126,19 @@ let prop_tableau_matches_statevector =
        ~print:(fun (s, q, g) -> Printf.sprintf "seed=%d q=%d g=%d" s q g)
        QCheck.Gen.(triple (int_range 0 99999) (int_range 1 5) (int_range 1 60)))
     (fun (seed, qubits, gates) -> compare_simulators seed qubits gates)
+
+(* The same check with the circuit's qubits spread over the word boundaries
+   of a 130-qubit tableau (62 qubits per word): rows span three words, and
+   products and collapses must carry across them. *)
+let prop_tableau_multiword_matches_statevector =
+  QCheck.Test.make ~name:"tableau across word boundaries matches state vector" ~count:100
+    (QCheck.make
+       ~print:(fun (s, q, g) -> Printf.sprintf "seed=%d q=%d g=%d" s q g)
+       QCheck.Gen.(triple (int_range 0 99999) (int_range 1 5) (int_range 1 60)))
+    (fun (seed, qubits, gates) ->
+      let slots = [| 61; 62; 63; 124; 125 |] in
+      Rng.shuffle (Rng.create seed) slots;
+      compare_simulators ~embed:(Array.sub slots 0 qubits) ~width:130 seed qubits gates)
 
 let test_tableau_bell () =
   let tab = Tableau.create 2 in
@@ -483,6 +530,7 @@ let () =
           Alcotest.test_case "stabilizer strings" `Quick test_tableau_stabilizer_strings;
           Alcotest.test_case "rejects non-clifford" `Quick test_tableau_rejects_nonclifford;
           qtest prop_tableau_matches_statevector;
+          qtest prop_tableau_multiword_matches_statevector;
         ] );
       ( "codes",
         [

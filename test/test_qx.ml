@@ -856,24 +856,28 @@ let test_trace_bit_identical () =
     [ None; Some Engine.Trajectory ]
 
 let test_trace_counters_match_report () =
-  (* The qx.apply.* counters emitted from the apply loop agree with the
-     engine report's own gate tally, and qx.measure with its measurements. *)
-  let c = Trace.make_collector () in
-  let result =
-    Trace.collecting c (fun () ->
-        Engine.run ~seed:5 ~plan:Engine.Trajectory ~shots:20 (measured_ghz 3))
-  in
-  let report = result.Engine.report in
+  (* The qx.apply.* counters agree with the engine report's own gate tally,
+     and qx.measure with its measurements, on both per-shot executors. *)
   List.iter
-    (fun (gate, count) ->
+    (fun plan ->
+      let c = Trace.make_collector () in
+      let result =
+        Trace.collecting c (fun () -> Engine.run ~seed:5 ~plan ~shots:20 (measured_ghz 3))
+      in
+      let report = result.Engine.report in
+      let name = Engine.plan_to_string plan in
+      List.iter
+        (fun (gate, count) ->
+          Alcotest.(check (option int))
+            (Printf.sprintf "%s: counter qx.apply.%s" name gate)
+            (Some count)
+            (List.assoc_opt ("qx.apply." ^ gate) (Trace.counters c)))
+        report.Engine.gate_applies;
       Alcotest.(check (option int))
-        (Printf.sprintf "counter qx.apply.%s" gate)
-        (Some count)
-        (List.assoc_opt ("qx.apply." ^ gate) (Trace.counters c)))
-    report.Engine.gate_applies;
-  Alcotest.(check (option int)) "qx.measure matches report"
-    (Some report.Engine.measurements)
-    (List.assoc_opt "qx.measure" (Trace.counters c))
+        (name ^ ": qx.measure matches report")
+        (Some report.Engine.measurements)
+        (List.assoc_opt "qx.measure" (Trace.counters c)))
+    [ Engine.Trajectory; Engine.Clifford ]
 
 let test_trace_span_phases () =
   (* A sampled run produces the engine.run > analyse/fuse/simulate/sample
