@@ -38,6 +38,7 @@ module Code = Qca_qec.Code
 module Decoder = Qca_qec.Decoder
 module Tableau = Qca_qec.Tableau
 module Pauli = Qca_qec.Pauli
+module Json = Qca_util.Json
 module Sa = Qca_anneal.Sa
 module Chimera = Qca_anneal.Chimera
 module Embedding = Qca_anneal.Embedding
@@ -48,6 +49,49 @@ module Tsp = Qca_tsp.Tsp
 module Exact = Qca_tsp.Exact
 module Encode = Qca_tsp.Encode
 module Rng = Qca_util.Rng
+
+(* Every BENCH_*.json artifact is one Json document on one line. Numbers
+   are rounded to the precision the tables print: [secs] to the
+   microsecond, [fixed d] to [d] decimals. *)
+let write_bench file doc =
+  let oc = open_out file in
+  output_string oc (Json.to_string doc);
+  output_char oc '\n';
+  close_out oc;
+  print_endline ("wrote " ^ file)
+
+let fixed digits x = Json.Float (Json.round digits x)
+let secs = fixed 6
+
+(* Timers (process CPU time): one call, or the best of [reps] calls. *)
+let time f =
+  let t0 = Sys.time () in
+  let r = f () in
+  (r, Float.max 1e-9 (Sys.time () -. t0))
+
+let time_best ~reps f =
+  let best = ref infinity in
+  for _ = 1 to reps do
+    best := Float.min !best (snd (time (fun () -> ignore (Sys.opaque_identity (f ())))))
+  done;
+  !best
+
+let measured = Experiments.measured_circuit
+
+(* Service.submit, failing the bench on a refusal. *)
+let submit_ok svc ~tenant spec =
+  match Qca_service.Service.submit svc ~tenant spec with
+  | Ok _ -> ()
+  | Error e -> failwith (Qca_util.Error.to_string e)
+
+(* Bell + measure compiled for the 17-qubit superconducting platform. *)
+let bell_eqasm () =
+  match
+    (Compiler.compile Platform.superconducting_17 Compiler.Real (measured (Library.bell ())))
+      .Compiler.eqasm
+  with
+  | Some p -> p
+  | None -> assert false
 
 (* --- one Bechamel test per experiment family --- *)
 
@@ -68,17 +112,7 @@ let micro_tests () =
       (Staged.stage (fun () ->
            Compiler.compile Platform.superconducting_17 Compiler.Realistic qft5))
   in
-  let bell_eqasm =
-    let circuit =
-      Circuit.append (Library.bell ())
-        (Circuit.of_list 2 [ Gate.Measure 0; Gate.Measure 1 ])
-    in
-    match
-      (Compiler.compile Platform.superconducting_17 Compiler.Real circuit).Compiler.eqasm
-    with
-    | Some p -> p
-    | None -> assert false
-  in
+  let bell_eqasm = bell_eqasm () in
   let t_e4 =
     Test.make ~name:"e4-microarch-bell"
       (Staged.stage (fun () ->
@@ -190,21 +224,13 @@ let run_micro () =
 let run_engine () =
   let module Engine = Qca_qx.Engine in
   print_endline "=== Engine shot sampling: sampled vs trajectory plan (GHZ + measure) ===";
-  let time f =
-    let t0 = Sys.time () in
-    let r = f () in
-    (r, Float.max 1e-9 (Sys.time () -. t0))
-  in
   (* Trajectory shots shrink with n (each shot is a full state-vector
      evolution); rates are per-shot, so the speedup column still compares
      like with like. *)
   let rows =
     List.map
       (fun (n, shots, traj_shots) ->
-        let circuit =
-          Circuit.append (Library.ghz n)
-            (Circuit.of_list n (List.init n (fun q -> Gate.Measure q)))
-        in
+        let circuit = measured (Library.ghz n) in
         let result, sampled_s = time (fun () -> Qca_qx.Engine.run ~seed:42 ~shots circuit) in
         let _, traj_s =
           time (fun () ->
@@ -219,23 +245,19 @@ let run_engine () =
           n
           (Engine.plan_to_string result.Engine.report.Engine.plan)
           shots sampled_s sampled_rate traj_shots traj_s traj_rate speedup;
-        (n, shots, sampled_s, sampled_rate, traj_shots, traj_s, traj_rate, speedup))
+        Json.(
+          Obj
+            [ ("n", Int n); ("shots", Int shots); ("sampled_s", secs sampled_s);
+              ("sampled_shots_per_s", fixed 1 sampled_rate); ("trajectory_shots", Int traj_shots);
+              ("trajectory_s", secs traj_s); ("trajectory_shots_per_s", fixed 1 traj_rate);
+              ("speedup", fixed 2 speedup) ]))
       [ (10, 1000, 200); (16, 1000, 50); (20, 1000, 10) ]
   in
-  let oc = open_out "BENCH_engine.json" in
-  output_string oc "{\"benchmark\":\"engine-shot-sampling\",\"circuit\":\"ghz+measure\",";
-  output_string oc "\"entries\":[";
-  List.iteri
-    (fun i (n, shots, sampled_s, sampled_rate, traj_shots, traj_s, traj_rate, speedup) ->
-      if i > 0 then output_char oc ',';
-      output_string oc
-        (Printf.sprintf
-           "{\"n\":%d,\"shots\":%d,\"sampled_s\":%.6f,\"sampled_shots_per_s\":%.1f,\"trajectory_shots\":%d,\"trajectory_s\":%.6f,\"trajectory_shots_per_s\":%.1f,\"speedup\":%.2f}"
-           n shots sampled_s sampled_rate traj_shots traj_s traj_rate speedup))
-    rows;
-  output_string oc "]}\n";
-  close_out oc;
-  print_endline "wrote BENCH_engine.json"
+  write_bench "BENCH_engine.json"
+    Json.(
+      Obj
+        [ ("benchmark", String "engine-shot-sampling"); ("circuit", String "ghz+measure");
+          ("entries", List rows) ])
 
 (* --- resilience overhead benchmark (BENCH_resilience.json) --- *)
 
@@ -246,27 +268,8 @@ let run_resilience () =
   print_endline "=== Resilience: fault-hook overhead with injection disabled ===";
   (* Best-of-N wall times: the comparison is absent hooks (no [?faults])
      vs attached-but-silent hooks (an injector with every rate 0.0). *)
-  let time_best f =
-    let best = ref infinity in
-    for _ = 1 to 7 do
-      let t0 = Sys.time () in
-      ignore (Sys.opaque_identity (f ()));
-      let dt = Sys.time () -. t0 in
-      if dt < !best then best := dt
-    done;
-    Float.max 1e-9 !best
-  in
-  let bell_program =
-    let circuit =
-      Circuit.append (Library.bell ())
-        (Circuit.of_list 2 [ Gate.Measure 0; Gate.Measure 1 ])
-    in
-    match
-      (Compiler.compile Platform.superconducting_17 Compiler.Real circuit).Compiler.eqasm
-    with
-    | Some p -> p
-    | None -> assert false
-  in
+  let time_best f = time_best ~reps:7 f in
+  let bell_program = bell_eqasm () in
   let shots = 400 in
   let micro_base =
     time_best (fun () ->
@@ -277,10 +280,7 @@ let run_resilience () =
         Controller.run_shots ~seed:7 ~shots ~faults:(Fault.make Fault.off)
           Controller.superconducting bell_program)
   in
-  let ghz =
-    Circuit.append (Library.ghz 10)
-      (Circuit.of_list 10 (List.init 10 (fun q -> Gate.Measure q)))
-  in
+  let ghz = measured (Library.ghz 10) in
   let engine_base =
     time_best (fun () -> Engine.run ~seed:7 ~plan:Engine.Trajectory ~shots:100 ghz)
   in
@@ -292,18 +292,21 @@ let run_resilience () =
   let pct base off = 100.0 *. ((off -. base) /. base) in
   let report name base off =
     Printf.printf "%-28s baseline %.4fs | hooks-off %.4fs | overhead %+.2f%%\n" name base
-      off (pct base off)
+      off (pct base off);
+    Json.(
+      Obj
+        [ ("name", String name); ("baseline_s", secs base); ("hooks_off_s", secs off);
+          ("overhead_pct", fixed 2 (pct base off)) ])
   in
-  report "microarch-bell-400shots" micro_base micro_off;
-  report "engine-trajectory-ghz10" engine_base engine_off;
-  let oc = open_out "BENCH_resilience.json" in
-  output_string oc
-    (Printf.sprintf
-       "{\"benchmark\":\"resilience-disabled-overhead\",\"threshold_pct\":5.0,\"entries\":[{\"name\":\"microarch-bell-400shots\",\"baseline_s\":%.6f,\"hooks_off_s\":%.6f,\"overhead_pct\":%.2f},{\"name\":\"engine-trajectory-ghz10\",\"baseline_s\":%.6f,\"hooks_off_s\":%.6f,\"overhead_pct\":%.2f}]}\n"
-       micro_base micro_off (pct micro_base micro_off) engine_base engine_off
-       (pct engine_base engine_off));
-  close_out oc;
-  print_endline "wrote BENCH_resilience.json"
+  let entries =
+    [ report "microarch-bell-400shots" micro_base micro_off;
+      report "engine-trajectory-ghz10" engine_base engine_off ]
+  in
+  write_bench "BENCH_resilience.json"
+    Json.(
+      Obj
+        [ ("benchmark", String "resilience-disabled-overhead"); ("threshold_pct", Float 5.0);
+          ("entries", List entries) ])
 
 (* --- tracing overhead benchmark (BENCH_trace.json) --- *)
 
@@ -312,16 +315,7 @@ let run_trace () =
   let module Controller = Qca_microarch.Controller in
   let module Trace = Qca_util.Trace in
   print_endline "=== Trace: span/counter hook overhead (disabled vs collecting) ===";
-  let time_best f =
-    let best = ref infinity in
-    for _ = 1 to 7 do
-      let t0 = Sys.time () in
-      ignore (Sys.opaque_identity (f ()));
-      let dt = Sys.time () -. t0 in
-      if dt < !best then best := dt
-    done;
-    Float.max 1e-9 !best
-  in
+  let time_best f = time_best ~reps:7 f in
   (* The disabled hooks are compiled in unconditionally, so their cost can't
      be timed by diffing two workload runs (it is below timer noise). Instead
      measure the disabled-path primitive directly — [with_span] +
@@ -347,21 +341,8 @@ let run_trace () =
     Float.max 0.0 (hooks -. empty) /. float_of_int iters *. 1e9
   in
   Printf.printf "disabled hook primitive: %.1f ns per span+counter op\n" hook_ns;
-  let bell_program =
-    let circuit =
-      Circuit.append (Library.bell ())
-        (Circuit.of_list 2 [ Gate.Measure 0; Gate.Measure 1 ])
-    in
-    match
-      (Compiler.compile Platform.superconducting_17 Compiler.Real circuit).Compiler.eqasm
-    with
-    | Some p -> p
-    | None -> assert false
-  in
-  let ghz =
-    Circuit.append (Library.ghz 10)
-      (Circuit.of_list 10 (List.init 10 (fun q -> Gate.Measure q)))
-  in
+  let bell_program = bell_eqasm () in
+  let ghz = measured (Library.ghz 10) in
   let qft5 = Library.qft 5 in
   let workloads =
     [
@@ -400,29 +381,23 @@ let run_trace () =
           "%-26s untraced %.4fs | collecting %.4fs (%+.1f%%) | %d hook ops -> \
            disabled overhead %.3f%%\n"
           name disabled_s enabled_s enabled_pct trace_ops disabled_pct;
-        (name, disabled_s, enabled_s, enabled_pct, trace_ops, disabled_pct))
+        ( disabled_pct,
+          Json.(
+            Obj
+              [ ("name", String name); ("disabled_s", secs disabled_s);
+                ("enabled_s", secs enabled_s); ("enabled_overhead_pct", fixed 2 enabled_pct);
+                ("trace_ops", Int trace_ops);
+                ("disabled_overhead_pct", fixed 4 disabled_pct) ]) ))
       workloads
   in
-  let worst =
-    List.fold_left (fun acc (_, _, _, _, _, pct) -> Float.max acc pct) 0.0 rows
-  in
+  let worst = List.fold_left (fun acc (pct, _) -> Float.max acc pct) 0.0 rows in
   Printf.printf "worst disabled overhead: %.3f%% (threshold 3%%)\n" worst;
-  let oc = open_out "BENCH_trace.json" in
-  output_string oc
-    (Printf.sprintf
-       "{\"benchmark\":\"trace-disabled-overhead\",\"threshold_pct\":3.0,\"hook_ns\":%.2f,\"worst_disabled_overhead_pct\":%.4f,\"entries\":["
-       hook_ns worst);
-  List.iteri
-    (fun i (name, disabled_s, enabled_s, enabled_pct, trace_ops, disabled_pct) ->
-      if i > 0 then output_char oc ',';
-      output_string oc
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"disabled_s\":%.6f,\"enabled_s\":%.6f,\"enabled_overhead_pct\":%.2f,\"trace_ops\":%d,\"disabled_overhead_pct\":%.4f}"
-           name disabled_s enabled_s enabled_pct trace_ops disabled_pct))
-    rows;
-  output_string oc "]}\n";
-  close_out oc;
-  print_endline "wrote BENCH_trace.json"
+  write_bench "BENCH_trace.json"
+    Json.(
+      Obj
+        [ ("benchmark", String "trace-disabled-overhead"); ("threshold_pct", Float 3.0);
+          ("hook_ns", fixed 2 hook_ns); ("worst_disabled_overhead_pct", fixed 4 worst);
+          ("entries", List (List.map snd rows)) ])
 
 (* --- state-vector kernel benchmark (BENCH_kernels.json) --- *)
 
@@ -432,16 +407,7 @@ let run_kernels () =
   let module Parallel = Qca_util.Parallel in
   print_endline
     "=== Kernels: seed vs specialised vs fused vs parallel (ns per amplitude per run) ===";
-  let time_best ?(reps = 5) f =
-    let best = ref infinity in
-    for _ = 1 to reps do
-      let t0 = Sys.time () in
-      ignore (Sys.opaque_identity (f ()));
-      let dt = Sys.time () -. t0 in
-      if dt < !best then best := dt
-    done;
-    Float.max 1e-9 !best
-  in
+  let time_best f = time_best ~reps:5 f in
   let prepared n =
     let s = State.create n in
     for q = 0 to n - 1 do
@@ -513,8 +479,12 @@ let run_kernels () =
                %7.2f ns/amp | fused speedup %.2fx\n"
               n name (per_amp seed_s) (per_amp spec_s) (per_amp fused_s)
               (per_amp par_s) speedup;
-            (name, n, per_amp seed_s, per_amp spec_s, per_amp fused_s, per_amp par_s,
-             speedup))
+            Json.(
+              Obj
+                [ ("name", String name); ("n", Int n); ("seed", fixed 3 (per_amp seed_s));
+                  ("specialised", fixed 3 (per_amp spec_s)); ("fused", fixed 3 (per_amp fused_s));
+                  ("parallel", fixed 3 (per_amp par_s)); ("speedup_fused_vs_seed", fixed 2 speedup)
+                ]))
           classes)
       [ 10; 16; 20; 22 ]
   in
@@ -550,36 +520,21 @@ let run_kernels () =
         let speedup = seed_s /. fused_s in
         Printf.printf "%-8s seed %.4fs | fused plan %.4fs | speedup %.2fx\n" name
           seed_s fused_s speedup;
-        (name, seed_s, fused_s, speedup))
+        Json.(
+          Obj
+            [ ("name", String name); ("seed_s", secs seed_s); ("fused_s", secs fused_s);
+              ("speedup", fixed 2 speedup) ]))
       [ ("ghz-20", Library.ghz 20); ("qft-16", Library.qft 16) ]
   in
   Printf.printf "diag-heavy n=20 fused-vs-seed speedup: %.2fx (target 2x)\n"
     !diag_n20_speedup;
-  let oc = open_out "BENCH_kernels.json" in
-  output_string oc
-    (Printf.sprintf
-       "{\"benchmark\":\"state-vector-kernels\",\"unit\":\"ns_per_amplitude_per_run\",\"domains\":%d,\"threshold_qubits\":%d,\"diag_n20_speedup_fused_vs_seed\":%.2f,\"gate_classes\":["
-       (Parallel.domain_count ()) saved_threshold !diag_n20_speedup);
-  List.iteri
-    (fun i (name, n, seed, spec, fused, par, speedup) ->
-      if i > 0 then output_char oc ',';
-      output_string oc
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"n\":%d,\"seed\":%.3f,\"specialised\":%.3f,\"fused\":%.3f,\"parallel\":%.3f,\"speedup_fused_vs_seed\":%.2f}"
-           name n seed spec fused par speedup))
-    rows;
-  output_string oc "],\"end_to_end\":[";
-  List.iteri
-    (fun i (name, seed_s, fused_s, speedup) ->
-      if i > 0 then output_char oc ',';
-      output_string oc
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"seed_s\":%.6f,\"fused_s\":%.6f,\"speedup\":%.2f}" name
-           seed_s fused_s speedup))
-    end_to_end;
-  output_string oc "]}\n";
-  close_out oc;
-  print_endline "wrote BENCH_kernels.json"
+  write_bench "BENCH_kernels.json"
+    Json.(
+      Obj
+        [ ("benchmark", String "state-vector-kernels"); ("unit", String "ns_per_amplitude_per_run");
+          ("domains", Int (Parallel.domain_count ())); ("threshold_qubits", Int saved_threshold);
+          ("diag_n20_speedup_fused_vs_seed", fixed 2 !diag_n20_speedup);
+          ("gate_classes", List rows); ("end_to_end", List end_to_end) ])
 
 (* --- simulation-planner benchmark (BENCH_plan.json) --- *)
 
@@ -588,14 +543,6 @@ let run_plan () =
   let module Parallel = Qca_util.Parallel in
   print_endline
     "=== Simulation planner: Clifford tableau fast path + batched trajectories ===";
-  let time f =
-    let t0 = Sys.time () in
-    let r = f () in
-    (r, Float.max 1e-9 (Sys.time () -. t0))
-  in
-  let measured n base =
-    Circuit.append base (Circuit.of_list n (List.init n (fun q -> Gate.Measure q)))
-  in
   let canon h = List.sort compare h in
   (* Clifford-heavy suites: the planner's automatic choice (tableau) against
      the forced single-threaded state-vector trajectory plan — the
@@ -612,7 +559,7 @@ let run_plan () =
         Circuit.repeat 64 (Library.teleport ~prepare:Gate.H ()),
         1024, 512 );
       ("qec-surface17-r2", Qca.Qec_run.cycle_circuit ~rounds:2 Code.surface_17, 1024, 8);
-      ("ghz-22", measured 22 (Library.ghz 22), 1024, 4);
+      ("ghz-22", measured (Library.ghz 22), 1024, 4);
     ]
   in
   let saved_domains = Parallel.domain_count () in
@@ -650,7 +597,14 @@ let run_plan () =
           name n
           (Engine.plan_to_string plan)
           shots auto_s auto_rate traj_shots traj_s traj_rate speedup identical;
-        (name, n, shots, auto_s, auto_rate, traj_shots, traj_s, traj_rate, speedup))
+        Json.(
+          Obj
+            [ ("name", String name); ("n", Int n); ("plan", String "clifford");
+              ("shots", Int shots); ("clifford_s", secs auto_s);
+              ("clifford_shots_per_s", fixed 1 auto_rate);
+              ("trajectory_shots", Int traj_shots); ("trajectory_s", secs traj_s);
+              ("trajectory_shots_per_s", fixed 2 traj_rate); ("speedup", fixed 2 speedup);
+              ("bit_identical", Bool true) ]))
       suites
   in
   (* Trajectory scaling: a non-Clifford circuit forced onto the per-shot
@@ -659,7 +613,7 @@ let run_plan () =
      is honest about the machine — on a single-core container every point
      sits near 1x. *)
   let scaling_circuit =
-    measured 14 (Library.random_circuit (Rng.create 77) ~qubits:14 ~gates:80)
+    measured (Library.random_circuit (Rng.create 77) ~qubits:14 ~gates:80)
   in
   let scaling_shots = 96 in
   Parallel.set_domain_count 1;
@@ -691,38 +645,24 @@ let run_plan () =
           domains scaling_shots dt
           (float_of_int scaling_shots /. dt)
           speedup identical;
-        (domains, dt, speedup))
+        Json.(
+          Obj
+            [ ("domains", Int domains); ("elapsed_s", secs dt); ("speedup_vs_1", fixed 2 speedup);
+              ("bit_identical", Bool true) ]))
       [ 1; 2; 4; 8 ]
   in
   Parallel.set_domain_count saved_domains;
-  let oc = open_out "BENCH_plan.json" in
-  output_string oc
-    (Printf.sprintf
-       "{\"benchmark\":\"simulation-planner\",\"cores\":%d,\"default_domains\":%d,\"clifford_suites\":["
-       saved_domains saved_domains);
-  List.iteri
-    (fun i (name, n, shots, auto_s, auto_rate, traj_shots, traj_s, traj_rate, speedup) ->
-      if i > 0 then output_char oc ',';
-      output_string oc
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"n\":%d,\"plan\":\"clifford\",\"shots\":%d,\"clifford_s\":%.6f,\"clifford_shots_per_s\":%.1f,\"trajectory_shots\":%d,\"trajectory_s\":%.6f,\"trajectory_shots_per_s\":%.2f,\"speedup\":%.2f,\"bit_identical\":true}"
-           name n shots auto_s auto_rate traj_shots traj_s traj_rate speedup))
-    clifford_rows;
-  output_string oc
-    (Printf.sprintf
-       "],\"trajectory_scaling\":{\"circuit\":\"random14x80\",\"shots\":%d,\"entries\":["
-       scaling_shots);
-  List.iteri
-    (fun i (domains, dt, speedup) ->
-      if i > 0 then output_char oc ',';
-      output_string oc
-        (Printf.sprintf
-           "{\"domains\":%d,\"elapsed_s\":%.6f,\"speedup_vs_1\":%.2f,\"bit_identical\":true}"
-           domains dt speedup))
-    scaling_rows;
-  output_string oc "]}}\n";
-  close_out oc;
-  print_endline "wrote BENCH_plan.json"
+  write_bench "BENCH_plan.json"
+    Json.(
+      Obj
+        [ ("benchmark", String "simulation-planner");
+          ("cores", Int (Domain.recommended_domain_count ()));
+          ("default_domains", Int saved_domains);
+          ("clifford_suites", List clifford_rows);
+          ( "trajectory_scaling",
+            Obj
+              [ ("circuit", String "random14x80"); ("shots", Int scaling_shots);
+                ("entries", List scaling_rows) ] ) ])
 
 (* --- job-service throughput benchmark (BENCH_service.json) --- *)
 
@@ -730,14 +670,6 @@ let run_service () =
   let module Service = Qca_service.Service in
   let module Job_spec = Qca.Job_spec in
   print_endline "=== Job service: multi-tenant throughput (jobs/s) ===";
-  let time f =
-    let t0 = Sys.time () in
-    let r = f () in
-    (r, Float.max 1e-9 (Sys.time () -. t0))
-  in
-  let measured n base =
-    Circuit.append base (Circuit.of_list n (List.init n (fun q -> Gate.Measure q)))
-  in
   let tenants = [ "alice"; "bob"; "carol" ] in
   (* Jobs arrive in rounds of one per tenant, with the service drained
      between rounds — so later rounds can be served from the result cache
@@ -746,9 +678,7 @@ let run_service () =
     List.iteri
       (fun i spec ->
         let tenant = List.nth tenants (i mod List.length tenants) in
-        (match Service.submit svc ~tenant spec with
-        | Ok _ -> ()
-        | Error e -> failwith (Qca_util.Error.to_string e));
+        submit_ok svc ~tenant spec;
         if i mod List.length tenants = List.length tenants - 1 then
           Service.drain svc)
       specs
@@ -766,17 +696,17 @@ let run_service () =
       ( "distinct-circuits",
         List.init jobs (fun i ->
             {
-              (Job_spec.of_circuit (measured 8 (Library.random_circuit (Rng.create (100 + i)) ~qubits:8 ~gates:40)))
+              (Job_spec.of_circuit (measured (Library.random_circuit (Rng.create (100 + i)) ~qubits:8 ~gates:40)))
               with
               Job_spec.shots;
               seed = Some i;
             }) );
       ( "shared-digest",
         List.init jobs (fun i ->
-            { (Job_spec.of_circuit (measured 12 (Library.ghz 12))) with Job_spec.shots; seed = Some i }) );
+            { (Job_spec.of_circuit (measured (Library.ghz 12))) with Job_spec.shots; seed = Some i }) );
       ( "cache-hits",
         List.init jobs (fun _ ->
-            { (Job_spec.of_circuit (measured 12 (Library.ghz 12))) with Job_spec.shots; seed = Some 7 }) );
+            { (Job_spec.of_circuit (measured (Library.ghz 12))) with Job_spec.shots; seed = Some 7 }) );
     ]
   in
   let config =
@@ -802,7 +732,11 @@ let run_service () =
           "%-18s %d jobs x %d shots in %.4fs -> %7.1f jobs/s (shared %d, cache hits %d, slices %d)\n"
           name s.Service.completed shots dt rate s.Service.shared_analyses
           s.Service.cache_hits s.Service.slices;
-        (name, s, dt, rate))
+        Json.(
+          Obj
+            [ ("name", String name); ("completed", Int s.Service.completed); ("elapsed_s", secs dt);
+              ("jobs_per_s", fixed 1 rate); ("shared_analyses", Int s.Service.shared_analyses);
+              ("cache_hits", Int s.Service.cache_hits); ("slices", Int s.Service.slices) ]))
       workloads
   in
   (* --- durability scenarios (docs/service.md, docs/resilience.md) --- *)
@@ -819,16 +753,22 @@ let run_service () =
     Spool.init dir;
     dir
   in
+  (* One durability scenario: [jobs] handled in [dt] seconds. *)
+  let scenario name what jobs dt =
+    let rate = float_of_int jobs /. dt in
+    Printf.printf "%-19s %d %s in %.4fs -> %7.1f jobs/s\n" name jobs what dt rate;
+    Json.(Obj [ ("jobs", Int jobs); ("elapsed_s", secs dt); ("jobs_per_s", fixed 1 rate) ])
+  in
   (* Recovery replay: K journaled jobs orphaned by a dead daemon are
      reclaimed and re-executed. The rate is the crash-recovery cost an
      operator pays per journaled job at daemon restart. *)
   let recovery_jobs = 30 in
-  let recovery_rate, recovery_dt =
+  let recovery =
     let dir = temp_spool "qca-bench-recovery" in
     let dead_pid = 999_999_999 in
     let s =
       {
-        (Job_spec.of_circuit (measured 10 (Library.ghz 10))) with
+        (Job_spec.of_circuit (measured (Library.ghz 10))) with
         Job_spec.shots = 500;
       }
     in
@@ -848,22 +788,20 @@ let run_service () =
                | Spool.Replay { id; entry = Ok entry; _ } -> (
                    match Qca.Runner.run entry.Spool.spec with
                    | Ok _ ->
-                       Spool.write_result ~dir ~id "{\"status\":\"done\"}";
+                       Spool.write_result ~dir ~id
+                         (Json.to_string (Json.Obj [ ("status", Json.String "done") ]));
                        Spool.complete ~dir id;
                        Some id
                    | Error e -> failwith (Qca_util.Error.to_string e))
                | _ -> None))
     in
     assert (List.length replayed = recovery_jobs);
-    (float_of_int recovery_jobs /. dt, dt)
+    scenario "recovery-replay" "journaled jobs reclaimed+replayed" recovery_jobs dt
   in
-  Printf.printf
-    "recovery-replay     %d journaled jobs reclaimed+replayed in %.4fs -> %7.1f jobs/s\n"
-    recovery_jobs recovery_dt recovery_rate;
   (* Deadline enforcement: jobs with an exhausted budget must fail fast at
      their first slice boundary, without simulating anything. *)
   let deadline_jobs = 200 in
-  let deadline_rate, deadline_dt =
+  let deadline =
     let svc =
       Service.create
         ~config:
@@ -877,7 +815,7 @@ let run_service () =
     in
     let s =
       {
-        (Job_spec.of_circuit (measured 12 (Library.ghz 12))) with
+        (Job_spec.of_circuit (measured (Library.ghz 12))) with
         Job_spec.shots = 2000;
         deadline_ms = Some 0;
       }
@@ -885,21 +823,13 @@ let run_service () =
     let (), dt =
       time (fun () ->
           List.iter
-            (fun i ->
-              match
-                Service.submit svc ~tenant:"bench" { s with Job_spec.seed = Some i }
-              with
-              | Ok _ -> ()
-              | Error e -> failwith (Qca_util.Error.to_string e))
+            (fun i -> submit_ok svc ~tenant:"bench" { s with Job_spec.seed = Some i })
             (List.init deadline_jobs Fun.id);
           Service.drain svc)
     in
     assert ((Service.stats svc).Service.deadline_exceeded = deadline_jobs);
-    (float_of_int deadline_jobs /. dt, dt)
+    scenario "deadline-exceeded" "exhausted-budget jobs failed fast" deadline_jobs dt
   in
-  Printf.printf
-    "deadline-exceeded   %d exhausted-budget jobs failed fast in %.4fs -> %7.1f jobs/s\n"
-    deadline_jobs deadline_dt deadline_rate;
   (* Disabled kill points must be ~free: their per-call cost against the
      cache-hot per-job cost is the chaos harness's dormant overhead. *)
   Fault.set_crash_at None;
@@ -915,15 +845,13 @@ let run_service () =
     let svc = Service.create ~config () in
     let s =
       {
-        (Job_spec.of_circuit (measured 12 (Library.ghz 12))) with
+        (Job_spec.of_circuit (measured (Library.ghz 12))) with
         Job_spec.shots = 2000;
         seed = Some 7;
       }
     in
     let run_one () =
-      (match Service.submit svc ~tenant:"bench" s with
-      | Ok _ -> ()
-      | Error e -> failwith (Qca_util.Error.to_string e));
+      submit_ok svc ~tenant:"bench" s;
       Service.drain svc
     in
     run_one ();
@@ -940,27 +868,19 @@ let run_service () =
   Printf.printf
     "chaos-hooks-off     %.1f ns/kill-point vs %.0f ns cache-hot job -> %.3f%% dormant overhead (target < 5%%)\n"
     hook_ns hot_ns hook_pct;
-  let oc = open_out "BENCH_service.json" in
-  output_string oc
-    (Printf.sprintf
-       "{\"benchmark\":\"service-throughput\",\"jobs\":%d,\"shots\":%d,\"tenants\":%d,\"entries\":["
-       jobs shots (List.length tenants));
-  List.iteri
-    (fun i (name, s, dt, rate) ->
-      if i > 0 then output_char oc ',';
-      output_string oc
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"completed\":%d,\"elapsed_s\":%.6f,\"jobs_per_s\":%.1f,\"shared_analyses\":%d,\"cache_hits\":%d,\"slices\":%d}"
-           name s.Service.completed dt rate s.Service.shared_analyses
-           s.Service.cache_hits s.Service.slices))
-    rows;
-  output_string oc
-    (Printf.sprintf
-       "],\"durability\":{\"recovery_replay\":{\"jobs\":%d,\"elapsed_s\":%.6f,\"jobs_per_s\":%.1f},\"deadline_enforcement\":{\"jobs\":%d,\"elapsed_s\":%.6f,\"jobs_per_s\":%.1f},\"chaos_hooks_disabled\":{\"ns_per_call\":%.2f,\"cache_hot_job_ns\":%.0f,\"overhead_pct\":%.4f,\"target_pct\":5.0}}}\n"
-       recovery_jobs recovery_dt recovery_rate deadline_jobs deadline_dt
-       deadline_rate hook_ns hot_ns hook_pct);
-  close_out oc;
-  print_endline "wrote BENCH_service.json"
+  write_bench "BENCH_service.json"
+    Json.(
+      Obj
+        [ ("benchmark", String "service-throughput"); ("jobs", Int jobs); ("shots", Int shots);
+          ("tenants", Int (List.length tenants));
+          ("entries", List rows);
+          ( "durability",
+            Obj
+              [ ("recovery_replay", recovery); ("deadline_enforcement", deadline);
+                ( "chaos_hooks_disabled",
+                  Obj
+                    [ ("ns_per_call", fixed 2 hook_ns); ("cache_hot_job_ns", fixed 0 hot_ns);
+                      ("overhead_pct", fixed 4 hook_pct); ("target_pct", Float 5.0) ] ) ] ) ])
 
 (* --- optimizing-compiler benchmark (BENCH_optimizer.json) --- *)
 
@@ -969,9 +889,6 @@ let run_optimizer () =
   let module Optimize = Qca_compiler.Optimize in
   print_endline
     "=== Optimizer: greedy route + basic sweep vs SABRE + full pipeline ===";
-  let measured n base =
-    Circuit.append base (Circuit.of_list n (List.init n (fun q -> Gate.Measure q)))
-  in
   (* A ring-plus-chords Ising instance: QAOA's cost layers then stress both
      the router (non-local ZZ terms) and the 1q-run resynthesis (each ZZ
      term decomposes through CNOT/Rz sandwiches). *)
@@ -996,10 +913,10 @@ let run_optimizer () =
      plus the QFT and QAOA families and routing-heavy random circuits. *)
   let corpus =
     [
-      ("bell", measured 2 (Library.bell ()));
-      ("ghz5", measured 5 (Library.ghz 5));
+      ("bell", measured (Library.bell ()));
+      ("ghz5", measured (Library.ghz 5));
       ("teleport", Library.teleport ());
-      ("qft4", measured 4 (Library.qft 4));
+      ("qft4", measured (Library.qft 4));
       ("qft6", Library.qft 6);
       ("qft8", Library.qft 8);
       ("qaoa6-p2", qaoa 6 21);
@@ -1030,36 +947,34 @@ let run_optimizer () =
           (100.0 *. float_of_int (og - bg) /. float_of_int (max 1 bg))
           b2 o2 bd od
           (100.0 *. float_of_int (od - bd) /. float_of_int (max 1 bd));
-        (name, bg, og, b2, o2, bd, od))
+        ( (bg, og, bd, od),
+          Json.(
+            Obj
+              [ ("name", String name); ("base_gates", Int bg); ("opt_gates", Int og);
+                ("base_2q", Int b2); ("opt_2q", Int o2); ("base_depth", Int bd);
+                ("opt_depth", Int od) ]) ))
       corpus
   in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 rows in
-  let total_bg = sum (fun (_, bg, _, _, _, _, _) -> bg) in
-  let total_og = sum (fun (_, _, og, _, _, _, _) -> og) in
-  let total_bd = sum (fun (_, _, _, _, _, bd, _) -> bd) in
-  let total_od = sum (fun (_, _, _, _, _, _, od) -> od) in
+  let sum f = List.fold_left (fun acc (counts, _) -> acc + f counts) 0 rows in
+  let total_bg = sum (fun (bg, _, _, _) -> bg) in
+  let total_og = sum (fun (_, og, _, _) -> og) in
+  let total_bd = sum (fun (_, _, bd, _) -> bd) in
+  let total_od = sum (fun (_, _, _, od) -> od) in
   let gate_cut = 100.0 *. float_of_int (total_bg - total_og) /. float_of_int total_bg in
   let depth_cut = 100.0 *. float_of_int (total_bd - total_od) /. float_of_int total_bd in
   Printf.printf
     "total        gates %4d -> %4d (-%.1f%%, target 20%%) | depth %4d -> %4d \
      (-%.1f%%, target 15%%)\n"
     total_bg total_og gate_cut total_bd total_od depth_cut;
-  let oc = open_out "BENCH_optimizer.json" in
-  output_string oc
-    (Printf.sprintf
-       "{\"benchmark\":\"optimizing-compiler\",\"baseline\":\"greedy+basic\",\"optimized\":\"sabre+full\",\"platform\":\"%s\",\"mode\":\"realistic\",\"gate_cut_pct\":%.2f,\"depth_cut_pct\":%.2f,\"target_gate_pct\":20.0,\"target_depth_pct\":15.0,\"entries\":["
-       platform.Platform.name gate_cut depth_cut);
-  List.iteri
-    (fun i (name, bg, og, b2, o2, bd, od) ->
-      if i > 0 then output_char oc ',';
-      output_string oc
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"base_gates\":%d,\"opt_gates\":%d,\"base_2q\":%d,\"opt_2q\":%d,\"base_depth\":%d,\"opt_depth\":%d}"
-           name bg og b2 o2 bd od))
-    rows;
-  output_string oc "]}\n";
-  close_out oc;
-  print_endline "wrote BENCH_optimizer.json"
+  write_bench "BENCH_optimizer.json"
+    Json.(
+      Obj
+        [ ("benchmark", String "optimizing-compiler"); ("baseline", String "greedy+basic");
+          ("optimized", String "sabre+full"); ("platform", String platform.Platform.name);
+          ("mode", String "realistic"); ("gate_cut_pct", fixed 2 gate_cut);
+          ("depth_cut_pct", fixed 2 depth_cut); ("target_gate_pct", Float 20.0);
+          ("target_depth_pct", Float 15.0);
+          ("entries", List (List.map snd rows)) ])
 
 (* --- static checker benchmark (BENCH_lint.json) --- *)
 
@@ -1067,16 +982,6 @@ let run_lint () =
   let module Checks = Qca_analysis.Circuit_checks in
   let module Verify = Qca_analysis.Verify in
   print_endline "=== Static checker throughput and pass-verifier overhead ===";
-  let best_of k f =
-    let best = ref infinity in
-    for _ = 1 to k do
-      let t0 = Sys.time () in
-      ignore (Sys.opaque_identity (f ()));
-      let dt = Sys.time () -. t0 in
-      if dt < !best then best := dt
-    done;
-    Float.max 1e-9 !best
-  in
   (* Throughput: the full circuit suite over large random circuits. *)
   let gates = 20_000 in
   let throughput =
@@ -1084,11 +989,11 @@ let run_lint () =
       (fun n ->
         let c = Library.random_circuit (Rng.create 11) ~qubits:n ~gates in
         let findings = List.length (Checks.check_circuit c) in
-        let dt = best_of 3 (fun () -> Checks.check_circuit c) in
+        let dt = time_best ~reps:3 (fun () -> Checks.check_circuit c) in
         let rate = float_of_int gates /. dt in
         Printf.printf "n=%-3d %d gates checked in %.4fs (%.0f gates/s, %d findings)\n"
           n gates dt rate findings;
-        (n, dt, rate))
+        Json.(Obj [ ("n", Int n); ("check_s", secs dt); ("gates_per_s", fixed 1 rate) ]))
       [ 10; 16; 20 ]
   in
   (* Overhead: the same program compiled with and without the verifier
@@ -1105,8 +1010,8 @@ let run_lint () =
   let plain_a = ref infinity and plain_b = ref infinity in
   let verified = ref infinity in
   for t = 1 to 12 do
-    let tp = best_of 1 (fun () -> Compiler.compile platform Compiler.Real circuit) in
-    let tv = best_of 1 (fun () -> Verify.compile platform Compiler.Real circuit) in
+    let tp = time_best ~reps:1 (fun () -> Compiler.compile platform Compiler.Real circuit) in
+    let tv = time_best ~reps:1 (fun () -> Verify.compile platform Compiler.Real circuit) in
     let slot = if t land 1 = 0 then plain_a else plain_b in
     if tp < !slot then slot := tp;
     if tv < !verified then verified := tv
@@ -1119,21 +1024,18 @@ let run_lint () =
     "pass-verifier: plain %.4fs, verified %.4fs -> %.1f%% overhead enabled (target < \
      5%%), %.1f%% hook-off noise floor (target ~ 0%%)\n"
     plain verified on_pct off_pct;
-  let oc = open_out "BENCH_lint.json" in
-  output_string oc "{\"benchmark\":\"static-checker\",\"circuit\":\"random\",";
-  output_string oc (Printf.sprintf "\"gates\":%d,\"throughput\":[" gates);
-  List.iteri
-    (fun i (n, dt, rate) ->
-      if i > 0 then output_char oc ',';
-      output_string oc
-        (Printf.sprintf "{\"n\":%d,\"check_s\":%.6f,\"gates_per_s\":%.1f}" n dt rate))
-    throughput;
-  output_string oc
-    (Printf.sprintf
-       "],\"verifier\":{\"compile_gates\":2000,\"plain_s\":%.6f,\"verified_s\":%.6f,\"overhead_enabled_pct\":%.2f,\"overhead_disabled_pct\":%.2f,\"target_enabled_pct\":5.0}}\n"
-       plain verified on_pct off_pct);
-  close_out oc;
-  print_endline "wrote BENCH_lint.json"
+  write_bench "BENCH_lint.json"
+    Json.(
+      Obj
+        [ ("benchmark", String "static-checker"); ("circuit", String "random");
+          ("gates", Int gates);
+          ("throughput", List throughput);
+          ( "verifier",
+            Obj
+              [ ("compile_gates", Int 2000); ("plain_s", secs plain); ("verified_s", secs verified);
+                ("overhead_enabled_pct", fixed 2 on_pct);
+                ("overhead_disabled_pct", fixed 2 off_pct);
+                ("target_enabled_pct", Float 5.0) ] ) ])
 
 (* --- static estimator benchmark (BENCH_estimate.json) --- *)
 
@@ -1143,16 +1045,6 @@ let run_estimate () =
   let module Service = Qca_service.Service in
   let module Job_spec = Qca.Job_spec in
   print_endline "=== Static estimator throughput and admission overhead ===";
-  let best_of k f =
-    let best = ref infinity in
-    for _ = 1 to k do
-      let t0 = Sys.time () in
-      ignore (Sys.opaque_identity (f ()));
-      let dt = Sys.time () -. t0 in
-      if dt < !best then best := dt
-    done;
-    Float.max 1e-9 !best
-  in
   (* Throughput over flat circuits: abstract interpretation is one walk,
      so the rate should be flat in n and linear in gates. *)
   let gates = 20_000 in
@@ -1160,11 +1052,11 @@ let run_estimate () =
     List.map
       (fun n ->
         let c = Library.random_circuit (Rng.create 21) ~qubits:n ~gates in
-        let dt = best_of 5 (fun () -> Estimate.of_circuit c) in
+        let dt = time_best ~reps:5 (fun () -> Estimate.of_circuit c) in
         let rate = float_of_int gates /. dt in
         Printf.printf "n=%-3d %d gates estimated in %.5fs (%.2e gates/s)\n" n
           gates dt rate;
-        (n, dt, rate))
+        Json.(Obj [ ("n", Int n); ("estimate_s", secs dt); ("gates_per_s", fixed 1 rate) ]))
       [ 10; 16; 20 ]
   in
   (* The symbolic path: a million-round surface-17 cycle program. The
@@ -1176,7 +1068,7 @@ let run_estimate () =
     { Cqasm.qubit_count = 17; error_model = None;
       subcircuits = [ ("cycle", rounds, round) ] }
   in
-  let sym_s = best_of 5 (fun () -> Estimate.of_program program) in
+  let sym_s = time_best ~reps:5 (fun () -> Estimate.of_program program) in
   let est = Estimate.of_program program in
   let sym_rate = float_of_int est.Estimate.gates /. sym_s in
   Printf.printf
@@ -1186,23 +1078,18 @@ let run_estimate () =
      workload (identical seeded jobs) submitted with the oracle configured
      on vs off. Cache hits consult the cache before the oracle, so the cap
      should cost nothing once the entry is hot — the guard is < 5%. *)
-  let c =
-    Circuit.append (Library.ghz 12)
-      (Circuit.of_list 12 (List.init 12 (fun q -> Gate.Measure q)))
+  let spec =
+    { (Job_spec.of_circuit (measured (Library.ghz 12))) with Job_spec.shots = 500; seed = Some 7 }
   in
-  let spec = { (Job_spec.of_circuit c) with Job_spec.shots = 500; seed = Some 7 } in
   let hot_jobs = 400 in
   let run_hot config =
     let svc = Service.create ~config () in
     (* Populate the cache, then time the hot submits. *)
-    (match Service.submit svc ~tenant:"alice" spec with
-    | Ok _ -> Service.drain svc
-    | Error e -> failwith (Qca_util.Error.to_string e));
-    best_of 3 (fun () ->
+    submit_ok svc ~tenant:"alice" spec;
+    Service.drain svc;
+    time_best ~reps:3 (fun () ->
         for _ = 1 to hot_jobs do
-          match Service.submit svc ~tenant:"alice" spec with
-          | Ok _ -> ()
-          | Error e -> failwith (Qca_util.Error.to_string e)
+          submit_ok svc ~tenant:"alice" spec
         done;
         Service.drain svc)
   in
@@ -1226,26 +1113,20 @@ let run_estimate () =
   Printf.printf
     "admission oracle on cache-hot submits: off %.4fs, on %.4fs -> %.1f%% overhead (target < 5%%)\n"
     oracle_off oracle_on overhead_pct;
-  let oc = open_out "BENCH_estimate.json" in
-  output_string oc "{\"benchmark\":\"static-estimator\",";
-  output_string oc (Printf.sprintf "\"gates\":%d,\"throughput\":[" gates);
-  List.iteri
-    (fun i (n, dt, rate) ->
-      if i > 0 then output_char oc ',';
-      output_string oc
-        (Printf.sprintf "{\"n\":%d,\"estimate_s\":%.6f,\"gates_per_s\":%.1f}" n
-           dt rate))
-    throughput;
-  output_string oc
-    (Printf.sprintf
-       "],\"symbolic\":{\"rounds\":%d,\"unrolled_gates\":%d,\"estimate_s\":%.6f,\"equivalent_gates_per_s\":%.1f},"
-       rounds est.Estimate.gates sym_s sym_rate);
-  output_string oc
-    (Printf.sprintf
-       "\"admission\":{\"hot_jobs\":%d,\"oracle_off_s\":%.6f,\"oracle_on_s\":%.6f,\"overhead_pct\":%.2f,\"target_pct\":5.0}}\n"
-       hot_jobs oracle_off oracle_on overhead_pct);
-  close_out oc;
-  print_endline "wrote BENCH_estimate.json"
+  write_bench "BENCH_estimate.json"
+    Json.(
+      Obj
+        [ ("benchmark", String "static-estimator"); ("gates", Int gates);
+          ("throughput", List throughput);
+          ( "symbolic",
+            Obj
+              [ ("rounds", Int rounds); ("unrolled_gates", Int est.Estimate.gates);
+                ("estimate_s", secs sym_s); ("equivalent_gates_per_s", fixed 1 sym_rate) ] );
+          ( "admission",
+            Obj
+              [ ("hot_jobs", Int hot_jobs); ("oracle_off_s", secs oracle_off);
+                ("oracle_on_s", secs oracle_on); ("overhead_pct", fixed 2 overhead_pct);
+                ("target_pct", Float 5.0) ] ) ])
 
 let () =
   let args = Array.to_list Sys.argv |> List.tl in

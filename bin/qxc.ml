@@ -19,6 +19,7 @@ module Controller = Qca_microarch.Controller
 module Rng = Qca_util.Rng
 module Error = Qca_util.Error
 module Trace = Qca_util.Trace
+module Json = Qca_util.Json
 module Diagnostic = Qca_analysis.Diagnostic
 module Verify = Qca_analysis.Verify
 module Estimate = Qca_analysis.Estimate
@@ -30,12 +31,7 @@ module Spool = Qca_service.Spool
 
 open Cmdliner
 
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let content = really_input_string ic n in
-  close_in ic;
-  content
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 (* The file's text and its parse: jobs carry the text as a [Source]
    payload, so program directives (error_model) reach Job_spec. *)
@@ -180,58 +176,56 @@ let common_term =
 (* --route parsed once per command; a bad strategy is a usage error. *)
 let router_of_common common = Mapping.strategy_of_string common.route
 
-(* Build the canonical run-request from the shared flags. *)
-let spec_of_common common ~label ~route ~plan ~fusion =
-  let base = Job_spec.make ~label (Job_spec.Circuit (Circuit.create 1)) in
-  {
-    base with
-    Job_spec.route;
-    shots = common.shots;
-    seed = Some common.seed;
-    noise = common.noise;
-    plan;
-    fusion;
-    fault_rate = common.fault_rate;
-    fault_seed = common.fault_seed;
-    max_retries = common.max_retries;
-  }
+(* The canonical run-request: [payload] under the shared flags, on the
+   route they name for [circuit] (the payload's parse: label and width). *)
+let job_of_common common ~platform ~mode ~ladder ~plan ~fusion circuit payload =
+  Result.bind (router_of_common common) (fun router ->
+      Spool.route_of_names ~router ~platform ~mode ~ladder
+        ~qubits:(Circuit.qubit_count circuit) ())
+  |> Result.map (fun route ->
+         Job_spec.make ~label:(Circuit.name circuit) ~route ~shots:common.shots
+           ~seed:common.seed ?noise:common.noise ?plan ~fusion ?fault_rate:common.fault_rate
+           ~fault_seed:common.fault_seed ~max_retries:common.max_retries payload)
 
-let write_json_line dest line =
+(* What [run] and [submit] make of a source file: its text is the payload. *)
+let source_job common ~file ~text circuit ~plan ~fusion =
+  job_of_common common ~platform:common.platform ~mode:common.mode ~ladder:true ~plan ~fusion
+    circuit (Job_spec.Source { name = file; text })
+
+let print_json doc = print_endline (Json.to_string doc)
+
+(* [text] to stdout for "-", else into the file [dest]; 1 when the file
+   cannot be written. *)
+let write_output ~what dest text =
+  if dest = "-" then (print_string text; 0)
+  else
+    try
+      let oc = open_out dest in
+      output_string oc text;
+      close_out oc;
+      0
+    with Sys_error msg ->
+      Printf.eprintf "cannot write %s: %s\n" what msg;
+      1
+
+let write_json_line dest doc =
   match dest with
   | None -> 0
-  | Some "-" ->
-      print_endline line;
-      0
-  | Some path -> (
-      try
-        let oc = open_out path in
-        output_string oc line;
-        output_char oc '\n';
-        close_out oc;
-        0
-      with Sys_error msg ->
-        Printf.eprintf "cannot write metrics: %s\n" msg;
-        1)
+  | Some dest -> write_output ~what:"metrics" dest (Json.to_string doc ^ "\n")
 
-let write_metrics dest report =
-  write_json_line dest (Engine.report_to_json report)
-
-(* --metrics with the static estimate of the same spec spliced in, so the
+(* --metrics with the static estimate of the same spec appended, so the
    observed counters and the predicted costs land in one document and can
    be diffed directly (docs/estimate.md). *)
 let write_metrics_with_estimate dest spec report =
-  match dest with
-  | None -> 0
-  | Some _ ->
-      let base = Engine.report_to_json report in
-      let line =
+  match (dest, Engine.report_json report) with
+  | Some _, Json.Obj fields ->
+      let estimate =
         match Job_spec.estimate spec with
-        | Error _ -> base
-        | Ok est ->
-            String.sub base 0 (String.length base - 1)
-            ^ ",\"estimate\":" ^ Estimate.to_json est ^ "}"
+        | Ok est -> [ ("estimate", Estimate.to_json est) ]
+        | Error _ -> []
       in
-      write_json_line dest line
+      write_json_line dest (Json.Obj (fields @ estimate))
+  | _, doc -> write_json_line dest doc
 
 (* Run [body] with a trace collector installed when --trace was given, then
    export: bare --trace prints the span tree, --trace=FILE writes Chrome
@@ -240,22 +234,12 @@ let with_trace dest body =
   match dest with
   | None -> body ()
   | Some target ->
-      let collector = Qca_util.Trace.make_collector () in
-      let code = Qca_util.Trace.collecting collector body in
+      let collector = Trace.make_collector () in
+      let code = Trace.collecting collector body in
       let export_code =
-        match target with
-        | "-" ->
-            print_string (Qca_util.Trace.to_tree_string collector);
-            0
-        | path -> (
-            try
-              let oc = open_out path in
-              output_string oc (Qca_util.Trace.to_chrome_json collector);
-              close_out oc;
-              0
-            with Sys_error msg ->
-              Printf.eprintf "cannot write trace: %s\n" msg;
-              1)
+        write_output ~what:"trace" target
+          (if target = "-" then Trace.to_tree_string collector
+           else Trace.to_chrome_json collector)
       in
       if code <> 0 then code else export_code
 
@@ -281,7 +265,8 @@ let run_lint ~lint ~lint_json ?platform program =
   if not (lint || lint_json) then true
   else begin
     let diags = Verify.source_check ?platform program in
-    if lint_json then prerr_endline (Diagnostic.json_of_list diags)
+    if lint_json then
+      prerr_endline (Json.to_string (Json.List (List.map Diagnostic.to_json diags)))
     else prerr_string (Diagnostic.render diags);
     Diagnostic.exit_code diags < 2
   end
@@ -306,36 +291,30 @@ let print_resilience gate report =
       | Some msg -> Printf.sprintf " (degraded: %s)" msg)
   end
 
-let histogram_json hist =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" (Trace.json_escape k) v) hist)
-  ^ "}"
-
 (* --- check --- *)
+
+(* A finding about the command line itself: the X codes of docs/analysis.md. *)
+let cli_error file ~code ~check msg =
+  [ Diagnostic.make Diagnostic.Error ~code ~check ~site:file msg ]
 
 let check_command common file no_verify =
   let json = common.json in
   let finish source report =
     let passes = match report with None -> [] | Some r -> r.Verify.passes in
     let all = source @ (match report with None -> [] | Some r -> r.Verify.final) in
-    if json then begin
+    if json then
+      let diagnostics ds = Json.List (List.map Diagnostic.to_json ds) in
       let pass_json (p : Verify.pass_report) =
-        Printf.sprintf "{\"pass\":\"%s\",\"introduced\":[%s],\"diagnostics\":%s}"
-          (Trace.json_escape p.Verify.pass_name)
-          (String.concat ","
-             (List.map
-                (fun c -> "\"" ^ Trace.json_escape c ^ "\"")
-                p.Verify.introduced))
-          (Diagnostic.json_of_list p.Verify.diagnostics)
+        Json.Obj
+          [ ("pass", Json.String p.Verify.pass_name);
+            ("introduced", Json.List (List.map (fun c -> Json.String c) p.Verify.introduced));
+            ("diagnostics", diagnostics p.Verify.diagnostics) ]
       in
-      Printf.printf
-        "{\"file\":\"%s\",\"diagnostics\":%s,\"passes\":[%s],\"summary\":\"%s\"}\n"
-        (Trace.json_escape file)
-        (Diagnostic.json_of_list all)
-        (String.concat "," (List.map pass_json passes))
-        (Trace.json_escape (Diagnostic.summary all))
-    end
+      print_json
+        (Json.Obj
+           [ ("file", Json.String file); ("diagnostics", diagnostics all);
+             ("passes", Json.List (List.map pass_json passes));
+             ("summary", Json.String (Diagnostic.summary all)) ])
     else begin
       List.iter (fun d -> print_endline (Diagnostic.to_string d)) source;
       (match report with None -> () | Some r -> print_string (Verify.render r));
@@ -346,16 +325,9 @@ let check_command common file no_verify =
   (* Bad flag values go through [finish] like any other finding (code X02)
      so --json always emits exactly one JSON document, on every exit
      path. *)
-  let flag_error msg =
-    finish
-      [ Diagnostic.make Diagnostic.Error ~code:"X02" ~check:"invalid-flag" ~site:file msg ]
-      None
-  in
+  let flag_error msg = finish (cli_error file ~code:"X02" ~check:"invalid-flag" msg) None in
   match load_program file with
-  | Error msg ->
-      finish
-        [ Diagnostic.make Diagnostic.Error ~code:"X01" ~check:"parse-error" ~site:file msg ]
-        None
+  | Error msg -> finish (cli_error file ~code:"X01" ~check:"parse-error" msg) None
   | Ok program -> (
       let resources ?platform () =
         Estimate.check ?platform (Estimate.of_program ~shots:common.shots program)
@@ -382,10 +354,15 @@ let check_command common file no_verify =
                   if no_verify || Diagnostic.exit_code source = 2 then
                     finish source None
                   else
-                    let _out, report =
-                      Verify.compile ~strategy platform mode circuit
-                    in
-                    finish source (Some report))))
+                    match
+                      Error.protect ~site:"Compiler.compile" (fun () ->
+                          Verify.compile ~strategy platform mode circuit)
+                    with
+                    | Ok (_out, report) -> finish source (Some report)
+                    | Error e ->
+                        let msg = Error.to_string e in
+                        let compile_error = cli_error file ~code:"X03" ~check:"compile-error" msg in
+                        finish (source @ compile_error) None)))
 
 let no_verify_flag =
   Arg.(
@@ -456,18 +433,14 @@ let physical_error_arg =
 
 let estimate_command common file plan target_error physical_error =
   let finish est_ft diags =
-    if common.json then begin
-      let est_json, ft_json =
-        match est_ft with
-        | None -> ("null", "null")
-        | Some (est, ft) -> (Estimate.to_json est, Error_budget.ft_to_json ft)
-      in
-      Printf.printf
-        "{\"file\":\"%s\",\"estimate\":%s,\"ft\":%s,\"diagnostics\":%s,\"summary\":\"%s\"}\n"
-        (Trace.json_escape file) est_json ft_json
-        (Diagnostic.json_of_list diags)
-        (Trace.json_escape (Diagnostic.summary diags))
-    end
+    if common.json then
+      print_json
+        (Json.Obj
+           [ ("file", Json.String file);
+             ("estimate", Json.option (fun (est, _) -> Estimate.to_json est) est_ft);
+             ("ft", Json.option (fun (_, ft) -> Error_budget.ft_to_json ft) est_ft);
+             ("diagnostics", Json.List (List.map Diagnostic.to_json diags));
+             ("summary", Json.String (Diagnostic.summary diags)) ])
     else begin
       (match est_ft with
       | None -> ()
@@ -479,10 +452,7 @@ let estimate_command common file plan target_error physical_error =
     end;
     Diagnostic.exit_code diags
   in
-  let flag_error msg =
-    finish None
-      [ Diagnostic.make Diagnostic.Error ~code:"X02" ~check:"invalid-flag" ~site:file msg ]
-  in
+  let flag_error msg = finish None (cli_error file ~code:"X02" ~check:"invalid-flag" msg) in
   if common.shots <= 0 then
     flag_error (Printf.sprintf "--shots must be positive (got %d)" common.shots)
   else
@@ -493,9 +463,7 @@ let estimate_command common file plan target_error physical_error =
           | Error e -> Error (Error.to_string e))
     in
     match loaded with
-    | Error msg ->
-        finish None
-          [ Diagnostic.make Diagnostic.Error ~code:"X01" ~check:"parse-error" ~site:file msg ]
+    | Error msg -> finish None (cli_error file ~code:"X01" ~check:"parse-error" msg)
     | Ok (program, noise) -> (
         let platform =
           match common.platform with
@@ -569,25 +537,14 @@ let run_command common file plan trajectory no_fusion lint lint_json =
     | Ok (text, program) -> (
         let circuit = Cqasm.flatten program in
         match
-          Result.bind (router_of_common common) (fun router ->
-              Spool.route_of_names ~router ~platform:common.platform
-                ~mode:common.mode ~ladder:true
-                ~qubits:(Circuit.qubit_count circuit) ())
+          source_job common ~file ~text circuit ~plan:(resolve_plan plan trajectory)
+            ~fusion:(not no_fusion)
         with
         | Error msg ->
             prerr_endline msg;
             1
-        | Ok route ->
+        | Ok spec ->
             with_trace common.trace (fun () ->
-                let spec =
-                  {
-                    (spec_of_common common ~label:(Circuit.name circuit) ~route
-                       ~plan:(resolve_plan plan trajectory)
-                       ~fusion:(not no_fusion))
-                    with
-                    Job_spec.payload = Job_spec.Source { name = file; text };
-                  }
-                in
                 match Runner.run spec with
                 | Error e ->
                     Printf.eprintf "qxc: error: %s\n" (Error.to_string e);
@@ -595,9 +552,7 @@ let run_command common file plan trajectory no_fusion lint lint_json =
                 | Ok o ->
                     let report = o.Runner.report in
                     if common.json then
-                      Printf.printf "{\"histogram\":%s,\"report\":%s}\n"
-                        (histogram_json o.Runner.histogram)
-                        (Engine.report_to_json report)
+                      print_json (Json.Obj (Runner.outcome_fields o))
                     else begin
                       Printf.printf "# %d qubits, %d instructions, %d shots\n"
                         (Circuit.qubit_count circuit) (Circuit.length circuit)
@@ -659,12 +614,12 @@ let compile_metrics_json (out : Compiler.output) =
           | None -> (0, 0)
           | Some (g, d) -> (p.Compiler.gates - g, p.Compiler.depth - d)
         in
-        ( Printf.sprintf
-            "{\"pass\":\"%s\",\"gates\":%d,\"two_qubit\":%d,\"depth\":%d,\"d_gates\":%d,\"d_depth\":%d,\"note\":\"%s\"}"
-            (Trace.json_escape p.Compiler.pass_name)
-            p.Compiler.gates p.Compiler.two_qubit_gates p.Compiler.depth
-            d_gates d_depth
-            (Trace.json_escape p.Compiler.note)
+        ( Json.(
+            Obj
+              [ ("pass", String p.Compiler.pass_name); ("gates", Int p.Compiler.gates);
+                ("two_qubit", Int p.Compiler.two_qubit_gates); ("depth", Int p.Compiler.depth);
+                ("d_gates", Int d_gates); ("d_depth", Int d_depth);
+                ("note", String p.Compiler.note) ])
           :: acc,
           Some (p.Compiler.gates, p.Compiler.depth) ))
       ([], None) out.Compiler.passes
@@ -672,19 +627,18 @@ let compile_metrics_json (out : Compiler.output) =
   let totals =
     match (out.Compiler.passes, List.rev out.Compiler.passes) with
     | first :: _, last :: _ ->
-        Printf.sprintf
-          "{\"gates_in\":%d,\"gates_out\":%d,\"d_gates\":%d,\"depth_in\":%d,\"depth_out\":%d,\"d_depth\":%d}"
-          first.Compiler.gates last.Compiler.gates
-          (last.Compiler.gates - first.Compiler.gates)
-          first.Compiler.depth last.Compiler.depth
-          (last.Compiler.depth - first.Compiler.depth)
-    | _ -> "null"
+        Json.(
+          Obj
+            [ ("gates_in", Int first.Compiler.gates); ("gates_out", Int last.Compiler.gates);
+              ("d_gates", Int (last.Compiler.gates - first.Compiler.gates));
+              ("depth_in", Int first.Compiler.depth); ("depth_out", Int last.Compiler.depth);
+              ("d_depth", Int (last.Compiler.depth - first.Compiler.depth)) ])
+    | _ -> Json.Null
   in
-  Printf.sprintf "{\"platform\":\"%s\",\"mode\":\"%s\",\"passes\":[%s],\"total\":%s}"
-    (Trace.json_escape out.Compiler.platform.Qca_compiler.Platform.name)
-    (Compiler.mode_to_string out.Compiler.mode)
-    (String.concat "," (List.rev rows_rev))
-    totals
+  Json.Obj
+    [ ("platform", Json.String out.Compiler.platform.Qca_compiler.Platform.name);
+      ("mode", Json.String (Compiler.mode_to_string out.Compiler.mode));
+      ("passes", Json.List (List.rev rows_rev)); ("total", totals) ]
 
 let compile_command common file emit_eqasm lint lint_json =
   match load_program file with
@@ -704,33 +658,37 @@ let compile_command common file emit_eqasm lint lint_json =
           1
       | Ok platform, Ok mode, Ok strategy ->
           if not (run_lint ~lint ~lint_json ~platform program) then 2
-          else begin
+          else
             (* With linting on, compile under the pass-verifier so a pass
                that introduces a violation is named on stderr. *)
-            let out, verified =
-              if lint || lint_json then
-                let out, report = Verify.compile ~strategy platform mode circuit in
-                (out, Some report)
-              else (Compiler.compile ~strategy platform mode circuit, None)
-            in
-            (match verified with
-            | Some r when r.Verify.final <> [] -> prerr_string (Verify.render r)
-            | _ -> ());
-            print_string (Compiler.report out);
-            print_newline ();
-            if emit_eqasm then begin
-              match out.Compiler.eqasm with
-              | Some program -> print_string (Eqasm.to_string program)
-              | None -> print_endline "# perfect mode: no eQASM emitted"
-            end
-            else print_string out.Compiler.cqasm;
-            let metrics_code =
-              write_json_line common.metrics (compile_metrics_json out)
-            in
-            match verified with
-            | Some r when Diagnostic.exit_code r.Verify.final = 2 -> 2
-            | _ -> metrics_code
-          end)
+            match
+              Error.protect ~site:"Compiler.compile" (fun () ->
+                  if lint || lint_json then
+                    let out, report = Verify.compile ~strategy platform mode circuit in
+                    (out, Some report)
+                  else (Compiler.compile ~strategy platform mode circuit, None))
+            with
+            | Error e ->
+                Printf.eprintf "qxc: error: %s\n" (Error.to_string e);
+                2
+            | Ok (out, verified) -> (
+                (match verified with
+                | Some r when r.Verify.final <> [] -> prerr_string (Verify.render r)
+                | _ -> ());
+                print_string (Compiler.report out);
+                print_newline ();
+                if emit_eqasm then begin
+                  match out.Compiler.eqasm with
+                  | Some program -> print_string (Eqasm.to_string program)
+                  | None -> print_endline "# perfect mode: no eQASM emitted"
+                end
+                else print_string out.Compiler.cqasm;
+                let metrics_code =
+                  write_json_line common.metrics (compile_metrics_json out)
+                in
+                match verified with
+                | Some r when Diagnostic.exit_code r.Verify.final = 2 -> 2
+                | _ -> metrics_code))
 
 let eqasm_flag =
   Arg.(value & flag & info [ "eqasm" ] ~doc:"Emit eQASM instead of cQASM.")
@@ -755,37 +713,23 @@ let exec_command common plan file =
         prerr_endline msg;
         1
     | Ok circuit -> (
-        let platform_name =
-          Option.value ~default:"superconducting" common.platform
-        in
+        let platform = Some (Option.value ~default:"superconducting" common.platform) in
         match
-          Result.bind (router_of_common common) (fun router ->
-              Spool.route_of_names ~router ~platform:(Some platform_name)
-                ~mode:"real" ~ladder:false
-                ~qubits:(Circuit.qubit_count circuit) ())
+          job_of_common common ~platform ~mode:"real" ~ladder:false ~plan ~fusion:true circuit
+            (Job_spec.Circuit circuit)
         with
         | Error msg ->
             prerr_endline msg;
             1
-        | Ok route ->
+        | Ok spec ->
             with_trace common.trace (fun () ->
-                let spec =
-                  {
-                    (spec_of_common common ~label:(Circuit.name circuit) ~route
-                       ~plan ~fusion:true)
-                    with
-                    Job_spec.payload = Job_spec.Circuit circuit;
-                  }
-                in
                 match Runner.run spec with
                 | Error e ->
                     Printf.eprintf "%s\n" (Error.to_string e);
                     1
                 | Ok o ->
                     if common.json then
-                      Printf.printf "{\"histogram\":%s,\"report\":%s}\n"
-                        (histogram_json o.Runner.histogram)
-                        (Engine.report_to_json o.Runner.report)
+                      print_json (Json.Obj (Runner.outcome_fields o))
                     else begin
                       (match o.Runner.microarch_stats with
                       | Some s ->
@@ -801,7 +745,7 @@ let exec_command common plan file =
                         (fun (key, count) -> Printf.printf "%s  %6d\n" key count)
                         o.Runner.histogram
                     end;
-                    write_metrics common.metrics o.Runner.report))
+                    write_json_line common.metrics (Engine.report_json o.Runner.report)))
 
 let exec_term = Term.(const exec_command $ common_term $ plan_arg $ file_arg)
 
@@ -860,36 +804,21 @@ let submit_command common dir tenant priority deadline_ms durable file plan
         prerr_endline msg;
         1
     | Ok (text, program) -> (
-        let circuit = Cqasm.flatten program in
         match
-          Result.bind (router_of_common common) (fun router ->
-              Spool.route_of_names ~router ~platform:common.platform
-                ~mode:common.mode ~ladder:true
-                ~qubits:(Circuit.qubit_count circuit) ())
+          source_job common ~file ~text (Cqasm.flatten program)
+            ~plan:(resolve_plan plan trajectory) ~fusion:(not no_fusion)
         with
         | Error msg ->
             prerr_endline msg;
             1
-        | Ok route -> (
-            let spec =
-              {
-                (spec_of_common common ~label:(Circuit.name circuit) ~route
-                   ~plan:(resolve_plan plan trajectory)
-                   ~fusion:(not no_fusion))
-                with
-                Job_spec.payload = Job_spec.Source { name = file; text };
-                priority;
-                deadline_ms;
-              }
-            in
-            match Spool.submit ~durable ~dir ~tenant spec with
+        | Ok spec -> (
+            match Spool.submit ~durable ~dir ~tenant { spec with priority; deadline_ms } with
             | Error e ->
                 Printf.eprintf "qxc: error: %s\n" (Error.to_string e);
                 1
             | Ok id ->
                 if common.json then
-                  Printf.printf "{\"id\":\"%s\",\"tenant\":\"%s\"}\n" id
-                    (Trace.json_escape tenant)
+                  print_json (Json.Obj [ ("id", Json.String id); ("tenant", Json.String tenant) ])
                 else Printf.printf "submitted %s\n" id;
                 0))
 
@@ -922,69 +851,62 @@ let id_opt_arg =
 let spool_status json dir =
   let inbox = List.length (Spool.pending_ids ~dir) in
   let active = List.length (Spool.active ~dir) in
-  match Spool.read_heartbeat ~dir with
-  | None ->
-      if json then
-        Printf.printf "{\"daemon\":null,\"inbox\":%d,\"active\":%d}\n" inbox
-          active
-      else begin
-        Printf.printf "daemon: none\n";
-        Printf.printf "inbox:  %d queued, active: %d journaled\n" inbox active
-      end;
-      0
-  | Some hb ->
-      let alive = Spool.pid_alive hb.Spool.hb_pid in
-      if json then
-        Printf.printf
-          "{\"daemon\":{\"pid\":%d,\"state\":\"%s\",\"alive\":%b},\"inbox\":%d,\"active\":%d}\n"
-          hb.Spool.hb_pid
-          (Trace.json_escape hb.Spool.hb_state)
-          alive inbox active
-      else begin
-        Printf.printf "daemon: pid %d %s (%s)\n" hb.Spool.hb_pid
-          hb.Spool.hb_state
-          (if alive then "alive" else "dead");
-        Printf.printf "inbox:  %d queued, active: %d journaled\n" inbox active
-      end;
-      0
+  let heartbeat =
+    Option.map (fun hb -> (hb, Spool.pid_alive hb.Spool.hb_pid)) (Spool.read_heartbeat ~dir)
+  in
+  if json then
+    print_json
+      Json.(
+        Obj
+          [ ( "daemon",
+              option
+                (fun (hb, alive) ->
+                  Obj
+                    [ ("pid", Int hb.Spool.hb_pid); ("state", String hb.Spool.hb_state);
+                      ("alive", Bool alive) ])
+                heartbeat );
+            ("inbox", Int inbox); ("active", Int active) ])
+  else begin
+    (match heartbeat with
+    | None -> Printf.printf "daemon: none\n"
+    | Some (hb, alive) ->
+        Printf.printf "daemon: pid %d %s (%s)\n" hb.Spool.hb_pid hb.Spool.hb_state
+          (if alive then "alive" else "dead"));
+    Printf.printf "inbox:  %d queued, active: %d journaled\n" inbox active
+  end;
+  0
 
 let status_command json dir id =
   match id with
   | None -> spool_status json dir
   | Some id -> (
+      (* A job with no result yet: one JSON object, or an [id state] line. *)
+      let pending status fields text =
+        if json then
+          print_json
+            (Json.Obj ([ ("id", Json.String id); ("status", Json.String status) ] @ fields))
+        else Printf.printf "%s %s\n" id text;
+        0
+      in
       match Spool.read_result ~dir id with
       | Some line ->
           print_string line;
           0
-      | None ->
-          if Spool.in_inbox ~dir id then begin
-            if json then
-              Printf.printf "{\"id\":\"%s\",\"status\":\"queued\"}\n" id
-            else Printf.printf "%s queued\n" id;
-            0
-          end
+      | None -> (
+          if Spool.in_inbox ~dir id then pending "queued" [] "queued"
           else
             match Spool.in_active ~dir id with
             | Some c ->
-                if json then
-                  Printf.printf
-                    "{\"id\":\"%s\",\"status\":\"running\",\"attempt\":%d,\"pid\":%d}\n"
-                    id c.Spool.attempt c.Spool.claim_pid
-                else
-                  Printf.printf "%s running (attempt %d, pid %d)\n" id
-                    c.Spool.attempt c.Spool.claim_pid;
-                0
+                pending "running"
+                  [ ("attempt", Json.Int c.Spool.attempt); ("pid", Json.Int c.Spool.claim_pid) ]
+                  (Printf.sprintf "running (attempt %d, pid %d)" c.Spool.attempt
+                     c.Spool.claim_pid)
             | None ->
-                if Spool.cancel_requested ~dir id then begin
-                  if json then
-                    Printf.printf "{\"id\":\"%s\",\"status\":\"cancelling\"}\n" id
-                  else Printf.printf "%s cancelling\n" id;
-                  0
-                end
+                if Spool.cancel_requested ~dir id then pending "cancelling" [] "cancelling"
                 else begin
                   Printf.eprintf "unknown job %s\n" id;
                   1
-                end)
+                end))
 
 let status_term = Term.(const status_command $ json_flag $ spool_arg $ id_opt_arg)
 

@@ -17,7 +17,7 @@
 
 module Engine = Qca_qx.Engine
 module Error = Qca_util.Error
-module Trace = Qca_util.Trace
+module Json = Qca_util.Json
 module Job_spec = Qca.Job_spec
 module Runner = Qca.Runner
 module Service = Qca_service.Service
@@ -25,27 +25,22 @@ module Spool = Qca_service.Spool
 
 open Cmdliner
 
-let histogram_json hist =
-  "{"
-  ^ String.concat ","
-      (List.map (fun (k, v) -> Printf.sprintf "\"%s\":%d" (Trace.json_escape k) v) hist)
-  ^ "}"
-
 let result_line ~id ~tenant ~label status body =
-  Printf.sprintf "{\"id\":\"%s\",\"tenant\":\"%s\",\"label\":\"%s\",\"status\":\"%s\"%s}"
-    (Trace.json_escape id) (Trace.json_escape tenant) (Trace.json_escape label) status body
+  Json.to_string
+    (Json.Obj
+       ([ ("id", Json.String id); ("tenant", Json.String tenant); ("label", Json.String label);
+          ("status", Json.String status) ]
+       @ body))
 
 let done_line ~id ~tenant ~label (o : Runner.outcome) =
-  result_line ~id ~tenant ~label "done"
-    (Printf.sprintf ",\"histogram\":%s,\"report\":%s"
-       (histogram_json o.Runner.histogram)
-       (Engine.report_to_json o.Runner.report))
+  result_line ~id ~tenant ~label "done" (Runner.outcome_fields o)
 
 let error_line ~id ~tenant ~label status (e : Error.t) =
   result_line ~id ~tenant ~label status
-    (Printf.sprintf ",\"error\":{\"kind\":\"%s\",\"message\":\"%s\"}"
-       (Trace.json_escape (Error.kind_label e.Error.kind))
-       (Trace.json_escape (Error.to_string e)))
+    [ ( "error",
+        Json.Obj
+          [ ("kind", Json.String (Error.kind_label e.Error.kind));
+            ("message", Json.String (Error.to_string e)) ] ) ]
 
 (* One admitted job the daemon is tracking: spool id + service handle. *)
 type tracked = {
@@ -115,7 +110,7 @@ let serve_command dir once interval workers max_queue degrade_above slice_shots
         let label = spec.Job_spec.label in
         if Spool.cancel_requested ~dir id then begin
           say "cancelled %s before execution" id;
-          publish_line id (result_line ~id ~tenant ~label "cancelled" "")
+          publish_line id (result_line ~id ~tenant ~label "cancelled" [])
         end
         else begin
           match Service.submit service ~tenant spec with
@@ -209,21 +204,13 @@ let serve_command dir once interval workers max_queue degrade_above slice_shots
     tracked :=
       List.filter
         (fun tr ->
+          let id, tenant, label = (tr.tr_id, tr.tr_tenant, tr.tr_label) in
           let line =
             match Service.poll service tr.tr_handle with
             | Service.Queued _ | Service.Running _ -> None
-            | Service.Done o ->
-                Some
-                  (done_line ~id:tr.tr_id ~tenant:tr.tr_tenant
-                     ~label:tr.tr_label o)
-            | Service.Failed e ->
-                Some
-                  (error_line ~id:tr.tr_id ~tenant:tr.tr_tenant
-                     ~label:tr.tr_label "failed" e)
-            | Service.Cancelled ->
-                Some
-                  (result_line ~id:tr.tr_id ~tenant:tr.tr_tenant
-                     ~label:tr.tr_label "cancelled" "")
+            | Service.Done o -> Some (done_line ~id ~tenant ~label o)
+            | Service.Failed e -> Some (error_line ~id ~tenant ~label "failed" e)
+            | Service.Cancelled -> Some (result_line ~id ~tenant ~label "cancelled" [])
           in
           match line with
           | None -> true

@@ -1,4 +1,4 @@
-module Trace = Qca_util.Trace
+module Json = Qca_util.Json
 
 type severity = Error | Warning | Hint
 
@@ -64,13 +64,8 @@ let render diags =
   String.concat "" (List.map (fun d -> to_string d ^ "\n") diags) ^ summary diags ^ "\n"
 
 let to_json d =
-  Printf.sprintf
-    "{\"severity\":\"%s\",\"code\":\"%s\",\"check\":\"%s\",\"site\":\"%s\",\"message\":\"%s\"%s}"
-    (severity_label d.severity) (Trace.json_escape d.code) (Trace.json_escape d.check)
-    (Trace.json_escape d.site) (Trace.json_escape d.message)
-    (match d.fixit with
-    | None -> ""
-    | Some f -> Printf.sprintf ",\"fixit\":\"%s\"" (Trace.json_escape f))
-
-let json_of_list diags =
-  "[" ^ String.concat "," (List.map to_json diags) ^ "]"
+  Json.Obj
+    ([ ("severity", Json.String (severity_label d.severity)); ("code", Json.String d.code);
+       ("check", Json.String d.check); ("site", Json.String d.site);
+       ("message", Json.String d.message) ]
+    @ match d.fixit with None -> [] | Some f -> [ ("fixit", Json.String f) ])

@@ -44,8 +44,5 @@ val summary : t list -> string
 val render : t list -> string
 (** One {!to_string} line per diagnostic, then the {!summary} line. *)
 
-val to_json : t -> string
+val to_json : t -> Qca_util.Json.t
 (** One diagnostic as a JSON object. *)
-
-val json_of_list : t list -> string
-(** JSON array of {!to_json} objects. *)

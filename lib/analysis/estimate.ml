@@ -457,32 +457,25 @@ let check ?platform ?(host_bytes = host_bytes_default)
 (* ------------------------------------------------------------------ *)
 (* Renderers.                                                          *)
 
-(* JSON has no infinity or NaN: a non-finite estimate prints as null. *)
-let json_number f =
-  if not (Float.is_finite f) then "null"
-  else if Float.is_integer f && Float.abs f < 1e15 then
-    Printf.sprintf "%.0f" f
-  else Printf.sprintf "%g" f
-
+(* Costs are projections: six significant digits, except that integral
+   counts below 1e15 stay exact. *)
 let to_json est =
-  Printf.sprintf
-    "{\"qubits\":%d,\"qubits_used\":%d,\"instructions\":%d,\"gates\":%d,\
-     \"classes\":{\"t\":%d,\"toffoli\":%d,\"cnot\":%d,\"clifford_1q\":%d,\
-     \"rotations\":%d},\"conditionals\":%d,\"measurements\":%d,\"preps\":%d,\
-     \"barriers\":%d,\"depth\":%d,\"depth_exact\":%b,\
-     \"clifford_fraction\":%s,\"plan\":\"%s\",\"plan_reason\":\"%s\",\
-     \"shots\":%d,\"amplitudes\":%s,\"state_bytes\":%s,\"sim_ns\":%s}"
-    est.qubits est.qubits_used est.instructions est.gates
-    est.classes.t_count est.classes.toffoli est.classes.cnot
-    est.classes.clifford_1q est.classes.rotations est.conditionals
-    est.measurements est.preps est.barriers est.depth est.depth_exact
-    (json_number est.clifford_fraction)
-    (Engine.plan_to_string est.plan)
-    (Qca_util.Trace.json_escape est.plan_reason)
-    est.shots
-    (json_number est.amplitudes)
-    (json_number est.state_bytes)
-    (json_number est.sim_ns)
+  let open Qca_util.Json in
+  let cost f = Float (if Float.is_integer f && Float.abs f < 1e15 then f else round_sig 6 f) in
+  let c = est.classes in
+  Obj
+    [ ("qubits", Int est.qubits); ("qubits_used", Int est.qubits_used);
+      ("instructions", Int est.instructions); ("gates", Int est.gates);
+      ( "classes",
+        Obj
+          [ ("t", Int c.t_count); ("toffoli", Int c.toffoli); ("cnot", Int c.cnot);
+            ("clifford_1q", Int c.clifford_1q); ("rotations", Int c.rotations) ] );
+      ("conditionals", Int est.conditionals); ("measurements", Int est.measurements);
+      ("preps", Int est.preps); ("barriers", Int est.barriers); ("depth", Int est.depth);
+      ("depth_exact", Bool est.depth_exact); ("clifford_fraction", cost est.clifford_fraction);
+      ("plan", String (Engine.plan_to_string est.plan)); ("plan_reason", String est.plan_reason);
+      ("shots", Int est.shots); ("amplitudes", cost est.amplitudes);
+      ("state_bytes", cost est.state_bytes); ("sim_ns", cost est.sim_ns) ]
 
 let render est =
   let b = Buffer.create 512 in

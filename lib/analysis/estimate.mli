@@ -113,7 +113,7 @@ val host_bytes_default : float
 val budget_ns_default : float
 (** 60 s in nanoseconds — the [R04] default budget. *)
 
-val to_json : t -> string
+val to_json : t -> Qca_util.Json.t
 (** One stable JSON object (schema in [docs/estimate.md]); keys
     [qubits, qubits_used, instructions, gates, classes{...}, conditionals,
     measurements, preps, barriers, depth, depth_exact, clifford_fraction,

@@ -142,13 +142,11 @@ let ft_to_string ft =
     ft.logical_error ft.target ft.physical_error
 
 let ft_to_json ft =
-  (* JSON has no infinity or NaN: a non-finite figure prints as null. *)
-  let num f = if Float.is_finite f then Printf.sprintf "%.6g" f else "null" in
-  Printf.sprintf
-    "{\"code\":\"%s\",\"distance\":%d,\"logical_qubits\":%d,\
-     \"physical_qubits\":%d,\"cycles\":%d,\"runtime_ns\":%s,\
-     \"logical_error\":%s,\"target\":%s,\"physical_error\":%s,\
-     \"feasible\":%b}"
-    ft.code ft.distance ft.logical_qubits ft.ft_physical_qubits ft.cycles
-    (num ft.runtime_ns) (num ft.logical_error) (num ft.target)
-    (num ft.physical_error) ft.feasible
+  let open Qca_util.Json in
+  let num f = Float (round_sig 6 f) in
+  Obj
+    [ ("code", String ft.code); ("distance", Int ft.distance);
+      ("logical_qubits", Int ft.logical_qubits); ("physical_qubits", Int ft.ft_physical_qubits);
+      ("cycles", Int ft.cycles); ("runtime_ns", num ft.runtime_ns);
+      ("logical_error", num ft.logical_error); ("target", num ft.target);
+      ("physical_error", num ft.physical_error); ("feasible", Bool ft.feasible) ]

@@ -73,4 +73,4 @@ val fault_tolerant :
     time of one syndrome-extraction cycle. *)
 
 val ft_to_string : ft_estimate -> string
-val ft_to_json : ft_estimate -> string
+val ft_to_json : ft_estimate -> Qca_util.Json.t

@@ -104,3 +104,10 @@ let success_probability outcome ~accept =
       0 outcome.histogram
   in
   if total = 0 then 0.0 else float_of_int hits /. float_of_int total
+
+let outcome_fields o =
+  let open Qca_util.Json in
+  [
+    ("histogram", Obj (List.map (fun (key, count) -> (key, Int count)) o.histogram));
+    ("report", Engine.report_json o.report);
+  ]

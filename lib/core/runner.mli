@@ -45,3 +45,7 @@ val run :
 
 val success_probability : outcome -> accept:(string -> bool) -> float
 (** Fraction of histogram mass on accepted bitstrings. *)
+
+val outcome_fields : outcome -> (string * Qca_util.Json.t) list
+(** The ["histogram"] and ["report"] fields of a finished job: the body
+    of [qxc run --json] and the tail of a [qxd] result line. *)

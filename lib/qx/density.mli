@@ -55,6 +55,10 @@ val sample :
     sums, no trajectory sampling), then sample [shots] (default 1024)
     terminal measurements from its diagonal with the engine's sampler, so
     with one seed an ideal circuit gives the histogram {!Engine.run} gives.
+    Only the gate channels of [noise] apply: its [prep_error] and
+    [readout_error] are ignored, so under a model with either rate
+    non-zero (e.g. {!Noise.depolarizing}) the oracle's distribution
+    differs from the engine's trajectories, which do apply them.
     The differential tests compare the engine against it; it is not an
     execution target (jobs go through [Qca.Runner.run]). Raises
     [Invalid_argument] for circuits that need trajectory execution

@@ -904,46 +904,37 @@ let success_probability result ~accept =
 
 (* --- metrics as JSON --------------------------------------------------- *)
 
-let report_to_json r =
-  let buffer = Buffer.create 256 in
-  Buffer.add_string buffer
-    (Printf.sprintf "{\"plan\":\"%s\",\"plan_reason\":\"%s\",\"shots\":%d,\"seed\":%s,"
-       (plan_to_string r.plan) (Trace.json_escape r.plan_reason) r.shots
-       (match r.seed with Some s -> string_of_int s | None -> "null"));
-  Buffer.add_string buffer
-    (Printf.sprintf "\"qubits\":%d,\"instructions\":%d,\"measurements\":%d,"
-       r.qubit_count r.instruction_count r.measurements);
-  Buffer.add_string buffer "\"gate_applies\":{";
-  List.iteri
-    (fun i (name, count) ->
-      if i > 0 then Buffer.add_char buffer ',';
-      Buffer.add_string buffer (Printf.sprintf "\"%s\":%d" (Trace.json_escape name) count))
-    r.gate_applies;
-  Buffer.add_string buffer "},";
-  Buffer.add_string buffer
-    (Printf.sprintf
-       "\"wall_s\":{\"analyse\":%.6f,\"simulate\":%.6f,\"sample\":%.6f},"
-       r.wall.analyse_s r.wall.simulate_s r.wall.sample_s);
-  (* Every counter family lives under one stable "counters" object (the
-     metrics schema in docs/engine.md): fusion, fault/retry and cache. *)
-  Buffer.add_string buffer "\"counters\":{";
-  Buffer.add_string buffer
-    (Printf.sprintf
-       "\"fusion\":{\"gates_in\":%d,\"kernels\":%d,\"fused_1q\":%d,\"fused_diag\":%d},"
-       r.fusion.gates_in r.fusion.kernels r.fusion.fused_1q r.fusion.fused_diag);
-  Buffer.add_string buffer "\"resilience\":{\"faults\":{";
-  List.iteri
-    (fun i (site, count) ->
-      if i > 0 then Buffer.add_char buffer ',';
-      Buffer.add_string buffer (Printf.sprintf "\"%s\":%d" (Trace.json_escape site) count))
-    r.resilience.faults_injected;
-  Buffer.add_string buffer
-    (Printf.sprintf "},\"retries\":%d,\"faulted_shots\":%d,\"backoff_ns\":%d,\"degraded\":%s},"
-       r.resilience.retries r.resilience.faulted_shots r.resilience.backoff_ns
-       (match r.resilience.degraded with
-       | Some why -> "\"" ^ Trace.json_escape why ^ "\""
-       | None -> "null"));
-  Buffer.add_string buffer
-    (Printf.sprintf "\"cache\":{\"hits\":%d,\"shared\":%d}}}" r.cache.cache_hits
-       r.cache.cache_shared);
-  Buffer.contents buffer
+let report_json r =
+  let open Qca_util.Json in
+  let counts l = Obj (List.map (fun (name, count) -> (name, Int count)) l) in
+  (* Phase times keep microsecond resolution. *)
+  let seconds s = Float (round 6 s) in
+  Obj
+    [ ("plan", String (plan_to_string r.plan)); ("plan_reason", String r.plan_reason);
+      ("shots", Int r.shots); ("seed", option (fun s -> Int s) r.seed);
+      ("qubits", Int r.qubit_count); ("instructions", Int r.instruction_count);
+      ("measurements", Int r.measurements); ("gate_applies", counts r.gate_applies);
+      ( "wall_s",
+        Obj
+          [ ("analyse", seconds r.wall.analyse_s); ("simulate", seconds r.wall.simulate_s);
+            ("sample", seconds r.wall.sample_s) ] );
+      (* Every counter family lives under one stable "counters" object (the
+         metrics schema in docs/engine.md): fusion, fault/retry and cache. *)
+      ( "counters",
+        Obj
+          [ ( "fusion",
+              Obj
+                [ ("gates_in", Int r.fusion.gates_in); ("kernels", Int r.fusion.kernels);
+                  ("fused_1q", Int r.fusion.fused_1q); ("fused_diag", Int r.fusion.fused_diag) ] );
+            ( "resilience",
+              Obj
+                [ ("faults", counts r.resilience.faults_injected);
+                  ("retries", Int r.resilience.retries);
+                  ("faulted_shots", Int r.resilience.faulted_shots);
+                  ("backoff_ns", Int r.resilience.backoff_ns);
+                  ("degraded", option (fun why -> String why) r.resilience.degraded) ] );
+            ( "cache",
+              Obj [ ("hits", Int r.cache.cache_hits); ("shared", Int r.cache.cache_shared) ] )
+          ] ) ]
+
+let report_to_json r = Qca_util.Json.to_string (report_json r)

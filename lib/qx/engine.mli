@@ -228,8 +228,11 @@ val bitstring : int array -> string
 val classical_of_key : string -> int array
 (** Inverse of {!bitstring}. *)
 
+val report_json : run_report -> Qca_util.Json.t
+(** The metrics object (schema documented in [docs/engine.md]). *)
+
 val report_to_json : run_report -> string
-(** One-line JSON object (metrics schema documented in [docs/engine.md]). *)
+(** {!report_json} printed on one line. *)
 
 val default_rng : unit -> Qca_util.Rng.t
 (** The process-wide default generator (see seed semantics above). *)

@@ -771,15 +771,13 @@ let poll t h =
   | Some job -> (
       match job.phase with
       | Waiting ->
-          let pos =
-            Hashtbl.fold
-              (fun _ j n ->
-                match j.phase with
-                | Waiting when j.id < job.id -> n + 1
-                | _ -> n)
-              t.jobs 0
+          (* Jobs submitted earlier and still waiting, under any tenant:
+             the tenants' queues hold exactly the waiting jobs (at most
+             [max_queue]), while [t.jobs] keeps every job ever seen. *)
+          let earlier _ ts n =
+            Queue.fold (fun n id -> if id < job.id then n + 1 else n) n ts.waiting
           in
-          Queued pos
+          Queued (Hashtbl.fold earlier t.tenants 0)
       | Active a ->
           Running
             {
@@ -872,18 +870,17 @@ let stats t =
 
 let stats_to_json t =
   let s = stats t in
-  let buf = Buffer.create 256 in
-  Printf.bprintf buf
-    "{\"service\":{\"submitted\":%d,\"accepted\":%d,\"completed\":%d,\"failed\":%d,\"deadline_exceeded\":%d,\"cancelled\":%d,\"rejected\":%d,\"rejected_estimate\":%d,\"degraded\":%d,\"cache_hits\":%d,\"shared_analyses\":%d,\"slices\":%d,\"tenants\":{"
-    s.submitted s.accepted s.completed s.failed s.deadline_exceeded
-    s.cancelled s.rejected s.rejected_estimate s.degraded s.cache_hits
-    s.shared_analyses s.slices;
-  List.iteri
-    (fun i (name, completed) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Printf.bprintf buf "\"%s\":%d" (Qca_util.Trace.json_escape name) completed)
-    s.per_tenant;
-  Buffer.add_string buf "}}}";
-  Buffer.contents buf
+  let open Qca_util.Json in
+  to_string
+    (Obj
+       [ ( "service",
+           Obj
+             [ ("submitted", Int s.submitted); ("accepted", Int s.accepted);
+               ("completed", Int s.completed); ("failed", Int s.failed);
+               ("deadline_exceeded", Int s.deadline_exceeded); ("cancelled", Int s.cancelled);
+               ("rejected", Int s.rejected); ("rejected_estimate", Int s.rejected_estimate);
+               ("degraded", Int s.degraded); ("cache_hits", Int s.cache_hits);
+               ("shared_analyses", Int s.shared_analyses); ("slices", Int s.slices);
+               ("tenants", Obj (List.map (fun (name, n) -> (name, Int n)) s.per_tenant)) ] ) ])
 
 let execution_log t = List.rev t.exec_log

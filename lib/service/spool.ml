@@ -5,6 +5,7 @@ module Compiler = Qca_compiler.Compiler
 module Controller = Qca_microarch.Controller
 module Error = Qca_util.Error
 module Fault = Qca_util.Fault
+module Json = Qca_util.Json
 module Job_spec = Qca.Job_spec
 
 type entry = { entry_id : string; tenant : string; spec : Job_spec.t }
@@ -374,12 +375,7 @@ let submit ?durable ~dir ~tenant spec =
         text;
       Ok id
 
-let read_file path =
-  let ic = open_in path in
-  let n = in_channel_length ic in
-  let text = really_input_string ic n in
-  close_in ic;
-  text
+let read_file path = In_channel.with_open_bin path In_channel.input_all
 
 let job_files d =
   if Sys.file_exists d && Sys.is_directory d then
@@ -521,22 +517,22 @@ let heartbeat_path dir = Filename.concat dir "daemon.json"
 let write_heartbeat ~dir ~pid ~state ~started_at_ms =
   init dir;
   atomic_write dir ~target:(heartbeat_path dir)
-    (Printf.sprintf
-       "{\"pid\":%d,\"state\":\"%s\",\"started_at_ms\":%d,\"updated_at_ms\":%d}\n"
-       pid state started_at_ms (now_ms ()))
+    (Json.to_string
+       (Json.Obj
+          [ ("pid", Json.Int pid); ("state", Json.String state);
+            ("started_at_ms", Json.Int started_at_ms); ("updated_at_ms", Json.Int (now_ms ())) ])
+    ^ "\n")
 
 let read_heartbeat ~dir =
   let path = heartbeat_path dir in
   if not (Sys.file_exists path) then None
   else
-    match
-      Scanf.sscanf (String.trim (read_file path))
-        "{\"pid\":%d,\"state\":%S,\"started_at_ms\":%d,\"updated_at_ms\":%d}"
-        (fun p s a u ->
-          { hb_pid = p; hb_state = s; hb_started_at_ms = a; hb_updated_at_ms = u })
-    with
-    | hb -> Some hb
-    | exception (Scanf.Scan_failure _ | End_of_file | Failure _) -> None
+    let doc = Json.parse (read_file path) in
+    let field k = Result.fold ~ok:(Json.member k) ~error:(fun _ -> None) doc in
+    match (field "pid", field "state", field "started_at_ms", field "updated_at_ms") with
+    | Some (Json.Int p), Some (Json.String s), Some (Json.Int a), Some (Json.Int u) ->
+        Some { hb_pid = p; hb_state = s; hb_started_at_ms = a; hb_updated_at_ms = u }
+    | _ -> None
 
 let pid_alive pid =
   pid > 0

@@ -277,78 +277,38 @@ let to_tree_string ?(show_wall = true) c =
 
 (* --- Chrome trace_event JSON ------------------------------------------- *)
 
-let json_escape s =
-  let buffer = Buffer.create (String.length s) in
-  String.iter
-    (fun ch ->
-      match ch with
-      | '"' -> Buffer.add_string buffer "\\\""
-      | '\\' -> Buffer.add_string buffer "\\\\"
-      | '\n' -> Buffer.add_string buffer "\\n"
-      | '\t' -> Buffer.add_string buffer "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buffer c)
-    s;
-  Buffer.contents buffer
+let json_of_value = function
+  | Int i -> Json.Int i | Float f -> Json.Float f | String s -> Json.String s | Bool b -> Json.Bool b
 
-let json_value = function
-  | Int i -> string_of_int i
-  | Float f ->
-      if Float.is_finite f then Printf.sprintf "%g" f
-      else "\"" ^ Printf.sprintf "%g" f ^ "\""
-  | String s -> "\"" ^ json_escape s ^ "\""
-  | Bool b -> string_of_bool b
+(* Timestamps are microseconds kept to the nanosecond. *)
+let micros s = Json.Float (Json.round 3 (s *. 1e6))
 
 let to_chrome_json c =
   let nodes = roots c in
-  let epoch =
-    List.fold_left (fun acc n -> Float.min acc n.start_s) infinity nodes
-  in
+  let epoch = List.fold_left (fun acc n -> Float.min acc n.start_s) infinity nodes in
   let epoch = if Float.is_finite epoch then epoch else 0.0 in
-  let buffer = Buffer.create 1024 in
-  Buffer.add_string buffer "{\"traceEvents\":[";
-  let first = ref true in
-  let sep () =
-    if !first then first := false else Buffer.add_char buffer ',';
-    Buffer.add_string buffer "\n"
+  let end_s = ref 0.0 in
+  let event name ph ts timing args =
+    Json.Obj
+      ([ ("name", Json.String name); ("cat", Json.String "qca"); ("ph", Json.String ph);
+         ("ts", micros ts) ]
+      @ timing
+      @ [ ("pid", Json.Int 1); ("tid", Json.Int 1) ]
+      @ if args = [] then [] else [ ("args", Json.Obj args) ])
   in
-  let end_ts = ref 0.0 in
-  let rec emit node =
-    let ts = (node.start_s -. epoch) *. 1e6 in
-    let dur = node.wall_s *. 1e6 in
-    end_ts := Float.max !end_ts (ts +. dur);
-    sep ();
-    Buffer.add_string buffer
-      (Printf.sprintf
-         "{\"name\":\"%s\",\"cat\":\"qca\",\"ph\":\"X\",\"ts\":%.3f,\"dur\":%.3f,\"pid\":1,\"tid\":1"
-         (json_escape node.span_name) ts dur);
-    let args =
-      (match node.sim_ns with Some ns -> [ ("sim_ns", Int ns) ] | None -> [])
-      @ node.attrs
-    in
-    (match args with
-    | [] -> ()
-    | args ->
-        Buffer.add_string buffer ",\"args\":{";
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_char buffer ',';
-            Buffer.add_string buffer
-              (Printf.sprintf "\"%s\":%s" (json_escape k) (json_value v)))
-          args;
-        Buffer.add_char buffer '}');
-    Buffer.add_char buffer '}';
-    List.iter emit node.children
+  let rec spans node =
+    let ts = node.start_s -. epoch in
+    end_s := Float.max !end_s (ts +. node.wall_s);
+    let sim = match node.sim_ns with Some ns -> [ ("sim_ns", Json.Int ns) ] | None -> [] in
+    event node.span_name "X" ts [ ("dur", micros node.wall_s) ]
+      (sim @ List.map (fun (k, v) -> (k, json_of_value v)) node.attrs)
+    :: List.concat_map spans node.children
   in
-  List.iter emit nodes;
-  List.iter
-    (fun (name, count) ->
-      sep ();
-      Buffer.add_string buffer
-        (Printf.sprintf
-           "{\"name\":\"%s\",\"cat\":\"qca\",\"ph\":\"C\",\"ts\":%.3f,\"pid\":1,\"tid\":1,\"args\":{\"value\":%d}}"
-           (json_escape name) !end_ts count))
-    (counters c);
-  Buffer.add_string buffer "\n],\"displayTimeUnit\":\"ms\"}\n";
-  Buffer.contents buffer
+  (* Spans first: counters sit at the end of the last span. *)
+  let span_events = List.concat_map spans nodes in
+  let counter (name, count) = event name "C" !end_s [] [ ("value", Json.Int count) ] in
+  Json.to_lines
+    (Json.Obj
+       [ ("traceEvents", Json.List (span_events @ List.map counter (counters c)));
+         ("displayTimeUnit", Json.String "ms") ])
+  ^ "\n"

@@ -140,12 +140,6 @@ val to_tree_string : ?show_wall:bool -> collector -> string
 val to_chrome_json : collector -> string
 (** Chrome [trace_event]-format JSON (one object with a [traceEvents]
     array): spans as complete ("ph":"X") events with microsecond
-    timestamps relative to the first span, attributes and sim-ns under
-    ["args"]; counters as one final counter ("ph":"C") event each. Loads
-    in [chrome://tracing] and Perfetto. *)
-
-val json_escape : string -> string
-(** Escape a string for embedding in a JSON string literal (no quotes
-    added): quote, backslash and every control character. The one JSON
-    string escaper of the stack — span names, diagnostics, run reports and
-    the service's result lines all go through it. *)
+    timestamps relative to the first span, attributes (non-finite floats
+    as null) and sim-ns under ["args"]; counters as one final counter
+    ("ph":"C") event each; one event per line. Loads in Perfetto. *)

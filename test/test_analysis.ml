@@ -38,11 +38,15 @@ let test_json_escaping () =
     Diagnostic.make Diagnostic.Error ~code:"T00" ~check:"t" ~site:"a\"b"
       "line1\nline2"
   in
-  let json = Diagnostic.to_json d in
-  Alcotest.(check bool) "escapes quotes" true
-    (String.length json > 0
-    && not (String.exists (( = ) '\n') json));
-  Alcotest.(check string) "list is array" "[]" (Diagnostic.json_of_list [])
+  let json = Qca_util.Json.to_string (Diagnostic.to_json d) in
+  Alcotest.(check bool) "one line" false (String.exists (( = ) '\n') json);
+  match Qca_util.Json.parse json with
+  | Ok doc ->
+      Alcotest.(check bool) "site survives" true
+        (Qca_util.Json.member "site" doc = Some (Qca_util.Json.String "a\"b"));
+      Alcotest.(check bool) "message survives" true
+        (Qca_util.Json.member "message" doc = Some (Qca_util.Json.String "line1\nline2"))
+  | Error msg -> Alcotest.fail msg
 
 (* --- circuit checks --- *)
 

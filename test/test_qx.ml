@@ -620,15 +620,17 @@ let test_report_metrics () =
     (List.sort compare report.Engine.gate_applies);
   Alcotest.(check int) "histogram mass" 100
     (List.fold_left (fun acc (_, c) -> acc + c) 0 result.Engine.histogram);
-  let json = Engine.report_to_json report in
-  let contains needle =
-    let n = String.length needle and m = String.length json in
-    let rec go i = i + n <= m && (String.sub json i n = needle || go (i + 1)) in
-    go 0
-  in
-  Alcotest.(check bool) "json has plan" true (contains "\"plan\":\"sampled\"");
-  Alcotest.(check bool) "json has seed" true (contains "\"seed\":3");
-  Alcotest.(check bool) "json has gate applies" true (contains "\"cnot\":1")
+  let module Json = Qca_util.Json in
+  match Json.parse (Engine.report_to_json report) with
+  | Error msg -> Alcotest.fail msg
+  | Ok json ->
+      let field path =
+        List.fold_left (fun v key -> Option.bind v (Json.member key)) (Some json) path
+      in
+      Alcotest.(check bool) "json has plan" true (field [ "plan" ] = Some (Json.String "sampled"));
+      Alcotest.(check bool) "json has seed" true (field [ "seed" ] = Some (Json.Int 3));
+      Alcotest.(check bool) "json has gate applies" true
+        (field [ "gate_applies"; "cnot" ] = Some (Json.Int 1))
 
 (* Per-shot plans spend their time simulating, not sampling: the phase
    clock must be read after the shots run, not before. *)

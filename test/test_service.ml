@@ -316,6 +316,30 @@ let test_cancel_while_queued () =
   Alcotest.(check bool) "double cancel is a no-op" false (Service.cancel svc h2);
   Alcotest.(check int) "stats.cancelled" 1 (Service.stats svc).Service.cancelled
 
+(* Queue positions are global across tenants, in submission order, and
+   only waiting jobs count. *)
+let test_queue_position () =
+  let svc = Service.create () in
+  let submit tenant seed = submit_ok svc ~tenant (spec ~seed (bell ())) in
+  let a1 = submit "alice" 1 in
+  let b1 = submit "bob" 2 in
+  let a2 = submit "alice" 3 in
+  let b2 = submit "bob" 4 in
+  let position h = match Service.poll svc h with Service.Queued p -> Some p | _ -> None in
+  let positions = Alcotest.(check (list (option int))) in
+  positions "submission order across tenants" [ Some 0; Some 1; Some 2; Some 3 ]
+    (List.map position [ a1; b1; a2; b2 ]);
+  Alcotest.(check bool) "cancel" true (Service.cancel svc b1);
+  positions "a cancelled job leaves the queue" [ Some 0; None; Some 1; Some 2 ]
+    (List.map position [ a1; b1; a2; b2 ]);
+  ignore (Service.step svc);
+  let waiting = List.filter_map position [ a1; a2; b2 ] in
+  Alcotest.(check bool) "a step starts work" true (List.length waiting < 3);
+  Alcotest.(check (list int)) "started jobs leave, the rest close up"
+    (List.init (List.length waiting) Fun.id) waiting;
+  Service.drain svc;
+  positions "finished jobs do not count" [ Some 0 ] [ position (submit "bob" 5) ]
+
 let test_cancel_while_running () =
   let config = { Service.default_config with Service.slice_shots = 64 } in
   let svc = Service.create ~config () in
@@ -722,7 +746,22 @@ let test_heartbeat_roundtrip () =
       Alcotest.(check bool) "this process is alive" true
         (Spool.pid_alive hb.Spool.hb_pid)
   | None -> Alcotest.fail "heartbeat missing");
-  Alcotest.(check bool) "a dead pid reads dead" false (Spool.pid_alive dead_pid)
+  Alcotest.(check bool) "a dead pid reads dead" false (Spool.pid_alive dead_pid);
+  (* The reader parses JSON and looks fields up: layout and field order do
+     not matter, a truncated or mistyped file reads as no heartbeat. *)
+  let read_text text =
+    let oc = open_out (Filename.concat dir "daemon.json") in
+    output_string oc text;
+    close_out oc;
+    Option.map (fun hb -> hb.Spool.hb_state) (Spool.read_heartbeat ~dir)
+  in
+  let state = Alcotest.(check (option string)) in
+  state "reordered, spaced" (Some "draining")
+    (read_text
+       {| { "updated_at_ms": 2, "state": "draining", "pid": 7, "started_at_ms": 1 } |});
+  state "truncated" None (read_text {|{"pid":7,"state":"serving","started_at_ms":1,"upd|});
+  state "mistyped" None
+    (read_text {|{"pid":"7","state":"serving","started_at_ms":1,"updated_at_ms":2}|})
 
 let prop_replay_bit_identity =
   QCheck.Test.make
@@ -800,6 +839,7 @@ let () =
       ( "cancel",
         [
           Alcotest.test_case "while queued" `Quick test_cancel_while_queued;
+          Alcotest.test_case "queue position" `Quick test_queue_position;
           Alcotest.test_case "while running" `Quick test_cancel_while_running;
           Alcotest.test_case "after completion" `Quick
             test_cancel_completed_fails;

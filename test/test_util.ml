@@ -464,49 +464,143 @@ let test_trace_tree_collapse () =
      in
      contains 0)
 
-(* Enough JSON checking to catch escaping and nesting mistakes: balanced
-   delimiters outside strings, valid escapes inside, no raw control chars. *)
-let json_well_formed s =
-  let depth = ref 0 and ok = ref true in
-  let in_string = ref false and escaped = ref false in
-  String.iter
-    (fun ch ->
-      if !in_string then
-        if !escaped then escaped := false
-        else if ch = '\\' then escaped := true
-        else if ch = '"' then in_string := false
-        else if Char.code ch < 0x20 then ok := false
-        else ()
-      else
-        match ch with
-        | '"' -> in_string := true
-        | '{' | '[' -> incr depth
-        | '}' | ']' ->
-            decr depth;
-            if !depth < 0 then ok := false
-        | _ -> ())
-    s;
-  !ok && !depth = 0 && not !in_string
+module Json = Qca_util.Json
+
+let parse_ok text =
+  match Json.parse text with Ok v -> v | Error msg -> Alcotest.failf "%s: %S" msg text
 
 let test_trace_chrome_json () =
   let c = Trace.make_collector () in
   Trace.collecting c (fun () ->
       Trace.with_span "outer" (fun sp ->
           Trace.add_attr sp "label" (Trace.String "quotes \" and \\ and\nnewline");
+          Trace.add_attr sp "ratio" (Trace.Float infinity);
           Trace.with_span "inner" (fun sp -> Trace.set_sim_ns sp 40));
       Trace.add_counter "qx.apply.h" 7);
-  let json = Trace.to_chrome_json c in
-  Alcotest.(check bool) "well-formed" true (json_well_formed json);
-  let has needle =
-    let n = String.length needle in
-    let rec go i = i + n <= String.length json && (String.sub json i n = needle || go (i + 1)) in
-    go 0
+  let events =
+    match Json.member "traceEvents" (parse_ok (Trace.to_chrome_json c)) with
+    | Some (Json.List events) -> events
+    | _ -> Alcotest.fail "no traceEvents array"
   in
-  Alcotest.(check bool) "has traceEvents" true (has "\"traceEvents\"");
-  Alcotest.(check bool) "complete events" true (has "\"ph\":\"X\"");
-  Alcotest.(check bool) "counter events" true (has "\"ph\":\"C\"");
-  Alcotest.(check bool) "sim_ns in args" true (has "\"sim_ns\":40");
-  Alcotest.(check bool) "escaped newline" true (has "\\nnewline")
+  let field key e = Json.member key e in
+  let arg key e = Option.bind (field "args" e) (Json.member key) in
+  let named name = List.find (fun e -> field "name" e = Some (Json.String name)) events in
+  let phases = List.map (field "ph") events in
+  Alcotest.(check int) "complete events" 2
+    (List.length (List.filter (( = ) (Some (Json.String "X"))) phases));
+  Alcotest.(check bool) "counter event" true
+    (field "ph" (named "qx.apply.h") = Some (Json.String "C")
+    && arg "value" (named "qx.apply.h") = Some (Json.Int 7));
+  Alcotest.(check bool) "sim_ns in args" true (arg "sim_ns" (named "inner") = Some (Json.Int 40));
+  Alcotest.(check bool) "escaped label survives" true
+    (arg "label" (named "outer") = Some (Json.String "quotes \" and \\ and\nnewline"));
+  Alcotest.(check bool) "non-finite attribute is null" true
+    (arg "ratio" (named "outer") = Some Json.Null)
+
+(* Values whose floats are finite and non-integral: the domain on which
+   printing then parsing is the identity. *)
+let json_gen =
+  let open QCheck.Gen in
+  let float =
+    map (fun (i, f) -> float_of_int i +. 0.5 +. f) (pair small_signed_int (float_bound_exclusive 0.5))
+  in
+  let str = string_size ~gen:char (int_bound 12) in
+  sized_size (int_bound 4)
+  @@ fix (fun self depth ->
+         let leaf =
+           oneof
+             [
+               return Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun i -> Json.Int i) int;
+               map (fun f -> Json.Float f) (oneof [ float; map (fun f -> f *. 1e-30) float ]);
+               map (fun s -> Json.String s) str;
+             ]
+         in
+         if depth = 0 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun l -> Json.List l) (list_size (int_bound 4) (self (depth - 1))));
+               ( 1,
+                 map (fun l -> Json.Obj l)
+                   (list_size (int_bound 4) (pair str (self (depth - 1)))) );
+             ])
+
+let prop_json_roundtrip =
+  QCheck.Test.make ~name:"json parse (to_string v) = v" ~count:500
+    (QCheck.make ~print:Json.to_string json_gen)
+    (fun v -> Json.parse (Json.to_string v) = Ok v && Json.parse (Json.to_lines v) = Ok v)
+
+(* Short strings over JSON's own punctuation, so most inputs get deep into
+   the parser before they go wrong. *)
+let prop_json_parse_total =
+  let alphabet = QCheck.Gen.oneofl (List.of_seq (String.to_seq "{}[],:\"\\u0-1.eE+tfnrl aZ")) in
+  QCheck.Test.make ~name:"json parse never raises" ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S") QCheck.Gen.(string_size ~gen:alphabet (int_bound 24)))
+    (fun s -> match Json.parse s with Ok _ | Error _ -> true)
+
+let test_json_escaping () =
+  let all = String.init 0x20 Char.chr ^ "\"\\" in
+  let text = Json.to_string (Json.String all) in
+  String.iter
+    (fun c -> Alcotest.(check bool) "no raw control byte" true (Char.code c >= 0x20))
+    text;
+  Alcotest.(check string) "short forms and \\u00XX"
+    ({|"\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007\u0008\t\n\u000b\u000c\u000d|}
+    ^ {|\u000e\u000f\u0010\u0011\u0012\u0013\u0014\u0015\u0016\u0017\u0018\u0019\u001a|}
+    ^ {|\u001b\u001c\u001d\u001e\u001f\"\\"|})
+    text;
+  Alcotest.(check bool) "reads back" true (Json.parse text = Ok (Json.String all));
+  Alcotest.(check bool) "escaped key" true
+    (Json.to_string (Json.Obj [ ("a\"b", Json.Int 1) ]) = "{\"a\\\"b\":1}")
+
+let test_json_numbers () =
+  let text v = Json.to_string v in
+  Alcotest.(check string) "nan, inf, -inf are null" "[null,null,null]"
+    (text (Json.List [ Json.Float nan; Json.Float infinity; Json.Float neg_infinity ]));
+  Alcotest.(check string) "integral float has no fraction" "[3,-2,0,1e+20]"
+    (text (Json.List [ Json.Float 3.0; Json.Float (-2.0); Json.Float 0.0; Json.Float 1e20 ]));
+  Alcotest.(check string) "shortest round-trip text" "[0.1,0.30000000000000004,0.3,6e-10]"
+    (text
+       (Json.List
+          [ Json.Float 0.1; Json.Float (0.1 +. 0.2); Json.Float (Json.round_sig 6 (0.1 +. 0.2));
+            Json.Float (Json.round_sig 6 6.000000000000003e-10) ]));
+  Alcotest.(check string) "round to decimals" "[0.123457,2.5,1]"
+    (text
+       (Json.List
+          [ Json.Float (Json.round 6 0.1234567); Json.Float (Json.round 2 2.4999);
+            Json.Float (Json.round 3 0.9999999) ]));
+  Alcotest.(check bool) "rounding keeps huge and non-finite values" true
+    (Json.round 6 1e300 = 1e300 && Json.round 3 infinity = infinity
+    && Float.is_nan (Json.round_sig 6 nan));
+  Alcotest.(check bool) "integral float reads back as int" true
+    (Json.parse (text (Json.Float 3.0)) = Ok (Json.Int 3))
+
+let test_json_parse_errors () =
+  let rejects text =
+    match Json.parse text with
+    | Ok _ -> Alcotest.failf "accepted %S" text
+    | Error _ -> ()
+  in
+  List.iter rejects
+    [ ""; " "; "{"; "[1,]"; "{\"a\"}"; "{\"a\":1,}"; "01"; "1."; "-"; "+1"; ".5"; "1e"; "tru";
+      "nul"; "\"abc"; "\"\\x\""; "\"\\u12\""; "\"\\ud800\""; "\"a\nb\""; "[1] 2"; "{1:2}"; "NaN" ];
+  rejects (String.make (Json.max_depth + 1) '[' ^ String.make (Json.max_depth + 1) ']');
+  Alcotest.(check bool) "max depth accepted" true
+    (Result.is_ok (Json.parse (String.make Json.max_depth '[' ^ String.make Json.max_depth ']')));
+  Alcotest.(check bool) "every short escape" true
+    (Json.parse {|"\b\f\n\r\t\/\\\""|} = Ok (Json.String "\b\012\n\r\t/\\\""));
+  Alcotest.(check bool) "whitespace, escapes and big ints" true
+    (Json.parse
+       {| { "k" : [ true , false , null , -0.5e1 , "\u00e9\ud83d\ude00\/" , 123456789012345678901234 ] } |}
+    = Ok
+        (Json.Obj
+           [ ( "k",
+               Json.List
+                 [ Json.Bool true; Json.Bool false; Json.Null; Json.Float (-5.0);
+                   Json.String "\xc3\xa9\xf0\x9f\x98\x80/"; Json.Float 1.23456789012345678e23 ] ) ]))
 
 let prop_trace_nesting_depth =
   QCheck.Test.make ~name:"trace random begin/end keeps a well-formed forest"
@@ -655,6 +749,14 @@ let () =
           Alcotest.test_case "tree collapse" `Quick test_trace_tree_collapse;
           Alcotest.test_case "chrome json" `Quick test_trace_chrome_json;
           qtest prop_trace_nesting_depth;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "escaping" `Quick test_json_escaping;
+          Alcotest.test_case "numbers" `Quick test_json_numbers;
+          Alcotest.test_case "parse errors" `Quick test_json_parse_errors;
+          qtest prop_json_roundtrip;
+          qtest prop_json_parse_total;
         ] );
       ( "rng",
         [
