@@ -661,34 +661,35 @@ let compile_command common file emit_eqasm lint lint_json =
           else
             (* With linting on, compile under the pass-verifier so a pass
                that introduces a violation is named on stderr. *)
-            match
-              Error.protect ~site:"Compiler.compile" (fun () ->
-                  if lint || lint_json then
-                    let out, report = Verify.compile ~strategy platform mode circuit in
-                    (out, Some report)
-                  else (Compiler.compile ~strategy platform mode circuit, None))
-            with
-            | Error e ->
-                Printf.eprintf "qxc: error: %s\n" (Error.to_string e);
-                2
-            | Ok (out, verified) -> (
-                (match verified with
-                | Some r when r.Verify.final <> [] -> prerr_string (Verify.render r)
-                | _ -> ());
-                print_string (Compiler.report out);
-                print_newline ();
-                if emit_eqasm then begin
-                  match out.Compiler.eqasm with
-                  | Some program -> print_string (Eqasm.to_string program)
-                  | None -> print_endline "# perfect mode: no eQASM emitted"
-                end
-                else print_string out.Compiler.cqasm;
-                let metrics_code =
-                  write_json_line common.metrics (compile_metrics_json out)
-                in
-                match verified with
-                | Some r when Diagnostic.exit_code r.Verify.final = 2 -> 2
-                | _ -> metrics_code))
+            with_trace common.trace (fun () ->
+                match
+                  Error.protect ~site:"Compiler.compile" (fun () ->
+                      if lint || lint_json then
+                        let out, report = Verify.compile ~strategy platform mode circuit in
+                        (out, Some report)
+                      else (Compiler.compile ~strategy platform mode circuit, None))
+                with
+                | Error e ->
+                    Printf.eprintf "qxc: error: %s\n" (Error.to_string e);
+                    2
+                | Ok (out, verified) -> (
+                    (match verified with
+                    | Some r when r.Verify.final <> [] -> prerr_string (Verify.render r)
+                    | _ -> ());
+                    print_string (Compiler.report out);
+                    print_newline ();
+                    if emit_eqasm then begin
+                      match out.Compiler.eqasm with
+                      | Some program -> print_string (Eqasm.to_string program)
+                      | None -> print_endline "# perfect mode: no eQASM emitted"
+                    end
+                    else print_string out.Compiler.cqasm;
+                    let metrics_code =
+                      write_json_line common.metrics (compile_metrics_json out)
+                    in
+                    match verified with
+                    | Some r when Diagnostic.exit_code r.Verify.final = 2 -> 2
+                    | _ -> metrics_code)))
 
 let eqasm_flag =
   Arg.(value & flag & info [ "eqasm" ] ~doc:"Emit eQASM instead of cQASM.")

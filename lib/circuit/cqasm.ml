@@ -207,7 +207,11 @@ let parse_subcircuit_header lineno line =
       else
         let name = String.sub body 0 i in
         let count_str = String.sub body (i + 1) (String.length body - i - 2) in
-        (name, parse_int lineno count_str)
+        let count = parse_int lineno count_str in
+        if count < 0 then
+          syntax_error ~token:count_str lineno
+            (Printf.sprintf "negative subcircuit repeat count %d" count)
+        else (name, count)
 
 let parse source =
   let lines = String.split_on_char '\n' source in

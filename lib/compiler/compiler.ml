@@ -80,9 +80,10 @@ let compile ?(strategy = Mapping.Sabre) ?(placement = Mapping.Trivial)
   in
   let passes = ref [ stat_of "input" logical ] in
   let record ?note name circuit = passes := stat_of ?note name circuit :: !passes in
-  (* Run the optimizer as a named stage: each pipeline pass that changes the
-     circuit gets its own trace span, pass_stat row (with gate/depth deltas)
-     and observer artifact, so the pass-verifier can blame it individually. *)
+  (* Run the optimizer as a named stage: every pass application runs in
+     its own trace span, and each pass that changes the circuit gets a
+     pass_stat row (with gate/depth deltas) and an observer artifact, so
+     the pass-verifier can blame it individually. *)
   let optimize_stage stage config input =
     Trace.with_span ("compiler." ^ stage) (fun sp ->
         Trace.annotate sp (fun () ->
@@ -93,15 +94,6 @@ let compile ?(strategy = Mapping.Sabre) ?(placement = Mapping.Trivial)
           | Optimize.Full ->
               let on_pass ~round ~pass ~before after =
                 let name = stage ^ "/" ^ pass in
-                Trace.with_span ("compiler." ^ name) (fun psp ->
-                    Trace.annotate psp (fun () ->
-                        [
-                          ("round", Trace.Int round);
-                          ("gates_in", Trace.Int (Circuit.gate_count before));
-                          ("gates_out", Trace.Int (Circuit.gate_count after));
-                          ("depth_in", Trace.Int (Circuit.depth before));
-                          ("depth_out", Trace.Int (Circuit.depth after));
-                        ]));
                 record
                   ~note:
                     (Printf.sprintf "round=%d dgates=%+d ddepth=%+d" round
@@ -110,7 +102,7 @@ let compile ?(strategy = Mapping.Sabre) ?(placement = Mapping.Trivial)
                   name after;
                 observe name (Circuit_stage after)
               in
-              Optimize.pipeline ~config ~on_pass input
+              Optimize.pipeline ~config ~on_pass ~trace:("compiler." ^ stage) input
         in
         Trace.annotate sp (fun () ->
             [
@@ -121,6 +113,8 @@ let compile ?(strategy = Mapping.Sabre) ?(placement = Mapping.Trivial)
               ("euler", Trace.Int ostats.Optimize.euler_runs);
               ("blocks", Trace.Int ostats.Optimize.consolidations);
               ("rounds", Trace.Int ostats.Optimize.rounds);
+              ("blocks_rendered", Trace.Int ostats.Optimize.blocks_rendered);
+              ("blocks_reused", Trace.Int ostats.Optimize.blocks_reused);
             ]);
         record
           ~note:

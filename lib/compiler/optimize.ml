@@ -2,6 +2,7 @@ module Gate = Qca_circuit.Gate
 module Circuit = Qca_circuit.Circuit
 module Matrix = Qca_util.Matrix
 module Cplx = Qca_util.Cplx
+module Trace = Qca_util.Trace
 
 (* ------------------------------------------------------------------ *)
 (* Statistics and configuration                                        *)
@@ -14,6 +15,8 @@ type stats = {
   euler_runs : int;
   consolidations : int;
   rounds : int;
+  blocks_rendered : int;
+  blocks_reused : int;
 }
 
 let zero_stats =
@@ -25,6 +28,8 @@ let zero_stats =
     euler_runs = 0;
     consolidations = 0;
     rounds = 0;
+    blocks_rendered = 0;
+    blocks_reused = 0;
   }
 
 (* Per-pass rewrite counts, folded into [stats] by the driver. *)
@@ -589,13 +594,16 @@ let local_factors m =
 
 let local_gates (a, b) = gates_zyz 0 (zyz_angles a) @ gates_zyz 1 (zyz_angles b)
 
+(* Each single-entangler shape with the adjoint of its 4x4 unitary. *)
 let entangler_templates =
-  [
-    [ Gate.Unitary (Gate.Cz, [| 0; 1 |]) ];
-    [ Gate.Unitary (Gate.Cnot, [| 0; 1 |]) ];
-    [ Gate.Unitary (Gate.Cnot, [| 1; 0 |]) ];
-    [ Gate.Unitary (Gate.Swap, [| 0; 1 |]) ];
-  ]
+  List.map
+    (fun tg -> (tg, Matrix.adjoint (mat2 tg)))
+    [
+      [ Gate.Unitary (Gate.Cz, [| 0; 1 |]) ];
+      [ Gate.Unitary (Gate.Cnot, [| 0; 1 |]) ];
+      [ Gate.Unitary (Gate.Cnot, [| 1; 0 |]) ];
+      [ Gate.Unitary (Gate.Swap, [| 0; 1 |]) ];
+    ]
 
 (* Candidate re-expressions of a 4x4 block unitary, cheapest shapes
    first: identity, pure locals, locals + one entangler. *)
@@ -609,10 +617,9 @@ let block_candidates m =
   in
   let with_entangler =
     List.concat_map
-      (fun tg ->
-        let gm = mat2 tg in
-        let after = Matrix.mul m (Matrix.adjoint gm) in
-        let before = Matrix.mul (Matrix.adjoint gm) m in
+      (fun (tg, gm_dag) ->
+        let after = Matrix.mul m gm_dag in
+        let before = Matrix.mul gm_dag m in
         (match local_factors after with
         | Some f -> [ tg @ local_gates f ]
         | None -> [])
@@ -694,19 +701,89 @@ let render_candidate config m gates =
         Some (Circuit.instructions c)
       else None
 
-let consolidate config circuit =
+(* The replacement for a block on wires 0/1: its cheapest candidate
+   rendering, when that beats the block itself. *)
+let render_block config block01 =
+  let m = mat2 block01 in
+  let best =
+    List.fold_left
+      (fun best cand ->
+        match render_candidate config m cand with
+        | None -> best
+        | Some rendered -> (
+            match best with
+            | Some b when cost_2q b <= cost_2q rendered -> best
+            | _ -> Some rendered))
+      None (block_candidates m)
+  in
+  match best with
+  | Some rendered when cost_2q rendered < cost_2q block01 -> Some rendered
+  | _ -> None
+
+(* Blocks on wires 0/1 (unitaries only) compared exactly: angles bit for
+   bit, so Rz(0.0) and Rz(-0.0) are different keys (polymorphic [=]
+   equates them), and hashed over every gate ([Hashtbl.hash] alone
+   samples only the first few words of a list). *)
+module Block_table = Hashtbl.Make (struct
+  type t = Gate.t list
+
+  let same_unitary u v =
+    match (u, v) with
+    | Gate.Rx a, Gate.Rx b
+    | Gate.Ry a, Gate.Ry b
+    | Gate.Rz a, Gate.Rz b
+    | Gate.Cphase a, Gate.Cphase b ->
+        Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+    | _ -> u = v
+
+  let equal =
+    List.equal (fun g g' ->
+        match (g, g') with
+        | Gate.Unitary (u, ops), Gate.Unitary (v, ops') -> same_unitary u v && ops = ops'
+        | _ -> g = g')
+
+  let hash = List.fold_left (fun h g -> (h * 65599) + Hashtbl.hash g) 0
+end)
+
+(* Renderings of the blocks one pipeline call has met: [render_block] is a
+   function of the block and the config, which is fixed for the call, so
+   a block that reappears (unchanged since the last round, or repeated in
+   the program) reuses its decision. *)
+type memo = { renders : Gate.t list option Block_table.t; mutable reused : int }
+
+let memo_render config memo block01 =
+  match Block_table.find_opt memo.renders block01 with
+  | Some decision ->
+      memo.reused <- memo.reused + 1;
+      decision
+  | None ->
+      let decision = render_block config block01 in
+      Block_table.add memo.renders block01 decision;
+      decision
+
+let consolidate config memo circuit =
   let arr = Array.of_list (Circuit.instructions circuit) in
   let n = Array.length arr in
+  let wires = Circuit.qubit_count circuit in
   let repl = Array.make n None in
   let consumed = Array.make n false in
   let d = ref no_delta in
-  let plain_1q_on q i =
-    match arr.(i) with
-    | Gate.Unitary (u, ops) -> Gate.arity u = 1 && ops.(0) = q
-    | _ -> false
+  (* lead.(q): the unconsumed 1q gates on wire q since the last other
+     instruction touching q, latest first. These are the leading gates
+     that slide forward into a block starting at the current index. An
+     index is entered when the sweep has passed it; a gate consumed
+     later is a member of a block on q, whose two-qubit gate comes after
+     it and has already emptied the list. *)
+  let lead = Array.make wires [] in
+  let pass_over k =
+    match arr.(k) with
+    | Gate.Unitary (u, ops) when Gate.arity u = 1 && not consumed.(k) ->
+        lead.(ops.(0)) <- k :: lead.(ops.(0))
+    | instr ->
+        Array.iter (fun q -> if q >= 0 && q < wires then lead.(q) <- []) (footprint instr)
   in
   for i = 0 to n - 1 do
-    if not consumed.(i) then
+    if not consumed.(i) then begin
       match arr.(i) with
       | Gate.Unitary (u0, ops0) when Gate.arity u0 = 2 && ops0.(0) <> ops0.(1)
         ->
@@ -721,21 +798,7 @@ let consolidate config circuit =
                    && ops.(0) <> ops.(1)
             | _ -> false
           in
-          (* Leading 1q gates slide forward into the block: the walk stops
-             at anything else touching the same wire. *)
-          let lead q =
-            let acc = ref [] in
-            let k = ref (i - 1) and stop = ref false in
-            while !k >= 0 && not !stop do
-              if touches (footprint arr.(!k)) q then
-                if (not consumed.(!k)) && plain_1q_on q !k then
-                  acc := !k :: !acc
-                else stop := true;
-              decr k
-            done;
-            !acc
-          in
-          let members = ref (lead a @ lead b @ [ i ]) in
+          let members = ref (lead.(a) @ lead.(b) @ [ i ]) in
           (let k = ref (i + 1) and stop = ref false in
            while !k < n && not !stop do
              let fp = footprint arr.(!k) in
@@ -749,21 +812,8 @@ let consolidate config circuit =
           if List.length idxs >= 2 && List.length idxs <= 48 then begin
             let block = List.map (fun k -> arr.(k)) idxs in
             let to01 = Gate.map_qubits (fun q -> if q = a then 0 else 1) in
-            let block01 = List.map to01 block in
-            let m = mat2 block01 in
-            let best =
-              List.fold_left
-                (fun best cand ->
-                  match render_candidate config m cand with
-                  | None -> best
-                  | Some rendered -> (
-                      match best with
-                      | Some b when cost_2q b <= cost_2q rendered -> best
-                      | _ -> Some rendered))
-                None (block_candidates m)
-            in
-            match best with
-            | Some rendered when cost_2q rendered < cost_2q block01 ->
+            match memo_render config memo (List.map to01 block) with
+            | Some rendered ->
                 let from01 =
                   Gate.map_qubits (fun q -> if q = 0 then a else b)
                 in
@@ -778,9 +828,11 @@ let consolidate config circuit =
                     if k <> i then repl.(k) <- Some [])
                   idxs;
                 d := { !d with d_blocks = !d.d_blocks + 1 }
-            | _ -> ()
+            | None -> ()
           end
       | _ -> ()
+    end;
+    pass_over i
   done;
   let out = ref [] in
   for i = n - 1 downto 0 do
@@ -793,23 +845,41 @@ let consolidate config circuit =
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 
-let pass_list config =
+let pass_list config memo =
   [ ("peephole", peephole_pass config) ]
   @ (if emittable config (Gate.Rz 0.0) then [ ("rz-merge", rz_pass) ] else [])
   @ (match config.basis with
     | Some b -> [ ("euler", euler_pass b) ]
     | None -> [])
-  @ if config.consolidate then [ ("2q-blocks", consolidate config) ] else []
+  @ if config.consolidate then [ ("2q-blocks", consolidate config memo) ] else []
 
-let pipeline ?(config = logical_config) ?on_pass circuit =
-  let passes = pass_list config in
+(* One pass application, in a span named [prefix/pass] when tracing. The
+   annotations are lazy, so a disabled trace never walks the circuit. *)
+let apply_pass ?trace ~round name f c =
+  match trace with
+  | Some prefix when Trace.enabled () ->
+      Trace.with_span (prefix ^ "/" ^ name) (fun sp ->
+          let c', d = f c in
+          Trace.annotate sp (fun () ->
+              [
+                ("round", Trace.Int round);
+                ("dgates", Trace.Int (Circuit.gate_count c' - Circuit.gate_count c));
+                ("ddepth", Trace.Int (Circuit.depth c' - Circuit.depth c));
+                ("changed", Trace.Bool (delta_total d > 0));
+              ]);
+          (c', d))
+  | _ -> f c
+
+let pipeline ?(config = logical_config) ?on_pass ?trace circuit =
+  let memo = { renders = Block_table.create 64; reused = 0 } in
+  let passes = pass_list config memo in
   let rec loop c stats round =
     if round > config.max_rounds then (c, stats)
     else
       let c', stats', changed =
         List.fold_left
           (fun (c, st, changed) (name, f) ->
-            let c', d = f c in
+            let c', d = apply_pass ?trace ~round name f c in
             let ch = delta_total d > 0 in
             (match on_pass with
             | Some cb when ch -> cb ~round ~pass:name ~before:c c'
@@ -820,7 +890,13 @@ let pipeline ?(config = logical_config) ?on_pass circuit =
       if changed then loop c' { stats' with rounds = round } (round + 1)
       else (c', stats')
   in
-  loop circuit zero_stats 1
+  let c, stats = loop circuit zero_stats 1 in
+  ( c,
+    {
+      stats with
+      blocks_rendered = Block_table.length memo.renders;
+      blocks_reused = memo.reused;
+    } )
 
 let run circuit = pipeline ~config:logical_config circuit
 let run_circuit circuit = fst (run circuit)

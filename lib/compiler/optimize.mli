@@ -27,6 +27,11 @@ type stats = {
   euler_runs : int;  (** 1q runs resynthesised to a shorter Euler form. *)
   consolidations : int;  (** 2q blocks re-expressed with fewer entanglers. *)
   rounds : int;  (** Fixed-point rounds in which at least one pass fired. *)
+  blocks_rendered : int;
+      (** Distinct two-qubit blocks the [2q-blocks] pass rendered. *)
+  blocks_reused : int;
+      (** Blocks whose rendering was reused from earlier in the same
+          {!pipeline} call instead of rendered again. *)
 }
 
 (** Target form for resynthesised single-qubit runs. *)
@@ -69,6 +74,7 @@ val pipeline :
     before:Qca_circuit.Circuit.t ->
     Qca_circuit.Circuit.t ->
     unit) ->
+  ?trace:string ->
   Qca_circuit.Circuit.t ->
   Qca_circuit.Circuit.t * stats
 (** Run the pass list to a fixed point (bounded by [config.max_rounds]).
@@ -76,10 +82,17 @@ val pipeline :
     circuit, with the round number, the pass name ([peephole], [rz-merge],
     [euler], [2q-blocks]) and the circuit before/after — this is how
     {!Compiler.compile} feeds each intermediate artifact to the
-    {!Qca_analysis} pass-verifier and the trace layer. Termination:
-    every counted rewrite strictly reduces the (gate count, non-Rz gate
-    count) pair, so the fixed point is reached in finitely many rounds
-    even without the bound. *)
+    {!Qca_analysis} pass-verifier. With [trace] set, every pass
+    application of every round runs in its own {!Qca_util.Trace} span
+    named [trace ^ "/" ^ pass], annotated with [round], [dgates],
+    [ddepth] and [changed]. Termination: every counted rewrite strictly
+    reduces the (gate count, non-Rz gate count) pair, so the fixed point
+    is reached in finitely many rounds even without the bound.
+
+    The [2q-blocks] pass renders each distinct block (mapped onto wires
+    0/1) once per call and reuses the decision when the block comes back,
+    in a later round or elsewhere in the program; the table is dropped
+    when the call returns. *)
 
 val run : Qca_circuit.Circuit.t -> Qca_circuit.Circuit.t * stats
 (** {!pipeline} with {!logical_config}. *)

@@ -24,12 +24,17 @@ let add a b =
 
 let mul a b =
   assert (a.cols = b.rows);
+  (* [acc + x * y] in unboxed floats: the operations of Complex.add and
+     Complex.mul in the same order, so every entry is bit-identical to
+     folding those, without allocating a complex per term. *)
   let dot r c =
-    let acc = ref Cplx.zero in
+    let re = ref 0.0 and im = ref 0.0 in
     for k = 0 to a.cols - 1 do
-      acc := Cplx.add !acc (Cplx.mul (get a r k) (get b k c))
+      let x = get a r k and y = get b k c in
+      re := !re +. ((x.Complex.re *. y.Complex.re) -. (x.Complex.im *. y.Complex.im));
+      im := !im +. ((x.Complex.re *. y.Complex.im) +. (x.Complex.im *. y.Complex.re))
     done;
-    !acc
+    { Complex.re = !re; im = !im }
   in
   make a.rows b.cols dot
 

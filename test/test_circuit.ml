@@ -298,7 +298,9 @@ let test_cqasm_parse_errors () =
   (* instruction before qubits *)
   expect_error "version 1.0\nqubits 2\nfrobnicate q[0]\n";
   expect_error "version 1.0\nqubits 2\nx q[0], q[1]\n";
-  expect_error "version 1.0\nqubits 2\ncnot q[0]\n"
+  expect_error "version 1.0\nqubits 2\ncnot q[0]\n";
+  (* a negative repeat count is a parse error, not a crash in flatten *)
+  expect_error "version 1.0\nqubits 2\n.x(-5)\nh q[0]\n"
 
 let test_cqasm_comments_and_measure_all () =
   let src = "version 1.0\n# a comment\nqubits 2\nx q[0] # trailing\nmeasure_all\n" in

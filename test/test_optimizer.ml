@@ -12,6 +12,9 @@ module Optimize = Qca_compiler.Optimize
 module Decompose = Qca_compiler.Decompose
 module Mapping = Qca_compiler.Mapping
 module Compiler = Qca_compiler.Compiler
+module Eqasm = Qca_compiler.Eqasm
+module Ising = Qca_anneal.Ising
+module Qaoa = Qca_qaoa.Qaoa
 module Verify = Qca_analysis.Verify
 module Diagnostic = Qca_analysis.Diagnostic
 module Engine = Qca_qx.Engine
@@ -128,6 +131,14 @@ let test_rule_consolidate_swap () =
     (Circuit.two_qubit_gate_count o < 3);
   Alcotest.(check bool) "consolidation fired" true
     (stats.Optimize.consolidations >= 1)
+
+let test_consolidate_reuses_renders () =
+  (* One block on two disjoint pairs: rendered once, reused once. *)
+  let c = circ 4 [ u Gate.H [ 0 ]; u Gate.Cnot [ 0; 1 ]; u Gate.H [ 2 ]; u Gate.Cnot [ 2; 3 ] ] in
+  let _, stats = optimize "repeated block" c 4 in
+  Alcotest.(check (pair int int))
+    "rendered, reused" (1, 1)
+    (stats.Optimize.blocks_rendered, stats.Optimize.blocks_reused)
 
 let test_barrier_blocks_rewrites () =
   let c =
@@ -345,6 +356,94 @@ let test_full_not_worse_than_basic () =
         <= Circuit.gate_count basic.Compiler.physical))
     (fixture_corpus ())
 
+(* --- compiled-output pins ---
+
+   Digests of the physical cQASM, the eQASM and the optimizer's rewrite
+   counts over a fixed corpus, for the 17-qubit platform in Real and
+   Perfect mode. A change to the optimizer that is meant to be a pure
+   speed-up must leave every one of them unchanged. *)
+
+let pin_corpus () =
+  let ring =
+    { Ising.n = 6; h = [| 0.3; -0.2; 0.0; 0.5; -0.7; 0.1 |];
+      couplings = [ (0, 1, 0.7); (1, 2, -0.4); (2, 3, 1.0); (3, 4, 0.2); (4, 5, -0.9); (5, 0, 0.6) ] }
+  in
+  let qaoa =
+    Qaoa.full_circuit ring { Qaoa.gammas = [| 0.41; 1.13 |]; betas = [| 0.77; 0.29 |] }
+  in
+  [
+    ("qft8", Library.qft 8);
+    ("qaoa6", qaoa);
+    ("random10x60", Library.random_circuit (Rng.create 1001) ~qubits:10 ~gates:60);
+    ("random12x120", Library.random_circuit (Rng.create 1202) ~qubits:12 ~gates:120);
+  ]
+
+let stats_line (s : Optimize.stats) =
+  Printf.sprintf "%d %d %d %d %d %d %d" s.Optimize.removed_pairs s.Optimize.merged_rotations
+    s.Optimize.dropped_identities s.Optimize.conjugations s.Optimize.euler_runs
+    s.Optimize.consolidations s.Optimize.rounds
+
+(* The optimizer's counts for every stage, recomputed from the stage
+   inputs the observer hands out: pre-opt and optimize start from the
+   "input" and "expand-swaps" artifacts in Real mode, optimize from
+   "input" in Perfect mode. *)
+let compile_pin platform mode c =
+  let inputs = Hashtbl.create 4 in
+  let observer name = function
+    | Compiler.Circuit_stage c -> Hashtbl.replace inputs name c
+    | _ -> ()
+  in
+  let out = Compiler.compile ~observer platform mode c in
+  let stage_stats =
+    match mode with
+    | Compiler.Perfect ->
+        [ snd (Optimize.pipeline ~config:Optimize.logical_config (Hashtbl.find inputs "input")) ]
+    | Compiler.Realistic | Compiler.Real ->
+        [
+          snd (Optimize.pipeline ~config:Optimize.logical_config (Hashtbl.find inputs "input"));
+          snd
+            (Optimize.pipeline ~config:(Optimize.physical_config platform)
+               (Hashtbl.find inputs "expand-swaps"));
+        ]
+  in
+  let hex s = Digest.to_hex (Digest.string s) in
+  Printf.sprintf "cqasm=%s eqasm=%s stats=%s" (hex out.Compiler.cqasm)
+    (hex (match out.Compiler.eqasm with Some e -> Eqasm.to_string e | None -> ""))
+    (hex (String.concat "\n" (List.map stats_line stage_stats)))
+
+let pinned =
+  [
+    (("qft8", Compiler.Real),
+      "cqasm=a1191497c33de3c68255980b7e20543e eqasm=a441e3db6543da0cb35f11c916d733fd stats=0116ab4dd65137c5a250f1778a0c4240");
+    (("qft8", Compiler.Perfect),
+      "cqasm=d12343a6c904d1105ccb7f331ca0b9c9 eqasm=d41d8cd98f00b204e9800998ecf8427e stats=ab02da5d92305701a695f519f79a85b5");
+    (("qaoa6", Compiler.Real),
+      "cqasm=5cd2cb9e5b2f8535c619e0ce99a99088 eqasm=bc620cb795414e46f31927a35d4721d0 stats=380afe5611ed3a6adf4095ffe5645612");
+    (("qaoa6", Compiler.Perfect),
+      "cqasm=77850b6c52f788b0df5dfea56e563cba eqasm=d41d8cd98f00b204e9800998ecf8427e stats=ab02da5d92305701a695f519f79a85b5");
+    (("random10x60", Compiler.Real),
+      "cqasm=214ad2d30c60cb4e009e9cc7f4ce68f1 eqasm=672700248baa4bdf5b8679332a8f2ecb stats=2aeec02ab0038e29a2a6271cadc5337f");
+    (("random10x60", Compiler.Perfect),
+      "cqasm=8d1446a3bd518d34b28b31b296c8f7d4 eqasm=d41d8cd98f00b204e9800998ecf8427e stats=d826b337e7456183e335f6a46cc29f2e");
+    (("random12x120", Compiler.Real),
+      "cqasm=11f0a244aa21454c61148612d8d63a7d eqasm=60775d999a8b66fbfaa98ba3105a07bd stats=617d0d19dd06e2bb1728a293fc54d353");
+    (("random12x120", Compiler.Perfect),
+      "cqasm=722880187887c56fd5a3eb796b124fb9 eqasm=d41d8cd98f00b204e9800998ecf8427e stats=4f34dcea161ad68bba778661e0b29be9");
+  ]
+
+let pin_cases () =
+  let corpus = pin_corpus () in
+  List.map
+    (fun ((name, mode), expected) ->
+      Alcotest.test_case
+        (Printf.sprintf "%s %s" name (Compiler.mode_to_string mode))
+        `Quick
+        (fun () ->
+          Alcotest.(check string)
+            "digests" expected
+            (compile_pin Platform.superconducting_17 mode (List.assoc name corpus))))
+    pinned
+
 let () =
   let qtest = QCheck_alcotest.to_alcotest in
   Alcotest.run "qca_optimizer"
@@ -360,6 +459,7 @@ let () =
           Alcotest.test_case "rz across cnot" `Quick test_rule_rz_accumulation_across_cnot;
           Alcotest.test_case "euler resynthesis" `Quick test_rule_euler_resynthesis;
           Alcotest.test_case "consolidate swap" `Quick test_rule_consolidate_swap;
+          Alcotest.test_case "consolidate reuses renders" `Quick test_consolidate_reuses_renders;
           Alcotest.test_case "barrier blocks" `Quick test_barrier_blocks_rewrites;
         ] );
       ( "euler-properties",
@@ -381,4 +481,5 @@ let () =
           Alcotest.test_case "optimizer" `Quick test_depth_never_increases;
           Alcotest.test_case "full vs basic" `Quick test_full_not_worse_than_basic;
         ] );
+      ("compile-pins", pin_cases ());
     ]
