@@ -311,6 +311,7 @@ let of_program ?(calibration = default_calibration) ?(shots = 1024)
   let base = ref 0 in
   let exact = ref true in
   let seen = Array.make (max qubit_count 1) false in
+  let active = Array.make (max qubit_count 1) false in
   List.iter
     (fun (_, iters, body) ->
       let iters = max 1 iters in
@@ -320,7 +321,8 @@ let of_program ?(calibration = default_calibration) ?(shots = 1024)
       tally_scale_into ~into:total ~times:iters body_tally;
       List.iter
         (fun instr ->
-          Array.iter (fun q -> seen.(q) <- true) (Gate.qubits instr))
+          Array.iter (fun q -> seen.(q) <- true) (Gate.qubits instr);
+          Array.iter (fun q -> active.(q) <- true) (Gate.active_qubits instr))
         instrs;
       if not (walk_repeat profile base qubit_count instrs iters) then
         exact := false)
@@ -348,8 +350,12 @@ let of_program ?(calibration = default_calibration) ?(shots = 1024)
     | None ->
         Engine.choose_plan ~noisy ~shots ~gates ~measures (probe_of_program p)
   in
+  (* The engine chooses the plan on the declared width but simulates only
+     the active qubits (Circuit.active_qubits), so that is what it costs. *)
   let amplitudes, state_bytes, sim_ns =
-    cost calibration ~plan ~n:qubit_count ~shots ~classes ~measures
+    cost calibration ~plan
+      ~n:(Array.length (Circuit.active_of_used active))
+      ~shots ~classes ~measures
   in
   let clifford_fraction =
     if gates = 0 then 1.0

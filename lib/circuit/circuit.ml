@@ -114,6 +114,48 @@ let qubits_used c =
   done;
   !acc
 
+let active_of_used used =
+  let keep = ref [] in
+  for q = Array.length used - 1 downto 0 do
+    if used.(q) then keep := q :: !keep
+  done;
+  match !keep with [] -> [| 0 |] | keep -> Array.of_list keep
+
+let active_qubits c =
+  let used = Array.make c.qubit_count false in
+  List.iter
+    (fun instr -> Array.iter (fun q -> used.(q) <- true) (Gate.active_qubits instr))
+    c.rev_instructions;
+  active_of_used used
+
+(* Barriers only order instructions, so they keep just their active
+   operands; the relabelled circuit is built directly (every instruction
+   was validated on the declared register, and an order-preserving
+   relabel keeps operands distinct and in range). *)
+let compact c =
+  let active = active_qubits c in
+  if Array.length active = c.qubit_count then None
+  else begin
+    let index = Array.make c.qubit_count (-1) in
+    Array.iteri (fun i q -> index.(q) <- i) active;
+    let relabel = function
+      | Gate.Barrier qs ->
+          Gate.Barrier
+            (Array.of_list
+               (List.filter_map
+                  (fun q -> if index.(q) < 0 then None else Some index.(q))
+                  (Array.to_list qs)))
+      | instr -> Gate.map_qubits (fun q -> index.(q)) instr
+    in
+    Some
+      ( {
+          c with
+          qubit_count = Array.length active;
+          rev_instructions = List.map relabel c.rev_instructions;
+        },
+        active )
+  end
+
 (* Expand a k-qubit unitary into the full 2^n space. Operand order in
    [ops] is most-significant-first to match Gate.matrix conventions. *)
 let embed qubit_count u ops =

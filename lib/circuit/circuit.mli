@@ -45,6 +45,22 @@ val depth : t -> int
 val qubits_used : t -> int list
 (** Sorted list of qubits touched by at least one instruction. *)
 
+val active_of_used : bool array -> int array
+(** The register qubits whose [used] flag is set, ascending: a simulation
+    holds register qubit [(active_of_used used).(i)] as its qubit [i]. A
+    register with no used qubit keeps qubit 0, so every simulation has
+    one. *)
+
+val active_qubits : t -> int array
+(** {!active_of_used} over {!Gate.active_qubits} of every instruction: the
+    qubits a simulation of the circuit has to hold. *)
+
+val compact : t -> (t * int array) option
+(** [Some (narrow, active)] when some qubit is idle: [narrow] is the circuit
+    relabelled in order onto [Array.length active] qubits (qubit
+    [active.(i)] becomes qubit [i]; barriers keep only active operands).
+    [None] when every qubit is active, so such a circuit is used as is. *)
+
 val validate_instruction : int -> Gate.t -> unit
 (** Raises [Invalid_argument] when operands are out of range, duplicated, or
     of the wrong count for the unitary's arity. *)

@@ -172,6 +172,12 @@ let qubits = function
   | Prep q | Measure q -> [| q |]
   | Barrier qs -> Array.copy qs
 
+let active_qubits = function
+  | Unitary (_, operands) -> operands
+  | Conditional (bit, _, operands) -> Array.append [| bit |] operands
+  | Prep q | Measure q -> [| q |]
+  | Barrier _ -> [||]
+
 let map_qubits f = function
   | Unitary (u, operands) -> Unitary (u, Array.map f operands)
   | Conditional (bit, u, operands) ->

@@ -62,6 +62,12 @@ val name : unitary -> string
 val qubits : t -> int array
 (** Operand qubits of an instruction (copy). *)
 
+val active_qubits : t -> int array
+(** Qubits whose state or measurement record the instruction uses: gate
+    operands, the condition bit of a conditional, a measured or prepared
+    qubit. A barrier uses none. A gate's result is its operand array
+    itself, not a copy: read it, do not write it. *)
+
 val map_qubits : (int -> int) -> t -> t
 (** Rewrite operand qubits (used by mapping/routing). *)
 

@@ -88,15 +88,48 @@ let action_of_mnemonic = function
   | other ->
       Qerror.fail ~site:"Controller.action_of_mnemonic" (Qerror.Unknown_mnemonic other)
 
+(* What every shot of one program shares: the noise model with its
+   channels worked out once, and the active-qubit relabel. The quantum chip
+   holds only the active qubits: program qubit [active.(i)] is state qubit
+   [i], and [slots] maps the other way (-1 for a qubit no mask names). *)
+type chip = {
+  noise : Noise.model;
+  gate_noise : Noise.gate_noise;
+  ideal : bool;
+  active : int array;
+  slots : int array;
+}
+
+let chip ?(noise = Noise.ideal) ~qubit_count active =
+  let slots = Array.make qubit_count (-1) in
+  Array.iteri (fun i q -> slots.(q) <- i) active;
+  { noise; gate_noise = Noise.gate_noise noise; ideal = Noise.is_ideal noise; active; slots }
+
+(* A qubit is active when an SMIS or SMIT mask names it: only masked
+   qubits are ever operated on. *)
+let active_qubits ~qubit_count instructions =
+  let used = Array.make qubit_count false in
+  List.iter
+    (function
+      | Eqasm.Smis (_, qs) -> List.iter (fun q -> used.(q) <- true) qs
+      | Eqasm.Smit (_, ps) ->
+          List.iter
+            (fun (a, b) ->
+              used.(a) <- true;
+              used.(b) <- true)
+            ps
+      | Eqasm.Qwait _ | Eqasm.Bundle _ -> ())
+    instructions;
+  Qca_circuit.Circuit.active_of_used used
+
 type session = {
   technology : technology;
-  noise : Noise.model;
+  chip : chip;
   rng : Rng.t;
   faults : Fault.t option;
   cycle_ns : int;
   state : State.t;
   classical : int array;
-  ideal : bool;
   single_masks : int list array;
   pair_masks : (int * int) list array;
   pool : Timing_queue.pool;
@@ -117,17 +150,16 @@ type session = {
 let fault_fires session site =
   match session.faults with None -> false | Some f -> Fault.fires f site
 
-let start ?(noise = Noise.ideal) ?rng ?faults technology ~qubit_count ~cycle_ns =
+let start_on chip ?rng ?faults technology ~qubit_count ~cycle_ns =
   let rng = match rng with Some r -> r | None -> shared_rng in
   {
     technology;
-    noise;
+    chip;
     rng;
     faults;
     cycle_ns;
-    state = State.create qubit_count;
+    state = State.create (Array.length chip.active);
     classical = Array.make qubit_count (-1);
-    ideal = Noise.is_ideal noise;
     single_masks = Array.make 32 [];
     pair_masks = Array.make 32 [];
     pool = Timing_queue.create_pool ~channels:qubit_count;
@@ -140,6 +172,9 @@ let start ?(noise = Noise.ideal) ?rng ?faults technology ~qubit_count ~cycle_ns 
     phase_updates = 0;
     end_ns = 0;
   }
+
+let start ?noise ?rng ?faults ~active technology ~qubit_count ~cycle_ns =
+  start_on (chip ?noise ~qubit_count active) ?rng ?faults technology ~qubit_count ~cycle_ns
 
 let classical_bit session q = session.classical.(q)
 let elapsed_cycles session = session.time_cycles
@@ -162,21 +197,32 @@ let bump_apply session name =
   Hashtbl.replace session.applies name
     (1 + Option.value ~default:0 (Hashtbl.find_opt session.applies name))
 
+(* The state qubit of a program qubit. *)
+let slot session q =
+  let i = session.chip.slots.(q) in
+  if i < 0 then
+    Qerror.fail ~site:"Controller.simulate_op"
+      ~context:[ ("qubit", string_of_int q) ]
+      (Qerror.Invalid "operation on a qubit outside the session's active set");
+  i
+
 let simulate_op session mnemonic angle qubits =
-  let state = session.state and rng = session.rng and noise = session.noise in
-  let ideal = session.ideal in
+  let state = session.state and rng = session.rng and chip = session.chip in
+  let ideal = chip.ideal in
   match action_of_mnemonic mnemonic, qubits with
   | Apply u, _ when Gate.arity u = 1 ->
       List.iter
         (fun q ->
-          State.apply state u [| q |];
+          let ops = [| slot session q |] in
+          State.apply state u ops;
           bump_apply session (Gate.name u);
-          if not ideal then Noise.after_gate noise state rng u [| q |])
+          if not ideal then Noise.after_gate chip.gate_noise state rng u ops)
         qubits
   | Apply u, [ q1; q2 ] ->
-      State.apply state u [| q1; q2 |];
+      let ops = [| slot session q1; slot session q2 |] in
+      State.apply state u ops;
       bump_apply session (Gate.name u);
-      if not ideal then Noise.after_gate noise state rng u [| q1; q2 |]
+      if not ideal then Noise.after_gate chip.gate_noise state rng u ops
   | Apply u, _ ->
       Qerror.fail ~site:"Controller.simulate_op"
         ~context:[ ("operands", string_of_int (List.length qubits)) ]
@@ -185,7 +231,7 @@ let simulate_op session mnemonic angle qubits =
       let theta = Option.value ~default:0.0 angle in
       List.iter
         (fun q ->
-          State.apply state (Gate.Rz theta) [| q |];
+          State.apply state (Gate.Rz theta) [| slot session q |];
           bump_apply session "rz")
         qubits
   | Do_measure, _ ->
@@ -194,18 +240,19 @@ let simulate_op session mnemonic angle qubits =
           if fault_fires session Fault.Channel_loss then
             Qerror.fail ~transient:true ~site:"Controller.simulate_op"
               (Qerror.Channel_loss { qubit = q });
-          let m = State.measure state rng q in
+          let m = State.measure state rng (slot session q) in
           session.measures <- session.measures + 1;
           session.classical.(q) <-
-            (if ideal then m else Noise.flip_readout noise rng m))
+            (if ideal then m else Noise.flip_readout chip.noise rng m))
         qubits
   | Do_prep, _ ->
       List.iter
         (fun q ->
-          let m = State.measure state rng q in
-          if m = 1 then State.apply state Gate.X [| q |];
-          if (not ideal) && Rng.bernoulli rng noise.Noise.prep_error then
-            State.apply state Gate.X [| q |])
+          let s = slot session q in
+          let m = State.measure state rng s in
+          if m = 1 then State.apply state Gate.X [| s |];
+          if (not ideal) && Rng.bernoulli rng chip.noise.Noise.prep_error then
+            State.apply state Gate.X [| s |])
         qubits
   | No_op, _ -> ()
 
@@ -287,11 +334,18 @@ let step session instr =
       if Trace.enabled () then Trace.add_counter "microarch.bundle" 1;
       List.iter (issue_op session) ops
 
-let finish session =
+(* [~widen:true] indexes the outcome's state by program qubits: one exact
+   scatter of the active qubits' amplitudes when some qubit was idle. *)
+let finish_session ~widen session =
   let total_pushed, peak, violations = Timing_queue.pool_stats session.pool in
   ignore total_pushed;
+  let qubit_count = Array.length session.classical in
+  let state =
+    if (not widen) || State.qubit_count session.state = qubit_count then session.state
+    else State.widen session.state ~qubit_count session.chip.active
+  in
   {
-    outcome = { Qca_qx.Sim.state = session.state; classical = session.classical };
+    outcome = { Qca_qx.Sim.state; classical = session.classical };
     trace = List.rev session.trace;
     stats =
       {
@@ -304,10 +358,16 @@ let finish session =
       };
   }
 
-let run_session ?noise ?rng ?faults technology (program : Eqasm.program) =
+let finish = finish_session ~widen:true
+
+let program_chip ?noise (program : Eqasm.program) =
+  let qubit_count = program.Eqasm.qubit_count in
+  chip ?noise ~qubit_count (active_qubits ~qubit_count program.Eqasm.instructions)
+
+let run_session chip ?rng ?faults technology (program : Eqasm.program) =
   Trace.with_span "microarch.session" (fun sp ->
       let session =
-        start ?noise ?rng ?faults technology ~qubit_count:program.Eqasm.qubit_count
+        start_on chip ?rng ?faults technology ~qubit_count:program.Eqasm.qubit_count
           ~cycle_ns:program.Eqasm.cycle_ns
       in
       if fault_fires session Fault.Backend_transient then
@@ -326,8 +386,8 @@ let run_session ?noise ?rng ?faults technology (program : Eqasm.program) =
           ]);
       session)
 
-let collect session (program : Eqasm.program) =
-  let result = finish session in
+let collect ~widen session (program : Eqasm.program) =
+  let result = finish_session ~widen session in
   {
     result with
     stats =
@@ -340,7 +400,9 @@ let collect session (program : Eqasm.program) =
   }
 
 let run ?noise ?rng ?faults technology program =
-  collect (run_session ?noise ?rng ?faults technology program) program
+  collect ~widen:true
+    (run_session (program_chip ?noise program) ?rng ?faults technology program)
+    program
 
 type shots_result = {
   histogram : (string * int) list;
@@ -352,11 +414,13 @@ let run_shots ?noise ?seed ?rng ?(shots = 1024) ?faults
     ?(policy = Resilience.default_policy) technology (program : Eqasm.program) =
   if shots < 1 then invalid_arg "Controller.run_shots: shots must be positive";
   Trace.with_span "microarch.run_shots" (fun shots_sp ->
+  let chip = program_chip ?noise program in
   Trace.annotate shots_sp (fun () ->
       [
         ("technology", Trace.String technology.tech_name);
         ("shots", Trace.Int shots);
         ("qubits", Trace.Int program.Eqasm.qubit_count);
+        ("active_qubits", Trace.Int (Array.length chip.active));
       ]);
   let rng =
     match rng, seed with
@@ -375,7 +439,7 @@ let run_shots ?noise ?seed ?rng ?(shots = 1024) ?faults
     (* A shot aborted by an injected transient fault is re-attempted per the
        retry policy; a shot that exhausts its retries is counted as faulted
        and excluded from the histogram. Permanent errors propagate. *)
-    let attempt () = run_session ?noise ~rng ?faults technology program in
+    let attempt () = run_session chip ~rng ?faults technology program in
     match
       match faults with
       | None -> Ok (attempt ())
@@ -391,9 +455,8 @@ let run_shots ?noise ?seed ?rng ?(shots = 1024) ?faults
               (c + Option.value ~default:0 (Hashtbl.find_opt applies name)))
           session.applies;
         measures := !measures + session.measures;
-        let result = collect session program in
-        last := Some result;
-        let key = Engine.bitstring result.outcome.Qca_qx.Sim.classical in
+        last := Some session;
+        let key = Engine.bitstring session.classical in
         Hashtbl.replace counts key
           (1 + Option.value ~default:0 (Hashtbl.find_opt counts key))
   done;
@@ -444,7 +507,7 @@ let run_shots ?noise ?seed ?rng ?(shots = 1024) ?faults
             ("retries", Trace.Int counters.Resilience.retries);
           ]));
   match !last with
-  | Some last -> { histogram; last; report }
+  | Some last -> { histogram; last = collect ~widen:false last program; report }
   | None ->
       (* Every shot faulted: nothing to report, so surface the final fault
          as a permanent error (the caller's degradation ladder takes over). *)

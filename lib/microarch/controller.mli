@@ -3,7 +3,12 @@
     Executes an eQASM program: maintains the timing grid, resolves mask
     registers, runs every quantum operation through the micro-code unit into
     per-channel timing queues, and drives the QX simulator as the "quantum
-    chip" at the end of the pipeline (the pink block of Figure 7). *)
+    chip" at the end of the pipeline (the pink block of Figure 7).
+
+    The chip holds only the program's active qubits, those an SMIS or SMIT
+    mask names: every shot allocates 2^active amplitudes, not 2^qubit_count.
+    The relabel keeps qubit order, so histograms are the same, seed for
+    seed, as a full-width simulation's. *)
 
 type technology = {
   tech_name : string;
@@ -32,7 +37,14 @@ type run_stats = {
 }
 
 type result = {
-  outcome : Qca_qx.Sim.outcome;  (** QX execution result. *)
+  outcome : Qca_qx.Sim.outcome;
+      (** QX execution result. [classical] has one entry per program qubit.
+          From {!run}, {!finish} and [Qisa.execute], [state] is indexed by
+          program qubits too: the active qubits' amplitudes, copied exactly
+          into a [qubit_count]-qubit register whose idle qubits are |0>.
+          In {!run_shots}'s [last], [state] holds the active qubits only,
+          in order ({!active_qubits} gives the program qubit of each), so
+          a many-shot run never allocates the full width. *)
   trace : trace_event list;  (** Pulse-level timeline, time-ordered. *)
   stats : run_stats;
 }
@@ -58,7 +70,9 @@ type shots_result = {
   histogram : (string * int) list;
       (** Measured bitstrings over all shots (count-descending; qubit 0
           rightmost, '-' for never-measured qubits). *)
-  last : result;  (** Trace and stats of the final shot. *)
+  last : result;
+      (** Trace and stats of the final shot; its state holds the active
+          qubits only (see {!result}). *)
   report : Qca_qx.Engine.run_report;
       (** Engine-format metrics: always the trajectory plan, with gate
           applies and measurements summed over all shots. *)
@@ -99,14 +113,23 @@ val run_shots :
 
 type session
 
+val active_qubits : qubit_count:int -> Qca_compiler.Eqasm.instruction list -> int array
+(** The qubits SMIS/SMIT masks name in [instructions], ascending
+    ({!Qca_circuit.Circuit.active_of_used}): the qubits a session of them
+    has to hold. *)
+
 val start :
   ?noise:Qca_qx.Noise.model ->
   ?rng:Qca_util.Rng.t ->
   ?faults:Qca_util.Fault.t ->
+  active:int array ->
   technology ->
   qubit_count:int ->
   cycle_ns:int ->
   session
+(** A session whose state holds the [active] qubits (ascending, as
+    {!active_qubits} returns them). Operating on a qubit outside them
+    raises an [Invalid] structured error. *)
 
 val step : session -> Qca_compiler.Eqasm.instruction -> unit
 (** Execute one eQASM instruction in the session. *)

@@ -28,6 +28,10 @@ let check_register r =
   if r < 0 || r >= register_count then
     invalid_arg (Printf.sprintf "Qisa: register r%d out of range" r)
 
+let check_qubit qubit_count what q =
+  if q < 0 || q >= qubit_count then
+    invalid_arg (Printf.sprintf "Qisa: %s qubit %d out of range" what q)
+
 let validate qubit_count labels instr =
   match instr with
   | Label _ | Halt -> ()
@@ -44,9 +48,16 @@ let validate qubit_count labels instr =
         invalid_arg (Printf.sprintf "Qisa: unknown label '%s'" target)
   | Fmr (rd, q) ->
       check_register rd;
-      if q < 0 || q >= qubit_count then
-        invalid_arg (Printf.sprintf "Qisa: FMR qubit %d out of range" q)
-  | Quantum _ -> ()
+      check_qubit qubit_count "FMR" q
+  | Quantum (Eqasm.Smis (_, qs)) ->
+      List.iter (check_qubit qubit_count "SMIS") qs
+  | Quantum (Eqasm.Smit (_, ps)) ->
+      List.iter
+        (fun (a, b) ->
+          check_qubit qubit_count "SMIT" a;
+          check_qubit qubit_count "SMIT" b)
+        ps
+  | Quantum (Eqasm.Qwait _ | Eqasm.Bundle _) -> ()
 
 let assemble ~name ~qubit_count ~cycle_ns instructions =
   if qubit_count <= 0 then invalid_arg "Qisa.assemble: qubit_count must be positive";
@@ -329,8 +340,14 @@ type run_result = {
 }
 
 let execute ?noise ?rng ?(max_steps = 100_000) technology p =
+  let active =
+    Controller.active_qubits ~qubit_count:p.qubit_count
+      (List.filter_map
+         (function Quantum q -> Some q | _ -> None)
+         (Array.to_list p.code))
+  in
   let session =
-    Controller.start ?noise ?rng technology ~qubit_count:p.qubit_count
+    Controller.start ?noise ?rng ~active technology ~qubit_count:p.qubit_count
       ~cycle_ns:p.cycle_ns
   in
   let registers = Array.make register_count 0 in

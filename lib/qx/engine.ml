@@ -406,24 +406,26 @@ let trace_counters ~gate_applies ~measurements =
    unfused, and fused kernels (ideal runs only) are bit-identical to
    gate-by-gate application and draw nothing. The tally counts the pass and
    the conditionals that fired; the program's static totals supply the
-   rest. *)
-let exec_micro ~noise ~tally rng program n =
+   rest. The noise model's channels are worked out once per executor. *)
+let micro_executor ~noise program n =
   let ops = program.ops in
+  let ideal = Noise.is_ideal noise in
+  let gate_noise = Noise.gate_noise noise in
+  fun ~tally rng ->
   let state = State.create n in
   let classical = Array.make n (-1) in
-  let ideal = Noise.is_ideal noise in
   for i = 0 to Array.length ops - 1 do
     match Array.unsafe_get ops i with
     | M_kernel k -> (
         apply_kernel state k;
         match k with
-        | Single (u, o, _) -> if not ideal then Noise.after_gate noise state rng u o
+        | Single (u, o, _) -> if not ideal then Noise.after_gate gate_noise state rng u o
         | Fused_1q _ | Fused_diag _ -> ())
     | M_cond (bit, u, o, slot) ->
         if classical.(bit) = 1 then begin
           State.apply state u o;
           tally.fired.(slot) <- tally.fired.(slot) + 1;
-          if not ideal then Noise.after_gate noise state rng u o
+          if not ideal then Noise.after_gate gate_noise state rng u o
         end
     | M_prep q ->
         let current = State.measure state rng q in
@@ -441,7 +443,7 @@ let unfused_program circuit = fst (compile_micro ~fusion:false (Circuit.instruct
 
 let exec_shot ?(noise = Noise.ideal) rng circuit =
   let program = unfused_program circuit in
-  exec_micro ~noise ~tally:(fresh_tally program) rng program (Circuit.qubit_count circuit)
+  micro_executor ~noise program (Circuit.qubit_count circuit) ~tally:(fresh_tally program) rng
 
 (* Clifford-plan executor: the same micro-program, dispatched onto a reused
    tableau ([Tableau.reset] per shot, no allocation). Seeding discipline
@@ -495,7 +497,8 @@ let fold_trajectories ?(noise = Noise.ideal) ~rng ~shots ~init ~f circuit =
      nothing mutable. *)
   let program = unfused_program circuit in
   let n = Circuit.qubit_count circuit in
-  let exec_shot rng = exec_micro ~noise ~tally:(fresh_tally program) rng program n in
+  let exec = micro_executor ~noise program n in
+  let exec_shot rng = exec ~tally:(fresh_tally program) rng in
   let sequential () =
     let acc = ref init in
     for _ = 1 to shots do
@@ -535,9 +538,61 @@ let fold_trajectories ?(noise = Noise.ideal) ~rng ~shots ~init ~f circuit =
     !acc
   end
 
-let sorted_histogram table =
-  Hashtbl.fold (fun key count acc -> (key, count) :: acc) table []
-  |> List.sort (fun (_, a) (_, b) -> compare b a)
+(* --- active-qubit relabelling and histograms ----------------------------- *)
+
+(* A run on the active qubits only ([Circuit.compact]): compact qubit [i] is
+   declared qubit [active.(i)] of a [width]-qubit register. *)
+type relabel = { width : int; active : int array }
+
+let widen_key r key =
+  let k = String.length key in
+  let wide = Bytes.make r.width '-' in
+  Array.iteri (fun i q -> Bytes.set wide (r.width - 1 - q) key.[k - 1 - i]) r.active;
+  Bytes.unsafe_to_string wide
+
+(* The declared-width basis index of a compact one. A register too wide
+   for an int never ran at its declared width, so it keeps the compact
+   index: the value only orders ties (see [counts]). *)
+let widen_index r k =
+  if r.width > Sys.int_size - 1 then k
+  else begin
+    let wide = ref 0 in
+    Array.iteri (fun i q -> if k land (1 lsl i) <> 0 then wide := !wide lor (1 lsl q)) r.active;
+    !wide
+  end
+
+(* Shot counts that remember the order their keys first appeared in. The
+   sorted histogram breaks count ties by hash-table iteration order, so a
+   run on compact keys rebuilds its table under the declared-width keys,
+   inserting them in first-seen order: that table has the layout a
+   shot-by-shot count of the wide keys would have had, and ties come out
+   as they did at full width. Only distinct keys are widened, never one
+   per shot. *)
+type 'k counts = { table : ('k, int) Hashtbl.t; mutable first_seen : 'k list }
+
+let new_counts () = { table = Hashtbl.create 64; first_seen = [] }
+
+let count counts key =
+  match Hashtbl.find_opt counts.table key with
+  | Some c -> Hashtbl.replace counts.table key (c + 1)
+  | None ->
+      Hashtbl.replace counts.table key 1;
+      counts.first_seen <- key :: counts.first_seen
+
+(* [(key, count)], count-descending, ties in the iteration order of a table
+   keyed by [order_key key] (default: the keys themselves). *)
+let sorted_histogram ?order_key counts =
+  let pairs =
+    match order_key with
+    | None -> Hashtbl.fold (fun key count acc -> (key, count) :: acc) counts.table []
+    | Some f ->
+        let table = Hashtbl.create 64 in
+        List.iter
+          (fun key -> Hashtbl.replace table (f key) (key, Hashtbl.find counts.table key))
+          (List.rev counts.first_seen);
+        Hashtbl.fold (fun _ pair acc -> pair :: acc) table []
+  in
+  List.sort (fun (_, a) (_, b) -> compare b a) pairs
 
 (* Engine-level fault injection models the whole backend hiccuping for one
    shot (Fault.Backend_transient); finer-grained sites live in the
@@ -562,12 +617,10 @@ let inject_backend_fault faults ~site =
    sums, so the merge order cannot change the report. The histogram is
    tallied from a keys array in shot order, keeping even hash-table
    iteration order identical to a sequential run. *)
-let run_trajectory ?(faults = None) ~policy ~counters ~program ~tally ~make_exec
+let run_trajectory ?(faults = None) ?relabel ~policy ~counters ~program ~tally ~make_exec
     ~rng ~shots () =
-  let table = Hashtbl.create 64 in
-  let record key =
-    Hashtbl.replace table key (1 + Option.value ~default:0 (Hashtbl.find_opt table key))
-  in
+  let counts = new_counts () in
+  let record = count counts in
   (match faults with
   | None ->
       let streams = Rng.streams rng shots in
@@ -606,7 +659,12 @@ let run_trajectory ?(faults = None) ~policy ~counters ~program ~tally ~make_exec
         | Ok classical -> record (bitstring classical)
         | Error _ -> counters.Resilience.faulted_shots <- counters.Resilience.faulted_shots + 1
       done);
-  sorted_histogram table
+  match relabel with
+  | None -> sorted_histogram counts
+  | Some r ->
+      List.map
+        (fun (key, c) -> (widen_key r key, c))
+        (sorted_histogram ~order_key:(widen_key r) counts)
 
 (* Sampled-plan equivalent: decide per-shot survival up front (a backend
    fault costs the shot, not the single-pass simulation), then draw only the
@@ -629,7 +687,7 @@ let surviving_shots ?(faults = None) ~policy ~counters shots =
 
 (* --- sampled plan ------------------------------------------------------ *)
 
-let sample_histogram ~probabilities ~measured ~rng ~shots =
+let sample_counts ?relabel ~probabilities ~measured ~rng ~shots () =
   let dim = Array.length probabilities in
   let n = Array.length measured in
   let cumulative = Array.make dim 0.0 in
@@ -653,24 +711,31 @@ let sample_histogram ~probabilities ~measured ~rng ~shots =
     Array.iteri (fun q yes -> if yes then m := !m lor (1 lsl q)) measured;
     !m
   in
-  let counts = Hashtbl.create 64 in
+  let counts = new_counts () in
   for _ = 1 to shots do
-    let k = sample () land mmask in
-    Hashtbl.replace counts k (1 + Option.value ~default:0 (Hashtbl.find_opt counts k))
+    count counts (sample () land mmask)
   done;
   let key_of k =
     String.init n (fun i ->
         let q = n - 1 - i in
         if measured.(q) then if k land (1 lsl q) <> 0 then '1' else '0' else '-')
   in
-  Hashtbl.fold (fun k count acc -> (key_of k, count) :: acc) counts []
-  |> List.sort (fun (_, a) (_, b) -> compare b a)
+  match relabel with
+  | None -> List.map (fun (k, c) -> (key_of k, c)) (sorted_histogram counts)
+  | Some r ->
+      List.map
+        (fun (k, c) -> (widen_key r (key_of k), c))
+        (sorted_histogram ~order_key:(widen_index r) counts)
+
+let sample_histogram ~probabilities ~measured ~rng ~shots =
+  sample_counts ~probabilities ~measured ~rng ~shots ()
 
 (* --- shared sampled-plan distribution ---------------------------------- *)
 
 type sampled_distribution = {
   probabilities : float array;
   dist_measured : bool array;
+  dist_relabel : relabel option;
   dist_fusion : fusion_stats;
   dist_gate_applies : (string * int) list;
 }
@@ -693,18 +758,29 @@ let single_pass program =
   tally.passes <- 1;
   gate_applies_of program tally
 
+let narrowed circuit =
+  match Circuit.compact circuit with
+  | None -> (circuit, None)
+  | Some (narrow, active) -> (narrow, Some { width = Circuit.qubit_count circuit; active })
+
 let sampled_distribution ?(fusion = true) circuit =
-  match classify_structure circuit with
+  let narrow, relabel = narrowed circuit in
+  match classify_structure narrow with
   | (Trajectory | Clifford), _, _ -> None
   | Sampled, _, measured ->
-      let program, fstats = compile_micro ~fusion (Circuit.instructions circuit) in
+      let program, fstats = compile_micro ~fusion (Circuit.instructions narrow) in
       Some
         {
-          probabilities = prefix_probabilities program (Circuit.qubit_count circuit);
+          probabilities = prefix_probabilities program (Circuit.qubit_count narrow);
           dist_measured = measured;
+          dist_relabel = relabel;
           dist_fusion = fstats;
           dist_gate_applies = single_pass program;
         }
+
+let sample_distribution d ~rng ~shots =
+  sample_counts ?relabel:d.dist_relabel ~probabilities:d.probabilities
+    ~measured:d.dist_measured ~rng ~shots ()
 
 (* --- the run surface --------------------------------------------------- *)
 
@@ -753,11 +829,16 @@ let run ?(noise = Noise.ideal) ?seed ?rng ?plan ?(shots = 1024) ?faults
   Trace.annotate analyse_sp (fun () ->
       [ ("plan", Trace.String (plan_to_string chosen)); ("reason", Trace.String reason) ]);
   Trace.end_span analyse_sp;
+  (* The plan is chosen on the declared circuit; it runs on the active
+     qubits only, and the histogram keys are widened back at the end. *)
+  let narrow, relabel = narrowed circuit in
+  let n = Circuit.qubit_count narrow in
   Trace.annotate run_sp (fun () ->
       [
         ("plan", Trace.String (plan_to_string chosen));
         ("shots", Trace.Int shots);
         ("qubits", Trace.Int (Circuit.qubit_count circuit));
+        ("active_qubits", Trace.Int n);
         ("instructions", Trace.Int (Circuit.length circuit));
       ]);
   let rng = resolve_rng seed rng in
@@ -772,7 +853,7 @@ let run ?(noise = Noise.ideal) ?seed ?rng ?plan ?(shots = 1024) ?faults
   let program, fstats =
     if ideal then
       Trace.with_span "engine.fuse" (fun fuse_sp ->
-          let program, stats = compile_micro ~fusion (Circuit.instructions circuit) in
+          let program, stats = compile_micro ~fusion (Circuit.instructions narrow) in
           Trace.annotate fuse_sp (fun () ->
               [
                 ("fusion", Trace.Bool fusion);
@@ -786,9 +867,8 @@ let run ?(noise = Noise.ideal) ?seed ?rng ?plan ?(shots = 1024) ?faults
             Trace.add_counter "qx.fusion.kernels" stats.kernels
           end;
           (program, stats))
-    else (unfused_program circuit, no_fusion)
+    else (unfused_program narrow, no_fusion)
   in
-  let n = Circuit.qubit_count circuit in
   let t1 = Sys.time () in
   let tally = fresh_tally program in
   let simulate make_exec =
@@ -799,8 +879,8 @@ let run ?(noise = Noise.ideal) ?seed ?rng ?plan ?(shots = 1024) ?faults
                 ("plan", Trace.String (plan_to_string chosen));
                 ("trajectories", Trace.Int shots);
               ]);
-          run_trajectory ~faults ~policy ~counters ~program ~tally ~make_exec ~rng
-            ~shots ())
+          run_trajectory ~faults ?relabel ~policy ~counters ~program ~tally ~make_exec
+            ~rng ~shots ())
     in
     (* Read the clock only once the shots have run: they are all simulation. *)
     let t_sim = Sys.time () in
@@ -813,7 +893,7 @@ let run ?(noise = Noise.ideal) ?seed ?rng ?plan ?(shots = 1024) ?faults
     match chosen with
     | Sampled ->
         let survivors = surviving_shots ~faults ~policy ~counters shots in
-        let _, _, measured = classify_structure circuit in
+        let _, _, measured = classify_structure narrow in
         let gate_applies = single_pass program in
         trace_counters ~gate_applies ~measurements:0;
         let probabilities =
@@ -830,13 +910,15 @@ let run ?(noise = Noise.ideal) ?seed ?rng ?plan ?(shots = 1024) ?faults
         let histogram =
           Trace.with_span "engine.sample" (fun sample_sp ->
               Trace.annotate sample_sp (fun () -> [ ("shots", Trace.Int survivors) ]);
-              sample_histogram ~probabilities ~measured ~rng ~shots:survivors)
+              sample_counts ?relabel ~probabilities ~measured ~rng ~shots:survivors ())
         in
         let measured_count = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 measured in
         let measurements = survivors * measured_count in
         if Trace.enabled () then Trace.add_counter "qx.measure" measurements;
         (histogram, t_sim, gate_applies, measurements)
-    | Trajectory -> simulate (fun () t r -> snd (exec_micro ~noise ~tally:t r program n))
+    | Trajectory ->
+        let exec = micro_executor ~noise program n in
+        simulate (fun () t r -> snd (exec ~tally:t r))
     | Clifford ->
         simulate (fun () ->
             let tab = Tableau.create n in

@@ -278,9 +278,18 @@ val sample_histogram :
 (** Draw [shots] bitstrings from an explicit distribution, masking
     unmeasured qubits to '-' (shared with {!Density.sample}). *)
 
+type relabel = { width : int; active : int array }
+(** A run on the active qubits only ({!Qca_circuit.Circuit.compact}):
+    compact qubit [i] is qubit [active.(i)] of the declared [width]-qubit
+    register. *)
+
 type sampled_distribution = {
-  probabilities : float array;  (** Final-state distribution, length 2^n. *)
-  dist_measured : bool array;  (** Measured-qubit mask. *)
+  probabilities : float array;
+      (** Final-state distribution over the active qubits, length 2^active. *)
+  dist_measured : bool array;  (** Measured-qubit mask, over the active qubits. *)
+  dist_relabel : relabel option;
+      (** How to widen keys to the declared register; [None] when every
+          qubit is active. *)
   dist_fusion : fusion_stats;  (** Fusion stats of the one compile. *)
   dist_gate_applies : (string * int) list;
       (** Kernel invocations of the one simulation pass. *)
@@ -293,11 +302,16 @@ type sampled_distribution = {
 
 val sampled_distribution :
   ?fusion:bool -> Qca_circuit.Circuit.t -> sampled_distribution option
-(** Simulate the circuit's unitary prefix once and return its final
-    distribution, or [None] when the circuit needs trajectories. Sampling
-    from the result with a seed-[s] generator is bit-identical to
-    [run ~seed:s] on the same circuit (the simulate phase consumes no
-    randomness). *)
+(** Simulate the circuit's unitary prefix once, on its active qubits, and
+    return its final distribution, or [None] when the circuit needs
+    trajectories. Sampling from the result with {!sample_distribution} and a
+    seed-[s] generator is bit-identical to [run ~seed:s] on the same circuit
+    (the simulate phase consumes no randomness). *)
+
+val sample_distribution :
+  sampled_distribution -> rng:Qca_util.Rng.t -> shots:int -> (string * int) list
+(** Draw [shots] bitstrings from a shared distribution, with keys at the
+    declared register width. *)
 
 (** {2 The compiled kernel plan}
 

@@ -31,12 +31,14 @@ let kraus_damping gamma =
 
 (* Trajectory step for amplitude damping: branch probabilities depend on the
    current state (p_decay = gamma * P[q = 1]). *)
-let apply_amplitude_damping state rng gamma q =
+let damp state rng gamma (k0, k1) q =
   let p_decay = gamma *. State.prob_one state q in
-  let k0, k1 = kraus_damping gamma in
   let chosen = if Rng.float rng 1.0 < p_decay then k1 else k0 in
   State.apply_matrix1 state chosen q;
   State.normalize state
+
+(* Phase damping is equivalent to a phase flip with p = (1-sqrt(1-l))/2. *)
+let dephasing_flip lambda = (1.0 -. sqrt (1.0 -. lambda)) /. 2.0
 
 let apply channel state rng q =
   match channel with
@@ -45,11 +47,9 @@ let apply channel state rng q =
   | Bit_flip p -> if Rng.bernoulli rng p then apply_pauli state 0 q
   | Phase_flip p -> if Rng.bernoulli rng p then apply_pauli state 2 q
   | Bit_phase_flip p -> if Rng.bernoulli rng p then apply_pauli state 1 q
-  | Amplitude_damping gamma -> if gamma > 0.0 then apply_amplitude_damping state rng gamma q
+  | Amplitude_damping gamma -> if gamma > 0.0 then damp state rng gamma (kraus_damping gamma) q
   | Phase_damping lambda ->
-      (* Phase damping is equivalent to a phase flip with p = (1-sqrt(1-l))/2. *)
-      let p = (1.0 -. sqrt (1.0 -. lambda)) /. 2.0 in
-      if Rng.bernoulli rng p then apply_pauli state 2 q
+      if Rng.bernoulli rng (dephasing_flip lambda) then apply_pauli state 2 q
 
 type model = {
   single_qubit_error : float;
@@ -96,8 +96,17 @@ let is_ideal m =
   m.single_qubit_error = 0.0 && m.two_qubit_error = 0.0 && m.readout_error = 0.0
   && m.prep_error = 0.0 && m.t1_ns = infinity && m.t2_ns = infinity
 
-let decay_channels m =
-  if m.t1_ns = infinity && m.t2_ns = infinity then []
+(* One cycle of T1/T2 decay, worked out once per model: the amplitude
+   damping rate with its Kraus pair, and the phase-flip probability of the
+   pure dephasing. *)
+type decay = {
+  gamma : float;
+  kraus : Matrix.t * Matrix.t;
+  dephase_p : float;
+}
+
+let decay_of m =
+  if m.t1_ns = infinity && m.t2_ns = infinity then None
   else begin
     let gamma = if m.t1_ns = infinity then 0.0 else 1.0 -. exp (-.m.cycle_ns /. m.t1_ns) in
     (* Pure dephasing rate: 1/Tphi = 1/T2 - 1/(2 T1). *)
@@ -105,18 +114,26 @@ let decay_channels m =
     let t2_rate = if m.t2_ns = infinity then 0.0 else 1.0 /. m.t2_ns in
     let phi_rate = Float.max 0.0 (t2_rate -. t1_rate) in
     let lambda = 1.0 -. exp (-2.0 *. m.cycle_ns *. phi_rate) in
-    [ Amplitude_damping gamma; Phase_damping lambda ]
+    Some { gamma; kraus = kraus_damping gamma; dephase_p = dephasing_flip lambda }
   end
 
-let idle_decay m state rng q =
-  List.iter (fun ch -> apply ch state rng q) (decay_channels m)
+let decay_step d state rng q =
+  if d.gamma > 0.0 then damp state rng d.gamma d.kraus q;
+  if Rng.bernoulli rng d.dephase_p then apply_pauli state 2 q
 
-let after_gate m state rng u ops =
-  let p = if Gate.arity u >= 2 then m.two_qubit_error else m.single_qubit_error in
+let idle_decay m state rng q = Option.iter (fun d -> decay_step d state rng q) (decay_of m)
+
+type gate_noise = { p1 : float; p2 : float; decay : decay option }
+
+let gate_noise m =
+  { p1 = m.single_qubit_error; p2 = m.two_qubit_error; decay = decay_of m }
+
+let after_gate g state rng u ops =
+  let p = if Gate.arity u >= 2 then g.p2 else g.p1 in
   Array.iter
     (fun q ->
       apply (Depolarizing p) state rng q;
-      idle_decay m state rng q)
+      match g.decay with None -> () | Some d -> decay_step d state rng q)
     ops
 
 let flip_readout m rng outcome =

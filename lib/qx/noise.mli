@@ -40,7 +40,15 @@ val superconducting : model
 
 val is_ideal : model -> bool
 
-val after_gate : model -> State.t -> Qca_util.Rng.t -> Qca_circuit.Gate.unitary -> int array -> unit
+
+type gate_noise
+(** A model's post-gate channels, worked out once per run: depolarising
+    rates and the one-cycle T1/T2 damping step with its Kraus operators. *)
+
+val gate_noise : model -> gate_noise
+
+val after_gate :
+  gate_noise -> State.t -> Qca_util.Rng.t -> Qca_circuit.Gate.unitary -> int array -> unit
 (** Apply the model's post-gate errors (depolarising + decoherence over one
     cycle) to the gate's operand qubits. *)
 

@@ -52,6 +52,21 @@ let of_amplitudes amplitudes =
   normalize s;
   s
 
+let widen s ~qubit_count positions =
+  if Array.length positions <> s.qubit_count then
+    invalid_arg "State.widen: one position per qubit expected";
+  let wide = create qubit_count in
+  wide.re.(0) <- 0.0;
+  for k = 0 to dimension s - 1 do
+    let target = ref 0 in
+    Array.iteri
+      (fun i p -> if k land (1 lsl i) <> 0 then target := !target lor (1 lsl p))
+      positions;
+    wide.re.(!target) <- s.re.(k);
+    wide.im.(!target) <- s.im.(k)
+  done;
+  wide
+
 let amplitude s k = Cplx.make s.re.(k) s.im.(k)
 
 let probabilities s =

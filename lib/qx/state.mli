@@ -30,6 +30,11 @@ val copy : t -> t
 val of_amplitudes : Qca_util.Cplx.t array -> t
 (** Length must be a power of two; the vector is normalised on entry. *)
 
+val widen : t -> qubit_count:int -> int array -> t
+(** [widen s ~qubit_count positions] places qubit [i] of [s] at qubit
+    [positions.(i)] of a [qubit_count]-qubit register whose other qubits
+    are |0>. The amplitudes are copied exactly, with no renormalisation. *)
+
 val amplitude : t -> int -> Qca_util.Cplx.t
 
 val probabilities : t -> float array

@@ -599,6 +599,7 @@ let finish_job t ts job (a : active) =
           {
             Engine.probabilities = [||];
             dist_measured = [||];
+            dist_relabel = None;
             dist_fusion = Engine.no_fusion;
             dist_gate_applies = [];
           }
@@ -642,8 +643,7 @@ let exec_slice t ts job (a : active) =
   (match a.kind with
   | Batched { dist; _ } ->
       let h =
-        Engine.sample_histogram ~probabilities:dist.Engine.probabilities
-          ~measured:dist.Engine.dist_measured ~rng:a.rng ~shots:slice
+        Engine.sample_distribution dist ~rng:a.rng ~shots:slice
       in
       merge_into a.acc h;
       a.remaining <- a.remaining - slice;

@@ -270,15 +270,25 @@ let test_ft_above_threshold_infeasible () =
 (* --- resource diagnostics --- *)
 
 let test_check_memory_and_runtime () =
-  (* 40 qubits with a T gate: no Clifford escape hatch, 2^40 amplitudes,
-     16 TiB — the R03 admission wall. *)
-  let big = Circuit.of_list 40 [ Gate.Unitary (Gate.T, [| 0 |]) ] in
+  (* 40 measured qubits and a T gate: no Clifford escape hatch, 2^40
+     amplitudes, 16 TiB — the R03 admission wall. *)
+  let big =
+    Circuit.of_list 40
+      (Gate.Unitary (Gate.T, [| 0 |]) :: List.init 40 (fun q -> Gate.Measure q))
+  in
   let est = Estimate.of_circuit big in
   let codes ds = List.map (fun d -> d.Qca_analysis.Diagnostic.code) ds in
   let ds = Estimate.check est in
   Alcotest.(check bool) "R03 fires" true (List.mem "R03" (codes ds));
   Alcotest.(check int) "R03 is an error" 2
     (Qca_analysis.Diagnostic.exit_code ds);
+  (* The same register with one active qubit is priced at that qubit. *)
+  let narrow =
+    Estimate.of_circuit
+      (Circuit.of_list 40 [ Gate.Unitary (Gate.T, [| 0 |]); Gate.Measure 0 ])
+  in
+  Alcotest.(check (float 0.0)) "active width priced" 2.0 narrow.Estimate.amplitudes;
+  Alcotest.(check (list string)) "narrow is clean" [] (codes (Estimate.check narrow));
   let small = Estimate.of_circuit (Library.bell ()) in
   Alcotest.(check (list string)) "bell is clean" [] (codes (Estimate.check small))
 

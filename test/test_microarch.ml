@@ -208,16 +208,6 @@ let test_retargeting_same_program_shape () =
   Alcotest.(check bool) "semi slower" true
     (r_semi.Controller.stats.Controller.total_ns > r_sc.Controller.stats.Controller.total_ns)
 
-let test_controller_matches_direct_simulation () =
-  (* Ideal-qubit execution through the whole microarch pipeline must agree
-     with running the compiled circuit directly on QX. *)
-  let circuit = Library.ghz 4 in
-  let out, program = compile_for Platform.superconducting_17 circuit in
-  let result = Controller.run Controller.superconducting program in
-  let direct = Sim.run out.Compiler.physical in
-  Alcotest.(check (float 1e-9)) "same state" 1.0
-    (State.fidelity result.Controller.outcome.Sim.state direct.Sim.state)
-
 let test_controller_stats_sane () =
   let _, program = compile_for Platform.superconducting_17 (bell_with_measure ()) in
   let result = Controller.run Controller.superconducting program in
@@ -312,9 +302,15 @@ let test_qisa_validation () =
   (match Qisa.assemble ~name:"bad" ~qubit_count:1 ~cycle_ns:20 [ Qisa.Ldi (99, 0) ] with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "bad register accepted");
-  match Qisa.assemble ~name:"bad" ~qubit_count:1 ~cycle_ns:20 [ Qisa.Fmr (0, 5) ] with
+  (match Qisa.assemble ~name:"bad" ~qubit_count:1 ~cycle_ns:20 [ Qisa.Fmr (0, 5) ] with
   | exception Invalid_argument _ -> ()
-  | _ -> Alcotest.fail "bad qubit accepted"
+  | _ -> Alcotest.fail "bad qubit accepted");
+  match
+    Qisa.assemble ~name:"bad" ~qubit_count:2 ~cycle_ns:20
+      [ Qisa.Quantum (Eqasm2.Smit (0, [ (0, 5) ])) ]
+  with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "bad mask qubit accepted"
 
 let test_qisa_repeat_until_success () =
   (* Put a qubit in |+>, measure, repeat until the result is 1; count the
@@ -505,6 +501,373 @@ let test_unknown_mnemonic_structured () =
       Alcotest.(check bool) "permanent" false e.Qca_util.Error.transient
   | _ -> Alcotest.fail "unknown mnemonic accepted"
 
+
+(* --- active-qubit pins --- *)
+
+(* Seed-fixed results captured before the simulators were narrowed to the
+   qubits a program touches. Narrowing keeps qubit order and draws noise
+   only on operands, so every shot must consume the same random stream:
+   any drift here is a behaviour change, not noise. *)
+
+module Cqasm = Qca_circuit.Cqasm
+module Noise = Qca_qx.Noise
+module Job_spec = Qca.Job_spec
+module Runner = Qca.Runner
+
+let show_histogram h =
+  String.concat " " (List.map (fun (k, c) -> Printf.sprintf "%s:%d" k c) h)
+
+let show_report (r : Engine.run_report) =
+  Printf.sprintf "plan=%s measurements=%d applies=%d faulted=%d retries=%d"
+    (Engine.plan_to_string r.Engine.plan) r.Engine.measurements
+    (List.fold_left (fun acc (_, c) -> acc + c) 0 r.Engine.gate_applies)
+    r.Engine.resilience.Engine.faulted_shots r.Engine.resilience.Engine.retries
+
+(* The cQASM lint-corpus fixtures (test/fixtures/), inlined. *)
+let fixture_sources =
+  [
+    ( "bell",
+      "version 1.0\nqubits 2\n.prepare\n  prep_z q[0]\n  prep_z q[1]\n  h q[0]\n\
+      \  cnot q[0], q[1]\n.readout\n  measure q[0]\n  measure q[1]\n" );
+    ( "teleport",
+      "version 1.0\nqubits 3\n.prepare\n  prep_z q[0]\n  prep_z q[1]\n  prep_z q[2]\n\
+      \  ry q[0], 1.047198\n  h q[1]\n  cnot q[1], q[2]\n.bell_measure\n\
+      \  cnot q[0], q[1]\n  h q[0]\n  measure q[0]\n  measure q[1]\n.correct\n\
+      \  c-x b[1], q[2]\n  c-z b[0], q[2]\n  measure q[2]\n" );
+    ( "ghz5",
+      "version 1.0\nqubits 5\n.entangle\n  h q[0]\n  cnot q[0], q[1]\n  cnot q[1], q[2]\n\
+      \  cnot q[2], q[3]\n  cnot q[3], q[4]\n.readout\n  measure_all\n" );
+    ( "rus",
+      "version 1.0\nqubits 2\n.attempt(3)\n  prep_z q[0]\n  h q[0]\n  cnot q[0], q[1]\n\
+      \  measure q[0]\n  c-x b[0], q[1]\n.readout\n  measure q[1]\n" );
+  ]
+
+let fixture name = Cqasm.parse_circuit (List.assoc name fixture_sources)
+
+let run_shots_pin name platform technology ~noisy ~faulty () =
+  let out = Compiler.compile platform Compiler.Real (fixture name) in
+  let program = Option.get out.Compiler.eqasm in
+  let noise = if noisy then platform.Platform.noise else Noise.ideal in
+  let faults = if faulty then Some (Fault.make ~seed:9 (Fault.uniform 0.01)) else None in
+  let r = Controller.run_shots ~noise ~seed:17 ~shots:40 ?faults technology program in
+  let s = r.Controller.last.Controller.stats in
+  Printf.sprintf "%s | %s | bundles=%d micro_ops=%d ns=%d"
+    (show_histogram r.Controller.histogram) (show_report r.Controller.report)
+    s.Controller.bundles_issued s.Controller.micro_ops s.Controller.total_ns
+
+let run_shots_pins =
+  (* ghz5 does not fit the 4-qubit semiconducting platform. *)
+  List.concat_map
+    (fun (pname, platform, technology, fixtures) ->
+      List.concat_map
+        (fun name ->
+          List.concat_map
+            (fun noisy ->
+              List.map
+                (fun faulty ->
+                  ( Printf.sprintf "run_shots %s %s%s%s" name pname
+                      (if noisy then " noisy" else "")
+                      (if faulty then " faults" else ""),
+                    run_shots_pin name platform technology ~noisy ~faulty ))
+                [ false; true ])
+            [ false; true ])
+        fixtures)
+    [
+      ( "superconducting_17", Platform.superconducting_17, Controller.superconducting,
+        [ "bell"; "teleport"; "ghz5"; "rus" ] );
+      ( "semiconducting_4", Platform.semiconducting_4, Controller.semiconducting,
+        [ "bell"; "teleport"; "rus" ] );
+    ]
+
+(* A 17-qubit QISA program that touches qubits 0 and 5, as `qxc qisa` runs
+   it: one generator across shots, register files histogrammed. *)
+let qisa_pin () =
+  let source =
+    "LDI r1, 1\nSMIS s0, {0, 5}\nSMIS s1, {5}\nSMIT t0, {(0, 5)}\n1: y90 s0\n1: cz t0\n\
+     1: my90 s1\n1: x90 s0\n1: measz s0\nFMR r2, q0\nFMR r3, q5\nADD r4, r2, r3\nHALT\n"
+  in
+  let program = Qisa.parse ~name:"pin.qisa" ~qubit_count:17 ~cycle_ns:20 source in
+  let rng = Rng.create 11 in
+  let counts = Hashtbl.create 16 in
+  let last = ref None in
+  for _ = 1 to 30 do
+    let r = Qisa.execute ~rng Controller.superconducting program in
+    last := Some r;
+    let key =
+      String.concat "," (List.map string_of_int (Array.to_list (Array.sub r.Qisa.registers 0 5)))
+    in
+    Hashtbl.replace counts key (1 + Option.value ~default:0 (Hashtbl.find_opt counts key))
+  done;
+  let r = Option.get !last in
+  Printf.sprintf "%s | last=%s executed=%d"
+    (show_histogram
+       (List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts [])))
+    (Engine.bitstring r.Qisa.controller.Controller.outcome.Sim.classical)
+    r.Qisa.executed
+
+(* The Compiled route's Realistic QX rung: the mapped program, platform
+   width, platform noise, through the engine. *)
+let qx_rung_pin name () =
+  let route =
+    Job_spec.Compiled
+      {
+        platform = Platform.superconducting_17;
+        mode = Compiler.Realistic;
+        technology = None;
+        ladder = true;
+        router = Qca_compiler.Mapping.Sabre;
+      }
+  in
+  let spec = Job_spec.make ~route ~shots:30 ~seed:5 (Job_spec.Circuit (fixture name)) in
+  match Runner.run spec with
+  | Ok o ->
+      Printf.sprintf "%s | %s" (show_histogram o.Runner.histogram)
+        (show_report o.Runner.report)
+  | Error e -> Qca_util.Error.to_string e
+
+let unitary u ops = Gate.Unitary (u, ops)
+
+(* Direct runs of circuits whose idle qubits sit between and above the
+   used ones, one per plan. *)
+let direct_pin ?noise ~shots n instrs () =
+  let r = Engine.run ?noise ~seed:3 ~shots (Circuit.of_list n instrs) in
+  Printf.sprintf "%s | %s" (show_histogram r.Engine.histogram) (show_report r.Engine.report)
+
+let direct_pins =
+  [
+    ( "direct sampled",
+      direct_pin ~shots:500 6
+        [
+          unitary Gate.H [| 1 |]; unitary Gate.T [| 1 |]; unitary Gate.Cnot [| 1; 4 |];
+          unitary (Gate.Rx 0.3) [| 4 |]; Gate.Measure 1; Gate.Measure 4;
+        ] );
+    ( "direct trajectory",
+      direct_pin ~noise:(Noise.depolarizing 0.05) ~shots:300 6
+        [
+          unitary Gate.H [| 1 |]; unitary Gate.T [| 1 |]; unitary Gate.Cnot [| 1; 4 |];
+          unitary (Gate.Rx 0.3) [| 4 |]; Gate.Measure 1; Gate.Measure 4;
+        ] );
+    ( "direct clifford",
+      direct_pin ~shots:300 7
+        [
+          unitary Gate.H [| 2 |]; unitary Gate.Cnot [| 2; 5 |]; Gate.Measure 2;
+          unitary Gate.H [| 2 |]; Gate.Measure 2; Gate.Measure 5;
+        ] );
+    ( "direct feedback",
+      direct_pin ~shots:300 5
+        [
+          unitary (Gate.Ry 0.7) [| 1 |]; Gate.Measure 1;
+          Gate.Conditional (1, Gate.X, [| 3 |]); unitary Gate.T [| 3 |];
+          unitary Gate.H [| 3 |]; Gate.Measure 3;
+        ] );
+    ( "direct sampled ties",
+      direct_pin ~shots:40 7
+        [
+          unitary Gate.H [| 1 |]; unitary Gate.H [| 3 |]; unitary Gate.H [| 5 |];
+          Gate.Measure 1; Gate.Measure 3; Gate.Measure 5;
+        ] );
+    ( "direct trajectory ties",
+      direct_pin ~noise:(Noise.depolarizing 0.02) ~shots:40 7
+        [
+          unitary Gate.H [| 1 |]; unitary Gate.H [| 3 |]; unitary Gate.H [| 5 |];
+          Gate.Measure 1; Gate.Measure 3; Gate.Measure 5;
+        ] );
+    ("direct no qubit touched", direct_pin ~shots:50 3 [ Gate.Barrier [| 0; 2 |] ]);
+    ( "direct condition on idle qubit",
+      direct_pin ~shots:200 4
+        [
+          unitary Gate.H [| 0 |]; Gate.Conditional (2, Gate.X, [| 1 |]); Gate.Measure 0;
+          Gate.Measure 1;
+        ] );
+    ( "direct prep on idle qubit",
+      direct_pin ~shots:200 5
+        [ Gate.Prep 3; unitary Gate.H [| 0 |]; unitary (Gate.Ry 0.4) [| 1 |];
+          Gate.Measure 0; Gate.Measure 1 ] );
+  ]
+
+let pin_cases =
+  run_shots_pins
+  @ [ ("qisa 17 qubits", qisa_pin) ]
+  @ [ ("qx rung bell", qx_rung_pin "bell"); ("qx rung teleport", qx_rung_pin "teleport") ]
+  @ direct_pins
+
+(* Insert '-' for the idle qubits: [positions.(i)] is where qubit [i] of a
+   [k]-qubit key sits in an [n]-qubit one (qubit 0 is the rightmost char). *)
+let widen_key ~n positions key =
+  let k = String.length key in
+  let out = Bytes.make n '-' in
+  Array.iteri (fun i p -> Bytes.set out (n - 1 - p) key.[k - 1 - i]) positions;
+  Bytes.to_string out
+
+let random_instrs rng ~qubits ~length =
+  let singles = [| Gate.H; Gate.T; Gate.X; Gate.S; Gate.Rz 0.4; Gate.Ry 1.1 |] in
+  List.init length (fun _ ->
+      let q = Rng.int rng qubits in
+      let other () = (q + 1 + Rng.int rng (qubits - 1)) mod qubits in
+      match Rng.int rng 10 with
+      | 0 | 1 | 2 | 3 -> Gate.Unitary (Rng.pick rng singles, [| q |])
+      | 4 | 5 when qubits > 1 ->
+          Gate.Unitary ((if Rng.bool rng then Gate.Cnot else Gate.Cz), [| q; other () |])
+      | 6 -> Gate.Measure q
+      | 7 -> Gate.Prep q
+      | 8 when qubits > 1 -> Gate.Conditional (Rng.int rng qubits, Gate.X, [| q |])
+      | _ -> Gate.Unitary (Gate.H, [| q |]))
+
+(* A random circuit on [k] qubits and an order-preserving injection of
+   them into [n >= k]: idle qubits land between the used ones as well as
+   above them. *)
+let padding_case seed =
+  let rng = Rng.create seed in
+  let k = 1 + Rng.int rng 4 in
+  let n = k + Rng.int rng 5 in
+  let narrow = Circuit.of_list k (random_instrs rng ~qubits:k ~length:(Rng.int rng 14)) in
+  let positions =
+    let chosen = Array.make n false in
+    let placed = ref 0 in
+    while !placed < k do
+      let p = Rng.int rng n in
+      if not chosen.(p) then begin
+        chosen.(p) <- true;
+        incr placed
+      end
+    done;
+    Array.of_list (List.filter (fun p -> chosen.(p)) (List.init n Fun.id))
+  in
+  let noisy = Rng.bool rng in
+  let padded =
+    Circuit.of_list n
+      (List.map (Gate.map_qubits (fun q -> positions.(q))) (Circuit.instructions narrow))
+  in
+  (narrow, padded, positions, noisy, Rng.int rng 1000)
+
+(* Padding a circuit with idle qubits leaves its histogram unchanged apart
+   from the '-' columns. Tied counts are listed in hash-table order, which
+   depends on the key text, so the two histograms are compared as sets. *)
+let prop_idle_padding =
+  QCheck.Test.make ~name:"idle-qubit padding only widens histogram keys" ~count:60
+    (QCheck.make
+       ~print:(fun seed ->
+         let narrow, padded, _, noisy, _ = padding_case seed in
+         Printf.sprintf "seed=%d noisy=%b\n%s\n%s" seed noisy (Circuit.to_string narrow)
+           (Circuit.to_string padded))
+       QCheck.Gen.(int_range 0 99999))
+    (fun seed ->
+      let narrow, padded, positions, noisy, run_seed = padding_case seed in
+      let noise = if noisy then Noise.depolarizing 0.04 else Noise.ideal in
+      let run c = Engine.run ~noise ~seed:run_seed ~shots:48 c in
+      let n = Circuit.qubit_count padded in
+      let narrow = run narrow and padded = run padded in
+      padded.Engine.report.Engine.plan = narrow.Engine.report.Engine.plan
+      && List.sort compare padded.Engine.histogram
+         = List.sort compare
+             (List.map (fun (key, c) -> (widen_key ~n positions key, c)) narrow.Engine.histogram))
+
+(* Ideal execution through the whole micro-architecture pipeline agrees
+   with running the compiled circuit directly on QX. *)
+let prop_controller_matches_direct =
+  QCheck.Test.make ~name:"matches direct sim" ~count:12
+    (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 99999))
+    (fun seed ->
+      let rng = Rng.create seed in
+      let qubits = 2 + Rng.int rng 3 in
+      let circuit = Library.random_circuit rng ~qubits ~gates:(1 + Rng.int rng 12) in
+      let out, program = compile_for Platform.superconducting_17 circuit in
+      let result = Controller.run Controller.superconducting program in
+      let direct = Sim.run out.Compiler.physical in
+      Float.abs (State.fidelity result.Controller.outcome.Sim.state direct.Sim.state -. 1.0)
+      <= 1e-9)
+
+let pinned =
+  [
+    ("run_shots bell superconducting_17",
+     "---------------11:23 ---------------00:17 | plan=trajectory measurements=80 applies=280 faulted=0 retries=0 | bundles=7 micro_ops=12 ns=620");
+    ("run_shots bell superconducting_17 faults",
+     "---------------11:22 ---------------00:18 | plan=trajectory measurements=80 applies=280 faulted=0 retries=13 | bundles=7 micro_ops=12 ns=620");
+    ("run_shots bell superconducting_17 noisy",
+     "---------------11:25 ---------------00:13 ---------------10:2 | plan=trajectory measurements=80 applies=280 faulted=0 retries=0 | bundles=7 micro_ops=12 ns=620");
+    ("run_shots bell superconducting_17 noisy faults",
+     "---------------11:20 ---------------00:18 ---------------01:1 ---------------10:1 | plan=trajectory measurements=80 applies=280 faulted=0 retries=13 | bundles=7 micro_ops=12 ns=620");
+    ("run_shots teleport superconducting_17",
+     "--------------001:10 --------------000:8 --------------010:8 --------------011:7 --------------111:3 --------------110:2 --------------100:2 | plan=trajectory measurements=120 applies=740 faulted=0 retries=0 | bundles=14 micro_ops=28 ns=1060");
+    ("run_shots teleport superconducting_17 faults",
+     "--------------011:11 --------------010:9 --------------100:6 --------------001:4 --------------000:3 --------------110:3 --------------111:1 | plan=trajectory measurements=111 applies=693 faulted=3 retries=44 | bundles=14 micro_ops=28 ns=1060");
+    ("run_shots teleport superconducting_17 noisy",
+     "--------------001:11 --------------011:8 --------------010:7 --------------111:5 --------------000:4 --------------101:3 --------------110:1 --------------100:1 | plan=trajectory measurements=120 applies=749 faulted=0 retries=0 | bundles=14 micro_ops=28 ns=1060");
+    ("run_shots teleport superconducting_17 noisy faults",
+     "--------------011:12 --------------010:7 --------------100:6 --------------000:5 --------------001:5 --------------101:1 --------------110:1 | plan=trajectory measurements=111 applies=687 faulted=3 retries=44 | bundles=14 micro_ops=28 ns=1060");
+    ("run_shots ghz5 superconducting_17",
+     "--------------000:20 --------------111:20 | plan=trajectory measurements=200 applies=2360 faulted=0 retries=0 | bundles=34 micro_ops=77 ns=1200");
+    ("run_shots ghz5 superconducting_17 faults",
+     "--------------111:11 --------------000:8 | plan=trajectory measurements=95 applies=1121 faulted=21 retries=88 | bundles=34 micro_ops=77 ns=1200");
+    ("run_shots ghz5 superconducting_17 noisy",
+     "--------------000:19 --------------111:17 --------------101:2 --------------001:2 | plan=trajectory measurements=200 applies=2360 faulted=0 retries=0 | bundles=34 micro_ops=77 ns=1200");
+    ("run_shots ghz5 superconducting_17 noisy faults",
+     "--------------000:9 --------------111:7 --------------001:1 --------------110:1 --------------100:1 | plan=trajectory measurements=95 applies=1121 faulted=21 retries=88 | bundles=34 micro_ops=77 ns=1200");
+    ("run_shots rus superconducting_17",
+     "---------------01:23 ---------------00:17 | plan=trajectory measurements=160 applies=974 faulted=0 retries=0 | bundles=28 micro_ops=37 ns=2160");
+    ("run_shots rus superconducting_17 faults",
+     "---------------00:22 ---------------01:11 | plan=trajectory measurements=132 applies=787 faulted=7 retries=58 | bundles=28 micro_ops=37 ns=2160");
+    ("run_shots rus superconducting_17 noisy",
+     "---------------01:22 ---------------00:15 ---------------11:2 ---------------10:1 | plan=trajectory measurements=160 applies=980 faulted=0 retries=0 | bundles=28 micro_ops=37 ns=2160");
+    ("run_shots rus superconducting_17 noisy faults",
+     "---------------01:16 ---------------00:16 ---------------10:1 | plan=trajectory measurements=132 applies=773 faulted=7 retries=58 | bundles=28 micro_ops=37 ns=2160");
+    ("run_shots bell semiconducting_4",
+     "--11:23 --00:17 | plan=trajectory measurements=80 applies=280 faulted=0 retries=0 | bundles=7 micro_ops=12 ns=13200");
+    ("run_shots bell semiconducting_4 faults",
+     "--11:22 --00:18 | plan=trajectory measurements=80 applies=280 faulted=0 retries=13 | bundles=7 micro_ops=12 ns=13200");
+    ("run_shots bell semiconducting_4 noisy",
+     "--11:20 --00:14 --10:5 --01:1 | plan=trajectory measurements=80 applies=280 faulted=0 retries=0 | bundles=7 micro_ops=12 ns=13200");
+    ("run_shots bell semiconducting_4 noisy faults",
+     "--11:19 --00:18 --10:2 --01:1 | plan=trajectory measurements=80 applies=280 faulted=0 retries=13 | bundles=7 micro_ops=12 ns=13200");
+    ("run_shots teleport semiconducting_4",
+     "-001:10 -010:8 -000:8 -011:7 -111:3 -110:2 -100:2 | plan=trajectory measurements=120 applies=740 faulted=0 retries=0 | bundles=15 micro_ops=28 ns=22900");
+    ("run_shots teleport semiconducting_4 faults",
+     "-011:11 -010:9 -100:6 -001:4 -110:3 -000:3 -111:1 | plan=trajectory measurements=111 applies=693 faulted=3 retries=44 | bundles=15 micro_ops=28 ns=22900");
+    ("run_shots teleport semiconducting_4 noisy",
+     "-001:10 -011:8 -111:6 -010:6 -000:5 -100:2 -101:2 -110:1 | plan=trajectory measurements=120 applies=748 faulted=0 retries=0 | bundles=15 micro_ops=28 ns=22900");
+    ("run_shots teleport semiconducting_4 noisy faults",
+     "-010:9 -000:8 -011:7 -100:6 -111:3 -001:3 -101:1 | plan=trajectory measurements=111 applies=681 faulted=3 retries=44 | bundles=15 micro_ops=28 ns=22900");
+    ("run_shots rus semiconducting_4",
+     "--01:23 --00:17 | plan=trajectory measurements=160 applies=974 faulted=0 retries=0 | bundles=28 micro_ops=37 ns=46800");
+    ("run_shots rus semiconducting_4 faults",
+     "--00:22 --01:11 | plan=trajectory measurements=132 applies=787 faulted=7 retries=58 | bundles=28 micro_ops=37 ns=46800");
+    ("run_shots rus semiconducting_4 noisy",
+     "--01:20 --00:16 --10:2 --11:2 | plan=trajectory measurements=160 applies=970 faulted=0 retries=0 | bundles=28 micro_ops=37 ns=46800");
+    ("run_shots rus semiconducting_4 noisy faults",
+     "--00:14 --01:12 --11:4 --10:3 | plan=trajectory measurements=132 applies=795 faulted=7 retries=58 | bundles=28 micro_ops=37 ns=46800");
+    ("qisa 17 qubits",
+     "0,1,0,0,0:18 0,1,1,1,2:12 | last=-----------0----0 executed=13");
+    ("qx rung bell",
+     "---------------00:17 ---------------11:12 ---------------10:1 | plan=trajectory measurements=60 applies=210 faulted=0 retries=0");
+    ("qx rung teleport",
+     "--------------011:9 --------------001:7 --------------010:5 --------------110:3 --------------100:3 --------------000:2 --------------101:1 | plan=trajectory measurements=90 applies=561 faulted=0 retries=0");
+    ("direct sampled",
+     "-0--0-:251 -1--1-:245 -1--0-:3 -0--1-:1 | plan=sampled measurements=1000 applies=4 faulted=0 retries=0");
+    ("direct trajectory",
+     "-0--0-:129 -1--1-:123 -1--0-:26 -0--1-:22 | plan=trajectory measurements=600 applies=1200 faulted=0 retries=0");
+    ("direct clifford",
+     "-0--0--:80 -1--0--:79 -1--1--:71 -0--1--:70 | plan=clifford measurements=900 applies=900 faulted=0 retries=0");
+    ("direct feedback",
+     "-0-0-:143 -1-0-:121 -1-1-:20 -0-1-:16 | plan=trajectory measurements=600 applies=936 faulted=0 retries=0");
+    ("direct no qubit touched",
+     "---:50 | plan=sampled measurements=0 applies=0 faulted=0 retries=0");
+    ("direct condition on idle qubit",
+     "--00:102 --01:98 | plan=clifford measurements=400 applies=200 faulted=0 retries=0");
+    ("direct sampled ties",
+     "-1-0-1-:10 -0-0-1-:7 -1-1-1-:5 -0-1-1-:5 -0-0-0-:4 -1-0-0-:3 -1-1-0-:3 -0-1-0-:3 | plan=sampled measurements=120 applies=3 faulted=0 retries=0");
+    ("direct trajectory ties",
+     "-0-0-0-:9 -1-0-0-:8 -0-0-1-:6 -0-1-1-:5 -1-1-0-:4 -1-0-1-:4 -0-1-0-:3 -1-1-1-:1 | plan=trajectory measurements=120 applies=120 faulted=0 retries=0");
+    ("direct prep on idle qubit",
+     "---00:103 ---01:90 ---10:6 ---11:1 | plan=sampled measurements=400 applies=2 faulted=0 retries=0");
+  ]
+
+let pin_tests =
+  List.map
+    (fun (name, f) ->
+      Alcotest.test_case name `Quick (fun () ->
+          Alcotest.(check string) name (List.assoc name pinned) (f ())))
+    pin_cases
+
 let () =
   Alcotest.run "qca_microarch"
     [
@@ -536,7 +899,7 @@ let () =
           Alcotest.test_case "trace ordering" `Quick test_controller_trace_ordering;
           Alcotest.test_case "rz is software" `Quick test_controller_rz_is_software;
           Alcotest.test_case "retargeting" `Quick test_retargeting_same_program_shape;
-          Alcotest.test_case "matches direct sim" `Quick test_controller_matches_direct_simulation;
+          QCheck_alcotest.to_alcotest prop_controller_matches_direct;
           Alcotest.test_case "stats sane" `Quick test_controller_stats_sane;
           Alcotest.test_case "teleportation e2e" `Quick test_teleportation_through_microarch;
           Alcotest.test_case "trace rendering" `Quick test_trace_rendering;
@@ -562,4 +925,5 @@ let () =
           Alcotest.test_case "parse conditional" `Quick test_qisa_parse_conditional_op;
           Alcotest.test_case "parse errors" `Quick test_qisa_parse_errors;
         ] );
+      ("active qubits", QCheck_alcotest.to_alcotest prop_idle_padding :: pin_tests);
     ]
