@@ -173,7 +173,9 @@ let e4 () =
           match out.Compiler.eqasm with
           | None -> ()
           | Some program ->
-              let result = Controller.run technology program in
+              let result =
+                (Controller.run_shots ~shots:1 technology program).Controller.last
+              in
               let s = result.Controller.stats in
               Printf.printf "%-16s %-8d %-9d %-10d %-11d %-10d %-11d\n" name length
                 s.Controller.bundles_issued s.Controller.micro_ops s.Controller.total_ns
@@ -199,7 +201,9 @@ let e4 () =
       match out.Compiler.eqasm with
       | None -> ()
       | Some program ->
-          let result = Controller.run technology program in
+          let result =
+            (Controller.run_shots ~shots:1 technology program).Controller.last
+          in
           let lib =
             if name = "semiconducting" then Qca_microarch.Adi.semiconducting_library ()
             else Qca_microarch.Adi.superconducting_library ()

@@ -116,7 +116,9 @@ let micro_tests () =
   let t_e4 =
     Test.make ~name:"e4-microarch-bell"
       (Staged.stage (fun () ->
-           Qca_microarch.Controller.run Qca_microarch.Controller.superconducting bell_eqasm))
+           (Qca_microarch.Controller.run_shots ~shots:1
+              Qca_microarch.Controller.superconducting bell_eqasm)
+             .Qca_microarch.Controller.last))
   in
   let noisy = Qca_qx.Noise.depolarizing 0.001 in
   let ghz5 = Library.ghz 5 in

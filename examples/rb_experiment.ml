@@ -38,7 +38,9 @@ let () =
     match out.Compiler.eqasm with
     | None -> ()
     | Some program ->
-        let result = Controller.run technology program in
+        let result =
+          (Controller.run_shots ~shots:1 technology program).Controller.last
+        in
         let s = result.Controller.stats in
         Printf.printf "%-16s %6d bundles %6d micro-ops %9d ns  peak queue %d\n" name
           s.Controller.bundles_issued s.Controller.micro_ops s.Controller.total_ns

@@ -26,7 +26,7 @@ let duration_cycles (platform : Platform.t) mnemonic =
    flattened to arrays at SMIS/SMIT time (rare) so the per-operation loop
    needs no closure. Registers outside 0..31 — only possible in hand-built
    programs — spill to a hashtable. *)
-let register_limit = 32
+let register_limit = Eqasm.register_limit
 
 let check platform (program : Eqasm.program) =
   let s_regs = Array.make register_limit [||] in

@@ -11,6 +11,8 @@ let syntax_error ?(token = "") line reason =
   Qca_util.Error.fail ~site:"Cqasm.parse"
     (Qca_util.Error.Syntax { line; token; reason })
 
+let max_qubits = 1 lsl 20
+
 let emit_instruction buffer instr =
   Buffer.add_string buffer "  ";
   Buffer.add_string buffer (Gate.to_string instr);
@@ -241,7 +243,12 @@ let parse source =
         else
           match tokenize line with
           | "version" :: _ -> seen_version := true
-          | [ "qubits"; n ] -> qubit_count := parse_int lineno n
+          | [ "qubits"; n ] ->
+              qubit_count := parse_int lineno n;
+              if !qubit_count > max_qubits then
+                syntax_error ~token:n lineno
+                  (Printf.sprintf "qubits %d exceeds the %d-qubit limit" !qubit_count
+                     max_qubits)
           | [ "error_model"; model; rate ] ->
               error_model := Some (model, parse_float lineno rate)
           | tokens -> begin

@@ -15,6 +15,10 @@ type program = {
       (** Ordered (name, iteration count, body) triples. *)
 }
 
+val max_qubits : int
+(** The widest [qubits n] declaration (2^20, well above the tableau's
+    limit); a wider one is a parse error at its line. *)
+
 val emit_circuit : Circuit.t -> string
 (** Render one circuit as a complete cQASM file with a single default
     subcircuit. *)

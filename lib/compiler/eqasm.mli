@@ -41,6 +41,9 @@ type stats = {
   duration_ns : int;
 }
 
+val register_limit : int
+(** Mask registers of each kind (32): [s0]..[s31] and [t0]..[t31]. *)
+
 val of_schedule : Platform.t -> Schedule.t -> program
 (** Lower a schedule. Raises [Invalid_argument] if mask registers are
     exhausted (32 of each kind, as in the eQASM paper). *)

@@ -57,45 +57,13 @@ type result = {
   stats : run_stats;
 }
 
-(* Resolve an eQASM mnemonic to the simulator action. *)
-type action =
-  | Apply of Gate.unitary
-  | Apply_rz  (** angle carried by the op *)
-  | Do_measure
-  | Do_prep
-  | No_op
-
-let action_of_mnemonic = function
-  | "i" -> No_op
-  | "x90" -> Apply Gate.X90
-  | "mx90" -> Apply Gate.Xm90
-  | "y90" -> Apply Gate.Y90
-  | "my90" -> Apply Gate.Ym90
-  | "rz" -> Apply_rz
-  | "cz" -> Apply Gate.Cz
-  | "x" -> Apply Gate.X
-  | "y" -> Apply Gate.Y
-  | "z" -> Apply Gate.Z
-  | "h" -> Apply Gate.H
-  | "s" -> Apply Gate.S
-  | "sdag" -> Apply Gate.Sdag
-  | "t" -> Apply Gate.T
-  | "tdag" -> Apply Gate.Tdag
-  | "cnot" -> Apply Gate.Cnot
-  | "swap" -> Apply Gate.Swap
-  | "measz" -> Do_measure
-  | "prepz" -> Do_prep
-  | other ->
-      Qerror.fail ~site:"Controller.action_of_mnemonic" (Qerror.Unknown_mnemonic other)
-
-(* What every shot of one program shares: the noise model with its
-   channels worked out once, and the active-qubit relabel. The quantum chip
-   holds only the active qubits: program qubit [active.(i)] is state qubit
-   [i], and [slots] maps the other way (-1 for a qubit no mask names). *)
+(* What every shot of one program shares: the engine's per-op step with the
+   noise model's channels worked out once, and the active-qubit relabel.
+   The quantum chip holds only the active qubits: program qubit
+   [active.(i)] is state qubit [i], and [slots] maps the other way (-1 for
+   a qubit no mask names). *)
 type chip = {
-  noise : Noise.model;
-  gate_noise : Noise.gate_noise;
-  ideal : bool;
+  step : fired:int array -> State.t -> int array -> Rng.t -> Engine.micro_op -> unit;
   active : int array;
   slots : int array;
 }
@@ -103,7 +71,7 @@ type chip = {
 let chip ?(noise = Noise.ideal) ~qubit_count active =
   let slots = Array.make qubit_count (-1) in
   Array.iteri (fun i q -> slots.(q) <- i) active;
-  { noise; gate_noise = Noise.gate_noise noise; ideal = Noise.is_ideal noise; active; slots }
+  { step = Engine.micro_step noise; active; slots }
 
 (* A qubit is active when an SMIS or SMIT mask names it: only masked
    qubits are ever operated on. *)
@@ -160,8 +128,8 @@ let start_on chip ?rng ?faults technology ~qubit_count ~cycle_ns =
     cycle_ns;
     state = State.create (Array.length chip.active);
     classical = Array.make qubit_count (-1);
-    single_masks = Array.make 32 [];
-    pair_masks = Array.make 32 [];
+    single_masks = Array.make Eqasm.register_limit [];
+    pair_masks = Array.make Eqasm.register_limit [];
     pool = Timing_queue.create_pool ~channels:qubit_count;
     applies = Hashtbl.create 16;
     measures = 0;
@@ -177,7 +145,6 @@ let start ?noise ?rng ?faults ~active technology ~qubit_count ~cycle_ns =
   start_on (chip ?noise ~qubit_count active) ?rng ?faults technology ~qubit_count ~cycle_ns
 
 let classical_bit session q = session.classical.(q)
-let elapsed_cycles session = session.time_cycles
 
 let pulse_duration session name =
   if name = "idle" then 0
@@ -193,68 +160,61 @@ let pulse_duration session name =
           ~context:[ ("technology", session.technology.tech_name) ]
           (Qerror.Missing_pulse name)
 
-let bump_apply session name =
-  Hashtbl.replace session.applies name
-    (1 + Option.value ~default:0 (Hashtbl.find_opt session.applies name))
+let add table key c =
+  Hashtbl.replace table key (c + Option.value ~default:0 (Hashtbl.find_opt table key))
 
-(* The state qubit of a program qubit. *)
-let slot session q =
-  let i = session.chip.slots.(q) in
-  if i < 0 then
-    Qerror.fail ~site:"Controller.simulate_op"
-      ~context:[ ("qubit", string_of_int q) ]
-      (Qerror.Invalid "operation on a qubit outside the session's active set");
-  i
+(* The fixed gates an eQASM mnemonic can name, by [Gate.name]. *)
+let fixed_gates =
+  Gate.[ X90; Xm90; Y90; Ym90; Cz; X; Y; Z; H; S; Sdag; T; Tdag; Cnot; Swap ]
 
-let simulate_op session mnemonic angle qubits =
-  let state = session.state and rng = session.rng and chip = session.chip in
-  let ideal = chip.ideal in
-  match action_of_mnemonic mnemonic, qubits with
-  | Apply u, _ when Gate.arity u = 1 ->
-      List.iter
-        (fun q ->
-          let ops = [| slot session q |] in
-          State.apply state u ops;
-          bump_apply session (Gate.name u);
-          if not ideal then Noise.after_gate chip.gate_noise state rng u ops)
-        qubits
-  | Apply u, [ q1; q2 ] ->
-      let ops = [| slot session q1; slot session q2 |] in
-      State.apply state u ops;
-      bump_apply session (Gate.name u);
-      if not ideal then Noise.after_gate chip.gate_noise state rng u ops
-  | Apply u, _ ->
-      Qerror.fail ~site:"Controller.simulate_op"
-        ~context:[ ("operands", string_of_int (List.length qubits)) ]
-        (Qerror.Invalid (Printf.sprintf "gate %s got wrong operand count" (Gate.name u)))
-  | Apply_rz, _ ->
-      let theta = Option.value ~default:0.0 angle in
-      List.iter
-        (fun q ->
-          State.apply state (Gate.Rz theta) [| slot session q |];
-          bump_apply session "rz")
-        qubits
-  | Do_measure, _ ->
-      List.iter
-        (fun q ->
-          if fault_fires session Fault.Channel_loss then
-            Qerror.fail ~transient:true ~site:"Controller.simulate_op"
-              (Qerror.Channel_loss { qubit = q });
-          let m = State.measure state rng (slot session q) in
-          session.measures <- session.measures + 1;
-          session.classical.(q) <-
-            (if ideal then m else Noise.flip_readout chip.noise rng m))
-        qubits
-  | Do_prep, _ ->
-      List.iter
-        (fun q ->
-          let s = slot session q in
-          let m = State.measure state rng s in
-          if m = 1 then State.apply state Gate.X [| s |];
-          if (not ideal) && Rng.bernoulli rng chip.noise.Noise.prep_error then
-            State.apply state Gate.X [| s |])
-        qubits
-  | No_op, _ -> ()
+(* Lower one eQASM op on program [qubits] to engine micro-ops on the chip's
+   state qubits; measurements still land in the classical bit of their
+   program qubit. A one-qubit gate acts on each qubit, a two-qubit gate on
+   exactly two. rz is a virtual-Z frame update: a one-gate fused kernel,
+   which the engine's step follows with no gate noise. *)
+let lower session (op : Eqasm.quantum_op) qubits =
+  let slot q =
+    let i = session.chip.slots.(q) in
+    if i < 0 then
+      Qerror.fail ~site:"Controller.issue_op"
+        ~context:[ ("qubit", string_of_int q) ]
+        (Qerror.Invalid "operation on a qubit outside the session's active set");
+    i
+  in
+  let each f = List.map (fun q -> f (slot q) q) qubits in
+  let kernel u ops = Engine.M_kernel (Engine.Single (u, ops, Gate.name u)) in
+  match op.Eqasm.mnemonic with
+  | "i" -> []
+  | "rz" ->
+      let plan = State.fused1q_plan_of [ Gate.Rz (Option.value ~default:0.0 op.Eqasm.angle) ] in
+      each (fun s _ -> Engine.M_kernel (Engine.Fused_1q (s, plan, [ "rz" ])))
+  | "measz" -> each (fun s q -> Engine.M_measure (s, q))
+  | "prepz" -> each (fun s _ -> Engine.M_prep s)
+  | mnemonic -> (
+      match List.find_opt (fun u -> Gate.name u = mnemonic) fixed_gates, qubits with
+      | None, _ -> Qerror.fail ~site:"Controller.issue_op" (Qerror.Unknown_mnemonic mnemonic)
+      | Some u, _ when Gate.arity u = 1 -> each (fun s _ -> kernel u [| s |])
+      | Some u, [ q1; q2 ] -> [ kernel u [| slot q1; slot q2 |] ]
+      | Some u, _ ->
+          Qerror.fail ~site:"Controller.issue_op"
+            ~context:[ ("operands", string_of_int (List.length qubits)) ]
+            (Qerror.Invalid (Printf.sprintf "gate %s got wrong operand count" (Gate.name u))))
+
+(* Run one micro-op on the chip. A measurement first passes the
+   channel-loss fault check. The controller evaluates conditions itself,
+   so no conditional slot ever fires. *)
+let run_op session (mop : Engine.micro_op) =
+  (match mop with
+  | Engine.M_kernel (Engine.Single (_, _, name)) -> add session.applies name 1
+  | Engine.M_kernel (Engine.Fused_1q (_, _, names) | Engine.Fused_diag (_, names)) ->
+      List.iter (fun name -> add session.applies name 1) names
+  | Engine.M_measure (_, q) ->
+      if fault_fires session Fault.Channel_loss then
+        Qerror.fail ~transient:true ~site:"Controller.issue_op"
+          (Qerror.Channel_loss { qubit = q });
+      session.measures <- session.measures + 1
+  | Engine.M_cond _ | Engine.M_prep _ -> ());
+  session.chip.step ~fired:[||] session.state session.classical session.rng mop
 
 let issue_op session (op : Eqasm.quantum_op) =
   let enabled =
@@ -311,11 +271,12 @@ let issue_op session (op : Eqasm.quantum_op) =
   (* Drive the quantum chip. Two-qubit ops act on pairs from the t-mask.
      Conditional ops check the measurement-result register file first. *)
   if enabled then
-    if op.Eqasm.two_qubit then
-      List.iter
-        (fun (a, b) -> simulate_op session op.Eqasm.mnemonic op.Eqasm.angle [ a; b ])
-        session.pair_masks.(op.Eqasm.mask)
-    else simulate_op session op.Eqasm.mnemonic op.Eqasm.angle session.single_masks.(op.Eqasm.mask)
+    let groups =
+      if op.Eqasm.two_qubit then
+        List.map (fun (a, b) -> [ a; b ]) session.pair_masks.(op.Eqasm.mask)
+      else [ session.single_masks.(op.Eqasm.mask) ]
+    in
+    List.iter (fun qubits -> List.iter (run_op session) (lower session op qubits)) groups
 
 let advance session cycles =
   session.time_cycles <- session.time_cycles + cycles;
@@ -334,16 +295,8 @@ let step session instr =
       if Trace.enabled () then Trace.add_counter "microarch.bundle" 1;
       List.iter (issue_op session) ops
 
-(* [~widen:true] indexes the outcome's state by program qubits: one exact
-   scatter of the active qubits' amplitudes when some qubit was idle. *)
-let finish_session ~widen session =
-  let total_pushed, peak, violations = Timing_queue.pool_stats session.pool in
-  ignore total_pushed;
-  let qubit_count = Array.length session.classical in
-  let state =
-    if (not widen) || State.qubit_count session.state = qubit_count then session.state
-    else State.widen session.state ~qubit_count session.chip.active
-  in
+let finish_session session state =
+  let _, peak, violations = Timing_queue.pool_stats session.pool in
   {
     outcome = { Qca_qx.Sim.state; classical = session.classical };
     trace = List.rev session.trace;
@@ -358,7 +311,13 @@ let finish_session ~widen session =
       };
   }
 
-let finish = finish_session ~widen:true
+(* Indexes the state by program qubits: one exact scatter of the active
+   qubits' amplitudes when some qubit was idle. *)
+let finish session =
+  let qubit_count = Array.length session.classical in
+  finish_session session
+    (if State.qubit_count session.state = qubit_count then session.state
+     else State.widen session.state ~qubit_count session.chip.active)
 
 let program_chip ?noise (program : Eqasm.program) =
   let qubit_count = program.Eqasm.qubit_count in
@@ -386,23 +345,12 @@ let run_session chip ?rng ?faults technology (program : Eqasm.program) =
           ]);
       session)
 
-let collect ~widen session (program : Eqasm.program) =
-  let result = finish_session ~widen session in
-  {
-    result with
-    stats =
-      {
-        result.stats with
-        total_ns =
-          max result.stats.total_ns
-            (program.Eqasm.makespan_cycles * program.Eqasm.cycle_ns);
-      };
-  }
-
-let run ?noise ?rng ?faults technology program =
-  collect ~widen:true
-    (run_session (program_chip ?noise program) ?rng ?faults technology program)
-    program
+(* [run_shots]' last shot: its state stays over the active qubits, and its
+   schedule lasts at least the program's makespan. *)
+let collect session (program : Eqasm.program) =
+  let result = finish_session session session.state in
+  let makespan_ns = program.Eqasm.makespan_cycles * program.Eqasm.cycle_ns in
+  { result with stats = { result.stats with total_ns = max result.stats.total_ns makespan_ns } }
 
 type shots_result = {
   histogram : (string * int) list;
@@ -449,16 +397,10 @@ let run_shots ?noise ?seed ?rng ?(shots = 1024) ?faults
         last_fault := Some e;
         counters.Resilience.faulted_shots <- counters.Resilience.faulted_shots + 1
     | Ok session ->
-        Hashtbl.iter
-          (fun name c ->
-            Hashtbl.replace applies name
-              (c + Option.value ~default:0 (Hashtbl.find_opt applies name)))
-          session.applies;
+        Hashtbl.iter (add applies) session.applies;
         measures := !measures + session.measures;
         last := Some session;
-        let key = Engine.bitstring session.classical in
-        Hashtbl.replace counts key
-          (1 + Option.value ~default:0 (Hashtbl.find_opt counts key))
+        add counts (Engine.bitstring session.classical) 1
   done;
   let t1 = Sys.time () in
   let histogram =
@@ -469,18 +411,6 @@ let run_shots ?noise ?seed ?rng ?(shots = 1024) ?faults
     Hashtbl.fold (fun name count acc -> (name, count) :: acc) applies []
     |> List.sort (fun (na, a) (nb, b) ->
            match compare b a with 0 -> compare na nb | c -> c)
-  in
-  let resilience =
-    match faults with
-    | None -> Engine.no_resilience
-    | Some f ->
-        {
-          Engine.faults_injected = Fault.counts f;
-          retries = counters.Resilience.retries;
-          faulted_shots = counters.Resilience.faulted_shots;
-          backoff_ns = counters.Resilience.backoff_total_ns;
-          degraded = None;
-        }
   in
   let report =
     {
@@ -493,7 +423,7 @@ let run_shots ?noise ?seed ?rng ?(shots = 1024) ?faults
       gate_applies;
       measurements = !measures;
       wall = { Engine.analyse_s = 0.0; simulate_s = t1 -. t0; sample_s = 0.0 };
-      resilience;
+      resilience = Engine.resilience_of faults counters;
       fusion = Engine.no_fusion;
       cache = Engine.no_cache;
     }
@@ -507,7 +437,7 @@ let run_shots ?noise ?seed ?rng ?(shots = 1024) ?faults
             ("retries", Trace.Int counters.Resilience.retries);
           ]));
   match !last with
-  | Some last -> { histogram; last = collect ~widen:false last program; report }
+  | Some last -> { histogram; last = collect last program; report }
   | None ->
       (* Every shot faulted: nothing to report, so surface the final fault
          as a permanent error (the caller's degradation ladder takes over). *)

@@ -5,6 +5,13 @@
     per-channel timing queues, and drives the QX simulator as the "quantum
     chip" at the end of the pipeline (the pink block of Figure 7).
 
+    The chip is the engine's own per-op step ({!Qca_qx.Engine.micro_step}):
+    each eQASM op, its mask resolved to state qubits, is lowered to engine
+    micro-ops, so gates, gate noise, measurement, readout error and prep
+    have one semantics across [Engine.run], {!run_shots} and
+    [Qisa.execute]. [rz] is a virtual-Z frame update: it lowers to a fused
+    kernel, which draws no gate noise.
+
     The chip holds only the program's active qubits, those an SMIS or SMIT
     mask names: every shot allocates 2^active amplitudes, not 2^qubit_count.
     The relabel keeps qubit order, so histograms are the same, seed for
@@ -39,32 +46,15 @@ type run_stats = {
 type result = {
   outcome : Qca_qx.Sim.outcome;
       (** QX execution result. [classical] has one entry per program qubit.
-          From {!run}, {!finish} and [Qisa.execute], [state] is indexed by
-          program qubits too: the active qubits' amplitudes, copied exactly
-          into a [qubit_count]-qubit register whose idle qubits are |0>.
-          In {!run_shots}'s [last], [state] holds the active qubits only,
-          in order ({!active_qubits} gives the program qubit of each), so
-          a many-shot run never allocates the full width. *)
+          From {!finish} and [Qisa.execute], [state] is indexed by program
+          qubits too: the active qubits' amplitudes, copied exactly into a
+          [qubit_count]-qubit register whose idle qubits are |0>. In
+          {!run_shots}'s [last], [state] holds the active qubits only, in
+          order ({!active_qubits} gives the program qubit of each), so a
+          many-shot run never allocates the full width. *)
   trace : trace_event list;  (** Pulse-level timeline, time-ordered. *)
   stats : run_stats;
 }
-
-val run :
-  ?noise:Qca_qx.Noise.model ->
-  ?rng:Qca_util.Rng.t ->
-  ?faults:Qca_util.Fault.t ->
-  technology ->
-  Qca_compiler.Eqasm.program ->
-  result
-(** Execute one shot. Raises {!Qca_util.Error.Error} ([Unknown_mnemonic] /
-    [Missing_pulse]) on mnemonics missing from the micro-code table or
-    pulses missing from the ADI library, and transient structured errors
-    when an attached [faults] injector fires (see {!Qca_util.Fault} for the
-    controller fault sites; retry wrapping is the caller's job — or use
-    {!run_shots}). [noise] defaults to ideal qubits so that functional
-    behaviour can be checked separately from error modelling. Without
-    [?rng], randomness comes from a process-wide stream that advances
-    across calls (see {!Qca_qx.Engine.default_rng} for the semantics). *)
 
 type shots_result = {
   histogram : (string * int) list;
@@ -92,8 +82,13 @@ val run_shots :
     the measurement records. The micro-architecture is inherently
     per-shot — measurement collapse feeds the timing pipeline — so there is
     no sampled fast path here; the value of this entry point is the uniform
-    histogram + {!Qca_qx.Engine.run_report} surface. [?rng] wins over
-    [?seed]; with neither, the shared stream is used.
+    histogram + {!Qca_qx.Engine.run_report} surface. One shot is
+    [(run_shots ~shots:1 ...).last]. [?rng] wins over [?seed]; with
+    neither, a process-wide stream advancing across calls is used (as
+    {!Qca_qx.Engine.default_rng}). [noise] defaults to ideal qubits.
+    Raises {!Qca_util.Error.Error} on a mnemonic missing from the
+    micro-code table, a pulse missing from the ADI library, or a gate with
+    the wrong operand count.
 
     With a [faults] injector attached, every shot aborted by a transient
     fault is retried per [policy] (default
@@ -137,8 +132,6 @@ val step : session -> Qca_compiler.Eqasm.instruction -> unit
 val classical_bit : session -> int -> int
 (** Latest measurement result of a qubit (-1 when never measured): the FMR
     (fetch measurement result) path. *)
-
-val elapsed_cycles : session -> int
 
 val finish : session -> result
 (** Close the session and collect trace + statistics. *)

@@ -24,13 +24,18 @@ type program = {
   labels : (string, int) Hashtbl.t;
 }
 
-let check_register r =
-  if r < 0 || r >= register_count then
-    invalid_arg (Printf.sprintf "Qisa: register r%d out of range" r)
+let check_range what ~limit k =
+  if k < 0 || k >= limit then invalid_arg (Printf.sprintf "Qisa: %s%d out of range" what k)
 
-let check_qubit qubit_count what q =
-  if q < 0 || q >= qubit_count then
-    invalid_arg (Printf.sprintf "Qisa: %s qubit %d out of range" what q)
+let check_register = check_range "register r" ~limit:register_count
+let check_qubit qubit_count what = check_range (what ^ " qubit ") ~limit:qubit_count
+
+let check_mask ~two_qubit =
+  check_range (if two_qubit then "mask register t" else "mask register s")
+    ~limit:Eqasm.register_limit
+
+let check_wait what cycles =
+  if cycles < 0 then invalid_arg (Printf.sprintf "Qisa: negative %s %d" what cycles)
 
 let validate qubit_count labels instr =
   match instr with
@@ -49,15 +54,24 @@ let validate qubit_count labels instr =
   | Fmr (rd, q) ->
       check_register rd;
       check_qubit qubit_count "FMR" q
-  | Quantum (Eqasm.Smis (_, qs)) ->
+  | Quantum (Eqasm.Smis (r, qs)) ->
+      check_mask ~two_qubit:false r;
       List.iter (check_qubit qubit_count "SMIS") qs
-  | Quantum (Eqasm.Smit (_, ps)) ->
+  | Quantum (Eqasm.Smit (r, ps)) ->
+      check_mask ~two_qubit:true r;
       List.iter
         (fun (a, b) ->
           check_qubit qubit_count "SMIT" a;
           check_qubit qubit_count "SMIT" b)
         ps
-  | Quantum (Eqasm.Qwait _ | Eqasm.Bundle _) -> ()
+  | Quantum (Eqasm.Qwait cycles) -> check_wait "QWAIT" cycles
+  | Quantum (Eqasm.Bundle (pre_interval, ops)) ->
+      check_wait "bundle pre-interval" pre_interval;
+      List.iter
+        (fun (op : Eqasm.quantum_op) ->
+          check_mask ~two_qubit:op.Eqasm.two_qubit op.Eqasm.mask;
+          Option.iter (check_qubit qubit_count "condition") op.Eqasm.condition)
+        ops
 
 let assemble ~name ~qubit_count ~cycle_ns instructions =
   if qubit_count <= 0 then invalid_arg "Qisa.assemble: qubit_count must be positive";

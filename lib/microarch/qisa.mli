@@ -29,8 +29,11 @@ type program
 
 val assemble :
   name:string -> qubit_count:int -> cycle_ns:int -> instruction list -> program
-(** Validates register indices, qubit ranges in FMR, and that every branch
-    target exists; raises [Invalid_argument] otherwise. *)
+(** Validates register indices, mask registers (within
+    {!Qca_compiler.Eqasm.register_limit}), qubit ranges in FMR, SMIS, SMIT
+    and bundle conditions, that waits and bundle pre-intervals are not
+    negative, and that every branch target exists; raises
+    [Invalid_argument] otherwise. *)
 
 val name : program -> string
 val to_string : program -> string

@@ -28,6 +28,18 @@ type resilience = {
 let no_resilience =
   { faults_injected = []; retries = 0; faulted_shots = 0; backoff_ns = 0; degraded = None }
 
+let resilience_of faults (counters : Resilience.counters) =
+  match faults with
+  | None -> no_resilience
+  | Some f ->
+      {
+        faults_injected = Fault.counts f;
+        retries = counters.retries;
+        faulted_shots = counters.faulted_shots;
+        backoff_ns = counters.backoff_total_ns;
+        degraded = None;
+      }
+
 type fusion_stats = {
   gates_in : int;
   kernels : int;
@@ -316,7 +328,7 @@ type micro_op =
   | M_kernel of fused_kernel
   | M_cond of int * Gate.unitary * int array * int  (* ..., conditional slot *)
   | M_prep of int
-  | M_measure of int
+  | M_measure of int * int  (* state qubit, classical bit *)
 
 (* Gate applies are counted statically: every pass over a program applies
    each kernel's logical gates once and measures each [M_measure] once, so
@@ -352,7 +364,7 @@ let compile_micro ~fusion instrs =
         | Instr (Gate.Prep q) -> Some (M_prep q)
         | Instr (Gate.Measure q) ->
             incr measures;
-            Some (M_measure q)
+            Some (M_measure (q, q))
         | Instr (Gate.Barrier _) -> None
         | Instr (Gate.Unitary _) -> assert false)
       steps
@@ -398,24 +410,18 @@ let trace_counters ~gate_applies ~measurements =
 
 (* --- the per-shot interpreter ------------------------------------------ *)
 
-(* The one state-vector shot executor (trajectory plan, [Sim.run],
-   [fold_trajectories]): a fresh state per shot, measurement collapse,
-   classical feedback, and — for a stochastic [noise] model — per-gate
-   errors after every kernel, prep errors and readout flips. Randomness is
-   drawn in program order, gate by gate: a noisy program is compiled
-   unfused, and fused kernels (ideal runs only) are bit-identical to
-   gate-by-gate application and draw nothing. The tally counts the pass and
-   the conditionals that fired; the program's static totals supply the
-   rest. The noise model's channels are worked out once per executor. *)
-let micro_executor ~noise program n =
-  let ops = program.ops in
+(* One micro-op of one state-vector shot, the only code that steps a state
+   (trajectory plan, [Sim.run], [fold_trajectories] and the controller's
+   quantum chip). Under a stochastic [noise] model a [Single] kernel draws
+   its gate errors, a prep its prep error and a measurement its readout
+   flip; fused kernels (ideal runs only) draw nothing. [fired] counts each
+   conditional slot's firings. The model's channels are worked out once,
+   when [micro_step] is applied to it. *)
+let micro_step noise =
   let ideal = Noise.is_ideal noise in
   let gate_noise = Noise.gate_noise noise in
-  fun ~tally rng ->
-  let state = State.create n in
-  let classical = Array.make n (-1) in
-  for i = 0 to Array.length ops - 1 do
-    match Array.unsafe_get ops i with
+  fun ~fired state classical rng op ->
+    match op with
     | M_kernel k -> (
         apply_kernel state k;
         match k with
@@ -424,7 +430,7 @@ let micro_executor ~noise program n =
     | M_cond (bit, u, o, slot) ->
         if classical.(bit) = 1 then begin
           State.apply state u o;
-          tally.fired.(slot) <- tally.fired.(slot) + 1;
+          fired.(slot) <- fired.(slot) + 1;
           if not ideal then Noise.after_gate gate_noise state rng u o
         end
     | M_prep q ->
@@ -432,9 +438,22 @@ let micro_executor ~noise program n =
         if current = 1 then State.apply state Gate.X [| q |];
         if (not ideal) && Rng.bernoulli rng noise.Noise.prep_error then
           State.apply state Gate.X [| q |]
-    | M_measure q ->
+    | M_measure (q, bit) ->
         let outcome = State.measure state rng q in
-        classical.(q) <- (if ideal then outcome else Noise.flip_readout noise rng outcome)
+        classical.(bit) <- (if ideal then outcome else Noise.flip_readout noise rng outcome)
+
+(* A fresh state per shot, stepped through the program op by op, so
+   randomness is drawn in program order (a noisy program is compiled
+   unfused). The tally counts the pass and the conditionals that fired;
+   the program's static totals supply the rest. *)
+let micro_executor ~noise program n =
+  let ops = program.ops in
+  let step = micro_step noise in
+  fun ~tally rng ->
+  let state = State.create n in
+  let classical = Array.make n (-1) in
+  for i = 0 to Array.length ops - 1 do
+    step ~fired:tally.fired state classical rng (Array.unsafe_get ops i)
   done;
   tally.passes <- tally.passes + 1;
   (state, classical)
@@ -474,7 +493,7 @@ let exec_micro_tableau ~tally rng tab program =
           tally.fired.(slot) <- tally.fired.(slot) + 1
         end
     | M_prep q -> if measure_tableau rng tab q = 1 then Tableau.x tab q
-    | M_measure q -> classical.(q) <- measure_tableau rng tab q
+    | M_measure (q, bit) -> classical.(bit) <- measure_tableau rng tab q
   done;
   tally.passes <- tally.passes + 1;
   classical
@@ -925,18 +944,7 @@ let run ?(noise = Noise.ideal) ?seed ?rng ?plan ?(shots = 1024) ?faults
             fun t r -> exec_micro_tableau ~tally:t r tab program)
   in
   let t2 = Sys.time () in
-  let resilience =
-    match faults with
-    | None -> no_resilience
-    | Some f ->
-        {
-          faults_injected = Fault.counts f;
-          retries = counters.Resilience.retries;
-          faulted_shots = counters.Resilience.faulted_shots;
-          backoff_ns = counters.Resilience.backoff_total_ns;
-          degraded = None;
-        }
-  in
+  let resilience = resilience_of faults counters in
   Trace.annotate run_sp (fun () ->
       match faults with
       | None -> []

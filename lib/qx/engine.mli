@@ -75,6 +75,11 @@ val no_resilience : resilience
 (** All counters zero, no degradation: the report value when resilience is
     off. *)
 
+val resilience_of :
+  Qca_util.Fault.t option -> Qca_util.Resilience.counters -> resilience
+(** The report value of a run: {!no_resilience} without an injector,
+    else its fire counts and the retry counters (no degradation). *)
+
 type fusion_stats = {
   gates_in : int;
       (** Unitary gates that reached the fusion pre-pass. Conditional
@@ -338,3 +343,25 @@ val compile_steps :
 
 val apply_kernel : State.t -> fused_kernel -> unit
 (** Apply one compiled kernel to a state (no tally, no tracing). *)
+
+(** {2 The per-op step}
+
+    The one place a state vector is stepped: the engine's trajectory
+    executor and the micro-architecture controller's quantum chip both run
+    their programs as these micro-ops through {!micro_step}. *)
+
+type micro_op =
+  | M_kernel of fused_kernel  (** Only a [Single] kernel draws gate noise. *)
+  | M_cond of int * Qca_circuit.Gate.unitary * int array * int
+      (** [(bit, gate, operands, slot)]: the gate when classical [bit] is 1. *)
+  | M_prep of int  (** Reset a state qubit to |0>. *)
+  | M_measure of int * int  (** [(qubit, bit)]: measure state [qubit] into [bit]. *)
+
+val micro_step :
+  Noise.model -> fired:int array -> State.t -> int array -> Qca_util.Rng.t -> micro_op -> unit
+(** [micro_step noise ~fired state classical rng op] applies [op] to one
+    shot. Under a stochastic [noise] a [Single] kernel and a fired [M_cond]
+    draw {!Noise.after_gate}, a prep its prep error and a measurement
+    {!Noise.flip_readout}; fused kernels draw nothing. A fired [M_cond]
+    bumps [fired.(slot)]. Apply it to the model once: the gate channels
+    ({!Noise.gate_noise}) are worked out then. *)

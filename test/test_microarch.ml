@@ -147,6 +147,10 @@ let compile_for platform circuit =
   | Some program -> (out, program)
   | None -> Alcotest.fail "expected eqasm"
 
+(* One shot through the micro-architecture: its outcome, trace and stats. *)
+let one_shot ?rng technology program =
+  (Controller.run_shots ~shots:1 ?rng technology program).Controller.last
+
 let bell_with_measure () =
   Circuit.append (Library.bell ()) (Circuit.of_list 2 [ Gate.Measure 0; Gate.Measure 1 ])
 
@@ -155,7 +159,7 @@ let test_controller_runs_bell () =
   let correlated = ref 0 and total = 200 in
   let rng = Rng.create 5150 in
   for _ = 1 to total do
-    let result = Controller.run ~rng Controller.superconducting program in
+    let result = one_shot ~rng Controller.superconducting program in
     let c = result.Controller.outcome.Sim.classical in
     if c.(0) >= 0 && c.(0) = c.(1) then incr correlated
   done;
@@ -163,7 +167,7 @@ let test_controller_runs_bell () =
 
 let test_controller_trace_ordering () =
   let _, program = compile_for Platform.superconducting_17 (bell_with_measure ()) in
-  let result = Controller.run Controller.superconducting program in
+  let result = one_shot Controller.superconducting program in
   let rec ordered = function
     | [] | [ _ ] -> true
     | a :: (b :: _ as rest) ->
@@ -178,7 +182,7 @@ let test_controller_rz_is_software () =
      updates, not pulses. *)
   let circuit = Circuit.of_list 2 [ Gate.Unitary (Gate.H, [| 0 |]) ] in
   let _, program = compile_for Platform.superconducting_17 circuit in
-  let result = Controller.run Controller.superconducting program in
+  let result = one_shot Controller.superconducting program in
   Alcotest.(check bool) "software phase updates" true
     (result.Controller.stats.Controller.software_phase_updates > 0);
   List.iter
@@ -186,6 +190,30 @@ let test_controller_rz_is_software () =
       Alcotest.(check bool) "no idle pulses in trace" true
         (e.Controller.pulse_name <> "idle"))
     result.Controller.trace
+
+let test_controller_rz_draws_no_noise () =
+  (* rz is a virtual-Z frame update: even a certain single-qubit error must
+     not follow it, so |0> stays |0> through rz and every shot reads 0. *)
+  let circuit =
+    Circuit.of_list 1 [ Gate.Unitary (Gate.Rz 0.7, [| 0 |]); Gate.Measure 0 ]
+  in
+  let program =
+    match
+      (Compiler.compile ~optimizer:Qca_compiler.Optimize.Basic Platform.superconducting_17
+         Compiler.Realistic circuit)
+        .Compiler.eqasm
+    with
+    | Some program -> program
+    | None -> Alcotest.fail "expected eqasm"
+  in
+  let noise = { Qca_qx.Noise.ideal with Qca_qx.Noise.single_qubit_error = 1.0 } in
+  let r = Controller.run_shots ~noise ~seed:8 ~shots:200 Controller.superconducting program in
+  Alcotest.(check bool) "the program applies rz" true
+    (List.mem_assoc "rz" r.Controller.report.Qca_qx.Engine.gate_applies);
+  List.iter
+    (fun (key, _) ->
+      Alcotest.(check char) ("qubit 0 of " ^ key) '0' key.[String.length key - 1])
+    r.Controller.histogram
 
 let test_retargeting_same_program_shape () =
   (* The same logical circuit compiled for the two technologies: identical
@@ -197,8 +225,8 @@ let test_retargeting_same_program_shape () =
   let semi4 = Platform.semiconducting_4 in
   let _, program_semi = compile_for semi4 circuit in
   let rng1 = Rng.create 9 and rng2 = Rng.create 9 in
-  let r_sc = Controller.run ~rng:rng1 Controller.superconducting program_sc in
-  let r_semi = Controller.run ~rng:rng2 Controller.semiconducting program_semi in
+  let r_sc = one_shot ~rng:rng1 Controller.superconducting program_sc in
+  let r_semi = one_shot ~rng:rng2 Controller.semiconducting program_semi in
   let bits r = Array.to_list (Array.sub r.Controller.outcome.Sim.classical 0 3) in
   let correlated r =
     match bits r with [ a; b; c ] -> a = b && b = c | _ -> false
@@ -210,7 +238,7 @@ let test_retargeting_same_program_shape () =
 
 let test_controller_stats_sane () =
   let _, program = compile_for Platform.superconducting_17 (bell_with_measure ()) in
-  let result = Controller.run Controller.superconducting program in
+  let result = one_shot Controller.superconducting program in
   let s = result.Controller.stats in
   Alcotest.(check bool) "bundles" true (s.Controller.bundles_issued > 0);
   Alcotest.(check bool) "micro ops" true (s.Controller.micro_ops > 0);
@@ -233,7 +261,7 @@ let test_teleportation_through_microarch () =
   let shots = 600 in
   let ones = ref 0 in
   for _ = 1 to shots do
-    let result = Controller.run ~rng Controller.superconducting program in
+    let result = one_shot ~rng Controller.superconducting program in
     if result.Controller.outcome.Sim.classical.(2) = 1 then incr ones
   done;
   Alcotest.(check (float 0.05)) "teleported through the stack" expected
@@ -241,7 +269,7 @@ let test_teleportation_through_microarch () =
 
 let test_trace_rendering () =
   let _, program = compile_for Platform.superconducting_17 (bell_with_measure ()) in
-  let result = Controller.run Controller.superconducting program in
+  let result = one_shot Controller.superconducting program in
   let text = Controller.trace_to_string result in
   Alcotest.(check bool) "has header" true (String.length text > 20)
 
@@ -311,6 +339,17 @@ let test_qisa_validation () =
   with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "bad mask qubit accepted"
+
+let test_qisa_bad_operand_count () =
+  (* cz needs two operands: on a one-qubit s-mask it is a structured
+     Invalid error, not a crash. *)
+  let p =
+    Qisa.assemble ~name:"cz1" ~qubit_count:2 ~cycle_ns:20
+      [ Qisa.Quantum (Eqasm2.Smis (0, [ 0 ])); Qisa.Quantum (Eqasm2.Bundle (1, [ qop "cz" 0 ])) ]
+  in
+  match Qisa.execute ~rng:(Rng.create 1) Controller.superconducting p with
+  | exception Qca_util.Error.Error { Qca_util.Error.kind = Qca_util.Error.Invalid _; _ } -> ()
+  | _ -> Alcotest.fail "cz on one operand accepted"
 
 let test_qisa_repeat_until_success () =
   (* Put a qubit in |+>, measure, repeat until the result is 1; count the
@@ -772,10 +811,16 @@ let prop_controller_matches_direct =
       let qubits = 2 + Rng.int rng 3 in
       let circuit = Library.random_circuit rng ~qubits ~gates:(1 + Rng.int rng 12) in
       let out, program = compile_for Platform.superconducting_17 circuit in
-      let result = Controller.run Controller.superconducting program in
+      let result = one_shot Controller.superconducting program in
+      (* The shot's state holds the active qubits only: widen it to the
+         program's register before comparing. *)
+      let qubit_count = program.Eqasm.qubit_count in
+      let state =
+        State.widen result.Controller.outcome.Sim.state ~qubit_count
+          (Controller.active_qubits ~qubit_count program.Eqasm.instructions)
+      in
       let direct = Sim.run out.Compiler.physical in
-      Float.abs (State.fidelity result.Controller.outcome.Sim.state direct.Sim.state -. 1.0)
-      <= 1e-9)
+      Float.abs (State.fidelity state direct.Sim.state -. 1.0) <= 1e-9)
 
 let pinned =
   [
@@ -898,6 +943,7 @@ let () =
           Alcotest.test_case "runs bell" `Quick test_controller_runs_bell;
           Alcotest.test_case "trace ordering" `Quick test_controller_trace_ordering;
           Alcotest.test_case "rz is software" `Quick test_controller_rz_is_software;
+          Alcotest.test_case "rz draws no noise" `Quick test_controller_rz_draws_no_noise;
           Alcotest.test_case "retargeting" `Quick test_retargeting_same_program_shape;
           QCheck_alcotest.to_alcotest prop_controller_matches_direct;
           Alcotest.test_case "stats sane" `Quick test_controller_stats_sane;
@@ -917,6 +963,7 @@ let () =
           Alcotest.test_case "arithmetic" `Quick test_qisa_classical_arithmetic;
           Alcotest.test_case "loop" `Quick test_qisa_loop;
           Alcotest.test_case "validation" `Quick test_qisa_validation;
+          Alcotest.test_case "bad operand count" `Quick test_qisa_bad_operand_count;
           Alcotest.test_case "repeat until success" `Quick test_qisa_repeat_until_success;
           Alcotest.test_case "active reset" `Quick test_qisa_active_reset;
           Alcotest.test_case "step budget" `Quick test_qisa_step_budget;
