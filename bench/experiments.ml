@@ -584,7 +584,6 @@ let e12 () =
 let e13 () =
   header "E13" "Section 2.6: placement & routing overhead (NN topology vs all-to-all)";
   let grid17 = Platform.superconducting_17 in
-  let free17 = Platform.perfect 17 in
   let benchmarks =
     [
       ("ghz-8", Library.ghz 8);
@@ -594,18 +593,17 @@ let e13 () =
     ]
   in
   Printf.printf "%-14s %-10s %-12s %-12s %-12s %-12s\n" "kernel" "2q-gates" "swaps-greedy"
-    "swaps-look4" "gate-ovh" "latency-ovh";
+    "swaps-sabre" "gate-ovh" "latency-ovh";
   List.iter
     (fun (name, circuit) ->
       let widened = Circuit.of_list 17 (Circuit.instructions circuit) in
       let lowered = Decompose.run { grid17 with Platform.primitives = "swap" :: grid17.Platform.primitives } widened in
       let greedy = Mapping.run ~strategy:Mapping.Greedy grid17 lowered in
-      let look = Mapping.run ~strategy:(Mapping.Lookahead 4) grid17 lowered in
+      let sabre = Mapping.run ~strategy:Mapping.Sabre grid17 lowered in
       let gate_ovh, latency_ovh = Mapping.overhead grid17 greedy ~original:lowered in
-      ignore free17;
       Printf.printf "%-14s %-10d %-12d %-12d %-12.2f %-12.2f\n" name
         (Circuit.two_qubit_gate_count lowered)
-        greedy.Mapping.swaps_added look.Mapping.swaps_added gate_ovh latency_ovh)
+        greedy.Mapping.swaps_added sabre.Mapping.swaps_added gate_ovh latency_ovh)
     benchmarks;
   (* Placement ablation. *)
   print_endline "placement ablation (random-10x60):";
@@ -616,7 +614,7 @@ let e13 () =
   in
   List.iter
     (fun (name, placement) ->
-      let r = Mapping.run ~placement grid17 lowered in
+      let r = Mapping.run ~strategy:Mapping.Greedy ~placement grid17 lowered in
       Printf.printf "  %-12s swaps=%d\n" name r.Mapping.swaps_added)
     [ ("trivial", Mapping.Trivial); ("by-degree", Mapping.By_degree) ];
   print_endline "(all-to-all / perfect qubits need 0 swaps by definition)";

@@ -184,7 +184,9 @@ let micro_tests () =
   in
   let t_e13 =
     Test.make ~name:"e13-route-random10x60"
-      (Staged.stage (fun () -> Qca_compiler.Mapping.run Platform.superconducting_17 routed_input))
+      (Staged.stage (fun () ->
+           Qca_compiler.Mapping.run ~strategy:Qca_compiler.Mapping.Greedy
+             Platform.superconducting_17 routed_input))
   in
   [
     t_e1; t_e3; t_e4; t_e5; t_e6; t_e7_decode; t_e7_tableau; t_e8; t_e9_sa; t_e9_qaoa;

@@ -33,21 +33,31 @@ open Cmdliner
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all
 
-(* The file's text and its parse: jobs carry the text as a [Source]
-   payload, so program directives (error_model) reach Job_spec. *)
-let load_source path =
-  try
-    let text = read_file path in
-    Ok (text, Cqasm.parse text)
-  with
+let loading path f =
+  try Ok (f ()) with
   | Qca_util.Error.Error { kind = Qca_util.Error.Syntax { line; reason; _ }; _ } ->
       Error (Printf.sprintf "%s:%d: parse error: %s" path line reason)
+  | Qca_util.Error.Error { kind = Qca_util.Error.Invalid reason; site = "Cqasm.flatten"; _ }
+    ->
+      Error (Printf.sprintf "%s: parse error: %s" path reason)
   | Sys_error msg -> Error msg
   | Invalid_argument msg -> Error (Printf.sprintf "%s: %s" path msg)
 
-let load_program path = Result.map snd (load_source path)
+(* The parse alone: what estimate costs, so a repeat too long to unroll
+   still estimates symbolically. *)
+let load_program path = loading path (fun () -> Cqasm.parse (read_file path))
 
-let load_circuit path = Result.map Cqasm.flatten (load_program path)
+(* The file's text, its parse and its unrolled circuit: jobs carry the text
+   as a [Source] payload, so program directives (error_model) reach
+   Job_spec. A program that unrolls past Cqasm.max_instructions fails here
+   like a parse error. *)
+let load_source path =
+  loading path (fun () ->
+      let text = read_file path in
+      let program = Cqasm.parse text in
+      (text, program, Cqasm.flatten program))
+
+let load_circuit path = Result.map (fun (_, _, circuit) -> circuit) (load_source path)
 
 (* --- the shared flag spec (one parser for every subcommand) --- *)
 
@@ -97,12 +107,11 @@ let mode_arg =
 let route_arg =
   Arg.(
     value
-    & opt string "sabre"
+    & opt string (Mapping.strategy_to_string Mapping.default_strategy)
     & info [ "route" ] ~docv:"STRATEGY"
         ~doc:
-          "Routing strategy for compiled (--platform) paths: sabre (default, \
-           lookahead router), greedy (the historical baseline) or \
-           lookahead[:K] (score the next K two-qubit gates). See \
+          "Routing strategy for compiled (--platform) paths: sabre (the \
+           SABRE lookahead router) or greedy (the in-order baseline). See \
            docs/compiler.md.")
 
 let json_flag =
@@ -326,16 +335,15 @@ let check_command common file no_verify =
      so --json always emits exactly one JSON document, on every exit
      path. *)
   let flag_error msg = finish (cli_error file ~code:"X02" ~check:"invalid-flag" msg) None in
-  match load_program file with
+  match load_source file with
   | Error msg -> finish (cli_error file ~code:"X01" ~check:"parse-error" msg) None
-  | Ok program -> (
+  | Ok (_, program, circuit) -> (
       let resources ?platform () =
         Estimate.check ?platform (Estimate.of_program ~shots:common.shots program)
       in
       match common.platform with
       | None -> finish (Verify.source_check program @ resources ()) None
       | Some pname -> (
-          let circuit = Cqasm.flatten program in
           match
             ( Spool.platform_of_string pname (Circuit.qubit_count circuit),
               Spool.mode_of_string common.mode )
@@ -533,9 +541,8 @@ let run_command common file plan trajectory no_fusion lint lint_json =
     | Error msg ->
         prerr_endline msg;
         1
-    | Ok (_, program) when not (run_lint ~lint ~lint_json program) -> 2
-    | Ok (text, program) -> (
-        let circuit = Cqasm.flatten program in
+    | Ok (_, program, _) when not (run_lint ~lint ~lint_json program) -> 2
+    | Ok (text, _, circuit) -> (
         match
           source_job common ~file ~text circuit ~plan:(resolve_plan plan trajectory)
             ~fusion:(not no_fusion)
@@ -641,12 +648,11 @@ let compile_metrics_json (out : Compiler.output) =
       ("passes", Json.List (List.rev rows_rev)); ("total", totals) ]
 
 let compile_command common file emit_eqasm lint lint_json =
-  match load_program file with
+  match load_source file with
   | Error msg ->
       prerr_endline msg;
       1
-  | Ok program -> (
-      let circuit = Cqasm.flatten program in
+  | Ok (_, program, circuit) -> (
       let platform_name = Option.value ~default:"superconducting" common.platform in
       match
         ( Spool.platform_of_string platform_name (Circuit.qubit_count circuit),
@@ -804,9 +810,9 @@ let submit_command common dir tenant priority deadline_ms durable file plan
     | Error msg ->
         prerr_endline msg;
         1
-    | Ok (text, program) -> (
+    | Ok (text, _, circuit) -> (
         match
-          source_job common ~file ~text (Cqasm.flatten program)
+          source_job common ~file ~text circuit
             ~plan:(resolve_plan plan trajectory) ~fusion:(not no_fusion)
         with
         | Error msg ->

@@ -14,8 +14,14 @@ type classes = {
   rotations : int;
 }
 
+(* Totals saturate at [max_int] instead of wrapping negative: a program
+   whose unrolled instruction count reaches [max_int] has overflowed, and
+   [check] reports it (R05). Operands are never negative. *)
+let sat_add a b = if a > max_int - b then max_int else a + b
+let sat_mul a b = if a <> 0 && b > max_int / a then max_int else a * b
+
 let classes_total c =
-  c.t_count + c.toffoli + c.cnot + c.clifford_1q + c.rotations
+  List.fold_left sat_add 0 [ c.t_count; c.toffoli; c.cnot; c.clifford_1q; c.rotations ]
 
 type t = {
   qubits : int;
@@ -115,16 +121,17 @@ let tally_instr t instr =
   | Gate.Barrier _ -> t.n_barriers <- t.n_barriers + 1
 
 let tally_scale_into ~into ~times src =
-  into.n_t <- into.n_t + (times * src.n_t);
-  into.n_toffoli <- into.n_toffoli + (times * src.n_toffoli);
-  into.n_cnot <- into.n_cnot + (times * src.n_cnot);
-  into.n_clifford_1q <- into.n_clifford_1q + (times * src.n_clifford_1q);
-  into.n_rotations <- into.n_rotations + (times * src.n_rotations);
-  into.n_conditionals <- into.n_conditionals + (times * src.n_conditionals);
-  into.n_measurements <- into.n_measurements + (times * src.n_measurements);
-  into.n_preps <- into.n_preps + (times * src.n_preps);
-  into.n_barriers <- into.n_barriers + (times * src.n_barriers);
-  into.n_instructions <- into.n_instructions + (times * src.n_instructions)
+  let scale total n = sat_add total (sat_mul times n) in
+  into.n_t <- scale into.n_t src.n_t;
+  into.n_toffoli <- scale into.n_toffoli src.n_toffoli;
+  into.n_cnot <- scale into.n_cnot src.n_cnot;
+  into.n_clifford_1q <- scale into.n_clifford_1q src.n_clifford_1q;
+  into.n_rotations <- scale into.n_rotations src.n_rotations;
+  into.n_conditionals <- scale into.n_conditionals src.n_conditionals;
+  into.n_measurements <- scale into.n_measurements src.n_measurements;
+  into.n_preps <- scale into.n_preps src.n_preps;
+  into.n_barriers <- scale into.n_barriers src.n_barriers;
+  into.n_instructions <- scale into.n_instructions src.n_instructions
 
 (* ------------------------------------------------------------------ *)
 (* Depth: the same per-qubit busy-until walk as Circuit.depth. A
@@ -240,7 +247,7 @@ let walk_repeat profile base qubit_count instrs iters =
      with Exit -> ());
     let remaining = iters - !applied in
     Array.iteri
-      (fun i q -> profile.(q) <- profile.(q) + (remaining * shift.(i)))
+      (fun i q -> profile.(q) <- sat_add profile.(q) (sat_mul remaining shift.(i)))
       used;
     !converged || remaining = 0
   end
@@ -303,8 +310,7 @@ let cost cal ~plan ~n ~shots ~classes ~measures =
 
 (* ------------------------------------------------------------------ *)
 
-let of_program ?(calibration = default_calibration) ?(shots = 1024)
-    ?(noisy = false) ?plan (p : Cqasm.program) =
+let of_program ?(shots = 1024) ?(noisy = false) ?plan (p : Cqasm.program) =
   let qubit_count = p.Cqasm.qubit_count in
   let total = tally_zero () in
   let profile = Array.make (max qubit_count 1) 0 in
@@ -353,7 +359,7 @@ let of_program ?(calibration = default_calibration) ?(shots = 1024)
   (* The engine chooses the plan on the declared width but simulates only
      the active qubits (Circuit.active_qubits), so that is what it costs. *)
   let amplitudes, state_bytes, sim_ns =
-    cost calibration ~plan
+    cost default_calibration ~plan
       ~n:(Array.length (Circuit.active_of_used active))
       ~shots ~classes ~measures
   in
@@ -382,11 +388,11 @@ let of_program ?(calibration = default_calibration) ?(shots = 1024)
     sim_ns;
   }
 
-let of_circuit ?calibration ?shots ?noisy ?plan circuit =
-  of_program ?calibration ?shots ?noisy ?plan (Cqasm.of_circuit circuit)
+let of_circuit ?shots ?noisy ?plan circuit =
+  of_program ?shots ?noisy ?plan (Cqasm.of_circuit circuit)
 
 (* ------------------------------------------------------------------ *)
-(* Resource diagnostics (R01-R04, docs/analysis.md).                   *)
+(* Resource diagnostics (R01-R05, docs/analysis.md).                   *)
 
 let host_bytes_default = 8.0 *. 1024.0 *. 1024.0 *. 1024.0
 let budget_ns_default = 60e9
@@ -405,10 +411,18 @@ let human_ns ns =
   else if ns >= 1e3 then Printf.sprintf "%.2f us" (ns /. 1e3)
   else Printf.sprintf "%.0f ns" ns
 
-let check ?platform ?(host_bytes = host_bytes_default)
-    ?(budget_ns = budget_ns_default) est =
+let check ?platform est =
   let out = ref [] in
   let add d = out := d :: !out in
+  if est.instructions = max_int then
+    add
+      (Diagnostic.make Diagnostic.Error ~code:"R05" ~check:"estimate-overflow"
+         ~site:"estimate"
+         (Printf.sprintf
+            "the unrolled program has at least %d instructions; every total \
+             stops there and is a lower bound"
+            max_int)
+         ~fixit:"reduce the subcircuit repeat counts");
   (match platform with
   | None -> ()
   | Some p ->
@@ -436,7 +450,7 @@ let check ?platform ?(host_bytes = host_bytes_default)
                 est.depth p.Platform.cycle_ns (human_ns runtime_ns)
                 p.Platform.name (human_ns t2))
              ~fixit:"shorten the circuit or enable optimization passes"));
-  if est.state_bytes > host_bytes then
+  if est.state_bytes > host_bytes_default then
     add
       (Diagnostic.make Diagnostic.Error ~code:"R03" ~check:"estimated-memory"
          ~site:"estimate"
@@ -444,19 +458,19 @@ let check ?platform ?(host_bytes = host_bytes_default)
             "estimated %s plan needs %s of state but the host budget is %s"
             (Engine.plan_to_string est.plan)
             (human_bytes est.state_bytes)
-            (human_bytes host_bytes))
+            (human_bytes host_bytes_default))
          ~fixit:
            (Printf.sprintf
               "reduce the register below %d qubits (or keep the circuit \
                all-Clifford for the tableau plan)"
-              (int_of_float (Float.log2 (host_bytes /. 16.0)) + 1)));
-  if est.sim_ns > budget_ns then
+              (int_of_float (Float.log2 (host_bytes_default /. 16.0)) + 1)));
+  if est.sim_ns > budget_ns_default then
     add
       (Diagnostic.make Diagnostic.Warning ~code:"R04"
          ~check:"estimated-runtime" ~site:"estimate"
          (Printf.sprintf
             "estimated simulation time %s exceeds the %s budget"
-            (human_ns est.sim_ns) (human_ns budget_ns))
+            (human_ns est.sim_ns) (human_ns budget_ns_default))
          ~fixit:"reduce shots or gate count");
   List.rev !out
 

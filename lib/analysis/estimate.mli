@@ -30,7 +30,11 @@ val classes_total : classes -> int
 type t = {
   qubits : int;  (** Declared register width. *)
   qubits_used : int;  (** Qubits actually named by an operand. *)
-  instructions : int;  (** Total instructions after (symbolic) repetition. *)
+  instructions : int;
+      (** Total instructions after (symbolic) repetition. Every count and
+          the depth saturate at [max_int] rather than wrap, so none is ever
+          negative; [instructions = max_int] marks an overflowed estimate
+          whose totals are lower bounds. *)
   gates : int;  (** Unitary + conditional applications ({!classes_total}). *)
   classes : classes;
   conditionals : int;  (** Subset of [gates] that is classically gated. *)
@@ -66,7 +70,6 @@ val default_calibration : calibration
     fused kernels at n = 20); see [docs/estimate.md]. *)
 
 val of_circuit :
-  ?calibration:calibration ->
   ?shots:int ->
   ?noisy:bool ->
   ?plan:Qca_qx.Engine.plan ->
@@ -79,7 +82,6 @@ val of_circuit :
     predicting it (the cost model then prices the forced backend). *)
 
 val of_program :
-  ?calibration:calibration ->
   ?shots:int ->
   ?noisy:bool ->
   ?plan:Qca_qx.Engine.plan ->
@@ -90,22 +92,19 @@ val of_program :
     [of_circuit (Cqasm.flatten p)] on counts and (when [depth_exact]) on
     depth — the property pinned by the [@estimate] test suite. *)
 
-val check :
-  ?platform:Qca_compiler.Platform.t ->
-  ?host_bytes:float ->
-  ?budget_ns:float ->
-  t ->
-  Diagnostic.t list
-(** Resource diagnostics (codes R01-R04, [docs/analysis.md]):
+val check : ?platform:Qca_compiler.Platform.t -> t -> Diagnostic.t list
+(** Resource diagnostics (codes R01-R05, [docs/analysis.md]):
 
     - [R01] (error, needs [platform]): estimated width exceeds the
       platform's qubit count.
     - [R02] (warning, needs [platform] with finite T2): estimated depth at
       the platform cycle time exceeds the coherence time.
-    - [R03] (error): estimated state memory exceeds [host_bytes]
-      (default 8 GiB).
-    - [R04] (warning): estimated simulation time exceeds [budget_ns]
-      (default 60 s). *)
+    - [R03] (error): estimated state memory exceeds
+      {!host_bytes_default}.
+    - [R04] (warning): estimated simulation time exceeds
+      {!budget_ns_default}.
+    - [R05] (error): the unrolled instruction count reached [max_int], so
+      the totals saturated there (see {!t}). *)
 
 val host_bytes_default : float
 (** 8 GiB — the [R03] / admission-control default cap. *)

@@ -115,8 +115,7 @@ let of_stages stages =
   in
   { passes; final }
 
-let compile ?strategy ?placement ?schedule_policy ?optimizer platform mode
-    circuit =
+let compile ?strategy ?optimizer platform mode circuit =
   let stages = ref [] in
   let mapped = ref false in
   let observer pass_name artifact =
@@ -129,8 +128,7 @@ let compile ?strategy ?placement ?schedule_policy ?optimizer platform mode
     stages := (pass_name, diagnostics) :: !stages
   in
   let output =
-    Compiler.compile ?strategy ?placement ?schedule_policy ?optimizer ~observer
-      platform mode circuit
+    Compiler.compile ?strategy ?optimizer ~observer platform mode circuit
   in
   (output, of_stages (List.rev !stages))
 

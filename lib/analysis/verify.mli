@@ -38,8 +38,6 @@ val of_stages : (string * Diagnostic.t list) list -> report
 
 val compile :
   ?strategy:Qca_compiler.Mapping.strategy ->
-  ?placement:Qca_compiler.Mapping.placement ->
-  ?schedule_policy:Qca_compiler.Schedule.policy ->
   ?optimizer:Qca_compiler.Optimize.level ->
   Qca_compiler.Platform.t ->
   Qca_compiler.Compiler.mode ->

@@ -43,7 +43,25 @@ let of_circuit circuit =
 
 let emit_circuit circuit = emit (of_circuit circuit)
 
+let max_instructions = 1 lsl 24
+
+(* Refuse a program whose unrolled length passes [max_instructions] before
+   unrolling anything. The running total stops at the first subcircuit
+   that crosses the limit, so [iterations * length] never overflows. *)
 let flatten program =
+  ignore
+    (List.fold_left
+       (fun total (name, iterations, circuit) ->
+         let length = Circuit.length circuit in
+         if length > 0 && iterations > (max_instructions - total) / length then
+           Qca_util.Error.fail ~site:"Cqasm.flatten"
+             (Qca_util.Error.Invalid
+                (Printf.sprintf
+                   "subcircuit .%s(%d) unrolls the program past the %d-instruction \
+                    limit"
+                   name iterations max_instructions))
+         else total + (iterations * length))
+       0 program.subcircuits);
   List.fold_left
     (fun acc (_, iterations, circuit) -> Circuit.append acc (Circuit.repeat iterations circuit))
     (Circuit.create program.qubit_count)

@@ -66,9 +66,7 @@ let traced_pass name ~input f =
           ]);
       output)
 
-let compile ?(strategy = Mapping.Sabre) ?(placement = Mapping.Trivial)
-    ?(schedule_policy = Schedule.Asap) ?(optimizer = Optimize.Full) ?observer
-    platform mode logical =
+let compile ?strategy ?(optimizer = Optimize.Full) ?observer platform mode logical =
   Trace.with_span "compiler.compile" (fun compile_sp ->
   Trace.annotate compile_sp (fun () ->
       [
@@ -133,7 +131,7 @@ let compile ?(strategy = Mapping.Sabre) ?(placement = Mapping.Trivial)
       let optimized = optimize_stage "optimize" Optimize.logical_config logical in
       let schedule =
         Trace.with_span "compiler.schedule" (fun sp ->
-            let schedule = Schedule.run ~policy:schedule_policy platform optimized in
+            let schedule = Schedule.run platform optimized in
             Trace.annotate sp (fun () ->
                 [ ("makespan_cycles", Trace.Int schedule.Schedule.makespan) ]);
             schedule)
@@ -180,7 +178,7 @@ let compile ?(strategy = Mapping.Sabre) ?(placement = Mapping.Trivial)
         Trace.with_span "compiler.map" (fun sp ->
             Trace.annotate sp (fun () ->
                 [ ("gates_in", Trace.Int (Circuit.gate_count lowered)) ]);
-            let mapping = Mapping.run ~strategy ~placement platform lowered in
+            let mapping = Mapping.run ?strategy platform lowered in
             Trace.annotate sp (fun () ->
                 [
                   ("gates_out", Trace.Int (Circuit.gate_count mapping.Mapping.circuit));
@@ -206,7 +204,7 @@ let compile ?(strategy = Mapping.Sabre) ?(placement = Mapping.Trivial)
       (* 6. schedule with platform timing *)
       let schedule =
         Trace.with_span "compiler.schedule" (fun sp ->
-            let schedule = Schedule.run ~policy:schedule_policy platform optimized in
+            let schedule = Schedule.run platform optimized in
             Trace.annotate sp (fun () ->
                 [ ("makespan_cycles", Trace.Int schedule.Schedule.makespan) ]);
             schedule)

@@ -46,17 +46,16 @@ val mode_to_string : mode -> string
 
 val compile :
   ?strategy:Mapping.strategy ->
-  ?placement:Mapping.placement ->
-  ?schedule_policy:Schedule.policy ->
   ?optimizer:Optimize.level ->
   ?observer:(string -> pass_artifact -> unit) ->
   Platform.t ->
   mode ->
   Qca_circuit.Circuit.t ->
   output
-(** Defaults: [strategy] is {!Mapping.Sabre} (pass [Greedy] for the
-    historical baseline), [optimizer] is {!Optimize.Full} (the complete
+(** Defaults: [strategy] is {!Mapping.default_strategy} (pass [Greedy]
+    for the baseline router), [optimizer] is {!Optimize.Full} (the complete
     pass pipeline; [Basic] restores the pre-pipeline single sweep).
+    Placement is always [Trivial] and scheduling always ASAP.
 
     [observer] (the pass-verifier hook) is called after every pass with the
     pass name (matching the {!pass_stat} rows: ["input"], ["pre-opt"],

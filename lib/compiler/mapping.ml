@@ -2,34 +2,19 @@ module Gate = Qca_circuit.Gate
 module Circuit = Qca_circuit.Circuit
 module Graph = Qca_util.Graph
 
-type strategy = Greedy | Lookahead of int | Sabre
+type strategy = Greedy | Sabre
 type placement = Trivial | By_degree
 
-let strategy_to_string = function
-  | Greedy -> "greedy"
-  | Lookahead k -> Printf.sprintf "lookahead:%d" k
-  | Sabre -> "sabre"
+let default_strategy = Sabre
 
-let strategy_of_string s =
-  match s with
+let strategy_to_string = function Greedy -> "greedy" | Sabre -> "sabre"
+
+let strategy_of_string = function
   | "greedy" -> Ok Greedy
   | "sabre" -> Ok Sabre
-  | "lookahead" -> Ok (Lookahead 4)
-  | _ -> (
-      match String.index_opt s ':' with
-      | Some i when String.sub s 0 i = "lookahead" -> (
-          let k = String.sub s (i + 1) (String.length s - i - 1) in
-          match int_of_string_opt k with
-          | Some k when k > 0 -> Ok (Lookahead k)
-          | _ ->
-              Error
-                (Printf.sprintf "lookahead window must be a positive integer: %s" k))
-      | _ ->
-          Error
-            (Printf.sprintf
-               "unknown routing strategy '%s' (expected sabre, greedy or \
-                lookahead[:K])"
-               s))
+  | s ->
+      Error
+        (Printf.sprintf "unknown routing strategy '%s' (expected sabre or greedy)" s)
 
 type result = {
   circuit : Circuit.t;
@@ -100,43 +85,92 @@ let initial_layout placement coupling circuit physical_count =
         logical_by_degree;
       layout
 
-type state = {
-  mutable layout : int array;  (** logical -> physical *)
-  mutable occupant : int array;  (** physical -> logical, or -1 *)
+(* The router core both strategies share: the evolving layout, the output
+   circuit, and the one rule for putting a logical instruction on physical
+   wires. *)
+type router = {
+  platform : Platform.t;
+  coupling : Graph.t;
+  initial : int array;  (** logical -> physical at the start *)
+  layout : int array;  (** logical -> physical *)
+  occupant : int array;  (** physical -> logical, or -1 *)
+  measured_at : int array;
+      (** physical qubit each logical qubit sat on when last measured, or -1 *)
+  mutable out : Circuit.t;
+  mutable swaps : int;
 }
 
-let swap_physical st p1 p2 =
-  let l1 = st.occupant.(p1) and l2 = st.occupant.(p2) in
-  st.occupant.(p1) <- l2;
-  st.occupant.(p2) <- l1;
-  if l1 >= 0 then st.layout.(l1) <- p2;
-  if l2 >= 0 then st.layout.(l2) <- p1
+let create_router placement platform circuit =
+  let physical_count = platform.Platform.qubit_count in
+  if Circuit.qubit_count circuit > physical_count then
+    invalid_arg "Mapping.run: circuit larger than platform";
+  let coupling = Platform.connectivity platform in
+  let initial = initial_layout placement coupling circuit physical_count in
+  let occupant = Array.make physical_count (-1) in
+  Array.iteri (fun l p -> occupant.(p) <- l) initial;
+  {
+    platform;
+    coupling;
+    initial;
+    layout = Array.copy initial;
+    occupant;
+    measured_at = Array.make (Circuit.qubit_count circuit) (-1);
+    out = Circuit.create ~name:(Circuit.name circuit ^ "_mapped") physical_count;
+    swaps = 0;
+  }
 
-(* Remaining two-qubit interactions, used by the lookahead scorer. *)
-let upcoming_pairs instrs =
-  List.filter_map
-    (fun instr ->
-      match instr with
-      | (Gate.Unitary (u, ops) | Gate.Conditional (_, u, ops)) when Gate.arity u = 2 ->
-          Some (ops.(0), ops.(1))
-      | Gate.Unitary _ | Gate.Conditional _ | Gate.Prep _ | Gate.Measure _
-      | Gate.Barrier _ ->
-          None)
-    instrs
+let finish r =
+  {
+    circuit = r.out;
+    initial_layout = r.initial;
+    final_layout = Array.copy r.layout;
+    swaps_added = r.swaps;
+  }
 
-let hop coupling a b =
-  match Graph.hop_distance coupling a b with
-  | Some d -> d
-  | None -> invalid_arg "Mapping: physical topology is disconnected"
+let swap_physical r p1 p2 =
+  let l1 = r.occupant.(p1) and l2 = r.occupant.(p2) in
+  r.occupant.(p1) <- l2;
+  r.occupant.(p2) <- l1;
+  if l1 >= 0 then r.layout.(l1) <- p2;
+  if l2 >= 0 then r.layout.(l2) <- p1
 
-let rec take k = function
-  | [] -> []
-  | x :: rest -> if k = 0 then [] else x :: take (k - 1) rest
+let emit r instr = r.out <- Circuit.add r.out instr
 
-let lookahead_score coupling st pairs =
-  List.fold_left
-    (fun acc (l1, l2) -> acc + hop coupling st.layout.(l1) st.layout.(l2))
-    0 pairs
+let emit_swap r p1 p2 =
+  emit r (Gate.Unitary (Gate.Swap, [| p1; p2 |]));
+  swap_physical r p1 p2;
+  r.swaps <- r.swaps + 1
+
+(* Emit a logical instruction on the wires its qubits occupy now. Classical
+   bits are indexed by the physical qubit that was measured, so a
+   measurement records where its qubit sat and a conditional (of any arity)
+   reads the bit recorded there. *)
+let emit_logical r instr =
+  let phys l = r.layout.(l) in
+  match instr with
+  | (Gate.Unitary (u, _) | Gate.Conditional (_, u, _)) when Gate.arity u > 2 ->
+      invalid_arg "Mapping.run: decompose >2-qubit gates before mapping"
+  | Gate.Measure q ->
+      r.measured_at.(q) <- phys q;
+      emit r (Gate.Measure (phys q))
+  | Gate.Conditional (bit, u, ops) ->
+      let bit = if r.measured_at.(bit) >= 0 then r.measured_at.(bit) else phys bit in
+      emit r (Gate.Conditional (bit, u, Array.map phys ops))
+  | Gate.Unitary _ | Gate.Prep _ | Gate.Barrier _ -> emit r (Gate.map_qubits phys instr)
+
+let two_qubit_operands = function
+  | (Gate.Unitary (u, ops) | Gate.Conditional (_, u, ops)) when Gate.arity u = 2 ->
+      Some (ops.(0), ops.(1))
+  | Gate.Unitary _ | Gate.Conditional _ | Gate.Prep _ | Gate.Measure _ | Gate.Barrier _ ->
+      None
+
+(* Swap logical [l1] along a shortest path until it is coupled to [l2]. *)
+let walk_until_coupled r l1 l2 =
+  while not (Platform.are_coupled r.platform r.layout.(l1) r.layout.(l2)) do
+    match Graph.shortest_path r.coupling r.layout.(l1) r.layout.(l2) with
+    | None | Some ([] | [ _ ]) -> invalid_arg "Mapping: no route between physical qubits"
+    | Some (p1 :: next :: _) -> emit_swap r p1 next
+  done
 
 (* Qubits an instruction depends on, including a conditional's classical
    source bit so measure→feedback ordering survives SABRE's reordering of
@@ -156,20 +190,9 @@ let dedup_sorted arr =
    swap minimising the summed front-layer distance plus a discounted
    extended-set lookahead, damped by a per-qubit decay factor. *)
 let run_sabre ~placement platform circuit =
+  let r = create_router placement platform circuit in
   let physical_count = platform.Platform.qubit_count in
-  if Circuit.qubit_count circuit > physical_count then
-    invalid_arg "Mapping.run: circuit larger than platform";
-  let coupling = Platform.connectivity platform in
-  let layout0 = initial_layout placement coupling circuit physical_count in
-  let st =
-    {
-      layout = Array.copy layout0;
-      occupant =
-        (let occ = Array.make physical_count (-1) in
-         Array.iteri (fun l p -> occ.(p) <- l) layout0;
-         occ);
-    }
-  in
+  let coupling = r.coupling in
   (* All-pairs BFS hop distances over the coupling graph. *)
   let dist =
     Array.init physical_count (fun s ->
@@ -218,45 +241,14 @@ let run_sabre ~placement platform circuit =
   done;
   let executed = Array.make n false in
   let executed_count = ref 0 in
-  let out =
-    ref (Circuit.create ~name:(Circuit.name circuit ^ "_mapped") physical_count)
-  in
-  let measured_at = Array.make logical_count (-1) in
-  let swaps = ref 0 in
-  let emit instr = out := Circuit.add !out instr in
-  let emit_swap p1 p2 =
-    emit (Gate.Unitary (Gate.Swap, [| p1; p2 |]));
-    swap_physical st p1 p2;
-    incr swaps
-  in
-  let two_qubit_pair i =
-    match instrs.(i) with
-    | (Gate.Unitary (u, ops) | Gate.Conditional (_, u, ops))
-      when Gate.arity u = 2 ->
-        Some (ops.(0), ops.(1))
-    | _ -> None
-  in
+  let two_qubit_pair i = two_qubit_operands instrs.(i) in
   let executable i =
     match two_qubit_pair i with
-    | Some (l1, l2) ->
-        Platform.are_coupled platform st.layout.(l1) st.layout.(l2)
+    | Some (l1, l2) -> Platform.are_coupled platform r.layout.(l1) r.layout.(l2)
     | None -> true
   in
   let exec i =
-    (match instrs.(i) with
-    | (Gate.Unitary (u, _) | Gate.Conditional (_, u, _)) when Gate.arity u > 2
-      ->
-        invalid_arg "Mapping.run: decompose >2-qubit gates before mapping"
-    | Gate.Measure q ->
-        measured_at.(q) <- st.layout.(q);
-        emit (Gate.Measure st.layout.(q))
-    | Gate.Conditional (bit, u, ops) ->
-        let physical_bit =
-          if measured_at.(bit) >= 0 then measured_at.(bit) else st.layout.(bit)
-        in
-        emit
-          (Gate.Conditional (physical_bit, u, Array.map (fun l -> st.layout.(l)) ops))
-    | instr -> emit (Gate.map_qubits (fun l -> st.layout.(l)) instr));
+    emit_logical r instrs.(i);
     executed.(i) <- true;
     in_front.(i) <- false;
     incr executed_count;
@@ -290,7 +282,7 @@ let run_sabre ~placement platform circuit =
     done;
     List.rev !acc
   in
-  let pair_dist (l1, l2) = dist.(st.layout.(l1)).(st.layout.(l2)) in
+  let pair_dist (l1, l2) = dist.(r.layout.(l1)).(r.layout.(l2)) in
   let mean_dist pairs =
     match pairs with
     | [] -> 0.0
@@ -320,19 +312,9 @@ let run_sabre ~placement platform circuit =
       let fpairs = List.filter_map two_qubit_pair (List.sort compare !front) in
       assert (fpairs <> []);
       if !stall >= stall_limit then begin
-        (* Safety valve: route the first blocked pair directly. *)
+        (* Safety valve: route the first blocked pair the greedy way. *)
         let l1, l2 = List.hd fpairs in
-        let guard = ref 0 in
-        while
-          (not (Platform.are_coupled platform st.layout.(l1) st.layout.(l2)))
-          && !guard <= physical_count
-        do
-          incr guard;
-          match Graph.shortest_path coupling st.layout.(l1) st.layout.(l2) with
-          | None | Some ([] | [ _ ]) ->
-              invalid_arg "Mapping: no route between physical qubits"
-          | Some (p1 :: next :: _) -> emit_swap p1 next
-        done;
+        walk_until_coupled r l1 l2;
         stall := 0
       end
       else begin
@@ -347,16 +329,16 @@ let run_sabre ~placement platform circuit =
                      List.map
                        (fun (pn, _) -> (min p pn, max p pn))
                        (Graph.neighbours coupling p))
-                   [ st.layout.(l1); st.layout.(l2) ])
+                   [ r.layout.(l1); r.layout.(l2) ])
                fpairs)
         in
         let score (p1, p2) =
-          swap_physical st p1 p2;
+          swap_physical r p1 p2;
           let s =
             (mean_dist fpairs +. (0.5 *. mean_dist epairs))
             *. Float.max decay.(p1) decay.(p2)
           in
-          swap_physical st p1 p2;
+          swap_physical r p1 p2;
           s
         in
         let best =
@@ -371,125 +353,30 @@ let run_sabre ~placement platform circuit =
         match best with
         | None -> invalid_arg "Mapping: no route between physical qubits"
         | Some (_, (p1, p2)) ->
-            emit_swap p1 p2;
+            emit_swap r p1 p2;
             decay.(p1) <- decay.(p1) +. 0.01;
             decay.(p2) <- decay.(p2) +. 0.01;
             incr stall
       end
     end
   done;
-  {
-    circuit = !out;
-    initial_layout = layout0;
-    final_layout = Array.copy st.layout;
-    swaps_added = !swaps;
-  }
+  finish r
 
-(* The original swap-walk mapper (greedy / k-lookahead), kept as the
-   baseline for `--route greedy`. *)
-let run_walk ~strategy ~placement platform circuit =
-  let physical_count = platform.Platform.qubit_count in
-  if Circuit.qubit_count circuit > physical_count then
-    invalid_arg "Mapping.run: circuit larger than platform";
-  let coupling = Platform.connectivity platform in
-  let layout = initial_layout placement coupling circuit physical_count in
-  let st =
-    {
-      layout = Array.copy layout;
-      occupant =
-        (let occ = Array.make physical_count (-1) in
-         Array.iteri (fun l p -> occ.(p) <- l) layout;
-         occ);
-    }
-  in
-  let out = ref (Circuit.create ~name:(Circuit.name circuit ^ "_mapped") physical_count) in
-  (* Classical bits are indexed by the physical qubit that was measured, so
-     record where each logical qubit sat when it was last measured. *)
-  let measured_at = Array.make (Circuit.qubit_count circuit) (-1) in
-  let swaps = ref 0 in
-  let emit instr = out := Circuit.add !out instr in
-  let emit_swap p1 p2 =
-    emit (Gate.Unitary (Gate.Swap, [| p1; p2 |]));
-    swap_physical st p1 p2;
-    incr swaps
-  in
-  (* Route logical pair (l1, l2) until their physical homes are coupled. *)
-  let route future l1 l2 =
-    let rec step () =
-      let p1 = st.layout.(l1) and p2 = st.layout.(l2) in
-      if not (Platform.are_coupled platform p1 p2) then begin
-        match Graph.shortest_path coupling p1 p2 with
-        | None | Some ([] | [ _ ]) ->
-            invalid_arg "Mapping: no route between physical qubits"
-        | Some (_ :: next_from_p1 :: _ as path) ->
-            let move_from_p1 () = emit_swap p1 next_from_p1 in
-            let move_from_p2 () =
-              match List.rev path with
-              | _ :: next_from_p2 :: _ -> emit_swap p2 next_from_p2
-              | [] | [ _ ] -> assert false
-            in
-            begin
-              match strategy with
-              | Sabre -> assert false (* dispatched to run_sabre *)
-              | Greedy -> move_from_p1 ()
-              | Lookahead k ->
-                  (* Try both endpoints; keep the swap that minimises the
-                     summed distance of the next k interactions. *)
-                  let pairs = take k (upcoming_pairs future) in
-                  move_from_p1 ();
-                  let score1 = lookahead_score coupling st pairs in
-                  (* undo and try the other end *)
-                  swap_physical st p1 next_from_p1;
-                  (match List.rev path with
-                  | _ :: next_from_p2 :: _ ->
-                      swap_physical st p2 next_from_p2;
-                      let score2 = lookahead_score coupling st pairs in
-                      swap_physical st p2 next_from_p2;
-                      (* Remove the provisional swap instruction we emitted. *)
-                      let instrs = Circuit.instructions !out in
-                      let without_last = List.filteri (fun i _ -> i < List.length instrs - 1) instrs in
-                      out := Circuit.of_list ~name:(Circuit.name !out) physical_count without_last;
-                      decr swaps;
-                      if score1 <= score2 then emit_swap p1 next_from_p1
-                      else move_from_p2 ()
-                  | [] | [ _ ] -> assert false)
-            end;
-            step ()
-      end
-    in
-    step ()
-  in
-  let rec process = function
-    | [] -> ()
-    | instr :: future ->
-        begin
-          match instr with
-          | (Gate.Unitary (u, ops) | Gate.Conditional (_, u, ops)) when Gate.arity u = 2 ->
-              route future ops.(0) ops.(1);
-              emit (Gate.map_qubits (fun l -> st.layout.(l)) instr)
-          | (Gate.Unitary (u, _) | Gate.Conditional (_, u, _)) when Gate.arity u > 2 ->
-              invalid_arg "Mapping.run: decompose >2-qubit gates before mapping"
-          | Gate.Conditional (bit, u, ops) ->
-              let physical_bit =
-                if measured_at.(bit) >= 0 then measured_at.(bit) else st.layout.(bit)
-              in
-              emit
-                (Gate.Conditional (physical_bit, u, Array.map (fun l -> st.layout.(l)) ops))
-          | Gate.Measure q ->
-              measured_at.(q) <- st.layout.(q);
-              emit (Gate.Measure st.layout.(q))
-          | Gate.Unitary _ | Gate.Prep _ | Gate.Barrier _ ->
-              emit (Gate.map_qubits (fun l -> st.layout.(l)) instr)
-        end;
-        process future
-  in
-  process (Circuit.instructions circuit);
-  { circuit = !out; initial_layout = layout; final_layout = Array.copy st.layout; swaps_added = !swaps }
+(* The greedy baseline: walk the program in order and, before each
+   two-qubit gate, move its first operand until the pair is coupled. *)
+let run_greedy ~placement platform circuit =
+  let r = create_router placement platform circuit in
+  List.iter
+    (fun instr ->
+      Option.iter (fun (l1, l2) -> walk_until_coupled r l1 l2) (two_qubit_operands instr);
+      emit_logical r instr)
+    (Circuit.instructions circuit);
+  finish r
 
-let run ?(strategy = Greedy) ?(placement = Trivial) platform circuit =
+let run ?(strategy = default_strategy) ?(placement = Trivial) platform circuit =
   match strategy with
   | Sabre -> run_sabre ~placement platform circuit
-  | Greedy | Lookahead _ -> run_walk ~strategy ~placement platform circuit
+  | Greedy -> run_greedy ~placement platform circuit
 
 let overhead platform result ~original =
   let routed_2q = Circuit.two_qubit_gate_count result.circuit in

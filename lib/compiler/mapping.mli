@@ -12,13 +12,15 @@
     equals the original conjugated by those wire permutations (inserted SWAPs
     included). Measurement outcomes are preserved: classical bit indices
     follow the physical qubit a logical qubit occupied when it was measured,
-    and classically-conditioned gates read that recorded bit. *)
+    and classically-conditioned gates read that recorded bit. Both
+    strategies emit every instruction through one shared rule, so the
+    invariant holds for each by construction. *)
 
 type strategy =
-  | Greedy  (** Walk one endpoint along the shortest path. *)
-  | Lookahead of int
-      (** Choose which endpoint to move by scoring the next [k] two-qubit
-          gates' total distance. *)
+  | Greedy
+      (** The baseline: walk the program in order and, before each
+          two-qubit gate, swap its first operand along a shortest path
+          until the pair is coupled. *)
   | Sabre
       (** SABRE-style lookahead router (Li, Ding & Xie): keep the front
           layer of dependency-ready gates, execute everything the coupling
@@ -30,13 +32,17 @@ type strategy =
           order, are preserved). Deterministic: ties break on the smallest
           physical edge. *)
 
+val default_strategy : strategy
+(** [Sabre]: the router {!run}, {!Compiler.compile}, [qxc --route] and the
+    spool use when none is named. *)
+
 val strategy_to_string : strategy -> string
-(** Stable vocabulary name: ["greedy"], ["lookahead:K"], ["sabre"] — used by
-    the [qxc --route] flag and the spool header. *)
+(** Stable vocabulary name: ["greedy"] or ["sabre"] — used by the
+    [qxc --route] flag and the spool header. *)
 
 val strategy_of_string : string -> (strategy, string) result
-(** Inverse of {!strategy_to_string}. Accepts bare ["lookahead"] (window 4).
-    [Error] carries a human-readable message. *)
+(** Inverse of {!strategy_to_string}. [Error] carries a human-readable
+    message. *)
 
 type placement =
   | Trivial  (** Logical qubit i starts on physical qubit i. *)
@@ -58,10 +64,10 @@ val run :
   result
 (** Route a circuit onto the platform topology. The input circuit may use at
     most [Platform.qubit_count] qubits; the result uses physical indices.
-    The default strategy is [Greedy] (the historical baseline);
-    {!Compiler.compile} defaults to [Sabre]. Raises [Invalid_argument] if
-    the circuit needs more qubits than the platform offers or contains
-    >2-qubit unitaries (decompose first). *)
+    [strategy] defaults to {!default_strategy} and [placement] to
+    [Trivial]. Raises [Invalid_argument] if the circuit needs more qubits
+    than the platform offers or contains >2-qubit unitaries (decompose
+    first). *)
 
 val overhead : Platform.t -> result -> original:Qca_circuit.Circuit.t -> float * float
 (** [(gate_overhead, latency_overhead)]: ratios of routed/original two-qubit

@@ -81,8 +81,8 @@ let to_circuit p =
   let flat = Cqasm.flatten (to_cqasm_program p) in
   Circuit.of_list ~name:p.program_name p.program_qubits (Circuit.instructions flat)
 
-let compile ?strategy ?placement ~platform ~mode p =
-  Compiler.compile ?strategy ?placement platform mode (to_circuit p)
+let compile ?strategy ~platform ~mode p =
+  Compiler.compile ?strategy platform mode (to_circuit p)
 
 let simulate ?noise ?rng ?(shots = 1024) p =
   (Qca_qx.Engine.run ?noise ?rng ~shots (to_circuit p)).Qca_qx.Engine.histogram

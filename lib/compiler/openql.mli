@@ -71,7 +71,6 @@ val to_circuit : program -> Qca_circuit.Circuit.t
 
 val compile :
   ?strategy:Mapping.strategy ->
-  ?placement:Mapping.placement ->
   platform:Platform.t ->
   mode:Compiler.mode ->
   program ->

@@ -103,8 +103,10 @@ val run_circuit : Qca_circuit.Circuit.t -> Qca_circuit.Circuit.t
 val run_basic : Qca_circuit.Circuit.t -> Qca_circuit.Circuit.t * stats
 (** The legacy single-sweep optimiser (inverse-pair cancellation,
     same-axis merging and identity removal between dependency-adjacent
-    instructions only), kept as the [--optimize basic] baseline for
-    benchmarking the full pipeline against. *)
+    instructions only). With greedy routing it is the baseline
+    [BENCH_optimizer.json] measures the full pipeline against, and the
+    optimizer [test_microarch]'s "rz draws no noise" compiles with, since
+    it keeps an [rz] that only precedes a measurement. *)
 
 (**/**)
 

@@ -118,14 +118,18 @@ let fault_tolerant ?(max_distance = 101) ?(cycle_ns = 1000.0) ~target
      (rotated_surface d), kept closed-form so scanning distances never
      materialises O(d^4) stabilizer tables. *)
   let per_logical = (2 * distance * distance) - 1 in
-  let cycles = max 1 depth * distance in
+  (* A depth near max_int (an overflowed estimate) saturates the cycle
+     count instead of wrapping it; the runtime is a float product either
+     way. *)
+  let depth = max 1 depth in
+  let cycles = if depth > max_int / distance then max_int else depth * distance in
   {
     code = "rotated-surface";
     distance;
     logical_qubits;
     ft_physical_qubits = logical_qubits * per_logical;
     cycles;
-    runtime_ns = float_of_int cycles *. cycle_ns;
+    runtime_ns = float_of_int depth *. float_of_int distance *. cycle_ns;
     logical_error = total distance;
     target;
     physical_error;

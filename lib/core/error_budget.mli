@@ -47,8 +47,10 @@ type ft_estimate = {
   distance : int;  (** Smallest odd distance meeting [target]. *)
   logical_qubits : int;
   ft_physical_qubits : int;  (** [logical_qubits * (2 d^2 - 1)]. *)
-  cycles : int;  (** Syndrome-extraction cycles: [depth * distance]. *)
-  runtime_ns : float;  (** [cycles * cycle_ns]. *)
+  cycles : int;
+      (** Syndrome-extraction cycles: [depth * distance], saturating at
+          [max_int]. *)
+  runtime_ns : float;  (** [depth * distance * cycle_ns], in floats. *)
   logical_error : float;
       (** Predicted total failure probability at [distance]:
           [logical_qubits * depth * p_L(d)]. *)

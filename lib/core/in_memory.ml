@@ -37,7 +37,7 @@ let measure_routing platform circuit =
     { platform with Platform.primitives = "swap" :: platform.Platform.primitives }
   in
   let lowered = Decompose.run swap_capable widened in
-  let result = Mapping.run platform lowered in
+  let result = Mapping.run ~strategy:Mapping.Greedy platform lowered in
   let two_qubit_gates = Circuit.two_qubit_gate_count lowered in
   let swaps = result.Mapping.swaps_added in
   (* Interactions that needed no routing were already nearest-neighbour. *)

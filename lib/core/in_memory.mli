@@ -36,8 +36,8 @@ type routing_pressure = {
 }
 
 val measure_routing : Qca_compiler.Platform.t -> Qca_circuit.Circuit.t -> routing_pressure
-(** Run the mapper and extract the quantum data-movement numbers for a
-    circuit on a nearest-neighbour platform. *)
+(** Run the greedy router and extract the quantum data-movement numbers
+    for a circuit on a nearest-neighbour platform. *)
 
 val comparison_table : workload -> movement_per_distant_op:float -> (string * float) list
 (** Movements per architecture, for printing. *)

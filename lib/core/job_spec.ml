@@ -138,12 +138,12 @@ let digest circuit =
     (Digest.string (Printf.sprintf "%d\n%s" (Circuit.qubit_count circuit) body))
 
 let route_router = function
-  | Direct -> Mapping.Sabre
+  | Direct -> Mapping.default_strategy
   | Compiled { router; _ } -> router
 
 (* The router participates so compiled results produced by different
-   routing strategies never share a cache entry. The default ([Sabre])
-   adds no suffix, keeping historical fingerprints stable. *)
+   routing strategies never share a cache entry. The default router adds
+   no suffix, keeping historical fingerprints stable. *)
 let route_fingerprint = function
   | Direct -> "direct"
   | Compiled { platform; mode; technology; ladder; router } ->
@@ -156,9 +156,8 @@ let route_fingerprint = function
         | Some t -> t.Controller.tech_name
         | None -> "direct-qx")
         (if ladder then "+ladder" else "")
-        (match router with
-        | Mapping.Sabre -> ""
-        | r -> "+" ^ Mapping.strategy_to_string r)
+        (if router = Mapping.default_strategy then ""
+         else "+" ^ Mapping.strategy_to_string router)
 
 let route_description spec = route_fingerprint spec.route
 

@@ -36,8 +36,9 @@ type route =
               (the [qxc exec] semantics). *)
       router : Qca_compiler.Mapping.strategy;
           (** Routing strategy forwarded to
-              {!Qca_compiler.Compiler.compile} ([Sabre] is the default;
-              [Greedy] is the historical baseline). Participates in
+              {!Qca_compiler.Compiler.compile}
+              ({!Qca_compiler.Mapping.default_strategy} unless named;
+              [Greedy] is the baseline). Participates in
               {!cache_key} — differently-routed results are never
               shared. *)
     }
@@ -165,10 +166,10 @@ val faults : t -> Qca_util.Fault.t option
 val retry_policy : t -> Qca_util.Resilience.policy
 
 val route_router : route -> Qca_compiler.Mapping.strategy
-(** The route's routing strategy ([Sabre] for [Direct] routes, where it is
-    never consulted). *)
+(** The route's routing strategy ({!Qca_compiler.Mapping.default_strategy}
+    for [Direct] routes, where it is never consulted). *)
 
 val route_description : t -> string
 (** One-line route summary for logs, e.g. ["direct"] or
-    ["superconducting-17/real/microarch+ladder"]; non-default routers
-    append ["+greedy"] / ["+lookahead:K"]. *)
+    ["superconducting-17/real/microarch+ladder"]; a non-default router
+    appends its name (["+greedy"]). *)

@@ -65,7 +65,7 @@ let spec ?(shots = 512) ?seed stack circuit =
            mode = Qubit_model.compiler_mode stack.model;
            technology = stack.technology;
            ladder = true;
-           router = Qca_compiler.Mapping.Sabre;
+           router = Qca_compiler.Mapping.default_strategy;
          })
     (Job_spec.Circuit circuit)
 

@@ -37,8 +37,8 @@ val spec : ?shots:int -> ?seed:int -> t -> Qca_circuit.Circuit.t -> Job_spec.t
     [Compiled] route on the stack's platform, in its qubit model's compiler
     mode, with its micro-architecture and the degradation ladder on
     (micro-architecture -> realistic QX), routed with
-    {!Qca_compiler.Mapping.Sabre}. Default 512 shots; the other run
-    parameters take the {!Job_spec.make} defaults and can be overridden on
-    the returned record. *)
+    {!Qca_compiler.Mapping.default_strategy}. Default 512 shots; the other
+    run parameters take the {!Job_spec.make} defaults and can be overridden
+    on the returned record. *)
 
 val describe : t -> string

@@ -43,7 +43,7 @@ let platform_to_string (p : Platform.t) =
     "semiconducting"
   else "perfect"
 
-let route_of_names ?(router = Qca_compiler.Mapping.Sabre) ~platform ~mode
+let route_of_names ?(router = Qca_compiler.Mapping.default_strategy) ~platform ~mode
     ~ladder ~qubits () =
   match platform with
   | None -> Ok Job_spec.Direct
@@ -101,11 +101,10 @@ let encode ~tenant spec =
           add "platform" (platform_to_string platform);
           add "mode" (mode_to_string mode);
           if ladder then add "ladder" "true";
-          (* Sabre is the default; only non-default routers are spooled, so
-             pre-router job files stay decodable and byte-stable. *)
-          (match router with
-          | Qca_compiler.Mapping.Sabre -> ()
-          | r -> add "router" (Qca_compiler.Mapping.strategy_to_string r)));
+          (* Only a non-default router is spooled, so pre-router job files
+             stay decodable and byte-stable. *)
+          if router <> Qca_compiler.Mapping.default_strategy then
+            add "router" (Qca_compiler.Mapping.strategy_to_string router));
       Buffer.add_string b "---\n";
       Buffer.add_string b (Cqasm.emit_circuit circuit);
       Ok (Buffer.contents b)
@@ -253,7 +252,7 @@ let decode ~id text =
                       in
                       let* router =
                         match get "router" with
-                        | None -> Ok Qca_compiler.Mapping.Sabre
+                        | None -> Ok Qca_compiler.Mapping.default_strategy
                         | Some v -> (
                             match Qca_compiler.Mapping.strategy_of_string v with
                             | Ok r -> Ok r

@@ -80,7 +80,8 @@ val route_of_names :
 (** The route a [--platform]/[--mode]/[--ladder] flag triple denotes:
     [None] platform is the direct engine route; Real mode picks up the
     platform's paired technology. [router] (default
-    {!Qca_compiler.Mapping.Sabre}) is the [--route] routing strategy. *)
+    {!Qca_compiler.Mapping.default_strategy}) is the [--route] routing
+    strategy. *)
 
 (** {2 Spool directories} *)
 
