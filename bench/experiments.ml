@@ -44,6 +44,7 @@ module Stack = Qca.Stack
 module Runner = Qca.Runner
 module Trl = Qca.Trl
 module Rng = Qca_util.Rng
+module Clock = Qca_util.Clock
 
 let header id title =
   Printf.printf "\n=== %s: %s ===\n" id title
@@ -232,9 +233,9 @@ let e5 () =
   let mib bytes = float_of_int bytes /. (1024.0 *. 1024.0) in
   List.iter
     (fun n ->
-      let t0 = Sys.time () in
+      let t0 = Clock.now () in
       let result = Sim.run (Library.ghz n) in
-      let dt = Sys.time () -. t0 in
+      let dt = Clock.now () -. t0 in
       ignore (State.probability_of result.Sim.state 0);
       Printf.printf "%-8d %-14s %-14.4f %-12.0f\n" n
         (Printf.sprintf "%.1f MiB" (mib (State.memory_bytes n)))
@@ -255,7 +256,7 @@ let e5 () =
     (Engine.plan_to_string report.Engine.plan)
     report.Engine.wall.Engine.simulate_s report.Engine.wall.Engine.sample_s
     (List.fold_left (fun acc (_, c) -> acc + c) 0 report.Engine.gate_applies);
-  print_endline "(run `bench/main.exe engine` for the sampled-vs-trajectory comparison)"
+  print_endline "(one evolution feeds all 1000 shots; per-shot trajectories would apply every gate 1000 times)"
 
 (* ------------------------------------------------------------------ *)
 (* E6 — Section 2.7: error-rate sweep 1e-2 .. 1e-6 *)

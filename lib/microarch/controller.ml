@@ -8,6 +8,7 @@ module Qerror = Qca_util.Error
 module Fault = Qca_util.Fault
 module Resilience = Qca_util.Resilience
 module Trace = Qca_util.Trace
+module Clock = Qca_util.Clock
 
 (* Default randomness for sessions that pass no [?rng]: one process-wide
    stream that advances across runs (same semantics as Engine.default_rng),
@@ -376,7 +377,7 @@ let run_shots ?noise ?seed ?rng ?(shots = 1024) ?faults
     | None, Some s -> Rng.create s
     | None, None -> shared_rng
   in
-  let t0 = Sys.time () in
+  let t0 = Clock.now () in
   let counts = Hashtbl.create 64 in
   let applies = Hashtbl.create 16 in
   let measures = ref 0 in
@@ -402,7 +403,7 @@ let run_shots ?noise ?seed ?rng ?(shots = 1024) ?faults
         last := Some session;
         add counts (Engine.bitstring session.classical) 1
   done;
-  let t1 = Sys.time () in
+  let t1 = Clock.now () in
   let histogram =
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []
     |> List.sort (fun (_, a) (_, b) -> compare b a)

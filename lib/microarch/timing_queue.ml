@@ -38,16 +38,12 @@ let drain_all q = drain_until q max_int
 let pending q = List.length q.events
 let peak_depth q = q.peak
 let violations q = q.violations
-let total_pushed q = q.pushed
 
 type pool = t array
 
 let create_pool ~channels = Array.init channels (fun channel -> create ~channel)
 let queue pool c = pool.(c)
 let push_pool pool micro_op = push pool.(micro_op.Microcode.qubit) micro_op
-
-let drain_pool pool =
-  Array.to_list (Array.map (fun q -> (q.channel, drain_all q)) pool)
 
 let drain_pool_until pool deadline =
   Array.fold_left (fun acc q -> acc + List.length (drain_until q deadline)) 0 pool

@@ -26,7 +26,6 @@ val peak_depth : t -> int
 (** Maximum number of simultaneously queued events seen. *)
 
 val violations : t -> int
-val total_pushed : t -> int
 
 type pool
 (** One queue per channel. *)
@@ -34,9 +33,6 @@ type pool
 val create_pool : channels:int -> pool
 val queue : pool -> int -> t
 val push_pool : pool -> Microcode.micro_op -> unit
-val drain_pool : pool -> (int * event list) list
-(** Drain every queue; returns (channel, events) pairs. *)
-
 val drain_pool_until : pool -> int -> int
 (** Release every event due by the deadline across all queues (the
     controller calls this as the timing grid advances); returns how many

@@ -35,8 +35,6 @@ let build ?max_weight code =
 let correction decoder syndrome =
   Option.value ~default:Pauli.identity (Hashtbl.find_opt decoder.table syndrome)
 
-let covered_syndromes decoder = Hashtbl.length decoder.table
-
 let decode_outcome code decoder error =
   let s = Code.syndrome code error in
   let fix = correction decoder s in

@@ -13,9 +13,6 @@ val correction : t -> int -> Pauli.t
 (** Correction operator for a syndrome; the identity for syndrome 0 or for
     syndromes outside the table (heralded failure). *)
 
-val covered_syndromes : t -> int
-(** Number of distinct syndromes in the table. *)
-
 val decode_outcome : Code.t -> t -> Pauli.t -> [ `None | `X | `Z | `Y ]
 (** Full cycle on a given data error: syndrome, correction, classify the
     residual's logical effect. [`None] means successful correction. *)

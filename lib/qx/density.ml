@@ -3,6 +3,7 @@ module Circuit = Qca_circuit.Circuit
 module Matrix = Qca_util.Matrix
 module Cplx = Qca_util.Cplx
 module Trace = Qca_util.Trace
+module Clock = Qca_util.Clock
 
 type t = { n : int; mutable rho : Matrix.t }
 
@@ -180,7 +181,7 @@ let run ?(noise = Noise.ideal) circuit =
 let sample ?(noise = Noise.ideal) ?(shots = 1024) ?seed circuit =
   if shots < 1 then invalid_arg "Density.sample: shots must be positive";
   Trace.with_span "density.run" (fun run_sp ->
-  let t0 = Sys.time () in
+  let t0 = Clock.now () in
   match Engine.terminal_split circuit with
   | None ->
       invalid_arg
@@ -193,7 +194,7 @@ let sample ?(noise = Noise.ideal) ?(shots = 1024) ?seed circuit =
       let d = create n in
       let ideal = Noise.is_ideal noise in
       let applies = Hashtbl.create 16 in
-      let t1 = Sys.time () in
+      let t1 = Clock.now () in
       let sim_sp = Trace.begin_span "density.simulate" in
       List.iter
         (fun instr ->
@@ -206,7 +207,7 @@ let sample ?(noise = Noise.ideal) ?(shots = 1024) ?seed circuit =
           | _ -> assert false)
         prefix;
       Trace.end_span sim_sp;
-      let t2 = Sys.time () in
+      let t2 = Clock.now () in
       let rng =
         match seed with
         | Some s -> Qca_util.Rng.create s
@@ -216,7 +217,7 @@ let sample ?(noise = Noise.ideal) ?(shots = 1024) ?seed circuit =
         Trace.with_span "density.sample" (fun _ ->
             Engine.sample_histogram ~probabilities:(probabilities d) ~measured ~rng ~shots)
       in
-      let t3 = Sys.time () in
+      let t3 = Clock.now () in
       let gate_applies =
         Hashtbl.fold (fun name count acc -> (name, count) :: acc) applies []
         |> List.sort (fun (na, a) (nb, b) ->

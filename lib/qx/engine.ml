@@ -5,6 +5,7 @@ module Qerror = Qca_util.Error
 module Fault = Qca_util.Fault
 module Resilience = Qca_util.Resilience
 module Trace = Qca_util.Trace
+module Clock = Qca_util.Clock
 module Parallel = Qca_util.Parallel
 module Tableau = Qca_qec.Tableau
 
@@ -808,7 +809,7 @@ let run ?(noise = Noise.ideal) ?seed ?rng ?plan ?(shots = 1024) ?faults
   if shots < 1 then invalid_arg "Engine.run: shots must be positive";
   Trace.with_span "engine.run" (fun run_sp ->
   let counters = Resilience.fresh_counters () in
-  let t0 = Sys.time () in
+  let t0 = Clock.now () in
   let analyse_sp = Trace.begin_span "engine.analyse" in
   let chosen, reason =
     match plan with
@@ -888,7 +889,7 @@ let run ?(noise = Noise.ideal) ?seed ?rng ?plan ?(shots = 1024) ?faults
           (program, stats))
     else (unfused_program narrow, no_fusion)
   in
-  let t1 = Sys.time () in
+  let t1 = Clock.now () in
   let tally = fresh_tally program in
   let simulate make_exec =
     let histogram =
@@ -902,7 +903,7 @@ let run ?(noise = Noise.ideal) ?seed ?rng ?plan ?(shots = 1024) ?faults
             ~rng ~shots ())
     in
     (* Read the clock only once the shots have run: they are all simulation. *)
-    let t_sim = Sys.time () in
+    let t_sim = Clock.now () in
     let gate_applies = gate_applies_of program tally
     and measurements = tally.passes * program.pass_measures in
     trace_counters ~gate_applies ~measurements;
@@ -925,7 +926,7 @@ let run ?(noise = Noise.ideal) ?seed ?rng ?plan ?(shots = 1024) ?faults
                   ]);
               p)
         in
-        let t_sim = Sys.time () in
+        let t_sim = Clock.now () in
         let histogram =
           Trace.with_span "engine.sample" (fun sample_sp ->
               Trace.annotate sample_sp (fun () -> [ ("shots", Trace.Int survivors) ]);
@@ -943,7 +944,7 @@ let run ?(noise = Noise.ideal) ?seed ?rng ?plan ?(shots = 1024) ?faults
             let tab = Tableau.create n in
             fun t r -> exec_micro_tableau ~tally:t r tab program)
   in
-  let t2 = Sys.time () in
+  let t2 = Clock.now () in
   let resilience = resilience_of faults counters in
   Trace.annotate run_sp (fun () ->
       match faults with

@@ -56,6 +56,10 @@ type phase_times = {
   simulate_s : float;  (** State-vector evolution (all shots for trajectory). *)
   sample_s : float;  (** Shot sampling from the final distribution. *)
 }
+(** Elapsed seconds per phase on the monotonic wall clock
+    ({!Qca_util.Clock.now}). A trajectory batch spread over several
+    domains reports the time that passed, not the CPU seconds the domains
+    summed, so the three phases never add up to more than the run took. *)
 
 type resilience = {
   faults_injected : (string * int) list;

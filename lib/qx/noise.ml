@@ -121,8 +121,6 @@ let decay_step d state rng q =
   if d.gamma > 0.0 then damp state rng d.gamma d.kraus q;
   if Rng.bernoulli rng d.dephase_p then apply_pauli state 2 q
 
-let idle_decay m state rng q = Option.iter (fun d -> decay_step d state rng q) (decay_of m)
-
 type gate_noise = { p1 : float; p2 : float; decay : decay option }
 
 let gate_noise m =

@@ -52,8 +52,5 @@ val after_gate :
 (** Apply the model's post-gate errors (depolarising + decoherence over one
     cycle) to the gate's operand qubits. *)
 
-val idle_decay : model -> State.t -> Qca_util.Rng.t -> int -> unit
-(** Apply one cycle of T1/T2 decay to a qubit that sat idle. *)
-
 val flip_readout : model -> Qca_util.Rng.t -> int -> int
 (** Apply classical readout error to an outcome bit. *)

@@ -307,8 +307,6 @@ let fused1q_plan_of gates =
     live;
   { f1_kinds = kinds; f1_coeffs = coeffs }
 
-let fused1q_gates plan = Array.length plan.f1_kinds
-
 let apply_fused1q s plan q =
   let ngates = Array.length plan.f1_kinds in
   if ngates > 0 then begin
@@ -402,8 +400,6 @@ type diag_plan = {
   tbl_offsets : int array;
   tbl_coeffs : float array;
 }
-
-let diag_plan_terms plan = Array.length plan.kinds
 
 (* One diagonal gate as (kind, mask, re, im); None for identity (dropped)
    or a non-diagonal gate (caller bug). *)

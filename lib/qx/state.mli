@@ -131,9 +131,6 @@ val fused1q_plan_of : Qca_circuit.Gate.unitary list -> fused1q_plan
 (** Compile a run of single-qubit gates (application order); identities
     are dropped. *)
 
-val fused1q_gates : fused1q_plan -> int
-(** Number of non-identity gates in the plan. *)
-
 val apply_fused1q : t -> fused1q_plan -> int -> unit
 (** [apply_fused1q s plan q]: apply the run to qubit [q] in one sweep over
     the amplitude pairs. *)
@@ -145,9 +142,6 @@ type diag_plan
 val diag_plan_of : (Qca_circuit.Gate.unitary * int array) list -> diag_plan option
 (** Compile a gate run (application order, with operands) into a diagonal
     sweep. [None] if any gate is not diagonal; identities are dropped. *)
-
-val diag_plan_terms : diag_plan -> int
-(** Number of non-identity terms in the plan. *)
 
 val apply_diag_plan : t -> diag_plan -> unit
 

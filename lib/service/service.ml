@@ -4,6 +4,7 @@ module Compiler = Qca_compiler.Compiler
 module Error = Qca_util.Error
 module Rng = Qca_util.Rng
 module Trace = Qca_util.Trace
+module Clock = Qca_util.Clock
 module Job_spec = Qca.Job_spec
 module Runner = Qca.Runner
 
@@ -57,7 +58,7 @@ type active = {
   kind : exec_kind;
   rng : Rng.t;
   faults : Qca_util.Fault.t option;
-  started_at : float;  (* wall clock, for deadline_ms enforcement *)
+  started_at : float;  (* Clock.now (), for deadline_ms enforcement *)
   mutable remaining : int;
   mutable done_shots : int;
   acc : (string, int) Hashtbl.t;
@@ -542,7 +543,7 @@ let activate t job =
         kind = classify t job;
         rng = Rng.create seed;
         faults = Job_spec.faults job.spec;
-        started_at = Unix.gettimeofday ();
+        started_at = Clock.now ();
         remaining = job.spec.Job_spec.shots;
         done_shots = 0;
         acc = Hashtbl.create 16;
@@ -686,7 +687,7 @@ let deadline_expired job (a : active) =
   | None -> None
   | Some deadline_ms ->
       let elapsed_ms =
-        int_of_float ((Unix.gettimeofday () -. a.started_at) *. 1000.0)
+        int_of_float ((Clock.now () -. a.started_at) *. 1000.0)
       in
       if elapsed_ms >= deadline_ms then Some (deadline_ms, elapsed_ms)
       else None

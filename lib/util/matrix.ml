@@ -90,17 +90,6 @@ let equal_up_to_phase ?(eps = 1e-9) a b =
 let is_unitary ?(eps = 1e-9) m =
   m.rows = m.cols && approx_equal ~eps (mul (adjoint m) m) (identity m.rows)
 
-let is_hermitian ?(eps = 1e-9) m = m.rows = m.cols && approx_equal ~eps (adjoint m) m
-
-let exp_diag m =
-  assert (m.rows = m.cols);
-  make m.rows m.cols (fun r c ->
-      if r = c then Complex.exp (get m r c)
-      else begin
-        assert (Cplx.approx_equal (get m r c) Cplx.zero);
-        Cplx.zero
-      end)
-
 let to_string m =
   let buffer = Buffer.create 128 in
   for r = 0 to m.rows - 1 do

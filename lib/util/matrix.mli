@@ -37,10 +37,4 @@ val equal_up_to_phase : ?eps:float -> t -> t -> bool
 
 val is_unitary : ?eps:float -> t -> bool
 
-val is_hermitian : ?eps:float -> t -> bool
-
-val exp_diag : t -> t
-(** Exponential of a diagonal matrix: [exp_diag d] has entries
-    [exp d_kk] on the diagonal; off-diagonal entries must be zero. *)
-
 val to_string : t -> string

@@ -49,7 +49,3 @@ let exponential_decay_fit points =
   in
   let slope, intercept = linear_fit logged in
   (exp intercept, exp slope)
-
-let binomial_stderr p n =
-  assert (n > 0);
-  sqrt (Float.max 0.0 (p *. (1.0 -. p)) /. float_of_int n)

@@ -25,6 +25,3 @@ val linear_fit : (float * float) array -> float * float
 val exponential_decay_fit : (float * float) array -> float * float
 (** Fit y = a * p^x for positive y by linear regression in log space;
     returns [(a, p)]. Used for randomised-benchmarking decay extraction. *)
-
-val binomial_stderr : float -> int -> float
-(** Standard error of an empirical probability estimated from n shots. *)

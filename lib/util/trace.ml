@@ -79,7 +79,7 @@ let begin_span ?(attrs = []) name =
       let sp =
         {
           o_name = name;
-          o_start = Sys.time ();
+          o_start = Clock.now ();
           o_attrs = List.rev attrs;
           o_sim_ns = None;
           o_children = [];
@@ -97,7 +97,7 @@ let end_span ?(attrs = []) span =
       if (not sp.o_closed) && List.memq sp c.stack then begin
         List.iter (fun kv -> sp.o_attrs <- kv :: sp.o_attrs) attrs;
         c.events <- c.events + 1 + List.length attrs;
-        pop_until c sp (Sys.time ())
+        pop_until c sp (Clock.now ())
       end
 
 let with_span ?attrs name f =
@@ -145,7 +145,7 @@ let close_open_spans c =
   match c.stack with
   | [] -> ()
   | _ ->
-      let now = Sys.time () in
+      let now = Clock.now () in
       let rec drain () =
         match c.stack with
         | [] -> ()

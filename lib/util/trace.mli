@@ -8,12 +8,14 @@
     reduces to one branch on a [ref] read, no allocation, and no RNG
     interaction, so traced and untraced runs are bit-identical
     ([dune exec bench/main.exe -- trace] measures the disabled-path cost;
-    [BENCH_trace.json] keeps it under 3%).
+    [BENCH_trace.json] checks it against a 3% threshold).
 
     {2 Model}
 
     - A {e span} is a named, nested interval of work. It records a
-      wall-clock duration, an optional {e simulated-nanosecond} duration
+      wall-clock duration read from {!Clock.now} (monotonic, so it counts
+      time spent blocked and is elapsed time, not the CPU seconds of every
+      domain summed), an optional {e simulated-nanosecond} duration
       (the micro-architecture's timing-grid time, unrelated to host time),
       and ordered key/value {e attributes} ([gates_in=7],
       [plan="sampled"], ...).
@@ -91,8 +93,8 @@ val add_counter : string -> int -> unit
 
 type node = {
   span_name : string;
-  start_s : float;  (** Wall-clock start, seconds (collector epoch). *)
-  wall_s : float;  (** Wall-clock duration, seconds. *)
+  start_s : float;  (** {!Clock.now} at the start, seconds. *)
+  wall_s : float;  (** Monotonic wall-clock duration, seconds. *)
   sim_ns : int option;  (** Simulated-clock duration, when recorded. *)
   attrs : (string * value) list;  (** In insertion order. *)
   children : node list;  (** In execution order. *)

@@ -20,14 +20,15 @@ let measured n base =
   Circuit.append base (Circuit.of_list n (List.init n (fun q -> Gate.Measure q)))
 
 (* The cram-fixture shapes (test/fixtures/) rebuilt from the library, plus
-   planner-sensitive extremes: an all-Clifford feedback chain and a wide
-   QEC cycle. *)
+   planner-sensitive extremes: all-Clifford feedback chains (one teleport
+   and 64 in a row) and a wide QEC cycle. *)
 let corpus () =
   [
     ("bell", measured 2 (Library.bell ()));
     ("ghz5", measured 5 (Library.ghz 5));
     ("teleport", Library.teleport ());
     ("teleport-clifford", Library.teleport ~prepare:Gate.H ());
+    ("teleport-x64", Circuit.repeat 64 (Library.teleport ~prepare:Gate.H ()));
     ("qft4", measured 4 (Library.qft 4));
     ( "random8x40",
       measured 8 (Library.random_circuit (Rng.create 303) ~qubits:8 ~gates:40)
@@ -66,7 +67,21 @@ let test_no_misclassification () =
         (name ^ ": stochastic noise forces trajectories")
         true
         (noisy_plan = Engine.Trajectory))
-    (corpus ())
+    (corpus ());
+  (* Where the tableau pays off, the planner must take it at 1024 shots:
+     long feedback chains, QEC cycles and a GHZ state wide enough that
+     sampling from the state vector costs more than the tableau. *)
+  List.iter
+    (fun (name, circuit) ->
+      Alcotest.(check string)
+        (name ^ ": clifford at 1024 shots")
+        "clifford"
+        (Engine.plan_to_string (fst (Engine.analyse ~shots:1024 circuit))))
+    [
+      ("teleport-x64", List.assoc "teleport-x64" (corpus ()));
+      ("qec-surface17-r2", List.assoc "qec-surface17-r2" (corpus ()));
+      ("ghz-22", measured 22 (Library.ghz 22));
+    ]
 
 (* Wherever the planner picks the tableau, its histogram must be the forced
    single-threaded state-vector trajectory histogram, seed for seed. *)

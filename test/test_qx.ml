@@ -925,6 +925,22 @@ let states_bit_identical a b =
   done;
   !same
 
+(* Phase times are elapsed wall time: a trajectory batch spread over two
+   domains reports no more time than passed around the call, not the CPU
+   seconds the domains summed. *)
+let test_phase_times_are_elapsed () =
+  let circuit =
+    measured_all 14 (Library.random_circuit (Rng.create 77) ~qubits:14 ~gates:80)
+  in
+  with_pool ~domains:2 (fun () ->
+      let t0 = Qca_util.Clock.now () in
+      let r = Engine.run ~seed:42 ~plan:Engine.Trajectory ~shots:64 circuit in
+      let elapsed = Qca_util.Clock.now () -. t0 in
+      let w = r.Engine.report.Engine.wall in
+      let phases = w.Engine.analyse_s +. w.Engine.simulate_s +. w.Engine.sample_s in
+      if phases > elapsed then
+        Alcotest.failf "phase times sum to %.6f s, but the run took %.6f s" phases elapsed)
+
 let test_fusion_stats () =
   (* t;t;cz;rz coalesce into one diagonal sweep, h stays a single kernel. *)
   let diag_then_h =
@@ -1199,6 +1215,7 @@ let () =
           Alcotest.test_case "density sample under noise" `Quick
             test_density_sample_under_noise;
           Alcotest.test_case "per-shot phase times" `Quick test_per_shot_phase_times;
+          Alcotest.test_case "phase times are elapsed" `Quick test_phase_times_are_elapsed;
         ] );
       ( "trace",
         [

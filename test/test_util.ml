@@ -464,6 +464,17 @@ let test_trace_tree_collapse () =
      in
      contains 0)
 
+(* Span durations are wall time: a span that only sleeps lasts as long as
+   the sleep, although it burns no CPU. *)
+let test_trace_span_is_wall_time () =
+  let c = Trace.make_collector () in
+  Trace.collecting c (fun () -> Trace.with_span "sleep" (fun _ -> Unix.sleepf 0.05));
+  match Trace.roots c with
+  | [ s ] ->
+      if s.Trace.wall_s < 0.045 then
+        Alcotest.failf "a 50 ms sleep recorded wall_s = %.6f s" s.Trace.wall_s
+  | _ -> Alcotest.fail "expected one root"
+
 module Json = Qca_util.Json
 
 let parse_ok text =
@@ -747,6 +758,7 @@ let () =
           Alcotest.test_case "exception safety" `Quick test_trace_exception_safety;
           Alcotest.test_case "attrs and counters" `Quick test_trace_attrs_and_counters;
           Alcotest.test_case "tree collapse" `Quick test_trace_tree_collapse;
+          Alcotest.test_case "span is wall time" `Quick test_trace_span_is_wall_time;
           Alcotest.test_case "chrome json" `Quick test_trace_chrome_json;
           qtest prop_trace_nesting_depth;
         ] );
