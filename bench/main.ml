@@ -43,8 +43,12 @@ let write_bench file doc =
 let fixed digits x = Json.Float (Json.round digits x)
 let secs = fixed 6
 
-(* The best of [reps] timed calls, in seconds. *)
+(* The best of [reps] timed calls, in seconds, after one untimed call:
+   without it the first arm of a comparison paid the cold caches and lazy
+   set-up (the resilience bench's first arm read 1.6x slower than the
+   second on the same bell). *)
 let time_best ~reps f =
+  ignore (Sys.opaque_identity (f ()));
   let best = ref infinity in
   for _ = 1 to reps do
     let t0 = Clock.now () in

@@ -249,13 +249,9 @@ let issue_op session (op : Eqasm.quantum_op) =
                  Timing_queue.pending (Timing_queue.queue session.pool mop.Microcode.qubit);
              });
       session.micro_ops <- session.micro_ops + 1;
-      if Trace.enabled () then Trace.add_counter "microarch.micro_op" 1;
-      if mop.Microcode.codeword.Microcode.software_phase <> 0.0 then begin
-        session.phase_updates <- session.phase_updates + 1;
-        if Trace.enabled () then Trace.add_counter "microarch.phase_update" 1
-      end
+      if mop.Microcode.codeword.Microcode.software_phase <> 0.0 then
+        session.phase_updates <- session.phase_updates + 1
       else begin
-        if Trace.enabled () then Trace.add_counter "microarch.pulse" 1;
         let duration = pulse_duration session mop.Microcode.codeword.Microcode.pulse_name in
         session.end_ns <- max session.end_ns (time_ns + duration);
         session.trace <-
@@ -293,8 +289,21 @@ let step session instr =
   | Eqasm.Bundle (pre_interval, ops) ->
       advance session pre_interval;
       session.bundles <- session.bundles + 1;
-      if Trace.enabled () then Trace.add_counter "microarch.bundle" 1;
       List.iter (issue_op session) ops
+
+(* The [microarch.*] trace counters, added in bulk from the session's own
+   counters once it ends or aborts, as [Engine.trace_counters] does for a
+   run: every micro-op that is not a software phase update is a pulse. *)
+let trace_counters session =
+  if Trace.enabled () then
+    List.iter
+      (fun (name, c) -> if c > 0 then Trace.add_counter name c)
+      [
+        ("microarch.bundle", session.bundles);
+        ("microarch.micro_op", session.micro_ops);
+        ("microarch.phase_update", session.phase_updates);
+        ("microarch.pulse", session.micro_ops - session.phase_updates);
+      ]
 
 let finish_session session state =
   let _, peak, violations = Timing_queue.pool_stats session.pool in
@@ -315,6 +324,7 @@ let finish_session session state =
 (* Indexes the state by program qubits: one exact scatter of the active
    qubits' amplitudes when some qubit was idle. *)
 let finish session =
+  trace_counters session;
   let qubit_count = Array.length session.classical in
   finish_session session
     (if State.qubit_count session.state = qubit_count then session.state
@@ -333,7 +343,9 @@ let run_session chip ?rng ?faults technology (program : Eqasm.program) =
       if fault_fires session Fault.Backend_transient then
         Qerror.fail ~transient:true ~site:"Controller.run_session"
           (Qerror.Backend_transient "injected controller fault");
-      List.iter (step session) program.Eqasm.instructions;
+      Fun.protect
+        ~finally:(fun () -> trace_counters session)
+        (fun () -> List.iter (step session) program.Eqasm.instructions);
       Trace.set_sim_ns sp (max session.end_ns (session.time_cycles * session.cycle_ns));
       Trace.annotate sp (fun () ->
           let _, peak, violations = Timing_queue.pool_stats session.pool in

@@ -380,13 +380,16 @@ let compile_micro ~fusion instrs =
 
 (* --- instrumentation --------------------------------------------------- *)
 
-type tally = { mutable passes : int; fired : int array }
+(* [clean] counts the state-vector shots that drew no error in the
+   schedule prefix and so started from the shared ideal state. *)
+type tally = { mutable passes : int; fired : int array; mutable clean : int }
 
 let fresh_tally program =
-  { passes = 0; fired = Array.make (Array.length program.cond_names) 0 }
+  { passes = 0; fired = Array.make (Array.length program.cond_names) 0; clean = 0 }
 
 let merge_tally ~into src =
   into.passes <- into.passes + src.passes;
+  into.clean <- into.clean + src.clean;
   Array.iteri (fun slot c -> into.fired.(slot) <- into.fired.(slot) + c) src.fired
 
 let gate_applies_of program tally =
@@ -443,27 +446,167 @@ let micro_step noise =
         let outcome = State.measure state rng q in
         classical.(bit) <- (if ideal then outcome else Noise.flip_readout noise rng outcome)
 
-(* A fresh state per shot, stepped through the program op by op, so
-   randomness is drawn in program order (a noisy program is compiled
-   unfused). The tally counts the pass and the conditionals that fired;
-   the program's static totals supply the rest. *)
-let micro_executor ~noise program n =
-  let ops = program.ops in
-  let step = micro_step noise in
-  fun ~tally rng ->
+(* --- the noise schedule -------------------------------------------------- *)
+
+(* The per-shot executor draws each shot's errors ahead of its state. The
+   schedule prefix is the longest run of leading ops whose draws do not
+   read the state (Noise.schedule): it ends at the first measurement or
+   conditional, at a prep of a qubit a gate or an earlier prep has touched
+   (its outcome is no longer a certain 0), and at once under a T1/T2 model
+   (its damping draws read the state). The prefix's ideal evolution is
+   computed once per run; a shot whose schedule is empty starts from a copy
+   of it, and a shot with errors from the last ideal checkpoint before its
+   first error. Either way the shot's state and its generator's position
+   are those of stepping the prefix op by op, so histograms are
+   seed-identical. *)
+
+let schedule_sites noise program n =
+  if not (Noise.pauli_only noise) then [||]
+  else begin
+    let touched = Array.make n false in
+    let ops = program.ops in
+    let rec go i acc =
+      if i >= Array.length ops then acc
+      else
+        match ops.(i) with
+        | M_kernel (Single (u, o, _)) ->
+            Array.iter (fun q -> touched.(q) <- true) o;
+            go (i + 1) (Noise.Gate_site (u, o) :: acc)
+        | M_kernel (Fused_1q (q, _, _)) ->
+            touched.(q) <- true;
+            go (i + 1) (Noise.Quiet_site :: acc)
+        | M_kernel (Fused_diag _) ->
+            (* A diagonal run keeps a zero amplitude zero: it touches nothing. *)
+            go (i + 1) (Noise.Quiet_site :: acc)
+        | M_prep q when not touched.(q) ->
+            touched.(q) <- true;
+            go (i + 1) (Noise.Prep_site q :: acc)
+        | M_prep _ | M_measure _ | M_cond _ -> acc
+    in
+    Array.of_list (List.rev (go 0 []))
+  end
+
+(* A prefix op without its draws: a prep of an untouched qubit measures 0,
+   so it is the collapse onto 0. *)
+let apply_drawn state = function
+  | M_kernel k -> apply_kernel state k
+  | M_prep q -> State.collapse state q 0
+  | M_measure _ | M_cond _ -> assert false
+
+(* Ideal checkpoints, the prefix's final state included: at most this many,
+   in at most this much memory per run (above 16 qubits only the final
+   state is kept). A shot whose first error falls uniformly in a prefix of
+   [l] ops replays [l/2 + l/(2k)] of them from the nearest of [k]
+   checkpoints, so past a few more checkpoints only add garbage. *)
+let max_checkpoints = 16
+let checkpoint_bytes = 1 lsl 20
+
+type prefix = {
+  sites : Noise.site array;
+  spacing : int;  (* ops between checkpoints *)
+  checkpoints : State.t array;  (* [j]: the ideal state before op [(j + 1) * spacing] *)
+  ideal : State.t;  (* the ideal state after the whole prefix *)
+}
+
+let ideal_prefix noise program n =
+  let sites = schedule_sites noise program n in
+  let length = Array.length sites in
+  let budget = max 1 (min max_checkpoints (checkpoint_bytes / State.memory_bytes n)) in
+  let spacing = max 1 ((length + budget - 1) / budget) in
   let state = State.create n in
+  let checkpoints = ref [] in
+  for i = 0 to length - 1 do
+    apply_drawn state program.ops.(i);
+    if (i + 1) mod spacing = 0 && i + 1 < length then checkpoints := State.copy state :: !checkpoints
+  done;
+  { sites; spacing; checkpoints = Array.of_list (List.rev !checkpoints); ideal = state }
+
+(* Set [state] to the shot's state after the prefix, from its schedule. *)
+let prefix_state program p tally events state =
+  if Array.length events = 0 then begin
+    if Array.length p.sites > 0 then tally.clean <- tally.clean + 1;
+    State.blit ~src:p.ideal ~dst:state
+  end
+  else begin
+    let start = events.(0).Noise.site / p.spacing * p.spacing in
+    if start = 0 then State.reset state
+    else State.blit ~src:p.checkpoints.((start / p.spacing) - 1) ~dst:state;
+    let next = ref 0 in
+    for i = start to Array.length p.sites - 1 do
+      apply_drawn state program.ops.(i);
+      while !next < Array.length events && events.(!next).Noise.site = i do
+        let e = events.(!next) in
+        State.apply state e.Noise.pauli [| e.Noise.qubit |];
+        incr next
+      done
+    done
+  end
+
+(* What follows the prefix, with each run of consecutive measurements
+   gathered into one [State.measure_run]. *)
+type tail_step = Step of micro_op | Measure_run of int array * int array  (* qubits, bits *)
+
+let tail_steps program ~from =
+  let rec go i acc =
+    if i >= Array.length program.ops then List.rev acc
+    else
+      match program.ops.(i) with
+      | M_measure _ ->
+          let rec run j acc' =
+            match if j < Array.length program.ops then Some program.ops.(j) else None with
+            | Some (M_measure (q, bit)) -> run (j + 1) ((q, bit) :: acc')
+            | _ -> (j, List.rev acc')
+          in
+          let j, pairs = run i [] in
+          go j
+            (Measure_run (Array.of_list (List.map fst pairs), Array.of_list (List.map snd pairs))
+            :: acc)
+      | op -> go (i + 1) (Step op :: acc)
+  in
+  Array.of_list (go from [])
+
+(* The state-vector per-shot executor (trajectory plan, [Sim.run],
+   [fold_trajectories]): the ideal prefix is evaluated here, once; each
+   shot draws its schedule, starts from the prefix state, and steps the
+   rest of the program through [micro_step], so randomness is drawn in
+   program order (a noisy program is compiled unfused). A shot runs in a
+   caller-owned [state], overwritten from the start, so a caller that
+   drops each final state reuses one buffer for all its shots. The tally
+   counts the pass and the conditionals that fired; the program's static
+   totals supply the rest. *)
+let micro_executor ~noise program n =
+  let step = micro_step noise in
+  let p = ideal_prefix noise program n in
+  let tail = tail_steps program ~from:(Array.length p.sites) in
+  let readout =
+    if Noise.is_ideal noise then fun _ outcome -> outcome else Noise.flip_readout noise
+  in
+  fun ~tally state rng ->
+  let events = Noise.schedule noise p.sites rng in
+  prefix_state program p tally events state;
   let classical = Array.make n (-1) in
-  for i = 0 to Array.length ops - 1 do
-    step ~fired:tally.fired state classical rng (Array.unsafe_get ops i)
+  for i = 0 to Array.length tail - 1 do
+    match Array.unsafe_get tail i with
+    | Step op -> step ~fired:tally.fired state classical rng op
+    | Measure_run (qubits, bits) ->
+        State.measure_run state rng qubits (fun k outcome ->
+            classical.(bits.(k)) <- readout rng outcome)
   done;
   tally.passes <- tally.passes + 1;
+  classical
+
+(* One shot in a state of its own: for callers that keep the final state. *)
+let fresh_shot exec n ~tally rng =
+  let state = State.create n in
+  let classical = exec ~tally state rng in
   (state, classical)
 
 let unfused_program circuit = fst (compile_micro ~fusion:false (Circuit.instructions circuit))
 
 let exec_shot ?(noise = Noise.ideal) rng circuit =
   let program = unfused_program circuit in
-  micro_executor ~noise program (Circuit.qubit_count circuit) ~tally:(fresh_tally program) rng
+  let n = Circuit.qubit_count circuit in
+  fresh_shot (micro_executor ~noise program n) n ~tally:(fresh_tally program) rng
 
 (* Clifford-plan executor: the same micro-program, dispatched onto a reused
    tableau ([Tableau.reset] per shot, no allocation). Seeding discipline
@@ -518,7 +661,7 @@ let fold_trajectories ?(noise = Noise.ideal) ~rng ~shots ~init ~f circuit =
   let program = unfused_program circuit in
   let n = Circuit.qubit_count circuit in
   let exec = micro_executor ~noise program n in
-  let exec_shot rng = exec ~tally:(fresh_tally program) rng in
+  let exec_shot rng = fresh_shot exec n ~tally:(fresh_tally program) rng in
   let sequential () =
     let acc = ref init in
     for _ = 1 to shots do
@@ -642,7 +785,25 @@ let run_trajectory ?(faults = None) ?relabel ~policy ~counters ~program ~tally ~
   let counts = new_counts () in
   let record = count counts in
   (match faults with
-  | None ->
+  | Some f when Fault.enabled f ->
+      (* Fault injection retries shots, so the attempt order is
+         data-dependent: this path stays sequential. Each attempt draws a
+         fresh derived stream, so an injector that never fires is
+         bit-identical to the no-injector run. *)
+      let exec = make_exec () in
+      for _ = 1 to shots do
+        let shot () =
+          inject_backend_fault faults ~site:"Engine.run_trajectory";
+          exec tally (Rng.split rng)
+        in
+        match Resilience.with_retries policy counters shot with
+        | Ok classical -> record (bitstring classical)
+        | Error _ -> counters.Resilience.faulted_shots <- counters.Resilience.faulted_shots + 1
+      done
+  | None | Some _ ->
+      (* No injector, or a silent one: a zero-rate site draws nothing and
+         no shot is retried, so the batched path (one [Rng.streams] split
+         per shot, the same split the retry loop takes) is bit-identical. *)
       let streams = Rng.streams rng shots in
       let keys = Array.make shots "" in
       if batch_shots shots then begin
@@ -663,22 +824,7 @@ let run_trajectory ?(faults = None) ?relabel ~policy ~counters ~program ~tally ~
           keys.(i) <- bitstring (exec tally streams.(i))
         done
       end;
-      Array.iter record keys
-  | Some _ ->
-      (* Fault injection retries shots, so the attempt order is
-         data-dependent: this path stays sequential. Each attempt draws a
-         fresh derived stream, so an injector that never fires is
-         bit-identical to the no-injector run. *)
-      let exec = make_exec () in
-      for _ = 1 to shots do
-        let shot () =
-          inject_backend_fault faults ~site:"Engine.run_trajectory";
-          exec tally (Rng.split rng)
-        in
-        match Resilience.with_retries policy counters shot with
-        | Ok classical -> record (bitstring classical)
-        | Error _ -> counters.Resilience.faulted_shots <- counters.Resilience.faulted_shots + 1
-      done);
+      Array.iter record keys);
   match relabel with
   | None -> sorted_histogram counts
   | Some r ->
@@ -899,8 +1045,15 @@ let run ?(noise = Noise.ideal) ?seed ?rng ?plan ?(shots = 1024) ?faults
                 ("plan", Trace.String (plan_to_string chosen));
                 ("trajectories", Trace.Int shots);
               ]);
-          run_trajectory ~faults ?relabel ~policy ~counters ~program ~tally ~make_exec
-            ~rng ~shots ())
+          let histogram =
+            run_trajectory ~faults ?relabel ~policy ~counters ~program ~tally ~make_exec
+              ~rng ~shots ()
+          in
+          (* Shots that drew no error before the first state-dependent op
+             and so started from the shared ideal state. *)
+          if chosen = Trajectory then
+            Trace.annotate sim_sp (fun () -> [ ("clean_shots", Trace.Int tally.clean) ]);
+          histogram)
     in
     (* Read the clock only once the shots have run: they are all simulation. *)
     let t_sim = Clock.now () in
@@ -938,7 +1091,9 @@ let run ?(noise = Noise.ideal) ?seed ?rng ?plan ?(shots = 1024) ?faults
         (histogram, t_sim, gate_applies, measurements)
     | Trajectory ->
         let exec = micro_executor ~noise program n in
-        simulate (fun () t r -> snd (exec ~tally:t r))
+        simulate (fun () ->
+            let state = State.create n in
+            fun t r -> exec ~tally:t state r)
     | Clifford ->
         simulate (fun () ->
             let tab = Tableau.create n in

@@ -105,8 +105,10 @@ type decay = {
   dephase_p : float;
 }
 
+let pauli_only m = m.t1_ns = infinity && m.t2_ns = infinity
+
 let decay_of m =
-  if m.t1_ns = infinity && m.t2_ns = infinity then None
+  if pauli_only m then None
   else begin
     let gamma = if m.t1_ns = infinity then 0.0 else 1.0 -. exp (-.m.cycle_ns /. m.t1_ns) in
     (* Pure dephasing rate: 1/Tphi = 1/T2 - 1/(2 T1). *)
@@ -136,3 +138,38 @@ let after_gate g state rng u ops =
 
 let flip_readout m rng outcome =
   if Rng.bernoulli rng m.readout_error then 1 - outcome else outcome
+
+(* --- the noise schedule ------------------------------------------------ *)
+
+type site = Gate_site of Gate.unitary * int array | Prep_site of int | Quiet_site
+
+type event = { site : int; qubit : int; pauli : Gate.unitary }
+
+let paulis = [| Gate.X; Gate.Y; Gate.Z |]
+
+(* The draws [after_gate] and a prep make on a Pauli-only model, in the same
+   order, with the error each one picks recorded instead of applied. None
+   of them reads the state: a prep site's measurement draw is taken and
+   ignored, its outcome being 0 on a qubit no gate has touched. *)
+let schedule m sites rng =
+  if Array.length sites > 0 && not (pauli_only m) then
+    invalid_arg "Noise.schedule: T1/T2 damping draws depend on the state";
+  let noisy = not (is_ideal m) in
+  let events = ref [] in
+  for i = 0 to Array.length sites - 1 do
+    match Array.unsafe_get sites i with
+    | Gate_site (u, ops) ->
+        if noisy then begin
+          let p = if Gate.arity u >= 2 then m.two_qubit_error else m.single_qubit_error in
+          for k = 0 to Array.length ops - 1 do
+            if Rng.bernoulli rng p then
+              events := { site = i; qubit = ops.(k); pauli = paulis.(Rng.int rng 3) } :: !events
+          done
+        end
+    | Prep_site q ->
+        ignore (Rng.float rng 1.0);
+        if noisy && Rng.bernoulli rng m.prep_error then
+          events := { site = i; qubit = q; pauli = Gate.X } :: !events
+    | Quiet_site -> ()
+  done;
+  match !events with [] -> [||] | l -> Array.of_list (List.rev l)

@@ -54,3 +54,36 @@ val after_gate :
 
 val flip_readout : model -> Qca_util.Rng.t -> int -> int
 (** Apply classical readout error to an outcome bit. *)
+
+(** {2 The noise schedule}
+
+    On a model without T1/T2 decay every error draw is independent of the
+    state: which Pauli follows which gate, and whether a prep of a fresh
+    qubit fails, can be drawn for a whole program prefix before any
+    amplitude is touched. The engine draws each shot's schedule first and
+    simulates only the shots that drew an error (docs/engine.md, "Noise
+    schedule"). *)
+
+type site =
+  | Gate_site of Qca_circuit.Gate.unitary * int array
+      (** A gate on its operands: one depolarising draw per operand. *)
+  | Prep_site of int
+      (** A prep of a qubit no gate has touched: its measurement draw (the
+          outcome is 0) and its prep-error draw. *)
+  | Quiet_site  (** Draws nothing (a fused kernel). *)
+
+type event = {
+  site : int;  (** Index of the site whose draw picked the error. *)
+  qubit : int;
+  pauli : Qca_circuit.Gate.unitary;  (** [X], [Y] or [Z], applied after the site. *)
+}
+
+val pauli_only : model -> bool
+(** No T1/T2 decay: every draw of the model is state-independent. *)
+
+val schedule : model -> site array -> Qca_util.Rng.t -> event array
+(** [schedule m sites rng] draws one shot's errors over [sites] from [rng]
+    in exactly the order {!after_gate} and a prep draw them, and returns
+    the errors that fire, in draw order ([[||]] for a clean shot). Raises
+    [Invalid_argument] on a model with T1/T2 decay, unless [sites] is
+    empty. *)

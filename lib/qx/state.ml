@@ -18,6 +18,16 @@ let dimension s = Array.length s.re
 
 let copy s = { s with re = Array.copy s.re; im = Array.copy s.im }
 
+let blit ~src ~dst =
+  if dst.qubit_count <> src.qubit_count then invalid_arg "State.blit: qubit counts differ";
+  Array.blit src.re 0 dst.re 0 (Array.length src.re);
+  Array.blit src.im 0 dst.im 0 (Array.length src.im)
+
+let reset s =
+  Array.fill s.re 0 (Array.length s.re) 0.0;
+  Array.fill s.im 0 (Array.length s.im) 0.0;
+  s.re.(0) <- 1.0
+
 let norm s =
   let acc = ref 0.0 in
   for k = 0 to dimension s - 1 do
@@ -667,6 +677,92 @@ let measure s rng q =
   let outcome = if Rng.float rng 1.0 < p1 then 1 else 0 in
   collapse s q outcome;
   outcome
+
+(* A run of measurements, bit-identical to successive [measure] calls but
+   visiting only the amplitudes the run's earlier outcomes keep. After
+   outcomes on the [fixed] qubits, every index [k] with
+   [k land fixed <> value] holds an exact +0.0: [measure] would add those
+   zeros to its sums (no change to a non-negative float) and scale them to
+   +0.0 again, so skipping them changes no bit. The kept indices are
+   walked in increasing order as the subsets [x] of [free], so every sum
+   adds the same terms in the same order as [prob_one] and [norm]. Per
+   level, one pass sums both halves of the kept set, and one pass zeroes
+   the dropped half and scales the kept half. *)
+let measure_run s rng qubits on_outcome =
+  let re = s.re and im = s.im in
+  let all = dimension s - 1 in
+  let fixed = ref 0 and value = ref 0 in
+  Array.iteri
+    (fun level q ->
+      if q < 0 || q >= s.qubit_count then invalid_arg "State.measure_run: qubit out of range";
+      let qm = 1 lsl q in
+      let v = !value in
+      let zero_vector () = invalid_arg "State.normalize: zero vector" in
+      if !fixed land qm = 0 then begin
+        let free = all land lnot (!fixed lor qm) in
+        let nfree = lnot free in
+        let p0 = ref 0.0 and p1 = ref 0.0 in
+        let x = ref 0 and more = ref true in
+        while !more do
+          let i0 = !x lor v in
+          let i1 = i0 lor qm in
+          let r0 = Array.unsafe_get re i0 and m0 = Array.unsafe_get im i0 in
+          let r1 = Array.unsafe_get re i1 and m1 = Array.unsafe_get im i1 in
+          p0 := !p0 +. (r0 *. r0) +. (m0 *. m0);
+          p1 := !p1 +. (r1 *. r1) +. (m1 *. m1);
+          if !x = free then more := false else x := ((!x lor nfree) + 1) land free
+        done;
+        let outcome = if Rng.float rng 1.0 < !p1 then 1 else 0 in
+        let norm = sqrt (if outcome = 1 then !p1 else !p0) in
+        if norm <= 0.0 then zero_vector ();
+        let inv = 1.0 /. norm in
+        let keep = if outcome = 1 then qm else 0 and drop = if outcome = 1 then 0 else qm in
+        x := 0;
+        more := true;
+        while !more do
+          let ik = !x lor v lor keep and id = !x lor v lor drop in
+          Array.unsafe_set re id 0.0;
+          Array.unsafe_set im id 0.0;
+          Array.unsafe_set re ik (Array.unsafe_get re ik *. inv);
+          Array.unsafe_set im ik (Array.unsafe_get im ik *. inv);
+          if !x = free then more := false else x := ((!x lor nfree) + 1) land free
+        done;
+        fixed := !fixed lor qm;
+        value := v lor keep;
+        on_outcome level outcome
+      end
+      else begin
+        (* A qubit measured earlier in the run: every kept amplitude has its
+           bit at [v]'s value, so the outcome repeats unless a draw lands
+           above a P(1) a rounding short of 1, which leaves a zero vector,
+           as [measure] would. *)
+        let free = all land lnot !fixed in
+        let nfree = lnot free in
+        let total = ref 0.0 in
+        let x = ref 0 and more = ref true in
+        while !more do
+          let k = !x lor v in
+          let r = Array.unsafe_get re k and m = Array.unsafe_get im k in
+          total := !total +. (r *. r) +. (m *. m);
+          if !x = free then more := false else x := ((!x lor nfree) + 1) land free
+        done;
+        let was = if v land qm <> 0 then 1 else 0 in
+        let p1 = if was = 1 then !total else 0.0 in
+        let outcome = if Rng.float rng 1.0 < p1 then 1 else 0 in
+        let norm = sqrt !total in
+        if outcome <> was || norm <= 0.0 then zero_vector ();
+        let inv = 1.0 /. norm in
+        x := 0;
+        more := true;
+        while !more do
+          let k = !x lor v in
+          Array.unsafe_set re k (Array.unsafe_get re k *. inv);
+          Array.unsafe_set im k (Array.unsafe_get im k *. inv);
+          if !x = free then more := false else x := ((!x lor nfree) + 1) land free
+        done;
+        on_outcome level outcome
+      end)
+    qubits
 
 (* --- sampling ----------------------------------------------------------- *)
 

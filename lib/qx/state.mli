@@ -27,6 +27,12 @@ val dimension : t -> int
 
 val copy : t -> t
 
+val blit : src:t -> dst:t -> unit
+(** Overwrite [dst]'s amplitudes with [src]'s; the qubit counts must match. *)
+
+val reset : t -> unit
+(** Back to |0...0>, in place. *)
+
 val of_amplitudes : Qca_util.Cplx.t array -> t
 (** Length must be a power of two; the vector is normalised on entry. *)
 
@@ -64,6 +70,15 @@ val collapse : t -> int -> int -> unit
 
 val measure : t -> Qca_util.Rng.t -> int -> int
 (** Sample and collapse one qubit; returns the outcome. *)
+
+val measure_run : t -> Qca_util.Rng.t -> int array -> (int -> int -> unit) -> unit
+(** [measure_run s rng qubits on_outcome] measures [qubits] in order,
+    calling [on_outcome i b] with the [i]th outcome [b] before the next
+    draw (a readout-error draw goes there). Draws, outcomes and collapsed
+    amplitudes equal successive {!measure} calls bit for bit, but each
+    level visits only the amplitudes the earlier outcomes keep, and sums,
+    zeroes and scales in two passes over them instead of three over the
+    whole vector. A qubit may appear more than once. *)
 
 val sample_index : t -> Qca_util.Rng.t -> int
 (** Sample a basis index from the current distribution without collapsing.

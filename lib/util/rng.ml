@@ -1,23 +1,35 @@
-type t = { mutable state : int64 }
+(* The 64-bit splitmix state lives in an 8-byte buffer rather than a
+   mutable [int64] field: reading and writing it through the bytes
+   primitives keeps the arithmetic unboxed, so a draw allocates nothing
+   beyond its boxed [float] result. The buffer is only ever read back
+   through the same primitive, so its byte order does not matter. *)
+type t = Bytes.t
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state state =
+  let t = Bytes.create 8 in
+  set64 t 0 state;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
 
-let mix64 z =
+let copy t = Bytes.copy t
+
+let[@inline] mix64 z =
   let z = Int64.(mul (logxor z (shift_right_logical z 30)) 0xBF58476D1CE4E5B9L) in
   let z = Int64.(mul (logxor z (shift_right_logical z 27)) 0x94D049BB133111EBL) in
   Int64.(logxor z (shift_right_logical z 31))
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+let[@inline] bits64 t =
+  let state = Int64.add (get64 t 0) golden_gamma in
+  set64 t 0 state;
+  mix64 state
 
-let split t =
-  let seed = bits64 t in
-  { state = mix64 seed }
+let split t = of_state (mix64 (bits64 t))
 
 (* One parent draw per stream, taken in index order: slicing a batch of k
    streams into windows and deriving window-by-window from the same parent
@@ -33,20 +45,20 @@ let streams t k =
     out
   end
 
-let int t bound =
+let[@inline] int t bound =
   assert (bound > 0);
   (* Truncate to OCaml's native int width and clear the sign bit. *)
   let mask = Int64.to_int (bits64 t) land max_int in
   mask mod bound
 
-let float t bound =
+let[@inline] float t bound =
   (* 53 random bits scaled into [0, 1) then into [0, bound). *)
   let mantissa = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) in
   float_of_int mantissa /. 9007199254740992.0 *. bound
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
-let bernoulli t p = float t 1.0 < p
+let[@inline] bernoulli t p = float t 1.0 < p
 
 let gaussian t =
   let rec draw () =

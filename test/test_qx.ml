@@ -925,6 +925,148 @@ let states_bit_identical a b =
   done;
   !same
 
+(* --- the noise schedule --- *)
+
+(* A silent injector (every rate zero) must not cost the domain pool: its
+   run takes the batched path and equals the no-injector run, counters
+   included. *)
+let test_silent_injector_keeps_pool () =
+  let ghz = measured_all 10 (Library.ghz 10) in
+  with_pool ~domains:2 (fun () ->
+      let base = Engine.run ~seed:7 ~plan:Engine.Trajectory ~shots:100 ghz in
+      let dispatches = Parallel.dispatch_count () in
+      let silent =
+        Engine.run ~seed:7 ~plan:Engine.Trajectory ~shots:100 ~faults:(Fault.make Fault.off) ghz
+      in
+      Alcotest.(check bool) "ran on the pool" true (Parallel.dispatch_count () > dispatches);
+      Alcotest.(check (list (pair string int))) "histogram" base.Engine.histogram
+        silent.Engine.histogram;
+      Alcotest.(check bool) "resilience counters" true
+        (base.Engine.report.Engine.resilience = silent.Engine.report.Engine.resilience))
+
+(* A random circuit with every op that shapes the schedule prefix: a
+   leading prep_z, a mid-circuit measurement followed by a c-x on its bit,
+   and a terminal measure_all. *)
+let schedule_circuit seed qubits gates =
+  let rng = Rng.create seed in
+  let body = Circuit.instructions (Library.random_circuit rng ~qubits ~gates) in
+  let cut = Rng.int rng (List.length body + 1) in
+  let m = Rng.int rng qubits and t = Rng.int rng qubits in
+  let before = List.filteri (fun i _ -> i < cut) body
+  and after = List.filteri (fun i _ -> i >= cut) body in
+  Circuit.of_list qubits
+    ((Gate.Prep (Rng.int rng qubits) :: before)
+    @ [ Gate.Measure m; Gate.Conditional (m, Gate.X, [| t |]) ]
+    @ after
+    @ List.init qubits (fun q -> Gate.Measure q))
+
+(* The oracle: every shot steps the unfused program op by op through
+   [Engine.micro_step] on a fresh state, one [Rng.streams] stream per shot
+   — the executor without a schedule, a checkpoint or a measurement run. *)
+let stepped_histogram ~noise ~seed ~shots circuit =
+  let n = Circuit.qubit_count circuit in
+  let slots = ref 0 in
+  let ops =
+    List.filter_map
+      (function
+        | Gate.Unitary (u, o) -> Some (Engine.M_kernel (Engine.Single (u, o, Gate.name u)))
+        | Gate.Conditional (bit, u, o) ->
+            incr slots;
+            Some (Engine.M_cond (bit, u, o, !slots - 1))
+        | Gate.Prep q -> Some (Engine.M_prep q)
+        | Gate.Measure q -> Some (Engine.M_measure (q, q))
+        | Gate.Barrier _ -> None)
+      (Circuit.instructions circuit)
+  in
+  let step = Engine.micro_step noise in
+  let fired = Array.make !slots 0 in
+  let counts = Hashtbl.create 16 in
+  Array.iter
+    (fun rng ->
+      let state = State.create n and classical = Array.make n (-1) in
+      List.iter (step ~fired state classical rng) ops;
+      let key = Engine.bitstring classical in
+      Hashtbl.replace counts key (1 + Option.value ~default:0 (Hashtbl.find_opt counts key)))
+    (Rng.streams (Rng.create seed) shots);
+  List.sort compare (Hashtbl.fold (fun k c acc -> (k, c) :: acc) counts [])
+
+let schedule_models =
+  [
+    ("depolarizing 0.05", Noise.depolarizing 0.05);
+    ("readout only", { Noise.ideal with Noise.readout_error = 0.1 });
+    ("superconducting", Noise.superconducting);
+  ]
+
+let prop_schedule_matches_stepped =
+  QCheck.Test.make ~name:"scheduled trajectories = op-by-op oracle at 1 and 2 domains"
+    ~count:25
+    QCheck.(triple (int_range 0 9999) (int_range 2 5) (int_range 1 30))
+    (fun (seed, qubits, gates) ->
+      let circuit = schedule_circuit seed qubits gates in
+      List.for_all
+        (fun (_, noise) ->
+          let oracle = stepped_histogram ~noise ~seed ~shots:40 circuit in
+          List.for_all
+            (fun domains ->
+              with_pool ~domains (fun () ->
+                  let r = Engine.run ~noise ~seed ~plan:Engine.Trajectory ~shots:40 circuit in
+                  List.sort compare r.Engine.histogram = oracle))
+            [ 1; 2 ])
+        schedule_models)
+
+(* [State.measure_run] against successive [State.measure] calls, with a
+   readout-style draw after each outcome, on random states and qubit runs
+   that may repeat a qubit. *)
+let prop_measure_run_matches_measure =
+  QCheck.Test.make ~name:"measure_run = successive measure, bit for bit" ~count:200
+    QCheck.(triple (int_range 0 9999) (int_range 1 6) (int_range 0 30))
+    (fun (seed, qubits, gates) ->
+      let rng = Rng.create seed in
+      let s = State.create qubits in
+      if qubits >= 2 then
+        apply_unitaries s (Circuit.instructions (Library.random_circuit rng ~qubits ~gates))
+      else State.apply s (Gate.Ry (Rng.float rng 3.0)) [| 0 |];
+      let run =
+        let fresh = Array.init (1 + Rng.int rng qubits) (fun _ -> Rng.int rng qubits) in
+        (* Half the runs measure their first qubit again at the end. *)
+        if Rng.bool rng then Array.append fresh [| fresh.(0) |] else fresh
+      in
+      let expected = State.copy s and got = State.copy s in
+      let draws_a = Rng.create (seed + 1) and draws_b = Rng.create (seed + 1) in
+      let outcomes_a =
+        Array.map
+          (fun q ->
+            let b = State.measure expected draws_a q in
+            ignore (Rng.bernoulli draws_a 0.1);
+            b)
+          run
+      in
+      let outcomes_b = Array.make (Array.length run) (-1) in
+      State.measure_run got draws_b run (fun i b ->
+          outcomes_b.(i) <- b;
+          ignore (Rng.bernoulli draws_b 0.1));
+      outcomes_a = outcomes_b
+      && states_bit_identical expected got
+      && Rng.bits64 draws_a = Rng.bits64 draws_b)
+
+(* Under ideal noise nothing is drawn before the first measurement, so
+   every trajectory shot starts from the shared ideal state. *)
+let test_clean_shots_attribute () =
+  let c = Trace.make_collector () in
+  ignore
+    (Trace.collecting c (fun () ->
+         Engine.run ~seed:3 ~plan:Engine.Trajectory ~shots:50 (measured_all 4 (Library.ghz 4))));
+  let rec find name nodes =
+    List.find_map
+      (fun n -> if n.Trace.span_name = name then Some n else find name n.Trace.children)
+      nodes
+  in
+  match find "engine.simulate" (Trace.roots c) with
+  | Some n ->
+      Alcotest.(check bool) "clean_shots=50" true
+        (List.assoc_opt "clean_shots" n.Trace.attrs = Some (Trace.Int 50))
+  | None -> Alcotest.fail "no engine.simulate span"
+
 (* Phase times are elapsed wall time: a trajectory batch spread over two
    domains reports no more time than passed around the call, not the CPU
    seconds the domains summed. *)
@@ -1231,6 +1373,14 @@ let () =
           Alcotest.test_case "transients retry to completion" `Quick
             test_transient_faults_retry_to_completion;
           qtest prop_faulted_shots_accounting;
+          Alcotest.test_case "silent injector keeps the pool" `Quick
+            test_silent_injector_keeps_pool;
+        ] );
+      ( "schedule",
+        [
+          qtest prop_schedule_matches_stepped;
+          qtest prop_measure_run_matches_measure;
+          Alcotest.test_case "clean_shots attribute" `Quick test_clean_shots_attribute;
         ] );
       ( "kernels",
         [

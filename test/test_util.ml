@@ -59,6 +59,33 @@ let test_rng_split_independent () =
   let a = Rng.bits64 parent and b = Rng.bits64 child in
   Alcotest.(check bool) "different streams" true (a <> b)
 
+(* The splitmix64 reference stream: seed 0's first outputs, and the first
+   output of a stream split from seed 42. Every seed-pinned histogram in
+   the suites rests on these values. *)
+let test_rng_reference_stream () =
+  let rng = Rng.create 0 in
+  List.iter
+    (fun expected -> Alcotest.(check int64) "splitmix64" expected (Rng.bits64 rng))
+    [ 0xE220A8397B1DCDAFL; 0x6E789E6AA1B965F4L; 0x06C45D188009454FL ];
+  let child = Rng.split (Rng.create 42) in
+  Alcotest.(check int64) "split" 0xC5A57E8172F0A9D2L (Rng.bits64 child);
+  let a = Rng.create 9 in
+  ignore (Rng.bits64 a);
+  let b = Rng.copy a in
+  Alcotest.(check int64) "copy continues the stream" (Rng.bits64 a) (Rng.bits64 b)
+
+(* A draw allocates at most its boxed float result: the generator state
+   itself is never boxed. *)
+let test_rng_float_allocation () =
+  let rng = Rng.create 31 in
+  let draws = 100_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to draws do
+    ignore (Sys.opaque_identity (Rng.float rng 1.0))
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int draws in
+  if words > 2.0 then Alcotest.failf "Rng.float allocates %.2f minor words per draw" words
+
 let test_rng_bernoulli () =
   let rng = Rng.create 13 in
   let hits = ref 0 in
@@ -779,6 +806,8 @@ let () =
           Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian_moments;
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           Alcotest.test_case "bernoulli" `Quick test_rng_bernoulli;
+          Alcotest.test_case "reference stream" `Quick test_rng_reference_stream;
+          Alcotest.test_case "float allocation" `Quick test_rng_float_allocation;
           Alcotest.test_case "choose_weighted" `Quick test_choose_weighted;
           Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
         ] );
