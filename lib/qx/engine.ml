@@ -494,12 +494,15 @@ let apply_drawn state = function
   | M_measure _ | M_cond _ -> assert false
 
 (* Ideal checkpoints, the prefix's final state included: at most this many,
-   in at most this much memory per run (above 16 qubits only the final
+   in at most this much memory per run (from 15 qubits up only the final
    state is kept). A shot whose first error falls uniformly in a prefix of
    [l] ops replays [l/2 + l/(2k)] of them from the nearest of [k]
-   checkpoints, so past a few more checkpoints only add garbage. *)
+   checkpoints, so past a few more checkpoints only add garbage. On the
+   noisy-trajectory benchmark a 1 MiB budget cost peak memory and
+   throughput: its 14-qubit jobs have about one shot with an error in 24,
+   and the extra states took longer to copy and collect than they saved. *)
 let max_checkpoints = 16
-let checkpoint_bytes = 1 lsl 20
+let checkpoint_bytes = 1 lsl 19
 
 type prefix = {
   sites : Noise.site array;
@@ -547,21 +550,24 @@ let prefix_state program p tally events state =
 type tail_step = Step of micro_op | Measure_run of int array * int array  (* qubits, bits *)
 
 let tail_steps program ~from =
+  let ops = program.ops in
+  let is_measure i =
+    i < Array.length ops && match ops.(i) with M_measure _ -> true | _ -> false
+  in
   let rec go i acc =
-    if i >= Array.length program.ops then List.rev acc
-    else
-      match program.ops.(i) with
-      | M_measure _ ->
-          let rec run j acc' =
-            match if j < Array.length program.ops then Some program.ops.(j) else None with
-            | Some (M_measure (q, bit)) -> run (j + 1) ((q, bit) :: acc')
-            | _ -> (j, List.rev acc')
-          in
-          let j, pairs = run i [] in
-          go j
-            (Measure_run (Array.of_list (List.map fst pairs), Array.of_list (List.map snd pairs))
-            :: acc)
-      | op -> go (i + 1) (Step op :: acc)
+    if i >= Array.length ops then List.rev acc
+    else if is_measure i then begin
+      let j = ref i in
+      while is_measure !j do
+        incr j
+      done;
+      let field f =
+        Array.map (function M_measure (q, bit) -> f q bit | _ -> assert false)
+          (Array.sub ops i (!j - i))
+      in
+      go !j (Measure_run (field (fun q _ -> q), field (fun _ bit -> bit)) :: acc)
+    end
+    else go (i + 1) (Step ops.(i) :: acc)
   in
   Array.of_list (go from [])
 

@@ -350,9 +350,11 @@ val apply_kernel : State.t -> fused_kernel -> unit
 
 (** {2 The per-op step}
 
-    The one place a state vector is stepped: the engine's trajectory
-    executor and the micro-architecture controller's quantum chip both run
-    their programs as these micro-ops through {!micro_step}. *)
+    The one per-op step of a state vector: the micro-architecture
+    controller's quantum chip runs its programs as these micro-ops through
+    {!micro_step}, and the engine's trajectory executor runs every op its
+    noise schedule does not cover through it (docs/engine.md, "Noise
+    schedule"). *)
 
 type micro_op =
   | M_kernel of fused_kernel  (** Only a [Single] kernel draws gate noise. *)
