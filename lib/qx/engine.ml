@@ -507,8 +507,9 @@ let checkpoint_bytes = 1 lsl 19
 type prefix = {
   sites : Noise.site array;
   spacing : int;  (* ops between checkpoints *)
-  checkpoints : State.t array;  (* [j]: the ideal state before op [(j + 1) * spacing] *)
-  ideal : State.t;  (* the ideal state after the whole prefix *)
+  states : State.t array;
+      (* [j]: the ideal state before op [(j + 1) * spacing], the last one
+         after the whole prefix; none when the prefix is empty *)
 }
 
 let ideal_prefix noise program n =
@@ -516,26 +517,30 @@ let ideal_prefix noise program n =
   let length = Array.length sites in
   let budget = max 1 (min max_checkpoints (checkpoint_bytes / State.memory_bytes n)) in
   let spacing = max 1 ((length + budget - 1) / budget) in
-  let state = State.create n in
-  let checkpoints = ref [] in
-  for i = 0 to length - 1 do
-    apply_drawn state program.ops.(i);
-    if (i + 1) mod spacing = 0 && i + 1 < length then checkpoints := State.copy state :: !checkpoints
-  done;
-  { sites; spacing; checkpoints = Array.of_list (List.rev !checkpoints); ideal = state }
+  let states = ref [] in
+  if length > 0 then begin
+    let state = State.create n in
+    for i = 0 to length - 1 do
+      apply_drawn state program.ops.(i);
+      if i + 1 = length then states := state :: !states
+      else if (i + 1) mod spacing = 0 then states := State.copy state :: !states
+    done
+  end;
+  { sites; spacing; states = Array.of_list (List.rev !states) }
 
 (* Set [state] to the shot's state after the prefix, from its schedule. *)
 let prefix_state program p tally events state =
-  if Array.length events = 0 then begin
-    if Array.length p.sites > 0 then tally.clean <- tally.clean + 1;
-    State.blit ~src:p.ideal ~dst:state
+  let stored = Array.length p.states in
+  if stored = 0 then State.reset state
+  else if Array.length events = 0 then begin
+    tally.clean <- tally.clean + 1;
+    State.blit ~src:p.states.(stored - 1) ~dst:state
   end
   else begin
-    let start = events.(0).Noise.site / p.spacing * p.spacing in
-    if start = 0 then State.reset state
-    else State.blit ~src:p.checkpoints.((start / p.spacing) - 1) ~dst:state;
+    let j = events.(0).Noise.site / p.spacing in
+    if j = 0 then State.reset state else State.blit ~src:p.states.(j - 1) ~dst:state;
     let next = ref 0 in
-    for i = start to Array.length p.sites - 1 do
+    for i = j * p.spacing to Array.length p.sites - 1 do
       apply_drawn state program.ops.(i);
       while !next < Array.length events && events.(!next).Noise.site = i do
         let e = events.(!next) in
