@@ -57,6 +57,51 @@ let time_best ~reps f =
   done;
   !best
 
+(* Linear interpolation between closest ranks. *)
+let percentile xs p =
+  let a = Array.copy xs in
+  Array.sort Float.compare a;
+  let r = p /. 100.0 *. float_of_int (Array.length a - 1) in
+  let lo = int_of_float r in
+  let hi = Int.min (Array.length a - 1) (lo + 1) in
+  a.(lo) +. ((r -. float_of_int lo) *. (a.(hi) -. a.(lo)))
+
+(* Two arms of a comparison timed in turn, one call of each per pair, the
+   arm that goes first alternating, after one untimed call of each: both
+   arms then share whatever state the process is in. A best-of-N per arm,
+   timed one arm after the other, let a 400-shot bell land in a ~3 ms mode
+   for one arm and a ~5 ms mode for the other and read +63%. Returns the
+   [(base, other)] seconds of every pair. *)
+let time_pairs ~pairs base other =
+  let time f =
+    let t0 = Clock.now () in
+    ignore (Sys.opaque_identity (f ()));
+    Float.max 1e-9 (Clock.now () -. t0)
+  in
+  ignore (Sys.opaque_identity (base ()));
+  ignore (Sys.opaque_identity (other ()));
+  Array.init pairs (fun i ->
+      if i land 1 = 0 then
+        let b = time base in
+        (b, time other)
+      else
+        let o = time other in
+        (time base, o))
+
+(* The per-pair overhead of [other] over [base] in percent: median, p10
+   and p90, with the median seconds of each arm. *)
+type overhead = { base_s : float; other_s : float; pct : float; p10 : float; p90 : float }
+
+let overhead_of samples =
+  let pcts = Array.map (fun (b, o) -> 100.0 *. ((o -. b) /. b)) samples in
+  {
+    base_s = percentile (Array.map fst samples) 50.0;
+    other_s = percentile (Array.map snd samples) 50.0;
+    pct = percentile pcts 50.0;
+    p10 = percentile pcts 10.0;
+    p90 = percentile pcts 90.0;
+  }
+
 let measured = Experiments.measured_circuit
 
 (* Service.submit, failing the bench on a refusal. *)
@@ -81,47 +126,45 @@ let run_resilience () =
   let module Fault = Qca_util.Fault in
   let module Controller = Qca_microarch.Controller in
   print_endline "=== Resilience: fault-hook overhead with injection disabled ===";
-  (* Best-of-N wall times: the comparison is absent hooks (no [?faults])
-     vs attached-but-silent hooks (an injector with every rate 0.0). *)
-  let time_best f = time_best ~reps:7 f in
+  (* Paired wall times: the comparison is absent hooks (no [?faults]) vs
+     attached-but-silent hooks (an injector with every rate 0.0). *)
+  let pairs = 101 in
   let bell_program = bell_eqasm () in
   let shots = 400 in
-  let micro_base =
-    time_best (fun () ->
-        Controller.run_shots ~seed:7 ~shots Controller.superconducting bell_program)
-  in
-  let micro_off =
-    time_best (fun () ->
+  let micro =
+    time_pairs ~pairs
+      (fun () -> Controller.run_shots ~seed:7 ~shots Controller.superconducting bell_program)
+      (fun () ->
         Controller.run_shots ~seed:7 ~shots ~faults:(Fault.make Fault.off)
           Controller.superconducting bell_program)
   in
   let ghz = measured (Library.ghz 10) in
-  let engine_base =
-    time_best (fun () -> Engine.run ~seed:7 ~plan:Engine.Trajectory ~shots:100 ghz)
-  in
-  let engine_off =
-    time_best (fun () ->
+  let engine =
+    time_pairs ~pairs
+      (fun () -> Engine.run ~seed:7 ~plan:Engine.Trajectory ~shots:100 ghz)
+      (fun () ->
         Engine.run ~seed:7 ~plan:Engine.Trajectory ~shots:100
           ~faults:(Fault.make Fault.off) ghz)
   in
-  let pct base off = 100.0 *. ((off -. base) /. base) in
-  let report name base off =
-    Printf.printf "%-28s baseline %.4fs | hooks-off %.4fs | overhead %+.2f%%\n" name base
-      off (pct base off);
+  let report name samples =
+    let o = overhead_of samples in
+    Printf.printf
+      "%-28s baseline %.4fs | hooks-off %.4fs | overhead %+.2f%% (p10 %+.2f%%, p90 %+.2f%%)\n"
+      name o.base_s o.other_s o.pct o.p10 o.p90;
     Json.(
       Obj
-        [ ("name", String name); ("baseline_s", secs base); ("hooks_off_s", secs off);
-          ("overhead_pct", fixed 2 (pct base off)) ])
+        [ ("name", String name); ("baseline_s", secs o.base_s); ("hooks_off_s", secs o.other_s);
+          ("overhead_pct", fixed 2 o.pct); ("overhead_p10_pct", fixed 2 o.p10);
+          ("overhead_p90_pct", fixed 2 o.p90) ])
   in
   let entries =
-    [ report "microarch-bell-400shots" micro_base micro_off;
-      report "engine-trajectory-ghz10" engine_base engine_off ]
+    [ report "microarch-bell-400shots" micro; report "engine-trajectory-ghz10" engine ]
   in
   write_bench "BENCH_resilience.json"
     Json.(
       Obj
         [ ("benchmark", String "resilience-disabled-overhead"); ("threshold_pct", Float 5.0);
-          ("entries", List entries) ])
+          ("pairs", Int pairs); ("entries", List entries) ])
 
 (* --- tracing overhead benchmark (BENCH_trace.json) --- *)
 
@@ -130,7 +173,7 @@ let run_trace () =
   let module Controller = Qca_microarch.Controller in
   let module Trace = Qca_util.Trace in
   print_endline "=== Trace: span/counter hook overhead (disabled vs collecting) ===";
-  let time_best f = time_best ~reps:7 f in
+  let pairs = 41 in
   (* The disabled hooks are compiled in unconditionally, so their cost can't
      be timed by diffing two workload runs (it is below timer noise). Instead
      measure the disabled-path primitive directly — [with_span] +
@@ -139,21 +182,21 @@ let run_trace () =
      (the collector's [event_count] from an enabled run). *)
   let hook_ns =
     let iters = 5_000_000 in
-    let empty =
-      time_best (fun () ->
+    let samples =
+      time_pairs ~pairs:7
+        (fun () ->
           for _ = 1 to iters do
             ignore (Sys.opaque_identity ())
           done)
-    in
-    let hooks =
-      time_best (fun () ->
+        (fun () ->
           for _ = 1 to iters do
             Trace.with_span "bench.hook" (fun sp ->
                 Trace.annotate sp (fun () -> [ ("k", Trace.Int 1) ]);
                 Trace.add_counter "bench.counter" 1)
           done)
     in
-    Float.max 0.0 (hooks -. empty) /. float_of_int iters *. 1e9
+    let per_op = Array.map (fun (empty, hooks) -> (hooks -. empty) /. float_of_int iters *. 1e9) samples in
+    Float.max 0.0 (percentile per_op 50.0)
   in
   Printf.printf "disabled hook primitive: %.1f ns per span+counter op\n" hook_ns;
   let bell_program = bell_eqasm () in
@@ -177,16 +220,16 @@ let run_trace () =
   let rows =
     List.map
       (fun (name, work) ->
-        let disabled_s = time_best work in
-        let enabled_s =
-          time_best (fun () -> Trace.collecting (Trace.make_collector ()) work)
+        let o =
+          overhead_of
+            (time_pairs ~pairs work (fun () -> Trace.collecting (Trace.make_collector ()) work))
         in
+        let disabled_s = o.base_s and enabled_s = o.other_s and enabled_pct = o.pct in
         let trace_ops =
           let c = Trace.make_collector () in
           Trace.collecting c work;
           Trace.event_count c
         in
-        let enabled_pct = 100.0 *. ((enabled_s -. disabled_s) /. disabled_s) in
         (* Cost of the compiled-in hooks when no sink is installed, as a
            fraction of the untraced run: ops x per-op disabled cost. *)
         let disabled_pct =
@@ -211,6 +254,7 @@ let run_trace () =
     Json.(
       Obj
         [ ("benchmark", String "trace-disabled-overhead"); ("threshold_pct", Float 3.0);
+          ("pairs", Int pairs);
           ("hook_ns", fixed 2 hook_ns); ("worst_disabled_overhead_pct", fixed 4 worst);
           ("entries", List (List.map snd rows)) ])
 

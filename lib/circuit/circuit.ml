@@ -4,30 +4,54 @@ module Bits = Qca_util.Bits
 
 type t = { name : string; qubit_count : int; rev_instructions : Gate.t list; length : int }
 
-let validate_instruction qubit_count instr =
-  let operands = Gate.qubits instr in
-  Array.iter
-    (fun q ->
-      if q < 0 || q >= qubit_count then
-        invalid_arg
-          (Printf.sprintf "Circuit: qubit %d out of range [0, %d) in '%s'" q qubit_count
-             (Gate.to_string instr)))
-    operands;
-  let sorted = Array.copy operands in
-  Array.sort compare sorted;
-  for i = 0 to Array.length sorted - 2 do
-    if sorted.(i) = sorted.(i + 1) then
-      invalid_arg
-        (Printf.sprintf "Circuit: duplicated operand q[%d] in '%s'" sorted.(i)
-           (Gate.to_string instr))
+let validate_qubit qubit_count instr q =
+  if q < 0 || q >= qubit_count then
+    invalid_arg
+      (Printf.sprintf "Circuit: qubit %d out of range [0, %d) in '%s'" q qubit_count
+         (Gate.to_string instr))
+
+let duplicated instr q =
+  invalid_arg
+    (Printf.sprintf "Circuit: duplicated operand q[%d] in '%s'" q (Gate.to_string instr))
+
+(* The operands are read in place: the checks run on every instruction of
+   every circuit the compiler builds. A duplicate among up to three
+   operands is found pairwise (three operands hold at most one duplicated
+   value); longer barriers sort a copy and report the smallest duplicate. *)
+let validate_operands qubit_count instr ops =
+  for i = 0 to Array.length ops - 1 do
+    validate_qubit qubit_count instr ops.(i)
   done;
+  match Array.length ops with
+  | 0 | 1 -> ()
+  | 2 -> if ops.(0) = ops.(1) then duplicated instr ops.(0)
+  | 3 ->
+      if ops.(0) = ops.(1) || ops.(0) = ops.(2) then duplicated instr ops.(0)
+      else if ops.(1) = ops.(2) then duplicated instr ops.(1)
+  | n ->
+      let sorted = Array.copy ops in
+      Array.sort Int.compare sorted;
+      for i = 0 to n - 2 do
+        if sorted.(i) = sorted.(i + 1) then duplicated instr sorted.(i)
+      done
+
+let validate_instruction qubit_count instr =
   match instr with
-  | Gate.Unitary (u, ops) | Gate.Conditional (_, u, ops) ->
+  | Gate.Unitary (u, ops) | Gate.Conditional (_, u, ops) -> (
+      validate_operands qubit_count instr ops;
       if Array.length ops <> Gate.arity u then
         invalid_arg
           (Printf.sprintf "Circuit: gate '%s' expects %d operands, got %d" (Gate.name u)
-             (Gate.arity u) (Array.length ops))
-  | Gate.Prep _ | Gate.Measure _ | Gate.Barrier _ -> ()
+             (Gate.arity u) (Array.length ops));
+      (* The classical bit is indexed by the qubit measured into it. *)
+      match instr with
+      | Gate.Conditional (bit, _, _) when bit < 0 || bit >= qubit_count ->
+          invalid_arg
+            (Printf.sprintf "Circuit: classical bit %d out of range [0, %d) in '%s'" bit
+               qubit_count (Gate.to_string instr))
+      | _ -> ())
+  | Gate.Prep q | Gate.Measure q -> validate_qubit qubit_count instr q
+  | Gate.Barrier qs -> validate_operands qubit_count instr qs
 
 let create ?(name = "circuit") qubit_count =
   if qubit_count <= 0 then invalid_arg "Circuit.create: qubit_count must be positive";
@@ -38,7 +62,14 @@ let add c instr =
   { c with rev_instructions = instr :: c.rev_instructions; length = c.length + 1 }
 
 let of_list ?name qubit_count instrs =
-  List.fold_left add (create ?name qubit_count) instrs
+  let c = create ?name qubit_count in
+  let rec build rev length = function
+    | [] -> { c with rev_instructions = rev; length }
+    | instr :: rest ->
+        validate_instruction qubit_count instr;
+        build (instr :: rev) (length + 1) rest
+  in
+  build [] 0 instrs
 
 let name c = c.name
 let qubit_count c = c.qubit_count
@@ -76,33 +107,41 @@ let inverse c =
     (create ~name:(c.name ^ "_inv") c.qubit_count)
     c.rev_instructions
 
-let gate_count c =
-  List.fold_left
-    (fun acc instr ->
-      match instr with
-      | Gate.Unitary _ | Gate.Conditional _ -> acc + 1
-      | Gate.Prep _ | Gate.Measure _ | Gate.Barrier _ -> acc)
-    0 c.rev_instructions
+type figures = { gates : int; two_qubit_gates : int; depth : int }
 
-let two_qubit_gate_count c =
-  List.fold_left
-    (fun acc instr ->
-      match instr with
-      | Gate.Unitary (u, _) | Gate.Conditional (_, u, _) when Gate.arity u >= 2 -> acc + 1
-      | Gate.Unitary _ | Gate.Conditional _ | Gate.Prep _ | Gate.Measure _
-      | Gate.Barrier _ ->
-          acc)
-    0 c.rev_instructions
-
-let depth c =
+(* One walk, last instruction first: the longest chain of instructions
+   that share a qubit is as long read backwards, so the depth is the one
+   a forward walk finds. *)
+let figures c =
   let ready = Array.make c.qubit_count 0 in
-  let finish instr =
-    let operands = Gate.qubits instr in
-    let start = Array.fold_left (fun acc q -> max acc ready.(q)) 0 operands in
-    Array.iter (fun q -> ready.(q) <- start + 1) operands;
-    start + 1
+  let gates = ref 0 and two_qubit_gates = ref 0 and depth = ref 0 in
+  let finish ops =
+    let start = ref 0 in
+    for i = 0 to Array.length ops - 1 do
+      start := Int.max !start ready.(ops.(i))
+    done;
+    for i = 0 to Array.length ops - 1 do
+      ready.(ops.(i)) <- !start + 1
+    done;
+    depth := Int.max !depth (!start + 1)
   in
-  List.fold_left (fun acc instr -> max acc (finish instr)) 0 (instructions c)
+  List.iter
+    (fun instr ->
+      match instr with
+      | Gate.Unitary (u, ops) | Gate.Conditional (_, u, ops) ->
+          incr gates;
+          if Gate.arity u >= 2 then incr two_qubit_gates;
+          finish ops
+      | Gate.Prep q | Gate.Measure q ->
+          ready.(q) <- ready.(q) + 1;
+          depth := Int.max !depth ready.(q)
+      | Gate.Barrier qs -> finish qs)
+    c.rev_instructions;
+  { gates = !gates; two_qubit_gates = !two_qubit_gates; depth = !depth }
+
+let gate_count c = (figures c).gates
+let two_qubit_gate_count c = (figures c).two_qubit_gates
+let depth c = (figures c).depth
 
 let qubits_used c =
   let used = Array.make c.qubit_count false in

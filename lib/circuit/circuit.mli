@@ -42,6 +42,11 @@ val depth : t -> int
 (** Circuit depth counting each instruction as one cycle, with barriers
     synchronising their operand set. *)
 
+type figures = { gates : int; two_qubit_gates : int; depth : int }
+
+val figures : t -> figures
+(** {!gate_count}, {!two_qubit_gate_count} and {!depth} in one walk. *)
+
 val qubits_used : t -> int list
 (** Sorted list of qubits touched by at least one instruction. *)
 
@@ -63,7 +68,9 @@ val compact : t -> (t * int array) option
 
 val validate_instruction : int -> Gate.t -> unit
 (** Raises [Invalid_argument] when operands are out of range, duplicated, or
-    of the wrong count for the unitary's arity. *)
+    of the wrong count for the unitary's arity, or when a conditional's
+    classical bit is outside [[0, qubit_count)] (bit [k] holds the outcome
+    of measuring qubit [k]). *)
 
 val unitary_matrix : t -> Qca_util.Matrix.t
 (** Full [2^n] unitary of a measurement-free circuit (little-endian basis:

@@ -34,14 +34,8 @@ let mode_to_string = function
   | Realistic -> "realistic"
   | Real -> "real"
 
-let stat_of ?(note = "") pass_name circuit =
-  {
-    pass_name;
-    gates = Circuit.gate_count circuit;
-    two_qubit_gates = Circuit.two_qubit_gate_count circuit;
-    depth = Circuit.depth circuit;
-    note;
-  }
+let stat_of ?(note = "") pass_name (f : Circuit.figures) =
+  { pass_name; gates = f.gates; two_qubit_gates = f.two_qubit_gates; depth = f.depth; note }
 
 let widen platform circuit =
   if Circuit.qubit_count circuit = platform.Platform.qubit_count then circuit
@@ -59,10 +53,11 @@ let traced_pass name ~input f =
       Trace.annotate sp (fun () -> [ ("gates_in", Trace.Int (Circuit.gate_count input)) ]);
       let output = f () in
       Trace.annotate sp (fun () ->
+          let f = Circuit.figures output in
           [
-            ("gates_out", Trace.Int (Circuit.gate_count output));
-            ("two_qubit", Trace.Int (Circuit.two_qubit_gate_count output));
-            ("depth", Trace.Int (Circuit.depth output));
+            ("gates_out", Trace.Int f.gates);
+            ("two_qubit", Trace.Int f.two_qubit_gates);
+            ("depth", Trace.Int f.depth);
           ]);
       output)
 
@@ -76,8 +71,19 @@ let compile ?strategy ?(optimizer = Optimize.Full) ?observer platform mode logic
   let observe name artifact =
     match observer with None -> () | Some f -> f name artifact
   in
-  let passes = ref [ stat_of "input" logical ] in
-  let record ?note name circuit = passes := stat_of ?note name circuit :: !passes in
+  (* Each row costs one walk of its circuit; [last] is the circuit of the
+     newest row, whose figures a pass that starts from it reuses. *)
+  let last = ref (logical, Circuit.figures logical) in
+  let passes = ref [ stat_of "input" (snd !last) ] in
+  let figures_of circuit =
+    let c, f = !last in
+    if c == circuit then f else Circuit.figures circuit
+  in
+  let record_figures ?note name circuit f =
+    last := (circuit, f);
+    passes := stat_of ?note name f :: !passes
+  in
+  let record ?note name circuit = record_figures ?note name circuit (figures_of circuit) in
   (* Run the optimizer as a named stage: every pass application runs in
      its own trace span, and each pass that changes the circuit gets a
      pass_stat row (with gate/depth deltas) and an observer artifact, so
@@ -92,12 +98,13 @@ let compile ?strategy ?(optimizer = Optimize.Full) ?observer platform mode logic
           | Optimize.Full ->
               let on_pass ~round ~pass ~before after =
                 let name = stage ^ "/" ^ pass in
-                record
+                let b = figures_of before and a = Circuit.figures after in
+                record_figures
                   ~note:
                     (Printf.sprintf "round=%d dgates=%+d ddepth=%+d" round
-                       (Circuit.gate_count after - Circuit.gate_count before)
-                       (Circuit.depth after - Circuit.depth before))
-                  name after;
+                       (a.Circuit.gates - b.Circuit.gates)
+                       (a.Circuit.depth - b.Circuit.depth))
+                  name after a;
                 observe name (Circuit_stage after)
               in
               Optimize.pipeline ~config ~on_pass ~trace:("compiler." ^ stage) input

@@ -1,7 +1,5 @@
 module Gate = Qca_circuit.Gate
 module Circuit = Qca_circuit.Circuit
-module Matrix = Qca_util.Matrix
-module Cplx = Qca_util.Cplx
 module Trace = Qca_util.Trace
 
 (* ------------------------------------------------------------------ *)
@@ -114,8 +112,19 @@ let footprint = function
   | Gate.Prep q | Gate.Measure q -> [| q |]
   | Gate.Barrier qs -> qs
 
-let touches fp q = Array.exists (fun x -> x = q) fp
-let overlaps a b = Array.exists (fun q -> touches b q) a
+let touches fp q =
+  let i = ref 0 in
+  while !i < Array.length fp && fp.(!i) <> q do
+    incr i
+  done;
+  !i < Array.length fp
+
+let overlaps a b =
+  let i = ref 0 in
+  while !i < Array.length a && not (touches b a.(!i)) do
+    incr i
+  done;
+  !i < Array.length a
 
 let close_to a b = Float.abs (a -. b) < 1e-12
 
@@ -439,31 +448,6 @@ let rz_accumulate qubits instrs =
 (* ------------------------------------------------------------------ *)
 (* Pass 3: Euler resynthesis of single-qubit runs                      *)
 
-let arg c = Float.atan2 (Cplx.im c) (Cplx.re c)
-
-(* ZYZ angles (alpha, beta, gamma) with U ≃ Rz(alpha)·Ry(beta)·Rz(gamma)
-   up to global phase. Accepts any nonzero scalar multiple of a 2x2
-   unitary: normalisation by sqrt(det) absorbs the scale. *)
-let zyz_angles m =
-  let det =
-    Cplx.sub
-      (Cplx.mul (Matrix.get m 0 0) (Matrix.get m 1 1))
-      (Cplx.mul (Matrix.get m 0 1) (Matrix.get m 1 0))
-  in
-  let s =
-    let r = sqrt (Cplx.abs det) and a = arg det /. 2.0 in
-    Cplx.scale r (Cplx.cis a)
-  in
-  let inv_s = Cplx.scale (1.0 /. Cplx.norm2 s) (Cplx.conj s) in
-  let n00 = Cplx.mul inv_s (Matrix.get m 0 0) in
-  let n10 = Cplx.mul inv_s (Matrix.get m 1 0) in
-  let n11 = Cplx.mul inv_s (Matrix.get m 1 1) in
-  let ca = Cplx.abs n00 and sa = Cplx.abs n10 in
-  let beta = 2.0 *. Float.atan2 sa ca in
-  if sa < 1e-9 then (2.0 *. arg n11, 0.0, 0.0)
-  else if ca < 1e-9 then (2.0 *. arg n10, Float.pi, 0.0)
-  else (arg n11 +. arg n10, beta, arg n11 -. arg n10)
-
 (* Emission, in application order (leftmost gate applied first). *)
 let gates_zyz q (alpha, beta, gamma) =
   let rz t =
@@ -493,7 +477,7 @@ let gates_pulse q (alpha, beta, gamma) =
     @ rz (alpha +. Float.pi)
 
 let emit_1q basis q m =
-  let angles = zyz_angles m in
+  let angles = Fixed_matrix.zyz_angles m in
   match basis with Zyz -> gates_zyz q angles | Pulse -> gates_pulse q angles
 
 (* (total gates, non-virtual pulses): Rz is free on hardware with frame
@@ -520,15 +504,7 @@ let euler basis qubits instrs =
     | [] | [ _ ] -> ()
     | first :: rest ->
         let old = List.map (fun i -> arr.(i)) idxs in
-        let m =
-          List.fold_left
-            (fun acc instr ->
-              match instr with
-              | Gate.Unitary (u, _) -> Matrix.mul (Gate.matrix u) acc
-              | _ -> acc)
-            (Matrix.identity 2) old
-        in
-        let gates = emit_1q basis q m in
+        let gates = emit_1q basis q (Fixed_matrix.product1 old) in
         if cost_1q gates < cost_1q old then begin
           repl.(first) <- Some gates;
           List.iter (fun i -> repl.(i) <- Some []) rest;
@@ -556,48 +532,13 @@ let euler basis qubits instrs =
 (* ------------------------------------------------------------------ *)
 (* Pass 4: two-qubit block consolidation                               *)
 
-(* Little-endian 4x4 unitary of a two-qubit gate list (qubit 0 = LSB). *)
-let mat2 gates = Circuit.unitary_matrix (Circuit.of_list 2 gates)
-
-(* If [m] is (a scalar multiple of) B ⊗ A acting as A on qubit 0 and B on
-   qubit 1, recover the factors. Pivot on the largest entry: for a
-   unitary tensor product it has magnitude ≥ 1/2, so the division is
-   well-conditioned. *)
-let local_factors m =
-  let best = ref (0, 0) and bestv = ref 0.0 in
-  for r = 0 to 3 do
-    for c = 0 to 3 do
-      let v = Cplx.abs (Matrix.get m r c) in
-      if v > !bestv then begin
-        bestv := v;
-        best := (r, c)
-      end
-    done
-  done;
-  if !bestv < 1e-9 then None
-  else
-    let r, c = !best in
-    let r0 = r land 1 and r1 = r lsr 1 in
-    let c0 = c land 1 and c1 = c lsr 1 in
-    let a =
-      Matrix.make 2 2 (fun i j ->
-          Matrix.get m ((r1 lsl 1) lor i) ((c1 lsl 1) lor j))
-    in
-    let b =
-      Matrix.make 2 2 (fun i j ->
-          Matrix.get m ((i lsl 1) lor r0) ((j lsl 1) lor c0))
-    in
-    let mrc = Matrix.get m r c in
-    let inv = Cplx.scale (1.0 /. Cplx.norm2 mrc) (Cplx.conj mrc) in
-    let recon = Matrix.scale inv (Matrix.kron b a) in
-    if Matrix.approx_equal ~eps:1e-7 recon m then Some (a, b) else None
-
-let local_gates (a, b) = gates_zyz 0 (zyz_angles a) @ gates_zyz 1 (zyz_angles b)
+let local_gates (a, b) =
+  gates_zyz 0 (Fixed_matrix.zyz_angles a) @ gates_zyz 1 (Fixed_matrix.zyz_angles b)
 
 (* Each single-entangler shape with the adjoint of its 4x4 unitary. *)
 let entangler_templates =
   List.map
-    (fun tg -> (tg, Matrix.adjoint (mat2 tg)))
+    (fun tg -> (tg, Fixed_matrix.adjoint (Fixed_matrix.of_gates2 tg)))
     [
       [ Gate.Unitary (Gate.Cz, [| 0; 1 |]) ];
       [ Gate.Unitary (Gate.Cnot, [| 0; 1 |]) ];
@@ -609,22 +550,22 @@ let entangler_templates =
    first: identity, pure locals, locals + one entangler. *)
 let block_candidates m =
   let id =
-    if Matrix.equal_up_to_phase ~eps:1e-7 m (Matrix.identity 4) then [ [] ]
+    if Fixed_matrix.equal_up_to_phase ~eps:1e-7 m Fixed_matrix.identity4 then [ [] ]
     else []
   in
   let locals =
-    match local_factors m with Some f -> [ local_gates f ] | None -> []
+    match Fixed_matrix.local_factors m with Some f -> [ local_gates f ] | None -> []
   in
   let with_entangler =
     List.concat_map
       (fun (tg, gm_dag) ->
-        let after = Matrix.mul m gm_dag in
-        let before = Matrix.mul gm_dag m in
-        (match local_factors after with
+        let after = Fixed_matrix.mul m gm_dag in
+        let before = Fixed_matrix.mul gm_dag m in
+        (match Fixed_matrix.local_factors after with
         | Some f -> [ tg @ local_gates f ]
         | None -> [])
         @
-        match local_factors before with
+        match Fixed_matrix.local_factors before with
         | Some f -> [ local_gates f @ tg ]
         | None -> [])
       entangler_templates
@@ -697,14 +638,15 @@ let render_candidate config m gates =
       let c = polish config c in
       (* Belt and braces: accept only if the rendered candidate still
          implements the block unitary. *)
-      if Matrix.equal_up_to_phase ~eps:1e-7 (Circuit.unitary_matrix c) m then
-        Some (Circuit.instructions c)
+      let rendered = Circuit.instructions c in
+      if Fixed_matrix.equal_up_to_phase ~eps:1e-7 (Fixed_matrix.of_gates2 rendered) m then
+        Some rendered
       else None
 
 (* The replacement for a block on wires 0/1: its cheapest candidate
    rendering, when that beats the block itself. *)
 let render_block config block01 =
-  let m = mat2 block01 in
+  let m = Fixed_matrix.of_gates2 block01 in
   let best =
     List.fold_left
       (fun best cand ->
@@ -861,10 +803,11 @@ let apply_pass ?trace ~round name f c =
       Trace.with_span (prefix ^ "/" ^ name) (fun sp ->
           let c', d = f c in
           Trace.annotate sp (fun () ->
+              let before = Circuit.figures c and after = Circuit.figures c' in
               [
                 ("round", Trace.Int round);
-                ("dgates", Trace.Int (Circuit.gate_count c' - Circuit.gate_count c));
-                ("ddepth", Trace.Int (Circuit.depth c' - Circuit.depth c));
+                ("dgates", Trace.Int (after.Circuit.gates - before.Circuit.gates));
+                ("ddepth", Trace.Int (after.Circuit.depth - before.Circuit.depth));
                 ("changed", Trace.Bool (delta_total d > 0));
               ]);
           (c', d))

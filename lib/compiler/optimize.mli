@@ -113,9 +113,7 @@ val run_basic : Qca_circuit.Circuit.t -> Qca_circuit.Circuit.t * stats
 (* Exposed for white-box tests and the bench harness. *)
 
 val normalize_angle : float -> float
-val zyz_angles : Qca_util.Matrix.t -> float * float * float
 val gates_zyz : int -> float * float * float -> Qca_circuit.Gate.t list
 val gates_pulse : int -> float * float * float -> Qca_circuit.Gate.t list
-val local_factors : Qca_util.Matrix.t -> (Qca_util.Matrix.t * Qca_util.Matrix.t) option
 
 (**/**)

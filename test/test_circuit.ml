@@ -115,6 +115,86 @@ let test_circuit_validation () =
     (Invalid_argument "Circuit: duplicated operand q[0] in 'cnot q[0], q[0]'") (fun () ->
       ignore (Circuit.add c (Gate.Unitary (Gate.Cnot, [| 0; 0 |]))))
 
+(* The messages validation reports for each operand shape: the pairwise
+   duplicate check (up to three operands), the sorted one (longer
+   barriers), a conditional's qubit operand and its classical bit. *)
+let test_circuit_validation_messages () =
+  let raises name msg n instr =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () ->
+        ignore (Circuit.add (Circuit.create n) instr))
+  in
+  raises "toffoli duplicate" "Circuit: duplicated operand q[1] in 'toffoli q[1], q[2], q[1]'" 3
+    (Gate.Unitary (Gate.Toffoli, [| 1; 2; 1 |]));
+  raises "toffoli trailing duplicate"
+    "Circuit: duplicated operand q[0] in 'toffoli q[2], q[0], q[0]'" 3
+    (Gate.Unitary (Gate.Toffoli, [| 2; 0; 0 |]));
+  raises "barrier duplicate (smallest reported)"
+    "Circuit: duplicated operand q[1] in 'barrier q[3], q[1], q[4], q[1], q[3]'" 5
+    (Gate.Barrier [| 3; 1; 4; 1; 3 |]);
+  raises "conditional operand out of range"
+    "Circuit: qubit 5 out of range [0, 2) in 'c-x b[0], q[5]'" 2
+    (Gate.Conditional (0, Gate.X, [| 5 |]));
+  raises "conditional bit out of range"
+    "Circuit: classical bit 7 out of range [0, 2) in 'c-x b[7], q[1]'" 2
+    (Gate.Conditional (7, Gate.X, [| 1 |]));
+  raises "negative conditional bit"
+    "Circuit: classical bit -1 out of range [0, 2) in 'c-x b[-1], q[1]'" 2
+    (Gate.Conditional (-1, Gate.X, [| 1 |]));
+  raises "operand reported before bit"
+    "Circuit: qubit 3 out of range [0, 2) in 'c-x b[9], q[3]'" 2
+    (Gate.Conditional (9, Gate.X, [| 3 |]));
+  ignore (Circuit.add (Circuit.create 2) (Gate.Conditional (1, Gate.X, [| 0 |])))
+
+(* The operand checks as they were written before operands were read in
+   place: every operand range-checked, then a sorted copy scanned for the
+   smallest duplicate, then the arity. *)
+let reference_validate qubit_count instr =
+  let operands = Gate.qubits instr in
+  Array.iter
+    (fun q ->
+      if q < 0 || q >= qubit_count then
+        invalid_arg
+          (Printf.sprintf "Circuit: qubit %d out of range [0, %d) in '%s'" q qubit_count
+             (Gate.to_string instr)))
+    operands;
+  let sorted = Array.copy operands in
+  Array.sort compare sorted;
+  for i = 0 to Array.length sorted - 2 do
+    if sorted.(i) = sorted.(i + 1) then
+      invalid_arg
+        (Printf.sprintf "Circuit: duplicated operand q[%d] in '%s'" sorted.(i)
+           (Gate.to_string instr))
+  done;
+  match instr with
+  | Gate.Unitary (u, ops) | Gate.Conditional (_, u, ops) ->
+      if Array.length ops <> Gate.arity u then
+        invalid_arg
+          (Printf.sprintf "Circuit: gate '%s' expects %d operands, got %d" (Gate.name u)
+             (Gate.arity u) (Array.length ops))
+  | Gate.Prep _ | Gate.Measure _ | Gate.Barrier _ -> ()
+
+let prop_validation_matches_reference =
+  QCheck.Test.make ~name:"validation reports what the sorting check reported" ~count:2000
+    (QCheck.make
+       ~print:(fun (kind, ops) ->
+         Printf.sprintf "kind=%d ops=[%s]" kind
+           (String.concat ";" (List.map string_of_int ops)))
+       QCheck.Gen.(pair (int_range 0 5) (list_size (int_range 0 6) (int_range (-1) 4))))
+    (fun (kind, ops) ->
+      let arr = Array.of_list ops in
+      let first = match ops with q :: _ -> q | [] -> 0 in
+      let instr =
+        match kind with
+        | 0 -> Gate.Unitary (Gate.H, arr)
+        | 1 -> Gate.Unitary (Gate.Cnot, arr)
+        | 2 -> Gate.Unitary (Gate.Toffoli, arr)
+        | 3 -> Gate.Conditional (0, Gate.Cz, arr)
+        | 4 -> Gate.Barrier arr
+        | _ -> Gate.Measure first
+      in
+      let outcome f = match f 4 instr with () -> None | exception Invalid_argument m -> Some m in
+      outcome Circuit.validate_instruction = outcome reference_validate)
+
 let test_circuit_counts () =
   let c = Library.ghz 4 in
   Alcotest.(check int) "gate count" 4 (Circuit.gate_count c);
@@ -372,6 +452,8 @@ let () =
       ( "circuit",
         [
           Alcotest.test_case "validation" `Quick test_circuit_validation;
+          Alcotest.test_case "validation messages" `Quick test_circuit_validation_messages;
+          qtest prop_validation_matches_reference;
           Alcotest.test_case "counts" `Quick test_circuit_counts;
           Alcotest.test_case "append/repeat" `Quick test_circuit_append_repeat;
           Alcotest.test_case "inverse identity" `Quick test_circuit_inverse_identity;

@@ -19,6 +19,7 @@ module Verify = Qca_analysis.Verify
 module Diagnostic = Qca_analysis.Diagnostic
 module Engine = Qca_qx.Engine
 module Matrix = Qca_util.Matrix
+module Fixed_matrix = Qca_compiler.Fixed_matrix
 module Rng = Qca_util.Rng
 
 let u g ops = Gate.Unitary (g, Array.of_list ops)
@@ -176,7 +177,7 @@ let prop_euler_reconstructs =
     (fun (seed, gates) ->
       let run = random_1q_product (Rng.create seed) gates in
       let m = matrix_of_gates run in
-      let angles = Optimize.zyz_angles m in
+      let angles = Fixed_matrix.zyz_angles (Fixed_matrix.of_matrix m) in
       let check form =
         let unitaries =
           List.filter_map
@@ -200,18 +201,192 @@ let prop_local_factors_sound =
       (* local_factors returns (q0 factor, q1 factor) for a matrix in the
          engine's kron order — each factor only up to a complex scale, which
          zyz_angles normalises away; reconstruct through that path. *)
-      match Optimize.local_factors (Matrix.kron a b) with
+      match Fixed_matrix.local_factors (Fixed_matrix.of_matrix (Matrix.kron a b)) with
       | None -> false (* a true tensor product must be detected *)
       | Some (a', b') ->
           let unitary m =
             matrix_of_gates
               (List.filter_map
                  (function Gate.Unitary (g, _) -> Some g | _ -> None)
-                 (Optimize.gates_zyz 0 (Optimize.zyz_angles m)))
+                 (Optimize.gates_zyz 0 (Fixed_matrix.zyz_angles m)))
           in
           Matrix.equal_up_to_phase ~eps:1e-7
             (Matrix.kron (unitary b') (unitary a'))
             (Matrix.kron a b))
+
+(* --- the fixed-size kernel against the boxed matrices --- *)
+
+(* An angle, now and then a special one: the kernel must match the boxed
+   arithmetic on signed zeros, large values and NaN too. *)
+let random_angle rng =
+  match Rng.int rng 12 with
+  | 0 -> 0.0
+  | 1 -> -0.0
+  | 2 -> Float.pi
+  | 3 -> Float.nan
+  | 4 -> 1e300
+  | _ -> Rng.float rng 12.0 -. 6.0
+
+(* A gate list on wires 0/1 over every one- and two-qubit unitary, both
+   operand orders of the two-qubit ones. [only_local] leaves out the
+   entanglers, so the product is a tensor product. *)
+let random_2q_gates ?(only_local = false) rng count =
+  let fixed1 =
+    [| Gate.I; Gate.X; Gate.Y; Gate.Z; Gate.H; Gate.S; Gate.Sdag; Gate.T; Gate.Tdag;
+       Gate.X90; Gate.Xm90; Gate.Y90; Gate.Ym90 |]
+  in
+  let one () =
+    let q = Rng.int rng 2 in
+    let u =
+      match Rng.int rng 4 with
+      | 0 -> Gate.Rx (random_angle rng)
+      | 1 -> Gate.Ry (random_angle rng)
+      | 2 -> Gate.Rz (random_angle rng)
+      | _ -> fixed1.(Rng.int rng (Array.length fixed1))
+    in
+    Gate.Unitary (u, [| q |])
+  in
+  let two () =
+    let ops = if Rng.int rng 2 = 0 then [| 0; 1 |] else [| 1; 0 |] in
+    let u =
+      match Rng.int rng 5 with
+      | 0 -> Gate.Cnot
+      | 1 -> Gate.Cz
+      | 2 -> Gate.Swap
+      | 3 -> Gate.Cphase (random_angle rng)
+      | _ -> Gate.Crk (Rng.int rng 7)
+    in
+    Gate.Unitary (u, ops)
+  in
+  List.init count (fun _ -> if only_local || Rng.int rng 3 > 0 then one () else two ())
+
+let same_bits name m k =
+  let bits x = Int64.bits_of_float x in
+  let ok = ref (Fixed_matrix.dim k = Matrix.rows m) in
+  for r = 0 to Matrix.rows m - 1 do
+    for c = 0 to Matrix.cols m - 1 do
+      let z = Matrix.get m r c in
+      if bits z.Complex.re <> bits (Fixed_matrix.re k r c)
+         || bits z.Complex.im <> bits (Fixed_matrix.im k r c)
+      then ok := false
+    done
+  done;
+  if not !ok then QCheck.Test.fail_reportf "%s: entries differ in their bits" name;
+  true
+
+(* The factorisation as it was written on boxed matrices. *)
+let reference_local_factors m =
+  let best = ref (0, 0) and bestv = ref 0.0 in
+  for r = 0 to 3 do
+    for c = 0 to 3 do
+      let v = Complex.norm (Matrix.get m r c) in
+      if v > !bestv then begin
+        bestv := v;
+        best := (r, c)
+      end
+    done
+  done;
+  if !bestv < 1e-9 then None
+  else
+    let r, c = !best in
+    let r0 = r land 1 and r1 = r lsr 1 in
+    let c0 = c land 1 and c1 = c lsr 1 in
+    let a = Matrix.make 2 2 (fun i j -> Matrix.get m ((r1 lsl 1) lor i) ((c1 lsl 1) lor j)) in
+    let b = Matrix.make 2 2 (fun i j -> Matrix.get m ((i lsl 1) lor r0) ((j lsl 1) lor c0)) in
+    let mrc = Matrix.get m r c in
+    let s = 1.0 /. Qca_util.Cplx.norm2 mrc in
+    let inv = Qca_util.Cplx.scale s (Complex.conj mrc) in
+    let recon = Matrix.scale inv (Matrix.kron b a) in
+    if Matrix.approx_equal ~eps:1e-7 recon m then Some (a, b) else None
+
+(* ZYZ angles as they were written on boxed complex numbers. *)
+let reference_zyz_angles m =
+  let module C = Qca_util.Cplx in
+  let arg c = Float.atan2 (C.im c) (C.re c) in
+  let det =
+    C.sub (C.mul (Matrix.get m 0 0) (Matrix.get m 1 1)) (C.mul (Matrix.get m 0 1) (Matrix.get m 1 0))
+  in
+  let s =
+    let r = sqrt (C.abs det) and a = arg det /. 2.0 in
+    C.scale r (C.cis a)
+  in
+  let inv_s = C.scale (1.0 /. C.norm2 s) (C.conj s) in
+  let n00 = C.mul inv_s (Matrix.get m 0 0) in
+  let n10 = C.mul inv_s (Matrix.get m 1 0) in
+  let n11 = C.mul inv_s (Matrix.get m 1 1) in
+  let ca = C.abs n00 and sa = C.abs n10 in
+  let beta = 2.0 *. Float.atan2 sa ca in
+  if sa < 1e-9 then (2.0 *. arg n11, 0.0, 0.0)
+  else if ca < 1e-9 then (2.0 *. arg n10, Float.pi, 0.0)
+  else (arg n11 +. arg n10, beta, arg n11 -. arg n10)
+
+let same_angles name m k =
+  let bits (a, b, c) = List.map Int64.bits_of_float [ a; b; c ] in
+  bits (reference_zyz_angles m) = bits (Fixed_matrix.zyz_angles k)
+  || QCheck.Test.fail_reportf "%s: zyz angles differ in their bits" name
+
+let same_factors name m k =
+  match (reference_local_factors m, Fixed_matrix.local_factors k) with
+  | None, None -> true
+  | Some (a, b), Some (a', b') ->
+      same_bits (name ^ " A") a a'
+      && same_bits (name ^ " B") b b'
+      && same_angles (name ^ " A") a a'
+      && same_angles (name ^ " B") b b'
+  | Some _, None | None, Some _ -> QCheck.Test.fail_reportf "%s: verdicts differ" name
+
+let same_phase_verdict name m k m' k' =
+  Matrix.equal_up_to_phase ~eps:1e-7 m m' = Fixed_matrix.equal_up_to_phase ~eps:1e-7 k k'
+  || QCheck.Test.fail_reportf "%s: equal_up_to_phase verdicts differ" name
+
+let entanglers =
+  [
+    [ Gate.Unitary (Gate.Cz, [| 0; 1 |]) ];
+    [ Gate.Unitary (Gate.Cnot, [| 0; 1 |]) ];
+    [ Gate.Unitary (Gate.Cnot, [| 1; 0 |]) ];
+    [ Gate.Unitary (Gate.Swap, [| 0; 1 |]) ];
+  ]
+
+let prop_fixed_matrix_bit_identical =
+  QCheck.Test.make ~name:"fixed-size kernel is bit-identical to the boxed matrices"
+    ~count:300
+    (QCheck.make
+       ~print:(fun (s, g) -> Printf.sprintf "seed=%d gates=%d" s g)
+       QCheck.Gen.(pair (int_range 0 99999) (int_range 0 12)))
+    (fun (seed, count) ->
+      let rng = Rng.create seed in
+      let only_local = Rng.int rng 3 = 0 in
+      let gates = random_2q_gates ~only_local rng count in
+      let m = Circuit.unitary_matrix (Circuit.of_list 2 gates) in
+      let k = Fixed_matrix.of_gates2 gates in
+      let run =
+        List.map (fun u -> Gate.Unitary (u, [| 0 |])) (random_1q_product rng (1 + (count mod 5)))
+      in
+      let run_m =
+        List.fold_left
+          (fun acc g ->
+            match g with Gate.Unitary (u, _) -> Matrix.mul (Gate.matrix u) acc | _ -> acc)
+          (Matrix.identity 2) run
+      in
+      let identity = Matrix.identity 4 in
+      same_bits "4x4 product" m k
+      && same_bits "2x2 run" run_m (Fixed_matrix.product1 run)
+      && same_angles "2x2 run" run_m (Fixed_matrix.product1 run)
+      && same_factors "locals" m k
+      && same_phase_verdict "identity" m k identity Fixed_matrix.identity4
+      && same_phase_verdict "self" m k m k
+      && List.for_all
+           (fun tg ->
+             let g = Matrix.adjoint (Circuit.unitary_matrix (Circuit.of_list 2 tg)) in
+             let g' = Fixed_matrix.adjoint (Fixed_matrix.of_gates2 tg) in
+             let after = Matrix.mul m g and before = Matrix.mul g m in
+             let after' = Fixed_matrix.mul k g' and before' = Fixed_matrix.mul g' k in
+             same_bits "after" after after'
+             && same_bits "before" before before'
+             && same_factors "after" after after'
+             && same_factors "before" before before'
+             && same_phase_verdict "against entangler" after after' m k)
+           entanglers)
 
 (* --- distribution preservation at matched seeds (ideal noise) --- *)
 
@@ -464,6 +639,7 @@ let () =
         ] );
       ( "euler-properties",
         [ qtest prop_euler_reconstructs; qtest prop_local_factors_sound ] );
+      ("fixed-matrix", [ qtest prop_fixed_matrix_bit_identical ]);
       ( "distributions",
         [
           qtest prop_distribution_bit_identical;
