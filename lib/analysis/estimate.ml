@@ -273,9 +273,20 @@ let probe_of_program (p : Cqasm.program) =
    amplitudes at 16 bytes each; one evolution pass sweeps the state once
    per gate at the calibrated per-amplitude rate. The sampled plan pays one
    pass plus O(n) per shot of sampling; trajectories pay the pass (plus
-   measurement collapses) per shot; the tableau plan pays O(n) per gate and
-   O(n^2) per measurement per shot over its bit-packed rows
-   ([Tableau.memory_bytes], ~64 n ceil(n/62) bytes).                     *)
+   measurement collapses) per shot. A tableau pass costs O(n) per gate and
+   O(n^2) per measurement over its bit-packed rows ([Tableau.memory_bytes],
+   ~64 n ceil(n/62) bytes). The Clifford plan makes that pass once when it
+   samples symbolically ([Engine.symbolic_tableau]): then every row
+   operation of the pass also moves its row's form (up to two per gate and
+   2n per measure or prep), and each shot pays a draw per measure/prep
+   site (two row elements' worth) and one form per classical bit and
+   conditional. A form has a word per 62 variables, and the variables are
+   bounded by the sites and by [Engine.symbolic_budget]; the forms sit
+   beside the 2n rows' signs and the n bits and [conditionals]
+   conditionals, with one site index per variable. A program with more
+   sites than the budget first counts its random outcomes in a concrete
+   pass, and is priced as then running per shot. Otherwise the plan makes
+   the pass once per shot. *)
 
 let pass_ns cal classes dim =
   dim
@@ -285,20 +296,35 @@ let pass_ns cal classes dim =
      +. (float_of_int classes.clifford_1q *. cal.ns_1q)
      +. (float_of_int classes.rotations *. cal.ns_1q))
 
-let cost cal ~plan ~n ~shots ~classes ~measures =
+let cost cal ~plan ~symbolic ~n ~shots ~classes ~measures ~conditionals =
   let dim = ldexp 1.0 n in
   let fn = float_of_int n in
   let fshots = float_of_int shots in
   let fmeasures = float_of_int measures in
   match plan with
   | Engine.Clifford ->
-      let bytes = Tableau.memory_bytes n in
       let gates = float_of_int (classes_total classes) in
-      let ns =
-        fshots *. cal.ns_row
-        *. ((2.0 *. fn *. gates) +. (4.0 *. fn *. fn *. fmeasures))
+      let pass =
+        cal.ns_row *. ((2.0 *. fn *. gates) +. (4.0 *. fn *. fn *. fmeasures))
       in
-      (0.0, bytes, ns)
+      if symbolic then begin
+        let budget = float_of_int (Engine.symbolic_budget ~shots) in
+        let variables = Float.min fmeasures budget in
+        let words = Float.ceil (variables /. 62.0) in
+        let bits = fn +. float_of_int conditionals in
+        let bytes =
+          Tableau.memory_bytes n +. (8.0 *. ((((2.0 *. fn) +. bits) *. words) +. variables))
+        in
+        let ns =
+          if fmeasures <= budget then
+            pass
+            +. (cal.ns_row *. words *. ((2.0 *. gates) +. (2.0 *. fn *. fmeasures)))
+            +. (fshots *. cal.ns_row *. ((2.0 *. fmeasures) +. (bits *. words)))
+          else (1.0 +. fshots) *. pass
+        in
+        (0.0, bytes, ns)
+      end
+      else (0.0, Tableau.memory_bytes n, fshots *. pass)
   | Engine.Sampled ->
       let ns = pass_ns cal classes dim +. (fshots *. fn *. cal.ns_sample) in
       (dim, dim *. 16.0, ns)
@@ -350,18 +376,19 @@ let of_program ?(shots = 1024) ?(noisy = false) ?plan (p : Cqasm.program) =
   in
   let gates = classes_total classes in
   let measures = total.n_measurements + total.n_preps in
+  let probe = probe_of_program p in
   let plan, plan_reason =
     match plan with
     | Some forced -> (forced, "forced")
-    | None ->
-        Engine.choose_plan ~noisy ~shots ~gates ~measures (probe_of_program p)
+    | None -> Engine.choose_plan ~noisy ~shots ~gates ~measures probe
   in
   (* The engine chooses the plan on the declared width but simulates only
      the active qubits (Circuit.active_qubits), so that is what it costs. *)
   let amplitudes, state_bytes, sim_ns =
     cost default_calibration ~plan
+      ~symbolic:(Engine.symbolic_tableau probe)
       ~n:(Array.length (Circuit.active_of_used active))
-      ~shots ~classes ~measures
+      ~shots ~classes ~measures ~conditionals:total.n_conditionals
   in
   let clifford_fraction =
     if gates = 0 then 1.0

@@ -268,7 +268,14 @@ let parse source =
                   (Printf.sprintf "qubits %d exceeds the %d-qubit limit" !qubit_count
                      max_qubits)
           | [ "error_model"; model; rate ] ->
-              error_model := Some (model, parse_float lineno rate)
+              let r = parse_float lineno rate in
+              (* A rate is a probability: nan, inf or a value outside
+                 [0, 1] would reach the noise model as an impossible
+                 channel. *)
+              if not (r >= 0.0 && r <= 1.0) then
+                syntax_error ~token:rate lineno
+                  (Printf.sprintf "error_model rate %s outside [0, 1]" rate);
+              error_model := Some (model, r)
           | tokens -> begin
               if !qubit_count = 0 then
                 syntax_error

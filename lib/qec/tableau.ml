@@ -14,7 +14,18 @@ module Gate = Qca_circuit.Gate
    Z_q is deterministic exactly when row n + q has no x bits (it then
    commutes with every Z_k stabilising |0...0>), and the outcome is its
    sign. A random measurement collapses by inserting gates at the beginning
-   of time (U -> U V), which conjugates every row by V: column updates. *)
+   of time (U -> U V), which conjugates every row by V: column updates.
+
+   Symbolic signs. No x or z bit ever depends on a measurement outcome:
+   [pivot] reads x bits, the collapse's column updates read x and z bits,
+   and an outcome reaches the rows only through the signs, by XOR
+   ([mul_row], the Pauli gates and the collapse's last step). So each sign
+   is an affine form over GF(2) in the run's random outcomes: a constant
+   bit (in [signs]) plus a set of variables, [fw] words of 62 bits per row
+   (variable v is bit [v mod 62] of word [v / 62]; word k of row r is
+   [forms.(k).(r)]). A tableau that never makes a variable has [fw = 0]
+   and is the concrete simulator; [measure_symbolic] makes one per random
+   outcome and grows the forms a word at a time. *)
 
 let word_bits = 62
 let max_qubits = 4096
@@ -24,10 +35,13 @@ type t = {
   w : int;  (* words per row *)
   xs : int array;  (* 2n rows * w words *)
   zs : int array;
-  signs : int array;  (* 0 = +, 1 = - per row *)
+  signs : int array;  (* 0 = +, 1 = - per row: the constant of the form *)
+  mutable forms : int array array;  (* fw words of 2n rows each, see above *)
+  mutable variables : int;
   id_xs : int array;  (* the identity tableau, blitted by [reset] *)
   id_zs : int array;
   spread : int array;  (* w words of scratch for [collapse] *)
+  mutable delta : int array;  (* fw words of scratch for [collapse] *)
 }
 
 let words n = (n + word_bits - 1) / word_bits
@@ -54,9 +68,12 @@ let create n =
     xs = Array.copy id_xs;
     zs = Array.copy id_zs;
     signs = Array.make (2 * n) 0;
+    forms = [||];
+    variables = 0;
     id_xs;
     id_zs;
     spread = Array.make w 0;
+    delta = [||];
   }
 
 (* Words: the state rows and the identity template (x and z each), the signs
@@ -71,7 +88,9 @@ let qubit_count t = t.n
 let reset t =
   Array.blit t.id_xs 0 t.xs 0 (Array.length t.xs);
   Array.blit t.id_zs 0 t.zs 0 (Array.length t.zs);
-  Array.fill t.signs 0 (Array.length t.signs) 0
+  Array.fill t.signs 0 (Array.length t.signs) 0;
+  t.forms <- [||];
+  t.variables <- 0
 
 let copy t =
   {
@@ -79,8 +98,12 @@ let copy t =
     xs = Array.copy t.xs;
     zs = Array.copy t.zs;
     signs = Array.copy t.signs;
+    forms = Array.map Array.copy t.forms;
     spread = Array.make t.w 0;
+    delta = Array.make (Array.length t.forms) 0;
   }
+
+let variables t = t.variables
 
 (* --- word-level Pauli arithmetic --------------------------------------- *)
 
@@ -120,7 +143,12 @@ let mul_row t ~extra dst src =
   let g = mul_words t.xs t.zs dst src t.w in
   let phase = (2 * (t.signs.(dst) + t.signs.(src))) + g + extra in
   assert (phase land 1 = 0);
-  t.signs.(dst) <- (phase land 3) lsr 1
+  t.signs.(dst) <- (phase land 3) lsr 1;
+  (* The phase arithmetic above is the constant's; the forms just add. *)
+  for k = 0 to Array.length t.forms - 1 do
+    let f = Array.unsafe_get t.forms k in
+    f.(dst) <- f.(dst) lxor f.(src)
+  done
 
 let swap_rows t a b =
   let oa = a * t.w and ob = b * t.w in
@@ -133,7 +161,13 @@ let swap_rows t a b =
   done;
   let s = t.signs.(a) in
   t.signs.(a) <- t.signs.(b);
-  t.signs.(b) <- s
+  t.signs.(b) <- s;
+  for k = 0 to Array.length t.forms - 1 do
+    let f = Array.unsafe_get t.forms k in
+    let s = f.(a) in
+    f.(a) <- f.(b);
+    f.(b) <- s
+  done
 
 let flip_sign t row = t.signs.(row) <- t.signs.(row) lxor 1
 
@@ -256,12 +290,15 @@ let[@inline] bit words o word mask = if words.(o + word) land mask = 0 then 0 el
    2. H (row has X at p) or H_YZ (row has Y at p) turns that factor into
       Z: the new state is an eigenstate of the measured observable, with
       the sign of row n + q as its outcome.
-   3. X at p, if that sign disagrees with [outcome].
+   3. X at p, if that sign disagrees with the outcome.
    The CNOTs share their control, so they are applied at once: for a row
    with x_p = 1 and z bits T on [spread] (m = |T|), applying them in
    increasing target order flips the sign by
-   m (1 + z_p) + |T & x| + m (m - 1) / 2 (mod 2). *)
-let collapse t q p outcome =
+   m (1 + z_p) + |T & x| + m (m - 1) / 2 (mod 2).
+   Steps 1 and 2 flip signs by constants. The outcome is [outcome], plus
+   variable [var] unless [var < 0]; step 3 then XORs the form
+   (sign of row n + q) + outcome into every row with Z or Y at p. *)
+let collapse t q p ~outcome ~var =
   let w = t.w in
   let zrow = (t.n + q) * w in
   let pw = p / word_bits and pm = 1 lsl (p mod word_bits) in
@@ -311,17 +348,33 @@ let collapse t q p outcome =
       zs.(o + pw) <- (if nz = 1 then zw lor pm else zw land lnot pm)
     end
   done;
-  if t.signs.(t.n + q) <> outcome then
+  let zq = t.n + q and forms = t.forms and delta = t.delta in
+  let flip = signs.(zq) lxor outcome in
+  let moves = ref (flip <> 0) in
+  for k = 0 to Array.length forms - 1 do
+    let d = forms.(k).(zq) lxor if var >= 0 && var / word_bits = k then 1 lsl (var mod word_bits) else 0 in
+    delta.(k) <- d;
+    if d <> 0 then moves := true
+  done;
+  if !moves then
     for r = 0 to (2 * t.n) - 1 do
       (* X^dag P X flips the sign of P wherever it has Z or Y at p. *)
-      t.signs.(r) <- t.signs.(r) lxor bit t.zs (r * w) pw pm
+      if bit zs (r * w) pw pm = 1 then begin
+        signs.(r) <- signs.(r) lxor flip;
+        for k = 0 to Array.length forms - 1 do
+          let f = forms.(k) in
+          f.(r) <- f.(r) lxor delta.(k)
+        done
+      end
     done
+
+let is_random t q = pivot t q >= 0
 
 let measure_with t q ~random_outcome =
   match pivot t q with
   | -1 -> t.signs.(t.n + q)
   | p ->
-      collapse t q p random_outcome;
+      collapse t q p ~outcome:random_outcome ~var:(-1);
       random_outcome
 
 let measure t rng q =
@@ -329,8 +382,52 @@ let measure t rng q =
   | -1 -> t.signs.(t.n + q)
   | p ->
       let outcome = if Rng.bool rng then 1 else 0 in
-      collapse t q p outcome;
+      collapse t q p ~outcome ~var:(-1);
       outcome
+
+(* --- symbolic signs ----------------------------------------------------- *)
+
+let measure_symbolic t q =
+  match pivot t q with
+  | -1 -> false
+  | p ->
+      let v = t.variables in
+      if v / word_bits = Array.length t.forms then begin
+        t.forms <- Array.append t.forms [| Array.make (2 * t.n) 0 |];
+        t.delta <- Array.make (Array.length t.forms) 0
+      end;
+      t.variables <- v + 1;
+      collapse t q p ~outcome:0 ~var:v;
+      true
+
+let z_form t q =
+  let zq = t.n + q in
+  (t.signs.(zq), Array.map (fun f -> f.(zq)) t.forms)
+
+let is_pauli = function
+  | Gate.I | Gate.X | Gate.Y | Gate.Z -> true
+  | Gate.H | Gate.S | Gate.Sdag | Gate.X90 | Gate.Xm90 | Gate.Y90 | Gate.Ym90 | Gate.Cnot
+  | Gate.Cz | Gate.Swap | Gate.T | Gate.Tdag | Gate.Rx _ | Gate.Ry _ | Gate.Rz _
+  | Gate.Cphase _ | Gate.Crk _ | Gate.Toffoli ->
+      false
+
+(* X_q flips the sign of row Z_q, Z_q that of row X_q (see [x] and [z]). *)
+let pauli_by t u q (const, form) =
+  let xor_into row =
+    t.signs.(row) <- t.signs.(row) lxor const;
+    Array.iteri (fun k word -> t.forms.(k).(row) <- t.forms.(k).(row) lxor word) form
+  in
+  match u with
+  | Gate.I -> ()
+  | Gate.X -> xor_into (t.n + q)
+  | Gate.Z -> xor_into q
+  | Gate.Y ->
+      xor_into q;
+      xor_into (t.n + q)
+  | Gate.H | Gate.S | Gate.Sdag | Gate.X90 | Gate.Xm90 | Gate.Y90 | Gate.Ym90 | Gate.Cnot
+  | Gate.Cz | Gate.Swap | Gate.T | Gate.Tdag | Gate.Rx _ | Gate.Ry _ | Gate.Rz _
+  | Gate.Cphase _ | Gate.Crk _ | Gate.Toffoli ->
+      invalid_arg ("Tableau.pauli_by: not a Pauli: " ^ Gate.name u)
 
 let measure_all t rng =
   let out = Array.make t.n 0 in

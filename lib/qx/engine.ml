@@ -619,18 +619,22 @@ let exec_shot ?(noise = Noise.ideal) rng circuit =
   let n = Circuit.qubit_count circuit in
   fresh_shot (micro_executor ~noise program n) n ~tally:(fresh_tally program) rng
 
-(* Clifford-plan executor: the same micro-program, dispatched onto a reused
-   tableau ([Tableau.reset] per shot, no allocation). Seeding discipline
-   mirrors [State.measure]'s randomness contract exactly: one uniform draw
-   per measurement, outcome 1 iff the draw is below P(1). For a random
-   stabilizer measurement P(1) is exactly 1/2, so comparing the same draw
-   against 0.5 reproduces the state-vector executor's outcome —
-   seed-identical histograms across the two plans. Deterministic outcomes
-   consume the draw without using it, as [State.measure] also always
-   draws. *)
-let measure_tableau rng tab q =
-  let random_outcome = if Rng.float rng 1.0 < 0.5 then 1 else 0 in
-  Tableau.measure_with tab q ~random_outcome
+(* --- the Clifford plan ----------------------------------------------------- *)
+
+(* Seeding discipline, shared by both Clifford executors below: one uniform
+   draw per measurement and per prep, in program order, and a random
+   outcome is 1 iff its draw is below 1/2. [State.measure] draws once per
+   measurement and returns 1 iff the draw is below P(1), which is exactly
+   1/2 for a random stabilizer measurement, so the tableau reproduces the
+   state-vector executor's outcomes: seed-identical histograms across the
+   two plans. Deterministic outcomes consume their draw without using it,
+   as [State.measure] also always draws. ([Rng.below_half] is that
+   comparison without the float.) *)
+let[@inline] coin rng = if Rng.below_half rng then 1 else 0
+
+(* The per-shot executor: the micro-program dispatched onto a reused
+   tableau ([Tableau.reset] per shot, no allocation). *)
+let measure_tableau rng tab q = Tableau.measure_with tab q ~random_outcome:(coin rng)
 
 let exec_micro_tableau ~tally rng tab program =
   let ops = program.ops in
@@ -649,6 +653,160 @@ let exec_micro_tableau ~tally rng tab program =
         end
     | M_prep q -> if measure_tableau rng tab q = 1 then Tableau.x tab q
     | M_measure (q, bit) -> classical.(bit) <- measure_tableau rng tab q
+  done;
+  tally.passes <- tally.passes + 1;
+  classical
+
+(* The symbolic executor. No x/z bit of a tableau row depends on a
+   measurement outcome (Tableau's "symbolic signs"), so one pass over the
+   program with every random outcome left as a variable gives each
+   classical bit as an affine form over the run's coins; a shot then only
+   draws its coins and evaluates forms. A shot's coin v is the draw the
+   per-shot executor takes at variable v's site: the sampler skips the
+   draws of the deterministic sites before it in O(1) ([Rng.skip]) and
+   stops after the last random site, as the shot's stream is its own. So
+   both executors give the same classical bits and the same conditional
+   firings, shot for shot.
+
+   The rule, in one place: the symbolic pass needs every outcome-dependent
+   operation to be a Pauli, which XORs a form into signs. A conditional H,
+   S, CNOT, ... makes the rows, and so which later measurements are random,
+   depend on earlier outcomes: such a program runs the tableau per shot. *)
+let symbolic_tableau circuit =
+  List.for_all
+    (function
+      | Gate.Conditional (_, u, _) -> Tableau.is_pauli u
+      | Gate.Unitary _ | Gate.Prep _ | Gate.Measure _ | Gate.Barrier _ -> true)
+    (Circuit.instructions circuit)
+
+(* The pass's cost bound. Every row operation of the pass also moves the
+   row's form, one word per 62 variables, so the pass grows with the
+   square of the random outcomes while the per-shot executor grows with
+   their count times the shots. Timed on repeated H+measure programs of 1
+   to 32 qubits and 640 to 8000 outcomes, the two executors cross between
+   about 2 and 15 form words per shot, near 4 on narrow programs
+   (docs/performance.md, "Where the symbolic pass stops"), so a run
+   samples symbolically only while its forms need at most 4 words per
+   shot. *)
+let symbolic_budget ~shots = 4 * Tableau.word_bits * min shots (max_int / (4 * Tableau.word_bits))
+
+(* The run's random outcomes, from one concrete pass with every one taken
+   as 0. Whether a measurement is random does not depend on earlier
+   outcomes, nor on the Paulis that conditionals and preps apply (they move
+   signs only), so those are skipped. *)
+let random_outcomes program n =
+  let tab = Tableau.create n and count = ref 0 in
+  Array.iter
+    (function
+      | M_kernel (Single (u, o, _)) -> Tableau.apply_gate tab u o
+      | M_kernel (Fused_1q _ | Fused_diag _) -> assert false
+      | M_cond _ -> ()
+      | M_prep q | M_measure (q, _) ->
+          if Tableau.is_random tab q then incr count;
+          ignore (Tableau.measure_with tab q ~random_outcome:0))
+    program.ops;
+  !count
+
+(* A run with no more measure and prep sites than the budget needs no
+   count: each random outcome is at one of them. *)
+let within_budget ~shots ~sites program n =
+  let budget = symbolic_budget ~shots in
+  sites <= budget || random_outcomes program n <= budget
+
+(* The symbolic pass's result. Each classical bit (at the end of the
+   program) and each conditional (at its op) reads an affine bit
+   [const ⊕ parity(form ∧ coins)]; form [i] is the [words] ints at
+   [i * words] of its array. [const = -1] is a bit no measurement has
+   written: it reads as -1 and never fires a conditional. *)
+type sampler = {
+  random_sites : int array;  (* variable -> its measure/prep site, ascending *)
+  words : int;  (* words per form *)
+  bit_consts : int array;  (* classical bit -> const *)
+  bit_forms : int array;
+  cond_slots : int array;  (* conditionals in program order -> tally slot *)
+  cond_consts : int array;
+  cond_forms : int array;
+}
+
+let symbolic_pass program n =
+  let tab = Tableau.create n in
+  let sites = ref 0 and random_sites = ref [] in
+  let measure q =
+    if Tableau.measure_symbolic tab q then random_sites := !sites :: !random_sites;
+    incr sites
+  in
+  let bits = Array.make n (-1, [||]) and conds = ref [] in
+  Array.iter
+    (function
+      | M_kernel (Single (u, o, _)) -> Tableau.apply_gate tab u o
+      | M_kernel (Fused_1q _ | Fused_diag _) -> assert false
+      | M_cond (bit, u, o, slot) ->
+          let form = bits.(bit) in
+          conds := (slot, form) :: !conds;
+          if fst form >= 0 then Tableau.pauli_by tab u o.(0) form
+      | M_prep q ->
+          measure q;
+          Tableau.pauli_by tab Gate.X q (Tableau.z_form tab q)
+      | M_measure (q, bit) ->
+          measure q;
+          bits.(bit) <- Tableau.z_form tab q)
+    program.ops;
+  let words = (Tableau.variables tab + Tableau.word_bits - 1) / Tableau.word_bits in
+  let flatten forms =
+    let out = Array.make (Array.length forms * words) 0 in
+    Array.iteri (fun i (_, form) -> Array.blit form 0 out (i * words) (Array.length form)) forms;
+    out
+  in
+  let conds = Array.of_list (List.rev !conds) in
+  {
+    random_sites = Array.of_list (List.rev !random_sites);
+    words;
+    bit_consts = Array.map fst bits;
+    bit_forms = flatten bits;
+    cond_slots = Array.map fst conds;
+    cond_consts = Array.map (fun (_, (c, _)) -> c) conds;
+    cond_forms = flatten (Array.map snd conds);
+  }
+
+let[@inline] parity x =
+  let x = x lxor (x lsr 32) in
+  let x = x lxor (x lsr 16) in
+  let x = x lxor (x lsr 8) in
+  let x = x lxor (x lsr 4) in
+  let x = x lxor (x lsr 2) in
+  (x lxor (x lsr 1)) land 1
+
+let[@inline] evaluate words forms i coins =
+  let o = i * words and acc = ref 0 in
+  for k = 0 to words - 1 do
+    acc := !acc lxor (Array.unsafe_get forms (o + k) land Array.unsafe_get coins k)
+  done;
+  parity !acc
+
+(* One shot: its coins, then its classical bits and conditional firings. *)
+let sample_shot s ~tally coins rng =
+  Array.fill coins 0 s.words 0;
+  let at = ref 0 in
+  for v = 0 to Array.length s.random_sites - 1 do
+    let site = Array.unsafe_get s.random_sites v in
+    Rng.skip rng (site - !at);
+    if coin rng = 1 then begin
+      let k = v / Tableau.word_bits in
+      coins.(k) <- coins.(k) lor (1 lsl (v mod Tableau.word_bits))
+    end;
+    at := site + 1
+  done;
+  let classical =
+    Array.mapi
+      (fun i const -> if const < 0 then const else const lxor evaluate s.words s.bit_forms i coins)
+      s.bit_consts
+  in
+  for i = 0 to Array.length s.cond_slots - 1 do
+    let const = s.cond_consts.(i) in
+    if const >= 0 && const lxor evaluate s.words s.cond_forms i coins = 1 then begin
+      let slot = s.cond_slots.(i) in
+      tally.fired.(slot) <- tally.fired.(slot) + 1
+    end
   done;
   tally.passes <- tally.passes + 1;
   classical
@@ -786,8 +944,8 @@ let inject_backend_fault faults ~site =
    the domain pool, or split over service slices, so the histogram is
    independent of the execution geometry (the PR 4 bit-identity
    discipline). [make_exec] is a per-chunk executor factory: each chunk
-   builds its own scratch (a tableau for the Clifford plan, nothing for the
-   state-vector plans) and its own tally, merged under a lock — counts are
+   builds its own scratch (a state for trajectories, a tableau or a coin
+   vector for the Clifford plan) and its own tally, merged under a lock — counts are
    sums, so the merge order cannot change the report. The histogram is
    tallied from a keys array in shot order, keeping even hash-table
    iteration order identical to a sequential run. *)
@@ -1048,7 +1206,10 @@ let run ?(noise = Noise.ideal) ?seed ?rng ?plan ?(shots = 1024) ?faults
   in
   let t1 = Clock.now () in
   let tally = fresh_tally program in
-  let simulate make_exec =
+  (* [executor ()] runs inside the simulate span: it does the plan's
+     once-per-run work and returns the per-chunk executor factory and the
+     span's closing annotations. *)
+  let simulate executor =
     let histogram =
       Trace.with_span "engine.simulate" (fun sim_sp ->
           Trace.annotate sim_sp (fun () ->
@@ -1056,14 +1217,12 @@ let run ?(noise = Noise.ideal) ?seed ?rng ?plan ?(shots = 1024) ?faults
                 ("plan", Trace.String (plan_to_string chosen));
                 ("trajectories", Trace.Int shots);
               ]);
+          let make_exec, notes = executor () in
           let histogram =
             run_trajectory ~faults ?relabel ~policy ~counters ~program ~tally ~make_exec
               ~rng ~shots ()
           in
-          (* Shots that drew no error before the first state-dependent op
-             and so started from the shared ideal state. *)
-          if chosen = Trajectory then
-            Trace.annotate sim_sp (fun () -> [ ("clean_shots", Trace.Int tally.clean) ]);
+          Trace.annotate sim_sp notes;
           histogram)
     in
     (* Read the clock only once the shots have run: they are all simulation. *)
@@ -1101,14 +1260,35 @@ let run ?(noise = Noise.ideal) ?seed ?rng ?plan ?(shots = 1024) ?faults
         if Trace.enabled () then Trace.add_counter "qx.measure" measurements;
         (histogram, t_sim, gate_applies, measurements)
     | Trajectory ->
-        let exec = micro_executor ~noise program n in
         simulate (fun () ->
-            let state = State.create n in
-            fun t r -> exec ~tally:t state r)
+            let exec = micro_executor ~noise program n in
+            ( (fun () ->
+                let state = State.create n in
+                fun t r -> exec ~tally:t state r),
+              (* Shots that drew no error before the first state-dependent
+                 op and so started from the shared ideal state. *)
+              fun () -> [ ("clean_shots", Trace.Int tally.clean) ] ))
     | Clifford ->
         simulate (fun () ->
-            let tab = Tableau.create n in
-            fun t r -> exec_micro_tableau ~tally:t r tab program)
+            if
+              symbolic_tableau narrow
+              && within_budget ~shots ~sites:(snd (count_work narrow)) program n
+            then begin
+              let sampler = symbolic_pass program n in
+              ( (fun () ->
+                  let coins = Array.make sampler.words 0 in
+                  fun t r -> sample_shot sampler ~tally:t coins r),
+                fun () ->
+                  [
+                    ("executor", Trace.String "symbolic");
+                    ("random_outcomes", Trace.Int (Array.length sampler.random_sites));
+                  ] )
+            end
+            else
+              ( (fun () ->
+                  let tab = Tableau.create n in
+                  fun t r -> exec_micro_tableau ~tally:t r tab program),
+                fun () -> [ ("executor", Trace.String "per-shot") ] ))
   in
   let t2 = Clock.now () in
   let resilience = resilience_of faults counters in

@@ -182,6 +182,20 @@ val choose_plan :
     truncated probe of a repeated program. [analyse] is [choose_plan] with
     the circuit's own counts. *)
 
+val symbolic_tableau : Qca_circuit.Circuit.t -> bool
+(** Whether a Clifford-plan run may sample from one symbolic tableau pass
+    (docs/engine.md, "The stabilizer tableau"): unless a conditional
+    applies a non-Pauli Clifford, since then which later measurements are
+    random depends on earlier outcomes, and the tableau runs once per
+    shot. Either way the histogram is the same, seed for seed. *)
+
+val symbolic_budget : shots:int -> int
+(** Random outcomes a run of [shots] shots may have and still sample from
+    the symbolic pass: four form words (of 62 variables) per shot. A run
+    with more runs the tableau per shot, which measured faster there
+    (docs/performance.md). The static estimator prices a run with this and
+    {!symbolic_tableau}. *)
+
 val run :
   ?noise:Noise.model ->
   ?seed:int ->

@@ -58,6 +58,17 @@ let[@inline] float t bound =
 
 let bool t = Int64.logand (bits64 t) 1L = 1L
 
+(* [float t 1.0 < 0.5] without the float: the draw's 53 bits scale exactly
+   into [0, 1), so it is below 1/2 iff the top one, bit 63 of the raw
+   output, is clear. *)
+let below_half t = Int64.compare (bits64 t) 0L >= 0
+
+(* The splitmix state advances by one gamma per draw, so k draws add k
+   gammas, mod 2^64 as [Int64.mul] wraps. *)
+let skip t k =
+  assert (k >= 0);
+  set64 t 0 (Int64.add (get64 t 0) (Int64.mul (Int64.of_int k) golden_gamma))
+
 let[@inline] bernoulli t p = float t 1.0 < p
 
 let gaussian t =

@@ -35,6 +35,15 @@ val float : t -> float -> float
 val bool : t -> bool
 (** Fair coin. *)
 
+val below_half : t -> bool
+(** [below_half t] is [float t 1.0 < 0.5], drawn the same way and leaving
+    [t] in the same state, without computing the float. *)
+
+val skip : t -> int -> unit
+(** [skip t k] leaves [t] where [k] draws ([bits64], [float], [int],
+    [bool], [below_half] each take one) would, in O(1) time; requires
+    [k >= 0]. *)
+
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is true with probability [p]. *)
 

@@ -407,6 +407,26 @@ let test_cqasm_out_of_range_rejected () =
       Alcotest.(check string) "token" "x" token
   | _ -> Alcotest.fail "expected failure"
 
+(* An error_model rate is a probability: nan, inf and values outside
+   [0, 1] are parse errors at the directive's line, naming the rate; the
+   bounds themselves parse. *)
+let test_cqasm_error_model_rate_checked () =
+  let src rate = Printf.sprintf "version 1.0\nqubits 1\nerror_model depolarizing_channel, %s\nx q[0]\n" rate in
+  List.iter
+    (fun rate ->
+      match Cqasm.parse (src rate) with
+      | exception Qca_util.Error.Error
+          { Qca_util.Error.kind = Qca_util.Error.Syntax { line; token; _ }; _ } ->
+          Alcotest.(check int) (rate ^ ": line") 3 line;
+          Alcotest.(check string) (rate ^ ": token") rate token
+      | _ -> Alcotest.failf "rate %s parsed" rate)
+    [ "nan"; "inf"; "-inf"; "1.5"; "-0.1"; "1e400" ];
+  List.iter
+    (fun (rate, value) ->
+      Alcotest.(check bool) (rate ^ " parses") true
+        ((Cqasm.parse (src rate)).Cqasm.error_model = Some ("depolarizing_channel", value)))
+    [ ("0", 0.0); ("1", 1.0); ("0.25", 0.25) ]
+
 (* --- properties --- *)
 
 let circuit_gen =
@@ -486,6 +506,8 @@ let () =
           Alcotest.test_case "comments and measure_all" `Quick test_cqasm_comments_and_measure_all;
           Alcotest.test_case "error_model directive" `Quick test_cqasm_error_model_roundtrip;
           Alcotest.test_case "out of range" `Quick test_cqasm_out_of_range_rejected;
+          Alcotest.test_case "error_model rate checked" `Quick
+            test_cqasm_error_model_rate_checked;
           qtest prop_roundtrip;
           qtest prop_depth_bounds;
           qtest prop_inverse_unitary;

@@ -12,6 +12,8 @@ module Parallel = Qca_util.Parallel
 module Error = Qca_util.Error
 module Rng = Qca_util.Rng
 module Code = Qca_qec.Code
+module Trace = Qca_util.Trace
+module Fault = Qca_util.Fault
 
 let canon h = List.sort compare h
 let hist = Alcotest.(list (pair string int))
@@ -156,34 +158,65 @@ let test_forced_clifford_accepted_when_sound () =
 let clifford_unitaries_1q =
   [| Gate.X; Gate.Y; Gate.Z; Gate.H; Gate.S; Gate.Sdag |]
 
-let random_clifford_circuit seed =
+(* [~wide:true] widens the mix with mid-circuit preps, Y conditionals and,
+   in half the circuits, conditional H/S/CNOT (which the Clifford plan runs
+   per shot), and adds a burst of up to 150 H+measure pairs on one or two
+   qubits: every pair is a random outcome, so the symbolic executor's forms
+   run past one and two 62-bit words. Without it the circuits are the ones
+   this generator always made. *)
+let random_clifford_circuit ?(wide = false) seed =
   let rng = Rng.create seed in
   let n = 2 + Rng.int rng 4 in
   let gates = 1 + Rng.int rng 40 in
+  let feedback_cliffords = wide && Rng.bool rng in
+  let burst_at = if wide then Rng.int rng gates else -1 in
+  let burst = if wide then Rng.int rng 151 else 0 in
   let instrs = ref [] in
-  for _ = 1 to gates do
+  let emit i = instrs := i :: !instrs in
+  for g = 1 to gates do
+    if g - 1 = burst_at then begin
+      let a = Rng.int rng n and b = Rng.int rng n in
+      for k = 1 to burst do
+        let q = if k land 1 = 0 then a else b in
+        emit (Gate.Unitary (Gate.H, [| q |]));
+        emit (Gate.Measure q)
+      done
+    end;
     let r = Rng.float rng 1.0 in
-    if r < 0.15 then instrs := Gate.Measure (Rng.int rng n) :: !instrs
+    if r < 0.15 then emit (Gate.Measure (Rng.int rng n))
     else if r < 0.25 then begin
       let bit = Rng.int rng n in
       let target = Rng.int rng n in
-      let u = if Rng.bool rng then Gate.X else Gate.Z in
-      instrs := Gate.Conditional (bit, u, [| target |]) :: !instrs
+      let u =
+        if wide then [| Gate.X; Gate.Y; Gate.Z |].(Rng.int rng 3)
+        else if Rng.bool rng then Gate.X
+        else Gate.Z
+      in
+      emit (Gate.Conditional (bit, u, [| target |]))
     end
     else if r < 0.55 then begin
       let a = Rng.int rng n in
       let b = (a + 1 + Rng.int rng (n - 1)) mod n in
       let u = if Rng.bool rng then Gate.Cnot else Gate.Cz in
-      instrs := Gate.Unitary (u, [| a; b |]) :: !instrs
+      emit (Gate.Unitary (u, [| a; b |]))
+    end
+    else if wide && r < 0.62 then emit (Gate.Prep (Rng.int rng n))
+    else if feedback_cliffords && r < 0.68 then begin
+      let bit = Rng.int rng n and a = Rng.int rng n in
+      match Rng.int rng 3 with
+      | 0 -> emit (Gate.Conditional (bit, Gate.H, [| a |]))
+      | 1 -> emit (Gate.Conditional (bit, Gate.S, [| a |]))
+      | _ ->
+          let b = (a + 1 + Rng.int rng (n - 1)) mod n in
+          emit (Gate.Conditional (bit, Gate.Cnot, [| a; b |]))
     end
     else
-      instrs :=
-        Gate.Unitary
-          ( clifford_unitaries_1q.(Rng.int rng (Array.length clifford_unitaries_1q)),
-            [| Rng.int rng n |] )
-        :: !instrs
+      emit
+        (Gate.Unitary
+           ( clifford_unitaries_1q.(Rng.int rng (Array.length clifford_unitaries_1q)),
+             [| Rng.int rng n |] ))
   done;
-  List.iter (fun q -> instrs := Gate.Measure q :: !instrs) (List.init n Fun.id);
+  List.iter (fun q -> emit (Gate.Measure q)) (List.init n Fun.id);
   Circuit.of_list ~name:(Printf.sprintf "clifford-%d" seed) n (List.rev !instrs)
 
 let prop_clifford_plan_matches_trajectory =
@@ -200,6 +233,205 @@ let prop_clifford_plan_matches_trajectory =
          measurements on both executors. *)
       && tab.Engine.report.Engine.gate_applies = sv.Engine.report.Engine.gate_applies
       && tab.Engine.report.Engine.measurements = sv.Engine.report.Engine.measurements)
+
+(* The same identity on the widened circuits, whichever Clifford executor
+   runs them: the symbolic one (one tableau pass, then coins per shot) or,
+   with a conditional H/S/CNOT, the per-shot one. *)
+let prop_feedback_clifford_matches_trajectory =
+  QCheck.Test.make ~name:"random feedback Clifford circuits: tableau = state vector"
+    ~count:40
+    QCheck.(int_range 0 9999)
+    (fun seed ->
+      let circuit = random_clifford_circuit ~wide:true seed in
+      assert (Engine.clifford_blocker circuit = None);
+      let tab = Engine.run ~seed ~plan:Engine.Clifford ~shots:64 circuit in
+      let sv = Engine.run ~seed ~plan:Engine.Trajectory ~shots:64 circuit in
+      tab.Engine.histogram = sv.Engine.histogram
+      && tab.Engine.report.Engine.gate_applies = sv.Engine.report.Engine.gate_applies
+      && tab.Engine.report.Engine.measurements = sv.Engine.report.Engine.measurements)
+
+let simulate_attrs circuit run =
+  let c = Trace.make_collector () in
+  let result = Trace.collecting c run in
+  let rec find nodes =
+    List.find_map
+      (fun n -> if n.Trace.span_name = "engine.simulate" then Some n else find n.Trace.children)
+      nodes
+  in
+  match find (Trace.roots c) with
+  | Some n -> (result, n.Trace.attrs)
+  | None -> Alcotest.failf "%s: no engine.simulate span" (Circuit.name circuit)
+
+(* 130 H+measure pairs on two qubits, each a random outcome, then
+   conditional Paulis on the last ones: three form words. The symbolic
+   executor must take it and match the state vector, sequentially, across
+   the pool and under fault retries; a conditional H sends the same
+   program to the per-shot executor. At 1 shot the budget
+   ([Engine.symbolic_budget]) is 248 random outcomes: 247 pairs (plus the
+   last measurement) stay symbolic, also with 20 more sites that are
+   deterministic re-measurements, while 300 pairs run per shot. *)
+let test_multiword_forms () =
+  let feedback ?(pairs = 130) ?(again = 0) u =
+    Circuit.of_list ~name:(Printf.sprintf "multiword-%d-%d-%s" pairs again (Gate.name u)) 3
+      (List.concat
+         (List.init pairs (fun k ->
+              let q = k land 1 in
+              [ Gate.Unitary (Gate.H, [| q |]); Gate.Measure q ]))
+      @ List.init again (fun _ -> Gate.Measure 0)
+      @ [
+          Gate.Unitary (Gate.H, [| 2 |]);
+          Gate.Conditional (0, u, [| 2 |]);
+          Gate.Conditional (1, Gate.Y, [| 2 |]);
+          Gate.Measure 2;
+        ])
+  in
+  let check_run ?(shots = 96) circuit ~executor ~outcomes =
+    let run faults plan () = Engine.run ~seed:5 ~plan ~shots ?faults circuit in
+    let tab, attrs = simulate_attrs circuit (run None Engine.Clifford) in
+    Alcotest.(check (option string))
+      (Circuit.name circuit ^ ": executor")
+      (Some executor)
+      (Option.map Trace.value_to_string (List.assoc_opt "executor" attrs));
+    Alcotest.(check (option string))
+      (Circuit.name circuit ^ ": random outcomes")
+      (Option.map string_of_int outcomes)
+      (Option.map Trace.value_to_string (List.assoc_opt "random_outcomes" attrs));
+    let saved = Parallel.domain_count () in
+    Fun.protect
+      ~finally:(fun () -> Parallel.set_domain_count saved)
+      (fun () ->
+        Parallel.set_domain_count 1;
+        let sv = run None Engine.Trajectory () in
+        Alcotest.check hist (Circuit.name circuit ^ ": = state vector") sv.Engine.histogram
+          tab.Engine.histogram;
+        Alcotest.(check (list (pair string int)))
+          (Circuit.name circuit ^ ": gate applies")
+          sv.Engine.report.Engine.gate_applies tab.Engine.report.Engine.gate_applies;
+        Parallel.set_domain_count 4;
+        Alcotest.check hist (Circuit.name circuit ^ ": 4 domains") sv.Engine.histogram
+          (run None Engine.Clifford ()).Engine.histogram;
+        let faults () = Some (Fault.make ~seed:4 { Fault.off with Fault.backend = 0.3 }) in
+        let sv_f = run (faults ()) Engine.Trajectory () in
+        let tab_f = run (faults ()) Engine.Clifford () in
+        Alcotest.check hist (Circuit.name circuit ^ ": fault retries") sv_f.Engine.histogram
+          tab_f.Engine.histogram;
+        Alcotest.(check int)
+          (Circuit.name circuit ^ ": faulted shots")
+          sv_f.Engine.report.Engine.resilience.Engine.faulted_shots
+          tab_f.Engine.report.Engine.resilience.Engine.faulted_shots)
+  in
+  (* The burst's 130 outcomes plus the final measurement of qubit 2. *)
+  check_run (feedback Gate.X) ~executor:"symbolic" ~outcomes:(Some 131);
+  check_run (feedback Gate.H) ~executor:"per-shot" ~outcomes:None;
+  Alcotest.(check int) "budget at 1 shot" 248 (Engine.symbolic_budget ~shots:1);
+  check_run ~shots:1 (feedback ~pairs:247 Gate.X) ~executor:"symbolic" ~outcomes:(Some 248);
+  check_run ~shots:1 (feedback ~pairs:247 ~again:20 Gate.X) ~executor:"symbolic"
+    ~outcomes:(Some 248);
+  check_run ~shots:1 (feedback ~pairs:300 Gate.X) ~executor:"per-shot" ~outcomes:None
+
+(* --- surface memory: seed-pinned histograms --- *)
+
+(* The rotated surface code's stabilizers in [Code.rotated_surface]'s
+   order, as qubit lists: [Code] packs Paulis into one int, so it stops at
+   distance 7, and d = 9 is built here. *)
+let rotated_surface_stabilizers d =
+  let q r c = (r * d) + c in
+  let stabs = ref [] in
+  let add is_x qs = stabs := (is_x, List.sort compare qs) :: !stabs in
+  for r = 0 to d - 2 do
+    for c = 0 to d - 2 do
+      add ((r + c) mod 2 <> 0) [ q r c; q r (c + 1); q (r + 1) c; q (r + 1) (c + 1) ]
+    done
+  done;
+  for c = 0 to d - 2 do
+    if (-1 + c) mod 2 <> 0 then add true [ q 0 c; q 0 (c + 1) ];
+    if (d - 1 + c) mod 2 = 1 then add true [ q (d - 1) c; q (d - 1) (c + 1) ]
+  done;
+  for r = 0 to d - 2 do
+    if (r - 1) mod 2 = 0 then add false [ q r 0; q (r + 1) 0 ];
+    if (r + d - 1) mod 2 = 0 then add false [ q r (d - 1); q (r + 1) (d - 1) ]
+  done;
+  List.rev !stabs
+
+(* [rounds] copies of [Code.syndrome_circuit], then every data qubit read
+   out: the memory experiment stackbench's qec-clifford runs. *)
+let surface_memory d ~rounds =
+  let data = d * d and stabs = rotated_surface_stabilizers d in
+  let round =
+    List.concat
+      (List.mapi
+         (fun i (is_x, support) ->
+           let a = data + i in
+           let cnot c t = Gate.Unitary (Gate.Cnot, [| c; t |]) in
+           let h = Gate.Unitary (Gate.H, [| a |]) in
+           (Gate.Prep a
+           :: (if is_x then (h :: List.map (cnot a) support) @ [ h ]
+               else List.map (fun q -> cnot q a) support))
+           @ [ Gate.Measure a ])
+         stabs)
+  in
+  Circuit.of_list (data + List.length stabs)
+    (List.concat (List.init rounds (fun _ -> round)) @ List.init data (fun q -> Gate.Measure q))
+
+let code_memory code ~rounds =
+  let round = Code.syndrome_circuit code in
+  Circuit.append (Circuit.repeat rounds round)
+    (Circuit.of_list (Circuit.qubit_count round)
+       (List.init code.Code.n (fun q -> Gate.Measure q)))
+
+(* MD5 of each histogram as listed ("key:count" joined by ';', in the
+   report's order), with the run's measurements and gate applies, from the
+   per-shot tableau executor at 256 shots, seeds 1-5. *)
+let memory_pins =
+  [
+    ( "surface-d5-r5", (fun () -> surface_memory 5 ~rounds:5), 37120, 133120,
+      [ "578aeed6a1e893f2335fb0e3309d4362"; "48d58c340f06d127cede513d29466abe";
+        "84100e0e942c41f9bb36c8a3db881a6f"; "d6f2f784292cebf6c4f0759ed3463dcc";
+        "f1e262f2cf9a1e3ff5deec16593be322" ] );
+    ( "surface-d7-r7", (fun () -> surface_memory 7 ~rounds:7), 98560, 387072,
+      [ "7a30e957b914d8e8b44700d861cd6d0b"; "063fe04f86d19294e1ab8e8ae3f1600e";
+        "bc9fc3b9485227a537034cbc3a225270"; "b06a49eb63ca5ab3d2efed6e8229b00c";
+        "dc8bc57b79302261f9c85cc29f40308e" ] );
+    ( "surface-d9-r3", (fun () -> surface_memory 9 ~rounds:3), 82176, 282624,
+      [ "1781fadb1b542054471227e2da886c7a"; "3fb86743c83401e211b5ed1ed230c2e4";
+        "630926a7d62cdf645d3b9f43dd2e8f43"; "29af4459eed7de24ad10dbeb1547a6b1";
+        "9f9f80fb863a0cc167d67018931e4a8b" ] );
+    ( "surface17-r10", (fun () -> code_memory Code.surface_17 ~rounds:10), 22784, 81920,
+      [ "a96aa1cb2da7c2d414e9cdf17b352884"; "a8d47a01bb42ff8e03eaa9b6757e0558";
+        "7e0c9c2b9b17e0a83685e824c7685224"; "1dc8547ce464b3489918d7a5c302a8cc";
+        "e147cac5b4041752b0ee4d8f2d8c88f5" ] );
+  ]
+
+let test_memory_pins () =
+  List.iter
+    (fun d ->
+      Alcotest.(check bool)
+        (Printf.sprintf "d=%d layout = Code.rotated_surface" d)
+        true
+        (Circuit.instructions (surface_memory d ~rounds:2)
+        = Circuit.instructions (code_memory (Code.rotated_surface d) ~rounds:2)))
+    [ 3; 5; 7 ];
+  List.iter
+    (fun (name, circuit, measurements, applies, digests) ->
+      let circuit = circuit () in
+      List.iteri
+        (fun i digest ->
+          let seed = i + 1 in
+          let r = Engine.run ~seed ~shots:256 circuit in
+          let label = Printf.sprintf "%s seed %d" name seed in
+          Alcotest.(check string) (label ^ ": plan") "clifford"
+            (Engine.plan_to_string r.Engine.report.Engine.plan);
+          Alcotest.(check string) (label ^ ": histogram digest") digest
+            (Digest.to_hex
+               (Digest.string
+                  (String.concat ";"
+                     (List.map (fun (k, c) -> k ^ ":" ^ string_of_int c) r.Engine.histogram))));
+          Alcotest.(check int) (label ^ ": measurements") measurements
+            r.Engine.report.Engine.measurements;
+          Alcotest.(check int) (label ^ ": gate applies") applies
+            (List.fold_left (fun acc (_, c) -> acc + c) 0 r.Engine.report.Engine.gate_applies))
+        digests)
+    memory_pins
 
 (* --- parallel batching: bit-identical at every domain-pool size --- *)
 
@@ -333,6 +565,10 @@ let () =
       ( "identity",
         [
           qtest prop_clifford_plan_matches_trajectory;
+          qtest prop_feedback_clifford_matches_trajectory;
+          Alcotest.test_case "multi-word forms: symbolic = state vector" `Quick
+            test_multiword_forms;
+          Alcotest.test_case "surface memory digests" `Quick test_memory_pins;
           Alcotest.test_case "parallel = sequential at 2/4/8 domains" `Quick
             test_parallel_bit_identity;
         ] );

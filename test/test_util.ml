@@ -86,6 +86,28 @@ let test_rng_float_allocation () =
   let words = (Gc.minor_words () -. before) /. float_of_int draws in
   if words > 2.0 then Alcotest.failf "Rng.float allocates %.2f minor words per draw" words
 
+(* [below_half] is the coin [float t 1.0 < 0.5] and [skip k] is k draws:
+   both leave the stream where the long way does, so the Clifford plan's
+   sampler sees the per-shot executor's outcomes. *)
+let test_rng_coin_and_skip () =
+  let a = Rng.create 23 and b = Rng.create 23 in
+  for _ = 1 to 20_000 do
+    Alcotest.(check bool) "below_half = float < 0.5" (Rng.float a 1.0 < 0.5) (Rng.below_half b)
+  done;
+  List.iter
+    (fun k ->
+      for _ = 1 to k do
+        ignore (Rng.float a 1.0)
+      done;
+      Rng.skip b k;
+      Alcotest.(check int64) (Printf.sprintf "skip %d" k) (Rng.bits64 a) (Rng.bits64 b))
+    [ 0; 1; 2; 61; 1000 ];
+  let before = Gc.minor_words () in
+  for _ = 1 to 10_000 do
+    ignore (Sys.opaque_identity (Rng.below_half b))
+  done;
+  if Gc.minor_words () -. before > 100.0 then Alcotest.fail "Rng.below_half allocates"
+
 let test_rng_bernoulli () =
   let rng = Rng.create 13 in
   let hits = ref 0 in
@@ -808,6 +830,7 @@ let () =
           Alcotest.test_case "bernoulli" `Quick test_rng_bernoulli;
           Alcotest.test_case "reference stream" `Quick test_rng_reference_stream;
           Alcotest.test_case "float allocation" `Quick test_rng_float_allocation;
+          Alcotest.test_case "coin and skip" `Quick test_rng_coin_and_skip;
           Alcotest.test_case "choose_weighted" `Quick test_choose_weighted;
           Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
         ] );
