@@ -647,6 +647,15 @@ let compile_metrics_json (out : Compiler.output) =
       ("mode", Json.String (Compiler.mode_to_string out.Compiler.mode));
       ("passes", Json.List (List.rev rows_rev)); ("total", totals) ]
 
+(* A non-finite angle has no meaning on any backend: refuse the program, as
+   a job would be refused, instead of compiling the rotation away. *)
+let finite_angles circuit =
+  match Job_spec.finite_angles ~site:"qxc compile" circuit with
+  | Ok () -> true
+  | Error e ->
+      Printf.eprintf "qxc: error: %s\n" (Error.to_string e);
+      false
+
 let compile_command common file emit_eqasm lint lint_json =
   match load_source file with
   | Error msg ->
@@ -664,6 +673,7 @@ let compile_command common file emit_eqasm lint lint_json =
           1
       | Ok platform, Ok mode, Ok strategy ->
           if not (run_lint ~lint ~lint_json ~platform program) then 2
+          else if not (finite_angles circuit) then 2
           else
             (* With linting on, compile under the pass-verifier so a pass
                that introduces a violation is named on stderr. *)

@@ -217,6 +217,7 @@ let serve_command dir once interval workers max_queue degrade_above slice_shots
           | Some line ->
               publish_line tr.tr_id line;
               say "published %s" tr.tr_id;
+              ignore (Service.release service tr.tr_handle);
               false)
         (List.sort (fun a b -> compare a.tr_id b.tr_id) !tracked)
   in

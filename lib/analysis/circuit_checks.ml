@@ -9,6 +9,16 @@ let site_of name i = Printf.sprintf "%s[%d]" name i
    every compiler pass on every instruction, so it is written imperatively
    with no per-instruction list building. --- *)
 
+let non_finite_angle_at name i u =
+  match u with
+  | (Gate.Rx a | Gate.Ry a | Gate.Rz a | Gate.Cphase a) when not (Float.is_finite a) ->
+      Some
+        (Diagnostic.make Diagnostic.Error ~code:"C07" ~check:"non-finite-angle"
+           ~site:(site_of name i) ~fixit:"replace the angle with a finite value"
+           (Printf.sprintf "%s has a non-finite rotation angle (%s)" (Gate.name u)
+              (if Float.is_nan a then "nan" else "inf")))
+  | _ -> None
+
 let invariant_walk ?on_instr ~bound ~qubit_count name instrs =
   let measured = Array.make (max qubit_count 1) false in
   let diags = ref [] in
@@ -25,16 +35,7 @@ let invariant_walk ?on_instr ~bound ~qubit_count name instrs =
     for k = 0 to Array.length ops - 1 do
       if ops.(k) < 0 || ops.(k) >= bound then out_of_range i instr ops.(k)
     done;
-    (match u with
-    | (Gate.Rx a | Gate.Ry a | Gate.Rz a | Gate.Cphase a)
-      when not (Float.is_finite a) ->
-        add
-          (Diagnostic.make Diagnostic.Error ~code:"C07" ~check:"non-finite-angle"
-             ~site:(site_of name i)
-             ~fixit:"replace the angle with a finite value"
-             (Printf.sprintf "%s has a non-finite rotation angle (%s)" (Gate.name u)
-                (if Float.is_nan a then "nan" else "inf")))
-    | _ -> ());
+    Option.iter add (non_finite_angle_at name i u);
     (* Conditional gates are classical feedback — the legitimate way to
        touch a measured qubit — so only plain unitaries warn. *)
     if not feedback then
@@ -185,6 +186,16 @@ let check_invariants ?platform_qubits circuit =
   invariant_walk ~bound ~qubit_count:(Circuit.qubit_count circuit) name instrs
 
 let check_invariants_instrs = invariant_walk
+
+let non_finite_angle circuit =
+  let name = Circuit.name circuit in
+  let rec first i = function
+    | [] -> None
+    | (Gate.Unitary (u, _) | Gate.Conditional (_, u, _)) :: rest -> (
+        match non_finite_angle_at name i u with Some d -> Some d | None -> first (i + 1) rest)
+    | _ :: rest -> first (i + 1) rest
+  in
+  first 0 (Circuit.instructions circuit)
 
 let check_circuit ?platform_qubits circuit =
   let name = Circuit.name circuit in

@@ -44,6 +44,11 @@ val check_invariants_instrs :
     suite (e.g. {!Platform_checks.stream_checker}) can ride along without a
     second walk over the artifact. *)
 
+val non_finite_angle : Qca_circuit.Circuit.t -> Diagnostic.t option
+(** The first C07 finding of {!check_circuit}, if any: the first unitary
+    or conditional gate whose rotation angle is NaN or infinite. Jobs and
+    [qxc compile] refuse such a circuit with this finding's message. *)
+
 val check_program :
   ?platform_qubits:int -> Qca_circuit.Cqasm.program -> Diagnostic.t list
 (** {!check_circuit} over the flattened program (instruction indices are

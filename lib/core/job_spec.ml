@@ -91,14 +91,26 @@ let program_noise ?noise ?(site = "Job_spec.program_noise") (program : Cqasm.pro
            ~context:[ ("model", model) ]
            (Error.Invalid "unknown error_model (expected depolarizing_channel)"))
 
+let finite_angles ~site circuit =
+  match Qca_analysis.Circuit_checks.non_finite_angle circuit with
+  | None -> Ok ()
+  | Some d ->
+      Stdlib.Error
+        (Error.make ~site
+           ~context:[ ("code", d.Qca_analysis.Diagnostic.code); ("at", d.site) ]
+           (Error.Invalid d.message))
+
 let elaborate spec =
   match spec.payload with
-  | Circuit c -> Ok (spec, c)
+  | Circuit c ->
+      let* () = finite_angles ~site:("Job_spec.resolve(" ^ spec.label ^ ")") c in
+      Ok (spec, c)
   | Source { name; text } ->
       let site = "Job_spec.resolve(" ^ name ^ ")" in
       let* program = Error.protect ~site (fun () -> Cqasm.parse text) in
       let* noise = program_noise ?noise:spec.noise ~site program in
       let* circuit = Error.protect ~site (fun () -> Cqasm.flatten program) in
+      let* () = finite_angles ~site circuit in
       Ok ({ spec with noise }, circuit)
 
 let resolve spec = Result.map snd (elaborate spec)

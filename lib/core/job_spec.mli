@@ -108,13 +108,20 @@ val resolve : t -> (Qca_circuit.Circuit.t, Qca_util.Error.t) result
     flattened (parse failures become [Error]). [resolve spec] is
     [Result.map snd (elaborate spec)]. *)
 
+val finite_angles : site:string -> Qca_circuit.Circuit.t -> (unit, Qca_util.Error.t) result
+(** [Ok] unless a rotation angle is NaN or infinite; then an [Invalid]
+    error at [site] with the static checker's C07 message, its code and
+    instruction in the context. No backend gives such an angle a meaning,
+    so {!elaborate} and [qxc compile] refuse it rather than run it. *)
+
 val elaborate : t -> (t * Qca_circuit.Circuit.t, Qca_util.Error.t) result
 (** {!resolve}, plus the run parameters the payload itself carries folded
     into the spec: a [Source] payload's [error_model depolarizing_channel,
     p] directive (the QX convention, [docs/languages.md]) sets
     [noise = Some p] when the spec has no explicit [noise]
     ({!program_noise}). [Circuit] payloads and
-    specs with an explicit [noise] come back unchanged. {!Runner.run} and
+    specs with an explicit [noise] come back unchanged. A circuit with a
+    non-finite rotation angle is refused ({!finite_angles}). {!Runner.run} and
     the job service run the elaborated spec, so [qxc run], [qxc submit]
     and [qxd] agree on a program's noise. *)
 

@@ -577,7 +577,8 @@ let tail_steps program ~from =
   Array.of_list (go from [])
 
 (* The state-vector per-shot executor (trajectory plan, [Sim.run],
-   [fold_trajectories]): the ideal prefix is evaluated here, once; each
+   [fold_trajectories]), worked out once per run by [shot_plan]: the
+   ideal prefix is evaluated there, once; each
    shot draws its schedule, starts from the prefix state, and steps the
    rest of the program through [micro_step], so randomness is drawn in
    program order (a noisy program is compiled unfused). A shot runs in a
@@ -585,26 +586,72 @@ let tail_steps program ~from =
    drops each final state reuses one buffer for all its shots. The tally
    counts the pass and the conditionals that fired; the program's static
    totals supply the rest. *)
-let micro_executor ~noise program n =
+type shot_plan = {
+  prefix : prefix;
+  tail : tail_step array;
+  readout : Rng.t -> int -> int;
+  from_events : tally:tally -> State.t -> Rng.t -> Noise.event array -> int array;
+      (* the shot after its schedule drew [events] *)
+}
+
+let shot_plan ~noise program n =
   let step = micro_step noise in
   let p = ideal_prefix noise program n in
   let tail = tail_steps program ~from:(Array.length p.sites) in
   let readout =
     if Noise.is_ideal noise then fun _ outcome -> outcome else Noise.flip_readout noise
   in
+  let from_events ~tally state rng events =
+    prefix_state program p tally events state;
+    let classical = Array.make n (-1) in
+    for i = 0 to Array.length tail - 1 do
+      match Array.unsafe_get tail i with
+      | Step op -> step ~fired:tally.fired state classical rng op
+      | Measure_run (qubits, bits) ->
+          State.measure_run state rng qubits (fun k outcome ->
+              classical.(bits.(k)) <- readout rng outcome)
+    done;
+    tally.passes <- tally.passes + 1;
+    classical
+  in
+  { prefix = p; tail; readout; from_events }
+
+let micro_executor ~noise program n =
+  let plan = shot_plan ~noise program n in
   fun ~tally state rng ->
-  let events = Noise.schedule noise p.sites rng in
-  prefix_state program p tally events state;
-  let classical = Array.make n (-1) in
-  for i = 0 to Array.length tail - 1 do
-    match Array.unsafe_get tail i with
-    | Step op -> step ~fired:tally.fired state classical rng op
-    | Measure_run (qubits, bits) ->
-        State.measure_run state rng qubits (fun k outcome ->
-            classical.(bits.(k)) <- readout rng outcome)
-  done;
-  tally.passes <- tally.passes + 1;
-  classical
+  plan.from_events ~tally state rng (Noise.schedule noise plan.prefix.sites rng)
+
+(* The trajectory plan's per-chunk executor factory. When the whole tail
+   is one measurement run (a terminal [measure_all]), a clean shot's state
+   would be a copy of the ideal final state, measured by
+   [State.measure_run]: it walks a [State.outcome_tree] over that state
+   instead, which draws and decides exactly as the copy would, and copies
+   nothing. Each chunk builds its own tree, as it does its scratch state,
+   so domains share nothing mutable; the scratch state is only made once a
+   chunk meets a shot with errors. *)
+let trajectory_executor ~noise program n =
+  let plan = shot_plan ~noise program n in
+  let sites = plan.prefix.sites and stored = Array.length plan.prefix.states in
+  match plan.tail with
+  | [| Measure_run (qubits, bits) |] when stored > 0 ->
+      let ideal = plan.prefix.states.(stored - 1) in
+      fun () ->
+        let state = lazy (State.create n) and tree = State.outcome_tree ideal qubits in
+        fun tally rng ->
+          let events = Noise.schedule noise sites rng in
+          if Array.length events > 0 then plan.from_events ~tally (Lazy.force state) rng events
+          else begin
+            tally.clean <- tally.clean + 1;
+            let classical = Array.make n (-1) in
+            State.measure_tree tree rng (fun k outcome ->
+                classical.(bits.(k)) <- plan.readout rng outcome);
+            tally.passes <- tally.passes + 1;
+            classical
+          end
+  | _ ->
+      fun () ->
+        let state = State.create n in
+        fun tally rng -> plan.from_events ~tally state rng (Noise.schedule noise sites rng)
 
 (* One shot in a state of its own: for callers that keep the final state. *)
 let fresh_shot exec n ~tally rng =
@@ -1261,10 +1308,7 @@ let run ?(noise = Noise.ideal) ?seed ?rng ?plan ?(shots = 1024) ?faults
         (histogram, t_sim, gate_applies, measurements)
     | Trajectory ->
         simulate (fun () ->
-            let exec = micro_executor ~noise program n in
-            ( (fun () ->
-                let state = State.create n in
-                fun t r -> exec ~tally:t state r),
+            ( trajectory_executor ~noise program n,
               (* Shots that drew no error before the first state-dependent
                  op and so started from the shared ideal state. *)
               fun () -> [ ("clean_shots", Trace.Int tally.clean) ] ))

@@ -155,20 +155,23 @@ let schedule m sites rng =
   if Array.length sites > 0 && not (pauli_only m) then
     invalid_arg "Noise.schedule: T1/T2 damping draws depend on the state";
   let noisy = not (is_ideal m) in
+  (* Each [bernoulli] as the integer compare [Rng.below] that equals it. *)
+  let th1 = Rng.threshold m.single_qubit_error and th2 = Rng.threshold m.two_qubit_error in
+  let th_prep = Rng.threshold m.prep_error in
   let events = ref [] in
   for i = 0 to Array.length sites - 1 do
     match Array.unsafe_get sites i with
     | Gate_site (u, ops) ->
         if noisy then begin
-          let p = if Gate.arity u >= 2 then m.two_qubit_error else m.single_qubit_error in
+          let th = if Gate.arity u >= 2 then th2 else th1 in
           for k = 0 to Array.length ops - 1 do
-            if Rng.bernoulli rng p then
+            if Rng.below rng th then
               events := { site = i; qubit = ops.(k); pauli = paulis.(Rng.int rng 3) } :: !events
           done
         end
     | Prep_site q ->
-        ignore (Rng.float rng 1.0);
-        if noisy && Rng.bernoulli rng m.prep_error then
+        Rng.skip rng 1;
+        if noisy && Rng.below rng th_prep then
           events := { site = i; qubit = q; pauli = Gate.X } :: !events
     | Quiet_site -> ()
   done;

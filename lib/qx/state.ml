@@ -104,19 +104,34 @@ let[@inline] insert_bit mask c = ((c land (-mask)) lsl 1) lor (c land (mask - 1)
 
 (* --- single-qubit kernels ----------------------------------------------- *)
 
+(* The three kernels below walk a range [lo, hi) of pairs of qubit [q]
+   (with [step = 1 lsl q]) as runs of consecutive pairs: pairs
+   [p .. p + len - 1] inside one block of [step] have contiguous base
+   indices from [pair_base step p], so only a run's start computes one.
+   The same loop serves the whole range and each [run_range] chunk, and
+   every pair sees the same arithmetic as a pair-by-pair walk. *)
+let[@inline] run_length step p hi =
+  let rest = step - (p land (step - 1)) in
+  if rest < hi - p then rest else hi - p
+
 let apply_coeffs1 s ~ar ~ai ~br ~bi ~cr ~ci ~dr ~di q =
   let step = 1 lsl q in
   let re = s.re and im = s.im in
   run_range s (Array.length re lsr 1) (fun lo hi ->
-      for p = lo to hi - 1 do
-        let i0 = pair_base step p in
-        let i1 = i0 lor step in
-        let x0r = Array.unsafe_get re i0 and x0i = Array.unsafe_get im i0 in
-        let x1r = Array.unsafe_get re i1 and x1i = Array.unsafe_get im i1 in
-        Array.unsafe_set re i0 ((ar *. x0r) -. (ai *. x0i) +. (br *. x1r) -. (bi *. x1i));
-        Array.unsafe_set im i0 ((ar *. x0i) +. (ai *. x0r) +. (br *. x1i) +. (bi *. x1r));
-        Array.unsafe_set re i1 ((cr *. x0r) -. (ci *. x0i) +. (dr *. x1r) -. (di *. x1i));
-        Array.unsafe_set im i1 ((cr *. x0i) +. (ci *. x0r) +. (dr *. x1i) +. (di *. x1r))
+      let p = ref lo in
+      while !p < hi do
+        let len = run_length step !p hi in
+        let base = pair_base step !p in
+        for i0 = base to base + len - 1 do
+          let i1 = i0 lor step in
+          let x0r = Array.unsafe_get re i0 and x0i = Array.unsafe_get im i0 in
+          let x1r = Array.unsafe_get re i1 and x1i = Array.unsafe_get im i1 in
+          Array.unsafe_set re i0 ((ar *. x0r) -. (ai *. x0i) +. (br *. x1r) -. (bi *. x1i));
+          Array.unsafe_set im i0 ((ar *. x0i) +. (ai *. x0r) +. (br *. x1i) +. (bi *. x1r));
+          Array.unsafe_set re i1 ((cr *. x0r) -. (ci *. x0i) +. (dr *. x1r) -. (di *. x1i));
+          Array.unsafe_set im i1 ((cr *. x0i) +. (ci *. x0r) +. (dr *. x1i) +. (di *. x1r))
+        done;
+        p := !p + len
       done)
 
 let apply_matrix1 s m q =
@@ -130,14 +145,19 @@ let apply_x s q =
   let step = 1 lsl q in
   let re = s.re and im = s.im in
   run_range s (Array.length re lsr 1) (fun lo hi ->
-      for p = lo to hi - 1 do
-        let i0 = pair_base step p in
-        let i1 = i0 lor step in
-        let tr = Array.unsafe_get re i0 and ti = Array.unsafe_get im i0 in
-        Array.unsafe_set re i0 (Array.unsafe_get re i1);
-        Array.unsafe_set im i0 (Array.unsafe_get im i1);
-        Array.unsafe_set re i1 tr;
-        Array.unsafe_set im i1 ti
+      let p = ref lo in
+      while !p < hi do
+        let len = run_length step !p hi in
+        let base = pair_base step !p in
+        for i0 = base to base + len - 1 do
+          let i1 = i0 lor step in
+          let tr = Array.unsafe_get re i0 and ti = Array.unsafe_get im i0 in
+          Array.unsafe_set re i0 (Array.unsafe_get re i1);
+          Array.unsafe_set im i0 (Array.unsafe_get im i1);
+          Array.unsafe_set re i1 tr;
+          Array.unsafe_set im i1 ti
+        done;
+        p := !p + len
       done)
 
 (* Multiply the amplitudes whose bit [q] is set by (pr + i pi): visits only
@@ -146,11 +166,16 @@ let apply_phase1 s q pr pi =
   let step = 1 lsl q in
   let re = s.re and im = s.im in
   run_range s (Array.length re lsr 1) (fun lo hi ->
-      for p = lo to hi - 1 do
-        let k = pair_base step p lor step in
-        let r = Array.unsafe_get re k and i = Array.unsafe_get im k in
-        Array.unsafe_set re k ((r *. pr) -. (i *. pi));
-        Array.unsafe_set im k ((r *. pi) +. (i *. pr))
+      let p = ref lo in
+      while !p < hi do
+        let len = run_length step !p hi in
+        let base = pair_base step !p lor step in
+        for k = base to base + len - 1 do
+          let r = Array.unsafe_get re k and i = Array.unsafe_get im k in
+          Array.unsafe_set re k ((r *. pr) -. (i *. pi));
+          Array.unsafe_set im k ((r *. pi) +. (i *. pr))
+        done;
+        p := !p + len
       done)
 
 (* Rz = diag(c - i s on |0>, c + i s on |1>): one sweep, branching on the
@@ -763,6 +788,155 @@ let measure_run s rng qubits on_outcome =
         on_outcome level outcome
       end)
     qubits
+
+(* --- the outcome tree ---------------------------------------------------- *)
+
+(* [measure_run] on copies of one state, without the copies. A node stands
+   for a prefix of the run's outcomes: after outcomes [o_0 .. o_l-1], the
+   amplitudes [measure_run] would hold at level [l] are the source's kept
+   amplitudes times the path's scale factors [f_0 .. f_l-1] in that order
+   (each level multiplies the kept set by its [inv] in place, and every
+   later kept set lies inside the earlier ones). A node computes its
+   level's sums once, from the source amplitudes scaled factor by factor
+   and added in increasing index order, so they are [measure_run]'s sums
+   bit for bit, and every shot that reaches the node reuses them. A child
+   records one more factor, [1 / sqrt p] of its outcome. Nodes hold no
+   amplitudes: past [max_tree_nodes] a new child is not linked into the
+   tree, and the walk computes it for the one shot that needs it. *)
+type node = {
+  parent : node option;
+  level : int;
+  value : int;  (* the measured qubits' bits, as [measure_run]'s [value] *)
+  sums : float array;  (* factor from the parent; p0 and p1, or a repeat's total *)
+  mutable ready : bool;
+  mutable zero : node option;
+  mutable one : node option;
+}
+
+type outcome_tree = {
+  source : t;
+  qubits : int array;
+  fixed : int array;  (* [l]: the qubits measured before level [l] *)
+  factors : float array;  (* scratch: a node's path factors, root first *)
+  root : node;
+  mutable nodes : int;
+}
+
+let max_tree_nodes = 4096
+
+let new_node parent level value factor =
+  { parent; level; value; sums = [| factor; 0.0; 0.0 |]; ready = false; zero = None; one = None }
+
+let outcome_tree s qubits =
+  let levels = Array.length qubits in
+  let fixed = Array.make (levels + 1) 0 in
+  Array.iteri
+    (fun l q ->
+      if q < 0 || q >= s.qubit_count then invalid_arg "State.outcome_tree: qubit out of range";
+      fixed.(l + 1) <- fixed.(l) lor (1 lsl q))
+    qubits;
+  {
+    source = s;
+    qubits = Array.copy qubits;
+    fixed;
+    factors = Array.make levels 0.0;
+    root = new_node None 0 0 1.0;
+    nodes = 1;
+  }
+
+(* The sums [measure_run] takes at [node]'s level, over the same kept
+   indices in the same order. *)
+let tree_sums t node =
+  let rec gather nd =
+    match nd.parent with
+    | None -> ()
+    | Some up ->
+        t.factors.(nd.level - 1) <- nd.sums.(0);
+        gather up
+  in
+  gather node;
+  let re = t.source.re and im = t.source.im and factors = t.factors in
+  let depth = node.level and v = node.value in
+  let qm = 1 lsl t.qubits.(depth) and fixed = t.fixed.(depth) in
+  let all = dimension t.source - 1 in
+  if fixed land qm = 0 then begin
+    let free = all land lnot (fixed lor qm) in
+    let nfree = lnot free in
+    let p0 = ref 0.0 and p1 = ref 0.0 in
+    let x = ref 0 and more = ref true in
+    while !more do
+      let i0 = !x lor v in
+      let i1 = i0 lor qm in
+      let r0 = ref (Array.unsafe_get re i0) and m0 = ref (Array.unsafe_get im i0) in
+      let r1 = ref (Array.unsafe_get re i1) and m1 = ref (Array.unsafe_get im i1) in
+      for j = 0 to depth - 1 do
+        let f = Array.unsafe_get factors j in
+        r0 := !r0 *. f;
+        m0 := !m0 *. f;
+        r1 := !r1 *. f;
+        m1 := !m1 *. f
+      done;
+      p0 := !p0 +. (!r0 *. !r0) +. (!m0 *. !m0);
+      p1 := !p1 +. (!r1 *. !r1) +. (!m1 *. !m1);
+      if !x = free then more := false else x := ((!x lor nfree) + 1) land free
+    done;
+    node.sums.(1) <- !p0;
+    node.sums.(2) <- !p1
+  end
+  else begin
+    let free = all land lnot fixed in
+    let nfree = lnot free in
+    let total = ref 0.0 in
+    let x = ref 0 and more = ref true in
+    while !more do
+      let k = !x lor v in
+      let r = ref (Array.unsafe_get re k) and m = ref (Array.unsafe_get im k) in
+      for j = 0 to depth - 1 do
+        let f = Array.unsafe_get factors j in
+        r := !r *. f;
+        m := !m *. f
+      done;
+      total := !total +. (!r *. !r) +. (!m *. !m);
+      if !x = free then more := false else x := ((!x lor nfree) + 1) land free
+    done;
+    node.sums.(1) <- !total
+  end;
+  node.ready <- true
+
+let tree_child t node outcome value inv =
+  let linked = if outcome = 1 then node.one else node.zero in
+  match linked with
+  | Some child -> child
+  | None ->
+      let child = new_node (Some node) (node.level + 1) value inv in
+      if t.nodes < max_tree_nodes then begin
+        t.nodes <- t.nodes + 1;
+        if outcome = 1 then node.one <- Some child else node.zero <- Some child
+      end;
+      child
+
+(* One shot of [measure_run]: the same draws, outcomes and errors, level
+   by level, read off the tree instead of a copied state. *)
+let measure_tree t rng on_outcome =
+  let zero_vector () = invalid_arg "State.normalize: zero vector" in
+  let last = Array.length t.qubits - 1 in
+  let node = ref t.root in
+  for level = 0 to last do
+    let nd = !node in
+    if not nd.ready then tree_sums t nd;
+    let qm = 1 lsl t.qubits.(level) in
+    (* On a repeated qubit, as in [measure_run], P(1) is the total or 0,
+       and an outcome that does not repeat leaves a zero vector. *)
+    let fresh = t.fixed.(level) land qm = 0 in
+    let was = if nd.value land qm <> 0 then 1 else 0 in
+    let p1 = if fresh then nd.sums.(2) else if was = 1 then nd.sums.(1) else 0.0 in
+    let outcome = if Rng.float rng 1.0 < p1 then 1 else 0 in
+    let norm = sqrt (if fresh && outcome = 1 then p1 else nd.sums.(1)) in
+    if norm <= 0.0 || ((not fresh) && outcome <> was) then zero_vector ();
+    let value = if outcome = 1 then nd.value lor qm else nd.value in
+    if level < last then node := tree_child t nd outcome value (1.0 /. norm);
+    on_outcome level outcome
+  done
 
 (* --- sampling ----------------------------------------------------------- *)
 

@@ -80,6 +80,26 @@ val measure_run : t -> Qca_util.Rng.t -> int array -> (int -> int -> unit) -> un
     zeroes and scales in two passes over them instead of three over the
     whole vector. A qubit may appear more than once. *)
 
+type outcome_tree
+(** One measurement run over one fixed state, shared by many shots. *)
+
+val outcome_tree : t -> int array -> outcome_tree
+(** [outcome_tree s qubits] is an empty tree for measuring [qubits] (in
+    order, repeats allowed) on [s]. It reads [s] but never writes it;
+    [s] must not change while the tree is in use. Nodes are built by
+    {!measure_tree}; each holds one level's two probability sums and no
+    amplitudes, and at most a few thousand are kept. A tree is not safe
+    to share between domains. Raises [Invalid_argument] for a qubit out
+    of range. *)
+
+val measure_tree : outcome_tree -> Qca_util.Rng.t -> (int -> int -> unit) -> unit
+(** [measure_tree (outcome_tree s qubits) rng on_outcome] draws, reports
+    and raises exactly as [measure_run (copy s) rng qubits on_outcome]:
+    the same draws in the same order, the same outcomes, and the same
+    zero-vector error. A level's sums are computed on the first shot that
+    reaches its prefix of outcomes and reused by every later one, so a
+    shot costs [O(levels)] once the tree covers its path. *)
+
 val sample_index : t -> Qca_util.Rng.t -> int
 (** Sample a basis index from the current distribution without collapsing.
     One draw costs an [O(2^n)] cumulative build plus an [O(n)] binary

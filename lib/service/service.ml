@@ -774,7 +774,8 @@ let poll t h =
       | Waiting ->
           (* Jobs submitted earlier and still waiting, under any tenant:
              the tenants' queues hold exactly the waiting jobs (at most
-             [max_queue]), while [t.jobs] keeps every job ever seen. *)
+             [max_queue]), while [t.jobs] keeps every job not yet
+             released. *)
           let earlier _ ts n =
             Queue.fold (fun n id -> if id < job.id then n + 1 else n) n ts.waiting
           in
@@ -829,6 +830,16 @@ let cancel t h =
           job.phase <- Cancelled_job;
           t.s_cancelled <- t.s_cancelled + 1;
           true)
+
+(* A finished job's record is only read by [poll]; a long-lived caller
+   that has taken the outcome drops it here, so the table holds the jobs
+   in flight rather than every job ever seen. *)
+let release t h =
+  match Hashtbl.find_opt t.jobs h.h_id with
+  | Some { phase = Finished _ | Cancelled_job; _ } ->
+      Hashtbl.remove t.jobs h.h_id;
+      true
+  | Some _ | None -> false
 
 (* ---- observability --------------------------------------------------- *)
 

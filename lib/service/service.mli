@@ -142,6 +142,13 @@ val cancel : t -> handle -> bool
 val drain : t -> unit
 (** {!step} until idle. *)
 
+val release : t -> handle -> bool
+(** Forget a finished (done, failed or cancelled) job, so a long-lived
+    service holds only its live jobs: [true] if the record was dropped.
+    A waiting or running job is left untouched ([false]). After a
+    release, {!poll} on the handle reports an unknown job. [qxd] calls
+    it once a job's result is published. *)
+
 type stats = {
   submitted : int;  (** All submission attempts. *)
   accepted : int;  (** Admitted to the queue (cache hits not included). *)

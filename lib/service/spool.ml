@@ -318,13 +318,11 @@ let ids_in path =
    scanned in lifecycle order, so a job the daemon moves on mid-scan lands
    in a directory not yet read instead of one already passed. *)
 let next_id dir =
-  let top =
-    List.fold_left
+  1
+  + List.fold_left
       (fun acc d -> List.fold_left max acc (ids_in d))
       0
       [ inbox dir; active_dir dir; results dir; failed_dir dir; cancels dir ]
-  in
-  Printf.sprintf "%06d" (top + 1)
 
 let fsync_dir path =
   match Unix.openfile path [ Unix.O_RDONLY ] 0 with
@@ -363,15 +361,41 @@ let sweep_tmp ~dir =
       0 (Sys.readdir d)
   else 0
 
-let submit ?durable ~dir ~tenant spec =
+(* Staging names are unique per writer: the process id, then a counter
+   for the writers inside one process. *)
+let staged = Atomic.make 0
+
+(* Two submitters can read the same [next_id]. Each stages its job under a
+   name of its own and publishes it with [Unix.link], which fails with
+   EEXIST where a rename would replace the other's file: the one that
+   loses takes the next id. *)
+let submit ?(durable = false) ~dir ~tenant spec =
   match encode ~tenant spec with
   | Error e -> Error e
   | Ok text ->
       init dir;
-      let id = next_id dir in
-      atomic_write ?durable dir
-        ~target:(Filename.concat (inbox dir) (id ^ ".job"))
-        text;
+      let staging =
+        Filename.concat (tmp dir)
+          (Printf.sprintf "submit-%d-%d" (Unix.getpid ()) (Atomic.fetch_and_add staged 1))
+      in
+      Out_channel.with_open_bin staging (fun oc ->
+          output_string oc text;
+          if durable then begin
+            flush oc;
+            Unix.fsync (Unix.descr_of_out_channel oc)
+          end);
+      let rec publish floor =
+        let n = max floor (next_id dir) in
+        let id = Printf.sprintf "%06d" n in
+        match Unix.link staging (Filename.concat (inbox dir) (id ^ ".job")) with
+        | () -> id
+        | exception Unix.Unix_error (Unix.EEXIST, _, _) -> publish (n + 1)
+      in
+      let id = Fun.protect ~finally:(fun () -> Sys.remove staging) (fun () -> publish 1) in
+      if durable then begin
+        fsync_dir (inbox dir);
+        fsync_dir (tmp dir)
+      end;
       Ok id
 
 let read_file path = In_channel.with_open_bin path In_channel.input_all

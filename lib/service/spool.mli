@@ -2,8 +2,8 @@
     with a durable lifecycle journal.
 
     No network: a spool directory is the queue. [qxc submit] drops a job
-    file into [DIR/inbox] (written to [DIR/tmp] first, then renamed, so
-    the daemon never sees a partial file); [qxd serve] {!claim}s inbox
+    file into [DIR/inbox] (written to [DIR/tmp] first, then linked under
+    its id, so the daemon never sees a partial file); [qxd serve] {!claim}s inbox
     entries into [DIR/active] (the journal: the job file plus a [.claim]
     sidecar carrying the daemon pid, attempt count and claim time), feeds
     them to {!Service}, and writes one JSON line per job to
@@ -102,9 +102,13 @@ val submit :
   (string, Qca_util.Error.t) result
 (** Serialise a spec into [inbox/], returning the new job id. The payload
     is resolved first (a spec that cannot run is rejected at submit
-    time). With [~durable:true] the job file and the directories around
-    the rename are fsynced, so the submission survives power loss —
-    rename-without-fsync alone does not (default [false]: tests and
+    time). Concurrent submitters, in one process or several, get
+    distinct ids: the job is staged under a per-writer name in [tmp/]
+    and hard-linked into [inbox/], and a link onto an id another
+    submitter took first fails, so this one moves to the next id. With
+    [~durable:true] the job file and the directories around the link
+    are fsynced, so the submission survives power loss — a link or
+    rename without fsync alone does not (default [false]: tests and
     benches stay fast). *)
 
 val pending : dir:string -> (entry, Qca_util.Error.t) result list

@@ -71,6 +71,18 @@ let skip t k =
 
 let[@inline] bernoulli t p = float t 1.0 < p
 
+(* [float t 1.0 < p] compares m / 2^53 with [p] for the draw's 53-bit
+   mantissa m. Both divisions by 2^53 are exact, so that is m < p * 2^53
+   over the reals, which for an integer m is m < ceil (p * 2^53). The
+   clamps cover the rest: no m is below a NaN, zero or negative p, and
+   every m is below a p of 1 or more. *)
+let threshold p =
+  if Float.is_nan p || p <= 0.0 then 0
+  else if p >= 1.0 then 1 lsl 53
+  else int_of_float (Float.ceil (Float.ldexp p 53))
+
+let[@inline] below t th = Int64.to_int (Int64.shift_right_logical (bits64 t) 11) < th
+
 let gaussian t =
   let rec draw () =
     let u = float t 1.0 in

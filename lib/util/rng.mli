@@ -47,6 +47,16 @@ val skip : t -> int -> unit
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is true with probability [p]. *)
 
+val threshold : float -> int
+(** [threshold p] is [ceil (p * 2^53)], clamped to [[0, 2^53]] (0 for
+    NaN): the integer form of [p] that {!below} compares against. *)
+
+val below : t -> int -> bool
+(** [below t (threshold p)] is [bernoulli t p], for every float [p]
+    (0, 1, NaN, subnormals and out-of-range values included), drawn the
+    same way and leaving [t] in the same state, with an integer compare
+    of the draw's 53-bit mantissa instead of a float. *)
+
 val gaussian : t -> float
 (** Standard normal deviate (Box-Muller). *)
 

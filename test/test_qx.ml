@@ -1049,6 +1049,104 @@ let prop_measure_run_matches_measure =
       && states_bit_identical expected got
       && Rng.bits64 draws_a = Rng.bits64 draws_b)
 
+(* [State.measure_tree] against [State.measure_run] on a fresh copy, shot
+   after shot over one tree: outcomes, a readout-style draw after each,
+   the generator's position, and the zero-vector error. Runs may repeat a
+   qubit. A third of the states are squeezed by a non-unitary [0; c]
+   matrix on one qubit, so P(0) there is an exact zero below a total
+   short of 1: a draw above the total picks the empty branch, which both
+   must refuse. *)
+let prop_measure_tree_matches_run =
+  QCheck.Test.make ~name:"outcome tree = measure_run on a copy, shot by shot" ~count:200
+    QCheck.(triple (int_range 0 9999) (int_range 1 6) (int_range 0 30))
+    (fun (seed, qubits, gates) ->
+      let rng = Rng.create seed in
+      let s = State.create qubits in
+      if qubits >= 2 then
+        apply_unitaries s (Circuit.instructions (Library.random_circuit rng ~qubits ~gates))
+      else State.apply s (Gate.Ry (Rng.float rng 3.0)) [| 0 |];
+      if Rng.int rng 3 = 0 then begin
+        let c = 0.1 +. Rng.float rng 0.8 in
+        let squeeze =
+          Matrix.of_arrays [| [| Cplx.zero; Cplx.zero |]; [| Cplx.zero; Cplx.make c 0.0 |] |]
+        in
+        let q = Rng.int rng qubits in
+        State.apply s Gate.H [| q |];
+        State.apply_matrix1 s squeeze q
+      end;
+      let run =
+        let fresh = Array.init (1 + Rng.int rng (2 * qubits)) (fun _ -> Rng.int rng qubits) in
+        if Rng.bool rng then Array.append fresh [| fresh.(0) |] else fresh
+      in
+      let tree = State.outcome_tree s run in
+      let shot f draws =
+        let outcomes = Array.make (Array.length run) (-1) in
+        let result =
+          match
+            f draws (fun i b ->
+                outcomes.(i) <- b;
+                ignore (Rng.bernoulli draws 0.1))
+          with
+          | () -> Ok outcomes
+          | exception Invalid_argument msg -> Error msg
+        in
+        (result, Rng.bits64 draws)
+      in
+      List.for_all
+        (fun k ->
+          let expected = shot (fun d f -> State.measure_run (State.copy s) d run f) (Rng.create k)
+          and got = shot (State.measure_tree tree) (Rng.create k) in
+          expected = got)
+        (List.init 40 (fun k -> seed + k)))
+
+(* Past its node cap a tree stops linking children and computes them per
+   shot: 13 qubits spread over thousands of outcome paths need more nodes
+   than the cap, and every shot still equals [measure_run] on a copy. *)
+let test_measure_tree_past_cap () =
+  let qubits = 13 in
+  let s = State.create qubits in
+  for q = 0 to qubits - 1 do
+    State.apply s Gate.H [| q |]
+  done;
+  apply_unitaries s
+    (Circuit.instructions (Library.random_circuit (Rng.create 5) ~qubits ~gates:60));
+  let run = Array.init qubits Fun.id in
+  let tree = State.outcome_tree s run in
+  let a = Rng.create 9 and b = Rng.create 9 in
+  for shot = 1 to 3000 do
+    let expected = Array.make qubits (-1) and got = Array.make qubits (-1) in
+    State.measure_run (State.copy s) a run (fun i o -> expected.(i) <- o);
+    State.measure_tree tree b (fun i o -> got.(i) <- o);
+    if expected <> got || Rng.bits64 a <> Rng.bits64 b then
+      Alcotest.failf "shot %d differs" shot
+  done
+
+(* Trajectory runs whose tail is one terminal measurement run walk the
+   outcome tree for their clean shots; each chunk builds its own. At 1, 2
+   and 4 domains the histograms equal the op-by-op oracle. *)
+let prop_tree_trajectories_match_stepped =
+  QCheck.Test.make ~name:"terminal-run trajectories = op-by-op oracle at 1, 2 and 4 domains"
+    ~count:20
+    QCheck.(triple (int_range 0 9999) (int_range 2 5) (int_range 1 30))
+    (fun (seed, qubits, gates) ->
+      let rng = Rng.create seed in
+      let circuit =
+        measured_all qubits
+          (Circuit.of_list qubits
+             (Gate.Prep (Rng.int rng qubits)
+             :: Circuit.instructions (Library.random_circuit rng ~qubits ~gates)))
+      in
+      List.for_all
+        (fun (_, noise) ->
+          let oracle = stepped_histogram ~noise ~seed ~shots:60 circuit in
+          List.for_all
+            (fun domains ->
+              with_pool ~domains (fun () ->
+                  let r = Engine.run ~noise ~seed ~plan:Engine.Trajectory ~shots:60 circuit in
+                  List.sort compare r.Engine.histogram = oracle))
+            [ 1; 2; 4 ])
+        (("ideal", Noise.ideal) :: schedule_models))
+
 (* Under ideal noise nothing is drawn before the first measurement, so
    every trajectory shot starts from the shared ideal state. *)
 let test_clean_shots_attribute () =
@@ -1380,6 +1478,9 @@ let () =
         [
           qtest prop_schedule_matches_stepped;
           qtest prop_measure_run_matches_measure;
+          qtest prop_measure_tree_matches_run;
+          Alcotest.test_case "outcome tree past its node cap" `Quick test_measure_tree_past_cap;
+          qtest prop_tree_trajectories_match_stepped;
           Alcotest.test_case "clean_shots attribute" `Quick test_clean_shots_attribute;
         ] );
       ( "kernels",

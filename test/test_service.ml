@@ -340,6 +340,51 @@ let test_queue_position () =
   Service.drain svc;
   positions "finished jobs do not count" [ Some 0 ] [ position (submit "bob" 5) ]
 
+(* A long-lived caller drops finished records; live ones are untouched
+   and still finish as they would have. *)
+let test_release_finished () =
+  let config = { Service.default_config with Service.slice_shots = 64 } in
+  let svc = Service.create ~config () in
+  let reference = Service.create () in
+  let done_ = submit_ok svc ~tenant:"alice" (spec ~seed:1 (bell ())) in
+  let cancelled = submit_ok svc ~tenant:"alice" (spec ~seed:2 (bell ())) in
+  let o = await_ok svc done_ in
+  let queued = submit_ok svc ~tenant:"bob" (spec ~seed:3 (bell ())) in
+  let running = submit_ok svc ~tenant:"carol" (spec ~seed:4 (bell ())) in
+  Alcotest.(check bool) "cancel" true (Service.cancel svc cancelled);
+  let rec start k =
+    match Service.poll svc running with
+    | Service.Running _ -> ()
+    | _ when k > 0 ->
+        ignore (Service.step svc);
+        start (k - 1)
+    | _ -> Alcotest.fail "the job never started"
+  in
+  start 10;
+  let live = List.map (Service.poll svc) [ queued; running ] in
+  Alcotest.(check bool) "a running job is not released" false (Service.release svc running);
+  Alcotest.(check bool) "nor another live one" false (Service.release svc queued);
+  Alcotest.(check bool) "live jobs untouched" true
+    (List.map (Service.poll svc) [ queued; running ] = live);
+  Alcotest.(check bool) "a done job is released" true (Service.release svc done_);
+  Alcotest.(check bool) "a cancelled job is released" true (Service.release svc cancelled);
+  Alcotest.(check bool) "only once" false (Service.release svc done_);
+  (match Service.poll svc done_ with
+  | Service.Failed _ -> ()
+  | _ -> Alcotest.fail "a released handle should be unknown");
+  let expect seed h =
+    Alcotest.check hist_testable "live job finishes as it would have"
+      (canon (await_ok reference (submit_ok reference ~tenant:"x" (spec ~seed (bell ()))))
+           .Runner.histogram)
+      (canon (await_ok svc h).Runner.histogram)
+  in
+  expect 3 queued;
+  expect 4 running;
+  Alcotest.check hist_testable "the released outcome was the real one"
+    (canon (await_ok reference (submit_ok reference ~tenant:"x" (spec ~seed:1 (bell ()))))
+         .Runner.histogram)
+    (canon o.Runner.histogram)
+
 let test_cancel_while_running () =
   let config = { Service.default_config with Service.slice_shots = 64 } in
   let svc = Service.create ~config () in
@@ -489,6 +534,51 @@ let temp_spool name =
     [ "inbox"; "active"; "results"; "failed"; "cancel"; "tmp" ];
   Spool.init dir;
   dir
+
+(* Two processes submitting into one spool at once: every submit succeeds
+   and every job keeps an id of its own. The submitters are this test
+   executable run again with [submitter_args] (OCaml forks only a process
+   that never started a second domain, and earlier tests do). *)
+let submitter_args = "spool-submitter"
+let submits_per_process = 100
+
+let submitter ~dir ~out =
+  let s = spec ~seed:7 ~shots:10 (bell ()) in
+  let ids =
+    List.init submits_per_process (fun _ -> Result.get_ok (Spool.submit ~dir ~tenant:"alice" s))
+  in
+  Out_channel.with_open_text out (fun oc -> List.iter (fun id -> output_string oc (id ^ "\n")) ids)
+
+let test_spool_concurrent_submit () =
+  let dir = temp_spool "qca-spool-concurrent" in
+  let out k =
+    Filename.concat (Filename.get_temp_dir_name ()) (Printf.sprintf "qca-spool-ids-%d" k)
+  in
+  let spawn k =
+    Unix.create_process Sys.executable_name
+      [| Sys.executable_name; submitter_args; dir; out k |]
+      Unix.stdin Unix.stdout Unix.stderr
+  in
+  let pids = List.map spawn [ 0; 1 ] in
+  List.iter
+    (fun pid ->
+      match Unix.waitpid [] pid with
+      | _, Unix.WEXITED 0 -> ()
+      | _ -> Alcotest.fail "a submitter failed")
+    pids;
+  let ids =
+    List.concat_map
+      (fun k ->
+        let lines = In_channel.with_open_text (out k) In_channel.input_all in
+        Sys.remove (out k);
+        String.split_on_char '\n' lines |> List.filter (( <> ) ""))
+      [ 0; 1 ]
+  in
+  let expected = 2 * submits_per_process in
+  Alcotest.(check int) "every submit returned an id" expected (List.length ids);
+  Alcotest.(check int) "distinct ids" expected (List.length (List.sort_uniq compare ids));
+  Alcotest.(check int) "every job in the inbox" expected (List.length (Spool.pending ~dir));
+  Alcotest.(check int) "no staging left" 0 (Array.length (Sys.readdir (Filename.concat dir "tmp")))
 
 let test_spool_roundtrip () =
   let s =
@@ -807,6 +897,9 @@ let test_disabled_crash_point_overhead () =
     (per_call < 0.05 *. per_hot_job)
 
 let () =
+  match Sys.argv with
+  | [| _; mode; dir; out |] when mode = submitter_args -> submitter ~dir ~out
+  | _ ->
   let qtest = QCheck_alcotest.to_alcotest in
   Alcotest.run "qca_service"
     [
@@ -843,6 +936,7 @@ let () =
           Alcotest.test_case "while running" `Quick test_cancel_while_running;
           Alcotest.test_case "after completion" `Quick
             test_cancel_completed_fails;
+          Alcotest.test_case "release finished" `Quick test_release_finished;
         ] );
       ( "fairness",
         [ Alcotest.test_case "weighted shares" `Quick test_weighted_fairness ] );
@@ -857,6 +951,7 @@ let () =
         [
           Alcotest.test_case "roundtrip" `Quick test_spool_roundtrip;
           Alcotest.test_case "queue cycle" `Quick test_spool_queue_cycle;
+          Alcotest.test_case "concurrent submitters" `Quick test_spool_concurrent_submit;
           Alcotest.test_case "garbage rejected" `Quick
             test_spool_decode_rejects_garbage;
         ] );

@@ -108,6 +108,37 @@ let test_rng_coin_and_skip () =
   done;
   if Gc.minor_words () -. before > 100.0 then Alcotest.fail "Rng.below_half allocates"
 
+(* [below (threshold p)] is [bernoulli p] for every float p, including the
+   edges: 0 and -0, 1, NaN and the infinities, subnormals, values outside
+   [0, 1], and p set exactly at, one ulp around, and one step above the
+   next draw's own m / 2^53, where the float compare is tightest. *)
+let prop_below_threshold_is_bernoulli =
+  let specials =
+    [| 0.0; -0.0; 1.0; Float.nan; Float.infinity; Float.neg_infinity; 4.9e-324;
+       Float.min_float; 1.0 -. epsilon_float; 1.5; -0.25; 0.5 |]
+  in
+  QCheck.Test.make ~name:"below (threshold p) = bernoulli p" ~count:500
+    QCheck.(pair (int_bound 1_000_000) (int_bound 15))
+    (fun (seed, pick) ->
+      let a = Rng.create seed and b = Rng.create seed in
+      let next_m = Int64.to_int (Int64.shift_right_logical (Rng.bits64 (Rng.copy a)) 11) in
+      let at = Float.ldexp (float_of_int next_m) (-53) in
+      let p =
+        if pick < Array.length specials then specials.(pick)
+        else
+          match pick - Array.length specials with
+          | 0 -> at
+          | 1 -> Float.pred at
+          | 2 -> Float.succ at
+          | _ -> Rng.float (Rng.create (seed + 1)) 1.0
+      in
+      let th = Rng.threshold p in
+      let same = ref true in
+      for _ = 1 to 50 do
+        if Rng.bernoulli a p <> Rng.below b th then same := false
+      done;
+      !same && Rng.bits64 a = Rng.bits64 b)
+
 let test_rng_bernoulli () =
   let rng = Rng.create 13 in
   let hits = ref 0 in
@@ -828,6 +859,7 @@ let () =
           Alcotest.test_case "gaussian moments" `Quick test_rng_gaussian_moments;
           Alcotest.test_case "split independence" `Quick test_rng_split_independent;
           Alcotest.test_case "bernoulli" `Quick test_rng_bernoulli;
+          qtest prop_below_threshold_is_bernoulli;
           Alcotest.test_case "reference stream" `Quick test_rng_reference_stream;
           Alcotest.test_case "float allocation" `Quick test_rng_float_allocation;
           Alcotest.test_case "coin and skip" `Quick test_rng_coin_and_skip;
