@@ -2,52 +2,19 @@ module Gate = Qca_circuit.Gate
 module Circuit = Qca_circuit.Circuit
 module Platform = Qca_compiler.Platform
 
-(* One representative per unitary constructor; [Gate.name] ignores the
-   parameter, so membership in the primitive set is per-constructor. *)
-let representatives =
-  Gate.
-    [|
-      I; X; Y; Z; H; S; Sdag; T; Tdag; X90; Xm90; Y90; Ym90; Rx 0.; Ry 0.; Rz 0.;
-      Cnot; Cz; Swap; Cphase 0.; Crk 0; Toffoli;
-    |]
-
-let tag = function
-  | Gate.I -> 0
-  | Gate.X -> 1
-  | Gate.Y -> 2
-  | Gate.Z -> 3
-  | Gate.H -> 4
-  | Gate.S -> 5
-  | Gate.Sdag -> 6
-  | Gate.T -> 7
-  | Gate.Tdag -> 8
-  | Gate.X90 -> 9
-  | Gate.Xm90 -> 10
-  | Gate.Y90 -> 11
-  | Gate.Ym90 -> 12
-  | Gate.Rx _ -> 13
-  | Gate.Ry _ -> 14
-  | Gate.Rz _ -> 15
-  | Gate.Cnot -> 16
-  | Gate.Cz -> 17
-  | Gate.Swap -> 18
-  | Gate.Cphase _ -> 19
-  | Gate.Crk _ -> 20
-  | Gate.Toffoli -> 21
-
 (* Imperative walk for the same reason as [Circuit_checks.invariant_walk]:
    the pass-verifier runs this on every post-mapping artifact, so the clean
    path must not allocate per instruction. *)
 let stream_checker ?(allow_swap = false) platform name =
   let site i = Printf.sprintf "%s[%d]" name i in
   let diags = ref [] in
-  (* [Platform.supports] scans the primitive name list per call; resolve
-     each unitary constructor against it once so the clean path costs a
-     match plus an array index per instruction. *)
+  (* Whether each gate kind passes, swaps included when allowed, resolved
+     once: the clean path costs a match plus an array index per
+     instruction. *)
   let supported_tab =
     Array.map
       (fun u -> Platform.supports platform u || (allow_swap && u = Gate.Swap))
-      representatives
+      Gate.kinds
   in
   (* [Platform.are_coupled] re-materialises Grid topologies per query;
      resolve the graph once. *)
@@ -61,9 +28,9 @@ let stream_checker ?(allow_swap = false) platform name =
   let on_instr i instr =
     match instr with
       | Gate.Unitary (u, ops) | Gate.Conditional (_, u, ops) ->
-          (* One constructor match per gate: the tag answers both the
-             primitive lookup and the two-qubit test (tags 16..20). *)
-          let t = tag u in
+          (* One constructor match per gate: the kind answers both the
+             primitive lookup and the two-qubit test (kinds 16..20). *)
+          let t = Gate.kind u in
           if
             t >= 16 && t <= 20
             && ops.(0) >= 0

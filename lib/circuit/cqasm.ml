@@ -75,11 +75,21 @@ let strip_comment line =
   | Some i -> String.sub line 0 i
   | None -> line
 
+(* One scan from the end of the line, so the list builds in order: [stop]
+   is one past the field being read. *)
 let tokenize line =
-  line
-  |> String.map (fun c -> if c = ',' then ' ' else c)
-  |> String.split_on_char ' '
-  |> List.filter (fun s -> s <> "")
+  let field acc start stop =
+    if stop > start then String.sub line start (stop - start) :: acc else acc
+  in
+  let rec scan acc stop i =
+    if i < 0 then field acc 0 stop
+    else
+      match String.unsafe_get line i with
+      | ' ' | ',' -> scan (field acc (i + 1) stop) i (i - 1)
+      | _ -> scan acc stop (i - 1)
+  in
+  let n = String.length line in
+  scan [] n (n - 1)
 
 let parse_qubit lineno token =
   let fail () =

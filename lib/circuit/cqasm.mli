@@ -37,6 +37,11 @@ val flatten : program -> Circuit.t
 
 val of_circuit : Circuit.t -> program
 
+val tokenize : string -> string list
+(** The fields of one comment-free source line, in order: the line split
+    on spaces and commas, empty fields dropped. Tabs and other characters
+    stay inside fields. *)
+
 val parse : string -> program
 (** Parse cQASM source. Malformed input raises
     {!Qca_util.Error.Error} with a {!Qca_util.Error.Syntax} kind carrying

@@ -143,6 +143,36 @@ let is_clifford = function
   | I | X | Y | Z | H | S | Sdag | X90 | Xm90 | Y90 | Ym90 | Cnot | Cz | Swap -> true
   | T | Tdag | Rx _ | Ry _ | Rz _ | Cphase _ | Crk _ | Toffoli -> false
 
+let kinds =
+  [|
+    I; X; Y; Z; H; S; Sdag; T; Tdag; X90; Xm90; Y90; Ym90; Rx 0.; Ry 0.; Rz 0.; Cnot; Cz;
+    Swap; Cphase 0.; Crk 0; Toffoli;
+  |]
+
+let kind = function
+  | I -> 0
+  | X -> 1
+  | Y -> 2
+  | Z -> 3
+  | H -> 4
+  | S -> 5
+  | Sdag -> 6
+  | T -> 7
+  | Tdag -> 8
+  | X90 -> 9
+  | Xm90 -> 10
+  | Y90 -> 11
+  | Ym90 -> 12
+  | Rx _ -> 13
+  | Ry _ -> 14
+  | Rz _ -> 15
+  | Cnot -> 16
+  | Cz -> 17
+  | Swap -> 18
+  | Cphase _ -> 19
+  | Crk _ -> 20
+  | Toffoli -> 21
+
 let name = function
   | I -> "i"
   | X -> "x"
@@ -166,6 +196,16 @@ let name = function
   | Cphase _ -> "cphase"
   | Crk _ -> "cr"
   | Toffoli -> "toffoli"
+
+let kind_names = Array.map name kinds
+
+let kind_of_name s =
+  let rec find k =
+    if k = Array.length kind_names then None
+    else if String.equal kind_names.(k) s then Some k
+    else find (k + 1)
+  in
+  find 0
 
 let qubits = function
   | Unitary (_, operands) | Conditional (_, _, operands) -> Array.copy operands

@@ -59,6 +59,17 @@ val is_clifford : unitary -> bool
 val name : unitary -> string
 (** Lower-case cQASM mnemonic, without angle arguments. *)
 
+val kind : unitary -> int
+(** The constructor's index, [0] to [Array.length kinds - 1]: [I] is 0,
+    ..., the two-qubit gates are 16 to 20 and [Toffoli] 21. {!name},
+    {!arity} and every predicate above depend on the kind only. *)
+
+val kinds : unitary array
+(** One gate per kind, at its index, with parameter 0. *)
+
+val kind_of_name : string -> int option
+(** The kind whose {!name} is the string, if any. *)
+
 val qubits : t -> int array
 (** Operand qubits of an instruction (copy). *)
 

@@ -22,7 +22,31 @@ let connectivity p =
       Graph.grid_2d rows cols
   | Custom g -> g
 
-let supports p u = List.mem (Gate.name u) p.primitives
+(* The compiler asks [supports] for every gate of every pass, so it reads
+   one bit of a mask over gate kinds. The mask is worked out once per
+   primitive list and cached by the list's physical identity, so a record
+   built with [{ p with primitives = ... }] gets its own. The list and its
+   mask are swapped as one pair, so concurrent callers never read a mask
+   with another list. *)
+let primitive_mask primitives =
+  List.fold_left
+    (fun mask name ->
+      match Gate.kind_of_name name with Some k -> mask lor (1 lsl k) | None -> mask)
+    0 primitives
+
+let last_mask = Atomic.make ([], 0)
+
+let supports p u =
+  let list, mask = Atomic.get last_mask in
+  let mask =
+    if list == p.primitives then mask
+    else begin
+      let mask = primitive_mask p.primitives in
+      Atomic.set last_mask (p.primitives, mask);
+      mask
+    end
+  in
+  mask land (1 lsl Gate.kind u) <> 0
 
 let lookup_duration p mnemonic =
   match List.assoc_opt mnemonic p.durations_ns with

@@ -87,6 +87,18 @@ let resolve_rng seed rng =
   | None, Some s -> Rng.create s
   | None, None -> shared_rng
 
+(* --- arrays ------------------------------------------------------------ *)
+
+(* [Array.of_list l] fills its array with [l]'s head first, and OCaml's
+   array constructor forces a minor collection when it fills an array
+   longer than 256 words with a young block: a freshly built list's head
+   is one. Filling with a static [filler] and then overwriting makes no
+   collection. *)
+let array_of_list filler l =
+  let a = Array.make (List.length l) filler in
+  List.iteri (fun i x -> Array.unsafe_set a i x) l;
+  a
+
 (* --- bitstrings -------------------------------------------------------- *)
 
 let bitstring classical =
@@ -344,19 +356,19 @@ type program = {
 
 let compile_micro ~fusion instrs =
   let steps, fstats = compile_steps ~fusion instrs in
-  let applies = Hashtbl.create 16 and measures = ref 0 in
+  (* Applies per gate kind ([Gate.kind]), read back by name at the end. *)
+  let applies = Array.make (Array.length Gate.kinds) 0 and measures = ref 0 in
   let conds = ref [] and slots = ref 0 in
-  let count name =
-    Hashtbl.replace applies name (1 + Option.value ~default:0 (Hashtbl.find_opt applies name))
-  in
+  let count k = applies.(k) <- applies.(k) + 1 in
   let ops =
     List.filter_map
       (fun step ->
         match step with
         | Kernel k ->
             (match k with
-            | Single (_, _, name) -> count name
-            | Fused_1q (_, _, names) | Fused_diag (_, names) -> List.iter count names);
+            | Single (u, _, _) -> count (Gate.kind u)
+            | Fused_1q (_, _, names) | Fused_diag (_, names) ->
+                List.iter (fun name -> count (Option.get (Gate.kind_of_name name))) names);
             Some (M_kernel k)
         | Instr (Gate.Conditional (bit, u, o)) ->
             conds := Gate.name u :: !conds;
@@ -371,8 +383,11 @@ let compile_micro ~fusion instrs =
       steps
   in
   ( {
-      ops = Array.of_list ops;
-      pass_applies = Hashtbl.fold (fun name c acc -> (name, c) :: acc) applies [];
+      ops = array_of_list (M_prep 0) ops;
+      pass_applies =
+        List.filter
+          (fun (_, c) -> c > 0)
+          (Array.to_list (Array.mapi (fun k c -> (Gate.name Gate.kinds.(k), c)) applies));
       pass_measures = !measures;
       cond_names = Array.of_list (List.rev !conds);
     },
@@ -483,7 +498,7 @@ let schedule_sites noise program n =
             go (i + 1) (Noise.Prep_site q :: acc)
         | M_prep _ | M_measure _ | M_cond _ -> acc
     in
-    Array.of_list (List.rev (go 0 []))
+    array_of_list Noise.Quiet_site (List.rev (go 0 []))
   end
 
 (* A prefix op without its draws: a prep of an untouched qubit measures 0,
@@ -574,7 +589,7 @@ let tail_steps program ~from =
     end
     else go (i + 1) (Step ops.(i) :: acc)
   in
-  Array.of_list (go from [])
+  array_of_list (Step (M_prep 0)) (go from [])
 
 (* The state-vector per-shot executor (trajectory plan, [Sim.run],
    [fold_trajectories]), worked out once per run by [shot_plan]: the
@@ -621,14 +636,15 @@ let micro_executor ~noise program n =
   fun ~tally state rng ->
   plan.from_events ~tally state rng (Noise.schedule noise plan.prefix.sites rng)
 
-(* The trajectory plan's per-chunk executor factory. When the whole tail
-   is one measurement run (a terminal [measure_all]), a clean shot's state
-   would be a copy of the ideal final state, measured by
-   [State.measure_run]: it walks a [State.outcome_tree] over that state
-   instead, which draws and decides exactly as the copy would, and copies
-   nothing. Each chunk builds its own tree, as it does its scratch state,
-   so domains share nothing mutable; the scratch state is only made once a
-   chunk meets a shot with errors. *)
+(* The trajectory plan's per-chunk executor factory; a shot returns its
+   histogram key. When the whole tail is one measurement run (a terminal
+   [measure_all]), a clean shot's state would be a copy of the ideal final
+   state, measured by [State.measure_run]: it walks a
+   [State.outcome_tree] over that state instead, which draws and decides
+   exactly as the copy would, and copies nothing. Each chunk builds its
+   own tree, as it does its scratch state, so domains share nothing
+   mutable; the scratch state is only made once a chunk meets a shot with
+   errors. *)
 let trajectory_executor ~noise program n =
   let plan = shot_plan ~noise program n in
   let sites = plan.prefix.sites and stored = Array.length plan.prefix.states in
@@ -639,19 +655,21 @@ let trajectory_executor ~noise program n =
         let state = lazy (State.create n) and tree = State.outcome_tree ideal qubits in
         fun tally rng ->
           let events = Noise.schedule noise sites rng in
-          if Array.length events > 0 then plan.from_events ~tally (Lazy.force state) rng events
+          if Array.length events > 0 then
+            bitstring (plan.from_events ~tally (Lazy.force state) rng events)
           else begin
             tally.clean <- tally.clean + 1;
             let classical = Array.make n (-1) in
             State.measure_tree tree rng (fun k outcome ->
                 classical.(bits.(k)) <- plan.readout rng outcome);
             tally.passes <- tally.passes + 1;
-            classical
+            bitstring classical
           end
   | _ ->
       fun () ->
         let state = State.create n in
-        fun tally rng -> plan.from_events ~tally state rng (Noise.schedule noise sites rng)
+        fun tally rng ->
+          bitstring (plan.from_events ~tally state rng (Noise.schedule noise sites rng))
 
 (* One shot in a state of its own: for callers that keep the final state. *)
 let fresh_shot exec n ~tally rng =
@@ -799,20 +817,24 @@ let symbolic_pass program n =
           bits.(bit) <- Tableau.z_form tab q)
     program.ops;
   let words = (Tableau.variables tab + Tableau.word_bits - 1) / Tableau.word_bits in
-  let flatten forms =
-    let out = Array.make (Array.length forms * words) 0 in
-    Array.iteri (fun i (_, form) -> Array.blit form 0 out (i * words) (Array.length form)) forms;
+  let flatten form_of items =
+    let out = Array.make (Array.length items * words) 0 in
+    Array.iteri
+      (fun i item ->
+        let form = form_of item in
+        Array.blit form 0 out (i * words) (Array.length form))
+      items;
     out
   in
-  let conds = Array.of_list (List.rev !conds) in
+  let conds = array_of_list (0, (0, [||])) (List.rev !conds) in
   {
     random_sites = Array.of_list (List.rev !random_sites);
     words;
     bit_consts = Array.map fst bits;
-    bit_forms = flatten bits;
+    bit_forms = flatten snd bits;
     cond_slots = Array.map fst conds;
     cond_consts = Array.map (fun (_, (c, _)) -> c) conds;
-    cond_forms = flatten (Array.map snd conds);
+    cond_forms = flatten (fun (_, (_, form)) -> form) conds;
   }
 
 let[@inline] parity x =
@@ -830,24 +852,19 @@ let[@inline] evaluate words forms i coins =
   done;
   parity !acc
 
-(* One shot: its coins, then its classical bits and conditional firings. *)
+(* One shot: its coins, then its conditional firings and its histogram
+   key, written a character per classical bit as [bitstring] would. *)
 let sample_shot s ~tally coins rng =
-  Array.fill coins 0 s.words 0;
-  let at = ref 0 in
-  for v = 0 to Array.length s.random_sites - 1 do
-    let site = Array.unsafe_get s.random_sites v in
-    Rng.skip rng (site - !at);
-    if coin rng = 1 then begin
-      let k = v / Tableau.word_bits in
-      coins.(k) <- coins.(k) lor (1 lsl (v mod Tableau.word_bits))
-    end;
-    at := site + 1
+  Rng.coins rng s.random_sites ~width:Tableau.word_bits coins;
+  let n = Array.length s.bit_consts in
+  let key = Bytes.create n in
+  for i = 0 to n - 1 do
+    let const = Array.unsafe_get s.bit_consts i in
+    Bytes.unsafe_set key (n - 1 - i)
+      (if const < 0 then '-'
+       else if const lxor evaluate s.words s.bit_forms i coins = 1 then '1'
+       else '0')
   done;
-  let classical =
-    Array.mapi
-      (fun i const -> if const < 0 then const else const lxor evaluate s.words s.bit_forms i coins)
-      s.bit_consts
-  in
   for i = 0 to Array.length s.cond_slots - 1 do
     let const = s.cond_consts.(i) in
     if const >= 0 && const lxor evaluate s.words s.cond_forms i coins = 1 then begin
@@ -856,7 +873,7 @@ let sample_shot s ~tally coins rng =
     end
   done;
   tally.passes <- tally.passes + 1;
-  classical
+  Bytes.unsafe_to_string key
 
 (* --- batched trajectories ---------------------------------------------- *)
 
@@ -946,32 +963,54 @@ let widen_index r k =
    inserting them in first-seen order: that table has the layout a
    shot-by-shot count of the wide keys would have had, and ties come out
    as they did at full width. Only distinct keys are widened, never one
-   per shot. *)
-type 'k counts = { table : ('k, int) Hashtbl.t; mutable first_seen : 'k list }
+   per shot.
 
-let new_counts () = { table = Hashtbl.create 64; first_seen = [] }
+   The table is monomorphic ([K.equal] instead of the polymorphic
+   compare) but hashes with [Hashtbl.hash], as the generic table does: a
+   key lands in the same bucket, buckets resize at the same sizes and
+   fold in the same order, so the tie order is the generic table's. *)
+module Counts (K : sig
+  type t
 
-let count counts key =
-  match Hashtbl.find_opt counts.table key with
-  | Some c -> Hashtbl.replace counts.table key (c + 1)
-  | None ->
-      Hashtbl.replace counts.table key 1;
-      counts.first_seen <- key :: counts.first_seen
+  val equal : t -> t -> bool
+end) =
+struct
+  module Table = Hashtbl.Make (struct
+    type t = K.t
 
-(* [(key, count)], count-descending, ties in the iteration order of a table
-   keyed by [order_key key] (default: the keys themselves). *)
-let sorted_histogram ?order_key counts =
-  let pairs =
-    match order_key with
-    | None -> Hashtbl.fold (fun key count acc -> (key, count) :: acc) counts.table []
-    | Some f ->
-        let table = Hashtbl.create 64 in
-        List.iter
-          (fun key -> Hashtbl.replace table (f key) (key, Hashtbl.find counts.table key))
-          (List.rev counts.first_seen);
-        Hashtbl.fold (fun _ pair acc -> pair :: acc) table []
-  in
-  List.sort (fun (_, a) (_, b) -> compare b a) pairs
+    let equal = K.equal
+    let hash = Hashtbl.hash
+  end)
+
+  type t = { table : int ref Table.t; mutable first_seen : K.t list }
+
+  let create () = { table = Table.create 64; first_seen = [] }
+
+  let add counts key =
+    match Table.find_opt counts.table key with
+    | Some c -> incr c
+    | None ->
+        Table.add counts.table key (ref 1);
+        counts.first_seen <- key :: counts.first_seen
+
+  (* [(key, count)], count-descending, ties in the iteration order of a
+     table keyed by [order_key key] (default: the keys themselves). *)
+  let sorted ?order_key counts =
+    let pairs =
+      match order_key with
+      | None -> Table.fold (fun key c acc -> (key, !c) :: acc) counts.table []
+      | Some f ->
+          let table = Hashtbl.create 64 in
+          List.iter
+            (fun key -> Hashtbl.replace table (f key) (key, !(Table.find counts.table key)))
+            (List.rev counts.first_seen);
+          Hashtbl.fold (fun _ pair acc -> pair :: acc) table []
+    in
+    List.sort (fun (_, a) (_, b) -> Int.compare b a) pairs
+end
+
+module Key_counts = Counts (String)
+module Index_counts = Counts (Int)
 
 (* Engine-level fault injection models the whole backend hiccuping for one
    shot (Fault.Backend_transient); finer-grained sites live in the
@@ -990,16 +1029,17 @@ let inject_backend_fault faults ~site =
    stream exactly once per shot whether shots execute sequentially, across
    the domain pool, or split over service slices, so the histogram is
    independent of the execution geometry (the PR 4 bit-identity
-   discipline). [make_exec] is a per-chunk executor factory: each chunk
-   builds its own scratch (a state for trajectories, a tableau or a coin
-   vector for the Clifford plan) and its own tally, merged under a lock — counts are
-   sums, so the merge order cannot change the report. The histogram is
-   tallied from a keys array in shot order, keeping even hash-table
-   iteration order identical to a sequential run. *)
+   discipline). [make_exec] is a per-chunk executor factory whose shots
+   return their histogram keys: each chunk builds its own scratch (a state
+   for trajectories, a tableau or a coin vector for the Clifford plan) and
+   its own tally, merged under a lock — counts are sums, so the merge
+   order cannot change the report. The histogram is tallied from a keys
+   array in shot order, keeping even hash-table iteration order identical
+   to a sequential run. *)
 let run_trajectory ?(faults = None) ?relabel ~policy ~counters ~program ~tally ~make_exec
     ~rng ~shots () =
-  let counts = new_counts () in
-  let record = count counts in
+  let counts = Key_counts.create () in
+  let record = Key_counts.add counts in
   (match faults with
   | Some f when Fault.enabled f ->
       (* Fault injection retries shots, so the attempt order is
@@ -1013,7 +1053,7 @@ let run_trajectory ?(faults = None) ?relabel ~policy ~counters ~program ~tally ~
           exec tally (Rng.split rng)
         in
         match Resilience.with_retries policy counters shot with
-        | Ok classical -> record (bitstring classical)
+        | Ok key -> record key
         | Error _ -> counters.Resilience.faulted_shots <- counters.Resilience.faulted_shots + 1
       done
   | None | Some _ ->
@@ -1028,7 +1068,7 @@ let run_trajectory ?(faults = None) ?relabel ~policy ~counters ~program ~tally ~
             let local = fresh_tally program in
             let exec = make_exec () in
             for i = lo to hi - 1 do
-              keys.(i) <- bitstring (exec local streams.(i))
+              keys.(i) <- exec local streams.(i)
             done;
             Mutex.lock merge_lock;
             merge_tally ~into:tally local;
@@ -1037,16 +1077,16 @@ let run_trajectory ?(faults = None) ?relabel ~policy ~counters ~program ~tally ~
       else begin
         let exec = make_exec () in
         for i = 0 to shots - 1 do
-          keys.(i) <- bitstring (exec tally streams.(i))
+          keys.(i) <- exec tally streams.(i)
         done
       end;
       Array.iter record keys);
   match relabel with
-  | None -> sorted_histogram counts
+  | None -> Key_counts.sorted counts
   | Some r ->
       List.map
         (fun (key, c) -> (widen_key r key, c))
-        (sorted_histogram ~order_key:(widen_key r) counts)
+        (Key_counts.sorted ~order_key:(widen_key r) counts)
 
 (* Sampled-plan equivalent: decide per-shot survival up front (a backend
    fault costs the shot, not the single-pass simulation), then draw only the
@@ -1093,9 +1133,9 @@ let sample_counts ?relabel ~probabilities ~measured ~rng ~shots () =
     Array.iteri (fun q yes -> if yes then m := !m lor (1 lsl q)) measured;
     !m
   in
-  let counts = new_counts () in
+  let counts = Index_counts.create () in
   for _ = 1 to shots do
-    count counts (sample () land mmask)
+    Index_counts.add counts (sample () land mmask)
   done;
   let key_of k =
     String.init n (fun i ->
@@ -1103,11 +1143,11 @@ let sample_counts ?relabel ~probabilities ~measured ~rng ~shots () =
         if measured.(q) then if k land (1 lsl q) <> 0 then '1' else '0' else '-')
   in
   match relabel with
-  | None -> List.map (fun (k, c) -> (key_of k, c)) (sorted_histogram counts)
+  | None -> List.map (fun (k, c) -> (key_of k, c)) (Index_counts.sorted counts)
   | Some r ->
       List.map
         (fun (k, c) -> (widen_key r (key_of k), c))
-        (sorted_histogram ~order_key:(widen_index r) counts)
+        (Index_counts.sorted ~order_key:(widen_index r) counts)
 
 let sample_histogram ~probabilities ~measured ~rng ~shots =
   sample_counts ~probabilities ~measured ~rng ~shots ()
@@ -1331,7 +1371,7 @@ let run ?(noise = Noise.ideal) ?seed ?rng ?plan ?(shots = 1024) ?faults
             else
               ( (fun () ->
                   let tab = Tableau.create n in
-                  fun t r -> exec_micro_tableau ~tally:t r tab program),
+                  fun t r -> bitstring (exec_micro_tableau ~tally:t r tab program)),
                 fun () -> [ ("executor", Trace.String "per-shot") ] ))
   in
   let t2 = Clock.now () in

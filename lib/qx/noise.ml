@@ -146,6 +146,7 @@ type site = Gate_site of Gate.unitary * int array | Prep_site of int | Quiet_sit
 type event = { site : int; qubit : int; pauli : Gate.unitary }
 
 let paulis = [| Gate.X; Gate.Y; Gate.Z |]
+let no_event = { site = 0; qubit = 0; pauli = Gate.I }
 
 (* The draws [after_gate] and a prep make on a Pauli-only model, in the same
    order, with the error each one picks recorded instead of applied. None
@@ -175,4 +176,13 @@ let schedule m sites rng =
           events := { site = i; qubit = q; pauli = Gate.X } :: !events
     | Quiet_site -> ()
   done;
-  match !events with [] -> [||] | l -> Array.of_list (List.rev l)
+  match !events with
+  | [] -> [||]
+  | l ->
+      (* Filled from a static event, not from a young one: OCaml's array
+         constructor forces a minor collection when it fills an array
+         longer than 256 words with a young block. *)
+      let n = List.length l in
+      let out = Array.make n no_event in
+      List.iteri (fun k e -> Array.unsafe_set out (n - 1 - k) e) l;
+      out

@@ -160,6 +160,55 @@ let apply_x s q =
         p := !p + len
       done)
 
+(* H and Y on their own: the dense kernel's products with their zero
+   coefficients add or subtract only zeros, which can change no amplitude
+   but the sign of an exact zero, so probabilities are the dense
+   kernel's. H is (x0 + x1, x0 - x1) / sqrt 2 with [Gate]'s 1 / sqrt 2. *)
+let h_coeff = 1.0 /. sqrt 2.0
+
+let apply_h s q =
+  let step = 1 lsl q in
+  let re = s.re and im = s.im in
+  run_range s (Array.length re lsr 1) (fun lo hi ->
+      let p = ref lo in
+      while !p < hi do
+        let len = run_length step !p hi in
+        let base = pair_base step !p in
+        for i0 = base to base + len - 1 do
+          let i1 = i0 lor step in
+          let x0r = h_coeff *. Array.unsafe_get re i0
+          and x0i = h_coeff *. Array.unsafe_get im i0 in
+          let x1r = h_coeff *. Array.unsafe_get re i1
+          and x1i = h_coeff *. Array.unsafe_get im i1 in
+          Array.unsafe_set re i0 (x0r +. x1r);
+          Array.unsafe_set im i0 (x0i +. x1i);
+          Array.unsafe_set re i1 (x0r -. x1r);
+          Array.unsafe_set im i1 (x0i -. x1i)
+        done;
+        p := !p + len
+      done)
+
+(* Y = [[0, -i], [i, 0]]: x0' = -i x1 and x1' = i x0, a pair swap with
+   each amplitude's real and imaginary parts exchanged and one negated. *)
+let apply_y s q =
+  let step = 1 lsl q in
+  let re = s.re and im = s.im in
+  run_range s (Array.length re lsr 1) (fun lo hi ->
+      let p = ref lo in
+      while !p < hi do
+        let len = run_length step !p hi in
+        let base = pair_base step !p in
+        for i0 = base to base + len - 1 do
+          let i1 = i0 lor step in
+          let x0r = Array.unsafe_get re i0 and x0i = Array.unsafe_get im i0 in
+          Array.unsafe_set re i0 (Array.unsafe_get im i1);
+          Array.unsafe_set im i0 (-.Array.unsafe_get re i1);
+          Array.unsafe_set re i1 (-.x0i);
+          Array.unsafe_set im i1 x0r
+        done;
+        p := !p + len
+      done)
+
 (* Multiply the amplitudes whose bit [q] is set by (pr + i pi): visits only
    the dim/2 affected amplitudes instead of predicate-scanning all of them. *)
 let apply_phase1 s q pr pi =
@@ -292,7 +341,8 @@ let t_phase_im = sin (Float.pi /. 4.0)
    arithmetic as its standalone kernel (X is a register swap, Z/S/T touch
    only the set-bit element, Rz branches, dense gates use the full 2x2),
    so the fused sweep is bit-identical to applying the run gate by gate —
-   loop fusion, not matrix-product fusion. Per gate: a kind tag and 8
+   loop fusion, not matrix-product fusion. H and Y have kinds of their
+   own, as they have kernels of their own. Per gate: a kind tag and 8
    coefficient slots (dense: the 2x2 row-major as re/im pairs; phase: the
    phase in slots 0-1; Rz: cos/sin of theta/2 in slots 0-1). *)
 type fused1q_plan = { f1_kinds : int array; f1_coeffs : float array }
@@ -301,6 +351,8 @@ let f1_dense = 0
 and f1_swap = 1
 and f1_phase = 2
 and f1_rz = 3
+and f1_h = 4
+and f1_y = 5
 
 let fused1q_plan_of gates =
   (* Identities are dropped: their standalone kernel is a no-op. *)
@@ -317,6 +369,8 @@ let fused1q_plan_of gates =
       in
       match u with
       | Gate.X -> kinds.(idx) <- f1_swap
+      | Gate.H -> kinds.(idx) <- f1_h
+      | Gate.Y -> kinds.(idx) <- f1_y
       | Gate.Z -> phase (-1.0) 0.0
       | Gate.S -> phase 0.0 1.0
       | Gate.Sdag -> phase 0.0 (-1.0)
@@ -384,6 +438,21 @@ let apply_fused1q s plan q =
               x0i := !x1i;
               x1r := tr;
               x1i := ti
+            end
+            else if kind = f1_h then begin
+              let y0r = h_coeff *. !x0r and y0i = h_coeff *. !x0i in
+              let y1r = h_coeff *. !x1r and y1i = h_coeff *. !x1i in
+              x0r := y0r +. y1r;
+              x0i := y0i +. y1i;
+              x1r := y0r -. y1r;
+              x1i := y0i -. y1i
+            end
+            else if kind = f1_y then begin
+              let tr = !x0r and ti = !x0i in
+              x0r := !x1i;
+              x0i := -. !x1r;
+              x1r := -.ti;
+              x1i := tr
             end
             else if kind = f1_phase then begin
               let pr = Array.unsafe_get coeffs base
@@ -646,13 +715,15 @@ let apply_generic s u ops =
 (* --- gate dispatch ------------------------------------------------------ *)
 
 let apply s u ops =
-  Array.iter
-    (fun q ->
-      if q < 0 || q >= s.qubit_count then invalid_arg "State.apply: qubit out of range")
-    ops;
+  for i = 0 to Array.length ops - 1 do
+    let q = Array.unsafe_get ops i in
+    if q < 0 || q >= s.qubit_count then invalid_arg "State.apply: qubit out of range"
+  done;
   match (u, ops) with
   | Gate.I, _ -> ()
   | Gate.X, [| q |] -> apply_x s q
+  | Gate.H, [| q |] -> apply_h s q
+  | Gate.Y, [| q |] -> apply_y s q
   | Gate.Z, [| q |] -> apply_phase1 s q (-1.0) 0.0
   | Gate.S, [| q |] -> apply_phase1 s q 0.0 1.0
   | Gate.Sdag, [| q |] -> apply_phase1 s q 0.0 (-1.0)
@@ -662,8 +733,7 @@ let apply s u ops =
       (* Diagonal: e^{-i t/2} on |0>, e^{+i t/2} on |1>. *)
       let h = theta /. 2.0 in
       apply_rz1 s q ~c:(cos h) ~si:(sin h)
-  | (Gate.Y | Gate.H | Gate.X90 | Gate.Xm90 | Gate.Y90 | Gate.Ym90 | Gate.Rx _ | Gate.Ry _), [| q |]
-    ->
+  | (Gate.X90 | Gate.Xm90 | Gate.Y90 | Gate.Ym90 | Gate.Rx _ | Gate.Ry _), [| q |] ->
       apply_matrix1 s (Gate.matrix u) q
   | Gate.Cnot, [| control; target |] -> apply_cnot s control target
   | Gate.Cz, [| q1; q2 |] -> apply_phase2 s q1 q2 (-1.0) 0.0

@@ -126,8 +126,11 @@ type t = {
   mutable s_cache_hits : int;
   mutable s_shared : int;
   mutable s_slices : int;
-  mutable exec_log : (string * int) list;  (* newest first *)
+  exec_log : (string * int) array;
+      (* the newest slices: slice [k] (from 0) at [k mod execution_log_length] *)
 }
+
+let execution_log_length = 1024
 
 let create ?(config = default_config) () =
   let config =
@@ -158,7 +161,7 @@ let create ?(config = default_config) () =
     s_cache_hits = 0;
     s_shared = 0;
     s_slices = 0;
-    exec_log = [];
+    exec_log = Array.make execution_log_length ("", 0);
   }
 
 let tenant_state t name =
@@ -673,8 +676,8 @@ let exec_slice t ts job (a : active) =
           a.done_shots <- a.done_shots + a.remaining;
           a.remaining <- 0));
   ts.vtime <- ts.vtime +. (float_of_int slice /. ts.quota.weight);
+  t.exec_log.(t.s_slices mod execution_log_length) <- (ts.t_name, job.id);
   t.s_slices <- t.s_slices + 1;
-  t.exec_log <- (ts.t_name, job.id) :: t.exec_log;
   Trace.end_span span
 
 (* Cooperative deadline enforcement: the budget is checked at every slice
@@ -895,4 +898,6 @@ let stats_to_json t =
                ("shared_analyses", Int s.shared_analyses); ("slices", Int s.slices);
                ("tenants", Obj (List.map (fun (name, n) -> (name, Int n)) s.per_tenant)) ] ) ])
 
-let execution_log t = List.rev t.exec_log
+let execution_log t =
+  let kept = min t.s_slices execution_log_length in
+  List.init kept (fun i -> t.exec_log.((t.s_slices - kept + i) mod execution_log_length))

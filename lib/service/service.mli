@@ -176,6 +176,12 @@ val stats : t -> stats
 val stats_to_json : t -> string
 (** One-line JSON object (schema in [docs/service.md]). *)
 
+val execution_log_length : int
+(** How many slices {!execution_log} keeps (1024). *)
+
 val execution_log : t -> (string * int) list
-(** Chronological (tenant, job id) pairs, one per slice: the fairness
-    witness used by tests and [qxd serve --verbose]. *)
+(** Chronological (tenant, job id) pairs, one per slice, for the newest
+    {!execution_log_length} slices the service has run (all of them
+    until it has run more): the fairness witness used by tests. The log
+    is a fixed ring, so a long-lived daemon's memory does not grow with
+    the jobs it has served. *)

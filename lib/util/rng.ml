@@ -31,6 +31,12 @@ let[@inline] bits64 t =
 
 let split t = of_state (mix64 (bits64 t))
 
+(* A static generator that only fills a fresh array. OCaml's array
+   constructor forces a minor collection when it fills an array longer
+   than 256 words with a young block, as a just-created generator is; a
+   literal lives outside the heap. It is never drawn from. *)
+let filler = Bytes.unsafe_of_string "\000\000\000\000\000\000\000\000"
+
 (* One parent draw per stream, taken in index order: slicing a batch of k
    streams into windows and deriving window-by-window from the same parent
    yields exactly the same streams as deriving all k at once. *)
@@ -38,7 +44,7 @@ let streams t k =
   assert (k >= 0);
   if k = 0 then [||]
   else begin
-    let out = Array.make k t in
+    let out = Array.make k filler in
     for i = 0 to k - 1 do
       out.(i) <- split t
     done;
@@ -68,6 +74,28 @@ let below_half t = Int64.compare (bits64 t) 0L >= 0
 let skip t k =
   assert (k >= 0);
   set64 t 0 (Int64.add (get64 t 0) (Int64.mul (Int64.of_int k) golden_gamma))
+
+(* Draw [k] (from 0) is [mix64] of the state plus k + 1 gammas, so each
+   coin is computed from the starting state without stepping through the
+   draws between sites; the state is written back once, past the last. *)
+let coins t sites ~width words =
+  Array.fill words 0 (Array.length words) 0;
+  let n = Array.length sites in
+  if n > 0 then begin
+    let start = get64 t 0 in
+    let last = ref (-1) in
+    for v = 0 to n - 1 do
+      let site = Array.unsafe_get sites v in
+      assert (site > !last);
+      last := site;
+      let state = Int64.add start (Int64.mul (Int64.of_int (site + 1)) golden_gamma) in
+      if Int64.compare (mix64 state) 0L >= 0 then begin
+        let k = v / width in
+        Array.unsafe_set words k (Array.unsafe_get words k lor (1 lsl (v mod width)))
+      end
+    done;
+    skip t (!last + 1)
+  end
 
 let[@inline] bernoulli t p = float t 1.0 < p
 

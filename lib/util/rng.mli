@@ -44,6 +44,16 @@ val skip : t -> int -> unit
     [bool], [below_half] each take one) would, in O(1) time; requires
     [k >= 0]. *)
 
+val coins : t -> int array -> width:int -> int array -> unit
+(** [coins t sites ~width words] draws the coins at strictly ascending
+    draw indices [sites] (counted from [t]'s current position) in one
+    call: it clears [words], then sets bit [v mod width] of
+    [words.(v / width)] iff the draw at [sites.(v)] is [below_half]. The
+    coins, and the state [t] is left in, are those of [skip t (sites.(v) -
+    at)] then [below_half t] for each [v] in turn, with [at] one past the
+    previous site (0 at first). [words] must hold
+    [ceil (length sites / width)] words; [0 < width < Sys.int_size]. *)
+
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is true with probability [p]. *)
 

@@ -451,6 +451,25 @@ let prop_inverse_unitary =
         (Circuit.unitary_matrix id)
         (Matrix.identity (1 lsl Circuit.qubit_count c)))
 
+(* [Cqasm.tokenize] is one scan of the line; the reference is the split
+   it replaces: commas become spaces, split on spaces, empty fields
+   dropped. Tabs are no separator in either. *)
+let reference_tokenize line =
+  line
+  |> String.map (fun c -> if c = ',' then ' ' else c)
+  |> String.split_on_char ' '
+  |> List.filter (fun s -> s <> "")
+
+let prop_tokenize_matches_split =
+  let alphabet = [| ' '; ' '; ','; ','; '\t'; 'q'; '['; '3'; ']'; 'h'; '.'; '-' |] in
+  let line =
+    QCheck.make
+      ~print:(fun s -> Printf.sprintf "%S" s)
+      QCheck.Gen.(string_size ~gen:(oneofa alphabet) (int_bound 40))
+  in
+  QCheck.Test.make ~name:"tokenize = split on spaces and commas" ~count:2000 line (fun l ->
+      Cqasm.tokenize l = reference_tokenize l)
+
 let () =
   let qtest = QCheck_alcotest.to_alcotest in
   Alcotest.run "qca_circuit"
@@ -508,6 +527,7 @@ let () =
           Alcotest.test_case "out of range" `Quick test_cqasm_out_of_range_rejected;
           Alcotest.test_case "error_model rate checked" `Quick
             test_cqasm_error_model_rate_checked;
+          qtest prop_tokenize_matches_split;
           qtest prop_roundtrip;
           qtest prop_depth_bounds;
           qtest prop_inverse_unitary;

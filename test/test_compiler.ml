@@ -26,6 +26,30 @@ let test_superconducting_platform () =
   Alcotest.(check bool) "connected" true (Qca_util.Graph.is_connected g);
   Alcotest.(check int) "17 qubits" 17 (Qca_util.Graph.size g)
 
+(* [supports] answers from a mask cached per primitive list: a record
+   copied with other primitives, asked in turn with the original, must
+   get its own answers, and every kind must agree with the names. *)
+let test_supports_follows_primitives () =
+  let p = Platform.superconducting_17 in
+  let q = { p with Platform.primitives = [ "h"; "cnot"; "rz" ] } in
+  let empty = { p with Platform.primitives = [] } in
+  for _ = 1 to 2 do
+    Array.iter
+      (fun u ->
+        List.iter
+          (fun (label, platform) ->
+            Alcotest.(check bool)
+              (Printf.sprintf "%s supports %s" label (Gate.name u))
+              (List.mem (Gate.name u) platform.Platform.primitives)
+              (Platform.supports platform u))
+          [ ("superconducting", p); ("copy", q); ("empty", empty);
+            ("perfect", Platform.perfect 3) ])
+      Gate.kinds
+  done;
+  Array.iteri
+    (fun k u -> Alcotest.(check int) (Gate.name u ^ " kind") k (Gate.kind u))
+    Gate.kinds
+
 let test_durations () =
   let p = Platform.superconducting_17 in
   Alcotest.(check int) "cz 40ns = 2 cycles" 2
@@ -649,6 +673,8 @@ let () =
         [
           Alcotest.test_case "perfect" `Quick test_perfect_platform;
           Alcotest.test_case "superconducting" `Quick test_superconducting_platform;
+          Alcotest.test_case "supports follows primitives" `Quick
+            test_supports_follows_primitives;
           Alcotest.test_case "durations" `Quick test_durations;
           Alcotest.test_case "semiconducting differs" `Quick test_semiconducting_differs;
         ] );

@@ -433,6 +433,53 @@ let test_memory_pins () =
         digests)
     memory_pins
 
+(* --- no forced minor collection on a job path --- *)
+
+(* OCaml's array constructor forces a minor collection when it fills an
+   array longer than 256 words with a young block. With a minor heap large
+   enough for everything a call allocates, any collection during the call
+   is such a forced one. One domain, so no worker's heap is involved. *)
+let minor_collections_in f =
+  let saved_gc = Gc.get () and saved_domains = Parallel.domain_count () in
+  Fun.protect
+    ~finally:(fun () ->
+      Gc.set saved_gc;
+      Parallel.set_domain_count saved_domains)
+    (fun () ->
+      Parallel.set_domain_count 1;
+      Gc.set { saved_gc with Gc.minor_heap_size = 1 lsl 20 };
+      ignore (Sys.opaque_identity (f ()));
+      Gc.minor ();
+      let before = Gc.quick_stat () and words_before = Gc.minor_words () in
+      ignore (Sys.opaque_identity (f ()));
+      let words = Gc.minor_words () -. words_before and after = Gc.quick_stat () in
+      if words >= float_of_int (1 lsl 20) then
+        Alcotest.failf "the call allocated %.0f words, more than the minor heap" words;
+      after.Gc.minor_collections - before.Gc.minor_collections)
+
+let test_no_forced_minor_collection () =
+  let memory = surface_memory 5 ~rounds:5 in
+  Alcotest.(check int) "ideal d=5x5 memory, 256 shots" 0
+    (minor_collections_in (fun () -> Engine.run ~seed:3 ~shots:256 memory));
+  Alcotest.(check int) "Rng.streams of 500 from a fresh generator" 0
+    (minor_collections_in (fun () -> Rng.streams (Rng.create 11) 500));
+  (* Noisy trajectories: a 400-gate schedule prefix, then a 400-step tail
+     behind a leading measurement. *)
+  let gates = Library.random_circuit (Rng.create 5) ~qubits:6 ~gates:400 in
+  let measure_all c =
+    Circuit.append c (Circuit.of_list 6 (List.init 6 (fun q -> Gate.Measure q)))
+  in
+  let noise = Noise.depolarizing 0.01 in
+  List.iter
+    (fun (label, circuit) ->
+      Alcotest.(check int) label 0
+        (minor_collections_in (fun () -> Engine.run ~noise ~seed:3 ~shots:8 circuit)))
+    [
+      ("noisy 6x400, 8 shots", measure_all gates);
+      ( "noisy 6x400 behind a measurement, 8 shots",
+        measure_all (Circuit.append (Circuit.of_list 6 [ Gate.Measure 0 ]) gates) );
+    ]
+
 (* --- parallel batching: bit-identical at every domain-pool size --- *)
 
 let test_parallel_bit_identity () =
@@ -576,6 +623,8 @@ let () =
         [
           Alcotest.test_case "auto overhead under 5%" `Quick
             test_auto_overhead_guard;
+          Alcotest.test_case "no forced minor collection" `Quick
+            test_no_forced_minor_collection;
         ] );
       ( "qec-run",
         [

@@ -445,6 +445,28 @@ let test_weighted_fairness () =
   in
   Alcotest.(check bool) "heavy gets the 3:1 share early" true (heavy_early >= 5)
 
+(* A long-lived service keeps only the newest slices in its log: after
+   20000 jobs, each awaited and released, the log holds
+   [execution_log_length] entries and ends with the last job's slice. *)
+let test_execution_log_bounded () =
+  let svc = Service.create () in
+  let circuit = bell () in
+  let jobs = 20_000 in
+  let last = ref None in
+  for seed = 1 to jobs do
+    let h = submit_ok svc ~tenant:"alice" (spec ~seed ~shots:1 circuit) in
+    ignore (await_ok svc h);
+    Alcotest.(check bool) "released" true (Service.release svc h);
+    last := Some h
+  done;
+  Alcotest.(check int) "slices run" jobs (Service.stats svc).Service.slices;
+  let log = Service.execution_log svc in
+  Alcotest.(check int) "log length" Service.execution_log_length (List.length log);
+  Alcotest.(check (pair string int))
+    "newest entry"
+    ("alice", Service.job_id (Option.get !last))
+    (List.nth log (List.length log - 1))
+
 let prop_no_tenant_starves =
   QCheck.Test.make ~name:"WFQ: every tenant's first slice lands in round one"
     ~count:30
@@ -939,7 +961,11 @@ let () =
           Alcotest.test_case "release finished" `Quick test_release_finished;
         ] );
       ( "fairness",
-        [ Alcotest.test_case "weighted shares" `Quick test_weighted_fairness ] );
+        [
+          Alcotest.test_case "weighted shares" `Quick test_weighted_fairness;
+          Alcotest.test_case "log keeps the newest slices" `Quick
+            test_execution_log_bounded;
+        ] );
       ( "properties",
         List.map qtest
           [

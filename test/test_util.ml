@@ -108,6 +108,30 @@ let test_rng_coin_and_skip () =
   done;
   if Gc.minor_words () -. before > 100.0 then Alcotest.fail "Rng.below_half allocates"
 
+(* [coins] at ascending sites is the sampler's old loop, [skip] to each
+   site then [below_half], coin for coin and in the state it leaves. *)
+let prop_coins_match_skip_loop =
+  QCheck.Test.make ~name:"coins = skip + below_half at each site" ~count:500
+    QCheck.(triple (int_bound 1_000_000) (int_range 1 62) (small_list (int_bound 70)))
+    (fun (seed, width, gaps) ->
+      let sites =
+        let at = ref (-1) in
+        Array.of_list (List.map (fun g -> at := !at + 1 + g; !at) gaps)
+      in
+      let nwords = (Array.length sites + width - 1) / width in
+      let a = Rng.create seed and b = Rng.create seed in
+      let expected = Array.make nwords 0 and at = ref 0 in
+      Array.iteri
+        (fun v site ->
+          Rng.skip a (site - !at);
+          if Rng.below_half a then
+            expected.(v / width) <- expected.(v / width) lor (1 lsl (v mod width));
+          at := site + 1)
+        sites;
+      let words = Array.make nwords (-1) in
+      Rng.coins b sites ~width words;
+      words = expected && Rng.bits64 a = Rng.bits64 b)
+
 (* [below (threshold p)] is [bernoulli p] for every float p, including the
    edges: 0 and -0, 1, NaN and the infinities, subnormals, values outside
    [0, 1], and p set exactly at, one ulp around, and one step above the
@@ -863,6 +887,7 @@ let () =
           Alcotest.test_case "reference stream" `Quick test_rng_reference_stream;
           Alcotest.test_case "float allocation" `Quick test_rng_float_allocation;
           Alcotest.test_case "coin and skip" `Quick test_rng_coin_and_skip;
+          qtest prop_coins_match_skip_loop;
           Alcotest.test_case "choose_weighted" `Quick test_choose_weighted;
           Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
         ] );
