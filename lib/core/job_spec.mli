@@ -150,7 +150,7 @@ val digest : Qca_circuit.Circuit.t -> string
 (** Hex digest of the circuit's canonical form (qubit count +
     instruction list; the circuit's name does not participate). Two jobs
     whose resolved circuits share a digest can share one
-    {!Qca_qx.Engine.sampled_distribution}. *)
+    {!Qca_qx.Engine.prepared} value. *)
 
 val cache_key : t -> Qca_circuit.Circuit.t -> string option
 (** Result-cache key: circuit digest plus every semantic run parameter

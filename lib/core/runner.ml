@@ -37,6 +37,18 @@ let ladder_reason ~policy ~shots = function
              (100.0 *. policy.Resilience.degrade_threshold))
       else None
 
+(* The Direct route's noise model and plan override, read off the spec in
+   this one place: [run]'s Direct arm and [prepare] both take them from
+   here. Fusion and the retry policy are the spec's on every route. *)
+type direct = { noise : Noise.model; plan : Engine.plan option }
+
+let direct (spec : Job_spec.t) = { noise = Job_spec.noise_model spec; plan = spec.Job_spec.plan }
+
+let prepare (spec : Job_spec.t) circuit =
+  let d = direct spec in
+  Engine.prepare ~noise:d.noise ?plan:d.plan ~fusion:spec.Job_spec.fusion
+    ~shots:spec.Job_spec.shots circuit
+
 let run ?rng ?faults (spec : Job_spec.t) =
   let ( let* ) = Result.bind in
   let* spec, circuit = Job_spec.elaborate spec in
@@ -58,7 +70,8 @@ let run ?rng ?faults (spec : Job_spec.t) =
   in
   match spec.Job_spec.route with
   | Job_spec.Direct ->
-      engine ?faults ?plan:spec.Job_spec.plan ~noise:(Job_spec.noise_model spec) circuit
+      let d = direct spec in
+      engine ?faults ?plan:d.plan ~noise:d.noise circuit
   | Job_spec.Compiled { platform; mode; technology; ladder; router } -> (
       let* compiled =
         Error.protect ~site:"Runner.run" (fun () ->

@@ -38,10 +38,17 @@ val run :
   (outcome, Qca_util.Error.t) result
 (** Run the job. [?rng] overrides the spec's seed (engine precedence
     rules); [?faults] threads an existing injector through instead of
-    building one from the spec — both exist so the job service can slice a
-    job across scheduler ticks while keeping the merged result
-    bit-identical to one uninterrupted run. Payload, compilation and
+    building one from the spec: the job service runs its atomic jobs on
+    its own per-job generator and injector. Payload, compilation and
     execution failures are all structured [Error]s. *)
+
+val prepare :
+  Job_spec.t -> Qca_circuit.Circuit.t -> (Qca_qx.Engine.prepared, Qca_util.Error.t) result
+(** The engine preparation of a [Direct] job ({!Qca_qx.Engine.prepare})
+    on its elaborated circuit, with the spec's noise model, plan override,
+    fusion and shots: the arguments {!run}'s Direct arm passes. The job
+    service prepares a job with this once and samples it slice by slice
+    with {!Qca_qx.Engine.sample}. *)
 
 val success_probability : outcome -> accept:(string -> bool) -> float
 (** Fraction of histogram mass on accepted bitstrings. *)

@@ -121,66 +121,72 @@ let classical_of_key key =
 
 (* --- run-plan analysis ------------------------------------------------- *)
 
-(* A circuit takes the single-pass sampled plan when its measurements are
-   terminal and unconditioned: a unitary prefix (leading preps on untouched
-   qubits are no-ops on |0...0> and allowed), then only measure/barrier
-   instructions. Anything stochastic mid-circuit forces trajectories. *)
-let classify_structure circuit =
-  let n = Circuit.qubit_count circuit in
-  let touched = Array.make n false in
-  let measured = Array.make n false in
-  let seen_measure = ref false in
-  let verdict = ref None in
-  let fail reason = if !verdict = None then verdict := Some reason in
-  List.iter
-    (fun instr ->
-      if !verdict = None then
-        match instr with
-        | Gate.Unitary (_, ops) ->
-            if !seen_measure then fail "gate after measurement (mid-circuit measurement)"
-            else Array.iter (fun q -> touched.(q) <- true) ops
-        | Gate.Conditional _ -> fail "conditional (feedback) gate"
-        | Gate.Prep q ->
-            if !seen_measure then fail "prep after measurement (mid-circuit reset)"
-            else if touched.(q) then fail "mid-circuit prep (reset of a live qubit)"
-        | Gate.Measure q ->
-            seen_measure := true;
-            measured.(q) <- true
-        | Gate.Barrier _ -> ())
-    (Circuit.instructions circuit);
-  match !verdict with
-  | Some reason -> (Trajectory, reason, measured)
-  | None -> (Sampled, "terminal unconditioned measurements", measured)
+(* Every verdict the planner takes on a circuit, from one walk. The
+   structure is [Sampled] when the measurements are terminal and
+   unconditioned: a unitary prefix (leading preps on untouched qubits are
+   no-ops on |0...0> and allowed), then only measure/barrier instructions;
+   else [Trajectory], with the first reason. [blocker] is the first gate
+   the tableau cannot simulate, with its instruction index (total
+   classification, no exception probing); [pauli_feedback] is whether
+   every conditional applies a Pauli (see [symbolic_tableau]). *)
+type verdicts = {
+  structure : plan * string;
+  measured : bool array;
+  blocker : (string * int) option;
+  pauli_feedback : bool;
+  gates : int;
+  measures : int;
+}
 
-(* Total Clifford classification (no exception probing): the first gate the
-   tableau cannot simulate, with its instruction index, or [None] when the
-   whole circuit is Clifford. *)
-let clifford_blocker circuit =
-  let rec scan index = function
-    | [] -> None
-    | instr :: rest -> (
-        match instr with
-        | Gate.Unitary (u, _) | Gate.Conditional (_, u, _) ->
-            if Tableau.supports u then scan (index + 1) rest
-            else Some (Gate.name u, index)
-        | Gate.Prep _ | Gate.Measure _ | Gate.Barrier _ -> scan (index + 1) rest)
+let verdicts circuit =
+  let n = Circuit.qubit_count circuit in
+  let touched = Array.make n false and measured = Array.make n false in
+  let seen_measure = ref false and failure = ref None in
+  let blocker = ref None and pauli_feedback = ref true in
+  let gates = ref 0 and measures = ref 0 in
+  let fail reason = if !failure = None then failure := Some reason in
+  let gate index u =
+    incr gates;
+    if !blocker = None && not (Tableau.supports u) then blocker := Some (Gate.name u, index)
   in
-  scan 0 (Circuit.instructions circuit)
+  List.iteri
+    (fun index instr ->
+      match instr with
+      | Gate.Unitary (u, ops) ->
+          gate index u;
+          if !seen_measure then fail "gate after measurement (mid-circuit measurement)"
+          else Array.iter (fun q -> touched.(q) <- true) ops
+      | Gate.Conditional (_, u, _) ->
+          gate index u;
+          if not (Tableau.is_pauli u) then pauli_feedback := false;
+          fail "conditional (feedback) gate"
+      | Gate.Prep q ->
+          incr measures;
+          if !seen_measure then fail "prep after measurement (mid-circuit reset)"
+          else if touched.(q) then fail "mid-circuit prep (reset of a live qubit)"
+      | Gate.Measure q ->
+          incr measures;
+          seen_measure := true;
+          measured.(q) <- true
+      | Gate.Barrier _ -> ())
+    (Circuit.instructions circuit);
+  {
+    structure =
+      (match !failure with
+      | Some reason -> (Trajectory, reason)
+      | None -> (Sampled, "terminal unconditioned measurements"));
+    measured;
+    blocker = !blocker;
+    pauli_feedback = !pauli_feedback;
+    gates = !gates;
+    measures = !measures;
+  }
+
+let clifford_blocker circuit = (verdicts circuit).blocker
 
 (* The state-vector layer refuses circuits beyond this width; the tableau
    goes to 4096 qubits, so above it the Clifford plan is the only option. *)
 let sv_max_qubits = 30
-
-let count_work circuit =
-  let gates = ref 0 and measures = ref 0 in
-  List.iter
-    (fun instr ->
-      match instr with
-      | Gate.Unitary _ | Gate.Conditional _ -> incr gates
-      | Gate.Measure _ | Gate.Prep _ -> incr measures
-      | Gate.Barrier _ -> ())
-    (Circuit.instructions circuit);
-  (!gates, !measures)
 
 (* Cost model for all-Clifford circuits that would otherwise take the
    single-pass sampled plan: the sampled plan pays one state-vector
@@ -202,47 +208,44 @@ let clifford_wins ~n ~gates ~measures ~shots =
        tableau < sampled
      end
 
-(* The planner's decision table (docs/engine.md): noise forces trajectories;
-   an all-Clifford circuit goes to the tableau when its structure would
-   force trajectories (mid-circuit measurement, feedback, resets — the big
-   win: per-shot cost drops from O(gates * 2^n) to O(poly n)) or when the
-   cost model says the state vector is more expensive (wide terminal
-   circuits); otherwise the sampled/trajectory structure analysis stands.
-   The structure and Clifford verdicts are read off [circuit]; [gates] and
+(* The planner's decision table (docs/engine.md) for an ideal run: an
+   all-Clifford circuit goes to the tableau when its structure would force
+   trajectories (mid-circuit measurement, feedback, resets — the big win:
+   per-shot cost drops from O(gates * 2^n) to O(poly n)) or when the cost
+   model says the state vector is more expensive (wide terminal circuits);
+   otherwise the sampled/trajectory structure analysis stands. [gates] and
    [measures] feed only the cost model, so the static estimator can pass
    symbolic totals alongside a truncated probe of the program. *)
+let decide ~shots ~gates ~measures ~n v =
+  match (v.blocker, v.structure) with
+  | Some _, structure -> structure
+  | None, (Trajectory, reason) -> (Clifford, "all-Clifford gates; " ^ reason)
+  | None, ((Sampled, _) as structure) ->
+      if clifford_wins ~n ~gates ~measures ~shots then
+        ( Clifford,
+          Printf.sprintf
+            "all-Clifford gates; tableau cheaper than the 2^%d-amplitude state vector" n )
+      else structure
+  | None, (Clifford, _) -> assert false
+
+(* Noise forces trajectories; otherwise [decide]. *)
 let choose_plan ~noisy ~shots ~gates ~measures circuit =
   if noisy then (Trajectory, "stochastic noise model")
-  else
-    let structure, structure_reason, _ = classify_structure circuit in
-    match (clifford_blocker circuit, structure) with
-    | Some _, _ -> (structure, structure_reason)
-    | None, Trajectory -> (Clifford, "all-Clifford gates; " ^ structure_reason)
-    | None, Sampled ->
-        let n = Circuit.qubit_count circuit in
-        if clifford_wins ~n ~gates ~measures ~shots then
-          ( Clifford,
-            Printf.sprintf
-              "all-Clifford gates; tableau cheaper than the 2^%d-amplitude \
-               state vector"
-              n )
-        else (Sampled, structure_reason)
-    | None, Clifford -> assert false
+  else decide ~shots ~gates ~measures ~n:(Circuit.qubit_count circuit) (verdicts circuit)
 
 let analyse ?(noise = Noise.ideal) ?(shots = 1024) circuit =
-  let gates, measures = count_work circuit in
-  choose_plan ~noisy:(not (Noise.is_ideal noise)) ~shots ~gates ~measures circuit
+  if not (Noise.is_ideal noise) then (Trajectory, "stochastic noise model")
+  else
+    let v = verdicts circuit in
+    decide ~shots ~gates:v.gates ~measures:v.measures ~n:(Circuit.qubit_count circuit) v
 
 let terminal_split circuit =
-  match classify_structure circuit with
-  | (Trajectory | Clifford), _, _ -> None
-  | Sampled, _, measured ->
-      let prefix =
-        List.filter
-          (fun instr -> match instr with Gate.Unitary _ -> true | _ -> false)
-          (Circuit.instructions circuit)
-      in
-      Some (prefix, measured)
+  let v = verdicts circuit in
+  match v.structure with
+  | (Trajectory | Clifford), _ -> None
+  | Sampled, _ ->
+      let unitary = function Gate.Unitary _ -> true | _ -> false in
+      Some (List.filter unitary (Circuit.instructions circuit), v.measured)
 
 (* --- gate fusion ------------------------------------------------------- *)
 
@@ -407,17 +410,23 @@ let merge_tally ~into src =
   into.clean <- into.clean + src.clean;
   Array.iteri (fun slot c -> into.fired.(slot) <- into.fired.(slot) + c) src.fired
 
-let gate_applies_of program tally =
+(* Applies summed by gate name, zeros dropped, by decreasing count, then
+   name. *)
+let sorted_applies l =
   let table = Hashtbl.create 16 in
-  let add name c =
-    if c > 0 then
-      Hashtbl.replace table name (c + Option.value ~default:0 (Hashtbl.find_opt table name))
-  in
-  List.iter (fun (name, c) -> add name (c * tally.passes)) program.pass_applies;
-  Array.iteri (fun slot name -> add name tally.fired.(slot)) program.cond_names;
+  List.iter
+    (fun (name, c) ->
+      if c > 0 then
+        Hashtbl.replace table name (c + Option.value ~default:0 (Hashtbl.find_opt table name)))
+    l;
   Hashtbl.fold (fun name count acc -> (name, count) :: acc) table []
   |> List.sort (fun (na, a) (nb, b) ->
          match compare b a with 0 -> compare na nb | c -> c)
+
+let gate_applies_of program tally =
+  sorted_applies
+    (List.map (fun (name, c) -> (name, c * tally.passes)) program.pass_applies
+    @ Array.to_list (Array.mapi (fun slot name -> (name, tally.fired.(slot))) program.cond_names))
 
 (* The [qx.apply.*] and [qx.measure] trace counters, added in bulk once the
    shots have run: the totals are the report's own. *)
@@ -530,7 +539,12 @@ type prefix = {
 let ideal_prefix noise program n =
   let sites = schedule_sites noise program n in
   let length = Array.length sites in
-  let budget = max 1 (min max_checkpoints (checkpoint_bytes / State.memory_bytes n)) in
+  (* An ideal shot draws no error, so it only ever starts from the final
+     state. *)
+  let budget =
+    if Noise.is_ideal noise then 1
+    else max 1 (min max_checkpoints (checkpoint_bytes / State.memory_bytes n))
+  in
   let spacing = max 1 ((length + budget - 1) / budget) in
   let states = ref [] in
   if length > 0 then begin
@@ -645,8 +659,7 @@ let micro_executor ~noise program n =
    own tree, as it does its scratch state, so domains share nothing
    mutable; the scratch state is only made once a chunk meets a shot with
    errors. *)
-let trajectory_executor ~noise program n =
-  let plan = shot_plan ~noise program n in
+let trajectory_executor ~noise plan n =
   let sites = plan.prefix.sites and stored = Array.length plan.prefix.states in
   match plan.tail with
   | [| Measure_run (qubits, bits) |] when stored > 0 ->
@@ -737,12 +750,7 @@ let exec_micro_tableau ~tally rng tab program =
    operation to be a Pauli, which XORs a form into signs. A conditional H,
    S, CNOT, ... makes the rows, and so which later measurements are random,
    depend on earlier outcomes: such a program runs the tableau per shot. *)
-let symbolic_tableau circuit =
-  List.for_all
-    (function
-      | Gate.Conditional (_, u, _) -> Tableau.is_pauli u
-      | Gate.Unitary _ | Gate.Prep _ | Gate.Measure _ | Gate.Barrier _ -> true)
-    (Circuit.instructions circuit)
+let symbolic_tableau circuit = (verdicts circuit).pauli_feedback
 
 (* The pass's cost bound. Every row operation of the pass also moves the
    row's form, one word per 62 variables, so the pass grows with the
@@ -895,44 +903,33 @@ let fold_trajectories ?(noise = Noise.ideal) ~rng ~shots ~init ~f circuit =
   let n = Circuit.qubit_count circuit in
   let exec = micro_executor ~noise program n in
   let exec_shot rng = fresh_shot exec n ~tally:(fresh_tally program) rng in
-  let sequential () =
-    let acc = ref init in
-    for _ = 1 to shots do
-      let state, classical = exec_shot (Rng.split rng) in
-      acc := f !acc state classical
-    done;
-    !acc
-  in
-  (* Parallel windows keep one in-flight state per shot, so the window is
-     bounded by a memory budget as well as the pool width; the fold itself
-     runs in shot order, so results are bit-identical to sequential. *)
-  let state_bytes = 16.0 *. ldexp 1.0 n in
+  (* Shots run in windows across the pool, one in-flight state per shot,
+     so a window is bounded by a memory budget as well as the pool width.
+     A window of one shot runs in place, as an unbatched run does; each
+     takes one [Rng.split] per shot and the fold runs in shot order, so
+     results are bit-identical at any window. *)
   let window =
-    let budget = 268_435_456.0 (* 256 MB of in-flight states *) in
-    let cap = int_of_float (Float.min 4096.0 (Float.max 1.0 (budget /. state_bytes))) in
-    min (4 * Parallel.domain_count ()) cap
+    if not (batch_shots shots) then 1
+    else
+      let budget = 268_435_456.0 (* 256 MB of in-flight states *) in
+      let cap = budget /. (16.0 *. ldexp 1.0 n) in
+      min (4 * Parallel.domain_count ()) (int_of_float (Float.min 4096.0 (Float.max 1.0 cap)))
   in
-  if (not (batch_shots shots)) || window < 2 then sequential ()
-  else begin
-    let acc = ref init in
-    let done_ = ref 0 in
-    while !done_ < shots do
-      let w = min window (shots - !done_) in
-      let streams = Rng.streams rng w in
-      let results = Array.make w None in
-      Parallel.for_tasks ~chunk:1 w (fun lo hi ->
-          for i = lo to hi - 1 do
-            results.(i) <- Some (exec_shot streams.(i))
-          done);
-      Array.iter
-        (function
-          | Some (state, classical) -> acc := f !acc state classical
-          | None -> assert false)
-        results;
-      done_ := !done_ + w
-    done;
-    !acc
-  end
+  let acc = ref init and done_ = ref 0 in
+  while !done_ < shots do
+    let w = min window (shots - !done_) in
+    let streams = Rng.streams rng w in
+    let results = Array.make w None in
+    Parallel.for_tasks ~chunk:1 w (fun lo hi ->
+        for i = lo to hi - 1 do
+          results.(i) <- Some (exec_shot streams.(i))
+        done);
+    Array.iter
+      (function Some (state, classical) -> acc := f !acc state classical | None -> assert false)
+      results;
+    done_ := !done_ + w
+  done;
+  !acc
 
 (* --- active-qubit relabelling and histograms ----------------------------- *)
 
@@ -1152,16 +1149,6 @@ let sample_counts ?relabel ~probabilities ~measured ~rng ~shots () =
 let sample_histogram ~probabilities ~measured ~rng ~shots =
   sample_counts ~probabilities ~measured ~rng ~shots ()
 
-(* --- shared sampled-plan distribution ---------------------------------- *)
-
-type sampled_distribution = {
-  probabilities : float array;
-  dist_measured : bool array;
-  dist_relabel : relabel option;
-  dist_fusion : fusion_stats;
-  dist_gate_applies : (string * int) list;
-}
-
 (* The sampled plan's one simulation pass: evolve |0...0> through the
    unitary prefix and return the final distribution. Consumes no
    randomness; preps and measures are terminal (the plan's precondition). *)
@@ -1174,116 +1161,92 @@ let prefix_probabilities program n =
     program.ops;
   State.probabilities state
 
-(* The sampled plan's gate tally: one pass, no conditionals. *)
-let single_pass program =
-  let tally = fresh_tally program in
-  tally.passes <- 1;
-  gate_applies_of program tally
-
 let narrowed circuit =
   match Circuit.compact circuit with
   | None -> (circuit, None)
   | Some (narrow, active) -> (narrow, Some { width = Circuit.qubit_count circuit; active })
 
-let sampled_distribution ?(fusion = true) circuit =
-  let narrow, relabel = narrowed circuit in
-  match classify_structure narrow with
-  | (Trajectory | Clifford), _, _ -> None
-  | Sampled, _, measured ->
-      let program, fstats = compile_micro ~fusion (Circuit.instructions narrow) in
-      Some
-        {
-          probabilities = prefix_probabilities program (Circuit.qubit_count narrow);
-          dist_measured = measured;
-          dist_relabel = relabel;
-          dist_fusion = fstats;
-          dist_gate_applies = single_pass program;
-        }
+(* --- prepare and sample ------------------------------------------------ *)
 
-let sample_distribution d ~rng ~shots =
-  sample_counts ?relabel:d.dist_relabel ~probabilities:d.probabilities
-    ~measured:d.dist_measured ~rng ~shots ()
+(* The plan's once-per-run artifact, which shots read and never write. *)
+type artifact =
+  | Distribution of { probabilities : float array; measured : bool array }
+  | Trajectories of shot_plan
+  | Symbolic of sampler
+  | Per_shot_tableau
 
-(* --- the run surface --------------------------------------------------- *)
+(* [cost]: the cost model's [(qubits, gates, measures)] when it chose
+   the plan, the one decision that reads shots. *)
+type prepared = {
+  base : run_report;  (* the once-per-run work: no shots *)
+  noise : Noise.model;
+  n : int;  (* active qubits *)
+  relabel : relabel option;
+  program : program;
+  artifact : artifact;
+  cost : (int * int * int) option;
+}
 
-let run ?(noise = Noise.ideal) ?seed ?rng ?plan ?(shots = 1024) ?faults
-    ?(policy = Resilience.default_policy) ?(fusion = true) circuit =
+(* Everything before the first shot. The verdicts are taken once, on the
+   declared circuit: narrowing only relabels qubits, so they hold for the
+   narrowed one. *)
+let prepare_exn ?(noise = Noise.ideal) ?plan ?(fusion = true) ~shots circuit =
   if shots < 1 then invalid_arg "Engine.run: shots must be positive";
-  Trace.with_span "engine.run" (fun run_sp ->
-  let counters = Resilience.fresh_counters () in
   let t0 = Clock.now () in
-  let analyse_sp = Trace.begin_span "engine.analyse" in
-  let chosen, reason =
-    match plan with
-    | None -> analyse ~noise ~shots circuit
-    | Some Trajectory -> (Trajectory, "trajectory plan forced by caller")
-    | Some Sampled -> (
-        if not (Noise.is_ideal noise) then
-          invalid_arg
-            "Engine.run: sampled plan forced but circuit needs trajectories: \
-             stochastic noise model";
-        match classify_structure circuit with
-        | Sampled, _, _ -> (Sampled, "sampled plan forced by caller")
-        | Trajectory, r, _ ->
-            invalid_arg ("Engine.run: sampled plan forced but circuit needs trajectories: " ^ r)
-        | Clifford, _, _ -> assert false)
-    | Some Clifford -> (
-        if not (Noise.is_ideal noise) then
+  let ideal = Noise.is_ideal noise and width = Circuit.qubit_count circuit in
+  let v, chosen, reason =
+    Trace.with_span "engine.analyse" (fun analyse_sp ->
+        let v = verdicts circuit in
+        let chosen, reason =
+          match plan with
+          | None when not ideal -> (Trajectory, "stochastic noise model")
+          | None -> decide ~shots ~gates:v.gates ~measures:v.measures ~n:width v
+          | Some Trajectory -> (Trajectory, "trajectory plan forced by caller")
+          | Some Sampled -> (
+              let needs r =
+                invalid_arg ("Engine.run: sampled plan forced but circuit needs trajectories: " ^ r)
+              in
+              if not ideal then needs "stochastic noise model";
+              match v.structure with
+              | Sampled, _ -> (Sampled, "sampled plan forced by caller")
+              | (Trajectory | Clifford), r -> needs r)
+          | Some Clifford -> (
+              if not ideal then
+                Qerror.fail ~site:"Engine.run"
+                  (Qerror.Invalid
+                     "clifford plan forced but the noise model is stochastic (the \
+                      tableau simulates ideal Clifford circuits only)");
+              match v.blocker with
+              | Some (gate, index) ->
+                  Qerror.fail ~site:"Engine.run"
+                    ~context:[ ("gate", gate); ("index", string_of_int index) ]
+                    (Qerror.Invalid "clifford plan forced on a non-Clifford circuit")
+              | None -> (Clifford, "clifford plan forced by caller"))
+        in
+        if chosen = Clifford && width > Tableau.max_qubits then
           Qerror.fail ~site:"Engine.run"
-            (Qerror.Invalid
-               "clifford plan forced but the noise model is stochastic (the \
-                tableau simulates ideal Clifford circuits only)");
-        match clifford_blocker circuit with
-        | Some (gate, index) ->
-            Qerror.fail ~site:"Engine.run"
-              ~context:[ ("gate", gate); ("index", string_of_int index) ]
-              (Qerror.Invalid "clifford plan forced on a non-Clifford circuit")
-        | None -> (Clifford, "clifford plan forced by caller"))
+            ~context:[ ("qubits", string_of_int width); ("limit", string_of_int Tableau.max_qubits) ]
+            (Qerror.Invalid "circuit is wider than the stabilizer tableau limit");
+        Trace.annotate analyse_sp (fun () ->
+            [ ("plan", Trace.String (plan_to_string chosen)); ("reason", Trace.String reason) ]);
+        (v, chosen, reason))
   in
-  if chosen = Clifford && Circuit.qubit_count circuit > Tableau.max_qubits then
-    Qerror.fail ~site:"Engine.run"
-      ~context:
-        [
-          ("qubits", string_of_int (Circuit.qubit_count circuit));
-          ("limit", string_of_int Tableau.max_qubits);
-        ]
-      (Qerror.Invalid "circuit is wider than the stabilizer tableau limit");
-  Trace.annotate analyse_sp (fun () ->
-      [ ("plan", Trace.String (plan_to_string chosen)); ("reason", Trace.String reason) ]);
-  Trace.end_span analyse_sp;
-  (* The plan is chosen on the declared circuit; it runs on the active
-     qubits only, and the histogram keys are widened back at the end. *)
+  (* The plan is chosen on the declared circuit and runs on the active
+     qubits; histogram keys are widened back. Fusion only runs for ideal
+     noise (per-gate noise pins the gate-by-gate schedule) and never for
+     the tableau, which takes one gate at a time; unfused programs still
+     compile, into single-gate kernels, so every path runs one executor. *)
   let narrow, relabel = narrowed circuit in
   let n = Circuit.qubit_count narrow in
-  Trace.annotate run_sp (fun () ->
-      [
-        ("plan", Trace.String (plan_to_string chosen));
-        ("shots", Trace.Int shots);
-        ("qubits", Trace.Int (Circuit.qubit_count circuit));
-        ("active_qubits", Trace.Int n);
-        ("instructions", Trace.Int (Circuit.length circuit));
-      ]);
-  let rng = resolve_rng seed rng in
-  (* Fusion pre-pass: only for ideal noise (per-gate stochastic noise pins
-     the gate-by-gate schedule, so a noisy program compiles unfused and
-     reports no fusion). [~fusion:false] still compiles — into single-gate
-     kernels — so every path runs the same executor. *)
-  let ideal = Noise.is_ideal noise in
-  (* The Clifford plan feeds every kernel to the tableau one gate at a time,
-     so it compiles unfused (fused kernels carry state-vector plans). *)
   let fusion = fusion && chosen <> Clifford in
   let program, fstats =
     if ideal then
       Trace.with_span "engine.fuse" (fun fuse_sp ->
           let program, stats = compile_micro ~fusion (Circuit.instructions narrow) in
           Trace.annotate fuse_sp (fun () ->
-              [
-                ("fusion", Trace.Bool fusion);
-                ("gates_in", Trace.Int stats.gates_in);
-                ("kernels", Trace.Int stats.kernels);
-                ("fused_1q", Trace.Int stats.fused_1q);
-                ("fused_diag", Trace.Int stats.fused_diag);
-              ]);
+              [ ("fusion", Trace.Bool fusion); ("gates_in", Trace.Int stats.gates_in);
+                ("kernels", Trace.Int stats.kernels); ("fused_1q", Trace.Int stats.fused_1q);
+                ("fused_diag", Trace.Int stats.fused_diag) ]);
           if Trace.enabled () then begin
             Trace.add_counter "qx.fusion.gates_in" stats.gates_in;
             Trace.add_counter "qx.fusion.kernels" stats.kernels
@@ -1292,22 +1255,72 @@ let run ?(noise = Noise.ideal) ?seed ?rng ?plan ?(shots = 1024) ?faults
     else (unfused_program narrow, no_fusion)
   in
   let t1 = Clock.now () in
+  let artifact, gate_applies =
+    match chosen with
+    | Sampled ->
+        (* The sampled plan's one simulation pass: no conditionals. *)
+        let gate_applies = gate_applies_of program { (fresh_tally program) with passes = 1 } in
+        trace_counters ~gate_applies ~measurements:0;
+        let probabilities =
+          Trace.with_span "engine.simulate" (fun sim_sp ->
+              Trace.annotate sim_sp (fun () ->
+                  let total = List.fold_left (fun acc (_, c) -> acc + c) 0 gate_applies in
+                  [ ("gate_applies", Trace.Int total) ]);
+              prefix_probabilities program n)
+        in
+        let measured =
+          Option.fold relabel ~none:v.measured ~some:(fun r ->
+              Array.map (fun q -> v.measured.(q)) r.active)
+        in
+        (Distribution { probabilities; measured }, gate_applies)
+    | Trajectory -> (Trajectories (shot_plan ~noise program n), [])
+    | Clifford ->
+        if v.pauli_feedback && within_budget ~shots ~sites:v.measures program n then
+          (Symbolic (symbolic_pass program n), [])
+        else (Per_shot_tableau, [])
+  in
+  let wall = { analyse_s = t1 -. t0; simulate_s = Clock.now () -. t1; sample_s = 0.0 } in
+  {
+    base =
+      { plan = chosen; plan_reason = reason; shots = 0; seed = None; qubit_count = width;
+        instruction_count = Circuit.length circuit; gate_applies; measurements = 0; wall;
+        resilience = no_resilience; fusion = fstats; cache = no_cache };
+    noise;
+    n;
+    relabel;
+    program;
+    artifact;
+    cost =
+      (match (plan, v.blocker, v.structure) with
+      | None, None, (Sampled, _) when ideal -> Some (width, v.gates, v.measures)
+      | _ -> None);
+  }
+
+let prepare ?noise ?plan ?fusion ~shots circuit =
+  Qerror.protect ~site:"Engine.run" (fun () -> prepare_exn ?noise ?plan ?fusion ~shots circuit)
+
+let prepared_report p = p.base
+
+let plan_holds p ~shots =
+  match p.cost with
+  | None -> true
+  | Some (n, gates, measures) -> clifford_wins ~n ~gates ~measures ~shots = (p.base.plan = Clifford)
+
+let sample ?faults ?(policy = Resilience.default_policy) ?into ~rng ~shots p =
+  let counters = Resilience.fresh_counters () in
+  let t0 = Clock.now () in
+  let program = p.program in
   let tally = fresh_tally program in
-  (* [executor ()] runs inside the simulate span: it does the plan's
-     once-per-run work and returns the per-chunk executor factory and the
+  (* [make_exec] is a per-chunk executor factory, [notes] the simulate
      span's closing annotations. *)
-  let simulate executor =
+  let simulate make_exec notes =
     let histogram =
       Trace.with_span "engine.simulate" (fun sim_sp ->
           Trace.annotate sim_sp (fun () ->
-              [
-                ("plan", Trace.String (plan_to_string chosen));
-                ("trajectories", Trace.Int shots);
-              ]);
-          let make_exec, notes = executor () in
+              [ ("plan", Trace.String (plan_to_string p.base.plan)); ("trajectories", Trace.Int shots) ]);
           let histogram =
-            run_trajectory ~faults ?relabel ~policy ~counters ~program ~tally ~make_exec
-              ~rng ~shots ()
+            run_trajectory ~faults ?relabel:p.relabel ~policy ~counters ~program ~tally
+              ~make_exec ~rng ~shots ()
           in
           Trace.annotate sim_sp notes;
           histogram)
@@ -1319,94 +1332,80 @@ let run ?(noise = Noise.ideal) ?seed ?rng ?plan ?(shots = 1024) ?faults
     trace_counters ~gate_applies ~measurements;
     (histogram, t_sim, gate_applies, measurements)
   in
-  let histogram, t_sample_start, gate_applies, measurements =
-    match chosen with
-    | Sampled ->
+  let histogram, t_sim, gate_applies, measurements =
+    match p.artifact with
+    | Distribution { probabilities; measured } ->
         let survivors = surviving_shots ~faults ~policy ~counters shots in
-        let _, _, measured = classify_structure narrow in
-        let gate_applies = single_pass program in
-        trace_counters ~gate_applies ~measurements:0;
-        let probabilities =
-          Trace.with_span "engine.simulate" (fun sim_sp ->
-              let p = prefix_probabilities program n in
-              Trace.annotate sim_sp (fun () ->
-                  [
-                    ( "gate_applies",
-                      Trace.Int (List.fold_left (fun acc (_, c) -> acc + c) 0 gate_applies) );
-                  ]);
-              p)
-        in
-        let t_sim = Clock.now () in
         let histogram =
           Trace.with_span "engine.sample" (fun sample_sp ->
               Trace.annotate sample_sp (fun () -> [ ("shots", Trace.Int survivors) ]);
-              sample_counts ?relabel ~probabilities ~measured ~rng ~shots:survivors ())
+              sample_counts ?relabel:p.relabel ~probabilities ~measured ~rng ~shots:survivors ())
         in
-        let measured_count = Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 measured in
-        let measurements = survivors * measured_count in
+        let measurements = survivors * Array.fold_left (fun acc b -> acc + Bool.to_int b) 0 measured in
         if Trace.enabled () then Trace.add_counter "qx.measure" measurements;
-        (histogram, t_sim, gate_applies, measurements)
-    | Trajectory ->
-        simulate (fun () ->
-            ( trajectory_executor ~noise program n,
-              (* Shots that drew no error before the first state-dependent
-                 op and so started from the shared ideal state. *)
-              fun () -> [ ("clean_shots", Trace.Int tally.clean) ] ))
-    | Clifford ->
-        simulate (fun () ->
-            if
-              symbolic_tableau narrow
-              && within_budget ~shots ~sites:(snd (count_work narrow)) program n
-            then begin
-              let sampler = symbolic_pass program n in
-              ( (fun () ->
-                  let coins = Array.make sampler.words 0 in
-                  fun t r -> sample_shot sampler ~tally:t coins r),
-                fun () ->
-                  [
-                    ("executor", Trace.String "symbolic");
-                    ("random_outcomes", Trace.Int (Array.length sampler.random_sites));
-                  ] )
-            end
-            else
-              ( (fun () ->
-                  let tab = Tableau.create n in
-                  fun t r -> bitstring (exec_micro_tableau ~tally:t r tab program)),
-                fun () -> [ ("executor", Trace.String "per-shot") ] ))
+        (histogram, t0, [], measurements)
+    | Trajectories plan ->
+        (* [clean_shots]: shots that drew no error before the first
+           state-dependent op and so started from the shared ideal state. *)
+        simulate (trajectory_executor ~noise:p.noise plan p.n) (fun () ->
+            [ ("clean_shots", Trace.Int tally.clean) ])
+    | Symbolic s ->
+        simulate
+          (fun () ->
+            let coins = Array.make s.words 0 in
+            fun t r -> sample_shot s ~tally:t coins r)
+          (fun () ->
+            [ ("executor", Trace.String "symbolic");
+              ("random_outcomes", Trace.Int (Array.length s.random_sites)) ])
+    | Per_shot_tableau ->
+        simulate
+          (fun () ->
+            let tab = Tableau.create p.n in
+            fun t r -> bitstring (exec_micro_tableau ~tally:t r tab program))
+          (fun () -> [ ("executor", Trace.String "per-shot") ])
   in
-  let t2 = Clock.now () in
-  let resilience = resilience_of faults counters in
-  Trace.annotate run_sp (fun () ->
-      match faults with
-      | None -> []
-      | Some _ ->
-          [
-            ("faulted_shots", Trace.Int resilience.faulted_shots);
-            ("retries", Trace.Int resilience.retries);
-          ]);
+  (* [into] plus this call's work. An injector's fire counts are
+     cumulative over its lifetime, so the later ones cover the earlier. *)
+  let into = Option.value into ~default:p.base and r = resilience_of faults counters in
+  let was = into.resilience and t1 = Clock.now () in
   {
     histogram;
     report =
       {
-        plan = chosen;
-        plan_reason = reason;
-        shots;
-        seed;
-        qubit_count = Circuit.qubit_count circuit;
-        instruction_count = Circuit.length circuit;
-        gate_applies;
-        measurements;
+        into with
+        shots = into.shots + shots;
+        gate_applies =
+          (match (into.gate_applies, gate_applies) with
+          | [], l | l, [] -> l
+          | a, b -> sorted_applies (a @ b));
+        measurements = into.measurements + measurements;
         wall =
-          {
-            analyse_s = t1 -. t0;
-            simulate_s = t_sample_start -. t1;
-            sample_s = t2 -. t_sample_start;
-          };
-        resilience;
-        fusion = fstats;
-        cache = no_cache;
+          { into.wall with
+            simulate_s = into.wall.simulate_s +. (t_sim -. t0);
+            sample_s = into.wall.sample_s +. (t1 -. t_sim) };
+        resilience =
+          { r with
+            retries = was.retries + r.retries; faulted_shots = was.faulted_shots + r.faulted_shots;
+            backoff_ns = was.backoff_ns + r.backoff_ns; degraded = was.degraded };
       };
-  })
+  }
+
+(* --- the run surface --------------------------------------------------- *)
+
+let run ?noise ?seed ?rng ?plan ?(shots = 1024) ?faults ?policy ?fusion circuit =
+  if shots < 1 then invalid_arg "Engine.run: shots must be positive";
+  Trace.with_span "engine.run" (fun run_sp ->
+      let p = prepare_exn ?noise ?plan ?fusion ~shots circuit in
+      Trace.annotate run_sp (fun () ->
+          [ ("plan", Trace.String (plan_to_string p.base.plan)); ("shots", Trace.Int shots);
+            ("qubits", Trace.Int p.base.qubit_count); ("active_qubits", Trace.Int p.n);
+            ("instructions", Trace.Int p.base.instruction_count) ]);
+      let r = sample ?faults ?policy ~rng:(resolve_rng seed rng) ~shots p in
+      Trace.annotate run_sp (fun () ->
+          let res = r.report.resilience in
+          if faults = None then []
+          else [ ("faulted_shots", Trace.Int res.faulted_shots); ("retries", Trace.Int res.retries) ]);
+      { r with report = { r.report with seed } })
 
 let run_checked ?noise ?seed ?rng ?plan ?shots ?faults ?policy ?fusion circuit =
   Qerror.protect ~site:"Engine.run" (fun () ->

@@ -1,7 +1,9 @@
 (** Shot-batched execution engine: the single run surface of the stack.
 
-    [run] first analyses a circuit into a {e run plan} (the simulation
-    planner, [docs/engine.md]):
+    {!prepare} does everything before the first shot: it picks a {e run
+    plan} (the simulation planner, [docs/engine.md]), narrows, compiles
+    and does the plan's once-per-run work. {!sample} runs shots from the
+    result, as often as a caller likes. {!run} is one of each. The plans:
 
     - {b Sampled}: the circuit's measurements are terminal and unconditioned
       and the noise model is ideal, so the state vector is simulated {e once}
@@ -19,18 +21,13 @@
       (wide terminal circuits, including every [n > 30] Clifford circuit the
       state vector cannot represent at all).
 
-    Circuits are compiled {e once} into a flat micro-program (an array of
-    kernel/conditional/prep/measure micro-ops) executed by a single
-    dispatch loop shared by all three plans — no per-shot list re-walk.
+    All three plans run one flat micro-program through one dispatch loop.
     Trajectory and Clifford shots run as a batch across the
     {!Qca_util.Parallel} domain pool with one derived RNG stream per shot
     ({!Qca_util.Rng.streams}), so parallel histograms are bit-identical to
-    sequential ones at any [QCA_DOMAINS].
-
-    Every run records per-run metrics — the plan chosen and why, gate-apply
-    counts by kernel, wall time per phase, seed — in a {!run_report}
-    (JSON-serialisable via {!report_to_json}: the stack's observability
-    layer, surfaced by the [qxc] CLI).
+    sequential ones at any [QCA_DOMAINS]. Every run records its plan and
+    why, gate applies, phase times and seed in a {!run_report}
+    ({!report_to_json}).
 
     {2 Seed semantics}
 
@@ -52,7 +49,7 @@ type plan = Sampled | Trajectory | Clifford
 val plan_to_string : plan -> string
 
 type phase_times = {
-  analyse_s : float;  (** Run-plan analysis. *)
+  analyse_s : float;  (** Run-plan analysis and compile. *)
   simulate_s : float;  (** State-vector evolution (all shots for trajectory). *)
   sample_s : float;  (** Shot sampling from the final distribution. *)
 }
@@ -104,12 +101,11 @@ type cache_stats = {
   cache_hits : int;
       (** Runs served whole from the job service's result cache. *)
   cache_shared : int;
-      (** Runs that reused another job's compiled distribution
-          (cross-request shot batching, [docs/service.md]). *)
+      (** Runs that reused another job's {!prepared} value ([docs/service.md]). *)
 }
 (** Result-cache counters. Always {!no_cache} for direct engine runs; the
     job service ({!Qca_service.Service}) fills them in when it serves a run
-    from cache or batches it against an identical in-flight circuit. *)
+    from cache or shares another job's preparation. *)
 
 val no_cache : cache_stats
 
@@ -154,15 +150,10 @@ val analyse :
     {!Noise.ideal}; [shots] (default 1024) feeds the Clifford-vs-sampled
     cost model. *)
 
-val clifford_blocker :
-  Qca_circuit.Circuit.t -> (string * int) option
+val clifford_blocker : Qca_circuit.Circuit.t -> (string * int) option
 (** The first gate the tableau cannot simulate — its name and instruction
     index — or [None] when the circuit is all-Clifford. Total
     classification via {!Qca_qec.Tableau.supports}; never raises. *)
-
-val sv_max_qubits : int
-(** Width ceiling of the state-vector layer (30): beyond it only the
-    tableau plan can run the circuit. *)
 
 val choose_plan :
   noisy:bool ->
@@ -184,10 +175,9 @@ val choose_plan :
 
 val symbolic_tableau : Qca_circuit.Circuit.t -> bool
 (** Whether a Clifford-plan run may sample from one symbolic tableau pass
-    (docs/engine.md, "The stabilizer tableau"): unless a conditional
-    applies a non-Pauli Clifford, since then which later measurements are
-    random depends on earlier outcomes, and the tableau runs once per
-    shot. Either way the histogram is the same, seed for seed. *)
+    (docs/engine.md): unless a conditional applies a non-Pauli Clifford,
+    which makes later randomness depend on earlier outcomes. Either way
+    the histogram is the same, seed for seed. *)
 
 val symbolic_budget : shots:int -> int
 (** Random outcomes a run of [shots] shots may have and still sample from
@@ -195,6 +185,49 @@ val symbolic_budget : shots:int -> int
     with more runs the tableau per shot, which measured faster there
     (docs/performance.md). The static estimator prices a run with this and
     {!symbolic_tableau}. *)
+
+type prepared
+(** A circuit ready to sample: plan, micro-program and the plan's
+    once-per-run artifact (final distribution, ideal prefix or symbolic
+    forms). {!sample} never mutates it. *)
+
+val prepare :
+  ?noise:Noise.model ->
+  ?plan:plan ->
+  ?fusion:bool ->
+  shots:int ->
+  Qca_circuit.Circuit.t ->
+  (prepared, Qca_util.Error.t) Stdlib.result
+(** What {!run} does before its first shot, with its forced-plan and width
+    errors as values. [shots] feeds the cost model and {!symbolic_budget};
+    the value may then be sampled for any number of shots. *)
+
+val sample :
+  ?faults:Qca_util.Fault.t ->
+  ?policy:Qca_util.Resilience.policy ->
+  ?into:run_report ->
+  rng:Qca_util.Rng.t ->
+  shots:int ->
+  prepared ->
+  result
+(** Run [shots] shots, drawing from [rng] as {!run} does: samples of [a]
+    then [b] shots on one generator give the histogram of one run of
+    [a + b]. [faults] and [policy] as in {!run}. The report is [into]
+    (default {!prepared_report}) plus this call's shots, measurements,
+    gate applies, times, retries and faulted shots; its injector counts
+    (cumulative) replace [into]'s. A caller sampling in slices passes each
+    slice the report so far. *)
+
+val prepared_report : prepared -> run_report
+(** The once-per-run work as a report of no shots: plan, fusion, analysis
+    and compile time ([wall.analyse_s]), the artifact's time
+    ([wall.simulate_s]) and the sampled plan's one-pass gate applies. *)
+
+val plan_holds : prepared -> shots:int -> bool
+(** Whether {!prepare} at [shots] would choose the same plan (the
+    tableau-vs-sampled cost model reads [shots]; the symbolic budget does
+    too, but both Clifford executors give the same result). Check it
+    before sharing a prepared value across runs of other lengths. *)
 
 val run :
   ?noise:Noise.model ->
@@ -207,7 +240,8 @@ val run :
   ?fusion:bool ->
   Qca_circuit.Circuit.t ->
   result
-(** Execute [shots] shots (default 1024). [plan] overrides the analysis:
+(** Execute [shots] shots (default 1024): {!prepare}, then one {!sample}.
+    [plan] overrides the analysis:
     forcing [Trajectory] is always allowed (used to benchmark the paths
     against each other); forcing [Sampled] on a circuit that needs
     trajectories raises [Invalid_argument]; forcing [Clifford] on a
@@ -300,41 +334,6 @@ val sample_histogram :
   (string * int) list
 (** Draw [shots] bitstrings from an explicit distribution, masking
     unmeasured qubits to '-' (shared with {!Density.sample}). *)
-
-type relabel = { width : int; active : int array }
-(** A run on the active qubits only ({!Qca_circuit.Circuit.compact}):
-    compact qubit [i] is qubit [active.(i)] of the declared [width]-qubit
-    register. *)
-
-type sampled_distribution = {
-  probabilities : float array;
-      (** Final-state distribution over the active qubits, length 2^active. *)
-  dist_measured : bool array;  (** Measured-qubit mask, over the active qubits. *)
-  dist_relabel : relabel option;
-      (** How to widen keys to the declared register; [None] when every
-          qubit is active. *)
-  dist_fusion : fusion_stats;  (** Fusion stats of the one compile. *)
-  dist_gate_applies : (string * int) list;
-      (** Kernel invocations of the one simulation pass. *)
-}
-(** The reusable part of a sampled-plan run: simulate once, sample any
-    number of independent shot batches from it with {!sample_histogram}.
-    This is the unit of the job service's cross-request shot batching
-    ([docs/service.md]): jobs whose circuits share a digest share one of
-    these. *)
-
-val sampled_distribution :
-  ?fusion:bool -> Qca_circuit.Circuit.t -> sampled_distribution option
-(** Simulate the circuit's unitary prefix once, on its active qubits, and
-    return its final distribution, or [None] when the circuit needs
-    trajectories. Sampling from the result with {!sample_distribution} and a
-    seed-[s] generator is bit-identical to [run ~seed:s] on the same circuit
-    (the simulate phase consumes no randomness). *)
-
-val sample_distribution :
-  sampled_distribution -> rng:Qca_util.Rng.t -> shots:int -> (string * int) list
-(** Draw [shots] bitstrings from a shared distribution, with keys at the
-    declared register width. *)
 
 (** {2 The compiled kernel plan}
 

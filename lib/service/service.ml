@@ -43,12 +43,10 @@ let default_config =
 
 (* How a started job executes across scheduler slices. *)
 type exec_kind =
-  | Batched of { dist : Engine.sampled_distribution; shared : bool }
-      (* Sampled-plan job: draw shot batches from a (possibly shared)
-         distribution; the simulate pass ran at most once per digest. *)
-  | Sliced
-      (* Trajectory-path job: re-enter the runner per slice with the
-         job's RNG threaded through, so the merged result is
+  | Prepared
+      (* Direct job without fault injection: prepared once (or shared,
+         see [prepare_job]) at its first slice, then sampled slice by
+         slice on the job's threaded RNG, so the merged result is
          bit-identical to one uninterrupted run. *)
   | Atomic
       (* Compiled-route or fault-injected job: one runner call, full
@@ -61,7 +59,8 @@ type active = {
   started_at : float;  (* Clock.now (), for deadline_ms enforcement *)
   mutable remaining : int;
   mutable done_shots : int;
-  acc : (string, int) Hashtbl.t;
+  acc : (string, int ref) Hashtbl.t;
+  mutable prepared : Engine.prepared option;  (* a Prepared job's, from its first slice *)
   mutable acc_report : Engine.run_report option;
   mutable a_compiled : Compiler.output option;
   mutable a_microarch : Qca_microarch.Controller.run_stats option;
@@ -106,14 +105,19 @@ type status =
   | Failed of Error.t
   | Cancelled
 
+(* A table that keeps at most [cache_capacity] entries, evicting the
+   oldest first. *)
+type 'a fifo = { table : (string, 'a) Hashtbl.t; order : string Queue.t }
+
+let fifo () = { table = Hashtbl.create 32; order = Queue.create () }
+
 type t = {
   config : config;
   jobs : (int, job) Hashtbl.t;
   tenants : (string, tenant_state) Hashtbl.t;
   mutable next_id : int;
-  dist_cache : (string, Engine.sampled_distribution) Hashtbl.t;
-  result_cache : (string, Runner.outcome) Hashtbl.t;
-  cache_order : string Queue.t;
+  prepared_cache : Engine.prepared fifo;
+  result_cache : Runner.outcome fifo;
   mutable s_submitted : int;
   mutable s_accepted : int;
   mutable s_completed : int;
@@ -146,9 +150,8 @@ let create ?(config = default_config) () =
     jobs = Hashtbl.create 64;
     tenants = Hashtbl.create 8;
     next_id = 1;
-    dist_cache = Hashtbl.create 16;
-    result_cache = Hashtbl.create 32;
-    cache_order = Queue.create ();
+    prepared_cache = fifo ();
+    result_cache = fifo ();
     s_submitted = 0;
     s_accepted = 0;
     s_completed = 0;
@@ -202,81 +205,15 @@ let queued_total t =
 let merge_into acc hist =
   List.iter
     (fun (k, v) ->
-      Hashtbl.replace acc k
-        (v + Option.value ~default:0 (Hashtbl.find_opt acc k)))
+      match Hashtbl.find_opt acc k with
+      | Some c -> c := !c + v
+      | None -> Hashtbl.add acc k (ref v))
     hist
 
 let sorted_hist tbl =
-  Hashtbl.fold (fun k v l -> (k, v) :: l) tbl []
+  Hashtbl.fold (fun k v l -> (k, !v) :: l) tbl []
   |> List.sort (fun (ka, va) (kb, vb) ->
-         match compare vb va with 0 -> compare ka kb | c -> c)
-
-let merge_assoc a b =
-  let tbl = Hashtbl.create 8 in
-  merge_into tbl a;
-  merge_into tbl b;
-  sorted_hist tbl
-
-let merge_reports (a : Engine.run_report) (b : Engine.run_report) =
-  {
-    a with
-    Engine.shots = a.Engine.shots + b.Engine.shots;
-    gate_applies = merge_assoc a.Engine.gate_applies b.Engine.gate_applies;
-    measurements = a.Engine.measurements + b.Engine.measurements;
-    wall =
-      {
-        Engine.analyse_s =
-          a.Engine.wall.Engine.analyse_s +. b.Engine.wall.Engine.analyse_s;
-        simulate_s =
-          a.Engine.wall.Engine.simulate_s +. b.Engine.wall.Engine.simulate_s;
-        sample_s =
-          a.Engine.wall.Engine.sample_s +. b.Engine.wall.Engine.sample_s;
-      };
-    resilience =
-      {
-        (* A threaded injector reports lifetime-cumulative fire counts, so
-           the latest slice already covers the earlier ones. *)
-        Engine.faults_injected = b.Engine.resilience.Engine.faults_injected;
-        retries =
-          a.Engine.resilience.Engine.retries
-          + b.Engine.resilience.Engine.retries;
-        faulted_shots =
-          a.Engine.resilience.Engine.faulted_shots
-          + b.Engine.resilience.Engine.faulted_shots;
-        backoff_ns =
-          a.Engine.resilience.Engine.backoff_ns
-          + b.Engine.resilience.Engine.backoff_ns;
-        degraded =
-          (match a.Engine.resilience.Engine.degraded with
-          | Some _ as d -> d
-          | None -> b.Engine.resilience.Engine.degraded);
-      };
-  }
-
-let batched_report job (a : active) dist ~shared =
-  let measured_qubits =
-    Array.fold_left
-      (fun n m -> if m then n + 1 else n)
-      0 dist.Engine.dist_measured
-  in
-  {
-    Engine.plan = Engine.Sampled;
-    plan_reason =
-      (if shared then
-         "terminal unconditioned measurements (service: shared distribution)"
-       else "terminal unconditioned measurements (service: batched sampling)");
-    shots = a.done_shots;
-    seed = job.spec.Job_spec.seed;
-    qubit_count = Circuit.qubit_count job.circuit;
-    instruction_count = List.length (Circuit.instructions job.circuit);
-    gate_applies = dist.Engine.dist_gate_applies;
-    measurements = a.done_shots * measured_qubits;
-    wall = { Engine.analyse_s = 0.0; simulate_s = 0.0; sample_s = 0.0 };
-    resilience = Engine.no_resilience;
-    fusion = dist.Engine.dist_fusion;
-    cache =
-      { Engine.cache_hits = 0; cache_shared = (if shared then 1 else 0) };
-  }
+         match Int.compare vb va with 0 -> String.compare ka kb | c -> c)
 
 let apply_degraded_note job (r : Engine.run_report) =
   match job.degraded_note with
@@ -294,14 +231,14 @@ let apply_degraded_note job (r : Engine.run_report) =
 
 (* ---- result cache ---------------------------------------------------- *)
 
-let cache_store t key outcome =
+let cache_store t cache key v =
   if t.config.cache_capacity > 0 then begin
-    if not (Hashtbl.mem t.result_cache key) then begin
-      Queue.add key t.cache_order;
-      if Queue.length t.cache_order > t.config.cache_capacity then
-        Hashtbl.remove t.result_cache (Queue.pop t.cache_order)
+    if not (Hashtbl.mem cache.table key) then begin
+      Queue.add key cache.order;
+      if Queue.length cache.order > t.config.cache_capacity then
+        Hashtbl.remove cache.table (Queue.pop cache.order)
     end;
-    Hashtbl.replace t.result_cache key outcome
+    Hashtbl.replace cache.table key v
   end
 
 let cache_hit_outcome (cached : Runner.outcome) =
@@ -427,10 +364,10 @@ let submit t ~tenant spec =
         Ok { h_id = id; h_tenant = tenant }
       in
       match key with
-      | Some k when Hashtbl.mem t.result_cache k ->
+      | Some k when Hashtbl.mem t.result_cache.table k ->
           (* Cache hits cost nothing: served immediately, even under
              overload, and never consume queue capacity. *)
-          let outcome = cache_hit_outcome (Hashtbl.find t.result_cache k) in
+          let outcome = cache_hit_outcome (Hashtbl.find t.result_cache.table k) in
           t.s_cache_hits <- t.s_cache_hits + 1;
           t.s_completed <- t.s_completed + 1;
           ts.t_completed <- ts.t_completed + 1;
@@ -492,44 +429,39 @@ let submit t ~tenant spec =
 
 (* ---- execution ------------------------------------------------------- *)
 
-let classify t job =
-  match job.spec.Job_spec.route with
-  | Job_spec.Compiled _ -> Atomic
-  | Job_spec.Direct ->
-      if job.spec.Job_spec.fault_rate <> None then Atomic
-      else if
-        job.spec.Job_spec.noise <> None
-        || (match job.spec.Job_spec.plan with
-           | Some (Engine.Trajectory | Engine.Clifford) -> true
-           | Some Engine.Sampled -> false
-           | None ->
-               (* Consult the planner: a job it would run per-shot (tableau
-                  or state-vector trajectories) must be Sliced, or the
-                  service's sampled semantics would diverge from a solo
-                  [Engine.run] of the same spec. The planner's cost model
-                  is monotone in shots, so slicing never flips the plan
-                  mid-job. *)
-               (match
-                  Engine.analyse ~shots:job.spec.Job_spec.shots job.circuit
-                with
-               | Engine.Sampled, _ -> false
-               | (Engine.Trajectory | Engine.Clifford), _ -> true))
-      then Sliced
-      else (
-        match Hashtbl.find_opt t.dist_cache job.digest with
-        | Some dist ->
-            t.s_shared <- t.s_shared + 1;
-            Trace.add_counter "service.shared_analysis" 1;
-            Batched { dist; shared = true }
-        | None -> (
-            match
-              Engine.sampled_distribution ~fusion:job.spec.Job_spec.fusion
-                job.circuit
-            with
-            | Some dist ->
-                Hashtbl.replace t.dist_cache job.digest dist;
-                Batched { dist; shared = false }
-            | None -> Sliced))
+(* A job's engine preparation, shared through [prepared_cache] between
+   jobs whose circuit, plan override and fusion agree. Only ideal values
+   are shared (so the noise model is the same for every entry): a noisy
+   one holds up to 512 KiB of checkpoints. A shared value's work is
+   charged to the job that prepared it. *)
+let prepare_job t job =
+  let spec = job.spec in
+  let key =
+    if Qca_qx.Noise.is_ideal (Job_spec.noise_model spec) then
+      Some
+        (Printf.sprintf "%s|plan=%s|fusion=%b" job.digest
+           (Option.fold ~none:"auto" ~some:Engine.plan_to_string spec.Job_spec.plan)
+           spec.Job_spec.fusion)
+    else None
+  in
+  let report p = { (Engine.prepared_report p) with Engine.seed = spec.Job_spec.seed } in
+  match Option.bind key (Hashtbl.find_opt t.prepared_cache.table) with
+  | Some p when Engine.plan_holds p ~shots:spec.Job_spec.shots ->
+      t.s_shared <- t.s_shared + 1;
+      Trace.add_counter "service.shared_analysis" 1;
+      Ok
+        ( p,
+          {
+            (report p) with
+            Engine.wall = { Engine.analyse_s = 0.0; simulate_s = 0.0; sample_s = 0.0 };
+            cache = { Engine.cache_hits = 0; cache_shared = 1 };
+          } )
+  | _ ->
+      Result.map
+        (fun p ->
+          Option.iter (fun k -> cache_store t t.prepared_cache k p) key;
+          (p, report p))
+        (Runner.prepare spec job.circuit)
 
 let activate t job =
   let seed =
@@ -543,13 +475,17 @@ let activate t job =
   job.phase <-
     Active
       {
-        kind = classify t job;
+        kind =
+          (match job.spec.Job_spec.route with
+          | Job_spec.Direct when job.spec.Job_spec.fault_rate = None -> Prepared
+          | Job_spec.Direct | Job_spec.Compiled _ -> Atomic);
         rng = Rng.create seed;
         faults = Job_spec.faults job.spec;
         started_at = Clock.now ();
         remaining = job.spec.Job_spec.shots;
         done_shots = 0;
         acc = Hashtbl.create 16;
+        prepared = None;
         acc_report = None;
         a_compiled = None;
         a_microarch = None;
@@ -591,24 +527,7 @@ let fail_job t ts job e =
   ts.running <- ts.running - 1;
   t.s_failed <- t.s_failed + 1
 
-let finish_job t ts job (a : active) =
-  let report =
-    match (a.kind, a.acc_report) with
-    | Batched { dist; shared }, _ -> batched_report job a dist ~shared
-    | _, Some r -> r
-    | _, None ->
-        (* shots >= 1 is enforced by Job_spec.make, so at least one slice
-           ran; still, never crash the scheduler over a report. *)
-        batched_report job a
-          {
-            Engine.probabilities = [||];
-            dist_measured = [||];
-            dist_relabel = None;
-            dist_fusion = Engine.no_fusion;
-            dist_gate_applies = [];
-          }
-          ~shared:false
-  in
+let finish_job t ts job (a : active) report =
   let report = apply_degraded_note job report in
   let outcome =
     {
@@ -623,7 +542,7 @@ let finish_job t ts job (a : active) =
   ts.t_completed <- ts.t_completed + 1;
   t.s_completed <- t.s_completed + 1;
   match job.key with
-  | Some key when job.degraded_note = None -> cache_store t key outcome
+  | Some key when job.degraded_note = None -> cache_store t t.result_cache key outcome
   | _ -> ()
 
 let exec_slice t ts job (a : active) =
@@ -631,7 +550,7 @@ let exec_slice t ts job (a : active) =
   let slice =
     match a.kind with
     | Atomic -> a.remaining
-    | Batched _ | Sliced -> min a.remaining t.config.slice_shots
+    | Prepared -> min a.remaining t.config.slice_shots
   in
   let span =
     if Trace.enabled () then
@@ -645,24 +564,19 @@ let exec_slice t ts job (a : active) =
     else Trace.null_span
   in
   (match a.kind with
-  | Batched { dist; _ } ->
-      let h =
-        Engine.sample_distribution dist ~rng:a.rng ~shots:slice
+  | Prepared -> (
+      let ready =
+        match (a.prepared, a.acc_report) with
+        | Some p, Some report -> Ok (p, report)
+        | _ -> prepare_job t job
       in
-      merge_into a.acc h;
-      a.remaining <- a.remaining - slice;
-      a.done_shots <- a.done_shots + slice
-  | Sliced -> (
-      let spec = { job.spec with Job_spec.shots = slice } in
-      match Runner.run ~rng:a.rng ?faults:a.faults spec with
+      match ready with
       | Error e -> fail_job t ts job e
-      | Ok o ->
-          merge_into a.acc o.Runner.histogram;
-          a.acc_report <-
-            Some
-              (match a.acc_report with
-              | None -> o.Runner.report
-              | Some r -> merge_reports r o.Runner.report);
+      | Ok (p, into) ->
+          let r = Engine.sample ~into ~rng:a.rng ~shots:slice p in
+          merge_into a.acc r.Engine.histogram;
+          a.prepared <- Some p;
+          a.acc_report <- Some r.Engine.report;
           a.remaining <- a.remaining - slice;
           a.done_shots <- a.done_shots + slice)
   | Atomic -> (
@@ -719,8 +633,8 @@ let run_one t ts =
           | None -> (
               exec_slice t ts job a;
               match job.phase with
-              | Active a when a.remaining <= 0 ->
-                  finish_job t ts job a;
+              | Active ({ remaining; acc_report = Some report; _ } as a) when remaining <= 0 ->
+                  finish_job t ts job a report;
                   ts.active_ids <- rest
               | Active _ -> ts.active_ids <- rest @ [ id ]
               | _ -> ts.active_ids <- rest))

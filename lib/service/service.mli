@@ -16,21 +16,20 @@
     advances its tenant's clock by [cost / weight], and the scheduler
     always serves the tenant with the smallest clock, so a tenant with
     weight 2 receives twice the throughput of a tenant with weight 1 and
-    no tenant starves. Direct-route jobs are {e sliced} ([slice_shots]
-    shots per scheduler visit), so long jobs are preempted at slice
-    boundaries; compiled/micro-architecture jobs execute atomically and
-    pay their full cost on the tenant clock.
+    no tenant starves. A direct-route job is prepared once
+    ({!Qca.Runner.prepare}) and sampled [slice_shots] shots per scheduler
+    visit ({!Qca_qx.Engine.sample}) on its own generator, so long jobs are
+    preempted at slice boundaries and the merged result is bit-identical
+    to one uninterrupted run. Compiled and fault-injected jobs execute
+    atomically and pay their full cost on the tenant clock.
 
-    {2 Batching and caching}
+    {2 Sharing and caching}
 
-    Jobs whose resolved circuits share a {!Qca.Job_spec.digest} share one
-    {!Qca_qx.Engine.sampled_distribution}: the state vector is simulated
-    once and every job samples its own shots (with its own seed) from the
-    shared distribution — bit-identical to running each job alone.
-    Seeded jobs are additionally served from a result cache keyed on
-    {!Qca.Job_spec.cache_key} (circuit digest, route, seed, shots, noise,
-    fault policy). Hits and shares surface in
-    {!Qca_qx.Engine.cache_stats} and the service {!stats}.
+    Ideal jobs whose circuits share a {!Qca.Job_spec.digest}, plan
+    override and fusion share one prepared value (the simulate pass of a
+    sampled plan runs once), each sampling its own shots with its own
+    seed. Seeded jobs are also served from a result cache keyed on
+    {!Qca.Job_spec.cache_key}. Both show in {!stats} and the report.
 
     {2 Backpressure}
 
@@ -56,7 +55,7 @@ type config = {
   degraded_shot_cap : int;  (** Shot cap applied to degraded direct jobs. *)
   default_quota : quota;
   quotas : (string * quota) list;  (** Per-tenant overrides. *)
-  cache_capacity : int;  (** Result-cache entries (0 disables caching). *)
+  cache_capacity : int;  (** Entries per cache, result and prepared, oldest out first (0: off). *)
   service_seed : int;
       (** Derives per-job RNG streams for jobs without an explicit seed. *)
   admission_max_bytes : float;
@@ -165,8 +164,7 @@ type stats = {
           pre-claim rejections via {!preflight}. *)
   degraded : int;  (** Admitted via the backpressure degradation ladder. *)
   cache_hits : int;
-  shared_analyses : int;
-      (** Jobs that reused another job's sampled distribution. *)
+  shared_analyses : int;  (** Jobs that reused another job's prepared value. *)
   slices : int;  (** Scheduler slices executed. *)
   per_tenant : (string * int) list;  (** Completed jobs per tenant. *)
 }

@@ -56,7 +56,7 @@ let test_no_misclassification () =
                 None
                 (Engine.clifford_blocker circuit)
           | Engine.Sampled ->
-              if Engine.sampled_distribution circuit = None then
+              if Engine.terminal_split circuit = None then
                 Alcotest.failf "%s: sampled plan without a distribution" name
           | Engine.Trajectory -> ());
           if String.length reason = 0 then

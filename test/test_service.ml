@@ -96,6 +96,101 @@ let test_noisy_bit_identity () =
     (canon direct.Engine.histogram)
     (canon o.Runner.histogram)
 
+(* A sliced job reports the work of a solo run: the same gate applies and
+   measurements (the sampled plan's one simulation pass counted once, not
+   per slice), on all three plans. A sampled job's draws take time. *)
+let test_sliced_report_matches_solo () =
+  let teleport = Library.teleport ~prepare:Gate.H () in
+  List.iter
+    (fun (name, plan, circuit) ->
+      let config = { Service.default_config with Service.slice_shots = 64 } in
+      let svc = Service.create ~config () in
+      let o = await_ok svc (submit_ok svc ~tenant:"alice" (spec ~shots:500 ~seed:4 circuit)) in
+      let solo =
+        match Engine.run_checked ~seed:4 ~shots:500 circuit with
+        | Ok r -> r.Engine.report
+        | Error e -> Alcotest.failf "%s: %s" name (Error.to_string e)
+      in
+      let r = o.Runner.report in
+      Alcotest.(check string) (name ^ ": plan") (Engine.plan_to_string plan)
+        (Engine.plan_to_string r.Engine.plan);
+      Alcotest.(check (list (pair string int))) (name ^ ": gate applies")
+        solo.Engine.gate_applies r.Engine.gate_applies;
+      Alcotest.(check int) (name ^ ": measurements") solo.Engine.measurements
+        r.Engine.measurements;
+      Alcotest.(check int) (name ^ ": shots") 500 r.Engine.shots;
+      if plan = Engine.Sampled then
+        Alcotest.(check bool) (name ^ ": sample time") true (r.Engine.wall.Engine.sample_s > 0.0))
+    [
+      ("bell", Engine.Sampled, bell ());
+      ("teleport", Engine.Clifford, teleport);
+      ( "random 6x30",
+        Engine.Sampled,
+        measured_all 6 (Library.random_circuit (Qca_util.Rng.create 9) ~qubits:6 ~gates:30) );
+    ];
+  (* Noise sends the same circuit to trajectories. *)
+  let svc = Service.create ~config:{ Service.default_config with Service.slice_shots = 32 } () in
+  let o = await_ok svc (submit_ok svc ~tenant:"alice" (spec ~shots:200 ~seed:5 ~noise:0.02 teleport)) in
+  let solo = Engine.run ~noise:(Qca_qx.Noise.depolarizing 0.02) ~seed:5 ~shots:200 teleport in
+  let r = o.Runner.report and s = solo.Engine.report in
+  Alcotest.(check string) "noisy: plan" "trajectory" (Engine.plan_to_string r.Engine.plan);
+  Alcotest.(check (list (pair string int))) "noisy: gate applies" s.Engine.gate_applies
+    r.Engine.gate_applies;
+  Alcotest.(check int) "noisy: measurements" s.Engine.measurements r.Engine.measurements
+
+(* The jobs the planner sends to the symbolic tableau and to checkpointed
+   noisy trajectories, sliced: histogram, gate applies and measurements
+   equal one solo run's. *)
+let test_sliced_heavy_jobs () =
+  let memory =
+    let code = Qca_qec.Code.rotated_surface 5 in
+    let round = Qca_qec.Code.syndrome_circuit code in
+    Circuit.append (Circuit.repeat 5 round)
+      (Circuit.of_list (Circuit.qubit_count round) (List.init code.Qca_qec.Code.n (fun q -> Gate.Measure q)))
+  in
+  let random = measured_all 8 (Library.random_circuit (Qca_util.Rng.create 21) ~qubits:8 ~gates:200) in
+  List.iter
+    (fun (name, circuit, shots, slice_shots, noise) ->
+      let svc = Service.create ~config:{ Service.default_config with Service.slice_shots } () in
+      let o = await_ok svc (submit_ok svc ~tenant:"alice" (spec ~shots ~seed:17 ?noise circuit)) in
+      let solo =
+        Engine.run ?noise:(Option.map Qca_qx.Noise.depolarizing noise) ~seed:17 ~shots circuit
+      in
+      Alcotest.check hist_testable (name ^ ": histogram") (canon solo.Engine.histogram)
+        (canon o.Runner.histogram);
+      Alcotest.(check (list (pair string int))) (name ^ ": gate applies")
+        solo.Engine.report.Engine.gate_applies o.Runner.report.Engine.gate_applies;
+      Alcotest.(check int) (name ^ ": measurements") solo.Engine.report.Engine.measurements
+        o.Runner.report.Engine.measurements;
+      Alcotest.(check int) (name ^ ": slices") ((shots + slice_shots - 1) / slice_shots)
+        (Service.stats svc).Service.slices)
+    [
+      ("d=5x5 memory", memory, 2048, 256, None);
+      ("noisy 8x200", random, 600, 64, Some 0.001);
+    ]
+
+(* A job is prepared once however many slices it crosses: one analysis
+   span for a cQASM job of 8 slices. *)
+let test_prepared_once () =
+  let text =
+    "version 1.0\nqubits 2\nh q[0]\nmeasure q[0]\nc-x b[0], q[1]\nmeasure q[1]\n"
+  in
+  let job = Job_spec.make ~shots:512 ~seed:3 (Job_spec.Source { name = "feedback"; text }) in
+  let svc = Service.create ~config:{ Service.default_config with Service.slice_shots = 64 } () in
+  let c = Qca_util.Trace.make_collector () in
+  let o = Qca_util.Trace.collecting c (fun () -> await_ok svc (submit_ok svc ~tenant:"alice" job)) in
+  let rec count name nodes =
+    List.fold_left
+      (fun acc n ->
+        acc + (if n.Qca_util.Trace.span_name = name then 1 else 0)
+        + count name n.Qca_util.Trace.children)
+      0 nodes
+  in
+  let roots = Qca_util.Trace.roots c in
+  Alcotest.(check int) "slices" 8 (count "service.slice" roots);
+  Alcotest.(check int) "one analysis" 1 (count "engine.analyse" roots);
+  Alcotest.(check int) "all shots" 512 (total o.Runner.histogram)
+
 (* --- result cache and cross-request shot batching --- *)
 
 let test_cache_hit () =
@@ -141,6 +236,24 @@ let test_shared_distribution () =
     (canon d2.Engine.histogram) (canon o2.Runner.histogram);
   Alcotest.(check int) "share recorded in the report" 1
     o2.Runner.report.Engine.cache.Engine.cache_shared
+
+(* The cost model between the sampled plan and the tableau reads shots:
+   GHZ-12 takes the tableau at 4 shots and the state vector at 16. A job
+   shares another's preparation only when its own shots would choose the
+   same plan, so each job matches its solo run. *)
+let test_shared_plan_follows_shots () =
+  let svc = Service.create () in
+  let circuit = ghz 12 in
+  List.iter
+    (fun (shots, seed, plan) ->
+      let o = await_ok svc (submit_ok svc ~tenant:"alice" (spec ~shots ~seed circuit)) in
+      let solo = Engine.run ~seed ~shots circuit in
+      Alcotest.(check string) "solo plan" plan (Engine.plan_to_string solo.Engine.report.Engine.plan);
+      Alcotest.(check string) "served plan" plan
+        (Engine.plan_to_string o.Runner.report.Engine.plan);
+      Alcotest.check hist_testable "histogram" (canon solo.Engine.histogram) (canon o.Runner.histogram))
+    [ (4, 1, "clifford"); (5, 2, "clifford"); (16, 3, "sampled") ];
+  Alcotest.(check int) "only the 5-shot job shares" 1 (Service.stats svc).Service.shared_analyses
 
 (* --- quotas and backpressure --- *)
 
@@ -467,6 +580,36 @@ let test_execution_log_bounded () =
     ("alice", Service.job_id (Option.get !last))
     (List.nth log (List.length log - 1))
 
+(* The prepared-job cache keeps at most [cache_capacity] entries: after
+   4x capacity distinct 12-qubit circuits, each awaited and released, the
+   live heap holds no more than it did after 2x capacity. Each entry's
+   distribution is 2^12 floats, so an unbounded cache would grow by that
+   per job. *)
+let test_prepared_cache_bounded () =
+  let capacity = 8 in
+  let svc =
+    Service.create ~config:{ Service.default_config with Service.cache_capacity = capacity } ()
+  in
+  let live_after_job = Hashtbl.create 2 in
+  for j = 1 to 4 * capacity do
+    let circuit =
+      measured_all 12
+        (Circuit.of_list 12
+           (Gate.Unitary (Gate.Rx (0.001 *. float_of_int j), [| 0 |])
+           :: List.init 12 (fun q -> Gate.Unitary (Gate.H, [| q |]))))
+    in
+    let h = submit_ok svc ~tenant:"alice" (spec ~seed:j ~shots:4 circuit) in
+    ignore (await_ok svc h);
+    Alcotest.(check bool) "released" true (Service.release svc h);
+    if j = 2 * capacity || j = 4 * capacity then begin
+      Gc.compact ();
+      Hashtbl.replace live_after_job j (Gc.stat ()).Gc.live_words
+    end
+  done;
+  let grew = Hashtbl.find live_after_job (4 * capacity) - Hashtbl.find live_after_job (2 * capacity) in
+  if grew > 4096 then
+    Alcotest.failf "live words grew by %d over %d more distinct jobs" grew (2 * capacity)
+
 let prop_no_tenant_starves =
   QCheck.Test.make ~name:"WFQ: every tenant's first slice lands in round one"
     ~count:30
@@ -544,16 +687,29 @@ let prop_cancel_queued_or_running =
 
 (* --- the spool protocol --- *)
 
+(* A temporary path of this process's own: [dune runtest] runs this suite
+   twice at once (once more through the [service] alias, which the cram
+   test shares), and the two runs must not share a spool. Removed at
+   exit; the spool layout is one level of subdirectories. *)
+let temp_path name =
+  let path =
+    Filename.concat (Filename.get_temp_dir_name ())
+      (Printf.sprintf "%s-%d" name (Unix.getpid ()))
+  in
+  let rec remove p =
+    if Sys.file_exists p then
+      if Sys.is_directory p then begin
+        Array.iter (fun f -> remove (Filename.concat p f)) (Sys.readdir p);
+        Sys.rmdir p
+      end
+      else Sys.remove p
+  in
+  remove path;
+  at_exit (fun () -> try remove path with Sys_error _ -> ());
+  path
+
 let temp_spool name =
-  let dir = Filename.concat (Filename.get_temp_dir_name ()) name in
-  (* start from a clean slate: the spool layout is flat, so removing the
-     files in each subdirectory is a full reset *)
-  List.iter
-    (fun sub ->
-      let d = Filename.concat dir sub in
-      if Sys.file_exists d && Sys.is_directory d then
-        Array.iter (fun f -> Sys.remove (Filename.concat d f)) (Sys.readdir d))
-    [ "inbox"; "active"; "results"; "failed"; "cancel"; "tmp" ];
+  let dir = temp_path name in
   Spool.init dir;
   dir
 
@@ -573,9 +729,8 @@ let submitter ~dir ~out =
 
 let test_spool_concurrent_submit () =
   let dir = temp_spool "qca-spool-concurrent" in
-  let out k =
-    Filename.concat (Filename.get_temp_dir_name ()) (Printf.sprintf "qca-spool-ids-%d" k)
-  in
+  let outs = Array.init 2 (fun k -> temp_path (Printf.sprintf "qca-spool-ids-%d" k)) in
+  let out k = outs.(k) in
   let spawn k =
     Unix.create_process Sys.executable_name
       [| Sys.executable_name; submitter_args; dir; out k |]
@@ -931,6 +1086,10 @@ let () =
           Alcotest.test_case "sliced trajectories" `Quick
             test_trajectory_bit_identity;
           Alcotest.test_case "sliced noisy run" `Quick test_noisy_bit_identity;
+          Alcotest.test_case "sliced report = solo report" `Quick
+            test_sliced_report_matches_solo;
+          Alcotest.test_case "sliced memory and noisy jobs" `Quick test_sliced_heavy_jobs;
+          Alcotest.test_case "prepared once" `Quick test_prepared_once;
         ] );
       ( "cache",
         [
@@ -939,6 +1098,10 @@ let () =
           Alcotest.test_case "unseeded uncached" `Quick test_unseeded_not_cached;
           Alcotest.test_case "shared distribution" `Quick
             test_shared_distribution;
+          Alcotest.test_case "prepared cache is bounded" `Quick
+            test_prepared_cache_bounded;
+          Alcotest.test_case "shared plan follows shots" `Quick
+            test_shared_plan_follows_shots;
         ] );
       ( "admission",
         [
