@@ -66,7 +66,7 @@ let expand u ops =
           ]
         (Qca_util.Error.Invalid "operand count does not match gate arity")
 
-let run platform circuit =
+let lower platform instrs =
   let rec rewrite budget instr =
     (* Every expand case strictly reduces toward the primitive basis, so a
        blown budget means a cycle in the rewrite table — an internal bug,
@@ -96,8 +96,11 @@ let run platform circuit =
                 assert false)
           body
   in
-  let instrs = List.concat_map (rewrite 16) (Circuit.instructions circuit) in
-  Circuit.of_list ~name:(Circuit.name circuit) (Circuit.qubit_count circuit) instrs
+  List.concat_map (rewrite 16) instrs
+
+let run platform circuit =
+  Circuit.of_list ~name:(Circuit.name circuit) (Circuit.qubit_count circuit)
+    (lower platform (Circuit.instructions circuit))
 
 let check_equivalent a b =
   Matrix.equal_up_to_phase ~eps:1e-9 (Circuit.unitary_matrix a) (Circuit.unitary_matrix b)

@@ -23,6 +23,10 @@ val run : Platform.t -> Qca_circuit.Circuit.t -> Qca_circuit.Circuit.t
     the result against the platform's primitive set (code [P02]) when
     compilation runs under {!Qca_analysis.Verify.compile}. *)
 
+val lower : Platform.t -> Qca_circuit.Gate.t list -> Qca_circuit.Gate.t list
+(** {!run} on an instruction list, without validating the result against
+    a qubit count. *)
+
 val check_equivalent : Qca_circuit.Circuit.t -> Qca_circuit.Circuit.t -> bool
 (** Compare full unitaries up to global phase (small circuits only; used by
     tests and by {!Optimize}'s two-qubit block consolidation to validate

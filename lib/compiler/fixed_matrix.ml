@@ -12,6 +12,7 @@ module Cplx = Qca_util.Cplx
 type t = float array
 
 let create n : t = Array.make (2 * n * n) 0.0
+let create4 () = create 4
 let dim (m : t) = if Array.length m = 8 then 2 else 4
 let re (m : t) r c = m.(2 * ((r * dim m) + c))
 let im (m : t) r c = m.((2 * ((r * dim m) + c)) + 1)
@@ -35,7 +36,7 @@ let identity4 = of_matrix (Matrix.identity 4)
 
 (* dst <- a · b, entry by entry as Matrix.mul: each sum starts at +0.0 and
    adds the terms k = 0 .. n-1 in order. [dst] must not alias [a] or [b]. *)
-let mul_into n (dst : t) (a : t) (b : t) =
+let product_into n (dst : t) (a : t) (b : t) =
   for r = 0 to n - 1 do
     for c = 0 to n - 1 do
       let re = ref 0.0 and im = ref 0.0 in
@@ -56,8 +57,14 @@ let mul a b =
   if Array.length a <> Array.length b then invalid_arg "Fixed_matrix.mul: sizes differ";
   let n = dim a in
   let dst = create n in
-  mul_into n dst a b;
+  product_into n dst a b;
   dst
+
+let mul_into dst a b =
+  if Array.length a <> Array.length b || Array.length dst <> Array.length a then
+    invalid_arg "Fixed_matrix.mul_into: sizes differ";
+  if dst == a || dst == b then invalid_arg "Fixed_matrix.mul_into: aliased";
+  product_into (dim a) dst a b
 
 let adjoint m =
   let n = dim m in
@@ -186,7 +193,7 @@ let of_gates2 gates =
           let small = if Array.length ops = 1 then small1 else small2 in
           gate_into small u;
           embed2_into e small ops;
-          mul_into 4 !spare e !acc;
+          product_into 4 !spare e !acc;
           let m = !acc in
           acc := !spare;
           spare := m
@@ -205,7 +212,7 @@ let product1 gates =
       match instr with
       | Gate.Unitary (u, _) ->
           gate_into g u;
-          mul_into 2 !spare g !acc;
+          product_into 2 !spare g !acc;
           let m = !acc in
           acc := !spare;
           spare := m

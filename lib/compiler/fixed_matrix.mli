@@ -24,6 +24,13 @@ val identity4 : t
 val mul : t -> t -> t
 (** {!Qca_util.Matrix.mul}; both of one size. *)
 
+val create4 : unit -> t
+(** A fresh 4x4 zero matrix, as scratch for {!mul_into}. *)
+
+val mul_into : t -> t -> t -> unit
+(** [mul_into dst a b] writes {!mul}[ a b] into [dst], which has their
+    size and is neither of them. *)
+
 val adjoint : t -> t
 (** {!Qca_util.Matrix.adjoint}. *)
 

@@ -112,7 +112,17 @@ let footprint = function
   | Gate.Prep q | Gate.Measure q -> [| q |]
   | Gate.Barrier qs -> qs
 
-let touches fp q =
+(* Operand arrays compared without the polymorphic [=]. *)
+let same_ops (a : int array) (b : int array) =
+  Array.length a = Array.length b
+  &&
+  let i = ref 0 in
+  while !i < Array.length a && a.(!i) = b.(!i) do
+    incr i
+  done;
+  !i = Array.length a
+
+let touches (fp : int array) q =
   let i = ref 0 in
   while !i < Array.length fp && fp.(!i) <> q do
     incr i
@@ -126,6 +136,14 @@ let overlaps a b =
   done;
   !i < Array.length a
 
+(* Each instruction's wires as the bits [q mod 63] of an int. Disjoint
+   masks mean disjoint wire sets, so a scan skips most instructions on
+   one test; overlapping masks still need [overlaps]. *)
+let wire_masks arr =
+  Array.map
+    (fun g -> Array.fold_left (fun m q -> m lor (1 lsl (q mod 63))) 0 (footprint g))
+    arr
+
 let close_to a b = Float.abs (a -. b) < 1e-12
 
 let unitary_matches u v =
@@ -136,7 +154,7 @@ let unitary_matches u v =
   | Gate.Cphase a, Gate.Cphase b ->
       close_to a b || close_to (normalize_angle a) (normalize_angle b)
   | Gate.Crk a, Gate.Crk b -> a = b
-  | _ -> u = v
+  | _ -> u == v (* the other constructors carry no argument *)
 
 (* Gates whose operand order is irrelevant. *)
 let symmetric_ops = function
@@ -144,7 +162,7 @@ let symmetric_ops = function
   | _ -> false
 
 let same_operands u ops ops' =
-  ops = ops'
+  same_ops ops ops'
   || symmetric_ops u
      && Array.length ops = 2
      && Array.length ops' = 2
@@ -161,13 +179,13 @@ let cancels a b =
 let merge a b =
   match (a, b) with
   | Gate.Unitary (Gate.Rx t1, ops), Gate.Unitary (Gate.Rx t2, ops')
-    when ops = ops' ->
+    when same_ops ops ops' ->
       Some (Gate.Unitary (Gate.Rx (normalize_angle (t1 +. t2)), ops))
   | Gate.Unitary (Gate.Ry t1, ops), Gate.Unitary (Gate.Ry t2, ops')
-    when ops = ops' ->
+    when same_ops ops ops' ->
       Some (Gate.Unitary (Gate.Ry (normalize_angle (t1 +. t2)), ops))
   | Gate.Unitary (Gate.Rz t1, ops), Gate.Unitary (Gate.Rz t2, ops')
-    when ops = ops' ->
+    when same_ops ops ops' ->
       Some (Gate.Unitary (Gate.Rz (normalize_angle (t1 +. t2)), ops))
   | Gate.Unitary (Gate.Cphase t1, ops), Gate.Unitary (Gate.Cphase t2, ops')
     when same_operands (Gate.Cphase t1) ops ops' ->
@@ -261,12 +279,18 @@ let h_conjugate config blocker q =
 let peephole config instrs =
   let arr = Array.of_list instrs in
   let n = Array.length arr in
+  (* Rewrites in place keep each instruction's set of wires. *)
+  let mask = wire_masks arr in
   let removed = Array.make n false in
   let d = ref no_delta in
   let next_on_qubit q from =
     let rec go k =
       if k >= n then None
-      else if (not removed.(k)) && touches (footprint arr.(k)) q then Some k
+      else if
+        (not removed.(k))
+        && mask.(k) land (1 lsl (q mod 63)) <> 0
+        && touches (footprint arr.(k)) q
+      then Some k
       else go (k + 1)
     in
     go from
@@ -282,9 +306,10 @@ let peephole config instrs =
         | Gate.Unitary (u, uops) ->
             (* Scan forward, skipping disjoint and commuting instructions,
                until a partner or a blocker is found. *)
+            let umask = mask.(i) in
             let rec scan j =
               if j >= n then ()
-              else if removed.(j) then scan (j + 1)
+              else if removed.(j) || mask.(j) land umask = 0 then scan (j + 1)
               else begin
                 let b = arr.(j) in
                 if not (overlaps uops (footprint b)) then scan (j + 1)
@@ -308,7 +333,7 @@ let peephole config instrs =
                   | None -> (
                       let contraction =
                         match b with
-                        | Gate.Unitary (v, vops) when vops = uops -> (
+                        | Gate.Unitary (v, vops) when same_ops vops uops -> (
                             match pair_rewrite u v with
                             | Some w when emittable config w ->
                                 Some (Gate.Unitary (w, vops))
@@ -322,7 +347,7 @@ let peephole config instrs =
                           d := { !d with d_merges = !d.d_merges + 1 }
                       | None ->
                           if commutes arr.(i) b then scan (j + 1)
-                          else if u = Gate.H && Array.length uops = 1 then begin
+                          else if u == Gate.H && Array.length uops = 1 then begin
                             (* Try H · B · H → B' where the closing H is the
                                next instruction on this qubit after the
                                blocker. *)
@@ -332,8 +357,9 @@ let peephole config instrs =
                             | Some g -> (
                                 match next_on_qubit q (j + 1) with
                                 | Some k
-                                  when arr.(k) = Gate.Unitary (Gate.H, [| q |])
-                                  ->
+                                  when match arr.(k) with
+                                       | Gate.Unitary (Gate.H, [| q' |]) -> q' = q
+                                       | _ -> false ->
                                     removed.(i) <- true;
                                     removed.(k) <- true;
                                     arr.(j) <- g;
@@ -446,6 +472,100 @@ let rz_accumulate qubits instrs =
   (List.rev !out, !d)
 
 (* ------------------------------------------------------------------ *)
+(* Exact comparison and the per-call memo                              *)
+
+(* Unitaries compared exactly: angles bit for bit, so Rz(0.0) and
+   Rz(-0.0) differ (polymorphic [=] equates them) and a NaN angle equals
+   itself. *)
+let same_unitary u v =
+  match (u, v) with
+  | Gate.Rx a, Gate.Rx b
+  | Gate.Ry a, Gate.Ry b
+  | Gate.Rz a, Gate.Rz b
+  | Gate.Cphase a, Gate.Cphase b ->
+      Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+  | Gate.Crk a, Gate.Crk b -> a = b
+  | _ -> u == v (* the other constructors carry no argument *)
+
+let same_instruction g g' =
+  match (g, g') with
+  | Gate.Unitary (u, ops), Gate.Unitary (v, ops') -> same_unitary u v && same_ops ops ops'
+  | Gate.Conditional (b, u, ops), Gate.Conditional (b', v, ops') ->
+      b = b' && same_unitary u v && same_ops ops ops'
+  | Gate.Prep q, Gate.Prep q' | Gate.Measure q, Gate.Measure q' -> q = q'
+  | Gate.Barrier qs, Gate.Barrier qs' -> same_ops qs qs'
+  | _ -> false
+
+let same_instructions = List.equal same_instruction
+
+(* A run of unitaries (nothing else) on one or two wires, up to the
+   naming of the wires: its wire [a] reads as 0 and any other as 1, so a
+   block found on wires (5, 2) and one on (0, 1) are the same key without
+   a relabelled copy. *)
+type run_key = { gates : Gate.t list; a : int }
+
+(* Keys compared exactly ([same_unitary]) and hashed over every gate
+   ([Hashtbl.hash] would sample only the first few words of a list). *)
+module Run_table = Hashtbl.Make (struct
+  type t = run_key
+
+  let wire (a : int) q = if q = a then 0 else 1
+
+  let same_wires a ops a' ops' =
+    Array.length ops = Array.length ops'
+    &&
+    let i = ref 0 in
+    while !i < Array.length ops && wire a ops.(!i) = wire a' ops'.(!i) do
+      incr i
+    done;
+    !i = Array.length ops
+
+  let rec equal_gates a gs a' gs' =
+    match (gs, gs') with
+    | [], [] -> true
+    | Gate.Unitary (u, ops) :: rest, Gate.Unitary (v, ops') :: rest' ->
+        same_unitary u v && same_wires a ops a' ops' && equal_gates a rest a' rest'
+    | _ -> false
+
+  let equal k k' = equal_gates k.a k.gates k'.a k'.gates
+
+  (* Equal angles have equal bits, so equal unitaries hash alike. *)
+  let hash_unitary u =
+    match u with
+    | Gate.Rx t | Gate.Ry t | Gate.Rz t | Gate.Cphase t ->
+        (Gate.kind u * 65599) + Int64.to_int (Int64.bits_of_float t)
+    | Gate.Crk k -> (Gate.kind u * 65599) + k
+    | _ -> Gate.kind u
+
+  let rec hash_gates a h = function
+    | [] -> h
+    | Gate.Unitary (u, ops) :: rest ->
+        let c = ref (hash_unitary u) in
+        for i = 0 to Array.length ops - 1 do
+          c := (3 * !c) + wire a ops.(i)
+        done;
+        hash_gates a ((h * 65599) + !c) rest
+    | _ :: rest -> hash_gates a h rest
+
+  (* The table indexes by the low bits: mix the sum once. *)
+  let hash k = Hashtbl.hash (hash_gates k.a 0 k.gates)
+end)
+
+(* What one pipeline call remembers. Rendering a block and resynthesising
+   a 1q run are functions of the run's gates (up to wire names) and of the
+   config, which is fixed for the call, so a block or run that comes back
+   (unchanged since the last round, repeated in the program, or met again
+   while polishing a candidate) reuses its decision. The tables go when
+   the call returns. *)
+type ctx = {
+  config : config;
+  blocks : Gate.t list option Run_table.t;  (* replacement, on wires 0/1 *)
+  runs : Gate.t list option Run_table.t;  (* shorter Euler form, on wire 0 *)
+  scratch : Fixed_matrix.t;  (* [block_candidates]' products *)
+  mutable reused : int;  (* block lookups [blocks] answered *)
+}
+
+(* ------------------------------------------------------------------ *)
 (* Pass 3: Euler resynthesis of single-qubit runs                      *)
 
 (* Emission, in application order (leftmost gate applied first). *)
@@ -491,25 +611,38 @@ let cost_1q gates =
   in
   (List.length gates, pulses)
 
-let euler basis qubits instrs =
+(* Lexicographic [<] on costs, without the polymorphic compare. *)
+let cheaper_1q ((n : int), (p : int)) (n', p') = n < n' || (n = n' && p < p')
+
+(* The shorter Euler form of a run on wire [a], on wire 0, if it has one. *)
+let resynthesise ctx basis key =
+  match Run_table.find_opt ctx.runs key with
+  | Some decision -> decision
+  | None ->
+      let gates = emit_1q basis 0 (Fixed_matrix.product1 key.gates) in
+      let decision = if cheaper_1q (cost_1q gates) (cost_1q key.gates) then Some gates else None in
+      Run_table.add ctx.runs key decision;
+      decision
+
+let euler ctx basis qubits instrs =
   let arr = Array.of_list instrs in
   let n = Array.length arr in
   let repl = Array.make n None in
   let d = ref no_delta in
+  (* current.(q): the open run on wire q, latest gate first. *)
   let current = Array.make qubits [] in
   let close q =
-    let idxs = List.rev current.(q) in
-    current.(q) <- [];
-    match idxs with
-    | [] | [ _ ] -> ()
-    | first :: rest ->
-        let old = List.map (fun i -> arr.(i)) idxs in
-        let gates = emit_1q basis q (Fixed_matrix.product1 old) in
-        if cost_1q gates < cost_1q old then begin
-          repl.(first) <- Some gates;
-          List.iter (fun i -> repl.(i) <- Some []) rest;
-          d := { !d with d_euler = !d.d_euler + 1 }
-        end
+    match current.(q) with
+    | [] | [ _ ] -> current.(q) <- []
+    | run -> (
+        current.(q) <- [];
+        match resynthesise ctx basis { gates = List.rev_map (fun i -> arr.(i)) run; a = q } with
+        | Some gates ->
+            List.iter (fun i -> repl.(i) <- Some []) run;
+            repl.(List.fold_left Int.min n run) <-
+              Some (if q = 0 then gates else List.map (Gate.map_qubits (fun _ -> q)) gates);
+            d := { !d with d_euler = !d.d_euler + 1 }
+        | None -> ())
   in
   Array.iteri
     (fun i instr ->
@@ -530,6 +663,32 @@ let euler basis qubits instrs =
   (!out, !d)
 
 (* ------------------------------------------------------------------ *)
+(* The fixed-point loop                                                *)
+
+(* Apply [passes] in order, round after round, until a round counts no
+   rewrite or [budget] rounds have run; return the result and the last
+   round that counted one (0 if none). [apply round pass x] runs one
+   pass. A pass is a function of its input, so one that returned [x]
+   unchanged with nothing counted would do so again: the loop also stops,
+   mid-round, once every pass has returned the current [x] that way,
+   since the rest of the round could change nothing. [same] decides
+   "unchanged" and must never call two different values the same. *)
+let fixpoint ~same ~budget ~apply passes x =
+  let n = List.length passes in
+  let rec go round x settled counted last = function
+    | _ when settled = n -> (x, last)
+    | [] ->
+        if counted && round < budget then go (round + 1) x settled false last passes
+        else (x, last)
+    | pass :: rest ->
+        let x', d = apply round pass x in
+        let fired = delta_total d > 0 in
+        let settled = if (not fired) && same x x' then settled + 1 else 0 in
+        go round x' settled (counted || fired) (if fired then round else last) rest
+  in
+  if budget < 1 then (x, 0) else go 1 x 0 false 0 passes
+
+(* ------------------------------------------------------------------ *)
 (* Pass 4: two-qubit block consolidation                               *)
 
 let local_gates (a, b) =
@@ -547,8 +706,9 @@ let entangler_templates =
     ]
 
 (* Candidate re-expressions of a 4x4 block unitary, cheapest shapes
-   first: identity, pure locals, locals + one entangler. *)
-let block_candidates m =
+   first: identity, pure locals, locals + one entangler. The products go
+   through [scratch]; the factors [local_factors] returns are fresh. *)
+let block_candidates scratch m =
   let id =
     if Fixed_matrix.equal_up_to_phase ~eps:1e-7 m Fixed_matrix.identity4 then [ [] ]
     else []
@@ -559,15 +719,16 @@ let block_candidates m =
   let with_entangler =
     List.concat_map
       (fun (tg, gm_dag) ->
-        let after = Fixed_matrix.mul m gm_dag in
-        let before = Fixed_matrix.mul gm_dag m in
-        (match Fixed_matrix.local_factors after with
-        | Some f -> [ tg @ local_gates f ]
-        | None -> [])
-        @
-        match Fixed_matrix.local_factors before with
-        | Some f -> [ local_gates f @ tg ]
-        | None -> [])
+        Fixed_matrix.mul_into scratch m gm_dag;
+        let after =
+          match Fixed_matrix.local_factors scratch with
+          | Some f -> [ tg @ local_gates f ]
+          | None -> []
+        in
+        Fixed_matrix.mul_into scratch gm_dag m;
+        match Fixed_matrix.local_factors scratch with
+        | Some f -> after @ [ local_gates f @ tg ]
+        | None -> after)
       entangler_templates
   in
   id @ locals @ with_entangler
@@ -586,126 +747,81 @@ let cost_2q instrs =
   let _, pulses = cost_1q instrs in
   (twoq, List.length instrs, pulses)
 
-let rec fixpoint_passes passes c budget =
-  if budget = 0 then c
-  else
-    let c', changed =
-      List.fold_left
-        (fun (c, ch) f ->
-          let c', d = f c in
-          (c', ch || delta_total d > 0))
-        (c, false) passes
-    in
-    if changed then fixpoint_passes passes c' (budget - 1) else c'
+let cheaper_2q ((t : int), n, p) (t', n', p') = t < t' || (t = t' && cheaper_1q (n, p) (n', p'))
 
 let rebuild template instrs =
   Circuit.of_list ~name:(Circuit.name template)
     (Circuit.qubit_count template) instrs
 
-let peephole_pass config c =
-  let instrs, d = peephole config (Circuit.instructions c) in
-  (rebuild c instrs, d)
-
-let rz_pass c =
-  let instrs, d =
-    rz_accumulate (Circuit.qubit_count c) (Circuit.instructions c)
-  in
-  (rebuild c instrs, d)
-
-let euler_pass basis c =
-  let instrs, d = euler basis (Circuit.qubit_count c) (Circuit.instructions c) in
-  (rebuild c instrs, d)
-
-(* Cheap 1q-only tightening used to polish consolidation candidates. *)
-let polish config c =
+(* Cheap 1q-only tightening of a candidate on wires 0/1. *)
+let polish ctx gates =
+  let config = ctx.config in
   let passes =
-    [ peephole_pass config ]
-    @ (if emittable config (Gate.Rz 0.0) then [ rz_pass ] else [])
-    @ match config.basis with Some b -> [ euler_pass b ] | None -> []
+    [ peephole config ]
+    @ (if emittable config (Gate.Rz 0.0) then [ rz_accumulate 2 ] else [])
+    @ match config.basis with Some b -> [ euler ctx b 2 ] | None -> []
   in
-  fixpoint_passes passes c 4
+  fst
+    (fixpoint ~same:same_instructions ~budget:4 ~apply:(fun _ f gates -> f gates) passes
+       gates)
 
-let render_candidate config m gates =
-  let c = Circuit.of_list 2 gates in
+let render_candidate ctx gates =
   let lowered =
-    match config.platform with
-    | None -> Some c
-    | Some p -> ( try Some (Decompose.run p c) with _ -> None)
+    match ctx.config.platform with
+    | None -> Some gates
+    | Some p -> ( try Some (Decompose.lower p gates) with _ -> None)
   in
-  match lowered with
-  | None -> None
-  | Some c ->
-      let c = polish config c in
-      (* Belt and braces: accept only if the rendered candidate still
-         implements the block unitary. *)
-      let rendered = Circuit.instructions c in
-      if Fixed_matrix.equal_up_to_phase ~eps:1e-7 (Fixed_matrix.of_gates2 rendered) m then
-        Some rendered
-      else None
+  Option.map (polish ctx) lowered
 
 (* The replacement for a block on wires 0/1: its cheapest candidate
-   rendering, when that beats the block itself. *)
-let render_block config block01 =
+   rendering (the first at that cost), when that beats the block itself.
+   Belt and braces: a rendering counts only if it still implements the
+   block unitary, which is checked only when it would be kept, as one
+   that costs no less than the best so far can never be the answer. *)
+let render_block ctx block01 =
   let m = Fixed_matrix.of_gates2 block01 in
   let best =
     List.fold_left
       (fun best cand ->
-        match render_candidate config m cand with
+        match render_candidate ctx cand with
         | None -> best
-        | Some rendered -> (
-            match best with
-            | Some b when cost_2q b <= cost_2q rendered -> best
-            | _ -> Some rendered))
-      None (block_candidates m)
+        | Some rendered ->
+            let cost = cost_2q rendered in
+            let bound = match best with Some (c, _) -> c | None -> cost_2q block01 in
+            if
+              cheaper_2q cost bound
+              && Fixed_matrix.equal_up_to_phase ~eps:1e-7 (Fixed_matrix.of_gates2 rendered) m
+            then Some (cost, rendered)
+            else best)
+      None
+      (block_candidates ctx.scratch m)
   in
-  match best with
-  | Some rendered when cost_2q rendered < cost_2q block01 -> Some rendered
-  | _ -> None
+  Option.map snd best
 
-(* Blocks on wires 0/1 (unitaries only) compared exactly: angles bit for
-   bit, so Rz(0.0) and Rz(-0.0) are different keys (polymorphic [=]
-   equates them), and hashed over every gate ([Hashtbl.hash] alone
-   samples only the first few words of a list). *)
-module Block_table = Hashtbl.Make (struct
-  type t = Gate.t list
-
-  let same_unitary u v =
-    match (u, v) with
-    | Gate.Rx a, Gate.Rx b
-    | Gate.Ry a, Gate.Ry b
-    | Gate.Rz a, Gate.Rz b
-    | Gate.Cphase a, Gate.Cphase b ->
-        Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
-    | _ -> u = v
-
-  let equal =
-    List.equal (fun g g' ->
-        match (g, g') with
-        | Gate.Unitary (u, ops), Gate.Unitary (v, ops') -> same_unitary u v && ops = ops'
-        | _ -> g = g')
-
-  let hash = List.fold_left (fun h g -> (h * 65599) + Hashtbl.hash g) 0
-end)
-
-(* Renderings of the blocks one pipeline call has met: [render_block] is a
-   function of the block and the config, which is fixed for the call, so
-   a block that reappears (unchanged since the last round, or repeated in
-   the program) reuses its decision. *)
-type memo = { renders : Gate.t list option Block_table.t; mutable reused : int }
-
-let memo_render config memo block01 =
-  match Block_table.find_opt memo.renders block01 with
+let memo_render ctx key =
+  match Run_table.find_opt ctx.blocks key with
   | Some decision ->
-      memo.reused <- memo.reused + 1;
+      ctx.reused <- ctx.reused + 1;
       decision
   | None ->
-      let decision = render_block config block01 in
-      Block_table.add memo.renders block01 decision;
+      let to01 = Gate.map_qubits (fun q -> if q = key.a then 0 else 1) in
+      let decision = render_block ctx (List.map to01 key.gates) in
+      Run_table.add ctx.blocks key decision;
       decision
 
-let consolidate config memo circuit =
+(* Two decreasing lists of distinct indices, merged in increasing order
+   onto [acc]. *)
+let rec union_onto (xs : int list) ys acc =
+  match (xs, ys) with
+  | x :: xs', y :: _ when x > y -> union_onto xs' ys (x :: acc)
+  | _, y :: ys' -> union_onto xs ys' (y :: acc)
+  | x :: xs', [] -> union_onto xs' [] (x :: acc)
+  | [], [] -> acc
+
+let consolidate ctx circuit =
   let arr = Array.of_list (Circuit.instructions circuit) in
   let n = Array.length arr in
+  let mask = wire_masks arr in
   let wires = Circuit.qubit_count circuit in
   let repl = Array.make n None in
   let consumed = Array.make n false in
@@ -740,21 +856,25 @@ let consolidate config memo circuit =
                    && ops.(0) <> ops.(1)
             | _ -> false
           in
-          let members = ref (lead.(a) @ lead.(b) @ [ i ]) in
+          (* The members in order: the leads (each list latest first, on
+             different wires), [i], then the walk's finds. *)
+          let after = ref [] in
           (let k = ref (i + 1) and stop = ref false in
            while !k < n && not !stop do
-             let fp = footprint arr.(!k) in
-             if touches fp a || touches fp b then
-               if (not consumed.(!k)) && within !k then
-                 members := !k :: !members
+             if
+               mask.(!k) land mask.(i) <> 0
+               &&
+               let fp = footprint arr.(!k) in
+               touches fp a || touches fp b
+             then
+               if (not consumed.(!k)) && within !k then after := !k :: !after
                else stop := true;
              incr k
            done);
-          let idxs = List.sort_uniq compare !members in
-          if List.length idxs >= 2 && List.length idxs <= 48 then begin
-            let block = List.map (fun k -> arr.(k)) idxs in
-            let to01 = Gate.map_qubits (fun q -> if q = a then 0 else 1) in
-            match memo_render config memo (List.map to01 block) with
+          let idxs = union_onto lead.(a) lead.(b) (i :: List.rev !after) in
+          let size = List.length idxs in
+          if size >= 2 && size <= 48 then begin
+            match memo_render ctx { gates = List.map (fun k -> arr.(k)) idxs; a } with
             | Some rendered ->
                 let from01 =
                   Gate.map_qubits (fun q -> if q = 0 then a else b)
@@ -776,24 +896,37 @@ let consolidate config memo circuit =
     end;
     pass_over i
   done;
-  let out = ref [] in
-  for i = n - 1 downto 0 do
-    match repl.(i) with
-    | None -> out := arr.(i) :: !out
-    | Some gates -> out := gates @ !out
-  done;
-  (rebuild circuit !out, !d)
+  if delta_total !d = 0 then (circuit, !d)
+  else begin
+    let out = ref [] in
+    for i = n - 1 downto 0 do
+      match repl.(i) with
+      | None -> out := arr.(i) :: !out
+      | Some gates -> out := gates @ !out
+    done;
+    (rebuild circuit !out, !d)
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)
 
-let pass_list config memo =
-  [ ("peephole", peephole_pass config) ]
-  @ (if emittable config (Gate.Rz 0.0) then [ ("rz-merge", rz_pass) ] else [])
+(* A pass over instruction lists, on a circuit. An unchanged circuit
+   comes back as itself; [rebuild] validates any other output. *)
+let on_circuit f c =
+  let instrs = Circuit.instructions c in
+  let instrs', d = f (Circuit.qubit_count c) instrs in
+  if delta_total d = 0 && same_instructions instrs instrs' then (c, d)
+  else (rebuild c instrs', d)
+
+let pass_list ctx =
+  let config = ctx.config in
+  [ ("peephole", on_circuit (fun _ -> peephole config)) ]
+  @ (if emittable config (Gate.Rz 0.0) then [ ("rz-merge", on_circuit rz_accumulate) ]
+     else [])
   @ (match config.basis with
-    | Some b -> [ ("euler", euler_pass b) ]
+    | Some b -> [ ("euler", on_circuit (euler ctx b)) ]
     | None -> [])
-  @ if config.consolidate then [ ("2q-blocks", consolidate config memo) ] else []
+  @ if config.consolidate then [ ("2q-blocks", consolidate ctx) ] else []
 
 (* One pass application, in a span named [prefix/pass] when tracing. The
    annotations are lazy, so a disabled trace never walks the circuit. *)
@@ -814,31 +947,33 @@ let apply_pass ?trace ~round name f c =
   | _ -> f c
 
 let pipeline ?(config = logical_config) ?on_pass ?trace circuit =
-  let memo = { renders = Block_table.create 64; reused = 0 } in
-  let passes = pass_list config memo in
-  let rec loop c stats round =
-    if round > config.max_rounds then (c, stats)
-    else
-      let c', stats', changed =
-        List.fold_left
-          (fun (c, st, changed) (name, f) ->
-            let c', d = apply_pass ?trace ~round name f c in
-            let ch = delta_total d > 0 in
-            (match on_pass with
-            | Some cb when ch -> cb ~round ~pass:name ~before:c c'
-            | _ -> ());
-            (c', fold_delta st d, changed || ch))
-          (c, stats, false) passes
-      in
-      if changed then loop c' { stats' with rounds = round } (round + 1)
-      else (c', stats')
+  let ctx =
+    {
+      config;
+      blocks = Run_table.create 64;
+      runs = Run_table.create 64;
+      scratch = Fixed_matrix.create4 ();
+      reused = 0;
+    }
   in
-  let c, stats = loop circuit zero_stats 1 in
+  let stats = ref zero_stats in
+  let apply round (name, f) c =
+    let c', d = apply_pass ?trace ~round name f c in
+    (match on_pass with
+    | Some cb when delta_total d > 0 -> cb ~round ~pass:name ~before:c c'
+    | _ -> ());
+    stats := fold_delta !stats d;
+    (c', d)
+  in
+  let c, rounds =
+    fixpoint ~same:( == ) ~budget:config.max_rounds ~apply (pass_list ctx) circuit
+  in
   ( c,
     {
-      stats with
-      blocks_rendered = Block_table.length memo.renders;
-      blocks_reused = memo.reused;
+      !stats with
+      rounds;
+      blocks_rendered = Run_table.length ctx.blocks;
+      blocks_reused = ctx.reused;
     } )
 
 let run circuit = pipeline ~config:logical_config circuit

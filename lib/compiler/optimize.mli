@@ -77,13 +77,17 @@ val pipeline :
   ?trace:string ->
   Qca_circuit.Circuit.t ->
   Qca_circuit.Circuit.t * stats
-(** Run the pass list to a fixed point (bounded by [config.max_rounds]).
+(** Run the pass list to a fixed point (bounded by [config.max_rounds]):
+    round after round until a round counts no rewrite. A pass is a
+    function of its input, so the loop also stops as soon as every pass
+    has returned the current circuit unchanged; the final round then runs
+    only the passes that have not seen it (the result is the same).
     [on_pass] fires after every pass application that changed the
     circuit, with the round number, the pass name ([peephole], [rz-merge],
     [euler], [2q-blocks]) and the circuit before/after — this is how
     {!Compiler.compile} feeds each intermediate artifact to the
     {!Qca_analysis} pass-verifier. With [trace] set, every pass
-    application of every round runs in its own {!Qca_util.Trace} span
+    application runs in its own {!Qca_util.Trace} span
     named [trace ^ "/" ^ pass], annotated with [round], [dgates],
     [ddepth] and [changed]. Termination: every counted rewrite strictly
     reduces the (gate count, non-Rz gate count) pair, so the fixed point
@@ -91,8 +95,10 @@ val pipeline :
 
     The [2q-blocks] pass renders each distinct block (mapped onto wires
     0/1) once per call and reuses the decision when the block comes back,
-    in a later round or elsewhere in the program; the table is dropped
-    when the call returns. *)
+    in a later round or elsewhere in the program; the [euler] pass, and
+    the polishing of each rendered candidate, likewise resynthesise each
+    distinct single-qubit run once. Both tables are dropped when the call
+    returns. *)
 
 val run : Qca_circuit.Circuit.t -> Qca_circuit.Circuit.t * stats
 (** {!pipeline} with {!logical_config}. *)

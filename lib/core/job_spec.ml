@@ -182,13 +182,13 @@ let plan_fingerprint = function
   | Some Qca_qx.Engine.Sampled -> "|plan=sampled"
   | Some Qca_qx.Engine.Clifford -> "|plan=clifford"
 
-let cache_key spec circuit =
+let cache_key spec ~digest =
   match spec.seed with
   | None -> None
   | Some seed ->
       Some
         (Printf.sprintf "%s|%s|shots=%d|seed=%d|noise=%s|traj=%b|faults=%s%s"
-           (digest circuit)
+           digest
            (route_fingerprint spec.route)
            spec.shots seed
            (match spec.noise with

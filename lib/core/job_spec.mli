@@ -152,8 +152,9 @@ val digest : Qca_circuit.Circuit.t -> string
     whose resolved circuits share a digest can share one
     {!Qca_qx.Engine.prepared} value. *)
 
-val cache_key : t -> Qca_circuit.Circuit.t -> string option
-(** Result-cache key: circuit digest plus every semantic run parameter
+val cache_key : t -> digest:string -> string option
+(** Result-cache key: the circuit's {!digest} (passed in, as a caller
+    that keys on the circuit has it already) plus every semantic run parameter
     (route fingerprint, shots, seed, noise, plan, fault/retry policy).
     [None] when the spec has no explicit seed — an unseeded run draws from
     the process-wide stream and is not reproducible, so it must not be

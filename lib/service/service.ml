@@ -353,7 +353,7 @@ let submit t ~tenant spec =
   | Ok (spec, circuit) -> (
       let ts = tenant_state t tenant in
       let digest = Job_spec.digest circuit in
-      let key = Job_spec.cache_key spec circuit in
+      let key = Job_spec.cache_key spec ~digest in
       let id = t.next_id in
       let make_job spec note phase =
         { id; tenant; spec; circuit; digest; key; degraded_note = note; phase }

@@ -21,6 +21,7 @@ module Engine = Qca_qx.Engine
 module Matrix = Qca_util.Matrix
 module Fixed_matrix = Qca_compiler.Fixed_matrix
 module Rng = Qca_util.Rng
+module Trace = Qca_util.Trace
 
 let u g ops = Gate.Unitary (g, Array.of_list ops)
 let circ n gates = Circuit.of_list n gates
@@ -619,6 +620,279 @@ let pin_cases () =
             (compile_pin Platform.superconducting_17 mode (List.assoc name corpus))))
     pinned
 
+(* --- random-corpus pins ---
+
+   The same digests, plus one of the compile report (every pass row), over
+   8 compilable random circuits of each of three shapes, measured at the
+   end as stackbench's compile-exec draws them, in every mode; and the four
+   programs above in Realistic mode. The seeds are the first ones from
+   [shape_seed_base] whose circuit compiles in Real mode (the others
+   exhaust the eQASM mask registers). *)
+
+let pin_shapes =
+  [
+    ((5, 40), [ 0; 1; 2; 3; 4; 5; 6; 7 ]);
+    ((10, 60), [ 0; 1; 2; 3; 4; 5; 6; 7 ]);
+    ((12, 120), [ 7; 8; 9; 14; 18; 21; 29; 30 ]);
+  ]
+
+let shape_seed_base (qubits, gates) = (100_000 * qubits) + gates
+
+let random_pin_circuit ((qubits, gates) as shape) k =
+  measured qubits
+    (Library.random_circuit (Rng.create (shape_seed_base shape + k)) ~qubits ~gates)
+
+let report_pin platform mode c =
+  let out = Compiler.compile platform mode c in
+  compile_pin platform mode c ^ " report="
+  ^ Digest.to_hex (Digest.string (Compiler.report out))
+
+let random_pinned =
+  [
+    ("random5x40-0 real",
+      "cqasm=a5bacbb4ebbc1da4dc7f7387c672704a eqasm=ea1740359ed175da432783b007ef4db0 stats=9a2a8def4d95bf9c9c44c4a053eba748 report=8418d9932204338ce6fde6e2bebc692a");
+    ("random5x40-0 realistic",
+      "cqasm=a5bacbb4ebbc1da4dc7f7387c672704a eqasm=ea1740359ed175da432783b007ef4db0 stats=9a2a8def4d95bf9c9c44c4a053eba748 report=7fd437c7d0f20609f9017f87db85686e");
+    ("random5x40-0 perfect",
+      "cqasm=0b2458bea96085cd0ede47bfdad60bc0 eqasm=d41d8cd98f00b204e9800998ecf8427e stats=02a6f2548b9ba9b16370fb60e7c28715 report=d850bbb3a575272e831198b128f19b3a");
+    ("random5x40-1 real",
+      "cqasm=a7edd94b8a19491f7d813f4a1676faf7 eqasm=01125728469ce71aaf5dcb4e19785fa8 stats=d200ae08a9299d8c0fd7ea1fcbec3a49 report=2b6099da0a310a8e0338ee92e39673f7");
+    ("random5x40-1 realistic",
+      "cqasm=a7edd94b8a19491f7d813f4a1676faf7 eqasm=01125728469ce71aaf5dcb4e19785fa8 stats=d200ae08a9299d8c0fd7ea1fcbec3a49 report=eec075f0358048f71f30a0a1a3d27bd8");
+    ("random5x40-1 perfect",
+      "cqasm=09c13489e75b4f492226a33164370fe6 eqasm=d41d8cd98f00b204e9800998ecf8427e stats=f072cf50c944882d02265db32ed7cffe report=a01e6a3a69565b5c42054626a2bc061f");
+    ("random5x40-2 real",
+      "cqasm=8501c9d0cce50a58f157757f355a17e4 eqasm=47d2ddde20693a0d2b526aadad13e1c7 stats=1d8456abf347b74b5c6b138422adfbff report=faff501106e0ef3e554d7b7ba4ecb7c1");
+    ("random5x40-2 realistic",
+      "cqasm=8501c9d0cce50a58f157757f355a17e4 eqasm=47d2ddde20693a0d2b526aadad13e1c7 stats=1d8456abf347b74b5c6b138422adfbff report=08f5af7a39acb1f4d7748fec1a8fea09");
+    ("random5x40-2 perfect",
+      "cqasm=b59d215c30a3a070958483eeecd04828 eqasm=d41d8cd98f00b204e9800998ecf8427e stats=a35f2567980a42eaea954be785b5b69b report=c5573b7a5bb649f05456a02d5e3a96ae");
+    ("random5x40-3 real",
+      "cqasm=f150e3f5b042dc5daa1cf9a56b0cb0c7 eqasm=31fa474b45371cd1c159109e737ef332 stats=e5e95bf3cb01b3fb97c59c343ca99624 report=7e3eb6ccee9c8c50c6cdf997621eb36a");
+    ("random5x40-3 realistic",
+      "cqasm=f150e3f5b042dc5daa1cf9a56b0cb0c7 eqasm=31fa474b45371cd1c159109e737ef332 stats=e5e95bf3cb01b3fb97c59c343ca99624 report=afc3fd94055d8ff2b303be4e0c7e1d05");
+    ("random5x40-3 perfect",
+      "cqasm=fd40fd609e129c55b8e89a9c3ed5e6ad eqasm=d41d8cd98f00b204e9800998ecf8427e stats=5290df50385376e17fc04de2991fe872 report=2a904e697f400601e2a664b41b6f3e71");
+    ("random5x40-4 real",
+      "cqasm=f84b42f1f18585f2dff826118f2a6915 eqasm=80b23fdcca278d7796e888615738f33d stats=19f22b21d5647e6745fbc6bad10eaf94 report=18ea76a9d7bb9b95f16fffecdd0963be");
+    ("random5x40-4 realistic",
+      "cqasm=f84b42f1f18585f2dff826118f2a6915 eqasm=80b23fdcca278d7796e888615738f33d stats=19f22b21d5647e6745fbc6bad10eaf94 report=f9d73b5d8cfb3aa0c1a725b354434202");
+    ("random5x40-4 perfect",
+      "cqasm=8b1a4585bae2d47568d17e4b26252dc5 eqasm=d41d8cd98f00b204e9800998ecf8427e stats=c264719e2033f3c0580fa245b5fdc9be report=3aa549e189a023cee60943ea10a55f15");
+    ("random5x40-5 real",
+      "cqasm=b710e67f80bfaab2fa55ba15c9e1f48e eqasm=c0d5dd18870801230e4e73cb79acbf51 stats=93b0a685aa1352dcf481c5e788e05315 report=b707ab98593367cbb8acef19f2300633");
+    ("random5x40-5 realistic",
+      "cqasm=b710e67f80bfaab2fa55ba15c9e1f48e eqasm=c0d5dd18870801230e4e73cb79acbf51 stats=93b0a685aa1352dcf481c5e788e05315 report=acdac39797db2fc490b6b69cf8d8d4e1");
+    ("random5x40-5 perfect",
+      "cqasm=4216392b3877858d6d9179ecf7242fe5 eqasm=d41d8cd98f00b204e9800998ecf8427e stats=eae6c704841211fdd510b66ea4a0b127 report=d43a3f986bcb6673d70eb7fc0ac9f180");
+    ("random5x40-6 real",
+      "cqasm=f959bd4d063c285d1e0a7f7734bf18d4 eqasm=dd5a35ea6a09bdae10e58ccd15a24684 stats=a438522f065b6de37696803d7ea2c84a report=03c6ff8baef6075a72f8ec456d54fdc2");
+    ("random5x40-6 realistic",
+      "cqasm=f959bd4d063c285d1e0a7f7734bf18d4 eqasm=dd5a35ea6a09bdae10e58ccd15a24684 stats=a438522f065b6de37696803d7ea2c84a report=3bb952f8464d1a1cb8ccf3380666153d");
+    ("random5x40-6 perfect",
+      "cqasm=fc2edc820ae6e5398bc52834dfee6cda eqasm=d41d8cd98f00b204e9800998ecf8427e stats=577576fb2570c298ee0bf58d7bfe95bb report=7a7ab01ddad1015576107e3a9912c17b");
+    ("random5x40-7 real",
+      "cqasm=ca534f08eb62bfd8d7f3ee1d29c63f7c eqasm=d903ff5441a34319f93d1880430d4d5a stats=fd89383239223dca99190d3f2a509cc7 report=bad455289f8feb74027744baa4bbf3b3");
+    ("random5x40-7 realistic",
+      "cqasm=ca534f08eb62bfd8d7f3ee1d29c63f7c eqasm=d903ff5441a34319f93d1880430d4d5a stats=fd89383239223dca99190d3f2a509cc7 report=b79b0a6fe12742f6807d82e37184f9ba");
+    ("random5x40-7 perfect",
+      "cqasm=a65517b6dae89f6924e0ba4aeb1922ac eqasm=d41d8cd98f00b204e9800998ecf8427e stats=d17323701c747acc8c13734749fdffce report=218a45cb8f357e066690b58894fcd963");
+    ("random10x60-0 real",
+      "cqasm=ce19e614b9fbb6ee13732a8c0d75d2af eqasm=e3794030546fda08b580bf2e8982068a stats=53b3e5b14449b19d7736b11df840e722 report=282744bff2071c0089420a80ffb38d5a");
+    ("random10x60-0 realistic",
+      "cqasm=ce19e614b9fbb6ee13732a8c0d75d2af eqasm=e3794030546fda08b580bf2e8982068a stats=53b3e5b14449b19d7736b11df840e722 report=c18fd75d97dabe37d95b891fbbf6e4b2");
+    ("random10x60-0 perfect",
+      "cqasm=71dd7faf29deccc26d444f40433ca300 eqasm=d41d8cd98f00b204e9800998ecf8427e stats=9aa6540936da01ae8e9e5452027f2d2e report=b43684b6151656675e0f8357437e14a6");
+    ("random10x60-1 real",
+      "cqasm=c5439505ef6b0586e83a03fc2769b5df eqasm=1b0a47ba56ba148ea7be7cd304850f2a stats=fca539c355e3cac4dffe6b065bc1d75a report=1173c0245aab3ffeac289970d0bc736d");
+    ("random10x60-1 realistic",
+      "cqasm=c5439505ef6b0586e83a03fc2769b5df eqasm=1b0a47ba56ba148ea7be7cd304850f2a stats=fca539c355e3cac4dffe6b065bc1d75a report=1fca0a454ee6433d6e2cdd14455879c4");
+    ("random10x60-1 perfect",
+      "cqasm=f11a051b20bde218050b045ec0a705a8 eqasm=d41d8cd98f00b204e9800998ecf8427e stats=ce6321ca4d2be43de4aaf424196b1cbc report=de4973dbdadb2c60f0447bfbbc9b3121");
+    ("random10x60-2 real",
+      "cqasm=887ead429ab70425abe57ee75024fc71 eqasm=6648fd3dca159de15eeeefd6f08fcee2 stats=94ab4cb2e032d3c1c235286e4752d2a7 report=62d2daebdd2a8259ddd538ae9d969354");
+    ("random10x60-2 realistic",
+      "cqasm=887ead429ab70425abe57ee75024fc71 eqasm=6648fd3dca159de15eeeefd6f08fcee2 stats=94ab4cb2e032d3c1c235286e4752d2a7 report=264e6b9adf4d42d570720460ac4af189");
+    ("random10x60-2 perfect",
+      "cqasm=d40d361bfeb16de60c0a1f73bc8ff28c eqasm=d41d8cd98f00b204e9800998ecf8427e stats=7edc29f8eb5354ebadf64cfaf68a165c report=343600b5b971a9d88986ae2c0bdc7a5d");
+    ("random10x60-3 real",
+      "cqasm=2f070f53b3da316af50501c6b3def521 eqasm=9273607a67285a8c8561fb7d6a857848 stats=82a93e83e3c4c8fb9f59ffb1f3373f0d report=1bc8c020e39bab0013ae446dcfe152ee");
+    ("random10x60-3 realistic",
+      "cqasm=2f070f53b3da316af50501c6b3def521 eqasm=9273607a67285a8c8561fb7d6a857848 stats=82a93e83e3c4c8fb9f59ffb1f3373f0d report=da705a1e139ee8a76afc6aa48af36577");
+    ("random10x60-3 perfect",
+      "cqasm=75a3b5e7f75e995917e7b230e8688c41 eqasm=d41d8cd98f00b204e9800998ecf8427e stats=08e32b604711347d19445b24cbcd338b report=f708dc413a459cc8e14683b3be93ee61");
+    ("random10x60-4 real",
+      "cqasm=279c5f2e18af839b34df33efdc430f37 eqasm=5063c9649fdea01548c6d6edfec8fc6d stats=d32025d46b9a99c770b04ca294a17d89 report=5e53f3abac7991d7d109f5b2040b639b");
+    ("random10x60-4 realistic",
+      "cqasm=279c5f2e18af839b34df33efdc430f37 eqasm=5063c9649fdea01548c6d6edfec8fc6d stats=d32025d46b9a99c770b04ca294a17d89 report=47dd8949bb3be1b1079096d717a7e4d4");
+    ("random10x60-4 perfect",
+      "cqasm=027f91d826039ccc7b4e0606df756b23 eqasm=d41d8cd98f00b204e9800998ecf8427e stats=07e18fff8c1768c1bc867e8d8ddeac70 report=cba449956ebba29987ea38a31239017e");
+    ("random10x60-5 real",
+      "cqasm=01b7ab013ed35e75353984da0fd3828e eqasm=19a5653846885a882b0f117ff3a2596a stats=78af014d79961ed86c9054e4edca47c6 report=5bb4e155fb424fd091b8e7014369e3a1");
+    ("random10x60-5 realistic",
+      "cqasm=01b7ab013ed35e75353984da0fd3828e eqasm=19a5653846885a882b0f117ff3a2596a stats=78af014d79961ed86c9054e4edca47c6 report=6895ab4c1e2ca28f7b317faad7c96cb4");
+    ("random10x60-5 perfect",
+      "cqasm=97e7980f81c04896249af62e03b04302 eqasm=d41d8cd98f00b204e9800998ecf8427e stats=83d2ad8bc5fc633280ddc31ebbcad946 report=f7799de8b1adc964c17d166e94eb1c67");
+    ("random10x60-6 real",
+      "cqasm=1b0359dad89a61e23bef86c1ba000c88 eqasm=96f22ff7e75e958f74f15bc5c7e06f53 stats=142de475a32d8be6e4102b44da09c213 report=c5e97be2c3cc74580d147db02ae2acfc");
+    ("random10x60-6 realistic",
+      "cqasm=1b0359dad89a61e23bef86c1ba000c88 eqasm=96f22ff7e75e958f74f15bc5c7e06f53 stats=142de475a32d8be6e4102b44da09c213 report=93632bba2369e252c0b4f374c0a7026d");
+    ("random10x60-6 perfect",
+      "cqasm=b019ce6fd8abf4e990462a2b3c76f682 eqasm=d41d8cd98f00b204e9800998ecf8427e stats=dc9abbf057cc5481f32c08868e1a6a97 report=4663c722a328e877f9a877fd295ca3c9");
+    ("random10x60-7 real",
+      "cqasm=547da50312f32a7d5ff25c74a94aecad eqasm=2b7aaf5a12293825bd3b7288559be7e5 stats=1e33ab33db8385c6874f29cb411569af report=a02dc48c84f67868b33b0edf116ddae9");
+    ("random10x60-7 realistic",
+      "cqasm=547da50312f32a7d5ff25c74a94aecad eqasm=2b7aaf5a12293825bd3b7288559be7e5 stats=1e33ab33db8385c6874f29cb411569af report=6801387165ff08f7fc46d613242cb2fc");
+    ("random10x60-7 perfect",
+      "cqasm=fe435514d941529f1399da785e56f388 eqasm=d41d8cd98f00b204e9800998ecf8427e stats=843d125bc3b3a6f56fa4831e6b1ba4ac report=776417b52552e5eb98f5591ec7a55e6f");
+    ("random12x120-7 real",
+      "cqasm=9378baff76b49c77b95f5a48cb0b1628 eqasm=f173e78e41be354427df4a2855476aae stats=4683aaac24ea9aa1c893668ce747458d report=e6fb4bb1e590a3f57ae797f04476b409");
+    ("random12x120-7 realistic",
+      "cqasm=9378baff76b49c77b95f5a48cb0b1628 eqasm=f173e78e41be354427df4a2855476aae stats=4683aaac24ea9aa1c893668ce747458d report=5e12a4e10c8d13f8a4ca6151136b6cc1");
+    ("random12x120-7 perfect",
+      "cqasm=4296d37acf03839583df91abd761ccd1 eqasm=d41d8cd98f00b204e9800998ecf8427e stats=d3a4e2cb49cc7b0034ea4e09cbef646b report=efe5eaaab96a43c2efe3d284562318c5");
+    ("random12x120-8 real",
+      "cqasm=97c6b5d6fc28da85311e5b567f5bf7be eqasm=3337b3ed691a8db5c18822bb95cbd417 stats=8a106ef347dfd49e4193e4fdfcc9dc87 report=8c89e0225c448edbecefbe3ef9024fec");
+    ("random12x120-8 realistic",
+      "cqasm=97c6b5d6fc28da85311e5b567f5bf7be eqasm=3337b3ed691a8db5c18822bb95cbd417 stats=8a106ef347dfd49e4193e4fdfcc9dc87 report=c8992f733f9034c13897855fddf4f348");
+    ("random12x120-8 perfect",
+      "cqasm=fb0600bcffb3ead89ffc8b3a32665dff eqasm=d41d8cd98f00b204e9800998ecf8427e stats=bbc7a1515213ac966df8b9bf1667d2ad report=b859788c722aef78729c21a16ad757d3");
+    ("random12x120-9 real",
+      "cqasm=ba4c2a9f459339de76dcd6bc51d02a40 eqasm=1e45d51ab915f480fab12e3a5413e2ee stats=2d489d919f9c372e9d65d4719e47c923 report=c97444b62b728774fb9c15ab64be6cbe");
+    ("random12x120-9 realistic",
+      "cqasm=ba4c2a9f459339de76dcd6bc51d02a40 eqasm=1e45d51ab915f480fab12e3a5413e2ee stats=2d489d919f9c372e9d65d4719e47c923 report=0e91c93176381d102e5e259daf4ba484");
+    ("random12x120-9 perfect",
+      "cqasm=55c7658d22a8eae6f835aec4b9169004 eqasm=d41d8cd98f00b204e9800998ecf8427e stats=6cf02d7d2d061988dbd36fa354176498 report=8d94c5861a8c05fe7c195ba66ea41364");
+    ("random12x120-14 real",
+      "cqasm=5997a56a87c443f150b46873f8371a98 eqasm=51da4cdcdf307bc7e7b55dcba99c810f stats=bd26d7b71cf587cfaa05c3d0a0a59ab9 report=4b7b944267895e78e47ca6620e0ee66b");
+    ("random12x120-14 realistic",
+      "cqasm=5997a56a87c443f150b46873f8371a98 eqasm=51da4cdcdf307bc7e7b55dcba99c810f stats=bd26d7b71cf587cfaa05c3d0a0a59ab9 report=961648065bf461ea557bfc1de6d348b8");
+    ("random12x120-14 perfect",
+      "cqasm=3aa8655fe8185c906138b31a114b2fe2 eqasm=d41d8cd98f00b204e9800998ecf8427e stats=71495b12a5779804e7370eda04ac6f5b report=200e2a95dadb1d0522370749d50e9ffa");
+    ("random12x120-18 real",
+      "cqasm=8ab6370fb090f7fe0250bdcc8ad8e6f8 eqasm=21ba98f9396c0f2fca308bc20183b92d stats=2776f0852b27c88dea3b3193267375d7 report=ec4f10cb9a227275923fa010dbeb65b6");
+    ("random12x120-18 realistic",
+      "cqasm=8ab6370fb090f7fe0250bdcc8ad8e6f8 eqasm=21ba98f9396c0f2fca308bc20183b92d stats=2776f0852b27c88dea3b3193267375d7 report=99b1c90a1b395d8adbf15f0adbd2c49f");
+    ("random12x120-18 perfect",
+      "cqasm=6f0675f0ddf3fe2e674e704ebad69046 eqasm=d41d8cd98f00b204e9800998ecf8427e stats=0932390a372a5333982f0bf442872464 report=63792896e69c1d9fc535023855aef000");
+    ("random12x120-21 real",
+      "cqasm=1a72cb50d43e97780d84ce12a9cc3a9a eqasm=3f9cc1b8933103bf533f92da9f6b1a13 stats=0e5934369d50eb505d3f87229cf8be62 report=8e2b9bc9df543b90954835f110c7e19b");
+    ("random12x120-21 realistic",
+      "cqasm=1a72cb50d43e97780d84ce12a9cc3a9a eqasm=3f9cc1b8933103bf533f92da9f6b1a13 stats=0e5934369d50eb505d3f87229cf8be62 report=760d267cd28dd5fdfa419cf2ec3e716d");
+    ("random12x120-21 perfect",
+      "cqasm=a963c3a5297f389bd01c3383b5010c2a eqasm=d41d8cd98f00b204e9800998ecf8427e stats=970d936142126d3f27b9ce284dbe3b51 report=7f6782f9637418a41c988e091861efc3");
+    ("random12x120-29 real",
+      "cqasm=32cdf5159d041c5e71b67906bfcb4349 eqasm=2023c447fe59e3432a767f74fbf5005f stats=03a61c7b9d01cd17355d87f8a612a251 report=4c418f56944aec7f779152352c2aead2");
+    ("random12x120-29 realistic",
+      "cqasm=32cdf5159d041c5e71b67906bfcb4349 eqasm=2023c447fe59e3432a767f74fbf5005f stats=03a61c7b9d01cd17355d87f8a612a251 report=52e76febd90c0678560b89704464c2eb");
+    ("random12x120-29 perfect",
+      "cqasm=4a428c7579ed460fc99e02be7a4af4db eqasm=d41d8cd98f00b204e9800998ecf8427e stats=d3b19988cd71099b582af18674bcc4c7 report=84705657eff5f4c795ad7a48e9a05f7a");
+    ("random12x120-30 real",
+      "cqasm=dc16415ae96180a7471c862b05d2b665 eqasm=17e68c18bc0867cfffc27cfc6c7affb2 stats=95adf54261d8339241e3d323dcf41ffd report=2854b83f079782123a375960d4994dd3");
+    ("random12x120-30 realistic",
+      "cqasm=dc16415ae96180a7471c862b05d2b665 eqasm=17e68c18bc0867cfffc27cfc6c7affb2 stats=95adf54261d8339241e3d323dcf41ffd report=629010fad99ef6b3144ad441b678269f");
+    ("random12x120-30 perfect",
+      "cqasm=9ccab743c6c1d5e47f2831990e570c52 eqasm=d41d8cd98f00b204e9800998ecf8427e stats=13d1ad278844609f39739c501918355e report=f9a32c610f0525ab6fa190178e9f7bbb");
+    ("qft8 realistic",
+      "cqasm=a1191497c33de3c68255980b7e20543e eqasm=a441e3db6543da0cb35f11c916d733fd stats=0116ab4dd65137c5a250f1778a0c4240 report=80a47ab1568eab7d30135279e1576194");
+    ("qaoa6 realistic",
+      "cqasm=5cd2cb9e5b2f8535c619e0ce99a99088 eqasm=bc620cb795414e46f31927a35d4721d0 stats=380afe5611ed3a6adf4095ffe5645612 report=4f804c8e88fc326fcaf87137efc6cf94");
+    ("random10x60 realistic",
+      "cqasm=214ad2d30c60cb4e009e9cc7f4ce68f1 eqasm=672700248baa4bdf5b8679332a8f2ecb stats=2aeec02ab0038e29a2a6271cadc5337f report=188d3ac25c6efa6b68e217786248476d");
+    ("random12x120 realistic",
+      "cqasm=11f0a244aa21454c61148612d8d63a7d eqasm=60775d999a8b66fbfaa98ba3105a07bd stats=617d0d19dd06e2bb1728a293fc54d353 report=b18c51fc01ec4c79f44b5d9ebed965ce");
+  ]
+
+let random_pin_cases () =
+  let corpus = pin_corpus () in
+  let cases =
+    List.concat_map
+      (fun ((q, g) as shape, seeds) ->
+        List.concat_map
+          (fun k ->
+            List.map
+              (fun mode ->
+                (Printf.sprintf "random%dx%d-%d" q g k, mode, fun () -> random_pin_circuit shape k))
+              [ Compiler.Real; Compiler.Realistic; Compiler.Perfect ])
+          seeds)
+      pin_shapes
+    @ List.map
+        (fun (name, c) -> (name, Compiler.Realistic, fun () -> c))
+        corpus
+  in
+  List.map
+    (fun (name, mode, circuit) ->
+      let label = Printf.sprintf "%s %s" name (Compiler.mode_to_string mode) in
+      Alcotest.test_case label `Quick (fun () ->
+          Alcotest.(check string)
+            "digests"
+            (List.assoc label random_pinned)
+            (report_pin Platform.superconducting_17 mode (circuit ()))))
+    cases
+
+(* --- exactness of the pipeline ---
+
+   Every replacement the pipeline makes is guarded by a unitary check, so
+   on a unitary 2-qubit circuit its output equals its input up to a global
+   phase, under the physical configuration and the logical one alike. *)
+
+let random_pulse_circuit rng count =
+  let angle () = Rng.float rng 12.0 -. 6.0 and quarter = Float.pi /. 4.0 in
+  let one () =
+    let q = Rng.int rng 2 in
+    let u =
+      match Rng.int rng 9 with
+      | 0 -> Gate.X90
+      | 1 -> Gate.Xm90
+      | 2 -> Gate.Y90
+      | 3 -> Gate.Ym90
+      | 4 -> Gate.Rz (angle ())
+      | 5 -> Gate.Rx (angle ())
+      | 6 -> Gate.Ry (angle ())
+      | 7 -> Gate.H
+      | _ -> Gate.Rz (Float.of_int (Rng.int rng 8) *. quarter)
+    in
+    Gate.Unitary (u, [| q |])
+  and two () =
+    let ops = if Rng.bool rng then [| 0; 1 |] else [| 1; 0 |] in
+    let u = match Rng.int rng 3 with 0 -> Gate.Cz | 1 -> Gate.Cnot | _ -> Gate.Swap in
+    Gate.Unitary (u, ops)
+  in
+  Circuit.of_list 2 (List.init count (fun _ -> if Rng.int rng 3 = 0 then two () else one ()))
+
+let prop_pipeline_preserves_unitary =
+  QCheck.Test.make ~name:"pipeline output = input up to phase (2 qubits)" ~count:300
+    (QCheck.make
+       ~print:(fun (s, n) -> Printf.sprintf "seed=%d gates=%d" s n)
+       QCheck.Gen.(pair (int_range 0 99999) (int_range 1 40)))
+    (fun (seed, count) ->
+      let c = random_pulse_circuit (Rng.create seed) count in
+      let m = Circuit.unitary_matrix c in
+      List.for_all
+        (fun config ->
+          let o, _ = Optimize.pipeline ~config c in
+          Matrix.equal_up_to_phase ~eps:1e-6 m (Circuit.unitary_matrix o))
+        [ Optimize.physical_config Platform.superconducting_17; Optimize.logical_config ])
+
+(* The pipeline stops once every pass has seen the current circuit: after
+   the peephole pass empties [H; H] in round 1, the three passes after it
+   see the empty circuit, and round 2 runs only the peephole pass again. *)
+let test_no_pass_reapplied () =
+  let passes c =
+    let col = Trace.make_collector () in
+    ignore (Trace.collecting col (fun () -> Optimize.pipeline ~trace:"t" c));
+    List.map (fun n -> n.Trace.span_name) (Trace.roots col)
+  in
+  Alcotest.(check (list string))
+    "pass spans"
+    [ "t/peephole"; "t/rz-merge"; "t/euler"; "t/2q-blocks"; "t/peephole" ]
+    (passes (circ 1 [ u Gate.H [ 0 ]; u Gate.H [ 0 ] ]));
+  (* Nothing to do: one round, each pass once. *)
+  Alcotest.(check (list string))
+    "minimal circuit"
+    [ "t/peephole"; "t/rz-merge"; "t/euler"; "t/2q-blocks" ]
+    (passes (circ 2 [ u Gate.H [ 0 ]; u Gate.Cnot [ 0; 1 ] ]))
+
 let () =
   let qtest = QCheck_alcotest.to_alcotest in
   Alcotest.run "qca_optimizer"
@@ -658,4 +932,10 @@ let () =
           Alcotest.test_case "full vs basic" `Quick test_full_not_worse_than_basic;
         ] );
       ("compile-pins", pin_cases ());
+      ("random-pins", random_pin_cases ());
+      ( "exactness",
+        [
+          qtest prop_pipeline_preserves_unitary;
+          Alcotest.test_case "no pass re-applied" `Quick test_no_pass_reapplied;
+        ] );
     ]

@@ -437,8 +437,13 @@ let test_memory_pins () =
 
 (* OCaml's array constructor forces a minor collection when it fills an
    array longer than 256 words with a young block. With a minor heap large
-   enough for everything a call allocates, any collection during the call
-   is such a forced one. One domain, so no worker's heap is involved. *)
+   enough for everything a call allocates, a collection during the call is
+   such a forced one, unless a major cycle ends inside the call: that
+   empties every minor heap too. So the measured call starts right after a
+   finished cycle ([Gc.full_major]), and a call in which a cycle still
+   ended is measured again, up to five times. The call is deterministic,
+   so a forced collection shows in every attempt. One domain, so no
+   worker's heap is involved. *)
 let minor_collections_in f =
   let saved_gc = Gc.get () and saved_domains = Parallel.domain_count () in
   Fun.protect
@@ -449,13 +454,18 @@ let minor_collections_in f =
       Parallel.set_domain_count 1;
       Gc.set { saved_gc with Gc.minor_heap_size = 1 lsl 20 };
       ignore (Sys.opaque_identity (f ()));
-      Gc.minor ();
-      let before = Gc.quick_stat () and words_before = Gc.minor_words () in
-      ignore (Sys.opaque_identity (f ()));
-      let words = Gc.minor_words () -. words_before and after = Gc.quick_stat () in
-      if words >= float_of_int (1 lsl 20) then
-        Alcotest.failf "the call allocated %.0f words, more than the minor heap" words;
-      after.Gc.minor_collections - before.Gc.minor_collections)
+      let rec attempt left =
+        Gc.full_major ();
+        let before = Gc.quick_stat () and words_before = Gc.minor_words () in
+        ignore (Sys.opaque_identity (f ()));
+        let words = Gc.minor_words () -. words_before and after = Gc.quick_stat () in
+        if words >= float_of_int (1 lsl 20) then
+          Alcotest.failf "the call allocated %.0f words, more than the minor heap" words;
+        if after.Gc.major_collections > before.Gc.major_collections && left > 1 then
+          attempt (left - 1)
+        else after.Gc.minor_collections - before.Gc.minor_collections
+      in
+      attempt 5)
 
 let test_no_forced_minor_collection () =
   let memory = surface_memory 5 ~rounds:5 in

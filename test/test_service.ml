@@ -687,10 +687,9 @@ let prop_cancel_queued_or_running =
 
 (* --- the spool protocol --- *)
 
-(* A temporary path of this process's own: [dune runtest] runs this suite
-   twice at once (once more through the [service] alias, which the cram
-   test shares), and the two runs must not share a spool. Removed at
-   exit; the spool layout is one level of subdirectories. *)
+(* A temporary path of this process's own, so that two runs of this suite
+   at once (two builds of the [service] alias, say) never share a spool.
+   Removed at exit; the spool layout is one level of subdirectories. *)
 let temp_path name =
   let path =
     Filename.concat (Filename.get_temp_dir_name ())
