@@ -189,6 +189,11 @@ let dedup_sorted arr =
    instructions, execute everything executable, and when stuck pick the
    swap minimising the summed front-layer distance plus a discounted
    extended-set lookahead, damped by a per-qubit decay factor. *)
+(* Candidate swap edges [(lo, hi)] in the order the polymorphic compare
+   gives int pairs, without its C call. *)
+let compare_edges (a1, a2) (b1, b2) =
+  match Int.compare a1 b1 with 0 -> Int.compare a2 b2 | c -> c
+
 let run_sabre ~placement platform circuit =
   let r = create_router placement platform circuit in
   let physical_count = platform.Platform.qubit_count in
@@ -295,7 +300,7 @@ let run_sabre ~placement platform circuit =
     let progressed = ref false in
     let continue = ref true in
     while !continue do
-      let sorted = List.sort compare !front in
+      let sorted = List.sort Int.compare !front in
       let execable = List.filter executable sorted in
       match execable with
       | [] -> continue := false
@@ -309,7 +314,7 @@ let run_sabre ~placement platform circuit =
       stall := 0
     end;
     if !executed_count < n then begin
-      let fpairs = List.filter_map two_qubit_pair (List.sort compare !front) in
+      let fpairs = List.filter_map two_qubit_pair (List.sort Int.compare !front) in
       assert (fpairs <> []);
       if !stall >= stall_limit then begin
         (* Safety valve: route the first blocked pair the greedy way. *)
@@ -321,13 +326,13 @@ let run_sabre ~placement platform circuit =
         let epairs = extended_pairs () in
         (* Candidate swaps: edges incident to a front-layer qubit. *)
         let candidates =
-          List.sort_uniq compare
+          List.sort_uniq compare_edges
             (List.concat_map
                (fun (l1, l2) ->
                  List.concat_map
                    (fun p ->
                      List.map
-                       (fun (pn, _) -> (min p pn, max p pn))
+                       (fun (pn, _) -> (Int.min p pn, Int.max p pn))
                        (Graph.neighbours coupling p))
                    [ r.layout.(l1); r.layout.(l2) ])
                fpairs)

@@ -474,15 +474,15 @@ let micro_step noise =
 
 (* The per-shot executor draws each shot's errors ahead of its state. The
    schedule prefix is the longest run of leading ops whose draws do not
-   read the state (Noise.schedule): it ends at the first measurement or
+   read the state (Noise.draws): it ends at the first measurement or
    conditional, at a prep of a qubit a gate or an earlier prep has touched
    (its outcome is no longer a certain 0), and at once under a T1/T2 model
    (its damping draws read the state). The prefix's ideal evolution is
    computed once per run; a shot whose schedule is empty starts from a copy
-   of it, and a shot with errors from the last ideal checkpoint before its
-   first error. Either way the shot's state and its generator's position
-   are those of stepping the prefix op by op, so histograms are
-   seed-identical. *)
+   of it, and a shot with errors carries them forward as a Pauli frame and
+   starts its state where the frame stops. Either way the shot's state is
+   that of stepping the prefix op by op, up to a sign, and its generator's
+   position is the same, so histograms are seed-identical. *)
 
 let schedule_sites noise program n =
   if not (Noise.pauli_only noise) then [||]
@@ -517,11 +517,66 @@ let apply_drawn state = function
   | M_prep q -> State.collapse state q 0
   | M_measure _ | M_cond _ -> assert false
 
+(* --- the Pauli frame --- *)
+
+(* A shot's errors as one Pauli string, pushed forward through the ideal
+   ops after them (the frame of Gidney's Stim, arXiv:2103.02202): the x
+   mask in bits 0-29 of an int, the z mask in bits 30-59 (a state has at
+   most 30 qubits), no phase. Every kernel that the rules below let a
+   frame through commutes with it exactly, in floating point: the state
+   kernels are swaps, negations and products whose rounding is symmetric
+   under negation, so stepping a gate on the erred state gives, bit for
+   bit up to the sign of exact zeros, the frame's image of the gate's
+   ideal output. *)
+let z_shift = 30
+let x_part = (1 lsl z_shift) - 1
+
+let[@inline] frame x z = x lor (z lsl z_shift)
+
+(* Mask [v] with its bits at [a] and [b] exchanged. *)
+let swap_bits v a b =
+  let d = ((v lsr a) lxor (v lsr b)) land 1 in
+  v lxor ((d lsl a) lor (d lsl b))
+
+let rec touches ops mask i =
+  i < Array.length ops && (mask land (1 lsl ops.(i)) <> 0 || touches ops mask (i + 1))
+
+(* The frame [f] after gate [u] on [o], or -1 when the gate's kernel does
+   not commute exactly with it. A Pauli gate leaves a frame as it is (up
+   to a sign); H, S, CNOT, CZ and SWAP map it by the Clifford rules; a
+   diagonal gate passes phase errors on its operands; any other gate
+   passes a frame that leaves its operands alone. A gate that repeats an
+   operand takes the last rule. *)
+let frame_through u o f =
+  let x = f land x_part and z = f lsr z_shift in
+  let bit v q = (v lsr q) land 1 in
+  match (u, o) with
+  | (Gate.I | Gate.X | Gate.Y | Gate.Z), _ -> f
+  | Gate.H, [| q |] ->
+      let m = 1 lsl q in
+      frame ((x land lnot m) lor (z land m)) ((z land lnot m) lor (x land m))
+  | (Gate.S | Gate.Sdag), [| q |] -> frame x (z lxor (x land (1 lsl q)))
+  | Gate.Cnot, [| c; t |] when c <> t -> frame (x lxor (bit x c lsl t)) (z lxor (bit z t lsl c))
+  | Gate.Cz, [| a; b |] when a <> b -> frame x (z lxor (bit x b lsl a) lxor (bit x a lsl b))
+  | Gate.Swap, [| a; b |] -> frame (swap_bits x a b) (swap_bits z a b)
+  | (Gate.T | Gate.Tdag | Gate.Rz _ | Gate.Cphase _ | Gate.Crk _), _ ->
+      if touches o x 0 then -1 else f
+  | _ -> if touches o (x lor z) 0 then -1 else f
+
+(* The frame after op [i] of the prefix, or -1 where it stops: at every
+   prep, whose normalisation sums the amplitudes in index order, and at
+   a fused kernel (an ideal program's; it draws no error). *)
+let frame_through_op op f =
+  match op with
+  | M_kernel (Single (u, o, _)) -> frame_through u o f
+  | M_kernel (Fused_1q _ | Fused_diag _) | M_prep _ -> -1
+  | M_measure _ | M_cond _ -> assert false
+
 (* Ideal checkpoints, the prefix's final state included: at most this many,
    in at most this much memory per run (from 15 qubits up only the final
-   state is kept). A shot whose first error falls uniformly in a prefix of
-   [l] ops replays [l/2 + l/(2k)] of them from the nearest of [k]
-   checkpoints, so past a few more checkpoints only add garbage. On the
+   state is kept). A shot whose frame stops uniformly in a prefix of [l]
+   ops steps [l/(2k)] ideal ops from the nearest of [k] checkpoints before
+   the stop, so past a few more checkpoints only add garbage. On the
    noisy-trajectory benchmark a 1 MiB budget cost peak memory and
    throughput: its 14-qubit jobs have about one shot with an error in 24,
    and the extra states took longer to copy and collect than they saved. *)
@@ -529,7 +584,8 @@ let max_checkpoints = 16
 let checkpoint_bytes = 1 lsl 19
 
 type prefix = {
-  sites : Noise.site array;
+  length : int;  (* ops in the prefix *)
+  draws : Noise.draws;
   spacing : int;  (* ops between checkpoints *)
   states : State.t array;
       (* [j]: the ideal state before op [(j + 1) * spacing], the last one
@@ -555,23 +611,77 @@ let ideal_prefix noise program n =
       else if (i + 1) mod spacing = 0 then states := State.copy state :: !states
     done
   end;
-  { sites; spacing; states = Array.of_list (List.rev !states) }
+  { length; draws = Noise.draws noise sites; spacing; states = Array.of_list (List.rev !states) }
 
-(* Set [state] to the shot's state after the prefix, from its schedule. *)
+(* An event's Pauli as frame bits. *)
+let event_bits (e : Noise.event) =
+  let m = 1 lsl e.qubit in
+  match e.pauli with
+  | Gate.X -> frame m 0
+  | Gate.Z -> frame 0 m
+  | Gate.Y -> frame m m
+  | _ -> assert false
+
+(* Set [state] to the shot's state after the prefix, from its schedule.
+   The events fold into a frame from the first one's site on, merging
+   after their site's op, and the frame moves through the ops after them
+   until one stops it (or the prefix ends). The state starts there: the
+   ideal state at the stop, from the checkpoint at or before it, with the
+   frame applied; the ops from the stop on then run with the remaining
+   events, as an op-by-op shot would.
+
+   The frame has no phase, but the state must match an op-by-op shot's up
+   to a sign, not up to a factor i: a factor i would exchange the real and
+   imaginary parts, and a later measurement adds r^2 and m^2 in the other
+   order. Conjugation by a Clifford maps a Hermitian Pauli to plus or
+   minus one, and merging a Hermitian error into the frame multiplies it
+   by a real factor when the two commute and an imaginary one when they
+   anticommute; the frame's Hermitian form on the masks is i^|x & z|
+   X^x Z^z. So the shot's state is the ideal one times X^x Z^z and i to the
+   number of anticommuting merges plus |x & z|, up to a sign. *)
 let prefix_state program p tally events state =
   let stored = Array.length p.states in
+  let nevents = Array.length events in
   if stored = 0 then State.reset state
-  else if Array.length events = 0 then begin
+  else if nevents = 0 then begin
     tally.clean <- tally.clean + 1;
     State.blit ~src:p.states.(stored - 1) ~dst:state
   end
   else begin
-    let j = events.(0).Noise.site / p.spacing in
-    if j = 0 then State.reset state else State.blit ~src:p.states.(j - 1) ~dst:state;
-    let next = ref 0 in
-    for i = j * p.spacing to Array.length p.sites - 1 do
-      apply_drawn state program.ops.(i);
-      while !next < Array.length events && events.(!next).Noise.site = i do
+    let length = p.length and ops = program.ops in
+    let f = ref 0 and anti = ref 0 and next = ref 0 in
+    let i = ref events.(0).Noise.site and stop = ref (-1) in
+    while !stop < 0 do
+      while !next < nevents && events.(!next).Noise.site = !i do
+        let e = event_bits events.(!next) in
+        let x = !f land x_part and z = !f lsr z_shift in
+        let ex = e land x_part and ez = e lsr z_shift in
+        anti := !anti lxor Bool.to_int ((ex land z) lxor (ez land x) <> 0);
+        f := !f lxor e;
+        incr next
+      done;
+      incr i;
+      if !i >= length then stop := length
+      else begin
+        let g = frame_through_op ops.(!i) !f in
+        if g < 0 then stop := !i else f := g
+      end
+    done;
+    let stop = !stop in
+    if stop = length then State.blit ~src:p.states.(stored - 1) ~dst:state
+    else begin
+      let j = stop / p.spacing in
+      if j = 0 then State.reset state else State.blit ~src:p.states.(j - 1) ~dst:state;
+      for k = j * p.spacing to stop - 1 do
+        apply_drawn state ops.(k)
+      done
+    end;
+    let x = !f land x_part and z = !f lsr z_shift in
+    State.apply_pauli state ~x ~z
+      ~imag:((!anti + Qca_util.Bits.popcount (x land z)) land 1 = 1);
+    for k = stop to length - 1 do
+      apply_drawn state ops.(k);
+      while !next < nevents && events.(!next).Noise.site = k do
         let e = events.(!next) in
         State.apply state e.Noise.pauli [| e.Noise.qubit |];
         incr next
@@ -626,7 +736,7 @@ type shot_plan = {
 let shot_plan ~noise program n =
   let step = micro_step noise in
   let p = ideal_prefix noise program n in
-  let tail = tail_steps program ~from:(Array.length p.sites) in
+  let tail = tail_steps program ~from:p.length in
   let readout =
     if Noise.is_ideal noise then fun _ outcome -> outcome else Noise.flip_readout noise
   in
@@ -648,7 +758,7 @@ let shot_plan ~noise program n =
 let micro_executor ~noise program n =
   let plan = shot_plan ~noise program n in
   fun ~tally state rng ->
-  plan.from_events ~tally state rng (Noise.schedule noise plan.prefix.sites rng)
+  plan.from_events ~tally state rng (Noise.shot_events plan.prefix.draws rng)
 
 (* The trajectory plan's per-chunk executor factory; a shot returns its
    histogram key. When the whole tail is one measurement run (a terminal
@@ -659,15 +769,15 @@ let micro_executor ~noise program n =
    own tree, as it does its scratch state, so domains share nothing
    mutable; the scratch state is only made once a chunk meets a shot with
    errors. *)
-let trajectory_executor ~noise plan n =
-  let sites = plan.prefix.sites and stored = Array.length plan.prefix.states in
+let trajectory_executor plan n =
+  let draws = plan.prefix.draws and stored = Array.length plan.prefix.states in
   match plan.tail with
   | [| Measure_run (qubits, bits) |] when stored > 0 ->
       let ideal = plan.prefix.states.(stored - 1) in
       fun () ->
         let state = lazy (State.create n) and tree = State.outcome_tree ideal qubits in
         fun tally rng ->
-          let events = Noise.schedule noise sites rng in
+          let events = Noise.shot_events draws rng in
           if Array.length events > 0 then
             bitstring (plan.from_events ~tally (Lazy.force state) rng events)
           else begin
@@ -682,7 +792,7 @@ let trajectory_executor ~noise plan n =
       fun () ->
         let state = State.create n in
         fun tally rng ->
-          bitstring (plan.from_events ~tally state rng (Noise.schedule noise sites rng))
+          bitstring (plan.from_events ~tally state rng (Noise.shot_events draws rng))
 
 (* One shot in a state of its own: for callers that keep the final state. *)
 let fresh_shot exec n ~tally rng =
@@ -1347,7 +1457,7 @@ let sample ?faults ?(policy = Resilience.default_policy) ?into ~rng ~shots p =
     | Trajectories plan ->
         (* [clean_shots]: shots that drew no error before the first
            state-dependent op and so started from the shared ideal state. *)
-        simulate (trajectory_executor ~noise:p.noise plan p.n) (fun () ->
+        simulate (trajectory_executor plan p.n) (fun () ->
             [ ("clean_shots", Trace.Int tally.clean) ])
     | Symbolic s ->
         simulate

@@ -148,33 +148,73 @@ type event = { site : int; qubit : int; pauli : Gate.unitary }
 let paulis = [| Gate.X; Gate.Y; Gate.Z |]
 let no_event = { site = 0; qubit = 0; pauli = Gate.I }
 
-(* The draws [after_gate] and a prep make on a Pauli-only model, in the same
-   order, with the error each one picks recorded instead of applied. None
-   of them reads the state: a prep site's measurement draw is taken and
-   ignored, its outcome being 0 on a qubit no gate has touched. *)
-let schedule m sites rng =
+(* A run's draws as flat tables, one slot per draw [after_gate] and a prep
+   make on a Pauli-only model, in the same order: a gate operand's
+   depolarising draw, then, at a prep site, its measurement draw (taken
+   and ignored, the outcome being 0 on a qubit no gate has touched, so a
+   slot that never fires) and, on a noisy model, its prep-error draw. A
+   gate slot that fires draws its Pauli with one more [Rng.int]; a prep
+   slot's error is X. None of them reads the state. *)
+type draws = {
+  thresholds : int array;  (* [Rng.below] form of the slot's rate; 0 never fires *)
+  sites : int array;
+  qubits : int array;
+  gate_slot : bool array;  (* fires a drawn Pauli rather than X *)
+}
+
+let draws m sites =
   if Array.length sites > 0 && not (pauli_only m) then
-    invalid_arg "Noise.schedule: T1/T2 damping draws depend on the state";
+    invalid_arg "Noise.draws: T1/T2 damping draws depend on the state";
   let noisy = not (is_ideal m) in
-  (* Each [bernoulli] as the integer compare [Rng.below] that equals it. *)
   let th1 = Rng.threshold m.single_qubit_error and th2 = Rng.threshold m.two_qubit_error in
   let th_prep = Rng.threshold m.prep_error in
+  let slots = ref 0 in
+  Array.iter
+    (function
+      | Gate_site (_, ops) -> if noisy then slots := !slots + Array.length ops
+      | Prep_site _ -> slots := !slots + if noisy then 2 else 1
+      | Quiet_site -> ())
+    sites;
+  let d =
+    {
+      thresholds = Array.make !slots 0;
+      sites = Array.make !slots 0;
+      qubits = Array.make !slots 0;
+      gate_slot = Array.make !slots false;
+    }
+  in
+  let next = ref 0 in
+  let slot ~site ~qubit ~th ~gate =
+    let k = !next in
+    d.thresholds.(k) <- th;
+    d.sites.(k) <- site;
+    d.qubits.(k) <- qubit;
+    d.gate_slot.(k) <- gate;
+    next := k + 1
+  in
+  Array.iteri
+    (fun site -> function
+      | Gate_site (u, ops) ->
+          if noisy then begin
+            let th = if Gate.arity u >= 2 then th2 else th1 in
+            Array.iter (fun qubit -> slot ~site ~qubit ~th ~gate:true) ops
+          end
+      | Prep_site qubit ->
+          slot ~site ~qubit ~th:0 ~gate:false;
+          if noisy then slot ~site ~qubit ~th:th_prep ~gate:false
+      | Quiet_site -> ())
+    sites;
+  d
+
+let shot_events d rng =
+  let n = Array.length d.thresholds in
   let events = ref [] in
-  for i = 0 to Array.length sites - 1 do
-    match Array.unsafe_get sites i with
-    | Gate_site (u, ops) ->
-        if noisy then begin
-          let th = if Gate.arity u >= 2 then th2 else th1 in
-          for k = 0 to Array.length ops - 1 do
-            if Rng.below rng th then
-              events := { site = i; qubit = ops.(k); pauli = paulis.(Rng.int rng 3) } :: !events
-          done
-        end
-    | Prep_site q ->
-        Rng.skip rng 1;
-        if noisy && Rng.below rng th_prep then
-          events := { site = i; qubit = q; pauli = Gate.X } :: !events
-    | Quiet_site -> ()
+  let k = ref (Rng.first_below rng d.thresholds ~from:0) in
+  while !k < n do
+    let i = !k in
+    let pauli = if Array.unsafe_get d.gate_slot i then paulis.(Rng.int rng 3) else Gate.X in
+    events := { site = d.sites.(i); qubit = d.qubits.(i); pauli } :: !events;
+    k := Rng.first_below rng d.thresholds ~from:(i + 1)
   done;
   match !events with
   | [] -> [||]

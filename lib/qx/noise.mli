@@ -81,9 +81,18 @@ type event = {
 val pauli_only : model -> bool
 (** No T1/T2 decay: every draw of the model is state-independent. *)
 
-val schedule : model -> site array -> Qca_util.Rng.t -> event array
-(** [schedule m sites rng] draws one shot's errors over [sites] from [rng]
-    in exactly the order {!after_gate} and a prep draw them, and returns
-    the errors that fire, in draw order ([[||]] for a clean shot). Raises
-    [Invalid_argument] on a model with T1/T2 decay, unless [sites] is
-    empty. *)
+type draws
+(** One run's draw table over its sites: a threshold, a site and a qubit
+    per draw, built once per run. *)
+
+val draws : model -> site array -> draws
+(** [draws m sites] lays out the draws {!after_gate} and a prep make over
+    [sites] on [m], in their order. Raises [Invalid_argument] on a model
+    with T1/T2 decay, unless [sites] is empty. *)
+
+val shot_events : draws -> Qca_util.Rng.t -> event array
+(** [shot_events d rng] draws one shot's errors from [rng] and returns the
+    ones that fire, in draw order ([[||]] for a clean shot): the events,
+    and the state [rng] is left in, of making each draw in turn with
+    [Rng.below] against the model's threshold and, after a gate draw that
+    fires, [Rng.int rng 3] for its Pauli. *)

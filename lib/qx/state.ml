@@ -209,6 +209,52 @@ let apply_y s q =
         p := !p + len
       done)
 
+(* A Pauli string in one sweep: Z on the qubits of [z], then X on those
+   of [x], then a factor i when [imag]. The amplitude at [k] moves to
+   [k lxor x], negated when [k land z] has odd parity, and i (r + i m) is
+   -m + i r: only swaps and negations, so every amplitude is exact (the
+   Z kernel's [r *. -1.0 -. m *. 0.0] differs only in the sign of an
+   exact zero). The pair at [k] and [k lxor x] is handled once, by its
+   smaller index, so [run_range]'s chunks write disjoint pairs. *)
+let[@inline] odd_parity v =
+  let v = v lxor (v lsr 32) in
+  let v = v lxor (v lsr 16) in
+  let v = v lxor (v lsr 8) in
+  let v = v lxor (v lsr 4) in
+  let v = v lxor (v lsr 2) in
+  (v lxor (v lsr 1)) land 1 = 1
+
+let apply_pauli s ~x ~z ~imag =
+  let all = Array.length s.re - 1 in
+  if x land lnot all <> 0 || z land lnot all <> 0 then
+    invalid_arg "State.apply_pauli: qubit out of range";
+  let re = s.re and im = s.im in
+  if x <> 0 || z <> 0 || imag then
+    run_range s (Array.length re) (fun lo hi ->
+        for k = lo to hi - 1 do
+          let j = k lxor x in
+          if k <= j then begin
+            let rk = Array.unsafe_get re k and mk = Array.unsafe_get im k in
+            let rj = Array.unsafe_get re j and mj = Array.unsafe_get im j in
+            let nk = odd_parity (k land z) and nj = odd_parity (j land z) in
+            (* Index [k]'s amplitude goes to [j], and [j]'s to [k]. *)
+            let rk = if nk then -.rk else rk and mk = if nk then -.mk else mk in
+            let rj = if nj then -.rj else rj and mj = if nj then -.mj else mj in
+            if imag then begin
+              Array.unsafe_set re j (-.mk);
+              Array.unsafe_set im j rk;
+              Array.unsafe_set re k (-.mj);
+              Array.unsafe_set im k rj
+            end
+            else begin
+              Array.unsafe_set re j rk;
+              Array.unsafe_set im j mk;
+              Array.unsafe_set re k rj;
+              Array.unsafe_set im k mj
+            end
+          end
+        done)
+
 (* Multiply the amplitudes whose bit [q] is set by (pr + i pi): visits only
    the dim/2 affected amplitudes instead of predicate-scanning all of them. *)
 let apply_phase1 s q pr pi =

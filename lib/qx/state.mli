@@ -57,6 +57,12 @@ val normalize : t -> unit
 val apply : t -> Qca_circuit.Gate.unitary -> int array -> unit
 (** Apply a gate in place; operands as in {!Qca_circuit.Gate.t}. *)
 
+val apply_pauli : t -> x:int -> z:int -> imag:bool -> unit
+(** [apply_pauli s ~x ~z ~imag] applies Z to the qubits in mask [z], then
+    X to those in mask [x], then multiplies by i when [imag], in one sweep
+    of swaps and negations: each amplitude is exactly what the X and Z
+    kernels give, but for the sign of an exact zero. *)
+
 val apply_matrix1 : t -> Qca_util.Matrix.t -> int -> unit
 (** Apply an arbitrary 2x2 matrix (not necessarily unitary — used for Kraus
     operators; renormalisation is the caller's concern). *)

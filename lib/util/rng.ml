@@ -97,6 +97,28 @@ let coins t sites ~width words =
     skip t (!last + 1)
   end
 
+(* Draw [k] past [from] is [mix64] of the state plus [k + 1] gammas, as in
+   [coins]: one loop with [mix64] inlined, no call per draw. A threshold
+   of 0 never fires, so its slot only counts. *)
+let first_below t thresholds ~from =
+  let n = Array.length thresholds in
+  let start = get64 t 0 in
+  let i = ref from and found = ref false in
+  while (not !found) && !i < n do
+    let th = Array.unsafe_get thresholds !i in
+    if
+      th > 0
+      && Int64.to_int
+           (Int64.shift_right_logical
+              (mix64 (Int64.add start (Int64.mul (Int64.of_int (!i - from + 1)) golden_gamma)))
+              11)
+         < th
+    then found := true
+    else incr i
+  done;
+  skip t (if !found then !i - from + 1 else n - from);
+  !i
+
 let[@inline] bernoulli t p = float t 1.0 < p
 
 (* [float t 1.0 < p] compares m / 2^53 with [p] for the draw's 53-bit

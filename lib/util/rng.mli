@@ -54,6 +54,15 @@ val coins : t -> int array -> width:int -> int array -> unit
     previous site (0 at first). [words] must hold
     [ceil (length sites / width)] words; [0 < width < Sys.int_size]. *)
 
+val first_below : t -> int array -> from:int -> int
+(** [first_below t thresholds ~from] takes one draw per slot of
+    [thresholds], from slot [from] on, and stops at the first slot [i]
+    whose draw is {!below} [thresholds.(i)]: it returns [i] and leaves [t]
+    past that draw, or returns [Array.length thresholds] and leaves [t]
+    past every slot's draw. Both are what a loop of [below t
+    thresholds.(i)] from [from] gives, in one call. Requires [0 <= from <=
+    Array.length thresholds]. *)
+
 val bernoulli : t -> float -> bool
 (** [bernoulli t p] is true with probability [p]. *)
 

@@ -1147,6 +1147,162 @@ let prop_tree_trajectories_match_stepped =
             [ 1; 2; 4 ])
         (("ideal", Noise.ideal) :: schedule_models))
 
+(* The draws before the draw table, kept as its oracle: one [Rng.below]
+   per gate operand and an [Rng.int 3] after each that fires; at a prep
+   site the ignored measurement draw, then the prep-error draw on a noisy
+   model. *)
+let schedule_oracle m sites rng =
+  let noisy = not (Noise.is_ideal m) in
+  let th1 = Rng.threshold m.Noise.single_qubit_error
+  and th2 = Rng.threshold m.Noise.two_qubit_error
+  and th_prep = Rng.threshold m.Noise.prep_error in
+  let paulis = [| Gate.X; Gate.Y; Gate.Z |] in
+  let events = ref [] in
+  Array.iteri
+    (fun site -> function
+      | Noise.Gate_site (u, ops) ->
+          if noisy then begin
+            let th = if Gate.arity u >= 2 then th2 else th1 in
+            Array.iter
+              (fun qubit ->
+                if Rng.below rng th then
+                  events := { Noise.site; qubit; pauli = paulis.(Rng.int rng 3) } :: !events)
+              ops
+          end
+      | Noise.Prep_site qubit ->
+          Rng.skip rng 1;
+          if noisy && Rng.below rng th_prep then
+            events := { Noise.site; qubit; pauli = Gate.X } :: !events
+      | Noise.Quiet_site -> ())
+    sites;
+  Array.of_list (List.rev !events)
+
+let prop_draw_table_matches_oracle =
+  QCheck.Test.make ~name:"draw table = per-draw schedule, generator state included" ~count:300
+    QCheck.(pair (int_range 0 99999) (int_range 0 80))
+    (fun (seed, length) ->
+      let rng = Rng.create seed in
+      let sites =
+        Array.init length (fun _ ->
+            match Rng.int rng 5 with
+            | 0 -> Noise.Prep_site (Rng.int rng 6)
+            | 1 -> Noise.Quiet_site
+            | _ ->
+                let u = Gate.kinds.(Rng.int rng (Array.length Gate.kinds)) in
+                Noise.Gate_site (u, Array.init (Gate.arity u) (fun _ -> Rng.int rng 6)))
+      in
+      List.for_all
+        (fun m ->
+          let d = Noise.draws m sites in
+          List.for_all
+            (fun k ->
+              let a = Rng.create (seed + k) and b = Rng.create (seed + k) in
+              schedule_oracle m sites a = Noise.shot_events d b && Rng.bits64 a = Rng.bits64 b)
+            (List.init 20 Fun.id))
+        [
+          Noise.ideal;
+          { Noise.ideal with Noise.readout_error = 0.1 };
+          Noise.depolarizing 0.05;
+          Noise.depolarizing 0.3;
+          { (Noise.depolarizing 0.0) with Noise.two_qubit_error = 0.2; prep_error = 0.5 };
+        ])
+
+(* Gate [u] on distinct random qubits of [pool]. *)
+let on_pool rng pool u =
+  let pool = Array.copy pool in
+  Rng.shuffle rng pool;
+  Gate.Unitary (u, Array.sub pool 0 (Gate.arity u))
+
+(* A random gate of any [Gate.unitary] kind. *)
+let any_unitary rng =
+  match Gate.kinds.(Rng.int rng (Array.length Gate.kinds)) with
+  | Gate.Rx _ -> Gate.Rx (Rng.float rng 6.0)
+  | Gate.Ry _ -> Gate.Ry (Rng.float rng 6.0)
+  | Gate.Rz _ -> Gate.Rz (Rng.float rng 6.0)
+  | Gate.Cphase _ -> Gate.Cphase (Rng.float rng 6.0)
+  | Gate.Crk _ -> Gate.Crk (1 + Rng.int rng 5)
+  | u -> u
+
+(* A prefix over every gate kind, mostly Cliffords, so that error frames
+   both stop at each rule and survive to the end: a leading prep, gates
+   that leave qubit 0 alone, a prep of qubit 0 (untouched so far), more
+   gates, and a terminal measurement of some qubits. *)
+let frame_circuit seed qubits gates =
+  (* At least four qubits, so that a Toffoli fits beside qubit 0; shrunk
+     cases may ask for fewer. *)
+  let qubits = max 4 qubits and gates = max 0 gates in
+  let rng = Rng.create seed in
+  let all = Array.init qubits Fun.id and rest = Array.init (qubits - 1) (fun q -> q + 1) in
+  let cliffords =
+    [| Gate.H; Gate.S; Gate.Sdag; Gate.X; Gate.Y; Gate.Z; Gate.Cnot; Gate.Cz; Gate.Swap |]
+  in
+  let gate pool =
+    on_pool rng pool
+      (if Rng.int rng 3 = 0 then any_unitary rng
+       else cliffords.(Rng.int rng (Array.length cliffords)))
+  in
+  let half = gates / 2 in
+  let measured = List.filter (fun _ -> Rng.bool rng) (List.init qubits Fun.id) in
+  Circuit.of_list qubits
+    ((Gate.Prep (1 + Rng.int rng (qubits - 1)) :: List.init half (fun _ -> gate rest))
+    @ (Gate.Prep 0 :: List.init (gates - half) (fun _ -> gate all))
+    @ List.map (fun q -> Gate.Measure q) (if measured = [] then [ 0 ] else measured))
+
+(* One shot stepped op by op through [Engine.micro_step] on a fresh
+   state: [Sim.run]'s oracle. *)
+let stepped_shot ~noise rng circuit =
+  let n = Circuit.qubit_count circuit in
+  let state = State.create n and classical = Array.make n (-1) in
+  let step = Engine.micro_step noise in
+  List.iter
+    (function
+      | Gate.Unitary (u, o) ->
+          step ~fired:[||] state classical rng (Engine.M_kernel (Engine.Single (u, o, Gate.name u)))
+      | Gate.Prep q -> step ~fired:[||] state classical rng (Engine.M_prep q)
+      | Gate.Measure q -> step ~fired:[||] state classical rng (Engine.M_measure (q, q))
+      | Gate.Conditional _ | Gate.Barrier _ -> assert false)
+    (Circuit.instructions circuit);
+  (state, classical)
+
+(* [a] is [b] or [-b], amplitude by amplitude with float [=] (so the sign
+   of an exact zero is free), with one sign for the whole state. *)
+let equal_up_to_sign a b =
+  let same sign =
+    let ok = ref true in
+    for k = 0 to State.dimension a - 1 do
+      let x = State.amplitude a k and y = State.amplitude b k in
+      if Cplx.re x <> sign *. Cplx.re y || Cplx.im x <> sign *. Cplx.im y then ok := false
+    done;
+    !ok
+  in
+  same 1.0 || same (-1.0)
+
+(* Error shots start where their Pauli frame stops: histograms equal the
+   op-by-op oracle at 1 and 2 domains, and every [Sim.run] state equals
+   the oracle's up to a sign. *)
+let prop_frame_matches_stepped =
+  QCheck.Test.make ~name:"Pauli-frame shots = op-by-op oracle, states up to a sign" ~count:40
+    QCheck.(triple (int_range 0 9999) (int_range 4 6) (int_range 2 40))
+    (fun (seed, qubits, gates) ->
+      let circuit = frame_circuit seed qubits gates in
+      List.for_all
+        (fun p ->
+          let noise = Noise.depolarizing p in
+          let oracle = stepped_histogram ~noise ~seed ~shots:60 circuit in
+          List.for_all
+            (fun domains ->
+              with_pool ~domains (fun () ->
+                  let r = Engine.run ~noise ~seed ~plan:Engine.Trajectory ~shots:60 circuit in
+                  List.sort compare r.Engine.histogram = oracle))
+            [ 1; 2 ]
+          && List.for_all
+               (fun k ->
+                 let got = Sim.run ~noise ~rng:(Rng.create (seed + k)) circuit in
+                 let state, classical = stepped_shot ~noise (Rng.create (seed + k)) circuit in
+                 got.Sim.classical = classical && equal_up_to_sign got.Sim.state state)
+               (List.init 30 Fun.id))
+        [ 0.05; 0.2 ])
+
 (* Under ideal noise nothing is drawn before the first measurement, so
    every trajectory shot starts from the shared ideal state. *)
 let test_clean_shots_attribute () =
@@ -1481,6 +1637,8 @@ let () =
           qtest prop_measure_tree_matches_run;
           Alcotest.test_case "outcome tree past its node cap" `Quick test_measure_tree_past_cap;
           qtest prop_tree_trajectories_match_stepped;
+          qtest prop_draw_table_matches_oracle;
+          qtest prop_frame_matches_stepped;
           Alcotest.test_case "clean_shots attribute" `Quick test_clean_shots_attribute;
         ] );
       ( "kernels",

@@ -132,6 +132,28 @@ let prop_coins_match_skip_loop =
       Rng.coins b sites ~width words;
       words = expected && Rng.bits64 a = Rng.bits64 b)
 
+(* [first_below] against a loop of [below] from [from]: the slot it stops
+   at and the generator's state after it, over thresholds that never fire
+   (0), always fire (2^53) and fire sometimes, from every start. *)
+let prop_first_below_matches_below_loop =
+  QCheck.Test.make ~name:"first_below = below at each slot" ~count:500
+    QCheck.(pair (int_bound 1_000_000) (small_list (int_bound 3)))
+    (fun (seed, kinds) ->
+      let thresholds =
+        Array.of_list
+          (List.map
+             (function 0 -> 0 | 1 -> 1 lsl 53 | 2 -> Rng.threshold 0.5 | _ -> Rng.threshold 0.01)
+             kinds)
+      in
+      let n = Array.length thresholds in
+      List.for_all
+        (fun from ->
+          let a = Rng.create seed and b = Rng.create seed in
+          let rec expected i = if i < n && not (Rng.below a thresholds.(i)) then expected (i + 1) else i in
+          let e = expected from in
+          Rng.first_below b thresholds ~from = e && Rng.bits64 a = Rng.bits64 b)
+        (List.init (n + 1) Fun.id))
+
 (* [below (threshold p)] is [bernoulli p] for every float p, including the
    edges: 0 and -0, 1, NaN and the infinities, subnormals, values outside
    [0, 1], and p set exactly at, one ulp around, and one step above the
@@ -888,6 +910,7 @@ let () =
           Alcotest.test_case "float allocation" `Quick test_rng_float_allocation;
           Alcotest.test_case "coin and skip" `Quick test_rng_coin_and_skip;
           qtest prop_coins_match_skip_loop;
+          qtest prop_first_below_matches_below_loop;
           Alcotest.test_case "choose_weighted" `Quick test_choose_weighted;
           Alcotest.test_case "shuffle permutation" `Quick test_shuffle_permutation;
         ] );
