@@ -913,6 +913,84 @@ let pin_tests =
           Alcotest.(check string) name (List.assoc name pinned) (f ())))
     pin_cases
 
+(* --- virtual-Z pins --- *)
+
+(* The controller's rz is a frame update that draws no gate noise. These
+   digests were captured while rz still ran as a one-gate fused kernel, on
+   compile-exec's shapes: the bell and teleport fixtures and two random
+   10x60 programs with a terminal measure_all, compiled in Real mode for
+   superconducting_17 and run under its noise model. *)
+let controller_digest source ~seed ~shots () =
+  let platform = Platform.superconducting_17 in
+  let out = Compiler.compile platform Compiler.Real (Cqasm.parse_circuit source) in
+  let program = Option.get out.Compiler.eqasm in
+  let r =
+    Controller.run_shots ~noise:platform.Platform.noise ~seed ~shots Controller.superconducting
+      program
+  in
+  let applies =
+    String.concat " "
+      (List.map (fun (g, c) -> Printf.sprintf "%s:%d" g c) r.Controller.report.Engine.gate_applies)
+  in
+  Digest.to_hex
+    (Digest.string
+       (Printf.sprintf "%s | %s | measurements=%d" (show_histogram r.Controller.histogram) applies
+          r.Controller.report.Engine.measurements))
+
+let random_10x60 seed =
+  Cqasm.emit_circuit (Library.random_circuit (Rng.create seed) ~qubits:10 ~gates:60)
+  ^ "  measure_all\n"
+
+let controller_digests =
+  [
+    ("bell", List.assoc "bell" fixture_sources, 3, 300, "0d14afabec2e708341f8a6280472a21d");
+    ("teleport", List.assoc "teleport" fixture_sources, 4, 300, "25929a6b9277b08a6b295b581502cec2");
+    ("random 10x60 a", random_10x60 101, 5, 30, "eaed9de2e1a1a43152ccdf36ea54bf8d");
+    ("random 10x60 b", random_10x60 202, 6, 30, "9b5baf0c8cd9a2d977c1833d428653d9");
+  ]
+
+let controller_digest_tests =
+  List.map
+    (fun (name, source, seed, shots, digest) ->
+      Alcotest.test_case ("run_shots digest " ^ name) `Quick (fun () ->
+          Alcotest.(check string) name digest (controller_digest source ~seed ~shots ())))
+    controller_digests
+
+(* [State.apply (Rz theta)] on random states, as the bits of every
+   amplitude: the digest equals the one the one-gate fused rz kernel gave
+   on the same states, so the controller's rz is bit-identical to it. *)
+let rz_kernel_digest () =
+  let rng = Rng.create 77 in
+  let buf = Buffer.create 4096 in
+  let bits f = Buffer.add_string buf (Int64.to_string (Int64.bits_of_float f)) in
+  for _ = 1 to 40 do
+    let n = 1 + Rng.int rng 9 in
+    let amps =
+      Array.init (1 lsl n) (fun _ ->
+          Qca_util.Cplx.make (Rng.float rng 2.0 -. 1.0) (Rng.float rng 2.0 -. 1.0))
+    in
+    let s = State.of_amplitudes amps in
+    let q = Rng.int rng n in
+    let theta =
+      match Rng.int rng 4 with
+      | 0 -> 0.0
+      | 1 -> -0.0
+      | 2 -> Rng.float rng 200.0 -. 100.0
+      | _ -> Rng.float rng (2.0 *. Float.pi) -. Float.pi
+    in
+    State.apply s (Gate.Rz theta) [| q |];
+    for k = 0 to State.dimension s - 1 do
+      let a = State.amplitude s k in
+      bits (Qca_util.Cplx.re a);
+      bits (Qca_util.Cplx.im a)
+    done
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_rz_kernel_pin () =
+  Alcotest.(check string) "rz kernel digest" "f55022cae6f001e007ac59039958fd6c"
+    (rz_kernel_digest ())
+
 let () =
   Alcotest.run "qca_microarch"
     [
@@ -973,4 +1051,7 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_qisa_parse_errors;
         ] );
       ("active qubits", QCheck_alcotest.to_alcotest prop_idle_padding :: pin_tests);
+      ( "virtual z",
+        Alcotest.test_case "rz kernel digest" `Quick test_rz_kernel_pin
+        :: controller_digest_tests );
     ]
