@@ -7,8 +7,8 @@
    `resilience`: the cost of the fault-injection hooks when injection is
    disabled;
    `trace`: the cost of the tracing hooks when no collector is installed;
-   `kernels`: the seed state-vector kernels against the mask-specialised,
-   fused and parallel ones;
+   `kernels`: the seed state-vector kernels against the mask-specialised
+   and parallel ones;
    `optimizer`: the gate and depth cut of SABRE + the full optimizer
    against greedy routing + the basic sweep;
    `lint`: static-checker throughput and the pass-verifier's compile-time
@@ -262,10 +262,9 @@ let run_trace () =
 
 let run_kernels () =
   let module State = Qca_qx.State in
-  let module Engine = Qca_qx.Engine in
   let module Parallel = Qca_util.Parallel in
   print_endline
-    "=== Kernels: seed vs specialised vs fused vs parallel (ns per amplitude per run) ===";
+    "=== Kernels: seed vs specialised vs parallel (ns per amplitude per run) ===";
   let time_best f = time_best ~reps:5 f in
   let prepared n =
     let s = State.create n in
@@ -276,8 +275,7 @@ let run_kernels () =
   in
   (* Each gate class is a run of 8 gates; the timed unit applies the whole
      run [inner] times so the smallest states still get past timer
-     resolution. ns/amp is per one application of the run, so a fused
-     single-sweep execution shows up directly against 8 seed sweeps. *)
+     resolution. ns/amp is per one application of the run. *)
   let classes =
     [
       ("h8", List.init 8 (fun _ -> (Gate.H, [| 0 |])));
@@ -293,9 +291,9 @@ let run_kernels () =
     ]
   in
   let saved_threshold = Parallel.threshold_qubits () in
-  (* The seed, specialised and fused arms run on one domain, so the fused
-     speedup is single-domain on the wall clock too; only the parallel
-     arm gets the pool (with the threshold lowered so every n uses it). *)
+  (* The seed and specialised arms run on one domain, so the speedup is
+     single-domain on the wall clock too; only the parallel arm gets the
+     pool (with the threshold lowered so every n uses it). *)
   let domains = Parallel.domain_count () in
   Parallel.set_domain_count 1;
   let diag_n20_speedup = ref 0.0 in
@@ -307,15 +305,6 @@ let run_kernels () =
         let per_amp seconds = seconds /. float_of_int (inner * dim) *. 1e9 in
         List.map
           (fun (name, run) ->
-            let steps, _ =
-              Engine.compile_steps ~fusion:true
-                (List.map (fun (u, ops) -> Gate.Unitary (u, ops)) run)
-            in
-            let kernels =
-              List.filter_map
-                (function Engine.Kernel k -> Some k | Engine.Instr _ -> None)
-                steps
-            in
             let s = prepared n in
             let loop apply_run () =
               for _ = 1 to inner do
@@ -327,35 +316,30 @@ let run_kernels () =
                 (loop (fun () ->
                      List.iter (fun (u, ops) -> State.Reference.apply s u ops) run))
             in
-            let spec_s =
-              time_best
-                (loop (fun () -> List.iter (fun (u, ops) -> State.apply s u ops) run))
-            in
-            let fused_run () = List.iter (Engine.apply_kernel s) kernels in
-            let fused_s = time_best (loop fused_run) in
+            let spec_run () = List.iter (fun (u, ops) -> State.apply s u ops) run in
+            let spec_s = time_best (loop spec_run) in
             Parallel.set_domain_count domains;
             Parallel.set_threshold_qubits 0;
-            let par_s = time_best (loop fused_run) in
+            let par_s = time_best (loop spec_run) in
             Parallel.set_threshold_qubits saved_threshold;
             Parallel.set_domain_count 1;
-            let speedup = per_amp seed_s /. per_amp fused_s in
+            let speedup = per_amp seed_s /. per_amp spec_s in
             if name = "diag8" && n = 20 then diag_n20_speedup := speedup;
             Printf.printf
-              "n=%-3d %-6s seed %7.2f | specialised %7.2f | fused %7.2f | parallel \
-               %7.2f ns/amp | fused speedup %.2fx\n"
-              n name (per_amp seed_s) (per_amp spec_s) (per_amp fused_s)
-              (per_amp par_s) speedup;
+              "n=%-3d %-6s seed %7.2f | specialised %7.2f | parallel %7.2f ns/amp | \
+               speedup %.2fx\n"
+              n name (per_amp seed_s) (per_amp spec_s) (per_amp par_s) speedup;
             Json.(
               Obj
                 [ ("name", String name); ("n", Int n); ("seed", fixed 3 (per_amp seed_s));
-                  ("specialised", fixed 3 (per_amp spec_s)); ("fused", fixed 3 (per_amp fused_s));
-                  ("parallel", fixed 3 (per_amp par_s)); ("speedup_fused_vs_seed", fixed 2 speedup)
-                ]))
+                  ("specialised", fixed 3 (per_amp spec_s)); ("parallel", fixed 3 (per_amp par_s));
+                  ("speedup_specialised_vs_seed", fixed 2 speedup) ]))
           classes)
       [ 10; 16; 20; 22 ]
   in
-  (* End-to-end: full circuits through the seed kernels vs the compiled
-     fused plan (state allocation included on both sides). *)
+  (* End-to-end: full circuits through the seed kernels vs [State.apply],
+     the engine's one kernel per gate (state allocation included on both
+     sides). *)
   let end_to_end =
     List.map
       (fun (name, circuit) ->
@@ -364,43 +348,31 @@ let run_kernels () =
             (function Gate.Unitary (u, ops) -> Some (u, ops) | _ -> None)
             (Circuit.instructions circuit)
         in
-        let steps, _ =
-          Engine.compile_steps ~fusion:true (Circuit.instructions circuit)
-        in
-        let kernels =
-          List.filter_map
-            (function Engine.Kernel k -> Some k | Engine.Instr _ -> None)
-            steps
-        in
         let n = Circuit.qubit_count circuit in
-        let seed_s =
-          time_best (fun () ->
-              let s = State.create n in
-              List.iter (fun (u, ops) -> State.Reference.apply s u ops) unitaries)
+        let run apply () =
+          let s = State.create n in
+          List.iter (fun (u, ops) -> apply s u ops) unitaries
         in
-        let fused_s =
-          time_best (fun () ->
-              let s = State.create n in
-              List.iter (Engine.apply_kernel s) kernels)
-        in
-        let speedup = seed_s /. fused_s in
-        Printf.printf "%-8s seed %.4fs | fused plan %.4fs | speedup %.2fx\n" name
-          seed_s fused_s speedup;
+        let seed_s = time_best (run State.Reference.apply) in
+        let spec_s = time_best (run State.apply) in
+        let speedup = seed_s /. spec_s in
+        Printf.printf "%-8s seed %.4fs | specialised %.4fs | speedup %.2fx\n" name seed_s
+          spec_s speedup;
         Json.(
           Obj
-            [ ("name", String name); ("seed_s", secs seed_s); ("fused_s", secs fused_s);
+            [ ("name", String name); ("seed_s", secs seed_s); ("specialised_s", secs spec_s);
               ("speedup", fixed 2 speedup) ]))
       [ ("ghz-20", Library.ghz 20); ("qft-16", Library.qft 16) ]
   in
   Parallel.set_domain_count domains;
-  Printf.printf "diag-heavy n=20 fused-vs-seed speedup: %.2fx (target 2x)\n"
+  Printf.printf "diag-heavy n=20 specialised-vs-seed speedup: %.2fx (target 2x)\n"
     !diag_n20_speedup;
   write_bench "BENCH_kernels.json"
     Json.(
       Obj
         [ ("benchmark", String "state-vector-kernels"); ("unit", String "ns_per_amplitude_per_run");
           ("domains", Int (Parallel.domain_count ())); ("threshold_qubits", Int saved_threshold);
-          ("diag_n20_speedup_fused_vs_seed", fixed 2 !diag_n20_speedup);
+          ("diag_n20_speedup_specialised_vs_seed", fixed 2 !diag_n20_speedup);
           ("gate_classes", List rows); ("end_to_end", List end_to_end) ])
 
 (* --- optimizing-compiler benchmark (BENCH_optimizer.json) --- *)

@@ -187,19 +187,19 @@ let router_of_common common = Mapping.strategy_of_string common.route
 
 (* The canonical run-request: [payload] under the shared flags, on the
    route they name for [circuit] (the payload's parse: label and width). *)
-let job_of_common common ~platform ~mode ~ladder ~plan ~fusion circuit payload =
+let job_of_common common ~platform ~mode ~ladder ~plan circuit payload =
   Result.bind (router_of_common common) (fun router ->
       Spool.route_of_names ~router ~platform ~mode ~ladder
         ~qubits:(Circuit.qubit_count circuit) ())
   |> Result.map (fun route ->
          Job_spec.make ~label:(Circuit.name circuit) ~route ~shots:common.shots
-           ~seed:common.seed ?noise:common.noise ?plan ~fusion ?fault_rate:common.fault_rate
+           ~seed:common.seed ?noise:common.noise ?plan ?fault_rate:common.fault_rate
            ~fault_seed:common.fault_seed ~max_retries:common.max_retries payload)
 
 (* What [run] and [submit] make of a source file: its text is the payload. *)
-let source_job common ~file ~text circuit ~plan ~fusion =
-  job_of_common common ~platform:common.platform ~mode:common.mode ~ladder:true ~plan ~fusion
-    circuit (Job_spec.Source { name = file; text })
+let source_job common ~file ~text circuit ~plan =
+  job_of_common common ~platform:common.platform ~mode:common.mode ~ladder:true ~plan circuit
+    (Job_spec.Source { name = file; text })
 
 let print_json doc = print_endline (Json.to_string doc)
 
@@ -534,7 +534,7 @@ let estimate_cmd =
           (codes R01-R04, docs/estimate.md).")
     estimate_term
 
-let run_command common file plan trajectory no_fusion lint lint_json =
+let run_command common file plan trajectory lint lint_json =
   if not (check_shots common.shots) then 1
   else
     match load_source file with
@@ -543,10 +543,7 @@ let run_command common file plan trajectory no_fusion lint lint_json =
         1
     | Ok (_, program, _) when not (run_lint ~lint ~lint_json program) -> 2
     | Ok (text, _, circuit) -> (
-        match
-          source_job common ~file ~text circuit ~plan:(resolve_plan plan trajectory)
-            ~fusion:(not no_fusion)
-        with
+        match source_job common ~file ~text circuit ~plan:(resolve_plan plan trajectory) with
         | Error msg ->
             prerr_endline msg;
             1
@@ -584,18 +581,10 @@ let trajectory_flag =
           "Force the per-shot trajectory plan even when single-pass sampling \
            applies (shorthand for $(b,--plan)=$(b,trajectory)).")
 
-let no_fusion_flag =
-  Arg.(
-    value & flag
-    & info [ "no-fusion" ]
-        ~doc:
-          "Disable the gate-fusion pre-pass (results are bit-identical either way; \
-           this only affects speed and the fusion metrics).")
-
 let run_term =
   Term.(
-    const run_command $ common_term $ file_arg $ plan_arg $ trajectory_flag
-    $ no_fusion_flag $ lint_flag $ lint_json_flag)
+    const run_command $ common_term $ file_arg $ plan_arg $ trajectory_flag $ lint_flag
+    $ lint_json_flag)
 
 let run_cmd =
   Cmd.v
@@ -732,7 +721,7 @@ let exec_command common plan file =
     | Ok circuit -> (
         let platform = Some (Option.value ~default:"superconducting" common.platform) in
         match
-          job_of_common common ~platform ~mode:"real" ~ladder:false ~plan ~fusion:true circuit
+          job_of_common common ~platform ~mode:"real" ~ladder:false ~plan circuit
             (Job_spec.Circuit circuit)
         with
         | Error msg ->
@@ -813,7 +802,7 @@ let durable_flag =
            rename, so the submission survives power loss.")
 
 let submit_command common dir tenant priority deadline_ms durable file plan
-    trajectory no_fusion =
+    trajectory =
   if not (check_shots common.shots) then 1
   else
     match load_source file with
@@ -821,10 +810,7 @@ let submit_command common dir tenant priority deadline_ms durable file plan
         prerr_endline msg;
         1
     | Ok (text, _, circuit) -> (
-        match
-          source_job common ~file ~text circuit
-            ~plan:(resolve_plan plan trajectory) ~fusion:(not no_fusion)
-        with
+        match source_job common ~file ~text circuit ~plan:(resolve_plan plan trajectory) with
         | Error msg ->
             prerr_endline msg;
             1
@@ -842,8 +828,7 @@ let submit_command common dir tenant priority deadline_ms durable file plan
 let submit_term =
   Term.(
     const submit_command $ common_term $ spool_arg $ tenant_arg $ priority_arg
-    $ deadline_arg $ durable_flag $ file_arg $ plan_arg $ trajectory_flag
-    $ no_fusion_flag)
+    $ deadline_arg $ durable_flag $ file_arg $ plan_arg $ trajectory_flag)
 
 let submit_cmd =
   Cmd.v

@@ -54,9 +54,12 @@ type calibration = {
   ns_row : float;
 }
 
-(* BENCH_kernels.json, fused kernels at n = 20 on the reference container:
-   h ~19.4 ns/amp, t ~9.6, rz/diag ~13-18, cnot ~6.1. Toffoli touches dim/8
-   and sampling/collapse are sweep-shaped; see docs/estimate.md. *)
+(* Measured when BENCH_kernels.json still timed fused gate runs (n = 20,
+   reference container): h ~19.4 ns/amp, t ~9.6, rz/diag ~13-18, cnot
+   ~6.1. The engine now applies one specialised kernel per gate, which
+   the file's "specialised" column times; these constants wait for the
+   estimator's refit. Toffoli touches dim/8 and sampling/collapse are
+   sweep-shaped; see docs/estimate.md. *)
 let default_calibration =
   {
     ns_1q = 20.0;

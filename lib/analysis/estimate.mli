@@ -66,8 +66,10 @@ type calibration = {
 }
 
 val default_calibration : calibration
-(** Constants measured on the reference container ([BENCH_kernels.json],
-    fused kernels at n = 20); see [docs/estimate.md]. *)
+(** Constants measured on the reference container when
+    [BENCH_kernels.json] still timed fused gate runs (n = 20); they are
+    not yet refitted to the one-kernel-per-gate engine. See
+    [docs/estimate.md]. *)
 
 val of_circuit :
   ?shots:int ->

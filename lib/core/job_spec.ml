@@ -42,7 +42,7 @@ type t = {
 }
 
 let make ?(label = "job") ?(route = Direct) ?(shots = 1024) ?seed ?noise
-    ?plan ?(fusion = true) ?fault_rate
+    ?plan ?fault_rate
     ?(fault_seed = Fault.default_seed)
     ?(max_retries = Resilience.default_policy.Resilience.max_retries)
     ?(backoff_ns = Resilience.default_policy.Resilience.backoff_ns)
@@ -62,7 +62,7 @@ let make ?(label = "job") ?(route = Direct) ?(shots = 1024) ?seed ?noise
     seed;
     noise;
     plan;
-    fusion;
+    fusion = true;
     fault_rate;
     fault_seed;
     max_retries;

@@ -4,7 +4,7 @@
     to run (a circuit, or cQASM source to parse), where to run it (the
     {!route}: the QX engine directly, or the compiler followed by the
     micro-architecture or QX), and the run parameters (shots, seed, noise,
-    plan override, fusion, fault-injection and retry policy). [qxc run]/
+    plan override, fault-injection and retry policy). [qxc run]/
     [exec], {!Stack.spec} and the multi-tenant job service
     ({!Qca_service.Service}) all build one, so the CLI and the daemon are
     thin clients of the same code path; see [docs/service.md].
@@ -58,7 +58,10 @@ type t = {
           planner's automatic choice; [Some Trajectory] is the historical
           [--trajectory] force; [Some Sampled]/[Some Clifford] force those
           plans (rejected with a structured error when unsound). *)
-  fusion : bool;  (** Gate-fusion pre-pass (default on). *)
+  fusion : bool;
+      (** Always [true] and read by nothing in the stack: every run
+          applies one kernel per gate. Kept only because stackbench's
+          engine loops ([stackbench/engine_loops.ml]) still read it. *)
   fault_rate : float option;
       (** Per-site fault-injection probability ([None] = injection off). *)
   fault_seed : int;  (** Seed of the injector's own RNG stream. *)
@@ -82,7 +85,6 @@ val make :
   ?seed:int ->
   ?noise:float ->
   ?plan:Qca_qx.Engine.plan ->
-  ?fusion:bool ->
   ?fault_rate:float ->
   ?fault_seed:int ->
   ?max_retries:int ->
@@ -92,7 +94,7 @@ val make :
   payload ->
   t
 (** Defaults mirror [qxc run]: route [Direct], 1024 shots, no explicit
-    seed, ideal noise, automatic plan, fusion on, injection off,
+    seed, ideal noise, automatic plan, injection off,
     {!Qca_util.Resilience.default_policy} retry parameters, priority 0,
     no deadline. Raises [Invalid_argument] on [shots < 1] or a negative
     [deadline_ms]. *)
@@ -158,8 +160,7 @@ val cache_key : t -> digest:string -> string option
     (route fingerprint, shots, seed, noise, plan, fault/retry policy).
     [None] when the spec has no explicit seed — an unseeded run draws from
     the process-wide stream and is not reproducible, so it must not be
-    cached. [fusion] deliberately does not participate: fused and unfused
-    runs are bit-identical. The plan override participates like the router:
+    cached. The plan override participates like the router:
     the automatic plan (and the historical [--trajectory] force, which kept
     its [traj=true] field) add no suffix, so pre-planner fingerprints stay
     stable; forcing [sampled] or [clifford] appends a [|plan=...] suffix. *)

@@ -39,15 +39,14 @@ let ladder_reason ~policy ~shots = function
 
 (* The Direct route's noise model and plan override, read off the spec in
    this one place: [run]'s Direct arm and [prepare] both take them from
-   here. Fusion and the retry policy are the spec's on every route. *)
+   here. The retry policy is the spec's on every route. *)
 type direct = { noise : Noise.model; plan : Engine.plan option }
 
 let direct (spec : Job_spec.t) = { noise = Job_spec.noise_model spec; plan = spec.Job_spec.plan }
 
 let prepare (spec : Job_spec.t) circuit =
   let d = direct spec in
-  Engine.prepare ~noise:d.noise ?plan:d.plan ~fusion:spec.Job_spec.fusion
-    ~shots:spec.Job_spec.shots circuit
+  Engine.prepare ~noise:d.noise ?plan:d.plan ~shots:spec.Job_spec.shots circuit
 
 let run ?rng ?faults (spec : Job_spec.t) =
   let ( let* ) = Result.bind in
@@ -57,8 +56,7 @@ let run ?rng ?faults (spec : Job_spec.t) =
   let faults = match faults with Some _ as f -> f | None -> Job_spec.faults spec in
   let engine ?faults ?plan ?compiled ~noise circuit =
     let* r =
-      Engine.run_checked ~noise ?seed ?rng ?plan ~shots ?faults ~policy
-        ~fusion:spec.Job_spec.fusion circuit
+      Engine.run_checked ~noise ?seed ?rng ?plan ~shots ?faults ~policy circuit
     in
     Ok
       {

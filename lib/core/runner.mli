@@ -45,8 +45,8 @@ val run :
 val prepare :
   Job_spec.t -> Qca_circuit.Circuit.t -> (Qca_qx.Engine.prepared, Qca_util.Error.t) result
 (** The engine preparation of a [Direct] job ({!Qca_qx.Engine.prepare})
-    on its elaborated circuit, with the spec's noise model, plan override,
-    fusion and shots: the arguments {!run}'s Direct arm passes. The job
+    on its elaborated circuit, with the spec's noise model, plan override
+    and shots: the arguments {!run}'s Direct arm passes. The job
     service prepares a job with this once and samples it slice by slice
     with {!Qca_qx.Engine.sample}. *)
 

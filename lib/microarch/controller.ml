@@ -168,11 +168,15 @@ let add table key c =
 let fixed_gates =
   Gate.[ X90; Xm90; Y90; Ym90; Cz; X; Y; Z; H; S; Sdag; T; Tdag; Cnot; Swap ]
 
-(* Lower one eQASM op on program [qubits] to engine micro-ops on the chip's
-   state qubits; measurements still land in the classical bit of their
-   program qubit. A one-qubit gate acts on each qubit, a two-qubit gate on
-   exactly two. rz is a virtual-Z frame update: a one-gate fused kernel,
-   which the engine's step follows with no gate noise. *)
+(* What the chip runs for one eQASM op: an engine micro-op, or rz's
+   virtual-Z frame update on a state qubit. The controller applies the
+   frame update itself, so no gate noise follows it. *)
+type chip_op = Step of Engine.micro_op | Virtual_z of int * Gate.unitary
+
+(* Lower one eQASM op on program [qubits] to chip ops on the chip's state
+   qubits; measurements still land in the classical bit of their program
+   qubit. A one-qubit gate acts on each qubit, a two-qubit gate on exactly
+   two. *)
 let lower session (op : Eqasm.quantum_op) qubits =
   let slot q =
     let i = session.chip.slots.(q) in
@@ -183,39 +187,41 @@ let lower session (op : Eqasm.quantum_op) qubits =
     i
   in
   let each f = List.map (fun q -> f (slot q) q) qubits in
-  let kernel u ops = Engine.M_kernel (Engine.Single (u, ops, Gate.name u)) in
+  let gate u ops = Step (Engine.M_gate (u, ops)) in
   match op.Eqasm.mnemonic with
   | "i" -> []
   | "rz" ->
-      let plan = State.fused1q_plan_of [ Gate.Rz (Option.value ~default:0.0 op.Eqasm.angle) ] in
-      each (fun s _ -> Engine.M_kernel (Engine.Fused_1q (s, plan, [ "rz" ])))
-  | "measz" -> each (fun s q -> Engine.M_measure (s, q))
-  | "prepz" -> each (fun s _ -> Engine.M_prep s)
+      let rz = Gate.Rz (Option.value ~default:0.0 op.Eqasm.angle) in
+      each (fun s _ -> Virtual_z (s, rz))
+  | "measz" -> each (fun s q -> Step (Engine.M_measure (s, q)))
+  | "prepz" -> each (fun s _ -> Step (Engine.M_prep s))
   | mnemonic -> (
       match List.find_opt (fun u -> Gate.name u = mnemonic) fixed_gates, qubits with
       | None, _ -> Qerror.fail ~site:"Controller.issue_op" (Qerror.Unknown_mnemonic mnemonic)
-      | Some u, _ when Gate.arity u = 1 -> each (fun s _ -> kernel u [| s |])
-      | Some u, [ q1; q2 ] -> [ kernel u [| slot q1; slot q2 |] ]
+      | Some u, _ when Gate.arity u = 1 -> each (fun s _ -> gate u [| s |])
+      | Some u, [ q1; q2 ] -> [ gate u [| slot q1; slot q2 |] ]
       | Some u, _ ->
           Qerror.fail ~site:"Controller.issue_op"
             ~context:[ ("operands", string_of_int (List.length qubits)) ]
             (Qerror.Invalid (Printf.sprintf "gate %s got wrong operand count" (Gate.name u))))
 
-(* Run one micro-op on the chip. A measurement first passes the
-   channel-loss fault check. The controller evaluates conditions itself,
-   so no conditional slot ever fires. *)
-let run_op session (mop : Engine.micro_op) =
-  (match mop with
-  | Engine.M_kernel (Engine.Single (_, _, name)) -> add session.applies name 1
-  | Engine.M_kernel (Engine.Fused_1q (_, _, names) | Engine.Fused_diag (_, names)) ->
-      List.iter (fun name -> add session.applies name 1) names
-  | Engine.M_measure (_, q) ->
-      if fault_fires session Fault.Channel_loss then
-        Qerror.fail ~transient:true ~site:"Controller.issue_op"
-          (Qerror.Channel_loss { qubit = q });
-      session.measures <- session.measures + 1
-  | Engine.M_cond _ | Engine.M_prep _ -> ());
-  session.chip.step ~fired:[||] session.state session.classical session.rng mop
+(* Run one chip op. A measurement first passes the channel-loss fault
+   check. The controller evaluates conditions itself, so no conditional
+   slot ever fires. *)
+let run_op session = function
+  | Virtual_z (s, rz) ->
+      add session.applies "rz" 1;
+      State.apply session.state rz [| s |]
+  | Step mop ->
+      (match mop with
+      | Engine.M_gate (u, _) -> add session.applies (Gate.name u) 1
+      | Engine.M_measure (_, q) ->
+          if fault_fires session Fault.Channel_loss then
+            Qerror.fail ~transient:true ~site:"Controller.issue_op"
+              (Qerror.Channel_loss { qubit = q });
+          session.measures <- session.measures + 1
+      | Engine.M_cond _ | Engine.M_prep _ -> ());
+      session.chip.step ~fired:[||] session.state session.classical session.rng mop
 
 let issue_op session (op : Eqasm.quantum_op) =
   let enabled =
@@ -437,7 +443,6 @@ let run_shots ?noise ?seed ?rng ?(shots = 1024) ?faults
       measurements = !measures;
       wall = { Engine.analyse_s = 0.0; simulate_s = t1 -. t0; sample_s = 0.0 };
       resilience = Engine.resilience_of faults counters;
-      fusion = Engine.no_fusion;
       cache = Engine.no_cache;
     }
   in

@@ -9,8 +9,9 @@
     each eQASM op, its mask resolved to state qubits, is lowered to engine
     micro-ops, so gates, gate noise, measurement, readout error and prep
     have one semantics across [Engine.run], {!run_shots} and
-    [Qisa.execute]. [rz] is a virtual-Z frame update: it lowers to a fused
-    kernel, which draws no gate noise.
+    [Qisa.execute]. [rz] is a virtual-Z frame update: the controller
+    applies the [Rz] kernel itself, outside the step, so it draws no gate
+    noise.
 
     The chip holds only the program's active qubits, those an SMIS or SMIT
     mask names: every shot allocates 2^active amplitudes, not 2^qubit_count.

@@ -240,7 +240,6 @@ let sample ?(noise = Noise.ideal) ?(shots = 1024) ?seed circuit =
             measurements = shots * measured_count;
             wall = { Engine.analyse_s = t1 -. t0; simulate_s = t2 -. t1; sample_s = t3 -. t2 };
             resilience = Engine.no_resilience;
-            fusion = Engine.no_fusion;
             cache = Engine.no_cache;
           };
       })

@@ -41,15 +41,6 @@ let resilience_of faults (counters : Resilience.counters) =
         degraded = None;
       }
 
-type fusion_stats = {
-  gates_in : int;
-  kernels : int;
-  fused_1q : int;
-  fused_diag : int;
-}
-
-let no_fusion = { gates_in = 0; kernels = 0; fused_1q = 0; fused_diag = 0 }
-
 type cache_stats = { cache_hits : int; cache_shared : int }
 
 let no_cache = { cache_hits = 0; cache_shared = 0 }
@@ -65,7 +56,6 @@ type run_report = {
   measurements : int;
   wall : phase_times;
   resilience : resilience;
-  fusion : fusion_stats;
   cache : cache_stats;
 }
 
@@ -247,109 +237,24 @@ let terminal_split circuit =
       let unitary = function Gate.Unitary _ -> true | _ -> false in
       Some (List.filter unitary (Circuit.instructions circuit), v.measured)
 
-(* --- gate fusion ------------------------------------------------------- *)
-
-(* The fusion pre-pass folds adjacent unitaries into fused kernels:
-   maximal runs of consecutive diagonal gates (any operands) become one
-   diagonal sweep, and runs of single-qubit gates on the same qubit become
-   one pair sweep. Fused kernels keep each gate's specialised arithmetic
-   (see State), so a fused run is bit-identical to the unfused sequence —
-   fusion is a pure traversal-order optimisation. Runs never cross
-   measurements, preps, conditionals or barriers, and the pass only runs
-   when the noise model is ideal (noise is applied after each gate, which
-   pins the gate-by-gate schedule). *)
-
-type fused_kernel =
-  | Single of Gate.unitary * int array * string
-  | Fused_1q of int * State.fused1q_plan * string list
-  | Fused_diag of State.diag_plan * string list
-
-type plan_step = Kernel of fused_kernel | Instr of Gate.t
-
-let compile_steps ~fusion instrs =
-  let gates_in = ref 0 and kernels = ref 0 and fused_1q = ref 0 and fused_diag = ref 0 in
-  let rec take_diag acc = function
-    | Gate.Unitary (u, ops) :: rest when Gate.is_diagonal u ->
-        take_diag ((u, ops) :: acc) rest
-    | rest -> (List.rev acc, rest)
-  in
-  let rec take_1q q acc = function
-    | Gate.Unitary (u, ops) :: rest when Gate.arity u = 1 && ops.(0) = q ->
-        take_1q q (u :: acc) rest
-    | rest -> (List.rev acc, rest)
-  in
-  let single u ops =
-    incr gates_in;
-    incr kernels;
-    Kernel (Single (u, ops, Gate.name u))
-  in
-  let rec go acc instrs =
-    match instrs with
-    | [] -> List.rev acc
-    | (Gate.Conditional _ | Gate.Prep _ | Gate.Measure _ | Gate.Barrier _) as instr :: rest
-      ->
-        go (Instr instr :: acc) rest
-    | Gate.Unitary (u, ops) :: rest when not fusion -> go (single u ops :: acc) rest
-    | Gate.Unitary (u, ops) :: rest as all -> (
-        let diag_run, diag_rest =
-          if Gate.is_diagonal u then take_diag [] all else ([], all)
-        in
-        match diag_run with
-        | _ :: _ :: _ ->
-            (* Every gate in the run is diagonal, so the plan exists. *)
-            let dplan = Option.get (State.diag_plan_of diag_run) in
-            gates_in := !gates_in + List.length diag_run;
-            incr kernels;
-            incr fused_diag;
-            let names = List.map (fun (du, _) -> Gate.name du) diag_run in
-            go (Kernel (Fused_diag (dplan, names)) :: acc) diag_rest
-        | _ ->
-            if Gate.arity u = 1 then begin
-              let q = ops.(0) in
-              match take_1q q [] all with
-              | (_ :: _ :: _ as run), rest' ->
-                  gates_in := !gates_in + List.length run;
-                  incr kernels;
-                  incr fused_1q;
-                  go
-                    (Kernel (Fused_1q (q, State.fused1q_plan_of run, List.map Gate.name run))
-                    :: acc)
-                    rest'
-              | _ -> go (single u ops :: acc) rest
-            end
-            else go (single u ops :: acc) rest)
-  in
-  let steps = go [] instrs in
-  ( steps,
-    {
-      gates_in = !gates_in;
-      kernels = !kernels;
-      fused_1q = !fused_1q;
-      fused_diag = !fused_diag;
-    } )
-
-let apply_kernel state = function
-  | Single (u, ops, _) -> State.apply state u ops
-  | Fused_1q (q, p, _) -> State.apply_fused1q state p q
-  | Fused_diag (p, _) -> State.apply_diag_plan state p
-
 (* --- the flat micro-program -------------------------------------------- *)
 
 (* The compiled form every executor dispatches over: a flat array of
-   micro-ops walked by one indexed loop, instead of re-walking a cons list
-   of plan steps per shot. Barriers are dropped at compile time and each
-   conditional gets a tally slot, so the per-shot loop does no list
-   traversal, no string construction and no table lookup. *)
+   micro-ops walked by one indexed loop, instead of re-walking the
+   instruction list per shot. Each unitary is one gate kernel. Barriers
+   are dropped at compile time and each conditional gets a tally slot, so
+   the per-shot loop does no list traversal, no string construction and no
+   table lookup. *)
 type micro_op =
-  | M_kernel of fused_kernel
+  | M_gate of Gate.unitary * int array
   | M_cond of int * Gate.unitary * int array * int  (* ..., conditional slot *)
   | M_prep of int
   | M_measure of int * int  (* state qubit, classical bit *)
 
 (* Gate applies are counted statically: every pass over a program applies
-   each kernel's logical gates once and measures each [M_measure] once, so
-   the compiled program carries those per-pass totals and a run only
-   counts its passes and, per conditional slot, how often it fired. *)
+   each [M_gate] once and measures each [M_measure] once, so the compiled
+   program carries those per-pass totals and a run only counts its passes
+   and, per conditional slot, how often it fired. *)
 type program = {
   ops : micro_op array;
   pass_applies : (string * int) list;  (* unconditional gates per pass, by name *)
@@ -357,44 +262,37 @@ type program = {
   cond_names : string array;  (* slot -> gate name *)
 }
 
-let compile_micro ~fusion instrs =
-  let steps, fstats = compile_steps ~fusion instrs in
+let compile_micro circuit =
   (* Applies per gate kind ([Gate.kind]), read back by name at the end. *)
   let applies = Array.make (Array.length Gate.kinds) 0 and measures = ref 0 in
   let conds = ref [] and slots = ref 0 in
-  let count k = applies.(k) <- applies.(k) + 1 in
   let ops =
     List.filter_map
-      (fun step ->
-        match step with
-        | Kernel k ->
-            (match k with
-            | Single (u, _, _) -> count (Gate.kind u)
-            | Fused_1q (_, _, names) | Fused_diag (_, names) ->
-                List.iter (fun name -> count (Option.get (Gate.kind_of_name name))) names);
-            Some (M_kernel k)
-        | Instr (Gate.Conditional (bit, u, o)) ->
+      (function
+        | Gate.Unitary (u, o) ->
+            let k = Gate.kind u in
+            applies.(k) <- applies.(k) + 1;
+            Some (M_gate (u, o))
+        | Gate.Conditional (bit, u, o) ->
             conds := Gate.name u :: !conds;
             incr slots;
             Some (M_cond (bit, u, o, !slots - 1))
-        | Instr (Gate.Prep q) -> Some (M_prep q)
-        | Instr (Gate.Measure q) ->
+        | Gate.Prep q -> Some (M_prep q)
+        | Gate.Measure q ->
             incr measures;
             Some (M_measure (q, q))
-        | Instr (Gate.Barrier _) -> None
-        | Instr (Gate.Unitary _) -> assert false)
-      steps
+        | Gate.Barrier _ -> None)
+      (Circuit.instructions circuit)
   in
-  ( {
-      ops = array_of_list (M_prep 0) ops;
-      pass_applies =
-        List.filter
-          (fun (_, c) -> c > 0)
-          (Array.to_list (Array.mapi (fun k c -> (Gate.name Gate.kinds.(k), c)) applies));
-      pass_measures = !measures;
-      cond_names = Array.of_list (List.rev !conds);
-    },
-    fstats )
+  {
+    ops = array_of_list (M_prep 0) ops;
+    pass_applies =
+      List.filter
+        (fun (_, c) -> c > 0)
+        (Array.to_list (Array.mapi (fun k c -> (Gate.name Gate.kinds.(k), c)) applies));
+    pass_measures = !measures;
+    cond_names = Array.of_list (List.rev !conds);
+  }
 
 (* --- instrumentation --------------------------------------------------- *)
 
@@ -440,9 +338,9 @@ let trace_counters ~gate_applies ~measurements =
 
 (* One micro-op of one state-vector shot, the only code that steps a state
    (trajectory plan, [Sim.run], [fold_trajectories] and the controller's
-   quantum chip). Under a stochastic [noise] model a [Single] kernel draws
-   its gate errors, a prep its prep error and a measurement its readout
-   flip; fused kernels (ideal runs only) draw nothing. [fired] counts each
+   quantum chip). Under a stochastic [noise] model a gate draws its gate
+   errors, a prep its prep error and a measurement its readout flip.
+   [fired] counts each
    conditional slot's firings. The model's channels are worked out once,
    when [micro_step] is applied to it. *)
 let micro_step noise =
@@ -450,11 +348,9 @@ let micro_step noise =
   let gate_noise = Noise.gate_noise noise in
   fun ~fired state classical rng op ->
     match op with
-    | M_kernel k -> (
-        apply_kernel state k;
-        match k with
-        | Single (u, o, _) -> if not ideal then Noise.after_gate gate_noise state rng u o
-        | Fused_1q _ | Fused_diag _ -> ())
+    | M_gate (u, o) ->
+        State.apply state u o;
+        if not ideal then Noise.after_gate gate_noise state rng u o
     | M_cond (bit, u, o, slot) ->
         if classical.(bit) = 1 then begin
           State.apply state u o;
@@ -493,27 +389,21 @@ let schedule_sites noise program n =
       if i >= Array.length ops then acc
       else
         match ops.(i) with
-        | M_kernel (Single (u, o, _)) ->
+        | M_gate (u, o) ->
             Array.iter (fun q -> touched.(q) <- true) o;
             go (i + 1) (Noise.Gate_site (u, o) :: acc)
-        | M_kernel (Fused_1q (q, _, _)) ->
-            touched.(q) <- true;
-            go (i + 1) (Noise.Quiet_site :: acc)
-        | M_kernel (Fused_diag _) ->
-            (* A diagonal run keeps a zero amplitude zero: it touches nothing. *)
-            go (i + 1) (Noise.Quiet_site :: acc)
         | M_prep q when not touched.(q) ->
             touched.(q) <- true;
             go (i + 1) (Noise.Prep_site q :: acc)
         | M_prep _ | M_measure _ | M_cond _ -> acc
     in
-    array_of_list Noise.Quiet_site (List.rev (go 0 []))
+    array_of_list (Noise.Prep_site 0) (List.rev (go 0 []))
   end
 
 (* A prefix op without its draws: a prep of an untouched qubit measures 0,
    so it is the collapse onto 0. *)
 let apply_drawn state = function
-  | M_kernel k -> apply_kernel state k
+  | M_gate (u, o) -> State.apply state u o
   | M_prep q -> State.collapse state q 0
   | M_measure _ | M_cond _ -> assert false
 
@@ -564,12 +454,11 @@ let frame_through u o f =
   | _ -> if touches o (x lor z) 0 then -1 else f
 
 (* The frame after op [i] of the prefix, or -1 where it stops: at every
-   prep, whose normalisation sums the amplitudes in index order, and at
-   a fused kernel (an ideal program's; it draws no error). *)
+   prep, whose normalisation sums the amplitudes in index order. *)
 let frame_through_op op f =
   match op with
-  | M_kernel (Single (u, o, _)) -> frame_through u o f
-  | M_kernel (Fused_1q _ | Fused_diag _) | M_prep _ -> -1
+  | M_gate (u, o) -> frame_through u o f
+  | M_prep _ -> -1
   | M_measure _ | M_cond _ -> assert false
 
 (* Ideal checkpoints, the prefix's final state included: at most this many,
@@ -720,7 +609,7 @@ let tail_steps program ~from =
    ideal prefix is evaluated there, once; each
    shot draws its schedule, starts from the prefix state, and steps the
    rest of the program through [micro_step], so randomness is drawn in
-   program order (a noisy program is compiled unfused). A shot runs in a
+   program order. A shot runs in a
    caller-owned [state], overwritten from the start, so a caller that
    drops each final state reuses one buffer for all its shots. The tally
    counts the pass and the conditionals that fired; the program's static
@@ -800,10 +689,8 @@ let fresh_shot exec n ~tally rng =
   let classical = exec ~tally state rng in
   (state, classical)
 
-let unfused_program circuit = fst (compile_micro ~fusion:false (Circuit.instructions circuit))
-
 let exec_shot ?(noise = Noise.ideal) rng circuit =
-  let program = unfused_program circuit in
+  let program = compile_micro circuit in
   let n = Circuit.qubit_count circuit in
   fresh_shot (micro_executor ~noise program n) n ~tally:(fresh_tally program) rng
 
@@ -830,10 +717,7 @@ let exec_micro_tableau ~tally rng tab program =
   let classical = Array.make (Tableau.qubit_count tab) (-1) in
   for i = 0 to Array.length ops - 1 do
     match Array.unsafe_get ops i with
-    | M_kernel (Single (u, o, _)) -> Tableau.apply_gate tab u o
-    | M_kernel (Fused_1q _ | Fused_diag _) ->
-        (* The Clifford plan compiles with [~fusion:false]. *)
-        assert false
+    | M_gate (u, o) -> Tableau.apply_gate tab u o
     | M_cond (bit, u, o, slot) ->
         if classical.(bit) = 1 then begin
           Tableau.apply_gate tab u o;
@@ -881,8 +765,7 @@ let random_outcomes program n =
   let tab = Tableau.create n and count = ref 0 in
   Array.iter
     (function
-      | M_kernel (Single (u, o, _)) -> Tableau.apply_gate tab u o
-      | M_kernel (Fused_1q _ | Fused_diag _) -> assert false
+      | M_gate (u, o) -> Tableau.apply_gate tab u o
       | M_cond _ -> ()
       | M_prep q | M_measure (q, _) ->
           if Tableau.is_random tab q then incr count;
@@ -921,8 +804,7 @@ let symbolic_pass program n =
   let bits = Array.make n (-1, [||]) and conds = ref [] in
   Array.iter
     (function
-      | M_kernel (Single (u, o, _)) -> Tableau.apply_gate tab u o
-      | M_kernel (Fused_1q _ | Fused_diag _) -> assert false
+      | M_gate (u, o) -> Tableau.apply_gate tab u o
       | M_cond (bit, u, o, slot) ->
           let form = bits.(bit) in
           conds := (slot, form) :: !conds;
@@ -1009,7 +891,7 @@ let batch_shots shots =
 let fold_trajectories ?(noise = Noise.ideal) ~rng ~shots ~init ~f circuit =
   (* Compiled once; each shot gets its own tally so parallel shots share
      nothing mutable. *)
-  let program = unfused_program circuit in
+  let program = compile_micro circuit in
   let n = Circuit.qubit_count circuit in
   let exec = micro_executor ~noise program n in
   let exec_shot rng = fresh_shot exec n ~tally:(fresh_tally program) rng in
@@ -1266,7 +1148,7 @@ let prefix_probabilities program n =
   let state = State.create n in
   Array.iter
     (function
-      | M_kernel k -> apply_kernel state k
+      | M_gate (u, o) -> State.apply state u o
       | M_cond _ | M_prep _ | M_measure _ -> ())
     program.ops;
   State.probabilities state
@@ -1300,7 +1182,7 @@ type prepared = {
 (* Everything before the first shot. The verdicts are taken once, on the
    declared circuit: narrowing only relabels qubits, so they hold for the
    narrowed one. *)
-let prepare_exn ?(noise = Noise.ideal) ?plan ?(fusion = true) ~shots circuit =
+let prepare_exn ?(noise = Noise.ideal) ?plan ~shots circuit =
   if shots < 1 then invalid_arg "Engine.run: shots must be positive";
   let t0 = Clock.now () in
   let ideal = Noise.is_ideal noise and width = Circuit.qubit_count circuit in
@@ -1342,28 +1224,10 @@ let prepare_exn ?(noise = Noise.ideal) ?plan ?(fusion = true) ~shots circuit =
         (v, chosen, reason))
   in
   (* The plan is chosen on the declared circuit and runs on the active
-     qubits; histogram keys are widened back. Fusion only runs for ideal
-     noise (per-gate noise pins the gate-by-gate schedule) and never for
-     the tableau, which takes one gate at a time; unfused programs still
-     compile, into single-gate kernels, so every path runs one executor. *)
+     qubits; histogram keys are widened back. *)
   let narrow, relabel = narrowed circuit in
   let n = Circuit.qubit_count narrow in
-  let fusion = fusion && chosen <> Clifford in
-  let program, fstats =
-    if ideal then
-      Trace.with_span "engine.fuse" (fun fuse_sp ->
-          let program, stats = compile_micro ~fusion (Circuit.instructions narrow) in
-          Trace.annotate fuse_sp (fun () ->
-              [ ("fusion", Trace.Bool fusion); ("gates_in", Trace.Int stats.gates_in);
-                ("kernels", Trace.Int stats.kernels); ("fused_1q", Trace.Int stats.fused_1q);
-                ("fused_diag", Trace.Int stats.fused_diag) ]);
-          if Trace.enabled () then begin
-            Trace.add_counter "qx.fusion.gates_in" stats.gates_in;
-            Trace.add_counter "qx.fusion.kernels" stats.kernels
-          end;
-          (program, stats))
-    else (unfused_program narrow, no_fusion)
-  in
+  let program = compile_micro narrow in
   let t1 = Clock.now () in
   let artifact, gate_applies =
     match chosen with
@@ -1394,7 +1258,7 @@ let prepare_exn ?(noise = Noise.ideal) ?plan ?(fusion = true) ~shots circuit =
     base =
       { plan = chosen; plan_reason = reason; shots = 0; seed = None; qubit_count = width;
         instruction_count = Circuit.length circuit; gate_applies; measurements = 0; wall;
-        resilience = no_resilience; fusion = fstats; cache = no_cache };
+        resilience = no_resilience; cache = no_cache };
     noise;
     n;
     relabel;
@@ -1406,8 +1270,8 @@ let prepare_exn ?(noise = Noise.ideal) ?plan ?(fusion = true) ~shots circuit =
       | _ -> None);
   }
 
-let prepare ?noise ?plan ?fusion ~shots circuit =
-  Qerror.protect ~site:"Engine.run" (fun () -> prepare_exn ?noise ?plan ?fusion ~shots circuit)
+let prepare ?noise ?plan ~shots circuit =
+  Qerror.protect ~site:"Engine.run" (fun () -> prepare_exn ?noise ?plan ~shots circuit)
 
 let prepared_report p = p.base
 
@@ -1502,10 +1366,10 @@ let sample ?faults ?(policy = Resilience.default_policy) ?into ~rng ~shots p =
 
 (* --- the run surface --------------------------------------------------- *)
 
-let run ?noise ?seed ?rng ?plan ?(shots = 1024) ?faults ?policy ?fusion circuit =
+let run ?noise ?seed ?rng ?plan ?(shots = 1024) ?faults ?policy circuit =
   if shots < 1 then invalid_arg "Engine.run: shots must be positive";
   Trace.with_span "engine.run" (fun run_sp ->
-      let p = prepare_exn ?noise ?plan ?fusion ~shots circuit in
+      let p = prepare_exn ?noise ?plan ~shots circuit in
       Trace.annotate run_sp (fun () ->
           [ ("plan", Trace.String (plan_to_string p.base.plan)); ("shots", Trace.Int shots);
             ("qubits", Trace.Int p.base.qubit_count); ("active_qubits", Trace.Int p.n);
@@ -1517,9 +1381,10 @@ let run ?noise ?seed ?rng ?plan ?(shots = 1024) ?faults ?policy ?fusion circuit 
           else [ ("faulted_shots", Trace.Int res.faulted_shots); ("retries", Trace.Int res.retries) ]);
       { r with report = { r.report with seed } })
 
-let run_checked ?noise ?seed ?rng ?plan ?shots ?faults ?policy ?fusion circuit =
+let run_checked ?noise ?seed ?rng ?plan ?shots ?faults ?policy ?fusion:(_ : bool option)
+    circuit =
   Qerror.protect ~site:"Engine.run" (fun () ->
-      run ?noise ?seed ?rng ?plan ?shots ?faults ?policy ?fusion circuit)
+      run ?noise ?seed ?rng ?plan ?shots ?faults ?policy circuit)
 
 let success_probability result ~accept =
   let total = List.fold_left (fun acc (_, c) -> acc + c) 0 result.histogram in
@@ -1549,14 +1414,10 @@ let report_json r =
           [ ("analyse", seconds r.wall.analyse_s); ("simulate", seconds r.wall.simulate_s);
             ("sample", seconds r.wall.sample_s) ] );
       (* Every counter family lives under one stable "counters" object (the
-         metrics schema in docs/engine.md): fusion, fault/retry and cache. *)
+         metrics schema in docs/engine.md): fault/retry and cache. *)
       ( "counters",
         Obj
-          [ ( "fusion",
-              Obj
-                [ ("gates_in", Int r.fusion.gates_in); ("kernels", Int r.fusion.kernels);
-                  ("fused_1q", Int r.fusion.fused_1q); ("fused_diag", Int r.fusion.fused_diag) ] );
-            ( "resilience",
+          [ ( "resilience",
               Obj
                 [ ("faults", counts r.resilience.faults_injected);
                   ("retries", Int r.resilience.retries);

@@ -81,22 +81,6 @@ val resilience_of :
 (** The report value of a run: {!no_resilience} without an injector,
     else its fire counts and the retry counters (no degradation). *)
 
-type fusion_stats = {
-  gates_in : int;
-      (** Unitary gates that reached the fusion pre-pass. Conditional
-          gates execute outside the pass and are not counted. *)
-  kernels : int;  (** Kernel sweeps executed per pass (fused or single). *)
-  fused_1q : int;  (** Fused same-qubit single-qubit runs. *)
-  fused_diag : int;  (** Coalesced diagonal-gate runs. *)
-}
-(** Gate-fusion pre-pass statistics ([docs/performance.md]). For a
-    trajectory run the plan is compiled {e once} and executed per shot, so
-    the counts are per compile, not per shot. *)
-
-val no_fusion : fusion_stats
-(** All counters zero: the report value when the pass did not run (noisy
-    runs, non-engine backends). *)
-
 type cache_stats = {
   cache_hits : int;
       (** Runs served whole from the job service's result cache. *)
@@ -129,9 +113,6 @@ type run_report = {
   resilience : resilience;
       (** Fault/retry/degradation counters ({!no_resilience} when the run
           had no injector and no fallback). *)
-  fusion : fusion_stats;
-      (** Gate-fusion pre-pass statistics ({!no_fusion} when the pass did
-          not run). *)
   cache : cache_stats;
       (** Result-cache / shot-batching counters ({!no_cache} for direct
           runs). *)
@@ -194,7 +175,6 @@ type prepared
 val prepare :
   ?noise:Noise.model ->
   ?plan:plan ->
-  ?fusion:bool ->
   shots:int ->
   Qca_circuit.Circuit.t ->
   (prepared, Qca_util.Error.t) Stdlib.result
@@ -219,8 +199,8 @@ val sample :
     slice the report so far. *)
 
 val prepared_report : prepared -> run_report
-(** The once-per-run work as a report of no shots: plan, fusion, analysis
-    and compile time ([wall.analyse_s]), the artifact's time
+(** The once-per-run work as a report of no shots: plan, analysis and
+    compile time ([wall.analyse_s]), the artifact's time
     ([wall.simulate_s]) and the sampled plan's one-pass gate applies. *)
 
 val plan_holds : prepared -> shots:int -> bool
@@ -237,7 +217,6 @@ val run :
   ?shots:int ->
   ?faults:Qca_util.Fault.t ->
   ?policy:Qca_util.Resilience.policy ->
-  ?fusion:bool ->
   Qca_circuit.Circuit.t ->
   result
 (** Execute [shots] shots (default 1024): {!prepare}, then one {!sample}.
@@ -254,11 +233,7 @@ val run :
     (default {!Qca_util.Resilience.default_policy}); shots that exhaust
     their retries are dropped from the histogram and counted in
     [report.resilience.faulted_shots]. Without [faults] the run is
-    bit-identical to the pre-resilience engine.
-
-    [fusion] (default [true]) controls the gate-fusion pre-pass. Fused
-    kernels are bit-identical to gate-by-gate application, so this only
-    changes speed and the [report.fusion] counters, never results. *)
+    bit-identical to the pre-resilience engine. *)
 
 val run_checked :
   ?noise:Noise.model ->
@@ -273,7 +248,9 @@ val run_checked :
   (result, Qca_util.Error.t) Stdlib.result
 (** [run] with structured errors instead of exceptions: raised
     {!Qca_util.Error.Error}, [Failure] and [Invalid_argument] become the
-    [Error] case. *)
+    [Error] case. [fusion] is ignored: every run applies one kernel per
+    gate. It is kept only because stackbench's engine loops
+    ([stackbench/engine_loops.ml]) still pass it. *)
 
 val success_probability : result -> accept:(int array -> bool) -> float
 (** Fraction of histogram mass whose classical record (as in
@@ -303,8 +280,8 @@ val exec_shot :
   State.t * int array
 (** One per-shot trajectory: fresh |0...0> state, measurement collapse,
     classical feedback, per-gate stochastic noise. The circuit is compiled
-    unfused and run by the same interpreter as the engine's trajectory plan;
-    this is the executor behind {!Sim.run}. *)
+    and run by the same interpreter as the engine's trajectory plan; this
+    is the executor behind {!Sim.run}. *)
 
 val fold_trajectories :
   ?noise:Noise.model ->
@@ -335,32 +312,6 @@ val sample_histogram :
 (** Draw [shots] bitstrings from an explicit distribution, masking
     unmeasured qubits to '-' (shared with {!Density.sample}). *)
 
-(** {2 The compiled kernel plan}
-
-    Exposed for benchmarks and tests; [run] drives these internally. *)
-
-type fused_kernel =
-  | Single of Qca_circuit.Gate.unitary * int array * string
-      (** One gate, one kernel sweep; the string is the cached gate name. *)
-  | Fused_1q of int * State.fused1q_plan * string list
-      (** A same-qubit single-qubit run: qubit, compiled run, gate names. *)
-  | Fused_diag of State.diag_plan * string list
-      (** A coalesced diagonal run (any operands): plan, gate names. *)
-
-type plan_step =
-  | Kernel of fused_kernel
-  | Instr of Qca_circuit.Gate.t
-      (** Non-unitary instruction (measure/prep/conditional/barrier),
-          executed by the shot executor, never fused across. *)
-
-val compile_steps :
-  fusion:bool -> Qca_circuit.Gate.t list -> plan_step list * fusion_stats
-(** The fusion pre-pass. With [fusion:false] every unitary becomes a
-    [Single] kernel (so both settings run the same executor). *)
-
-val apply_kernel : State.t -> fused_kernel -> unit
-(** Apply one compiled kernel to a state (no tally, no tracing). *)
-
 (** {2 The per-op step}
 
     The one per-op step of a state vector: the micro-architecture
@@ -370,7 +321,7 @@ val apply_kernel : State.t -> fused_kernel -> unit
     schedule"). *)
 
 type micro_op =
-  | M_kernel of fused_kernel  (** Only a [Single] kernel draws gate noise. *)
+  | M_gate of Qca_circuit.Gate.unitary * int array  (** One gate on its operands. *)
   | M_cond of int * Qca_circuit.Gate.unitary * int array * int
       (** [(bit, gate, operands, slot)]: the gate when classical [bit] is 1. *)
   | M_prep of int  (** Reset a state qubit to |0>. *)
@@ -379,8 +330,8 @@ type micro_op =
 val micro_step :
   Noise.model -> fired:int array -> State.t -> int array -> Qca_util.Rng.t -> micro_op -> unit
 (** [micro_step noise ~fired state classical rng op] applies [op] to one
-    shot. Under a stochastic [noise] a [Single] kernel and a fired [M_cond]
+    shot. Under a stochastic [noise] an [M_gate] and a fired [M_cond]
     draw {!Noise.after_gate}, a prep its prep error and a measurement
-    {!Noise.flip_readout}; fused kernels draw nothing. A fired [M_cond]
+    {!Noise.flip_readout}. A fired [M_cond]
     bumps [fired.(slot)]. Apply it to the model once: the gate channels
     ({!Noise.gate_noise}) are worked out then. *)

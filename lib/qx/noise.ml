@@ -141,7 +141,7 @@ let flip_readout m rng outcome =
 
 (* --- the noise schedule ------------------------------------------------ *)
 
-type site = Gate_site of Gate.unitary * int array | Prep_site of int | Quiet_site
+type site = Gate_site of Gate.unitary * int array | Prep_site of int
 
 type event = { site : int; qubit : int; pauli : Gate.unitary }
 
@@ -172,8 +172,7 @@ let draws m sites =
   Array.iter
     (function
       | Gate_site (_, ops) -> if noisy then slots := !slots + Array.length ops
-      | Prep_site _ -> slots := !slots + if noisy then 2 else 1
-      | Quiet_site -> ())
+      | Prep_site _ -> slots := !slots + if noisy then 2 else 1)
     sites;
   let d =
     {
@@ -201,8 +200,7 @@ let draws m sites =
           end
       | Prep_site qubit ->
           slot ~site ~qubit ~th:0 ~gate:false;
-          if noisy then slot ~site ~qubit ~th:th_prep ~gate:false
-      | Quiet_site -> ())
+          if noisy then slot ~site ~qubit ~th:th_prep ~gate:false)
     sites;
   d
 

@@ -70,7 +70,6 @@ type site =
   | Prep_site of int
       (** A prep of a qubit no gate has touched: its measurement draw (the
           outcome is 0) and its prep-error draw. *)
-  | Quiet_site  (** Draws nothing (a fused kernel). *)
 
 type event = {
   site : int;  (** Index of the site whose draw picked the error. *)

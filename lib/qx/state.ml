@@ -374,340 +374,10 @@ let apply_toffoli s c1 c2 target =
         done)
   end
 
-(* --- fused kernels ------------------------------------------------------ *)
-
 (* T's phase, hoisted out of the apply path (the seed kernel recomputed
    cos/sin of pi/4 on every call). *)
 let t_phase_re = cos (Float.pi /. 4.0)
 let t_phase_im = sin (Float.pi /. 4.0)
-
-(* A run of single-qubit gates on one qubit, applied per amplitude pair:
-   the pair is loaded once, rotated through every gate of the run in
-   sequence, and stored once. Each gate keeps the {e same} specialised
-   arithmetic as its standalone kernel (X is a register swap, Z/S/T touch
-   only the set-bit element, Rz branches, dense gates use the full 2x2),
-   so the fused sweep is bit-identical to applying the run gate by gate —
-   loop fusion, not matrix-product fusion. H and Y have kinds of their
-   own, as they have kernels of their own. Per gate: a kind tag and 8
-   coefficient slots (dense: the 2x2 row-major as re/im pairs; phase: the
-   phase in slots 0-1; Rz: cos/sin of theta/2 in slots 0-1). *)
-type fused1q_plan = { f1_kinds : int array; f1_coeffs : float array }
-
-let f1_dense = 0
-and f1_swap = 1
-and f1_phase = 2
-and f1_rz = 3
-and f1_h = 4
-and f1_y = 5
-
-let fused1q_plan_of gates =
-  (* Identities are dropped: their standalone kernel is a no-op. *)
-  let live = List.filter (fun u -> u <> Gate.I) gates in
-  let n = List.length live in
-  let kinds = Array.make n 0 and coeffs = Array.make (8 * n) 0.0 in
-  List.iteri
-    (fun idx u ->
-      let base = 8 * idx in
-      let phase pr pi =
-        kinds.(idx) <- f1_phase;
-        coeffs.(base) <- pr;
-        coeffs.(base + 1) <- pi
-      in
-      match u with
-      | Gate.X -> kinds.(idx) <- f1_swap
-      | Gate.H -> kinds.(idx) <- f1_h
-      | Gate.Y -> kinds.(idx) <- f1_y
-      | Gate.Z -> phase (-1.0) 0.0
-      | Gate.S -> phase 0.0 1.0
-      | Gate.Sdag -> phase 0.0 (-1.0)
-      | Gate.T -> phase t_phase_re t_phase_im
-      | Gate.Tdag -> phase t_phase_re (-.t_phase_im)
-      | Gate.Rz theta ->
-          let h = theta /. 2.0 in
-          kinds.(idx) <- f1_rz;
-          coeffs.(base) <- cos h;
-          coeffs.(base + 1) <- sin h
-      | u ->
-          let m = Gate.matrix u in
-          assert (Matrix.rows m = 2 && Matrix.cols m = 2);
-          kinds.(idx) <- f1_dense;
-          let put j z =
-            coeffs.(base + (2 * j)) <- Cplx.re z;
-            coeffs.(base + (2 * j) + 1) <- Cplx.im z
-          in
-          put 0 (Matrix.get m 0 0);
-          put 1 (Matrix.get m 0 1);
-          put 2 (Matrix.get m 1 0);
-          put 3 (Matrix.get m 1 1))
-    live;
-  { f1_kinds = kinds; f1_coeffs = coeffs }
-
-let apply_fused1q s plan q =
-  let ngates = Array.length plan.f1_kinds in
-  if ngates > 0 then begin
-    let kinds = plan.f1_kinds and coeffs = plan.f1_coeffs in
-    let step = 1 lsl q in
-    let re = s.re and im = s.im in
-    run_range s (Array.length re lsr 1) (fun lo hi ->
-        let x0r = ref 0.0 and x0i = ref 0.0 and x1r = ref 0.0 and x1i = ref 0.0 in
-        for p = lo to hi - 1 do
-          let i0 = pair_base step p in
-          let i1 = i0 lor step in
-          x0r := Array.unsafe_get re i0;
-          x0i := Array.unsafe_get im i0;
-          x1r := Array.unsafe_get re i1;
-          x1i := Array.unsafe_get im i1;
-          for g = 0 to ngates - 1 do
-            let base = 8 * g in
-            let kind = Array.unsafe_get kinds g in
-            if kind = f1_dense then begin
-              let ar = Array.unsafe_get coeffs base
-              and ai = Array.unsafe_get coeffs (base + 1)
-              and br = Array.unsafe_get coeffs (base + 2)
-              and bi = Array.unsafe_get coeffs (base + 3)
-              and cr = Array.unsafe_get coeffs (base + 4)
-              and ci = Array.unsafe_get coeffs (base + 5)
-              and dr = Array.unsafe_get coeffs (base + 6)
-              and di = Array.unsafe_get coeffs (base + 7) in
-              let y0r = (ar *. !x0r) -. (ai *. !x0i) +. (br *. !x1r) -. (bi *. !x1i) in
-              let y0i = (ar *. !x0i) +. (ai *. !x0r) +. (br *. !x1i) +. (bi *. !x1r) in
-              let y1r = (cr *. !x0r) -. (ci *. !x0i) +. (dr *. !x1r) -. (di *. !x1i) in
-              let y1i = (cr *. !x0i) +. (ci *. !x0r) +. (dr *. !x1i) +. (di *. !x1r) in
-              x0r := y0r;
-              x0i := y0i;
-              x1r := y1r;
-              x1i := y1i
-            end
-            else if kind = f1_swap then begin
-              let tr = !x0r and ti = !x0i in
-              x0r := !x1r;
-              x0i := !x1i;
-              x1r := tr;
-              x1i := ti
-            end
-            else if kind = f1_h then begin
-              let y0r = h_coeff *. !x0r and y0i = h_coeff *. !x0i in
-              let y1r = h_coeff *. !x1r and y1i = h_coeff *. !x1i in
-              x0r := y0r +. y1r;
-              x0i := y0i +. y1i;
-              x1r := y0r -. y1r;
-              x1i := y0i -. y1i
-            end
-            else if kind = f1_y then begin
-              let tr = !x0r and ti = !x0i in
-              x0r := !x1i;
-              x0i := -. !x1r;
-              x1r := -.ti;
-              x1i := tr
-            end
-            else if kind = f1_phase then begin
-              let pr = Array.unsafe_get coeffs base
-              and pi = Array.unsafe_get coeffs (base + 1) in
-              let r = !x1r and i = !x1i in
-              x1r := (r *. pr) -. (i *. pi);
-              x1i := (r *. pi) +. (i *. pr)
-            end
-            else begin
-              (* Rz: x0 by (c, -s), x1 by (c, s) — as in the standalone
-                 single-sweep kernel. *)
-              let c = Array.unsafe_get coeffs base
-              and si = Array.unsafe_get coeffs (base + 1) in
-              let nsi = -.si in
-              let r0 = !x0r and i0' = !x0i in
-              x0r := (r0 *. c) -. (i0' *. nsi);
-              x0i := (r0 *. nsi) +. (i0' *. c);
-              let r1 = !x1r and i1' = !x1i in
-              x1r := (r1 *. c) -. (i1' *. si);
-              x1i := (r1 *. si) +. (i1' *. c)
-            end
-          done;
-          Array.unsafe_set re i0 !x0r;
-          Array.unsafe_set im i0 !x0i;
-          Array.unsafe_set re i1 !x1r;
-          Array.unsafe_set im i1 !x1i
-        done)
-  end
-
-(* A coalesced run of diagonal gates (any qubits): one sweep over the
-   vector applying every term to each amplitude, instead of one sweep per
-   gate. Terms are stored in flat arrays (no per-amplitude allocation):
-   kind 0 multiplies by (re, im) when [k land mask = mask] (Z/S/T/Cz/
-   Cphase/Crk — identities are dropped at plan build); kind 1 is Rz, a
-   multiply by (re, +/-im) depending on the bit under [mask]. Per-term
-   arithmetic matches the per-gate kernels exactly. *)
-type diag_plan = {
-  kinds : int array;
-  masks : int array;
-  phase_re : float array;
-  phase_im : float array;
-  (* Pattern table: the amplitude index only enters through the bits under
-     [tbl_qubits], so every assignment of those bits gets its multiply
-     sequence pre-resolved at plan build — the same (re, im) values in the
-     same term order the branchy scan would use, making the table path
-     strictly bit-identical to it. Empty [tbl_offsets] means the table was
-     too large (many distinct qubits x many terms) and the scan is used. *)
-  tbl_qubits : int array;
-  tbl_offsets : int array;
-  tbl_coeffs : float array;
-}
-
-(* One diagonal gate as (kind, mask, re, im); None for identity (dropped)
-   or a non-diagonal gate (caller bug). *)
-let diag_term u ops =
-  match (u, ops) with
-  | Gate.I, _ -> Some None
-  | Gate.Z, [| q |] -> Some (Some (0, 1 lsl q, -1.0, 0.0))
-  | Gate.S, [| q |] -> Some (Some (0, 1 lsl q, 0.0, 1.0))
-  | Gate.Sdag, [| q |] -> Some (Some (0, 1 lsl q, 0.0, -1.0))
-  | Gate.T, [| q |] -> Some (Some (0, 1 lsl q, t_phase_re, t_phase_im))
-  | Gate.Tdag, [| q |] -> Some (Some (0, 1 lsl q, t_phase_re, -.t_phase_im))
-  | Gate.Rz theta, [| q |] ->
-      let h = theta /. 2.0 in
-      Some (Some (1, 1 lsl q, cos h, sin h))
-  | Gate.Cz, [| q1; q2 |] -> Some (Some (0, (1 lsl q1) lor (1 lsl q2), -1.0, 0.0))
-  | Gate.Cphase phi, [| q1; q2 |] ->
-      Some (Some (0, (1 lsl q1) lor (1 lsl q2), cos phi, sin phi))
-  | Gate.Crk k, [| q1; q2 |] ->
-      let phi = 2.0 *. Float.pi /. float_of_int (1 lsl k) in
-      Some (Some (0, (1 lsl q1) lor (1 lsl q2), cos phi, sin phi))
-  | _ -> None
-
-let diag_table kinds masks pres pims =
-  let nterms = Array.length kinds in
-  let involved = Array.fold_left ( lor ) 0 masks in
-  let rec bit_positions acc b v =
-    if v = 0 then List.rev acc
-    else if v land 1 = 1 then bit_positions (b :: acc) (b + 1) (v lsr 1)
-    else bit_positions acc (b + 1) (v lsr 1)
-  in
-  let qubits = Array.of_list (bit_positions [] 0 involved) in
-  let m = Array.length qubits in
-  if m > 12 || (1 lsl m) * nterms > 1 lsl 16 then ([||], [||], [||])
-  else begin
-    (* Each term's mask and bit, re-expressed in pattern space (bit j of a
-       pattern is the amplitude's bit under [qubits.(j)]). *)
-    let pat_of_mask mask =
-      let p = ref 0 in
-      Array.iteri (fun j q -> if mask land (1 lsl q) <> 0 then p := !p lor (1 lsl j)) qubits;
-      !p
-    in
-    let pmasks = Array.map pat_of_mask masks in
-    let npat = 1 lsl m in
-    let offsets = Array.make (npat + 1) 0 in
-    let applies pat t = kinds.(t) = 1 || pat land pmasks.(t) = pmasks.(t) in
-    for pat = 0 to npat - 1 do
-      let c = ref 0 in
-      for t = 0 to nterms - 1 do
-        if applies pat t then incr c
-      done;
-      offsets.(pat + 1) <- offsets.(pat) + !c
-    done;
-    let coeffs = Array.make (2 * offsets.(npat)) 0.0 in
-    for pat = 0 to npat - 1 do
-      let w = ref (offsets.(pat)) in
-      for t = 0 to nterms - 1 do
-        if applies pat t then begin
-          let pi =
-            if kinds.(t) = 1 && pat land pmasks.(t) = 0 then -.pims.(t) else pims.(t)
-          in
-          coeffs.(2 * !w) <- pres.(t);
-          coeffs.((2 * !w) + 1) <- pi;
-          incr w
-        end
-      done
-    done;
-    (qubits, offsets, coeffs)
-  end
-
-let diag_plan_of gates =
-  let terms = List.map (fun (u, ops) -> diag_term u ops) gates in
-  if List.exists (fun t -> t = None) terms then None
-  else begin
-    let live = List.filter_map Fun.id terms |> List.filter_map Fun.id in
-    let n = List.length live in
-    let kinds = Array.make n 0
-    and masks = Array.make n 0
-    and phase_re = Array.make n 0.0
-    and phase_im = Array.make n 0.0 in
-    List.iteri
-      (fun i (kind, mask, pr, pi) ->
-        kinds.(i) <- kind;
-        masks.(i) <- mask;
-        phase_re.(i) <- pr;
-        phase_im.(i) <- pi)
-      live;
-    let tbl_qubits, tbl_offsets, tbl_coeffs = diag_table kinds masks phase_re phase_im in
-    Some { kinds; masks; phase_re; phase_im; tbl_qubits; tbl_offsets; tbl_coeffs }
-  end
-
-let apply_diag_plan s plan =
-  let nterms = Array.length plan.kinds in
-  if nterms = 0 then ()
-  else if Array.length plan.tbl_offsets > 0 then begin
-    let qubits = plan.tbl_qubits
-    and offsets = plan.tbl_offsets
-    and coeffs = plan.tbl_coeffs in
-    let m = Array.length qubits in
-    let re = s.re and im = s.im in
-    run_range s (Array.length re) (fun lo hi ->
-        let ar = ref 0.0 and ai = ref 0.0 in
-        for k = lo to hi - 1 do
-          let pat = ref 0 in
-          for j = 0 to m - 1 do
-            pat := !pat lor (((k lsr Array.unsafe_get qubits j) land 1) lsl j)
-          done;
-          let stop = Array.unsafe_get offsets (!pat + 1) in
-          let c = ref (Array.unsafe_get offsets !pat) in
-          if !c < stop then begin
-            ar := Array.unsafe_get re k;
-            ai := Array.unsafe_get im k;
-            while !c < stop do
-              let pr = Array.unsafe_get coeffs (2 * !c)
-              and pi = Array.unsafe_get coeffs ((2 * !c) + 1) in
-              let r = !ar and i = !ai in
-              ar := (r *. pr) -. (i *. pi);
-              ai := (r *. pi) +. (i *. pr);
-              incr c
-            done;
-            Array.unsafe_set re k !ar;
-            Array.unsafe_set im k !ai
-          end
-        done)
-  end
-  else begin
-    let kinds = plan.kinds and masks = plan.masks in
-    let pres = plan.phase_re and pims = plan.phase_im in
-    let re = s.re and im = s.im in
-    run_range s (Array.length re) (fun lo hi ->
-        let ar = ref 0.0 and ai = ref 0.0 in
-        for k = lo to hi - 1 do
-          ar := Array.unsafe_get re k;
-          ai := Array.unsafe_get im k;
-          for t = 0 to nterms - 1 do
-            let mask = Array.unsafe_get masks t in
-            if Array.unsafe_get kinds t = 0 then begin
-              if k land mask = mask then begin
-                let pr = Array.unsafe_get pres t and pi = Array.unsafe_get pims t in
-                let r = !ar and i = !ai in
-                ar := (r *. pr) -. (i *. pi);
-                ai := (r *. pi) +. (i *. pr)
-              end
-            end
-            else begin
-              let pr = Array.unsafe_get pres t in
-              let pi =
-                if k land mask <> 0 then Array.unsafe_get pims t
-                else -.Array.unsafe_get pims t
-              in
-              let r = !ar and i = !ai in
-              ar := (r *. pr) -. (i *. pi);
-              ai := (r *. pi) +. (i *. pr)
-            end
-          done;
-          Array.unsafe_set re k !ar;
-          Array.unsafe_set im k !ai
-        done)
-  end
 
 (* --- generic fallback --------------------------------------------------- *)
 

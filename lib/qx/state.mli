@@ -11,11 +11,8 @@
     for Toffoli), and Rz is a single branching sweep. Element-wise kernels
     run on the {!Qca_util.Parallel} domain pool when the state is at or
     above [Parallel.threshold_qubits] — with fixed chunk boundaries, so
-    parallel results are bit-identical to sequential ones. Fused kernels
-    ({!apply_fused1q}, {!apply_diag_plan}) execute a run of gates in one
-    sweep and are bit-identical to applying the run gate by gate (loop
-    fusion: same floating-point operations in the same per-element order).
-    See [docs/performance.md]. *)
+    parallel results are bit-identical to sequential ones. See
+    [docs/performance.md]. *)
 
 type t
 
@@ -152,39 +149,6 @@ val apply_controlled_permutation : t -> control:int -> (int -> int) -> unit
 
 val memory_bytes : int -> int
 (** Bytes required by a state on [n] qubits (used by the E5 scaling table). *)
-
-(** {2 Fused kernels}
-
-    Building blocks for the engine's gate-fusion pre-pass
-    ([Qx.Engine], [docs/performance.md]). Both are {e loop} fusion — the
-    amplitude (pair) is loaded once, every gate of the run is applied to
-    it in sequence, and it is stored once — so results are bit-identical
-    to applying the run gate by gate. *)
-
-type fused1q_plan
-(** A compiled run of single-qubit gates on one qubit. Each gate keeps the
-    specialised arithmetic of its standalone kernel (X a swap, phases
-    touching only the set-bit element, Rz a branch, dense gates the full
-    2x2), so the fused sweep is strictly bit-identical to the unfused
-    sequence. *)
-
-val fused1q_plan_of : Qca_circuit.Gate.unitary list -> fused1q_plan
-(** Compile a run of single-qubit gates (application order); identities
-    are dropped. *)
-
-val apply_fused1q : t -> fused1q_plan -> int -> unit
-(** [apply_fused1q s plan q]: apply the run to qubit [q] in one sweep over
-    the amplitude pairs. *)
-
-type diag_plan
-(** A coalesced run of computational-basis-diagonal gates, applied to
-    every amplitude in a single sweep by {!apply_diag_plan}. *)
-
-val diag_plan_of : (Qca_circuit.Gate.unitary * int array) list -> diag_plan option
-(** Compile a gate run (application order, with operands) into a diagonal
-    sweep. [None] if any gate is not diagonal; identities are dropped. *)
-
-val apply_diag_plan : t -> diag_plan -> unit
 
 (** {2 Seed kernels (benchmark baseline)}
 

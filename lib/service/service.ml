@@ -430,7 +430,7 @@ let submit t ~tenant spec =
 (* ---- execution ------------------------------------------------------- *)
 
 (* A job's engine preparation, shared through [prepared_cache] between
-   jobs whose circuit, plan override and fusion agree. Only ideal values
+   jobs whose circuit and plan override agree. Only ideal values
    are shared (so the noise model is the same for every entry): a noisy
    one holds up to 512 KiB of checkpoints. A shared value's work is
    charged to the job that prepared it. *)
@@ -439,9 +439,8 @@ let prepare_job t job =
   let key =
     if Qca_qx.Noise.is_ideal (Job_spec.noise_model spec) then
       Some
-        (Printf.sprintf "%s|plan=%s|fusion=%b" job.digest
-           (Option.fold ~none:"auto" ~some:Engine.plan_to_string spec.Job_spec.plan)
-           spec.Job_spec.fusion)
+        (Printf.sprintf "%s|plan=%s" job.digest
+           (Option.fold ~none:"auto" ~some:Engine.plan_to_string spec.Job_spec.plan))
     else None
   in
   let report p = { (Engine.prepared_report p) with Engine.seed = spec.Job_spec.seed } in

@@ -25,8 +25,8 @@
 
     {2 Sharing and caching}
 
-    Ideal jobs whose circuits share a {!Qca.Job_spec.digest}, plan
-    override and fusion share one prepared value (the simulate pass of a
+    Ideal jobs whose circuits share a {!Qca.Job_spec.digest} and plan
+    override share one prepared value (the simulate pass of a
     sampled plan runs once), each sampling its own shots with its own
     seed. Seeded jobs are also served from a result cache keyed on
     {!Qca.Job_spec.cache_key}. Both show in {!stats} and the report.

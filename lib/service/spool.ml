@@ -83,7 +83,6 @@ let encode ~tenant spec =
       | Some Qca_qx.Engine.Trajectory -> add "trajectory" "true"
       | Some Qca_qx.Engine.Sampled -> add "plan" "sampled"
       | Some Qca_qx.Engine.Clifford -> add "plan" "clifford");
-      if not spec.Job_spec.fusion then add "fusion" "false";
       (match spec.Job_spec.fault_rate with
       | Some p ->
           add "fault-rate" (string_of_float p);
@@ -219,10 +218,12 @@ let decode ~id text =
                               (Printf.sprintf
                                  "plan: expected sampled or clifford, got %s" v)
                       in
-                      let* fusion =
+                      (* Files written before gate fusion was removed may
+                         carry a [fusion] key: a boolean is accepted and
+                         ignored. *)
+                      let* () =
                         match get "fusion" with
-                        | None | Some "true" -> Ok true
-                        | Some "false" -> Ok false
+                        | None | Some ("true" | "false") -> Ok ()
                         | Some v -> Error ("fusion: not a boolean: " ^ v)
                       in
                       let* fault_rate = float_field "fault-rate" in
@@ -273,7 +274,6 @@ let decode ~id text =
                             seed;
                             noise;
                             plan;
-                            fusion;
                             fault_rate;
                             fault_seed;
                             max_retries;

@@ -42,10 +42,13 @@
     v}
 
     Header keys mirror {!Qca.Job_spec.t} (and the [qxc] flags):
-    [tenant], [label], [shots], [seed], [noise], [trajectory], [fusion],
+    [tenant], [label], [shots], [seed], [noise], [trajectory],
     [fault-rate], [fault-seed], [max-retries], [priority], and the route
     triple [platform]/[mode]/[ladder] ([platform] absent means the direct
-    engine route). Unknown keys are a structured error, not a warning. *)
+    engine route). Unknown keys are a structured error, not a warning.
+    The encoder no longer writes [fusion]; the decoder still accepts
+    [fusion=true] or [fusion=false] from older files and ignores it, and
+    any other value is an error. *)
 
 type entry = {
   entry_id : string;  (** Zero-padded sequence number, e.g. ["000007"]. *)

@@ -766,10 +766,19 @@ let prop_faulted_shots_accounting =
 
 (* --- properties --- *)
 
+(* [QCheck.int_range lo hi] with a shrinker that stays in [lo, hi]:
+   QCheck's own heads for 0, so a failing property over
+   [Library.random_circuit] would report the generator's [qubits >= 2]
+   assertion on a shrunk input instead of its real counterexample. *)
+let int_in lo hi =
+  QCheck.make ~print:string_of_int
+    ~shrink:(fun x yield -> QCheck.Shrink.int (x - lo) (fun d -> if d >= 0 then yield (lo + d)))
+    (QCheck.Gen.int_range lo hi)
+
 let arb_seeded_circuit =
-  QCheck.make
-    ~print:(fun (seed, qubits, gates) -> Printf.sprintf "seed=%d q=%d g=%d" seed qubits gates)
-    QCheck.Gen.(triple (int_range 0 9999) (int_range 2 6) (int_range 1 40))
+  QCheck.set_print
+    (fun (seed, qubits, gates) -> Printf.sprintf "seed=%d q=%d g=%d" seed qubits gates)
+    QCheck.(triple (int_in 0 9999) (int_in 2 6) (int_in 1 40))
 
 let prop_norm_preserved =
   QCheck.Test.make ~name:"unitary evolution preserves norm" ~count:100 arb_seeded_circuit
@@ -882,7 +891,7 @@ let test_trace_counters_match_report () =
     [ Engine.Trajectory; Engine.Clifford ]
 
 let test_trace_span_phases () =
-  (* A sampled run produces the engine.run > analyse/fuse/simulate/sample
+  (* A sampled run produces the engine.run > analyse/simulate/sample
      tree. *)
   let c = Trace.make_collector () in
   ignore (Trace.collecting c (fun () -> Engine.run ~seed:7 ~shots:100 (measured_ghz 3)));
@@ -890,11 +899,11 @@ let test_trace_span_phases () =
   | [ root ] ->
       Alcotest.(check string) "root" "engine.run" root.Trace.span_name;
       Alcotest.(check (list string)) "phases"
-        [ "engine.analyse"; "engine.fuse"; "engine.simulate"; "engine.sample" ]
+        [ "engine.analyse"; "engine.simulate"; "engine.sample" ]
         (List.map (fun n -> n.Trace.span_name) root.Trace.children)
   | roots -> Alcotest.failf "expected one root, got %d" (List.length roots)
 
-(* --- kernels: fusion and the parallel path --- *)
+(* --- kernels: the engine's gate kernels and the parallel path --- *)
 
 module Parallel = Qca_util.Parallel
 
@@ -969,7 +978,7 @@ let stepped_histogram ~noise ~seed ~shots circuit =
   let ops =
     List.filter_map
       (function
-        | Gate.Unitary (u, o) -> Some (Engine.M_kernel (Engine.Single (u, o, Gate.name u)))
+        | Gate.Unitary (u, o) -> Some (Engine.M_gate (u, o))
         | Gate.Conditional (bit, u, o) ->
             incr slots;
             Some (Engine.M_cond (bit, u, o, !slots - 1))
@@ -1000,7 +1009,7 @@ let schedule_models =
 let prop_schedule_matches_stepped =
   QCheck.Test.make ~name:"scheduled trajectories = op-by-op oracle at 1 and 2 domains"
     ~count:25
-    QCheck.(triple (int_range 0 9999) (int_range 2 5) (int_range 1 30))
+    QCheck.(triple (int_in 0 9999) (int_in 2 5) (int_in 1 30))
     (fun (seed, qubits, gates) ->
       let circuit = schedule_circuit seed qubits gates in
       List.for_all
@@ -1019,7 +1028,7 @@ let prop_schedule_matches_stepped =
    that may repeat a qubit. *)
 let prop_measure_run_matches_measure =
   QCheck.Test.make ~name:"measure_run = successive measure, bit for bit" ~count:200
-    QCheck.(triple (int_range 0 9999) (int_range 1 6) (int_range 0 30))
+    QCheck.(triple (int_in 0 9999) (int_in 1 6) (int_in 0 30))
     (fun (seed, qubits, gates) ->
       let rng = Rng.create seed in
       let s = State.create qubits in
@@ -1058,7 +1067,7 @@ let prop_measure_run_matches_measure =
    must refuse. *)
 let prop_measure_tree_matches_run =
   QCheck.Test.make ~name:"outcome tree = measure_run on a copy, shot by shot" ~count:200
-    QCheck.(triple (int_range 0 9999) (int_range 1 6) (int_range 0 30))
+    QCheck.(triple (int_in 0 9999) (int_in 1 6) (int_in 0 30))
     (fun (seed, qubits, gates) ->
       let rng = Rng.create seed in
       let s = State.create qubits in
@@ -1127,7 +1136,7 @@ let test_measure_tree_past_cap () =
 let prop_tree_trajectories_match_stepped =
   QCheck.Test.make ~name:"terminal-run trajectories = op-by-op oracle at 1, 2 and 4 domains"
     ~count:20
-    QCheck.(triple (int_range 0 9999) (int_range 2 5) (int_range 1 30))
+    QCheck.(triple (int_in 0 9999) (int_in 2 5) (int_in 1 30))
     (fun (seed, qubits, gates) ->
       let rng = Rng.create seed in
       let circuit =
@@ -1172,8 +1181,7 @@ let schedule_oracle m sites rng =
       | Noise.Prep_site qubit ->
           Rng.skip rng 1;
           if noisy && Rng.below rng th_prep then
-            events := { Noise.site; qubit; pauli = Gate.X } :: !events
-      | Noise.Quiet_site -> ())
+            events := { Noise.site; qubit; pauli = Gate.X } :: !events)
     sites;
   Array.of_list (List.rev !events)
 
@@ -1186,7 +1194,6 @@ let prop_draw_table_matches_oracle =
         Array.init length (fun _ ->
             match Rng.int rng 5 with
             | 0 -> Noise.Prep_site (Rng.int rng 6)
-            | 1 -> Noise.Quiet_site
             | _ ->
                 let u = Gate.kinds.(Rng.int rng (Array.length Gate.kinds)) in
                 Noise.Gate_site (u, Array.init (Gate.arity u) (fun _ -> Rng.int rng 6)))
@@ -1257,7 +1264,7 @@ let stepped_shot ~noise rng circuit =
   List.iter
     (function
       | Gate.Unitary (u, o) ->
-          step ~fired:[||] state classical rng (Engine.M_kernel (Engine.Single (u, o, Gate.name u)))
+          step ~fired:[||] state classical rng (Engine.M_gate (u, o))
       | Gate.Prep q -> step ~fired:[||] state classical rng (Engine.M_prep q)
       | Gate.Measure q -> step ~fired:[||] state classical rng (Engine.M_measure (q, q))
       | Gate.Conditional _ | Gate.Barrier _ -> assert false)
@@ -1282,7 +1289,7 @@ let equal_up_to_sign a b =
    the oracle's up to a sign. *)
 let prop_frame_matches_stepped =
   QCheck.Test.make ~name:"Pauli-frame shots = op-by-op oracle, states up to a sign" ~count:40
-    QCheck.(triple (int_range 0 9999) (int_range 4 6) (int_range 2 40))
+    QCheck.(triple (int_in 0 9999) (int_in 4 6) (int_in 2 40))
     (fun (seed, qubits, gates) ->
       let circuit = frame_circuit seed qubits gates in
       List.for_all
@@ -1337,41 +1344,6 @@ let test_phase_times_are_elapsed () =
       if phases > elapsed then
         Alcotest.failf "phase times sum to %.6f s, but the run took %.6f s" phases elapsed)
 
-let test_fusion_stats () =
-  (* t;t;cz;rz coalesce into one diagonal sweep, h stays a single kernel. *)
-  let diag_then_h =
-    Circuit.of_list 2
-      [
-        Gate.Unitary (Gate.T, [| 0 |]); Gate.Unitary (Gate.T, [| 0 |]);
-        Gate.Unitary (Gate.Cz, [| 0; 1 |]); Gate.Unitary (Gate.Rz 0.5, [| 1 |]);
-        Gate.Unitary (Gate.H, [| 0 |]); Gate.Measure 0; Gate.Measure 1;
-      ]
-  in
-  let fused = Engine.run ~seed:2 ~shots:50 diag_then_h in
-  let f = fused.Engine.report.Engine.fusion in
-  Alcotest.(check int) "gates in" 5 f.Engine.gates_in;
-  Alcotest.(check int) "kernels" 2 f.Engine.kernels;
-  Alcotest.(check int) "fused diag runs" 1 f.Engine.fused_diag;
-  Alcotest.(check int) "fused 1q runs" 0 f.Engine.fused_1q;
-  let unfused = Engine.run ~seed:2 ~fusion:false ~shots:50 diag_then_h in
-  let g = unfused.Engine.report.Engine.fusion in
-  Alcotest.(check int) "unfused kernels = gates" 5 g.Engine.kernels;
-  Alcotest.(check (list (pair string int))) "same histogram"
-    fused.Engine.histogram unfused.Engine.histogram;
-  (* A same-qubit dense run becomes one fused 1q kernel. *)
-  let dense_run =
-    Circuit.of_list 1
-      [
-        Gate.Unitary (Gate.H, [| 0 |]); Gate.Unitary (Gate.Rx 0.3, [| 0 |]);
-        Gate.Unitary (Gate.H, [| 0 |]); Gate.Measure 0;
-      ]
-  in
-  let r = Engine.run ~seed:3 ~shots:50 dense_run in
-  let f1 = r.Engine.report.Engine.fusion in
-  Alcotest.(check int) "1q gates in" 3 f1.Engine.gates_in;
-  Alcotest.(check int) "1q kernels" 1 f1.Engine.kernels;
-  Alcotest.(check int) "1q fused runs" 1 f1.Engine.fused_1q
-
 let test_parallel_threshold_guard () =
   (* The parallel path must never engage below the qubit threshold, and
      must engage at it (given enough domains and a big enough sweep). *)
@@ -1391,115 +1363,17 @@ let test_parallel_threshold_guard () =
       Alcotest.(check bool) "dispatches at threshold" true
         (Parallel.dispatch_count () > before))
 
-let test_fused_not_slower_guard () =
-  (* Single-domain fused kernels vs the seed kernels on a smoke circuit.
-     The factor is generous — this only catches pathological regressions,
-     not noise. *)
-  let n = 14 in
-  let gates =
-    [
-      (Gate.T, [| 0 |]); (Gate.Rz 0.3, [| 0 |]); (Gate.Cz, [| 0; 1 |]);
-      (Gate.Cphase 0.7, [| 1; 2 |]); (Gate.T, [| 1 |]); (Gate.Rz 0.5, [| 2 |]);
-      (Gate.Cz, [| 0; 2 |]); (Gate.S, [| 0 |]); (Gate.H, [| 0 |]);
-    ]
-  in
-  let steps, _ =
-    Engine.compile_steps ~fusion:true
-      (List.map (fun (u, ops) -> Gate.Unitary (u, ops)) gates)
-  in
-  let kernels =
-    List.filter_map
-      (function Engine.Kernel k -> Some k | Engine.Instr _ -> None)
-      steps
-  in
-  let prep () =
-    let s = State.create n in
-    for q = 0 to n - 1 do
-      State.apply s Gate.H [| q |]
-    done;
-    s
-  in
-  let time_best f =
-    let best = ref infinity in
-    for _ = 1 to 3 do
-      let t0 = Sys.time () in
-      f ();
-      let dt = Sys.time () -. t0 in
-      if dt < !best then best := dt
-    done;
-    !best
-  in
-  let inner = 32 in
-  let s_seed = prep () in
-  let seed_s =
-    time_best (fun () ->
-        for _ = 1 to inner do
-          List.iter (fun (u, ops) -> State.Reference.apply s_seed u ops) gates
-        done)
-  in
-  let s_fused = prep () in
-  let fused_s =
-    time_best (fun () ->
-        for _ = 1 to inner do
-          List.iter (Engine.apply_kernel s_fused) kernels
-        done)
-  in
-  Alcotest.(check bool)
-    (Printf.sprintf "fused within 3x of seed (%.2fms vs %.2fms)"
-       (fused_s *. 1e3) (seed_s *. 1e3))
-    true
-    (fused_s <= (3.0 *. seed_s) +. 1e-3)
-
-let prop_fusion_bit_identical =
-  QCheck.Test.make ~name:"fusion is bit-identical (state and both engine plans)"
-    ~count:30 arb_seeded_circuit (fun (seed, qubits, gates) ->
+(* The engine's compiled program applies each gate with [State.apply]:
+   an ideal shot's state is bit-identical to applying the circuit gate by
+   gate. *)
+let prop_engine_kernels_bit_identical =
+  QCheck.Test.make ~name:"engine shot = State.apply gate by gate, bit for bit" ~count:30
+    arb_seeded_circuit (fun (seed, qubits, gates) ->
       let base = Library.random_circuit (Rng.create seed) ~qubits ~gates in
-      let instrs = Circuit.instructions base in
-      let steps, _ = Engine.compile_steps ~fusion:true instrs in
-      let s_fused = State.create qubits in
-      List.iter
-        (function
-          | Engine.Kernel k -> Engine.apply_kernel s_fused k
-          | Engine.Instr _ -> ())
-        steps;
+      let s_engine, _ = Engine.exec_shot (Rng.create seed) base in
       let s_ref = State.create qubits in
-      apply_unitaries s_ref instrs;
-      let measured =
-        Circuit.append base
-          (Circuit.of_list qubits (List.init qubits (fun q -> Gate.Measure q)))
-      in
-      let histogram plan fusion =
-        (Engine.run ~seed:(seed + 1) ?plan ~fusion ~shots:200 measured).Engine.histogram
-      in
-      states_bit_identical s_fused s_ref
-      && histogram None true = histogram None false
-      && histogram (Some Engine.Trajectory) true
-         = histogram (Some Engine.Trajectory) false)
-
-let prop_fusion_preserves_measurement_order =
-  QCheck.Test.make ~name:"fusion never reorders mid-circuit measurements"
-    ~count:30 arb_seeded_circuit (fun (seed, qubits, gates) ->
-      (* A mid-circuit measurement forces the trajectory plan and splits
-         every fusion run crossing it; same seed, fusion on and off, must
-         produce the same histogram shot by shot. *)
-      let base = Circuit.instructions (Library.random_circuit (Rng.create seed) ~qubits ~gates) in
-      let cut = List.length base / 2 in
-      let before = List.filteri (fun i _ -> i < cut) base in
-      let after = List.filteri (fun i _ -> i >= cut) base in
-      let circuit =
-        Circuit.of_list qubits
-          (before
-          @ (Gate.Measure (seed mod qubits) :: after)
-          @ List.init qubits (fun q -> Gate.Measure q))
-      in
-      let run fusion = (Engine.run ~seed:(seed + 1) ~fusion ~shots:100 circuit) in
-      let a = run true and b = run false in
-      (* The mid-circuit measurement forces a per-shot plan: state-vector
-         trajectories, or the tableau when the random draw happens to be
-         all-Clifford. *)
-      a.Engine.report.Engine.plan <> Engine.Sampled
-      && a.Engine.histogram = b.Engine.histogram
-      && a.Engine.report.Engine.measurements = b.Engine.report.Engine.measurements)
+      apply_unitaries s_ref (Circuit.instructions base);
+      states_bit_identical s_engine s_ref)
 
 let prop_parallel_bit_identical =
   QCheck.Test.make ~name:"parallel kernels bit-identical to sequential" ~count:5
@@ -1643,12 +1517,9 @@ let () =
         ] );
       ( "kernels",
         [
-          Alcotest.test_case "fusion stats" `Quick test_fusion_stats;
           Alcotest.test_case "parallel threshold guard" `Quick
             test_parallel_threshold_guard;
-          Alcotest.test_case "fused perf guard" `Quick test_fused_not_slower_guard;
-          qtest prop_fusion_bit_identical;
-          qtest prop_fusion_preserves_measurement_order;
+          qtest prop_engine_kernels_bit_identical;
           qtest prop_parallel_bit_identical;
         ] );
       ( "properties",

@@ -820,6 +820,40 @@ let test_spool_decode_rejects_garbage () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown keys must fail"
 
+(* Spool files written while gate fusion existed may carry a [fusion]
+   key: a boolean decodes to the same spec as no key, anything else stays
+   a structured error, and the encoder no longer writes the key. *)
+let test_spool_legacy_fusion_key () =
+  let body = "---\nversion 1.0\nqubits 2\nh q[0]\ncnot q[0], q[1]\nmeasure_all\n" in
+  let header extra = "tenant=alice\nlabel=bell\nshots=64\nseed=7\n" ^ extra ^ body in
+  let decoded extra =
+    match Spool.decode ~id:"000003" (header extra) with
+    | Ok entry -> entry.Spool.spec
+    | Error e -> Alcotest.failf "decode %S failed: %s" extra (Error.to_string e)
+  in
+  let plain = decoded "" in
+  List.iter
+    (fun extra ->
+      let d = decoded extra in
+      Alcotest.(check (option string)) (extra ^ " decodes like no key")
+        (Spool.encode ~tenant:"alice" plain |> Result.to_option)
+        (Spool.encode ~tenant:"alice" d |> Result.to_option))
+    [ "fusion=true\n"; "fusion=false\n" ];
+  (match Spool.decode ~id:"000004" (header "fusion=maybe\n") with
+  | Error e ->
+      let msg = Error.to_string e and want = "fusion: not a boolean: maybe" in
+      let n = String.length want in
+      let rec found i = i + n <= String.length msg && (String.sub msg i n = want || found (i + 1)) in
+      Alcotest.(check bool) ("names the key: " ^ msg) true (found 0)
+  | Ok _ -> Alcotest.fail "fusion=maybe must fail");
+  match Spool.encode ~tenant:"alice" (decoded "fusion=false\n") with
+  | Ok text ->
+      Alcotest.(check bool) "encoder writes no fusion key" false
+        (List.exists
+           (fun line -> String.length line >= 7 && String.sub line 0 7 = "fusion=")
+           (String.split_on_char '\n' text))
+  | Error e -> Alcotest.failf "encode failed: %s" (Error.to_string e)
+
 (* --- deadlines --- *)
 
 let test_deadline_exceeded () =
@@ -1142,6 +1176,7 @@ let () =
           Alcotest.test_case "concurrent submitters" `Quick test_spool_concurrent_submit;
           Alcotest.test_case "garbage rejected" `Quick
             test_spool_decode_rejects_garbage;
+          Alcotest.test_case "legacy fusion key" `Quick test_spool_legacy_fusion_key;
         ] );
       ( "deadlines",
         [
