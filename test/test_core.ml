@@ -317,6 +317,97 @@ let test_rb2_noisy_decay () =
   Alcotest.(check bool) "error per clifford > single-gate error" true
     (decay.Rb2.error_per_clifford > 0.005)
 
+(* --- RB pins --- *)
+
+(* Digests of both RB modules' groups, sequences and fitted decays, taken
+   from the separate closures each module once had: any change to closure
+   order, recovery lookup, sequence building or the decay fit moves one.
+   Floats print with %h, so the pins are bit-exact. *)
+
+let digest s = Digest.to_hex (Digest.string s)
+
+let rb_point_text pt =
+  Printf.sprintf "%d:%h:%d:%d" pt.Rb.sequence_length pt.Rb.survival pt.Rb.sequences
+    pt.Rb.shots_each
+
+let rb_decay_text d =
+  Printf.sprintf "%s|%h|%h|%h"
+    (String.concat "," (List.map rb_point_text d.Rb.points))
+    d.Rb.amplitude d.Rb.p d.Rb.error_per_clifford
+
+let rb2_gate_text (u, ops) = Gate.to_string (Gate.Unitary (u, ops))
+
+let rb_pins () =
+  let group1 =
+    Array.to_list (Rb.group ())
+    |> List.map (fun c -> String.concat " " (List.map Gate.name (Rb.gates c)))
+    |> String.concat "|"
+  in
+  let group2 =
+    Array.to_list (Rb2.group ())
+    |> List.map (fun c -> String.concat " " (List.map rb2_gate_text (Rb2.gates c)))
+    |> String.concat "|"
+  in
+  let seq1 =
+    let rng = Rng.create 41 in
+    List.map
+      (fun length -> Circuit.to_string (Rb.sequence_circuit rng ~qubit:1 ~total_qubits:2 ~length))
+      [ 1; 3; 8; 20 ]
+    |> String.concat "\n"
+  in
+  let seq2 =
+    let rng = Rng.create 42 in
+    List.map (fun length -> Circuit.to_string (Rb2.sequence_circuit rng ~length)) [ 1; 3; 8 ]
+    |> String.concat "\n"
+  in
+  let run1 =
+    rb_decay_text
+      (Rb.run ~lengths:[ 1; 4; 16 ] ~sequences:3 ~shots:32 ~noise:(Noise.depolarizing 0.02)
+         ~rng:(Rng.create 43) ())
+  in
+  let interleaved =
+    let r =
+      Rb.run_interleaved ~lengths:[ 1; 4; 16 ] ~sequences:3 ~shots:32 ~gate:Gate.H
+        ~noise:(Noise.depolarizing 0.01) ~rng:(Rng.create 44) ()
+    in
+    Printf.sprintf "%s/%s/%h" (rb_decay_text r.Rb.reference) (rb_decay_text r.Rb.interleaved)
+      r.Rb.gate_error
+  in
+  let run2 =
+    let d =
+      Rb2.run ~lengths:[ 1; 4 ] ~sequences:2 ~shots:16 ~noise:(Noise.depolarizing 0.01)
+        ~rng:(Rng.create 45) ()
+    in
+    Printf.sprintf "%s|%h|%h"
+      (String.concat "," (List.map (fun (m, s) -> Printf.sprintf "%d:%h" m s) d.Rb2.points))
+      d.Rb2.p d.Rb2.error_per_clifford
+  in
+  [
+    ("Rb.group gates", group1);
+    ("Rb2.group gates", group2);
+    ("Rb.sequence_circuit", seq1);
+    ("Rb2.sequence_circuit", seq2);
+    ("Rb.run", run1);
+    ("Rb.run_interleaved", interleaved);
+    ("Rb2.run", run2);
+  ]
+
+let expected_rb_pins =
+  [
+    ("Rb.group gates", "d351b8d5e5152fdbaf434c26ed7adbbd");
+    ("Rb2.group gates", "e680b2ae1bcc6d5140b7b03ba92a7f5d");
+    ("Rb.sequence_circuit", "8d695115628c96c00868f7df0c892f02");
+    ("Rb2.sequence_circuit", "fe8871cd219733ef3195d691cb439a9e");
+    ("Rb.run", "dd5c3d5fc5df234b31449080d7b248e9");
+    ("Rb.run_interleaved", "88a8f902b3710cd3aa51f9feab524f45");
+    ("Rb2.run", "a59c215fe92d89a87908fd04fd6f1f42");
+  ]
+
+let test_rb_pins () =
+  Alcotest.(check (list (pair string string)))
+    "RB digests" expected_rb_pins
+    (List.map (fun (name, text) -> (name, digest text)) (rb_pins ()))
+
 (* --- stacks --- *)
 
 let bell_measured () =
@@ -757,6 +848,7 @@ let () =
           Alcotest.test_case "inverses" `Quick test_rb2_inverses;
           Alcotest.test_case "ideal sequences" `Quick test_rb2_sequence_ideal;
           Alcotest.test_case "noisy decay" `Quick test_rb2_noisy_decay;
+          Alcotest.test_case "pins" `Quick test_rb_pins;
         ] );
       ( "stack",
         [
