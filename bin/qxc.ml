@@ -410,14 +410,6 @@ let plan_arg =
            (stabilizer tableau). Forcing a plan the circuit cannot soundly \
            use fails with a structured error.")
 
-(* --plan wins over the historical --trajectory shorthand when both are
-   given (they can only conflict if --plan is sampled/clifford, which the
-   structured engine errors already report per-circuit). *)
-let resolve_plan plan trajectory =
-  match plan with
-  | Some _ -> plan
-  | None -> if trajectory then Some Engine.Trajectory else None
-
 (* --- estimate (static resource estimator, docs/estimate.md) --- *)
 
 let target_error_arg =
@@ -534,7 +526,7 @@ let estimate_cmd =
           (codes R01-R04, docs/estimate.md).")
     estimate_term
 
-let run_command common file plan trajectory lint lint_json =
+let run_command common file plan lint lint_json =
   if not (check_shots common.shots) then 1
   else
     match load_source file with
@@ -543,7 +535,7 @@ let run_command common file plan trajectory lint lint_json =
         1
     | Ok (_, program, _) when not (run_lint ~lint ~lint_json program) -> 2
     | Ok (text, _, circuit) -> (
-        match source_job common ~file ~text circuit ~plan:(resolve_plan plan trajectory) with
+        match source_job common ~file ~text circuit ~plan with
         | Error msg ->
             prerr_endline msg;
             1
@@ -573,17 +565,9 @@ let run_command common file plan trajectory lint lint_json =
                     end;
                     write_metrics_with_estimate common.metrics spec report))
 
-let trajectory_flag =
-  Arg.(
-    value & flag
-    & info [ "trajectory" ]
-        ~doc:
-          "Force the per-shot trajectory plan even when single-pass sampling \
-           applies (shorthand for $(b,--plan)=$(b,trajectory)).")
-
 let run_term =
   Term.(
-    const run_command $ common_term $ file_arg $ plan_arg $ trajectory_flag $ lint_flag
+    const run_command $ common_term $ file_arg $ plan_arg $ lint_flag
     $ lint_json_flag)
 
 let run_cmd =
@@ -801,8 +785,7 @@ let durable_flag =
           "fsync the job file and the spool directories around the atomic \
            rename, so the submission survives power loss.")
 
-let submit_command common dir tenant priority deadline_ms durable file plan
-    trajectory =
+let submit_command common dir tenant priority deadline_ms durable file plan =
   if not (check_shots common.shots) then 1
   else
     match load_source file with
@@ -810,7 +793,7 @@ let submit_command common dir tenant priority deadline_ms durable file plan
         prerr_endline msg;
         1
     | Ok (text, _, circuit) -> (
-        match source_job common ~file ~text circuit ~plan:(resolve_plan plan trajectory) with
+        match source_job common ~file ~text circuit ~plan with
         | Error msg ->
             prerr_endline msg;
             1
@@ -828,7 +811,7 @@ let submit_command common dir tenant priority deadline_ms durable file plan
 let submit_term =
   Term.(
     const submit_command $ common_term $ spool_arg $ tenant_arg $ priority_arg
-    $ deadline_arg $ durable_flag $ file_arg $ plan_arg $ trajectory_flag)
+    $ deadline_arg $ durable_flag $ file_arg $ plan_arg)
 
 let submit_cmd =
   Cmd.v
@@ -1033,9 +1016,11 @@ let () =
         status_cmd; cancel_cmd; qisa_cmd; info_cmd;
       ]
   in
-  (* Structured errors escaping a subcommand become a one-line diagnostic
-     rather than an OCaml backtrace. *)
+  (* A command-line error (cmdliner's own message already on stderr) is an
+     input error, exit 1. Structured errors escaping a subcommand become a
+     one-line diagnostic rather than an OCaml backtrace. *)
   match Cmd.eval' ~catch:false main with
+  | code when code = Cmd.Exit.cli_error -> exit 1
   | code -> exit code
   | exception Qca_util.Error.Error e ->
       Printf.eprintf "qxc: error: %s\n" (Qca_util.Error.to_string e);

@@ -407,7 +407,9 @@ let serve_cmd =
 let () =
   let doc = "multi-tenant quantum job service daemon" in
   let main = Cmd.group (Cmd.info "qxd" ~version:"1.0" ~doc) [ serve_cmd ] in
+  (* A command-line error (cmdliner's message on stderr) exits 1. *)
   match Cmd.eval' ~catch:false main with
+  | code when code = Cmd.Exit.cli_error -> exit 1
   | code -> exit code
   | exception Qca_util.Error.Error e ->
       Printf.eprintf "qxd: error: %s\n" (Qca_util.Error.to_string e);

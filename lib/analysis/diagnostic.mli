@@ -23,12 +23,6 @@ type t = {
 val make :
   ?fixit:string -> severity -> code:string -> check:string -> site:string -> string -> t
 
-val severity_label : severity -> string
-(** ["error"], ["warning"] or ["hint"]. *)
-
-val counts : t list -> int * int * int
-(** [(errors, warnings, hints)]. *)
-
 val max_severity : t list -> severity option
 
 val exit_code : t list -> int

@@ -65,12 +65,6 @@ type calibration = {
   ns_row : float;  (** ns per tableau row element, Clifford plan. *)
 }
 
-val default_calibration : calibration
-(** Constants measured on the reference container when
-    [BENCH_kernels.json] still timed fused gate runs (n = 20); they are
-    not yet refitted to the one-kernel-per-gate engine. See
-    [docs/estimate.md]. *)
-
 val of_circuit :
   ?shots:int ->
   ?noisy:bool ->

@@ -18,16 +18,6 @@ val check_mapped :
 (** [allow_swap] (default [false]) exempts [swap] from P02 — the routing
     pass legitimately emits swaps that a later pass expands to primitives. *)
 
-val check_mapped_instrs :
-  ?allow_swap:bool ->
-  Qca_compiler.Platform.t ->
-  string ->
-  Qca_circuit.Gate.t list ->
-  Diagnostic.t list
-(** As {!check_mapped} on an already-materialised instruction list (sites
-    use [name]). The pass-verifier walks each artifact with several suites;
-    this entry point lets it materialise the list once. *)
-
 val stream_checker :
   ?allow_swap:bool ->
   Qca_compiler.Platform.t ->

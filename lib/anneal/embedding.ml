@@ -314,9 +314,6 @@ let embed ?(tries = 8) ~rng ~logical physical =
     in
     attempt tries
 
-let embed_qubo ?tries ~rng q ~physical =
-  embed ?tries ~rng ~logical:(Qubo.interaction_graph q) physical
-
 (* Triangular clique embedding: logical i = 4a + b occupies the vertical
    lane b of every cell in column a plus the horizontal lane b of every cell
    in row a; the two arms couple inside cell (a, a), and the arms of any two

@@ -25,10 +25,6 @@ val is_valid : logical:Qca_util.Graph.t -> physical:Qca_util.Graph.t -> t -> boo
 (** Chains are connected, pairwise disjoint, and every logical edge has a
     physical coupler between the two chains. *)
 
-val embed_qubo :
-  ?tries:int -> rng:Qca_util.Rng.t -> Qubo.t -> physical:Qca_util.Graph.t -> t option
-(** Embed the QUBO's interaction graph. *)
-
 val chimera_clique : m:int -> n:int -> t
 (** The standard deterministic triangular clique embedding of K_n into
     Chimera C_m (n <= 4m): logical 4a+b occupies the cross of vertical lane

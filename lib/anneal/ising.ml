@@ -66,22 +66,6 @@ let bits_of_spins = Array.map (fun s -> if s = 1 then 1 else 0)
 
 let random_spins rng n = Array.init n (fun _ -> if Rng.bool rng then 1 else -1)
 
-let brute_force m =
-  if m.n > 24 then invalid_arg "Ising.brute_force: too many spins";
-  let best_s = ref (Array.make m.n 1) and best_e = ref infinity in
-  let s = Array.make m.n 1 in
-  for assignment = 0 to (1 lsl m.n) - 1 do
-    for i = 0 to m.n - 1 do
-      s.(i) <- (if (assignment lsr i) land 1 = 1 then 1 else -1)
-    done;
-    let e = energy m s in
-    if e < !best_e then begin
-      best_e := e;
-      best_s := Array.copy s
-    end
-  done;
-  (!best_s, !best_e)
-
 let build_neighbour_index m =
   let table = Array.make m.n [] in
   List.iter

@@ -23,9 +23,6 @@ val bits_of_spins : int array -> int array
 
 val random_spins : Qca_util.Rng.t -> int -> int array
 
-val brute_force : t -> int array * float
-(** Exact ground state by enumeration ([n <= 24]). *)
-
 val delta_energy : t -> neighbour_index:(int -> (int * float) list) -> int array -> int -> float
 (** Energy change from flipping one spin, given an adjacency accessor (see
     {!build_neighbour_index}); O(degree). *)

@@ -28,6 +28,4 @@ type result = {
           a proxy for quantum tunnelling activity. *)
 }
 
-val minimize : ?params:params -> rng:Qca_util.Rng.t -> Ising.t -> result
-
 val minimize_qubo : ?params:params -> rng:Qca_util.Rng.t -> Qubo.t -> int array * float

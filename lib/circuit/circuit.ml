@@ -90,10 +90,6 @@ let repeat k c =
   let rec go acc k = if k = 0 then acc else go (append acc c) (k - 1) in
   go { c with rev_instructions = []; length = 0 } k
 
-let map_qubits f c =
-  let mapped = List.rev_map (Gate.map_qubits f) c.rev_instructions in
-  List.fold_left add (create ~name:c.name c.qubit_count) mapped
-
 let inverse c =
   let invert = function
     | Gate.Unitary (u, ops) -> Gate.Unitary (Gate.adjoint u, ops)

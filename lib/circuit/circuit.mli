@@ -26,9 +26,6 @@ val append : t -> t -> t
 val repeat : int -> t -> t
 (** [repeat k c] concatenates [k] copies of [c]. *)
 
-val map_qubits : (int -> int) -> t -> t
-(** Rewrite all operand qubits (the function must stay within range). *)
-
 val inverse : t -> t
 (** Reverse with adjoint gates. Raises [Invalid_argument] if the circuit
     contains non-unitary instructions. *)

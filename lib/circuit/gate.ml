@@ -137,8 +137,6 @@ let is_diagonal = function
   | I | Z | S | Sdag | T | Tdag | Rz _ | Cz | Cphase _ | Crk _ -> true
   | X | Y | H | X90 | Xm90 | Y90 | Ym90 | Rx _ | Ry _ | Cnot | Swap | Toffoli -> false
 
-let is_two_qubit u = arity u = 2
-
 let is_clifford = function
   | I | X | Y | Z | H | S | Sdag | X90 | Xm90 | Y90 | Ym90 | Cnot | Cz | Swap -> true
   | T | Tdag | Rx _ | Ry _ | Rz _ | Cphase _ | Crk _ | Toffoli -> false

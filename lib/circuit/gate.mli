@@ -52,7 +52,6 @@ val is_diagonal : unitary -> bool
 (** True when the matrix is diagonal in the computational basis (these
     commute through control structure and are cheap for the simulator). *)
 
-val is_two_qubit : unitary -> bool
 val is_clifford : unitary -> bool
 (** True for generators of the Clifford group (used by RB and QEC). *)
 

@@ -18,10 +18,6 @@ val multi_controlled_x :
     [n]-qubit register using a Toffoli ladder. Needs
     [max 0 (k - 2)] clean ancillas (returned to |0>). *)
 
-val multi_controlled_z :
-  controls:int list -> ancillas:int list -> target:int -> int -> Circuit.t
-(** As {!multi_controlled_x} conjugated by H on the target. *)
-
 val phase_flip_on :
   pattern:bool array -> qubits:int list -> ancillas:int list -> int -> Circuit.t
 (** Oracle that flips the phase of exactly the computational-basis state

@@ -14,8 +14,6 @@ let kernel ~name ~qubits =
   if qubits <= 0 then invalid_arg "Openql.kernel: qubits must be positive";
   { kernel_name = name; qubits; rev_instrs = [] }
 
-let kernel_name k = k.kernel_name
-
 let push k instr =
   Circuit.validate_instruction k.qubits instr;
   k.rev_instrs <- instr :: k.rev_instrs
@@ -53,9 +51,6 @@ let circuit_of_kernel k =
 let program ~name ~qubits =
   if qubits <= 0 then invalid_arg "Openql.program: qubits must be positive";
   { program_name = name; program_qubits = qubits; rev_kernels = [] }
-
-let program_name p = p.program_name
-let qubit_count p = p.program_qubits
 
 let add_kernel ?(iterations = 1) p k =
   if iterations < 1 then invalid_arg "Openql.add_kernel: iterations must be >= 1";

@@ -22,7 +22,6 @@ type program
 (* --- kernels --- *)
 
 val kernel : name:string -> qubits:int -> kernel
-val kernel_name : kernel -> string
 
 val gate : kernel -> Qca_circuit.Gate.unitary -> int list -> unit
 (** Append any unitary by operand list; raises on arity mismatch. *)
@@ -48,13 +47,9 @@ val barrier : kernel -> int list -> unit
 val cond : kernel -> bit:int -> Qca_circuit.Gate.unitary -> int list -> unit
 (** Measurement-conditioned gate (classical decision construct). *)
 
-val circuit_of_kernel : kernel -> Qca_circuit.Circuit.t
-
 (* --- programs --- *)
 
 val program : name:string -> qubits:int -> program
-val program_name : program -> string
-val qubit_count : program -> int
 
 val add_kernel : ?iterations:int -> program -> kernel -> unit
 (** Append a kernel; [iterations] > 1 is the classical for-loop construct
@@ -64,7 +59,6 @@ val add_kernel : ?iterations:int -> program -> kernel -> unit
 val for_loop : program -> count:int -> kernel -> unit
 (** [add_kernel ~iterations:count]. *)
 
-val to_cqasm_program : program -> Qca_circuit.Cqasm.program
 val to_cqasm : program -> string
 val to_circuit : program -> Qca_circuit.Circuit.t
 (** Flattened (loops unrolled). *)

@@ -118,7 +118,6 @@ val run_basic : Qca_circuit.Circuit.t -> Qca_circuit.Circuit.t * stats
 
 (* Exposed for white-box tests and the bench harness. *)
 
-val normalize_angle : float -> float
 val gates_zyz : int -> float * float * float -> Qca_circuit.Gate.t list
 val gates_pulse : int -> float * float * float -> Qca_circuit.Gate.t list
 

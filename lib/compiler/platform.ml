@@ -137,14 +137,3 @@ let semiconducting_4 =
         cycle_ns = 100.0;
       };
   }
-
-let dwave_like =
-  {
-    name = "dwave-2048";
-    qubit_count = 2048;
-    topology = Grid (64, 32);
-    primitives = [];
-    durations_ns = [ ("*", 1) ];
-    cycle_ns = 1;
-    noise = Noise.ideal;
-  }

@@ -47,6 +47,3 @@ val superconducting_17 : t
 val semiconducting_4 : t
 (** 4-qubit spin-qubit platform: linear chain, slower two-qubit gates —
     the second technology of the paper's retargeting demonstration. *)
-
-val dwave_like : t
-(** 2048-qubit annealer-substrate stand-in (topology only; gates unused). *)

@@ -134,9 +134,3 @@ let validate s =
   in
   pairs s.entries;
   !ok
-
-let to_string s =
-  s.entries
-  |> List.map (fun e ->
-         Printf.sprintf "%6d  %-4d %s" e.start_cycle e.duration (Gate.to_string e.instr))
-  |> String.concat "\n"

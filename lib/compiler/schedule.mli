@@ -30,6 +30,3 @@ val max_concurrency : t -> int
 
 val validate : t -> bool
 (** No two entries overlap on a qubit; program dependencies preserved. *)
-
-val to_string : t -> string
-(** One line per entry: cycle, instruction. *)

@@ -1,12 +1,5 @@
 type kind = Fpga | Gpu | Npu | Quantum_gate | Quantum_annealer
 
-let kind_to_string = function
-  | Fpga -> "FPGA"
-  | Gpu -> "GPU"
-  | Npu -> "NPU"
-  | Quantum_gate -> "quantum-gate"
-  | Quantum_annealer -> "quantum-annealer"
-
 type t = {
   name : string;
   kind : kind;

@@ -9,8 +9,6 @@ type kind =
   | Quantum_gate
   | Quantum_annealer
 
-val kind_to_string : kind -> string
-
 type t = {
   name : string;
   kind : kind;

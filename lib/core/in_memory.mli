@@ -14,8 +14,6 @@ type architecture =
   | Quantum_nearest_neighbour
       (** Gates act in place; SWAP chains move states for distant pairs. *)
 
-val architecture_to_string : architecture -> string
-
 type workload = {
   operations : int;  (** Total compute operations. *)
   operands_per_op : int;

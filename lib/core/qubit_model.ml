@@ -5,17 +5,6 @@ let to_string = function
   | Realistic -> "realistic"
   | Real -> "real"
 
-let description = function
-  | Perfect ->
-      "ideal qubits: no decoherence, no gate errors; algorithm logic can be \
-       verified functionally on the QX simulator"
-  | Realistic ->
-      "simulated qubits with configurable error models, coherence times and \
-       topology; used to study QEC, routing and error budgets"
-  | Real ->
-      "experimentally calibrated qubits executed through the \
-       micro-architecture with nanosecond timing"
-
 let compiler_mode = function
   | Perfect -> Qca_compiler.Compiler.Perfect
   | Realistic -> Qca_compiler.Compiler.Realistic

@@ -13,7 +13,6 @@ type t =
           micro-architecture with strict timing (Figure 2a). *)
 
 val to_string : t -> string
-val description : t -> string
 
 val compiler_mode : t -> Qca_compiler.Compiler.mode
 

@@ -1,167 +1,49 @@
 module Gate = Qca_circuit.Gate
 module Circuit = Qca_circuit.Circuit
 module Matrix = Qca_util.Matrix
-module Cplx = Qca_util.Cplx
-module Rng = Qca_util.Rng
-module Stats = Qca_util.Stats
 module Sim = Qca_qx.Sim
 
-let group_order = 11520
+type clifford = (Gate.unitary * int array) Clifford_group.element
 
-type clifford = {
-  gates : (Gate.unitary * int array) list;
-  matrix : Matrix.t;
-  mutable inverse_index : int;
-}
+let generator ((u, ops) as g) =
+  (g, Circuit.unitary_matrix (Circuit.of_list 2 [ Gate.Unitary (u, ops) ]))
 
-(* Phase-canonical fingerprint of a 4x4 unitary: divide by the phase of the
-   first entry with significant modulus, round, and serialise. *)
-let canonical_key m =
-  let dim = Matrix.rows m in
-  let phase = ref Cplx.one in
-  (try
-     for r = 0 to dim - 1 do
-       for c = 0 to dim - 1 do
-         let z = Matrix.get m r c in
-         if Cplx.abs z > 1e-6 then begin
-           phase := Cplx.scale (1.0 /. Cplx.abs z) z;
-           raise Exit
-         end
-       done
-     done
-   with Exit -> ());
-  let inv_phase = Cplx.conj !phase in
-  (* Adding 0.0 maps IEEE negative zero to positive zero so "-0.0000" and
-     "0.0000" cannot split a key. *)
-  let clean x = (Float.round (x *. 10000.) /. 10000.) +. 0.0 in
-  let buffer = Buffer.create 256 in
-  for r = 0 to dim - 1 do
-    for c = 0 to dim - 1 do
-      let z = Cplx.mul inv_phase (Matrix.get m r c) in
-      Buffer.add_string buffer
-        (Printf.sprintf "%.4f,%.4f;" (clean (Cplx.re z)) (clean (Cplx.im z)))
-    done
-  done;
-  Buffer.contents buffer
+let cached =
+  lazy
+    (Clifford_group.close ~identity:(Matrix.identity 4)
+       (List.map generator
+          [
+            (Gate.H, [| 0 |]);
+            (Gate.H, [| 1 |]);
+            (Gate.S, [| 0 |]);
+            (Gate.S, [| 1 |]);
+            (Gate.Cz, [| 0; 1 |]);
+          ]))
 
-let circuit_matrix gates =
-  let instrs = List.map (fun (u, ops) -> Gate.Unitary (u, ops)) gates in
-  Circuit.unitary_matrix (Circuit.of_list 2 instrs)
-
-let generators =
-  [
-    (Gate.H, [| 0 |]);
-    (Gate.H, [| 1 |]);
-    (Gate.S, [| 0 |]);
-    (Gate.S, [| 1 |]);
-    (Gate.Cz, [| 0; 1 |]);
-  ]
-
-let build_group () =
-  let table = Hashtbl.create 16384 in
-  let identity = { gates = []; matrix = Matrix.identity 4; inverse_index = -1 } in
-  Hashtbl.replace table (canonical_key identity.matrix) 0;
-  let elements = ref [ identity ] in
-  let count = ref 1 in
-  let frontier = ref [ identity ] in
-  while !frontier <> [] do
-    let next = ref [] in
-    List.iter
-      (fun element ->
-        List.iter
-          (fun ((u, ops) as g) ->
-            let gate_matrix = circuit_matrix [ g ] in
-            ignore u;
-            ignore ops;
-            let m = Matrix.mul gate_matrix element.matrix in
-            let key = canonical_key m in
-            if not (Hashtbl.mem table key) then begin
-              let fresh = { gates = element.gates @ [ g ]; matrix = m; inverse_index = -1 } in
-              Hashtbl.replace table key !count;
-              incr count;
-              elements := fresh :: !elements;
-              next := fresh :: !next
-            end)
-          generators)
-      !frontier;
-    frontier := !next
-  done;
-  let arr = Array.of_list (List.rev !elements) in
-  if Array.length arr <> group_order then
-    failwith (Printf.sprintf "Rb2: generated %d elements, expected %d" (Array.length arr) group_order);
-  (* inverse table via the hash *)
-  Array.iteri
-    (fun i element ->
-      let key = canonical_key (Matrix.adjoint element.matrix) in
-      match Hashtbl.find_opt table key with
-      | Some j -> arr.(i).inverse_index <- j
-      | None -> failwith "Rb2: inverse not found")
-    arr;
-  (arr, table)
-
-let cached = lazy (build_group ())
-
-let group () = fst (Lazy.force cached)
-let lookup_table () = snd (Lazy.force cached)
-
-let gates c = c.gates
-
-let inverse c =
-  let arr = group () in
-  arr.(c.inverse_index)
-
-let average_gate_count () =
-  let arr = group () in
-  let total = Array.fold_left (fun acc c -> acc + List.length c.gates) 0 arr in
-  float_of_int total /. float_of_int (Array.length arr)
+let group () = Clifford_group.elements (Lazy.force cached)
+let gates = Clifford_group.gates
+let inverse c = Clifford_group.inverse (Lazy.force cached) c
+let average_gate_count () = Clifford_group.average_gate_count (Lazy.force cached)
 
 let sequence_circuit rng ~length =
-  let arr = group () in
-  let table = lookup_table () in
-  let chosen = List.init length (fun _ -> arr.(Rng.int rng (Array.length arr))) in
-  let net =
-    List.fold_left (fun acc c -> Matrix.mul c.matrix acc) (Matrix.identity 4) chosen
-  in
-  let recovery =
-    match Hashtbl.find_opt table (canonical_key (Matrix.adjoint net)) with
-    | Some j -> arr.(j)
-    | None -> failwith "Rb2: recovery not found"
-  in
-  let all = chosen @ [ recovery ] in
+  let sequence = Clifford_group.sequence (Lazy.force cached) rng ~length in
   let instrs =
-    List.concat_map (fun c -> List.map (fun (u, ops) -> Gate.Unitary (u, ops)) c.gates) all
-    @ [ Gate.Measure 0; Gate.Measure 1 ]
+    List.map (fun (u, ops) -> Gate.Unitary (u, ops)) sequence @ [ Gate.Measure 0; Gate.Measure 1 ]
   in
   Circuit.of_list ~name:(Printf.sprintf "rb2-%d" length) 2 instrs
 
 type decay = { points : (int * float) list; p : float; error_per_clifford : float }
 
 let run ?(lengths = [ 1; 2; 4; 8; 16 ]) ?(sequences = 6) ?(shots = 48) ~noise ~rng () =
-  let survival_at length =
-    let per_sequence =
-      Array.init sequences (fun _ ->
-          let circuit = sequence_circuit rng ~length in
-          let zeros = ref 0 in
-          for _ = 1 to shots do
-            let result = Sim.run ~noise ~rng circuit in
-            if result.Sim.classical.(0) = 0 && result.Sim.classical.(1) = 0 then incr zeros
-          done;
-          float_of_int !zeros /. float_of_int shots)
-    in
-    Stats.mean per_sequence
+  let points =
+    Clifford_group.survivals ~lengths ~sequences (fun length ->
+        let circuit = sequence_circuit rng ~length in
+        let zeros = ref 0 in
+        for _ = 1 to shots do
+          let result = Sim.run ~noise ~rng circuit in
+          if result.Sim.classical.(0) = 0 && result.Sim.classical.(1) = 0 then incr zeros
+        done;
+        float_of_int !zeros /. float_of_int shots)
   in
-  let points = List.map (fun m -> (m, survival_at m)) lengths in
-  (* survival = 1/4 + A p^m for two qubits *)
-  let usable =
-    List.filter_map
-      (fun (m, s) ->
-        let y = s -. 0.25 in
-        if y > 1e-3 then Some (float_of_int m, y) else None)
-      points
-  in
-  let p =
-    if List.length usable >= 2 then snd (Stats.exponential_decay_fit (Array.of_list usable))
-    else 1.0
-  in
-  let p = Float.min 1.0 p in
+  let _, p = Clifford_group.fit_decay ~qubits:2 points in
   { points; p; error_per_clifford = 3.0 *. (1.0 -. p) /. 4.0 }

@@ -8,9 +8,6 @@
     in the single-qubit case. The two-qubit depolarising parameter relates
     to the error per Clifford as r = (1 - p) (1 - 1/4) = 3(1 - p)/4. *)
 
-val group_order : int
-(** 11520. *)
-
 type clifford
 
 val group : unit -> clifford array

@@ -11,9 +11,6 @@
 val overlap : Dna.t -> Dna.t -> int
 (** Longest suffix of the first read equal to a prefix of the second. *)
 
-val overlap_matrix : Dna.t array -> int array array
-(** [m.(i).(j)] = overlap of read i into read j (diagonal 0). *)
-
 val superstring : Dna.t array -> int array -> Dna.t
 (** Merge reads in the given order, collapsing pairwise overlaps. *)
 

@@ -7,13 +7,6 @@
 
 type base = A | C | G | T
 
-val base_of_char : char -> base
-val char_of_base : base -> char
-val base_to_bits : base -> int
-(** 2-bit encoding: A=00, C=01, G=10, T=11. *)
-
-val base_of_bits : int -> base
-
 type t = base array
 
 val of_string : string -> t

@@ -43,7 +43,6 @@ let empty = String_map.empty
 let add lib p = String_map.add p.name p lib
 let find lib name = String_map.find_opt name lib
 let names lib = List.map fst (String_map.bindings lib)
-let size lib = String_map.cardinal lib
 
 let of_list pulses = List.fold_left add empty pulses
 

@@ -24,17 +24,11 @@ val gaussian_envelope : duration_ns:int -> amplitude:float -> float array
 val square_envelope : duration_ns:int -> amplitude:float -> float array
 (** Flat-top envelope (flux and readout pulses). *)
 
-val make :
-  name:string -> channel:channel_kind -> duration_ns:int -> amplitude:float -> phase:float -> pulse
-
 type library
 (** Pulse store keyed by pulse name. *)
 
-val empty : library
-val add : library -> pulse -> library
 val find : library -> string -> pulse option
 val names : library -> string list
-val size : library -> int
 
 val superconducting_library : unit -> library
 (** Pulses for the transmon platform: 20 ns Gaussians for x90/y90 family,

@@ -426,11 +426,7 @@ let run_shots ?noise ?seed ?rng ?(shots = 1024) ?faults
     Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []
     |> List.sort (fun (_, a) (_, b) -> compare b a)
   in
-  let gate_applies =
-    Hashtbl.fold (fun name count acc -> (name, count) :: acc) applies []
-    |> List.sort (fun (na, a) (nb, b) ->
-           match compare b a with 0 -> compare na nb | c -> c)
-  in
+  let gate_applies = Engine.sorted_applies (List.of_seq (Hashtbl.to_seq applies)) in
   let report =
     {
       Engine.plan = Engine.Trajectory;

@@ -16,7 +16,6 @@ type codeword = {
 type table
 (** Micro-code store: mnemonic -> codeword. *)
 
-val make : (string * codeword) list -> table
 val lookup : table -> string -> codeword option
 val mnemonics : table -> string list
 

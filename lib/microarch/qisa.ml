@@ -89,8 +89,6 @@ let assemble ~name ~qubit_count ~cycle_ns instructions =
   Array.iter (validate qubit_count labels) code;
   { qisa_name = name; qubit_count; cycle_ns; code; labels }
 
-let name p = p.qisa_name
-
 let condition_to_string = function
   | Always -> "always"
   | Eq -> "eq"

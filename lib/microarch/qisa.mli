@@ -22,9 +22,6 @@ type instruction =
   | Quantum of Qca_compiler.Eqasm.instruction
   | Halt
 
-val register_count : int
-(** 32 general-purpose registers. *)
-
 type program
 
 val assemble :
@@ -35,7 +32,6 @@ val assemble :
     negative, and that every branch target exists; raises
     [Invalid_argument] otherwise. *)
 
-val name : program -> string
 val to_string : program -> string
 
 exception Parse_error of int * string

@@ -12,8 +12,6 @@ type t = {
 let create ~channel =
   { channel; events = []; last_drained_ns = -1; peak = 0; violations = 0; pushed = 0 }
 
-let channel q = q.channel
-
 let push q micro_op =
   let ev = { time_ns = micro_op.Microcode.time_ns; micro_op } in
   if ev.time_ns <= q.last_drained_ns then q.violations <- q.violations + 1;

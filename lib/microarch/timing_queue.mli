@@ -10,7 +10,6 @@ type event = { time_ns : int; micro_op : Microcode.micro_op }
 type t
 
 val create : channel:int -> t
-val channel : t -> int
 
 val push : t -> Microcode.micro_op -> unit
 (** Enqueue; records a violation if the op's trigger time precedes the last

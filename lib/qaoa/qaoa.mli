@@ -8,8 +8,6 @@
 type params = { gammas : float array; betas : float array }
 (** One (gamma, beta) pair per QAOA layer. *)
 
-val layers : params -> int
-
 val spin_energy_of_basis : Qca_anneal.Ising.t -> int -> float
 (** Ising energy of the spin configuration encoded by a basis index. *)
 
@@ -24,9 +22,6 @@ val cost_circuit : Qca_anneal.Ising.t -> float -> Qca_circuit.Circuit.t
 (** Gate-level phase-separation layer (Rz + CNOT conjugation), equivalent to
     the diagonal evolution up to global phase — used when executing QAOA
     through the compiler/micro-architecture stack. *)
-
-val mixer_circuit : int -> float -> Qca_circuit.Circuit.t
-(** Rx(2 beta) on every qubit. *)
 
 val full_circuit : Qca_anneal.Ising.t -> params -> Qca_circuit.Circuit.t
 (** Hadamard wall + alternating layers, as one circuit. *)

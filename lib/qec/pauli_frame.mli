@@ -18,13 +18,6 @@ val propagate_cnot : frame -> int -> int -> unit
 val propagate_h : frame -> int -> unit
 (** Exchange X and Z components on one qubit. *)
 
-val inject_1q : Qca_util.Rng.t -> frame -> float -> int -> unit
-(** Depolarising fault after a single-qubit location. *)
-
-val inject_2q : Qca_util.Rng.t -> frame -> float -> int -> int -> unit
-(** Uniform two-qubit depolarising fault (one of the 15 non-identity
-    two-qubit Paulis). *)
-
 type round_result = {
   syndrome : int;  (** Measured (noisy) syndrome bits. *)
   frame : frame;  (** Frame after the round (ancilla bits reset). *)

@@ -429,13 +429,6 @@ let pauli_by t u q (const, form) =
   | Gate.Cphase _ | Gate.Crk _ | Gate.Toffoli ->
       invalid_arg ("Tableau.pauli_by: not a Pauli: " ^ Gate.name u)
 
-let measure_all t rng =
-  let out = Array.make t.n 0 in
-  for q = 0 to t.n - 1 do
-    out.(q) <- measure t rng q
-  done;
-  out
-
 let expectation_z t q = if pivot t q = -1 then Some t.signs.(t.n + q) else None
 
 (* The stabilizer generators U Z_k U^dag, read off the inverse tableau. By

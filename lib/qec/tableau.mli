@@ -49,16 +49,10 @@ val reset : t -> unit
     shots. *)
 
 val h : t -> int -> unit
-val s : t -> int -> unit
-val sdag : t -> int -> unit
 val x : t -> int -> unit
-val y : t -> int -> unit
 val z : t -> int -> unit
 val cnot : t -> int -> int -> unit
 (** [cnot tab control target]. *)
-
-val cz : t -> int -> int -> unit
-val swap : t -> int -> int -> unit
 
 val apply_pauli : t -> Pauli.t -> unit
 (** Apply an error operator. *)
@@ -125,9 +119,6 @@ val pauli_by : t -> Qca_circuit.Gate.unitary -> int -> int * int array -> unit
     affine [bit] (a {!z_form}) is 1: it XORs the form into the signs the
     gate flips. A conditional Pauli, and a prep's X, stay affine this way;
     raises [Invalid_argument] unless [is_pauli u]. *)
-
-val measure_all : t -> Qca_util.Rng.t -> int array
-(** Measure qubits [0 .. n-1] in order, collapsing as it goes. *)
 
 val expectation_z : t -> int -> int option
 (** [Some 0]/[Some 1] when the Z measurement of the qubit is deterministic

@@ -12,7 +12,6 @@ let create n =
   let dim = 1 lsl n in
   { n; rho = Matrix.make dim dim (fun r c -> if r = 0 && c = 0 then Cplx.one else Cplx.zero) }
 
-let qubit_count d = d.n
 let dimension d = 1 lsl d.n
 
 let of_state state =
@@ -124,13 +123,6 @@ let fidelity_with_state d state =
   done;
   Cplx.re !acc
 
-let expectation_diag d f =
-  let acc = ref 0.0 in
-  for k = 0 to dimension d - 1 do
-    acc := !acc +. (f k *. Cplx.re (get d k k))
-  done;
-  !acc
-
 (* Deterministic analogue of Sim.run's noise insertion: the same channels
    the trajectory sampler draws from, applied as exact Kraus sums. *)
 let decay_channels (m : Noise.model) =
@@ -218,11 +210,7 @@ let sample ?(noise = Noise.ideal) ?(shots = 1024) ?seed circuit =
             Engine.sample_histogram ~probabilities:(probabilities d) ~measured ~rng ~shots)
       in
       let t3 = Clock.now () in
-      let gate_applies =
-        Hashtbl.fold (fun name count acc -> (name, count) :: acc) applies []
-        |> List.sort (fun (na, a) (nb, b) ->
-               match compare b a with 0 -> compare na nb | c -> c)
-      in
+      let gate_applies = Engine.sorted_applies (List.of_seq (Hashtbl.to_seq applies)) in
       let measured_count =
         Array.fold_left (fun acc b -> if b then acc + 1 else acc) 0 measured
       in

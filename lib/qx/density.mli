@@ -12,9 +12,6 @@ type t
 val create : int -> t
 (** |0...0><0...0| on n qubits (1 <= n <= 8). *)
 
-val qubit_count : t -> int
-val dimension : t -> int
-
 val of_state : State.t -> t
 (** Pure-state density matrix |psi><psi|. *)
 
@@ -39,8 +36,6 @@ val prob_one : t -> int -> float
 
 val fidelity_with_state : t -> State.t -> float
 (** <psi| rho |psi>. *)
-
-val expectation_diag : t -> (int -> float) -> float
 
 val run : ?noise:Noise.model -> Qca_circuit.Circuit.t -> t
 (** Evolve a circuit exactly under the error model (gates followed by

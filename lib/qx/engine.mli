@@ -101,8 +101,8 @@ type run_report = {
   qubit_count : int;
   instruction_count : int;
   gate_applies : (string * int) list;
-      (** Logical gate applications by gate name, sorted by decreasing
-          count. Trajectory and Clifford runs aggregate over all shots;
+      (** Logical gate applications by gate name, in {!sorted_applies}
+          order. Trajectory and Clifford runs aggregate over all shots;
           sampled runs count the single pass. Counted statically: the
           compiled program's per-pass totals times the passes run, plus
           each conditional's firings. *)
@@ -117,6 +117,10 @@ type run_report = {
       (** Result-cache / shot-batching counters ({!no_cache} for direct
           runs). *)
 }
+
+val sorted_applies : (string * int) list -> (string * int) list
+(** Counts summed by gate name, zeros dropped, by decreasing count, then
+    name: the one order of every report's [gate_applies]. *)
 
 type result = {
   histogram : (string * int) list;

@@ -120,9 +120,6 @@ val sampler_draw : sampler -> Qca_util.Rng.t -> int
     bit-identical to [sample_index s rng] (same RNG consumption, same
     index). *)
 
-val overlap : t -> t -> Qca_util.Cplx.t
-(** Inner product <a|b>. *)
-
 val fidelity : t -> t -> float
 (** |<a|b>|^2. *)
 
@@ -137,10 +134,6 @@ val expectation_pauli : t -> (int * char) list -> float
 val apply_diagonal_phase : t -> (int -> float) -> unit
 (** Multiply each amplitude k by exp(i * f k) — the efficient path for
     diagonal cost Hamiltonians (QAOA phase separation). *)
-
-val apply_permutation : t -> (int -> int) -> unit
-(** Classical reversible function as a basis permutation: amplitude of |x>
-    moves to |f x|. [f] must be a bijection on the basis range (checked). *)
 
 val apply_controlled_permutation : t -> control:int -> (int -> int) -> unit
 (** Apply the permutation only on basis states whose [control] bit is 1;

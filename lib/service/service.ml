@@ -96,7 +96,6 @@ type tenant_state = {
 type handle = { h_id : int; h_tenant : string }
 
 let job_id h = h.h_id
-let job_tenant h = h.h_tenant
 
 type status =
   | Queued of int

@@ -82,7 +82,6 @@ type t
 type handle
 
 val job_id : handle -> int
-val job_tenant : handle -> string
 
 type status =
   | Queued of int  (** Waiting; the int is the global queue position. *)

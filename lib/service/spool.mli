@@ -170,11 +170,6 @@ val complete : dir:string -> string -> unit
 (** Remove a job's journal entry (after its result was published or its
     cancellation recorded); idempotent. *)
 
-val retire : dir:string -> string -> unit
-(** Move a journaled job file to [failed/] and drop its claim: the
-    resting place of poison jobs that crash the daemon on every
-    attempt. *)
-
 val active : dir:string -> string list
 (** Ids currently journaled in [active/], in id order. *)
 

@@ -11,9 +11,6 @@
 val qubits_needed : int -> int
 (** n^2. *)
 
-val variable : n:int -> city:int -> time:int -> int
-(** Flat index of x_(city, time). *)
-
 val to_qubo : ?penalty:float -> Tsp.t -> Qca_anneal.Qubo.t
 (** [penalty] defaults to 4x the largest distance — strictly larger than any
     cost gain a constraint violation could buy. *)

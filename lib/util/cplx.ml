@@ -11,7 +11,6 @@ let im (z : t) = z.Complex.im
 let add = Complex.add
 let sub = Complex.sub
 let mul = Complex.mul
-let neg = Complex.neg
 let conj = Complex.conj
 let scale s (z : t) : t = { Complex.re = s *. z.Complex.re; im = s *. z.Complex.im }
 

@@ -15,7 +15,6 @@ val im : t -> float
 val add : t -> t -> t
 val sub : t -> t -> t
 val mul : t -> t -> t
-val neg : t -> t
 val conj : t -> t
 val scale : float -> t -> t
 

@@ -88,9 +88,6 @@ let total t = Array.fold_left ( + ) 0 t.counts
 
 let crash_exit_code = 70
 
-let crash_sites =
-  [ "claim-pre"; "claim-post"; "slice"; "publish-pre"; "publish-post" ]
-
 let parse_crash_at v =
   match String.index_opt v ':' with
   | None -> if v = "" then None else Some (v, 1)
@@ -111,7 +108,6 @@ let crash_target : (string * int) option ref =
     | Some v -> parse_crash_at v)
 
 let set_crash_at target = crash_target := target
-let crash_at () = !crash_target
 
 let crash_hits : (string, int) Hashtbl.t = Hashtbl.create 4
 

@@ -23,9 +23,6 @@ type site =
   | Channel_loss
   | Backend_transient
 
-val all_sites : site list
-(** Every site, in declaration order. *)
-
 val site_label : site -> string
 (** Stable kebab-case tag, e.g. ["pulse-dropout"]. *)
 
@@ -58,9 +55,6 @@ val make : ?seed:int -> spec -> t
 val enabled : t -> bool
 (** Whether any site has a positive rate. *)
 
-val rate : t -> site -> float
-(** The spec rate configured for [site]. *)
-
 val fires : t -> site -> bool
 (** Draw once at the site's rate and count a fire. Zero-rate sites return
     [false] without consuming randomness. *)
@@ -75,26 +69,16 @@ val total : t -> int
 
     Whereas an injector perturbs {e results}, a kill point kills the
     {e process}: [QCA_CRASH_AT=site:k] in the environment makes the [k]-th
-    {!crash_point} hit of the named site abort the process with
-    {!crash_exit_code}, leaving the filesystem exactly as it was at that
-    instant. The spool and scheduler are instrumented at the sites listed
-    in {!crash_sites} (taxonomy in [docs/resilience.md]); the chaos cram
-    harness loops submit → crash → restart over every site and checks that
-    recovery is bit-identical to an uncrashed run ([docs/service.md]).
+    {!crash_point} hit of the named site abort the process with exit code
+    70 ([EX_SOFTWARE]), leaving the filesystem exactly as it was at that
+    instant. The spool and scheduler are instrumented at the sites
+    [claim-pre], [claim-post], [slice], [publish-pre] and [publish-post]
+    (taxonomy in [docs/resilience.md]); the chaos cram harness loops
+    submit → crash → restart over every site and checks that recovery is
+    bit-identical to an uncrashed run ([docs/service.md]).
 
     With no target configured, {!crash_point} is one ref read — safe to
     leave plumbed into hot paths. *)
-
-val crash_exit_code : int
-(** Process exit code of a chaos abort (70, [EX_SOFTWARE]). *)
-
-val crash_sites : string list
-(** The service-layer kill sites instrumented by this repo:
-    [claim-pre], [claim-post], [slice], [publish-pre], [publish-post]. *)
-
-val parse_crash_at : string -> (string * int) option
-(** Parse a ["site:k"] target (bare ["site"] means [k = 1]; malformed or
-    empty strings are [None], never an error). *)
 
 val crash_point : string -> unit
 (** Count a hit of [site]; abort the process when the configured target's
@@ -102,6 +86,3 @@ val crash_point : string -> unit
 
 val set_crash_at : (string * int) option -> unit
 (** Override the target parsed from [QCA_CRASH_AT] (tests/bench). *)
-
-val crash_at : unit -> (string * int) option
-(** The currently configured target. *)

@@ -89,14 +89,3 @@ let equal_up_to_phase ?(eps = 1e-9) a b =
 
 let is_unitary ?(eps = 1e-9) m =
   m.rows = m.cols && approx_equal ~eps (mul (adjoint m) m) (identity m.rows)
-
-let to_string m =
-  let buffer = Buffer.create 128 in
-  for r = 0 to m.rows - 1 do
-    for c = 0 to m.cols - 1 do
-      Buffer.add_string buffer (Cplx.to_string (get m r c));
-      if c < m.cols - 1 then Buffer.add_string buffer "  "
-    done;
-    Buffer.add_char buffer '\n'
-  done;
-  Buffer.contents buffer

@@ -36,5 +36,3 @@ val equal_up_to_phase : ?eps:float -> t -> t -> bool
 (** True when [a = exp(i phi) b] for some global phase [phi]. *)
 
 val is_unitary : ?eps:float -> t -> bool
-
-val to_string : t -> string

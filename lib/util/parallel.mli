@@ -68,7 +68,3 @@ val dispatch_count : unit -> int
 (** Number of parallel dispatches performed so far (sequential fallbacks
     not counted) — lets tests assert the parallel path stayed off below
     the qubit threshold. *)
-
-val shutdown : unit -> unit
-(** Stop and join the worker domains (idempotent; re-spawned on next use).
-    Registered with [at_exit]. *)

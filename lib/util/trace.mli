@@ -22,7 +22,7 @@
     - A {e counter} is a named monotonic tally global to the collector
       ([qx.apply.h], [microarch.pulse], ...), incremented from hot loops.
     - A {e sink} receives spans and counters. The default sink is a no-op;
-      {!collecting} (or {!install}) attaches a {!collector} that retains
+      {!collecting} attaches a {!collector} that retains
       the span tree for export.
 
     Spans nest by dynamic scope: a span begun while another is open becomes
@@ -106,16 +106,10 @@ type collector
 
 val make_collector : unit -> collector
 
-val install : collector -> unit
-(** Make [c] the global sink. Replaces any previous sink. *)
-
-val uninstall : unit -> unit
-(** Restore the no-op sink (open spans in the old collector are closed
-    first, so its tree is complete). *)
-
 val collecting : collector -> (unit -> 'a) -> 'a
-(** [collecting c f]: {!install} [c], run [f], {!uninstall} — also on
-    exception. *)
+(** [collecting c f]: make [c] the global sink, run [f], then restore the
+    no-op sink — also on exception. A sink that is replaced has its open
+    spans closed first, so its tree is complete. *)
 
 val roots : collector -> node list
 (** Completed top-level spans, in execution order. *)

@@ -629,6 +629,41 @@ let test_openql_cqasm_structure () =
   Alcotest.(check bool) "roundtrip" true
     (Circuit.instructions reparsed = Circuit.instructions (Openql.to_circuit p))
 
+(* Every one-gate builder of the kernel language, pinned to the cQASM it
+   emits. *)
+let test_openql_builders () =
+  let k = Openql.kernel ~name:"builders" ~qubits:3 in
+  Openql.y k 0;
+  Openql.z k 1;
+  Openql.s k 2;
+  Openql.t k 0;
+  Openql.rx k 1 0.5;
+  Openql.ry k 2 (-1.25);
+  Openql.rz k 0 3.0;
+  Openql.cz k 0 1;
+  Openql.toffoli k 0 1 2;
+  Openql.barrier k [ 0; 2 ];
+  let p = Openql.program ~name:"gates" ~qubits:3 in
+  Openql.add_kernel p k;
+  let expected =
+    {|version 1.0
+qubits 3
+
+.builders
+  y q[0]
+  z q[1]
+  s q[2]
+  t q[0]
+  rx q[1], 0.5
+  ry q[2], -1.25
+  rz q[0], 3
+  cz q[0], q[1]
+  toffoli q[0], q[1], q[2]
+  barrier q[0], q[2]
+|}
+  in
+  Alcotest.(check string) "cqasm" expected (Openql.to_cqasm p)
+
 let test_openql_conditional () =
   let k = Openql.kernel ~name:"feedback" ~qubits:2 in
   Openql.x k 0;
@@ -737,6 +772,7 @@ let () =
           Alcotest.test_case "for loop" `Quick test_openql_for_loop;
           Alcotest.test_case "cqasm structure" `Quick test_openql_cqasm_structure;
           Alcotest.test_case "conditional feedback" `Quick test_openql_conditional;
+          Alcotest.test_case "one-gate builders" `Quick test_openql_builders;
           Alcotest.test_case "compile through stack" `Quick test_openql_compile_through_stack;
           Alcotest.test_case "validation" `Quick test_openql_validation;
         ] );
