@@ -25,12 +25,6 @@ val check_circuit :
     bound (default: the circuit's own qubit count); sites are
     ["<name>[<instruction index>]"]. *)
 
-val check_invariants :
-  ?platform_qubits:int -> Qca_circuit.Circuit.t -> Diagnostic.t list
-(** Correctness subset used by the pass-verifier after each compiler pass:
-    C01, C02, C03 and C07. The declaration-level checks (C04–C06) are
-    source-level hints and would only add noise mid-pipeline. *)
-
 val check_invariants_instrs :
   ?on_instr:(int -> Qca_circuit.Gate.t -> unit) ->
   bound:int ->
@@ -38,8 +32,11 @@ val check_invariants_instrs :
   string ->
   Qca_circuit.Gate.t list ->
   Diagnostic.t list
-(** As {!check_invariants} on an already-materialised instruction list
-    (sites use the given name, operand range bound is [bound]). [on_instr]
+(** Correctness subset used by the pass-verifier after each compiler pass,
+    on an already-materialised instruction list: C01, C02, C03 and C07.
+    The declaration-level checks (C04–C06) are source-level hints and
+    would only add noise mid-pipeline. Sites use the given name; the
+    operand range bound is [bound]. [on_instr]
     is called once per instruction during the same traversal, so another
     suite (e.g. {!Platform_checks.stream_checker}) can ride along without a
     second walk over the artifact. *)

@@ -3,7 +3,7 @@
 
     Drives {!Qca_compiler.Compiler.compile}'s [?observer] hook: after each
     pass the matching check suite runs on the pass's artifact
-    ({!Circuit_checks.check_invariants} for circuit stages — plus
+    ({!Circuit_checks.check_invariants_instrs} for circuit stages — plus
     {!Platform_checks.check_mapped} from ["map/route"] onwards — a linear
     qubit-exclusivity walk ([S01]) for the schedule, and
     {!Eqasm_checks.check} for the eQASM program). A check code is

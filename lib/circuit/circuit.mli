@@ -53,10 +53,6 @@ val active_of_used : bool array -> int array
     register with no used qubit keeps qubit 0, so every simulation has
     one. *)
 
-val active_qubits : t -> int array
-(** {!active_of_used} over {!Gate.active_qubits} of every instruction: the
-    qubits a simulation of the circuit has to hold. *)
-
 val compact : t -> (t * int array) option
 (** [Some (narrow, active)] when some qubit is idle: [narrow] is the circuit
     relabelled in order onto [Array.length active] qubits (qubit

@@ -22,12 +22,9 @@ val emit_circuit : Circuit.t -> string
 val emit : program -> string
 (** Render a program with its subcircuit structure. *)
 
-val max_instructions : int
-(** The longest program {!flatten} unrolls (2^24 instructions). *)
-
 val flatten : program -> Circuit.t
 (** Expand subcircuit repetitions into one flat circuit. A program that
-    would unroll past {!max_instructions} raises {!Qca_util.Error.Error}
+    would unroll past 2^24 instructions raises {!Qca_util.Error.Error}
     with an [Invalid] kind (site ["Cqasm.flatten"]) naming the subcircuit
     that crosses the limit; nothing is unrolled. *)
 

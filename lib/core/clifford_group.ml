@@ -64,8 +64,9 @@ let close ~identity generators =
             let key = canonical_key m in
             if not (Hashtbl.mem index key) then begin
               Hashtbl.replace index key (Hashtbl.length index);
-              found := (gates @ [ g ], m) :: !found;
-              next := (gates @ [ g ], m) :: !next
+              let product = (gates @ [ g ], m) in
+              found := product :: !found;
+              next := product :: !next
             end)
           generators)
       !frontier;

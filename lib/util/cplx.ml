@@ -22,5 +22,3 @@ let abs = Complex.norm
 let approx_equal ?(eps = 1e-9) (a : t) (b : t) =
   Float.abs (a.Complex.re -. b.Complex.re) <= eps
   && Float.abs (a.Complex.im -. b.Complex.im) <= eps
-
-let to_string (z : t) = Printf.sprintf "%.6g%+.6gi" z.Complex.re z.Complex.im

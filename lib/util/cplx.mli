@@ -29,6 +29,3 @@ val abs : t -> float
 
 val approx_equal : ?eps:float -> t -> t -> bool
 (** Component-wise comparison with tolerance (default 1e-9). *)
-
-val to_string : t -> string
-(** Human-readable "a+bi" rendering. *)

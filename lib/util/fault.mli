@@ -23,9 +23,6 @@ type site =
   | Channel_loss
   | Backend_transient
 
-val site_label : site -> string
-(** Stable kebab-case tag, e.g. ["pulse-dropout"]. *)
-
 type spec = {
   microcode_miss : float;
   pulse_dropout : float;
