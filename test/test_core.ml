@@ -419,6 +419,25 @@ let test_stack_descriptions () =
       Alcotest.(check bool) (Stack.describe stack) true (String.length (Stack.describe stack) > 10))
     [ Stack.superconducting (); Stack.semiconducting (); Stack.genome (); Stack.optimisation () ]
 
+(* [describe] of every constructor and of its realistic twin, byte for
+   byte. *)
+let test_stack_describe_pins () =
+  let stacks =
+    [ Stack.superconducting (); Stack.semiconducting (); Stack.genome (); Stack.optimisation () ]
+  in
+  Alcotest.(check (list string)) "describe"
+    [
+      "superconducting-full-stack: platform=superconducting-17 qubits=17 model=real microarch=superconducting";
+      "semiconducting-full-stack: platform=semiconducting-4 qubits=4 model=real microarch=semiconducting";
+      "genome-sequencing-accelerator: platform=perfect-12 qubits=12 model=perfect microarch=direct-qx";
+      "hybrid-optimisation-accelerator: platform=perfect-16 qubits=16 model=perfect microarch=direct-qx";
+      "superconducting-full-stack-realistic: platform=superconducting-17 qubits=17 model=realistic microarch=superconducting";
+      "semiconducting-full-stack-realistic: platform=semiconducting-4 qubits=4 model=realistic microarch=semiconducting";
+      "genome-sequencing-accelerator-realistic: platform=perfect-12 qubits=12 model=realistic microarch=direct-qx";
+      "hybrid-optimisation-accelerator-realistic: platform=perfect-16 qubits=16 model=realistic microarch=direct-qx";
+    ]
+    (List.map Stack.describe (stacks @ List.map Stack.realistic_of stacks))
+
 (* A stack denotes a job; Runner.run is the one path that executes it. *)
 let execute ?shots ?seed ?faults stack circuit =
   match Runner.run ?faults (Stack.spec ?shots ?seed stack circuit) with
@@ -853,6 +872,7 @@ let () =
       ( "stack",
         [
           Alcotest.test_case "descriptions" `Quick test_stack_descriptions;
+          Alcotest.test_case "describe pins" `Quick test_stack_describe_pins;
           Alcotest.test_case "genome stack bell" `Quick test_genome_stack_perfect_bell;
           Alcotest.test_case "superconducting microarch" `Quick test_superconducting_stack_runs_microarch;
           Alcotest.test_case "realistic_of" `Quick test_realistic_of_degrades;

@@ -1106,6 +1106,106 @@ let test_disabled_crash_point_overhead () =
     true
     (per_call < 0.05 *. per_hot_job)
 
+(* --- the stack vocabulary, pinned byte for byte --- *)
+
+(* Every platform x qubit model x ladder x router route, plus the direct
+   route, as literal records: the pins hold whichever code spells the
+   platform, mode and micro-architecture names. *)
+let vocabulary_specs () =
+  let module Compiler = Qca_compiler.Compiler in
+  let module Controller = Qca_microarch.Controller in
+  let module Mapping = Qca_compiler.Mapping in
+  let module Platform = Qca_compiler.Platform in
+  let job route = Job_spec.make ~label:"pin" ~route ~shots:64 ~seed:5 (Job_spec.Circuit (bell ())) in
+  job Job_spec.Direct
+  :: List.concat_map
+       (fun (platform, technology) ->
+         List.concat_map
+           (fun mode ->
+             List.concat_map
+               (fun ladder ->
+                 List.map
+                   (fun router ->
+                     let technology = if mode = Compiler.Real then technology else None in
+                     job (Job_spec.Compiled { platform; mode; technology; ladder; router }))
+                   [ Mapping.Sabre; Mapping.Greedy ])
+               [ true; false ])
+           [ Compiler.Perfect; Compiler.Realistic; Compiler.Real ])
+       [
+         (Platform.superconducting_17, Some Controller.superconducting);
+         (Platform.semiconducting_4, Some Controller.semiconducting);
+         (Platform.perfect 2, None);
+       ]
+
+let digest_lines lines = Digest.to_hex (Digest.string (String.concat "\n" lines))
+
+let test_vocabulary_encode_pins () =
+  let encoded =
+    List.map
+      (fun s ->
+        match Spool.encode ~tenant:"pin" s with
+        | Ok text -> text
+        | Error e -> Alcotest.failf "encode: %s" (Error.to_string e))
+      (vocabulary_specs ())
+  in
+  Alcotest.(check int) "combinations" 37 (List.length encoded);
+  Alcotest.(check string) "semiconducting real, ladder, greedy"
+    "tenant=pin\nlabel=pin\nshots=64\nseed=5\nplatform=semiconducting\nmode=real\nladder=true\nrouter=greedy\n---\nversion 1.0\nqubits 2\n\n.bell\n  h q[0]\n  cnot q[0], q[1]\n  measure q[0]\n  measure q[1]\n"
+    (List.nth encoded 22);
+  Alcotest.(check string) "every header" "900d0f836bf3290117429aaa4be51311" (digest_lines encoded)
+
+let test_vocabulary_route_pins () =
+  let specs = vocabulary_specs () in
+  Alcotest.(check (list string)) "route descriptions"
+    [
+      "direct";
+      "superconducting-17/perfect/direct-qx+ladder";
+      "superconducting-17/perfect/direct-qx+ladder+greedy";
+      "superconducting-17/perfect/direct-qx";
+      "superconducting-17/perfect/direct-qx+greedy";
+      "superconducting-17/realistic/direct-qx+ladder";
+      "superconducting-17/realistic/direct-qx+ladder+greedy";
+      "superconducting-17/realistic/direct-qx";
+      "superconducting-17/realistic/direct-qx+greedy";
+      "superconducting-17/real/superconducting+ladder";
+      "superconducting-17/real/superconducting+ladder+greedy";
+      "superconducting-17/real/superconducting";
+      "superconducting-17/real/superconducting+greedy";
+      "semiconducting-4/perfect/direct-qx+ladder";
+      "semiconducting-4/perfect/direct-qx+ladder+greedy";
+      "semiconducting-4/perfect/direct-qx";
+      "semiconducting-4/perfect/direct-qx+greedy";
+      "semiconducting-4/realistic/direct-qx+ladder";
+      "semiconducting-4/realistic/direct-qx+ladder+greedy";
+      "semiconducting-4/realistic/direct-qx";
+      "semiconducting-4/realistic/direct-qx+greedy";
+      "semiconducting-4/real/semiconducting+ladder";
+      "semiconducting-4/real/semiconducting+ladder+greedy";
+      "semiconducting-4/real/semiconducting";
+      "semiconducting-4/real/semiconducting+greedy";
+      "perfect-2/perfect/direct-qx+ladder";
+      "perfect-2/perfect/direct-qx+ladder+greedy";
+      "perfect-2/perfect/direct-qx";
+      "perfect-2/perfect/direct-qx+greedy";
+      "perfect-2/realistic/direct-qx+ladder";
+      "perfect-2/realistic/direct-qx+ladder+greedy";
+      "perfect-2/realistic/direct-qx";
+      "perfect-2/realistic/direct-qx+greedy";
+      "perfect-2/real/direct-qx+ladder";
+      "perfect-2/real/direct-qx+ladder+greedy";
+      "perfect-2/real/direct-qx";
+      "perfect-2/real/direct-qx+greedy";
+    ]
+    (List.map Job_spec.route_description specs);
+  let keys =
+    List.map
+      (fun s ->
+        Option.get (Job_spec.cache_key s ~digest:(Job_spec.digest (Result.get_ok (Job_spec.resolve s)))))
+      specs
+  in
+  Alcotest.(check string) "superconducting real, ladder, greedy" "32c87752d8c1ce915a57a08d74c062a8|superconducting-17/real/superconducting+ladder+greedy|shots=64|seed=5|noise=ideal|traj=false|faults=off" (List.nth keys 10);
+  Alcotest.(check string) "every cache key" "2887d1d936ef09108a12295e8ab3ebc7" (digest_lines keys)
+
 let () =
   match Sys.argv with
   | [| _; mode; dir; out |] when mode = submitter_args -> submitter ~dir ~out
@@ -1177,6 +1277,11 @@ let () =
           Alcotest.test_case "garbage rejected" `Quick
             test_spool_decode_rejects_garbage;
           Alcotest.test_case "legacy fusion key" `Quick test_spool_legacy_fusion_key;
+        ] );
+      ( "vocabulary",
+        [
+          Alcotest.test_case "encode pins" `Quick test_vocabulary_encode_pins;
+          Alcotest.test_case "route pins" `Quick test_vocabulary_route_pins;
         ] );
       ( "deadlines",
         [
