@@ -163,7 +163,7 @@ let e4 () =
   Printf.printf "%-16s %-8s %-9s %-10s %-11s %-10s %-11s\n" "technology" "rb-len" "bundles"
     "micro-ops" "total-ns" "peak-queue" "violations";
   List.iter
-    (fun (name, platform, technology) ->
+    (fun (name, (platform, technology)) ->
       List.iter
         (fun length ->
           let circuit =
@@ -182,10 +182,7 @@ let e4 () =
                 s.Controller.bundles_issued s.Controller.micro_ops s.Controller.total_ns
                 s.Controller.peak_queue_depth s.Controller.timing_violations)
         [ 4; 16; 64 ])
-    [
-      ("superconducting", Platform.superconducting_17, Controller.superconducting);
-      ("semiconducting", Platform.semiconducting_4, Controller.semiconducting);
-    ];
+    Qca.Job_spec.devices;
   print_endline
     "(same logic, same micro-architecture; only the configuration file and micro-code \
      table changed — the paper's retargeting claim)";
@@ -193,7 +190,7 @@ let e4 () =
      pulse energy per technology for the same RB-64 run. *)
   Printf.printf "%-16s %-16s %-18s\n" "technology" "pulses-emitted" "pulse-energy (a.u.)";
   List.iter
-    (fun (name, platform, technology) ->
+    (fun (name, (platform, technology)) ->
       let circuit =
         Circuit.of_list platform.Platform.qubit_count
           (Circuit.instructions (rb_circuit 64))
@@ -205,24 +202,17 @@ let e4 () =
           let result =
             (Controller.run_shots ~shots:1 technology program).Controller.last
           in
-          let lib =
-            if name = "semiconducting" then Qca_microarch.Adi.semiconducting_library ()
-            else Qca_microarch.Adi.superconducting_library ()
-          in
           let energy =
             List.fold_left
               (fun acc e ->
-                match Qca_microarch.Adi.find lib e.Controller.pulse_name with
+                match Qca_microarch.Adi.find technology.Controller.pulses e.Controller.pulse_name with
                 | Some p -> acc +. Qca_microarch.Adi.energy p
                 | None -> acc)
               0.0 result.Controller.trace
           in
           Printf.printf "%-16s %-16d %-18.1f\n" name (List.length result.Controller.trace)
             energy)
-    [
-      ("superconducting", Platform.superconducting_17, Controller.superconducting);
-      ("semiconducting", Platform.semiconducting_4, Controller.semiconducting);
-    ]
+    Qca.Job_spec.devices
 
 (* ------------------------------------------------------------------ *)
 (* E5 — Section 2.7: QX scaling, "35 fully-entangled qubits on a laptop" *)

@@ -464,7 +464,7 @@ let run_optimizer () =
       Obj
         [ ("benchmark", String "optimizing-compiler"); ("baseline", String "greedy+basic");
           ("optimized", String "sabre+full"); ("platform", String platform.Platform.name);
-          ("mode", String "realistic"); ("gate_cut_pct", fixed 2 gate_cut);
+          ("mode", String (Compiler.mode_to_string Compiler.Realistic)); ("gate_cut_pct", fixed 2 gate_cut);
           ("depth_cut_pct", fixed 2 depth_cut); ("target_gate_pct", Float 20.0);
           ("target_depth_pct", Float 15.0);
           ("entries", List (List.map snd rows)) ])
@@ -556,7 +556,7 @@ let run_estimate () =
      interesting number is the effective rate over the gates the unrolled
      circuit would have had. *)
   let rounds = 1_000_000 in
-  let round = Qca.Qec_run.cycle_circuit ~rounds:1 Code.surface_17 in
+  let round = Code.cycle_circuit ~rounds:1 Code.surface_17 in
   let program =
     { Cqasm.qubit_count = 17; error_model = None;
       subcircuits = [ ("cycle", rounds, round) ] }

@@ -101,7 +101,7 @@ let platform_arg =
 let mode_arg =
   Arg.(
     value
-    & opt string "realistic"
+    & opt string (Compiler.mode_to_string Compiler.Realistic)
     & info [ "mode" ] ~docv:"MODE" ~doc:"Qubit model: perfect, realistic or real.")
 
 let route_arg =
@@ -189,7 +189,7 @@ let router_of_common common = Mapping.strategy_of_string common.route
    route they name for [circuit] (the payload's parse: label and width). *)
 let job_of_common common ~platform ~mode ~ladder ~plan circuit payload =
   Result.bind (router_of_common common) (fun router ->
-      Spool.route_of_names ~router ~platform ~mode ~ladder
+      Job_spec.route_of_names ~router ~platform ~mode ~ladder
         ~qubits:(Circuit.qubit_count circuit) ())
   |> Result.map (fun route ->
          Job_spec.make ~label:(Circuit.name circuit) ~route ~shots:common.shots
@@ -345,8 +345,8 @@ let check_command common file no_verify =
       | None -> finish (Verify.source_check program @ resources ()) None
       | Some pname -> (
           match
-            ( Spool.platform_of_string pname (Circuit.qubit_count circuit),
-              Spool.mode_of_string common.mode )
+            ( Job_spec.platform_of_name pname (Circuit.qubit_count circuit),
+              Compiler.mode_of_string common.mode )
           with
           | Error msg, _ | _, Error msg -> flag_error msg
           | Ok platform, Ok mode -> (
@@ -465,26 +465,20 @@ let estimate_command common file plan target_error physical_error =
     match loaded with
     | Error msg -> finish None (cli_error file ~code:"X01" ~check:"parse-error" msg)
     | Ok (program, noise) -> (
-        let platform =
-          match common.platform with
-          | None -> Ok None
-          | Some pname ->
-              Result.map Option.some
-                (Spool.platform_of_string pname program.Cqasm.qubit_count)
-        in
-        match platform with
+        match
+          Job_spec.route_of_names ~platform:common.platform ~mode:common.mode ~ladder:false
+            ~qubits:program.Cqasm.qubit_count ()
+        with
         | Error msg -> flag_error msg
-        | Ok platform ->
-            (* The plan prediction follows Job_spec.estimate's notion of
-               "noisy": --noise (or the program's error_model directive)
-               forces trajectories on the direct route, and a compiled
-               target's own model does the same. *)
-            let noisy =
-              noise <> None
-              || (match platform with
-                 | Some p -> not (Qca_qx.Noise.is_ideal p.Platform.noise)
-                 | None -> false)
+        | Ok route ->
+            let platform =
+              match route with
+              | Job_spec.Compiled { platform; _ } -> Some platform
+              | Job_spec.Direct -> None
             in
+            (* The plan prediction is Job_spec.estimate's: the noise the
+               job would run under on the route the flags name. *)
+            let noisy = not (Qca_qx.Noise.is_ideal (Job_spec.route_noise route noise)) in
             let est =
               Estimate.of_program ~shots:common.shots ~noisy ?plan program
             in
@@ -637,8 +631,8 @@ let compile_command common file emit_eqasm lint lint_json =
   | Ok (_, program, circuit) -> (
       let platform_name = Option.value ~default:"superconducting" common.platform in
       match
-        ( Spool.platform_of_string platform_name (Circuit.qubit_count circuit),
-          Spool.mode_of_string common.mode,
+        ( Job_spec.platform_of_name platform_name (Circuit.qubit_count circuit),
+          Compiler.mode_of_string common.mode,
           router_of_common common )
       with
       | Error msg, _, _ | _, Error msg, _ | _, _, Error msg ->
@@ -705,7 +699,7 @@ let exec_command common plan file =
     | Ok circuit -> (
         let platform = Some (Option.value ~default:"superconducting" common.platform) in
         match
-          job_of_common common ~platform ~mode:"real" ~ladder:false ~plan circuit
+          job_of_common common ~platform ~mode:(Compiler.mode_to_string Compiler.Real) ~ladder:false ~plan circuit
             (Job_spec.Circuit circuit)
         with
         | Error msg ->
@@ -926,48 +920,52 @@ let cancel_cmd =
 (* --- qisa --- *)
 
 let qisa_command common file qubits tech_name =
-  match (try Ok (read_file file) with Sys_error m -> Error m) with
-  | Error msg ->
-      prerr_endline msg;
+  match List.assoc_opt tech_name Job_spec.devices with
+  | None ->
+      Printf.eprintf "unknown technology '%s' (expected %s)\n" tech_name
+        (String.concat " or " (List.map fst Job_spec.devices));
       1
-  | Ok source -> (
-      let technology = Spool.technology_of_platform tech_name in
-      let cycle_ns = if tech_name = "semiconducting" then 100 else 20 in
-      match
-        Qca_microarch.Qisa.parse ~name:(Filename.basename file) ~qubit_count:qubits
-          ~cycle_ns source
-      with
-      | exception Qca_microarch.Qisa.Parse_error (line, msg) ->
-          Printf.eprintf "%s:%d: %s\n" file line msg;
-          1
-      | exception Invalid_argument msg ->
+  | Some (platform, technology) -> (
+      match (try Ok (read_file file) with Sys_error m -> Error m) with
+      | Error msg ->
           prerr_endline msg;
           1
-      | program ->
-          let rng = Rng.create common.seed in
-          let counts = Hashtbl.create 16 in
-          let last = ref None in
-          for _ = 1 to common.shots do
-            let result = Qca_microarch.Qisa.execute ~rng technology program in
-            last := Some result;
-            let key =
-              String.concat ","
-                (List.map string_of_int
-                   (Array.to_list (Array.sub result.Qca_microarch.Qisa.registers 0 8)))
-            in
-            Hashtbl.replace counts key
-              (1 + Option.value ~default:0 (Hashtbl.find_opt counts key))
-          done;
-          (match !last with
-          | Some result ->
-              Printf.printf "# %d classical instructions retired (last run)\n"
-                result.Qca_microarch.Qisa.executed
-          | None -> ());
-          print_endline "# register file r0..r7 -> count";
-          Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []
-          |> List.sort (fun (_, a) (_, b) -> compare b a)
-          |> List.iter (fun (key, count) -> Printf.printf "[%s]  %d\n" key count);
-          0)
+      | Ok source -> (
+          match
+            Qca_microarch.Qisa.parse ~name:(Filename.basename file) ~qubit_count:qubits
+              ~cycle_ns:platform.Platform.cycle_ns source
+          with
+          | exception Qca_microarch.Qisa.Parse_error (line, msg) ->
+              Printf.eprintf "%s:%d: %s\n" file line msg;
+              1
+          | exception Invalid_argument msg ->
+              prerr_endline msg;
+              1
+          | program ->
+              let rng = Rng.create common.seed in
+              let counts = Hashtbl.create 16 in
+              let last = ref None in
+              for _ = 1 to common.shots do
+                let result = Qca_microarch.Qisa.execute ~rng technology program in
+                last := Some result;
+                let key =
+                  String.concat ","
+                    (List.map string_of_int
+                       (Array.to_list (Array.sub result.Qca_microarch.Qisa.registers 0 8)))
+                in
+                Hashtbl.replace counts key
+                  (1 + Option.value ~default:0 (Hashtbl.find_opt counts key))
+              done;
+              (match !last with
+              | Some result ->
+                  Printf.printf "# %d classical instructions retired (last run)\n"
+                    result.Qca_microarch.Qisa.executed
+              | None -> ());
+              print_endline "# register file r0..r7 -> count";
+              Hashtbl.fold (fun k v acc -> (k, v) :: acc) counts []
+              |> List.sort (fun (_, a) (_, b) -> compare b a)
+              |> List.iter (fun (key, count) -> Printf.printf "[%s]  %d\n" key count);
+              0))
 
 let qubits_arg =
   Arg.(value & opt int 2 & info [ "qubits" ] ~docv:"N" ~doc:"Qubit count for QISA programs.")
@@ -976,7 +974,8 @@ let tech_arg =
   Arg.(
     value
     & opt string "superconducting"
-    & info [ "technology" ] ~docv:"TECH" ~doc:"Micro-architecture technology.")
+    & info [ "technology" ] ~docv:"TECH"
+        ~doc:"Micro-architecture technology: superconducting or semiconducting.")
 
 let qisa_term = Term.(const qisa_command $ common_term $ file_arg $ qubits_arg $ tech_arg)
 

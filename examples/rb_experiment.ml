@@ -47,5 +47,4 @@ let () =
           s.Controller.peak_queue_depth
   in
   print_endline "retargeting the same RB sequence (Figure 6):";
-  run "superconducting" Platform.superconducting_17 Controller.superconducting;
-  run "semiconducting" Platform.semiconducting_4 Controller.semiconducting
+  List.iter (fun (name, (platform, technology)) -> run name platform technology) Qca.Job_spec.devices

@@ -53,7 +53,10 @@ val is_diagonal : unitary -> bool
     commute through control structure and are cheap for the simulator). *)
 
 val is_clifford : unitary -> bool
-(** True for generators of the Clifford group (used by RB and QEC). *)
+(** True for generators of the Clifford group: exactly the gates
+    [Qca_qec.Tableau.apply_gate] accepts. Total, so the engine's planner,
+    RB and QEC classify gates without exception probing; a new constructor
+    must be decided here. *)
 
 val name : unitary -> string
 (** Lower-case cQASM mnemonic, without angle arguments. *)

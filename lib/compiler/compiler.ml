@@ -34,6 +34,12 @@ let mode_to_string = function
   | Realistic -> "realistic"
   | Real -> "real"
 
+let mode_of_string = function
+  | "perfect" -> Ok Perfect
+  | "realistic" -> Ok Realistic
+  | "real" -> Ok Real
+  | other -> Error (Printf.sprintf "unknown mode '%s'" other)
+
 let stat_of ?(note = "") pass_name (f : Circuit.figures) =
   { pass_name; gates = f.gates; two_qubit_gates = f.two_qubit_gates; depth = f.depth; note }
 

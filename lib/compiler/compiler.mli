@@ -43,6 +43,11 @@ type output = {
 }
 
 val mode_to_string : mode -> string
+(** The qubit model's name in [--mode] flags, spool headers, route
+    fingerprints and reports: [perfect], [realistic] or [real]. *)
+
+val mode_of_string : string -> (mode, string) result
+(** The inverse of {!mode_to_string}; any other name is an error message. *)
 
 val compile :
   ?strategy:Mapping.strategy ->

@@ -23,6 +23,57 @@ type route =
       router : Mapping.strategy;
     }
 
+let ( let* ) = Result.bind
+
+(* The stack vocabulary: every platform name the flags and spool headers
+   accept. A device pairs one compiler configuration with the
+   micro-architecture that runs it, the paper's retargeting unit; perfect
+   qubits are sized to the program and have no micro-architecture. *)
+type target = Device of Platform.t * Controller.technology | Perfect_qubits
+
+let targets =
+  [
+    ("superconducting", Device (Platform.superconducting_17, Controller.superconducting));
+    ("semiconducting", Device (Platform.semiconducting_4, Controller.semiconducting));
+    ("perfect", Perfect_qubits);
+  ]
+
+let devices =
+  List.filter_map
+    (function name, Device (p, t) -> Some (name, (p, t)) | _, Perfect_qubits -> None)
+    targets
+
+let platform_of_name name qubits =
+  match List.assoc_opt name targets with
+  | Some (Device (platform, _)) -> Ok platform
+  | Some Perfect_qubits -> Ok (Platform.perfect qubits)
+  | None -> Error (Printf.sprintf "unknown platform '%s'" name)
+
+let platform_name (p : Platform.t) =
+  List.find_map
+    (fun (name, _) ->
+      match platform_of_name name p.Platform.qubit_count with
+      | Ok q when q.Platform.name = p.Platform.name -> Some name
+      | _ -> None)
+    targets
+
+let route_of_names ?(router = Mapping.default_strategy) ~platform ~mode ~ladder ~qubits () =
+  match platform with
+  | None -> Ok Direct
+  | Some name -> (
+      let* platform = platform_of_name name qubits in
+      let* mode = Compiler.mode_of_string mode in
+      match (mode, List.assoc_opt name devices) with
+      | Compiler.Real, None ->
+          Error
+            (Printf.sprintf "platform '%s' has no micro-architecture for mode real (expected %s)"
+               name
+               (String.concat " or " (List.map fst devices)))
+      | Compiler.Real, Some (_, technology) ->
+          Ok (Compiled { platform; mode; technology = Some technology; ladder; router })
+      | (Compiler.Perfect | Compiler.Realistic), _ ->
+          Ok (Compiled { platform; mode; technology = None; ladder; router }))
+
 type t = {
   label : string;
   payload : payload;
@@ -77,8 +128,6 @@ let of_circuit ?label circuit = make ?label (Circuit circuit)
 let of_source ?(label = "job") text =
   make ~label (Source { name = label; text })
 
-let ( let* ) = Result.bind
-
 (* The QX convention: a cQASM [error_model depolarizing_channel, p]
    directive sets the noise of a program run without an explicit rate. *)
 let program_noise ?noise ?(site = "Job_spec.program_noise") (program : Cqasm.program) =
@@ -115,17 +164,24 @@ let elaborate spec =
 
 let resolve spec = Result.map snd (elaborate spec)
 
+(* The noise a job runs under, decided by its route: the depolarising
+   rate on the direct route; on a compiled one, ideal for perfect qubits
+   and the platform's own model otherwise. *)
+let route_noise route noise =
+  match (route, noise) with
+  | Direct, None | Compiled { mode = Compiler.Perfect; _ }, _ -> Qca_qx.Noise.ideal
+  | Direct, Some p -> Qca_qx.Noise.depolarizing p
+  | Compiled { platform; _ }, _ -> platform.Platform.noise
+
+let noise_model spec = route_noise spec.route spec.noise
+
 (* The one estimation semantics shared by qxc, the service's admission
    oracle and qxd's pre-claim gate: Source payloads are parsed but NOT
    flattened, so repeated subcircuits estimate symbolically in O(body). *)
 let estimate spec =
   let site = "Job_spec.estimate(" ^ spec.label ^ ")" in
   let of_program ~noise program =
-    let noisy =
-      match spec.route with
-      | Direct -> noise <> None
-      | Compiled { platform; _ } -> not (Qca_qx.Noise.is_ideal platform.Platform.noise)
-    in
+    let noisy = not (Qca_qx.Noise.is_ideal (route_noise spec.route noise)) in
     Error.protect ~site (fun () ->
         Qca_analysis.Estimate.of_program ~shots:spec.shots ~noisy ?plan:spec.plan program)
   in
@@ -159,11 +215,7 @@ let route_router = function
 let route_fingerprint = function
   | Direct -> "direct"
   | Compiled { platform; mode; technology; ladder; router } ->
-      Printf.sprintf "%s/%s/%s%s%s" platform.Platform.name
-        (match mode with
-        | Compiler.Perfect -> "perfect"
-        | Compiler.Realistic -> "realistic"
-        | Compiler.Real -> "real")
+      Printf.sprintf "%s/%s/%s%s%s" platform.Platform.name (Compiler.mode_to_string mode)
         (match technology with
         | Some t -> t.Controller.tech_name
         | None -> "direct-qx")
@@ -201,11 +253,6 @@ let cache_key spec ~digest =
                Printf.sprintf "%.17g:%d:%d:%d:%.17g" p spec.fault_seed
                  spec.max_retries spec.backoff_ns spec.degrade_threshold)
            (plan_fingerprint spec.plan))
-
-let noise_model spec =
-  match spec.noise with
-  | None -> Qca_qx.Noise.ideal
-  | Some p -> Qca_qx.Noise.depolarizing p
 
 let faults spec =
   match spec.fault_rate with

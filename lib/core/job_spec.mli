@@ -43,6 +43,44 @@ type route =
               shared. *)
     }
 
+(** {2 The stack vocabulary}
+
+    One table names every platform that [--platform], [qxc qisa
+    --technology] and spool headers accept: [superconducting] and
+    [semiconducting] are devices, each a fixed platform paired with the
+    micro-architecture that runs it (section 3.1's retargeting unit: a
+    compiler configuration plus a micro-code table); [perfect] is
+    {!Qca_compiler.Platform.perfect} sized to the program, with no
+    micro-architecture. *)
+
+val devices :
+  (string * (Qca_compiler.Platform.t * Qca_microarch.Controller.technology)) list
+(** The table's devices by name, in table order. *)
+
+val platform_of_name : string -> int -> (Qca_compiler.Platform.t, string) result
+(** [platform_of_name name qubits]: the platform [name] denotes for a
+    program of [qubits] qubits, or an [unknown platform] message. *)
+
+val platform_name : Qca_compiler.Platform.t -> string option
+(** The table name of a platform (compared by platform name), so a route
+    can be written back as names; [None] for a platform the table does
+    not hold. *)
+
+val route_of_names :
+  ?router:Qca_compiler.Mapping.strategy ->
+  platform:string option ->
+  mode:string ->
+  ladder:bool ->
+  qubits:int ->
+  unit ->
+  (route, string) result
+(** The route a [--platform]/[--mode]/[--ladder] triple denotes: [None]
+    platform is [Direct]; Real mode picks up the device's
+    micro-architecture, and a platform without one ([perfect]) is refused
+    in Real mode. [router] (default
+    {!Qca_compiler.Mapping.default_strategy}) is the [--route] strategy.
+    Errors are messages for the caller to report as input errors. *)
+
 type t = {
   label : string;  (** Job name, used in reports and service logs. *)
   payload : payload;
@@ -52,7 +90,7 @@ type t = {
       (** Explicit seed: required for result-cache eligibility. *)
   noise : float option;
       (** Depolarising error rate for [Direct] runs ([None] = ideal);
-          [Compiled] routes use the platform's own model. *)
+          [Compiled] routes use their qubit model's ({!noise_model}). *)
   plan : Qca_qx.Engine.plan option;
       (** Simulation-plan override ([qxc run --plan]): [None] is the
           planner's automatic choice; [Some Trajectory] is the historical
@@ -144,9 +182,9 @@ val estimate : t -> (Qca_analysis.Estimate.t, Qca_util.Error.t) result
     shared semantics behind [qxc estimate], [qxc run --metrics] and the
     service's admission oracle. [Source] payloads are parsed but {e not}
     flattened, so repeated subcircuits estimate symbolically in O(body);
-    the spec's shots, plan override and noise (the [error_model] directive
-    as in {!elaborate}; platform noise for [Compiled] routes) feed the
-    prediction. Parse failures become [Error]. *)
+    the spec's shots, plan override and {!route_noise} (with the
+    [error_model] directive folded in as in {!elaborate}) feed the
+    prediction, so the predicted plan is the one the job runs. Parse failures become [Error]. *)
 
 val digest : Qca_circuit.Circuit.t -> string
 (** Hex digest of the circuit's canonical form (qubit count +
@@ -165,8 +203,15 @@ val cache_key : t -> digest:string -> string option
     its [traj=true] field) add no suffix, so pre-planner fingerprints stay
     stable; forcing [sampled] or [clifford] appends a [|plan=...] suffix. *)
 
+val route_noise : route -> float option -> Qca_qx.Noise.model
+(** The noise a job on [route] with depolarising rate [noise] runs under:
+    on [Direct], [noise] as a depolarising model (ideal when [None]); on
+    [Compiled], ideal for Perfect mode and the platform's own model for
+    Realistic and Real, whatever [noise] says. {!Runner.run},
+    {!estimate} and [qxc estimate] all read it. *)
+
 val noise_model : t -> Qca_qx.Noise.model
-(** [noise] as an engine noise model (ideal when [None]). *)
+(** [route_noise spec.route spec.noise]. *)
 
 val faults : t -> Qca_util.Fault.t option
 (** A fresh injector per call, seeded from [fault_seed]: equal specs give

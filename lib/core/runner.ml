@@ -1,7 +1,5 @@
 module Engine = Qca_qx.Engine
-module Noise = Qca_qx.Noise
 module Compiler = Qca_compiler.Compiler
-module Platform = Qca_compiler.Platform
 module Controller = Qca_microarch.Controller
 module Error = Qca_util.Error
 module Resilience = Qca_util.Resilience
@@ -37,16 +35,9 @@ let ladder_reason ~policy ~shots = function
              (100.0 *. policy.Resilience.degrade_threshold))
       else None
 
-(* The Direct route's noise model and plan override, read off the spec in
-   this one place: [run]'s Direct arm and [prepare] both take them from
-   here. The retry policy is the spec's on every route. *)
-type direct = { noise : Noise.model; plan : Engine.plan option }
-
-let direct (spec : Job_spec.t) = { noise = Job_spec.noise_model spec; plan = spec.Job_spec.plan }
-
 let prepare (spec : Job_spec.t) circuit =
-  let d = direct spec in
-  Engine.prepare ~noise:d.noise ?plan:d.plan ~shots:spec.Job_spec.shots circuit
+  Engine.prepare ~noise:(Job_spec.noise_model spec) ?plan:spec.Job_spec.plan
+    ~shots:spec.Job_spec.shots circuit
 
 let run ?rng ?faults (spec : Job_spec.t) =
   let ( let* ) = Result.bind in
@@ -54,6 +45,7 @@ let run ?rng ?faults (spec : Job_spec.t) =
   let shots = spec.Job_spec.shots and seed = spec.Job_spec.seed in
   let policy = Job_spec.retry_policy spec in
   let faults = match faults with Some _ as f -> f | None -> Job_spec.faults spec in
+  let noise = Job_spec.noise_model spec in
   let engine ?faults ?plan ?compiled ~noise circuit =
     let* r =
       Engine.run_checked ~noise ?seed ?rng ?plan ~shots ?faults ~policy circuit
@@ -67,18 +59,11 @@ let run ?rng ?faults (spec : Job_spec.t) =
       }
   in
   match spec.Job_spec.route with
-  | Job_spec.Direct ->
-      let d = direct spec in
-      engine ?faults ?plan:d.plan ~noise:d.noise circuit
+  | Job_spec.Direct -> engine ?faults ?plan:spec.Job_spec.plan ~noise circuit
   | Job_spec.Compiled { platform; mode; technology; ladder; router } -> (
       let* compiled =
         Error.protect ~site:"Runner.run" (fun () ->
             Compiler.compile ~strategy:router platform mode circuit)
-      in
-      let noise =
-        match mode with
-        | Compiler.Perfect -> Noise.ideal
-        | Compiler.Realistic | Compiler.Real -> platform.Platform.noise
       in
       (* The QX rung runs the already-compiled program, so histogram keys
          keep the platform width whichever backend produced them. *)

@@ -1,35 +1,28 @@
 module Platform = Qca_compiler.Platform
+module Compiler = Qca_compiler.Compiler
 module Controller = Qca_microarch.Controller
 module Circuit = Qca_circuit.Circuit
 
 type t = {
   stack_name : string;
   platform : Platform.t;
-  model : Qubit_model.t;
+  model : Compiler.mode;
   technology : Controller.technology option;
 }
 
-let superconducting () =
-  {
-    stack_name = "superconducting-full-stack";
-    platform = Platform.superconducting_17;
-    model = Qubit_model.Real;
-    technology = Some Controller.superconducting;
-  }
+(* Real qubits on one of the vocabulary's devices. *)
+let device name () =
+  let platform, technology = List.assoc name Job_spec.devices in
+  { stack_name = name ^ "-full-stack"; platform; model = Compiler.Real; technology = Some technology }
 
-let semiconducting () =
-  {
-    stack_name = "semiconducting-full-stack";
-    platform = Platform.semiconducting_4;
-    model = Qubit_model.Real;
-    technology = Some Controller.semiconducting;
-  }
+let superconducting = device "superconducting"
+let semiconducting = device "semiconducting"
 
 let genome ?(qubits = 12) () =
   {
     stack_name = "genome-sequencing-accelerator";
     platform = Platform.perfect qubits;
-    model = Qubit_model.Perfect;
+    model = Compiler.Perfect;
     technology = None;
   }
 
@@ -37,7 +30,7 @@ let optimisation ?(qubits = 16) () =
   {
     stack_name = "hybrid-optimisation-accelerator";
     platform = Platform.perfect qubits;
-    model = Qubit_model.Perfect;
+    model = Compiler.Perfect;
     technology = None;
   }
 
@@ -52,7 +45,7 @@ let realistic_of stack =
   {
     stack with
     platform;
-    model = Qubit_model.Realistic;
+    model = Compiler.Realistic;
     stack_name = stack.stack_name ^ "-realistic";
   }
 
@@ -62,7 +55,7 @@ let spec ?(shots = 512) ?seed stack circuit =
       (Job_spec.Compiled
          {
            platform = stack.platform;
-           mode = Qubit_model.compiler_mode stack.model;
+           mode = stack.model;
            technology = stack.technology;
            ladder = true;
            router = Qca_compiler.Mapping.default_strategy;
@@ -73,7 +66,7 @@ let describe stack =
   Printf.sprintf "%s: platform=%s qubits=%s model=%s microarch=%s" stack.stack_name
     stack.platform.Platform.name
     (string_of_int stack.platform.Platform.qubit_count)
-    (Qubit_model.to_string stack.model)
+    (Compiler.mode_to_string stack.model)
     (match stack.technology with
     | Some t -> t.Controller.tech_name
     | None -> "direct-qx")

@@ -8,7 +8,7 @@
 type t = {
   stack_name : string;
   platform : Qca_compiler.Platform.t;
-  model : Qubit_model.t;
+  model : Qca_compiler.Compiler.mode;  (** The qubit model (Figure 2). *)
   technology : Qca_microarch.Controller.technology option;
       (** Micro-architecture configuration; required for Real stacks. *)
 }

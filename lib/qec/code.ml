@@ -212,3 +212,7 @@ let syndrome_circuit code =
       emit (Gate.Measure ancilla))
     code.stabilizers;
   Circuit.of_list ~name:(code.name ^ "-syndrome") total (List.rev !instrs)
+
+let cycle_circuit ?(rounds = 1) code =
+  if rounds < 1 then invalid_arg "Code.cycle_circuit: rounds must be positive";
+  Circuit.repeat rounds (syndrome_circuit code)

@@ -58,3 +58,14 @@ val syndrome_circuit : t -> Qca_circuit.Circuit.t
 (** Circuit-level syndrome extraction: data qubits [0 .. n-1], ancilla for
     stabilizer [i] at qubit [n + i]; ancillas are prepared, entangled via
     CNOT/CZ ladders, and measured. *)
+
+val cycle_circuit : ?rounds:int -> t -> Qca_circuit.Circuit.t
+(** [rounds] (default 1) concatenated {!syndrome_circuit}s: one circuit of
+    QEC cycles, run like any other job through [Qca.Runner.run] on a
+    [Direct] route. The rounds are pure Clifford with mid-circuit
+    preparation and measurement, so the planner sends ideal runs to the
+    tableau and noisy runs to state-vector trajectories. Each round
+    re-prepares its ancillas, so the classical record after the run holds
+    the last round's syndrome; histogram keys put qubit 0 rightmost, so
+    the ancilla bits are the first [ancilla_count code] characters.
+    Raises [Invalid_argument] on [rounds < 1]. *)

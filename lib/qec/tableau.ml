@@ -211,17 +211,6 @@ let apply_pauli t (p : Pauli.t) =
     else if has_z then z t q
   done
 
-(* Total classification of the shared gate set: the planner must decide
-   Clifford-ness without exception probing, and a new [Gate.unitary]
-   constructor must force a decision here. *)
-let supports = function
-  | Gate.I | Gate.X | Gate.Y | Gate.Z | Gate.H | Gate.S | Gate.Sdag | Gate.X90
-  | Gate.Xm90 | Gate.Y90 | Gate.Ym90 | Gate.Cnot | Gate.Cz | Gate.Swap ->
-      true
-  | Gate.T | Gate.Tdag | Gate.Rx _ | Gate.Ry _ | Gate.Rz _ | Gate.Cphase _
-  | Gate.Crk _ | Gate.Toffoli ->
-      false
-
 let operand_string ops =
   String.concat "," (Array.to_list (Array.map string_of_int ops))
 

@@ -57,15 +57,11 @@ val cnot : t -> int -> int -> unit
 val apply_pauli : t -> Pauli.t -> unit
 (** Apply an error operator. *)
 
-val supports : Qca_circuit.Gate.unitary -> bool
-(** Total Clifford classification of the shared gate set: [true] exactly
-    when {!apply_gate} accepts the gate. The engine's planner uses this to
-    classify circuits without exception probing. *)
-
 val apply_gate : t -> Qca_circuit.Gate.unitary -> int array -> unit
 (** Apply any Clifford from the shared gate set; raises [Invalid_argument]
     naming the gate and its operands for non-Clifford gates (those with
-    [supports u = false]) or an operand-count mismatch. *)
+    [Qca_circuit.Gate.is_clifford u = false]) or an operand-count
+    mismatch. *)
 
 val measure : t -> Qca_util.Rng.t -> int -> int
 (** Z-basis measurement with collapse; deterministic outcomes are returned

@@ -137,7 +137,7 @@ let verdicts circuit =
   let fail reason = if !failure = None then failure := Some reason in
   let gate index u =
     incr gates;
-    if !blocker = None && not (Tableau.supports u) then blocker := Some (Gate.name u, index)
+    if !blocker = None && not (Gate.is_clifford u) then blocker := Some (Gate.name u, index)
   in
   List.iteri
     (fun index instr ->

@@ -12,7 +12,7 @@
     - {b Trajectory}: mid-circuit measurement, conditional (feedback) gates,
       mid-circuit resets or per-gate stochastic noise force one full
       state-vector simulation per shot (the Monte-Carlo trajectory path).
-    - {b Clifford}: every gate is Clifford (total {!Qca_qec.Tableau.supports}
+    - {b Clifford}: every gate is Clifford (total {!Qca_circuit.Gate.is_clifford}
       classification, no exception probing) and the noise model is ideal, so
       shots run on the Aaronson–Gottesman stabilizer tableau in [O(poly n)]
       per shot. Chosen automatically when the circuit's structure would
@@ -138,7 +138,7 @@ val analyse :
 val clifford_blocker : Qca_circuit.Circuit.t -> (string * int) option
 (** The first gate the tableau cannot simulate — its name and instruction
     index — or [None] when the circuit is all-Clifford. Total
-    classification via {!Qca_qec.Tableau.supports}; never raises. *)
+    classification via {!Qca_circuit.Gate.is_clifford}; never raises. *)
 
 val choose_plan :
   noisy:bool ->

@@ -2,62 +2,12 @@ module Circuit = Qca_circuit.Circuit
 module Cqasm = Qca_circuit.Cqasm
 module Platform = Qca_compiler.Platform
 module Compiler = Qca_compiler.Compiler
-module Controller = Qca_microarch.Controller
 module Error = Qca_util.Error
 module Fault = Qca_util.Fault
 module Json = Qca_util.Json
 module Job_spec = Qca.Job_spec
 
 type entry = { entry_id : string; tenant : string; spec : Job_spec.t }
-
-(* ---- shared name parsing --------------------------------------------- *)
-
-let platform_of_string name qubits =
-  match name with
-  | "superconducting" -> Ok Platform.superconducting_17
-  | "semiconducting" -> Ok Platform.semiconducting_4
-  | "perfect" -> Ok (Platform.perfect qubits)
-  | other -> Error (Printf.sprintf "unknown platform '%s'" other)
-
-let mode_of_string = function
-  | "perfect" -> Ok Compiler.Perfect
-  | "realistic" -> Ok Compiler.Realistic
-  | "real" -> Ok Compiler.Real
-  | other -> Error (Printf.sprintf "unknown mode '%s'" other)
-
-let mode_to_string = function
-  | Compiler.Perfect -> "perfect"
-  | Compiler.Realistic -> "realistic"
-  | Compiler.Real -> "real"
-
-let technology_of_platform = function
-  | "semiconducting" -> Controller.semiconducting
-  | _ -> Controller.superconducting
-
-(* The vocabulary name a platform value came from (spool headers store
-   the vocabulary, not the platform's display name, so they re-parse). *)
-let platform_to_string (p : Platform.t) =
-  if p.Platform.name = Platform.superconducting_17.Platform.name then
-    "superconducting"
-  else if p.Platform.name = Platform.semiconducting_4.Platform.name then
-    "semiconducting"
-  else "perfect"
-
-let route_of_names ?(router = Qca_compiler.Mapping.default_strategy) ~platform ~mode
-    ~ladder ~qubits () =
-  match platform with
-  | None -> Ok Job_spec.Direct
-  | Some pname -> (
-      match (platform_of_string pname qubits, mode_of_string mode) with
-      | (Error _ as e), _ -> (match e with Error m -> Error m | _ -> assert false)
-      | _, Error m -> Error m
-      | Ok platform, Ok mode ->
-          let technology =
-            match mode with
-            | Compiler.Real -> Some (technology_of_platform pname)
-            | Compiler.Perfect | Compiler.Realistic -> None
-          in
-          Ok (Job_spec.Compiled { platform; mode; technology; ladder; router }))
 
 (* ---- serialisation --------------------------------------------------- *)
 
@@ -94,19 +44,34 @@ let encode ~tenant spec =
       (match spec.Job_spec.deadline_ms with
       | Some d -> add "deadline-ms" (string_of_int d)
       | None -> ());
-      (match spec.Job_spec.route with
-      | Job_spec.Direct -> ()
-      | Job_spec.Compiled { platform; mode; technology = _; ladder; router } ->
-          add "platform" (platform_to_string platform);
-          add "mode" (mode_to_string mode);
-          if ladder then add "ladder" "true";
-          (* Only a non-default router is spooled, so pre-router job files
-             stay decodable and byte-stable. *)
-          if router <> Qca_compiler.Mapping.default_strategy then
-            add "router" (Qca_compiler.Mapping.strategy_to_string router));
-      Buffer.add_string b "---\n";
-      Buffer.add_string b (Cqasm.emit_circuit circuit);
-      Ok (Buffer.contents b)
+      let route =
+        match spec.Job_spec.route with
+        | Job_spec.Direct -> Ok ()
+        | Job_spec.Compiled { platform; mode; technology = _; ladder; router } -> (
+            (* Headers store the vocabulary name, not the platform's
+               display name, so they re-parse. *)
+            match Job_spec.platform_name platform with
+            | None ->
+                Error
+                  (Error.make ~site:"Spool.encode"
+                     ~context:[ ("platform", platform.Platform.name) ]
+                     (Error.Invalid "platform has no vocabulary name"))
+            | Some name ->
+                add "platform" name;
+                add "mode" (Compiler.mode_to_string mode);
+                if ladder then add "ladder" "true";
+                (* Only a non-default router is spooled, so pre-router job
+                   files stay decodable and byte-stable. *)
+                if router <> Qca_compiler.Mapping.default_strategy then
+                  add "router" (Qca_compiler.Mapping.strategy_to_string router);
+                Ok ())
+      in
+      Result.map
+        (fun () ->
+          Buffer.add_string b "---\n";
+          Buffer.add_string b (Cqasm.emit_circuit circuit);
+          Buffer.contents b)
+        route
 
 let decode ~id text =
   let invalid msg =
@@ -249,7 +214,9 @@ let decode ~id text =
                       in
                       let* ladder = bool_field "ladder" in
                       let mode =
-                        Option.value ~default:"realistic" (get "mode")
+                        Option.value
+                          ~default:(Compiler.mode_to_string Compiler.Realistic)
+                          (get "mode")
                       in
                       let* router =
                         match get "router" with
@@ -260,7 +227,7 @@ let decode ~id text =
                             | Error m -> Error ("router: " ^ m))
                       in
                       let* route =
-                        route_of_names ~router ~platform:(get "platform") ~mode
+                        Job_spec.route_of_names ~router ~platform:(get "platform") ~mode
                           ~ladder ~qubits:(Circuit.qubit_count circuit) ()
                       in
                       if shots < 1 then invalid "shots must be positive"

@@ -45,7 +45,10 @@
     [tenant], [label], [shots], [seed], [noise], [trajectory],
     [fault-rate], [fault-seed], [max-retries], [priority], and the route
     triple [platform]/[mode]/[ladder] ([platform] absent means the direct
-    engine route). Unknown keys are a structured error, not a warning.
+    engine route), spelled in {!Qca.Job_spec.route_of_names}' vocabulary:
+    a route on a platform that vocabulary does not name cannot be
+    encoded, and a pair it refuses (perfect qubits in Real mode) decodes
+    to an [Invalid] error. Unknown keys are a structured error, not a warning.
     The encoder no longer writes [fusion]; the decoder still accepts
     [fusion=true] or [fusion=false] from older files and ignores it, and
     any other value is an error. *)
@@ -55,36 +58,6 @@ type entry = {
   tenant : string;
   spec : Qca.Job_spec.t;
 }
-
-(** {2 Shared name parsing}
-
-    One vocabulary for platform/mode names across [qxc] flags, [qxd]
-    flags and spool headers. *)
-
-val platform_of_string :
-  string -> int -> (Qca_compiler.Platform.t, string) result
-(** [platform_of_string name qubits]: [superconducting],
-    [semiconducting] or [perfect] (sized to [qubits]). *)
-
-val mode_of_string : string -> (Qca_compiler.Compiler.mode, string) result
-
-val technology_of_platform : string -> Qca_microarch.Controller.technology
-(** The micro-architecture configuration conventionally paired with a
-    platform name ([semiconducting] or the superconducting default). *)
-
-val route_of_names :
-  ?router:Qca_compiler.Mapping.strategy ->
-  platform:string option ->
-  mode:string ->
-  ladder:bool ->
-  qubits:int ->
-  unit ->
-  (Qca.Job_spec.route, string) result
-(** The route a [--platform]/[--mode]/[--ladder] flag triple denotes:
-    [None] platform is the direct engine route; Real mode picks up the
-    platform's paired technology. [router] (default
-    {!Qca_compiler.Mapping.default_strategy}) is the [--route] routing
-    strategy. *)
 
 (** {2 Spool directories} *)
 

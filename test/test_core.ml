@@ -1,7 +1,6 @@
 (* Tests for the qca core: qubit models, Amdahl, host runtime, RB and the
    three full-stack instances. *)
 
-module Qubit_model = Qca.Qubit_model
 module Amdahl = Qca.Amdahl
 module Accelerator = Qca.Accelerator
 module Host = Qca.Host
@@ -22,15 +21,37 @@ let check_float = Alcotest.(check (float 1e-9))
 (* --- qubit models --- *)
 
 let test_qubit_models () =
-  Alcotest.(check int) "three models" 3 (List.length Qubit_model.all);
-  Alcotest.(check bool) "perfect is ideal" true
-    (Noise.is_ideal (Qubit_model.noise Qubit_model.Perfect Qca_compiler.Platform.superconducting_17));
-  Alcotest.(check bool) "real uses platform noise" false
-    (Noise.is_ideal (Qubit_model.noise Qubit_model.Real Qca_compiler.Platform.superconducting_17));
-  Alcotest.(check bool) "perfect ignores topology" false
-    (Qubit_model.respects_connectivity Qubit_model.Perfect);
-  Alcotest.(check bool) "real respects topology" true
-    (Qubit_model.respects_connectivity Qubit_model.Real)
+  (* Compiler.mode is the one qubit-model type: its names round-trip, and a
+     compiled job's noise follows it (ideal for perfect qubits, the
+     platform's own model otherwise). *)
+  let models = [ Compiler.Perfect; Compiler.Realistic; Compiler.Real ] in
+  List.iter
+    (fun mode ->
+      Alcotest.(check bool) (Compiler.mode_to_string mode) true
+        (Compiler.mode_of_string (Compiler.mode_to_string mode) = Ok mode))
+    models;
+  Alcotest.(check bool) "unknown model" true (Result.is_error (Compiler.mode_of_string "ideal"));
+  let noise mode =
+    let route =
+      Qca.Job_spec.Compiled
+        {
+          platform = Platform.superconducting_17;
+          mode;
+          technology = None;
+          ladder = false;
+          router = Qca_compiler.Mapping.default_strategy;
+        }
+    in
+    Qca.Job_spec.noise_model (Qca.Job_spec.make ~route (Qca.Job_spec.Circuit (Library.bell ())))
+  in
+  Alcotest.(check bool) "perfect is ideal" true (Noise.is_ideal (noise Compiler.Perfect));
+  List.iter
+    (fun mode ->
+      Alcotest.(check bool)
+        (Compiler.mode_to_string mode ^ " uses platform noise")
+        true
+        (noise mode = Platform.superconducting_17.Platform.noise))
+    [ Compiler.Realistic; Compiler.Real ]
 
 (* --- Amdahl --- *)
 
@@ -468,7 +489,7 @@ let test_superconducting_stack_runs_microarch () =
 let test_realistic_of_degrades () =
   let perfect_stack = Stack.genome ~qubits:2 () in
   let realistic = Stack.realistic_of perfect_stack in
-  Alcotest.(check bool) "model changed" true (realistic.Stack.model = Qca.Qubit_model.Realistic)
+  Alcotest.(check bool) "model changed" true (realistic.Stack.model = Compiler.Realistic)
 
 let test_stack_engine_report () =
   let module Engine = Qca_qx.Engine in
@@ -569,7 +590,7 @@ let test_stack_runner_errors () =
     {
       Stack.stack_name = "tiny";
       platform = { Platform.superconducting_17 with Platform.primitives = [ "cz" ] };
-      model = Qca.Qubit_model.Realistic;
+      model = Compiler.Realistic;
       technology = None;
     }
   in

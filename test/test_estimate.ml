@@ -149,7 +149,7 @@ let corpus () =
     ( "random8x40",
       measured 8 (Library.random_circuit (Rng.create 303) ~qubits:8 ~gates:40)
     );
-    ("qec-surface17-r2", Qca.Qec_run.cycle_circuit ~rounds:2 Code.surface_17);
+    ("qec-surface17-r2", Code.cycle_circuit ~rounds:2 Code.surface_17);
   ]
 
 let test_plan_prediction () =
@@ -184,7 +184,7 @@ let prop_plan_prediction_random =
 
 let test_symbolic_qec_million_rounds () =
   let rounds = 1_000_000 in
-  let round = Qca.Qec_run.cycle_circuit ~rounds:1 Code.surface_17 in
+  let round = Code.cycle_circuit ~rounds:1 Code.surface_17 in
   let program = program_of [ ("cycle", rounds, round) ] 17 in
   let t0 = Unix.gettimeofday () in
   let est = Estimate.of_program program in

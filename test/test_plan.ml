@@ -35,7 +35,7 @@ let corpus () =
     ( "random8x40",
       measured 8 (Library.random_circuit (Rng.create 303) ~qubits:8 ~gates:40)
     );
-    ("qec-surface17-r2", Qca.Qec_run.cycle_circuit ~rounds:2 Code.surface_17);
+    ("qec-surface17-r2", Code.cycle_circuit ~rounds:2 Code.surface_17);
   ]
 
 (* --- classification soundness: misclassification is impossible --- *)
@@ -564,7 +564,7 @@ let test_auto_overhead_guard () =
 
 (* A QEC cycle is an ordinary job: [cycle_circuit] on a [Direct] route. *)
 let run_cycles ?noise ~rounds ~shots code =
-  let circuit = Qca.Qec_run.cycle_circuit ~rounds code in
+  let circuit = Code.cycle_circuit ~rounds code in
   let spec = Qca.Job_spec.make ~shots ~seed:11 ?noise (Qca.Job_spec.Circuit circuit) in
   match Qca.Runner.run spec with
   | Error e -> Alcotest.failf "qec run failed: %s" (Error.to_string e)

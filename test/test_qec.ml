@@ -197,6 +197,19 @@ let test_tableau_rejects_nonclifford () =
   | exception Invalid_argument _ -> ()
   | () -> Alcotest.fail "expected rejection"
 
+(* The planner's Clifford classification is Gate.is_clifford: for every
+   gate kind, the tableau accepts the gate exactly when it holds. *)
+let test_tableau_accepts_exactly_clifford () =
+  Array.iter
+    (fun u ->
+      let accepted =
+        match Tableau.apply_gate (Tableau.create 3) u (Array.init (Gate.arity u) Fun.id) with
+        | () -> true
+        | exception Invalid_argument _ -> false
+      in
+      Alcotest.(check bool) (Gate.name u) (Gate.is_clifford u) accepted)
+    Gate.kinds
+
 (* --- codes --- *)
 
 let test_codes_valid () =
@@ -529,6 +542,8 @@ let () =
           Alcotest.test_case "measure collapses" `Quick test_tableau_measure_collapses;
           Alcotest.test_case "stabilizer strings" `Quick test_tableau_stabilizer_strings;
           Alcotest.test_case "rejects non-clifford" `Quick test_tableau_rejects_nonclifford;
+          Alcotest.test_case "accepts exactly is_clifford" `Quick
+            test_tableau_accepts_exactly_clifford;
           qtest prop_tableau_matches_statevector;
           qtest prop_tableau_multiword_matches_statevector;
         ] );

@@ -356,6 +356,35 @@ let test_admission_memory_rejection () =
   Alcotest.(check int) "stats.rejected_estimate" 1 s.Service.rejected_estimate;
   Alcotest.(check int) "stats.completed" 1 s.Service.completed
 
+(* A Perfect-mode job compiled for superconducting_17 runs on ideal
+   qubits, so the estimate that admission and qxd's --max-sim-ns price
+   predicts the plan it runs, not the trajectories of the platform's own
+   noise. *)
+let test_admission_prices_compiled_perfect () =
+  let route =
+    Job_spec.Compiled
+      {
+        platform = Qca_compiler.Platform.superconducting_17;
+        mode = Qca_compiler.Compiler.Perfect;
+        technology = None;
+        ladder = true;
+        router = Qca_compiler.Mapping.default_strategy;
+      }
+  in
+  let s = { (spec ~shots:200 ~seed:4 (bell ())) with Job_spec.route } in
+  let est =
+    match Job_spec.estimate s with
+    | Ok est -> est
+    | Error e -> Alcotest.failf "estimate failed: %s" (Error.to_string e)
+  in
+  let svc = Service.create () in
+  let o = await_ok svc (submit_ok svc ~tenant:"alice" s) in
+  Alcotest.(check string) "runs sampled" "sampled"
+    (Engine.plan_to_string o.Runner.report.Engine.plan);
+  Alcotest.(check string) "priced on the plan it runs"
+    (Engine.plan_to_string o.Runner.report.Engine.plan)
+    (Engine.plan_to_string est.Qca_analysis.Estimate.plan)
+
 let test_admission_time_degrade () =
   (* A direct job whose full shot budget blows the time cap is degraded —
      shots capped to fit — rather than rejected; the note rides the same
@@ -820,6 +849,33 @@ let test_spool_decode_rejects_garbage () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "unknown keys must fail"
 
+(* Job files speak the stack vocabulary: a pair it refuses (perfect qubits
+   have no micro-architecture for Real mode) decodes to a structured
+   Invalid error, and a route on a platform it does not name cannot be
+   written at all. *)
+let test_spool_vocabulary_refusals () =
+  let invalid = function
+    | Error { Error.kind = Error.Invalid _; _ } -> true
+    | Error _ | Ok _ -> false
+  in
+  Alcotest.(check bool) "perfect/real decodes to Invalid" true
+    (invalid
+       (Spool.decode ~id:"000005"
+          "tenant=alice\nlabel=bell\nshots=8\nplatform=perfect\nmode=real\n---\nversion 1.0\nqubits 2\nh q[0]\nmeasure_all\n"));
+  let custom = { Qca_compiler.Platform.superconducting_17 with Qca_compiler.Platform.name = "custom-17" } in
+  let route =
+    Job_spec.Compiled
+      {
+        platform = custom;
+        mode = Qca_compiler.Compiler.Realistic;
+        technology = None;
+        ladder = false;
+        router = Qca_compiler.Mapping.default_strategy;
+      }
+  in
+  Alcotest.(check bool) "unnamed platform is not encoded" true
+    (invalid (Spool.encode ~tenant:"alice" { (spec ~seed:1 (bell ())) with Job_spec.route }))
+
 (* Spool files written while gate fusion existed may carry a [fusion]
    key: a boolean decodes to the same spec as no key, anything else stays
    a structured error, and the encoder no longer writes the key. *)
@@ -1244,6 +1300,8 @@ let () =
             test_admission_memory_rejection;
           Alcotest.test_case "estimate oracle: time degrade" `Quick
             test_admission_time_degrade;
+          Alcotest.test_case "estimate oracle: compiled perfect plan" `Quick
+            test_admission_prices_compiled_perfect;
           Alcotest.test_case "estimate oracle: preflight accounting" `Quick
             test_preflight_accounting;
         ] );
@@ -1277,6 +1335,7 @@ let () =
           Alcotest.test_case "garbage rejected" `Quick
             test_spool_decode_rejects_garbage;
           Alcotest.test_case "legacy fusion key" `Quick test_spool_legacy_fusion_key;
+          Alcotest.test_case "vocabulary refusals" `Quick test_spool_vocabulary_refusals;
         ] );
       ( "vocabulary",
         [
