@@ -699,8 +699,8 @@ let exec_command common plan file =
     | Ok circuit -> (
         let platform = Some (Option.value ~default:"superconducting" common.platform) in
         match
-          job_of_common common ~platform ~mode:(Compiler.mode_to_string Compiler.Real) ~ladder:false ~plan circuit
-            (Job_spec.Circuit circuit)
+          job_of_common common ~platform ~mode:(Compiler.mode_to_string Compiler.Real)
+            ~ladder:false ~plan circuit (Job_spec.Circuit circuit)
         with
         | Error msg ->
             prerr_endline msg;

@@ -90,7 +90,8 @@ type t = {
       (** Explicit seed: required for result-cache eligibility. *)
   noise : float option;
       (** Depolarising error rate for [Direct] runs ([None] = ideal);
-          [Compiled] routes use their qubit model's ({!noise_model}). *)
+          [Compiled] routes ignore it: their qubit model decides
+          ({!route_noise}). *)
   plan : Qca_qx.Engine.plan option;
       (** Simulation-plan override ([qxc run --plan]): [None] is the
           planner's automatic choice; [Some Trajectory] is the historical
@@ -184,7 +185,8 @@ val estimate : t -> (Qca_analysis.Estimate.t, Qca_util.Error.t) result
     flattened, so repeated subcircuits estimate symbolically in O(body);
     the spec's shots, plan override and {!route_noise} (with the
     [error_model] directive folded in as in {!elaborate}) feed the
-    prediction, so the predicted plan is the one the job runs. Parse failures become [Error]. *)
+    prediction, so the predicted plan is the one the job runs. Parse
+    failures become [Error]. *)
 
 val digest : Qca_circuit.Circuit.t -> string
 (** Hex digest of the circuit's canonical form (qubit count +

@@ -46,7 +46,7 @@ let run ?rng ?faults (spec : Job_spec.t) =
   let policy = Job_spec.retry_policy spec in
   let faults = match faults with Some _ as f -> f | None -> Job_spec.faults spec in
   let noise = Job_spec.noise_model spec in
-  let engine ?faults ?plan ?compiled ~noise circuit =
+  let engine ?faults ?plan ?compiled circuit =
     let* r =
       Engine.run_checked ~noise ?seed ?rng ?plan ~shots ?faults ~policy circuit
     in
@@ -59,7 +59,7 @@ let run ?rng ?faults (spec : Job_spec.t) =
       }
   in
   match spec.Job_spec.route with
-  | Job_spec.Direct -> engine ?faults ?plan:spec.Job_spec.plan ~noise circuit
+  | Job_spec.Direct -> engine ?faults ?plan:spec.Job_spec.plan circuit
   | Job_spec.Compiled { platform; mode; technology; ladder; router } -> (
       let* compiled =
         Error.protect ~site:"Runner.run" (fun () ->
@@ -67,7 +67,7 @@ let run ?rng ?faults (spec : Job_spec.t) =
       in
       (* The QX rung runs the already-compiled program, so histogram keys
          keep the platform width whichever backend produced them. *)
-      let on_qx () = engine ~compiled ~noise compiled.Compiler.physical in
+      let on_qx () = engine ~compiled compiled.Compiler.physical in
       match (technology, compiled.Compiler.eqasm) with
       | Some technology, Some program -> (
           let microarch =
