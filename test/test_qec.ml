@@ -468,6 +468,30 @@ let test_circuit_level_monotone () =
   let low = rate 0.001 and high = rate 0.02 in
   Alcotest.(check bool) "monotone in gate error" true (low < high)
 
+(* Circuit-level logical error rates, 2000 trials each, with the next
+   draw of the generator after the run: they pin the round's draw order
+   (prep faults, gate faults in (ancilla, data) order, measurement
+   flips) as well as its propagation. *)
+let test_logical_error_rate_pins () =
+  List.iter
+    (fun (code, seed, pins) ->
+      let decoder = Decoder.build code in
+      List.iter
+        (fun (p, rate, next) ->
+          let rng = Rng.create seed in
+          let got =
+            Pauli_frame.logical_error_rate ~trials:2000 ~rng code decoder ~gate_error:p
+              ~measurement_error:p
+          in
+          let label = Printf.sprintf "%s p=%g" code.Code.name p in
+          Alcotest.(check (float 0.0)) (label ^ ": rate") rate got;
+          Alcotest.(check int) (label ^ ": next draw") next (Rng.int rng 1_000_000))
+        pins)
+    [
+      (Code.surface_17, 11, [ (0.002, 0.0089999999999999993, 864984); (0.01, 0.075499999999999998, 524464) ]);
+      (Code.steane, 12, [ (0.002, 0.031, 151149); (0.01, 0.16600000000000001, 513668) ]);
+    ]
+
 (* --- circuit-level experiments --- *)
 
 let test_syndrome_circuit_structure () =
@@ -516,6 +540,55 @@ let test_logical_operation_on_code_space () =
   Alcotest.(check int) "logical op leaves code space" 0 syndrome;
   let after = Tableau.measure (Tableau.copy tableau) rng 0 in
   Alcotest.(check int) "logical one" 1 after
+
+(* [prepare_logical_zero] and [extract_syndrome] at seeds 1-8: the
+   syndrome of the prepared state, the syndrome after a random error (and
+   that error's algebraic syndrome), the MD5 of the final tableau's
+   stabilizer strings joined by ';', and the generator's next draw. *)
+let test_extract_syndrome_pins () =
+  List.iter
+    (fun (code, pins) ->
+      List.iteri
+        (fun i pin ->
+          let seed = i + 1 in
+          let rng = Rng.create seed in
+          let tableau = Qec_experiment.prepare_logical_zero code rng in
+          let clean = Qec_experiment.extract_syndrome code tableau rng in
+          let error = Pauli.depolarizing_error rng code.Code.n 0.3 in
+          Tableau.apply_pauli tableau error;
+          let erred = Qec_experiment.extract_syndrome code tableau rng in
+          let strings =
+            Digest.to_hex (Digest.string (String.concat ";" (Tableau.stabilizer_strings tableau)))
+          in
+          Alcotest.(check (pair (pair (pair int int) int) (pair string int)))
+            (Printf.sprintf "%s seed %d" code.Code.name seed)
+            pin
+            (((clean, erred), Code.syndrome code error), (strings, Rng.int rng 1_000_000)))
+        pins)
+    [
+      ( Code.surface_17,
+        [
+          (((0, 51), 51), ("f4c4cadbfe7b4f1475a01e57f2e1c437", 775912));
+          (((0, 3), 3), ("33e063d1eb78f43da75026dcdc310134", 613363));
+          (((0, 17), 17), ("8a19c0352697952db2115e51008fd8e8", 722666));
+          (((0, 48), 48), ("2cd97f3c58eb622fed08deb5de08db51", 59497));
+          (((0, 9), 9), ("67efdbf517a559d6076fcc0651896f28", 96214));
+          (((0, 171), 171), ("981bbef43d0aa1dc7972d9b7c7842526", 141326));
+          (((0, 27), 27), ("e142c8855c4fb80dda64cfec9e21075e", 517615));
+          (((0, 235), 235), ("f48596cdd209d90526f95d07e2e44c46", 51277));
+        ] );
+      ( Code.steane,
+        [
+          (((0, 27), 27), ("000b638289450e9b233708e249f3f8f7", 928062));
+          (((0, 24), 24), ("5449015cb30405a8f4bcaf5cc5dec661", 451511));
+          (((0, 22), 22), ("50ddaf744f6623929c8c73c2ba6b6e89", 10548));
+          (((0, 3), 3), ("cbcc840f79db5d9a408f6413658126b3", 263417));
+          (((0, 36), 36), ("b8ad93a591f40bcc9c0fc0b8981b7ad2", 132284));
+          (((0, 3), 3), ("cbcc840f79db5d9a408f6413658126b3", 752810));
+          (((0, 6), 6), ("90758a602555e33e3c1ff896cfb9d887", 75632));
+          (((0, 42), 42), ("13d834e69631a1b06ace28a40d2c43e3", 376301));
+        ] );
+    ]
 
 let test_overhead_exceeds_90_percent () =
   let o = Qec_experiment.overhead_of ~rounds_per_logical_op:3 Code.surface_17 in
@@ -575,6 +648,7 @@ let () =
           Alcotest.test_case "zero noise perfect" `Quick test_circuit_level_zero_noise_is_perfect;
           Alcotest.test_case "worse than capacity" `Quick test_circuit_level_worse_than_code_capacity;
           Alcotest.test_case "monotone" `Quick test_circuit_level_monotone;
+          Alcotest.test_case "logical error rate pins" `Quick test_logical_error_rate_pins;
         ] );
       ( "experiments",
         [
@@ -582,5 +656,6 @@ let () =
           Alcotest.test_case "circuit-level syndromes" `Quick test_circuit_level_syndrome_matches_algebra;
           Alcotest.test_case "logical operation" `Quick test_logical_operation_on_code_space;
           Alcotest.test_case "overhead >90%" `Quick test_overhead_exceeds_90_percent;
+          Alcotest.test_case "extract_syndrome pins" `Quick test_extract_syndrome_pins;
         ] );
     ]

@@ -1328,6 +1328,66 @@ let test_clean_shots_attribute () =
         (List.assoc_opt "clean_shots" n.Trace.attrs = Some (Trace.Int 50))
   | None -> Alcotest.fail "no engine.simulate span"
 
+(* Noisy runs on random circuits of the noisy-trajectory benchmark's two
+   shapes (8x200 at 500 shots, 14x80 at 24) with every qubit measured, at
+   p = 0.001 and seeds 1-4: the MD5 of the histogram ("key:count" joined
+   by ';', in the report's order), the MD5 of the gate applies listed the
+   same way, the measurements and the [clean_shots] of the run's
+   [engine.simulate] span. Error shots carry their errors as a Pauli
+   frame, so these pin the frame rules along with the schedule. *)
+let noisy_run_pins =
+  [
+    ( (8, 200, 500),
+      [
+        ("74985283e600d3fef2c3ef73c9b0a8b6", "2241e5ed8757a4f9735ac794b1b1e96d", 4000, 364);
+        ("ee04af294001d871ef48eb459ead872a", "71ca24d6875aa24b761f8341f3978a05", 4000, 392);
+        ("847c694c46e51daca7c41d50add4453b", "4950fbf962a52fcfc62d4c06484ede1d", 4000, 388);
+        ("d6a8ab6e52fd78df9580856115524d23", "7fc96e019b93cb781f1d382a1817d165", 4000, 361);
+      ] );
+    ( (14, 80, 24),
+      [
+        ("1fc8b7e70742009a5f293bab5bbe9687", "041941fde0b3db8fd4403627931dc974", 336, 20);
+        ("93bde1cfd80efe363d6521a87073fdd7", "c1d3d42d5117887d698d5e7f0708f83c", 336, 19);
+        ("c74b8abb4a394e2d6b259aae74fc18d0", "64900c4e1fc9f03c8418e5b33ec20189", 336, 23);
+        ("7b48498ac53c52e8ef7f532a82b984c1", "1bd80ab1864d02406b8f263e4cece4dd", 336, 22);
+      ] );
+  ]
+
+let test_noisy_run_pins () =
+  let listed l =
+    Digest.to_hex
+      (Digest.string (String.concat ";" (List.map (fun (k, c) -> k ^ ":" ^ string_of_int c) l)))
+  in
+  let rec find nodes =
+    List.find_map
+      (fun n -> if n.Trace.span_name = "engine.simulate" then Some n else find n.Trace.children)
+      nodes
+  in
+  List.iter
+    (fun ((qubits, gates, shots), pins) ->
+      List.iteri
+        (fun i (histogram, applies, measurements, clean) ->
+          let seed = i + 1 in
+          let circuit =
+            measured_all qubits (Library.random_circuit (Rng.create seed) ~qubits ~gates)
+          in
+          let c = Trace.make_collector () in
+          let r =
+            Trace.collecting c (fun () ->
+                Engine.run ~noise:(Noise.depolarizing 0.001) ~seed ~shots circuit)
+          in
+          let label = Printf.sprintf "%dx%d seed %d" qubits gates seed in
+          Alcotest.(check string) (label ^ ": histogram digest") histogram (listed r.Engine.histogram);
+          Alcotest.(check string) (label ^ ": gate applies digest") applies
+            (listed r.Engine.report.Engine.gate_applies);
+          Alcotest.(check int) (label ^ ": measurements") measurements
+            r.Engine.report.Engine.measurements;
+          Alcotest.(check bool) (label ^ ": clean shots") true
+            (Option.bind (find (Trace.roots c)) (fun n -> List.assoc_opt "clean_shots" n.Trace.attrs)
+            = Some (Trace.Int clean)))
+        pins)
+    noisy_run_pins
+
 (* Phase times are elapsed wall time: a trajectory batch spread over two
    domains reports no more time than passed around the call, not the CPU
    seconds the domains summed. *)
@@ -1514,6 +1574,7 @@ let () =
           qtest prop_draw_table_matches_oracle;
           qtest prop_frame_matches_stepped;
           Alcotest.test_case "clean_shots attribute" `Quick test_clean_shots_attribute;
+          Alcotest.test_case "noisy run pins" `Quick test_noisy_run_pins;
         ] );
       ( "kernels",
         [
