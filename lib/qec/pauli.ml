@@ -1,5 +1,6 @@
 module Bits = Qca_util.Bits
 module Rng = Qca_util.Rng
+module Gate = Qca_circuit.Gate
 
 type t = { x : int; z : int }
 
@@ -47,6 +48,34 @@ let support p =
     else go (q + 1) acc
   in
   go 0 []
+
+let rec touches ops mask i =
+  i < Array.length ops && (Bits.test mask ops.(i) || touches ops mask (i + 1))
+
+(* The one Pauli-propagation rule table (the frame of Gidney's Stim,
+   arXiv:2103.02202). A gate that repeats an operand takes the last rule. *)
+let conjugate u ops p =
+  let { x; z } = p in
+  let bit v q = (v lsr q) land 1 in
+  (* [v] with its bits at [a] and [b] exchanged *)
+  let exchange v a b =
+    let d = ((v lsr a) lxor (v lsr b)) land 1 in
+    v lxor ((d lsl a) lor (d lsl b))
+  in
+  match (u, ops) with
+  | (Gate.I | Gate.X | Gate.Y | Gate.Z), _ -> Some p
+  | Gate.H, [| q |] ->
+      let m = 1 lsl q in
+      Some { x = (x land lnot m) lor (z land m); z = (z land lnot m) lor (x land m) }
+  | (Gate.S | Gate.Sdag), [| q |] -> Some { x; z = z lxor (x land (1 lsl q)) }
+  | Gate.Cnot, [| c; t |] when c <> t ->
+      Some { x = x lxor (bit x c lsl t); z = z lxor (bit z t lsl c) }
+  | Gate.Cz, [| a; b |] when a <> b ->
+      Some { x; z = z lxor (bit x b lsl a) lxor (bit x a lsl b) }
+  | Gate.Swap, [| a; b |] -> Some { x = exchange x a b; z = exchange z a b }
+  | (Gate.T | Gate.Tdag | Gate.Rz _ | Gate.Cphase _ | Gate.Crk _), _ ->
+      if touches ops x 0 then None else Some p
+  | _ -> if touches ops (x lor z) 0 then None else Some p
 
 let depolarizing_error rng n p =
   let acc = ref identity in

@@ -30,6 +30,17 @@ val equal : t -> t -> bool
 val support : t -> int list
 (** Sorted list of touched qubits. *)
 
+val conjugate : Qca_circuit.Gate.unitary -> int array -> t -> t option
+(** [conjugate u ops p]: the image U P U{^ †} of [p], up to phase, under
+    gate [u] on operands [ops], or [None] where a Pauli frame stops. The
+    one rule table for pushing a Pauli through a gate, shared by the
+    engine's error frames and the circuit-level QEC harness: I, X, Y and Z
+    pass [p] unchanged (U P U{^ †} = ±P); H, S, Sdag, CNOT, CZ and SWAP map
+    it by the Clifford rules; T, Tdag, Rz, Cphase and Crk, being diagonal,
+    pass a [p] with no X on their operands; any other gate passes only a
+    [p] that leaves its operands alone; everything else stops it. A gate
+    that repeats an operand takes the last rule. *)
+
 val depolarizing_error : Qca_util.Rng.t -> int -> float -> t
 (** [depolarizing_error rng n p]: iid error; each of the [n] qubits suffers
     X, Y or Z with probability [p/3] each. *)

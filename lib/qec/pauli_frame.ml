@@ -1,100 +1,77 @@
 module Rng = Qca_util.Rng
 module Bits = Qca_util.Bits
+module Gate = Qca_circuit.Gate
+module Circuit = Qca_circuit.Circuit
 
-type frame = { mutable x : int; mutable z : int }
+(* [f] times the Pauli coded 0=I 1=X 2=Y 3=Z on qubit [q]. *)
+let flip f q = function 0 -> f | code -> Pauli.mul f (Pauli.single q "IXYZ".[code])
 
-let propagate_cnot f control target =
-  if Bits.test f.x control then f.x <- Bits.flip f.x target;
-  if Bits.test f.z target then f.z <- Bits.flip f.z control
+let inject_1q rng p q f = if Rng.bernoulli rng p then flip f q (1 + Rng.int rng 3) else f
 
-let propagate_h f q =
-  let had_x = Bits.test f.x q and had_z = Bits.test f.z q in
-  if had_x <> had_z then begin
-    f.x <- Bits.flip f.x q;
-    f.z <- Bits.flip f.z q
-  end
-
-let inject_1q rng f p q =
+(* One of the 15 non-identity two-qubit Paulis, the single-qubit parts
+   coded as in [flip], skipping (0, 0). *)
+let inject_2q rng p a b f =
   if Rng.bernoulli rng p then begin
-    match Rng.int rng 3 with
-    | 0 -> f.x <- Bits.flip f.x q
-    | 1 ->
-        f.x <- Bits.flip f.x q;
-        f.z <- Bits.flip f.z q
-    | _ -> f.z <- Bits.flip f.z q
-  end
-
-let inject_2q rng f p a b =
-  if Rng.bernoulli rng p then begin
-    (* pick one of the 15 non-identity two-qubit Paulis: encode each
-       single-qubit part as 0=I 1=X 2=Y 3=Z, skipping (0, 0) *)
     let k = 1 + Rng.int rng 15 in
-    let part q code =
-      match code with
-      | 0 -> ()
-      | 1 -> f.x <- Bits.flip f.x q
-      | 2 ->
-          f.x <- Bits.flip f.x q;
-          f.z <- Bits.flip f.z q
-      | _ -> f.z <- Bits.flip f.z q
-    in
-    part a (k / 4);
-    part b (k mod 4)
+    flip (flip f a (k / 4)) b (k mod 4)
   end
+  else f
 
-type round_result = { syndrome : int; frame : frame }
+type round_result = { syndrome : int; frame : Pauli.t }
 
-let noisy_round ~rng ~gate_error ~measurement_error code f =
-  let n = code.Code.n in
+(* One walk of the extraction circuit's instructions. A prep clears the
+   qubit's frame bits and may fault; a gate maps the frame by the rule
+   table and then may fault, a two-qubit fault drawn with the ancilla
+   (qubit [n] and up) as its first operand; a measurement of ancilla
+   [n + i] reads its X bit, possibly flipped, into syndrome bit [i]. *)
+let round ~rng ~gate_error ~measurement_error n instructions frame =
   let syndrome = ref 0 in
-  Array.iteri
-    (fun i stab ->
-      let ancilla = n + i in
-      (* fresh ancilla (prep fault = X error) *)
-      f.x <- Bits.clear f.x ancilla;
-      f.z <- Bits.clear f.z ancilla;
-      inject_1q rng f gate_error ancilla;
-      let support = Pauli.support stab in
-      let is_x = stab.Pauli.x <> 0 in
-      if is_x then begin
-        propagate_h f ancilla;
-        inject_1q rng f gate_error ancilla;
-        List.iter
-          (fun q ->
-            propagate_cnot f ancilla q;
-            inject_2q rng f gate_error ancilla q)
-          support;
-        propagate_h f ancilla;
-        inject_1q rng f gate_error ancilla
-      end
-      else
-        List.iter
-          (fun q ->
-            propagate_cnot f q ancilla;
-            inject_2q rng f gate_error ancilla q)
-          support;
-      (* Z-basis measurement reads the ancilla's X-frame bit *)
-      let raw = if Bits.test f.x ancilla then 1 else 0 in
-      let observed = if Rng.bernoulli rng measurement_error then 1 - raw else raw in
-      if observed = 1 then syndrome := Bits.set !syndrome i)
-    code.Code.stabilizers;
-  { syndrome = !syndrome; frame = f }
+  let frame =
+    List.fold_left
+      (fun f instr ->
+        match instr with
+        | Gate.Prep q ->
+            inject_1q rng gate_error q { Pauli.x = Bits.clear f.Pauli.x q; z = Bits.clear f.Pauli.z q }
+        | Gate.Unitary (u, ops) -> (
+            let f =
+              match Pauli.conjugate u ops f with
+              | Some g -> g
+              | None -> invalid_arg "Pauli_frame: the extraction circuit stops the frame"
+            in
+            match ops with
+            | [| q |] -> inject_1q rng gate_error q f
+            | [| a; b |] when a >= n -> inject_2q rng gate_error a b f
+            | [| a; b |] -> inject_2q rng gate_error b a f
+            | _ -> invalid_arg "Pauli_frame: gate on more than two qubits")
+        | Gate.Measure q ->
+            let raw = Bits.test f.Pauli.x q in
+            if raw <> Rng.bernoulli rng measurement_error then
+              syndrome := Bits.set !syndrome (q - n);
+            f
+        | Gate.Barrier _ -> f
+        | Gate.Conditional _ -> invalid_arg "Pauli_frame: conditional gate in the extraction circuit")
+      frame instructions
+  in
+  { syndrome = !syndrome; frame }
 
-let data_error_of_frame code f =
-  let mask = (1 lsl code.Code.n) - 1 in
-  { Pauli.x = f.x land mask; z = f.z land mask }
+let noisy_round ~rng ~gate_error ~measurement_error code frame =
+  round ~rng ~gate_error ~measurement_error code.Code.n
+    (Circuit.instructions (Code.syndrome_circuit code))
+    frame
 
 let logical_error_rate ?rounds ?(trials = 2000) ~rng code decoder ~gate_error
     ~measurement_error =
   let rounds = Option.value ~default:code.Code.distance rounds in
+  let instructions = Circuit.instructions (Code.syndrome_circuit code) in
+  let mask = (1 lsl code.Code.n) - 1 in
   let failures = ref 0 in
   for _ = 1 to trials do
-    let f = { x = 0; z = 0 } in
+    let f = ref Pauli.identity in
     for _ = 1 to rounds do
-      ignore (noisy_round ~rng ~gate_error ~measurement_error code f)
+      f := (round ~rng ~gate_error ~measurement_error code.Code.n instructions !f).frame
     done;
     (* final perfect extraction: the true syndrome of the data frame *)
-    let error = data_error_of_frame code f in
+    let error = { Pauli.x = !f.Pauli.x land mask; z = !f.Pauli.z land mask } in
     let syndrome = Code.syndrome code error in
     let fix = Decoder.correction decoder syndrome in
     let residual = Pauli.mul error fix in

@@ -4,23 +4,15 @@
     qubits between perfect syndrome measurements. Real syndrome extraction
     (section 2.1) is itself built from noisy gates, and a single faulty CNOT
     spreads errors from ancilla to data — the reason thresholds drop an
-    order of magnitude at circuit level. This module propagates a Pauli
-    frame through the ancilla-based extraction circuit with depolarising
-    gate errors and measurement flips, all in O(gates) per round. *)
-
-type frame = { mutable x : int; mutable z : int }
-(** Accumulated Pauli error, one bit per qubit (data then ancillas). *)
-
-val propagate_cnot : frame -> int -> int -> unit
-(** Standard Clifford propagation: X copies control -> target, Z copies
-    target -> control. *)
-
-val propagate_h : frame -> int -> unit
-(** Exchange X and Z components on one qubit. *)
+    order of magnitude at circuit level. This module walks
+    {!Code.syndrome_circuit} with a Pauli frame, mapped through each gate by
+    {!Pauli.conjugate}, under depolarising gate errors and measurement
+    flips, all in O(gates) per round. *)
 
 type round_result = {
   syndrome : int;  (** Measured (noisy) syndrome bits. *)
-  frame : frame;  (** Frame after the round (ancilla bits reset). *)
+  frame : Pauli.t;
+      (** Frame after the round, one bit per qubit (data, then ancillas). *)
 }
 
 val noisy_round :
@@ -28,11 +20,13 @@ val noisy_round :
   gate_error:float ->
   measurement_error:float ->
   Code.t ->
-  frame ->
+  Pauli.t ->
   round_result
-(** One ancilla-based syndrome-extraction round with faulty preps, CNOTs,
-    Hadamards and measurements, starting from (and updating) the given data
-    frame. *)
+(** One round of {!Code.syndrome_circuit} from the given frame: each prep,
+    gate and measurement may fault (a faulty prep or one-qubit gate draws
+    one of X, Y, Z; a faulty CNOT one of the 15 non-identity two-qubit
+    Paulis, ancilla operand first; a measurement flips with probability
+    [measurement_error]). *)
 
 val logical_error_rate :
   ?rounds:int ->

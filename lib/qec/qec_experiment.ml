@@ -5,24 +5,20 @@ module Bits = Qca_util.Bits
 
 let total_qubits code = code.Code.n + Code.ancilla_count code
 
-(* Measure stabilizer i via its ancilla, returning the outcome bit and
-   leaving the ancilla collapsed (caller re-preps). *)
-let measure_stabilizer code tableau rng i =
+(* One round of [Code.syndrome_circuit] on the tableau: a prep measures
+   its qubit and applies X on a 1; [on_measure i outcome] runs right after
+   stabilizer [i]'s ancilla is measured, before the next instruction. *)
+let walk_round code tableau rng ~on_measure =
   let n = code.Code.n in
-  let ancilla = n + i in
-  let stab = code.Code.stabilizers.(i) in
-  let support = Pauli.support stab in
-  (* reset ancilla *)
-  let m = Tableau.measure tableau rng ancilla in
-  if m = 1 then Tableau.x tableau ancilla;
-  let is_x = stab.Pauli.x <> 0 in
-  if is_x then begin
-    Tableau.h tableau ancilla;
-    List.iter (fun q -> Tableau.cnot tableau ancilla q) support;
-    Tableau.h tableau ancilla
-  end
-  else List.iter (fun q -> Tableau.cnot tableau q ancilla) support;
-  Tableau.measure tableau rng ancilla
+  List.iter
+    (function
+      | Gate.Prep q -> if Tableau.measure tableau rng q = 1 then Tableau.x tableau q
+      | Gate.Unitary (u, ops) -> Tableau.apply_gate tableau u ops
+      | Gate.Measure q -> on_measure (q - n) (Tableau.measure tableau rng q)
+      | Gate.Barrier _ -> ()
+      | Gate.Conditional _ ->
+          invalid_arg "Qec_experiment: conditional gate in the extraction circuit")
+    (Circuit.instructions (Code.syndrome_circuit code))
 
 let prepare_logical_zero code rng =
   let tableau = Tableau.create (total_qubits code) in
@@ -33,7 +29,6 @@ let prepare_logical_zero code rng =
      every Z-type stabilizer is already +1, and for X-type stabilizers a -1
      outcome is fixed by any Z on one support qubit (which may disturb later
      X stabilizers, so sweep until clean, which terminates for CSS codes). *)
-  let m = Array.length code.Code.stabilizers in
   let rec sweep budget =
     (* User-definable codes can be non-CSS, where the single-qubit frame fix
        is not guaranteed to settle — so this is a structured error, not an
@@ -43,28 +38,24 @@ let prepare_logical_zero code rng =
         ~context:[ ("code", code.Code.name) ]
         (Qca_util.Error.Non_convergence "stabilizer projection did not converge");
     let dirty = ref false in
-    for i = 0 to m - 1 do
-      let outcome = measure_stabilizer code tableau rng i in
-      if outcome = 1 then begin
-        dirty := true;
-        let stab = code.Code.stabilizers.(i) in
-        (* Fix with a single-qubit operator anticommuting with this stabilizer. *)
-        match Pauli.support stab with
-        | [] -> assert false
-        | q :: _ -> if stab.Pauli.x <> 0 then Tableau.z tableau q else Tableau.x tableau q
-      end
-    done;
+    walk_round code tableau rng ~on_measure:(fun i outcome ->
+        if outcome = 1 then begin
+          dirty := true;
+          let stab = code.Code.stabilizers.(i) in
+          (* Fix with a single-qubit operator anticommuting with this stabilizer. *)
+          match Pauli.support stab with
+          | [] -> assert false
+          | q :: _ -> if stab.Pauli.x <> 0 then Tableau.z tableau q else Tableau.x tableau q
+        end);
     if !dirty then sweep (budget - 1)
   in
   sweep 32;
   tableau
 
 let extract_syndrome code tableau rng =
-  let m = Array.length code.Code.stabilizers in
   let syndrome = ref 0 in
-  for i = 0 to m - 1 do
-    if measure_stabilizer code tableau rng i = 1 then syndrome := Bits.set !syndrome i
-  done;
+  walk_round code tableau rng ~on_measure:(fun i outcome ->
+      if outcome = 1 then syndrome := Bits.set !syndrome i);
   !syndrome
 
 let circuit_level_syndrome_matches code error rng =

@@ -8,6 +8,7 @@ module Trace = Qca_util.Trace
 module Clock = Qca_util.Clock
 module Parallel = Qca_util.Parallel
 module Tableau = Qca_qec.Tableau
+module Pauli = Qca_qec.Pauli
 
 type plan = Sampled | Trajectory | Clifford
 
@@ -407,60 +408,6 @@ let apply_drawn state = function
   | M_prep q -> State.collapse state q 0
   | M_measure _ | M_cond _ -> assert false
 
-(* --- the Pauli frame --- *)
-
-(* A shot's errors as one Pauli string, pushed forward through the ideal
-   ops after them (the frame of Gidney's Stim, arXiv:2103.02202): the x
-   mask in bits 0-29 of an int, the z mask in bits 30-59 (a state has at
-   most 30 qubits), no phase. Every kernel that the rules below let a
-   frame through commutes with it exactly, in floating point: the state
-   kernels are swaps, negations and products whose rounding is symmetric
-   under negation, so stepping a gate on the erred state gives, bit for
-   bit up to the sign of exact zeros, the frame's image of the gate's
-   ideal output. *)
-let z_shift = 30
-let x_part = (1 lsl z_shift) - 1
-
-let[@inline] frame x z = x lor (z lsl z_shift)
-
-(* Mask [v] with its bits at [a] and [b] exchanged. *)
-let swap_bits v a b =
-  let d = ((v lsr a) lxor (v lsr b)) land 1 in
-  v lxor ((d lsl a) lor (d lsl b))
-
-let rec touches ops mask i =
-  i < Array.length ops && (mask land (1 lsl ops.(i)) <> 0 || touches ops mask (i + 1))
-
-(* The frame [f] after gate [u] on [o], or -1 when the gate's kernel does
-   not commute exactly with it. A Pauli gate leaves a frame as it is (up
-   to a sign); H, S, CNOT, CZ and SWAP map it by the Clifford rules; a
-   diagonal gate passes phase errors on its operands; any other gate
-   passes a frame that leaves its operands alone. A gate that repeats an
-   operand takes the last rule. *)
-let frame_through u o f =
-  let x = f land x_part and z = f lsr z_shift in
-  let bit v q = (v lsr q) land 1 in
-  match (u, o) with
-  | (Gate.I | Gate.X | Gate.Y | Gate.Z), _ -> f
-  | Gate.H, [| q |] ->
-      let m = 1 lsl q in
-      frame ((x land lnot m) lor (z land m)) ((z land lnot m) lor (x land m))
-  | (Gate.S | Gate.Sdag), [| q |] -> frame x (z lxor (x land (1 lsl q)))
-  | Gate.Cnot, [| c; t |] when c <> t -> frame (x lxor (bit x c lsl t)) (z lxor (bit z t lsl c))
-  | Gate.Cz, [| a; b |] when a <> b -> frame x (z lxor (bit x b lsl a) lxor (bit x a lsl b))
-  | Gate.Swap, [| a; b |] -> frame (swap_bits x a b) (swap_bits z a b)
-  | (Gate.T | Gate.Tdag | Gate.Rz _ | Gate.Cphase _ | Gate.Crk _), _ ->
-      if touches o x 0 then -1 else f
-  | _ -> if touches o (x lor z) 0 then -1 else f
-
-(* The frame after op [i] of the prefix, or -1 where it stops: at every
-   prep, whose normalisation sums the amplitudes in index order. *)
-let frame_through_op op f =
-  match op with
-  | M_gate (u, o) -> frame_through u o f
-  | M_prep _ -> -1
-  | M_measure _ | M_cond _ -> assert false
-
 (* Ideal checkpoints, the prefix's final state included: at most this many,
    in at most this much memory per run (from 15 qubits up only the final
    state is kept). A shot whose frame stops uniformly in a prefix of [l]
@@ -502,19 +449,17 @@ let ideal_prefix noise program n =
   end;
   { length; draws = Noise.draws noise sites; spacing; states = Array.of_list (List.rev !states) }
 
-(* An event's Pauli as frame bits. *)
-let event_bits (e : Noise.event) =
-  let m = 1 lsl e.qubit in
-  match e.pauli with
-  | Gate.X -> frame m 0
-  | Gate.Z -> frame 0 m
-  | Gate.Y -> frame m m
-  | _ -> assert false
-
 (* Set [state] to the shot's state after the prefix, from its schedule.
-   The events fold into a frame from the first one's site on, merging
-   after their site's op, and the frame moves through the ops after them
-   until one stops it (or the prefix ends). The state starts there: the
+   The events fold into one Pauli frame (the frame of Gidney's Stim,
+   arXiv:2103.02202) from the first one's site on, merging after their
+   site's op, and [Pauli.conjugate]'s rule table moves the frame through
+   the ops after them until one stops it (a prep always does: its
+   normalisation sums the amplitudes in index order) or the prefix ends.
+   Every kernel the table lets a frame through commutes with it exactly,
+   in floating point: the state kernels are swaps, negations and products
+   whose rounding is symmetric under negation, so stepping a gate on the
+   erred state gives, bit for bit up to the sign of exact zeros, the
+   frame's image of the gate's ideal output. The state starts there: the
    ideal state at the stop, from the checkpoint at or before it, with the
    frame applied; the ops from the stop on then run with the remaining
    events, as an op-by-op shot would.
@@ -538,23 +483,24 @@ let prefix_state program p tally events state =
   end
   else begin
     let length = p.length and ops = program.ops in
-    let f = ref 0 and anti = ref 0 and next = ref 0 in
+    let f = ref Pauli.identity and anti = ref 0 and next = ref 0 in
     let i = ref events.(0).Noise.site and stop = ref (-1) in
     while !stop < 0 do
       while !next < nevents && events.(!next).Noise.site = !i do
-        let e = event_bits events.(!next) in
-        let x = !f land x_part and z = !f lsr z_shift in
-        let ex = e land x_part and ez = e lsr z_shift in
-        anti := !anti lxor Bool.to_int ((ex land z) lxor (ez land x) <> 0);
-        f := !f lxor e;
+        let { Noise.qubit; pauli; _ } = events.(!next) in
+        let e = Pauli.single qubit (match pauli with Gate.X -> 'X' | Gate.Y -> 'Y' | _ -> 'Z') in
+        if not (Pauli.commutes e !f) then anti := !anti lxor 1;
+        f := Pauli.mul !f e;
         incr next
       done;
       incr i;
       if !i >= length then stop := length
-      else begin
-        let g = frame_through_op ops.(!i) !f in
-        if g < 0 then stop := !i else f := g
-      end
+      else
+        match ops.(!i) with
+        | M_gate (u, o) -> (
+            match Pauli.conjugate u o !f with Some g -> f := g | None -> stop := !i)
+        | M_prep _ -> stop := !i
+        | M_measure _ | M_cond _ -> assert false
     done;
     let stop = !stop in
     if stop = length then State.blit ~src:p.states.(stored - 1) ~dst:state
@@ -565,7 +511,7 @@ let prefix_state program p tally events state =
         apply_drawn state ops.(k)
       done
     end;
-    let x = !f land x_part and z = !f lsr z_shift in
+    let { Pauli.x; z } = !f in
     State.apply_pauli state ~x ~z
       ~imag:((!anti + Qca_util.Bits.popcount (x land z)) land 1 = 1);
     for k = stop to length - 1 do

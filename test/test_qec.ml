@@ -45,6 +45,60 @@ let test_error_sampling_rate () =
   let rate = float_of_int !total /. float_of_int (n * trials) in
   Alcotest.(check (float 0.01)) "error rate" p rate
 
+(* [Pauli.conjugate] against the matrices: every gate kind (random angles
+   for the rotations), on distinct random operands among 2 or 3 qubits,
+   maps a random Pauli P to an image Q with U P U^dag = Q up to phase, as
+   [Circuit.unitary_matrix] computes them; when the table passes P
+   unchanged, U P U^dag = +-P. A frame the table stops is not checked. *)
+let prop_conjugate_matches_matrices =
+  let module Matrix = Qca_util.Matrix in
+  let pauli_matrix n (p : Pauli.t) =
+    Circuit.unitary_matrix
+      (Circuit.of_list n
+         (List.concat_map
+            (fun q ->
+              (if p.Pauli.z land (1 lsl q) <> 0 then [ Gate.Unitary (Gate.Z, [| q |]) ] else [])
+              @ if p.Pauli.x land (1 lsl q) <> 0 then [ Gate.Unitary (Gate.X, [| q |]) ] else [])
+            (List.init n Fun.id)))
+  in
+  QCheck.Test.make ~name:"Pauli.conjugate = U P U^dag on every gate kind" ~count:60
+    (QCheck.make
+       ~print:(fun (s, q) -> Printf.sprintf "seed=%d qubits=%d" s q)
+       QCheck.Gen.(pair (int_range 0 99999) (int_range 2 3)))
+    (fun (seed, qubits) ->
+      let rng = Rng.create seed in
+      Array.for_all
+        (fun kind ->
+          let u =
+            match kind with
+            | Gate.Rx _ -> Gate.Rx (Rng.float rng 6.0)
+            | Gate.Ry _ -> Gate.Ry (Rng.float rng 6.0)
+            | Gate.Rz _ -> Gate.Rz (Rng.float rng 6.0)
+            | Gate.Cphase _ -> Gate.Cphase (Rng.float rng 6.0)
+            | Gate.Crk _ -> Gate.Crk (1 + Rng.int rng 5)
+            | u -> u
+          in
+          let n = max qubits (Gate.arity u) in
+          let order = Array.init n Fun.id in
+          for i = n - 1 downto 1 do
+            let j = Rng.int rng (i + 1) in
+            let t = order.(i) in
+            order.(i) <- order.(j);
+            order.(j) <- t
+          done;
+          let ops = Array.sub order 0 (Gate.arity u) in
+          let p = { Pauli.x = Rng.int rng (1 lsl n); z = Rng.int rng (1 lsl n) } in
+          let gate = Circuit.unitary_matrix (Circuit.of_list n [ Gate.Unitary (u, ops) ]) in
+          let before = pauli_matrix n p in
+          let image = Matrix.mul (Matrix.mul gate before) (Matrix.adjoint gate) in
+          match Pauli.conjugate u ops p with
+          | None -> true
+          | Some q when Pauli.equal q p ->
+              Matrix.approx_equal image before
+              || Matrix.approx_equal image (Matrix.scale (Qca_util.Cplx.make (-1.0) 0.0) before)
+          | Some q -> Matrix.equal_up_to_phase image (pauli_matrix n q))
+        Gate.kinds)
+
 (* --- tableau vs state vector --- *)
 
 let clifford_gates =
@@ -393,26 +447,28 @@ let test_measurement_errors_handled () =
 
 module Pauli_frame = Qca_qec.Pauli_frame
 
+(* The frame rules of the circuit-level harness are [Pauli.conjugate]'s. *)
+let conjugate u ops p =
+  match Pauli.conjugate u ops p with
+  | Some image -> image
+  | None -> Alcotest.fail "the frame stopped"
+
 let test_frame_cnot_propagation () =
-  let f = { Pauli_frame.x = 0b01; z = 0 } in
   (* X on control 0 copies onto target 1 *)
-  Pauli_frame.propagate_cnot f 0 1;
-  Alcotest.(check int) "x spread" 0b11 f.Pauli_frame.x;
-  let g = { Pauli_frame.x = 0; z = 0b10 } in
+  let f = conjugate Gate.Cnot [| 0; 1 |] { Pauli.x = 0b01; z = 0 } in
+  Alcotest.(check int) "x spread" 0b11 f.Pauli.x;
   (* Z on target 1 copies onto control 0 *)
-  Pauli_frame.propagate_cnot g 0 1;
-  Alcotest.(check int) "z spread" 0b11 g.Pauli_frame.z
+  let g = conjugate Gate.Cnot [| 0; 1 |] { Pauli.x = 0; z = 0b10 } in
+  Alcotest.(check int) "z spread" 0b11 g.Pauli.z
 
 let test_frame_h_swaps () =
-  let f = { Pauli_frame.x = 0b1; z = 0 } in
-  Pauli_frame.propagate_h f 0;
-  Alcotest.(check int) "x->z" 0 f.Pauli_frame.x;
-  Alcotest.(check int) "z set" 1 f.Pauli_frame.z;
+  let f = conjugate Gate.H [| 0 |] { Pauli.x = 0b1; z = 0 } in
+  Alcotest.(check int) "x->z" 0 f.Pauli.x;
+  Alcotest.(check int) "z set" 1 f.Pauli.z;
   (* Y stays Y *)
-  let g = { Pauli_frame.x = 0b1; z = 0b1 } in
-  Pauli_frame.propagate_h g 0;
-  Alcotest.(check int) "y x" 1 g.Pauli_frame.x;
-  Alcotest.(check int) "y z" 1 g.Pauli_frame.z
+  let g = conjugate Gate.H [| 0 |] { Pauli.x = 0b1; z = 0b1 } in
+  Alcotest.(check int) "y x" 1 g.Pauli.x;
+  Alcotest.(check int) "y z" 1 g.Pauli.z
 
 let test_noise_free_round_matches_algebra () =
   let rng = Rng.create 77 in
@@ -422,9 +478,8 @@ let test_noise_free_round_matches_algebra () =
         List.iter
           (fun letter ->
             let e = Pauli.single q letter in
-            let f = { Pauli_frame.x = e.Pauli.x; z = e.Pauli.z } in
             let result =
-              Pauli_frame.noisy_round ~rng ~gate_error:0.0 ~measurement_error:0.0 code f
+              Pauli_frame.noisy_round ~rng ~gate_error:0.0 ~measurement_error:0.0 code e
             in
             Alcotest.(check int)
               (Printf.sprintf "%s frame syndrome %c%d" code.Code.name letter q)
@@ -606,6 +661,7 @@ let () =
           Alcotest.test_case "commutation" `Quick test_pauli_commutation;
           Alcotest.test_case "support" `Quick test_pauli_support;
           Alcotest.test_case "sampling rate" `Quick test_error_sampling_rate;
+          qtest prop_conjugate_matches_matrices;
         ] );
       ( "tableau",
         [
