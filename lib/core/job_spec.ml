@@ -86,8 +86,6 @@ type t = {
   fault_rate : float option;
   fault_seed : int;
   max_retries : int;
-  backoff_ns : int;
-  degrade_threshold : float;
   priority : int;
   deadline_ms : int option;
 }
@@ -95,10 +93,7 @@ type t = {
 let make ?(label = "job") ?(route = Direct) ?(shots = 1024) ?seed ?noise
     ?plan ?fault_rate
     ?(fault_seed = Fault.default_seed)
-    ?(max_retries = Resilience.default_policy.Resilience.max_retries)
-    ?(backoff_ns = Resilience.default_policy.Resilience.backoff_ns)
-    ?(degrade_threshold =
-      Resilience.default_policy.Resilience.degrade_threshold) ?deadline_ms
+    ?(max_retries = Resilience.default_policy.Resilience.max_retries) ?deadline_ms
     payload =
   if shots < 1 then invalid_arg "Job_spec.make: shots must be positive";
   (match deadline_ms with
@@ -117,8 +112,6 @@ let make ?(label = "job") ?(route = Direct) ?(shots = 1024) ?seed ?noise
     fault_rate;
     fault_seed;
     max_retries;
-    backoff_ns;
-    degrade_threshold;
     priority = 0;
     deadline_ms;
   }
@@ -166,11 +159,15 @@ let resolve spec = Result.map snd (elaborate spec)
 
 (* The noise a job runs under, decided by its route: the depolarising
    rate on the direct route; on a compiled one, ideal for perfect qubits
-   and the platform's own model otherwise. *)
+   and the platform's own model otherwise, with the transmon defaults
+   standing in for realistic qubits on an ideal platform. *)
 let route_noise route noise =
   match (route, noise) with
   | Direct, None | Compiled { mode = Compiler.Perfect; _ }, _ -> Qca_qx.Noise.ideal
   | Direct, Some p -> Qca_qx.Noise.depolarizing p
+  | Compiled { platform; mode = Compiler.Realistic; _ }, _
+    when Qca_qx.Noise.is_ideal platform.Platform.noise ->
+      Qca_qx.Noise.superconducting
   | Compiled { platform; _ }, _ -> platform.Platform.noise
 
 let noise_model spec = route_noise spec.route spec.noise
@@ -250,8 +247,9 @@ let cache_key spec ~digest =
            (match spec.fault_rate with
            | None -> "off"
            | Some p ->
+               let d = Resilience.default_policy in
                Printf.sprintf "%.17g:%d:%d:%d:%.17g" p spec.fault_seed
-                 spec.max_retries spec.backoff_ns spec.degrade_threshold)
+                 spec.max_retries d.Resilience.backoff_ns d.Resilience.degrade_threshold)
            (plan_fingerprint spec.plan))
 
 let faults spec =
@@ -260,8 +258,4 @@ let faults spec =
   | Some p -> Some (Fault.make ~seed:spec.fault_seed (Fault.uniform p))
 
 let retry_policy spec =
-  {
-    Resilience.max_retries = spec.max_retries;
-    backoff_ns = spec.backoff_ns;
-    degrade_threshold = spec.degrade_threshold;
-  }
+  { Resilience.default_policy with Resilience.max_retries = spec.max_retries }

@@ -105,9 +105,6 @@ type t = {
       (** Per-site fault-injection probability ([None] = injection off). *)
   fault_seed : int;  (** Seed of the injector's own RNG stream. *)
   max_retries : int;  (** Retries per shot before it counts as faulted. *)
-  backoff_ns : int;  (** Base simulated backoff per retry. *)
-  degrade_threshold : float;
-      (** Faulted-shot fraction beyond which the ladder degrades. *)
   priority : int;  (** Service scheduling priority (lower runs sooner). *)
   deadline_ms : int option;
       (** Wall-clock budget from job start, enforced cooperatively at
@@ -127,14 +124,12 @@ val make :
   ?fault_rate:float ->
   ?fault_seed:int ->
   ?max_retries:int ->
-  ?backoff_ns:int ->
-  ?degrade_threshold:float ->
   ?deadline_ms:int ->
   payload ->
   t
 (** Defaults mirror [qxc run]: route [Direct], 1024 shots, no explicit
     seed, ideal noise, automatic plan, injection off,
-    {!Qca_util.Resilience.default_policy} retry parameters, priority 0,
+    {!Qca_util.Resilience.default_policy}'s [max_retries], priority 0,
     no deadline. Raises [Invalid_argument] on [shots < 1] or a negative
     [deadline_ms]. *)
 
@@ -209,7 +204,9 @@ val route_noise : route -> float option -> Qca_qx.Noise.model
 (** The noise a job on [route] with depolarising rate [noise] runs under:
     on [Direct], [noise] as a depolarising model (ideal when [None]); on
     [Compiled], ideal for Perfect mode and the platform's own model for
-    Realistic and Real, whatever [noise] says. {!Runner.run},
+    Realistic and Real, whatever [noise] says, except that Realistic
+    qubits on a platform whose model is ideal run under
+    {!Qca_qx.Noise.superconducting}. {!Runner.run},
     {!estimate} and [qxc estimate] all read it. *)
 
 val noise_model : t -> Qca_qx.Noise.model
@@ -220,6 +217,7 @@ val faults : t -> Qca_util.Fault.t option
     identical fault patterns. [None] when [fault_rate] is [None]. *)
 
 val retry_policy : t -> Qca_util.Resilience.policy
+(** {!Qca_util.Resilience.default_policy} with the spec's [max_retries]. *)
 
 val route_router : route -> Qca_compiler.Mapping.strategy
 (** The route's routing strategy ({!Qca_compiler.Mapping.default_strategy}

@@ -68,8 +68,8 @@ let run ?rng ?faults (spec : Job_spec.t) =
       (* The QX rung runs the already-compiled program, so histogram keys
          keep the platform width whichever backend produced them. *)
       let on_qx () = engine ~compiled compiled.Compiler.physical in
-      match (technology, compiled.Compiler.eqasm) with
-      | Some technology, Some program -> (
+      match (mode, technology, compiled.Compiler.eqasm) with
+      | Compiler.Real, Some technology, Some program -> (
           let microarch =
             Error.protect ~site:"Runner.run" (fun () ->
                 Controller.run_shots ~noise ?seed ?rng ~shots ?faults ~policy

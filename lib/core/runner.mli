@@ -5,14 +5,15 @@
       ({!Qca_qx.Engine.run_checked}) with the spec's noise, plan override
       and fault injection.
     - A [Compiled] route compiles once ({!Qca_compiler.Compiler.compile}).
-      When the route has a micro-architecture and the compiler emitted
-      eQASM, every shot runs through the cycle-accurate controller
+      When the route is in Real mode with a micro-architecture and the
+      compiler emitted eQASM, every shot runs through the cycle-accurate
+      controller
       ({!Qca_microarch.Controller.run_shots}); with [ladder = true] a
       controller failure, or a faulted-shot ratio above the retry policy's
       [degrade_threshold], falls back to QX on the already-compiled program
       and records the event in [report.resilience.degraded]. Every other
       compiled route runs the compiled program on QX under its mode's noise
-      (ideal for [Perfect], the platform's model otherwise).
+      ({!Job_spec.route_noise}).
 
     [qxc run]/[exec], the job service ({!Qca_service.Service}), {!Stack},
     the examples and the benchmarks all go through here, so every consumer

@@ -34,18 +34,13 @@ let optimisation ?(qubits = 16) () =
     technology = None;
   }
 
+(* Realistic qubits are simulated, so the stack drops its
+   micro-architecture; [Job_spec.route_noise] decides their noise. *)
 let realistic_of stack =
-  (* A perfect platform carries an ideal error model; realistic execution
-     needs a real one, so fall back to the transmon defaults. *)
-  let platform =
-    if Qca_qx.Noise.is_ideal stack.platform.Platform.noise then
-      { stack.platform with Platform.noise = Qca_qx.Noise.superconducting }
-    else stack.platform
-  in
   {
     stack with
-    platform;
     model = Compiler.Realistic;
+    technology = None;
     stack_name = stack.stack_name ^ "-realistic";
   }
 

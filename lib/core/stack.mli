@@ -30,7 +30,8 @@ val optimisation : ?qubits:int -> unit -> t
 
 val realistic_of : t -> t
 (** The same stack with realistic (simulated, noisy) qubits — Figure 2's
-    third dimension. *)
+    third dimension: same platform, no micro-architecture; the job runs
+    on QX under {!Job_spec.route_noise}'s realistic noise. *)
 
 val spec : ?shots:int -> ?seed:int -> t -> Qca_circuit.Circuit.t -> Job_spec.t
 (** The job this stack denotes for [circuit], ready for {!Runner.run}: a

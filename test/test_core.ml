@@ -452,8 +452,8 @@ let test_stack_describe_pins () =
       "semiconducting-full-stack: platform=semiconducting-4 qubits=4 model=real microarch=semiconducting";
       "genome-sequencing-accelerator: platform=perfect-12 qubits=12 model=perfect microarch=direct-qx";
       "hybrid-optimisation-accelerator: platform=perfect-16 qubits=16 model=perfect microarch=direct-qx";
-      "superconducting-full-stack-realistic: platform=superconducting-17 qubits=17 model=realistic microarch=superconducting";
-      "semiconducting-full-stack-realistic: platform=semiconducting-4 qubits=4 model=realistic microarch=semiconducting";
+      "superconducting-full-stack-realistic: platform=superconducting-17 qubits=17 model=realistic microarch=direct-qx";
+      "semiconducting-full-stack-realistic: platform=semiconducting-4 qubits=4 model=realistic microarch=direct-qx";
       "genome-sequencing-accelerator-realistic: platform=perfect-12 qubits=12 model=realistic microarch=direct-qx";
       "hybrid-optimisation-accelerator-realistic: platform=perfect-16 qubits=16 model=realistic microarch=direct-qx";
     ]
@@ -490,6 +490,12 @@ let test_realistic_of_degrades () =
   let perfect_stack = Stack.genome ~qubits:2 () in
   let realistic = Stack.realistic_of perfect_stack in
   Alcotest.(check bool) "model changed" true (realistic.Stack.model = Compiler.Realistic)
+
+(* Realistic qubits are simulated: the realistic twin of a device stack
+   runs on QX, never on the micro-architecture. *)
+let test_realistic_runs_on_qx () =
+  let run = execute ~shots:20 ~seed:2 (Stack.realistic_of (Stack.superconducting ())) (bell_measured ()) in
+  Alcotest.(check bool) "no microarch" true (run.Runner.microarch_stats = None)
 
 let test_stack_engine_report () =
   let module Engine = Qca_qx.Engine in
@@ -897,6 +903,7 @@ let () =
           Alcotest.test_case "genome stack bell" `Quick test_genome_stack_perfect_bell;
           Alcotest.test_case "superconducting microarch" `Quick test_superconducting_stack_runs_microarch;
           Alcotest.test_case "realistic_of" `Quick test_realistic_of_degrades;
+          Alcotest.test_case "realistic runs on QX" `Quick test_realistic_runs_on_qx;
           Alcotest.test_case "engine report" `Quick test_stack_engine_report;
           Alcotest.test_case "degrades to sim" `Quick test_stack_degrades_to_sim;
           Alcotest.test_case "ladder passthrough" `Quick test_ladder_passthrough;

@@ -1210,6 +1210,22 @@ let test_vocabulary_encode_pins () =
     (List.nth encoded 22);
   Alcotest.(check string) "every header" "900d0f836bf3290117429aaa4be51311" (digest_lines encoded)
 
+(* A realistic stack keeps its platform from the table and leaves its
+   noise to [Job_spec.route_noise], so the spool round trip keeps the
+   noise the job runs under. *)
+let test_vocabulary_realistic_noise_roundtrip () =
+  let stack = Qca.Stack.realistic_of (Qca.Stack.genome ~qubits:2 ()) in
+  let before = Qca.Stack.spec ~seed:1 stack (bell ()) in
+  let after =
+    match Result.bind (Spool.encode ~tenant:"alice" before) (Spool.decode ~id:"000006") with
+    | Ok entry -> entry.Spool.spec
+    | Error e -> Alcotest.failf "round trip: %s" (Error.to_string e)
+  in
+  Alcotest.(check bool) "noisy before the spool" false
+    (Qca_qx.Noise.is_ideal (Job_spec.noise_model before));
+  Alcotest.(check bool) "same noise after it" true
+    (Job_spec.noise_model before = Job_spec.noise_model after)
+
 let test_vocabulary_route_pins () =
   let specs = vocabulary_specs () in
   Alcotest.(check (list string)) "route descriptions"
@@ -1341,6 +1357,8 @@ let () =
         [
           Alcotest.test_case "encode pins" `Quick test_vocabulary_encode_pins;
           Alcotest.test_case "route pins" `Quick test_vocabulary_route_pins;
+          Alcotest.test_case "realistic noise round trip" `Quick
+            test_vocabulary_realistic_noise_roundtrip;
         ] );
       ( "deadlines",
         [
