@@ -57,7 +57,9 @@ val physical_qubits : t -> int
 val syndrome_circuit : t -> Qca_circuit.Circuit.t
 (** Circuit-level syndrome extraction: data qubits [0 .. n-1], ancilla for
     stabilizer [i] at qubit [n + i]; ancillas are prepared, entangled via
-    CNOT/CZ ladders, and measured. *)
+    CNOT ladders (between two H for an X-type stabilizer), and measured.
+    The one extraction schedule: {!Pauli_frame} and {!Qec_experiment} walk
+    its instructions rather than build their own. *)
 
 val cycle_circuit : ?rounds:int -> t -> Qca_circuit.Circuit.t
 (** [rounds] (default 1) concatenated {!syndrome_circuit}s: one circuit of

@@ -31,7 +31,8 @@ let round ~rng ~gate_error ~measurement_error n instructions frame =
       (fun f instr ->
         match instr with
         | Gate.Prep q ->
-            inject_1q rng gate_error q { Pauli.x = Bits.clear f.Pauli.x q; z = Bits.clear f.Pauli.z q }
+            let cleared = { Pauli.x = Bits.clear f.Pauli.x q; z = Bits.clear f.Pauli.z q } in
+            inject_1q rng gate_error q cleared
         | Gate.Unitary (u, ops) -> (
             let f =
               match Pauli.conjugate u ops f with
@@ -49,7 +50,8 @@ let round ~rng ~gate_error ~measurement_error n instructions frame =
               syndrome := Bits.set !syndrome (q - n);
             f
         | Gate.Barrier _ -> f
-        | Gate.Conditional _ -> invalid_arg "Pauli_frame: conditional gate in the extraction circuit")
+        | Gate.Conditional _ ->
+            invalid_arg "Pauli_frame: conditional gate in the extraction circuit")
       frame instructions
   in
   { syndrome = !syndrome; frame }

@@ -488,7 +488,10 @@ let prefix_state program p tally events state =
     while !stop < 0 do
       while !next < nevents && events.(!next).Noise.site = !i do
         let { Noise.qubit; pauli; _ } = events.(!next) in
-        let e = Pauli.single qubit (match pauli with Gate.X -> 'X' | Gate.Y -> 'Y' | _ -> 'Z') in
+        let e =
+          Pauli.single qubit
+            (match pauli with Gate.X -> 'X' | Gate.Y -> 'Y' | Gate.Z -> 'Z' | _ -> assert false)
+        in
         if not (Pauli.commutes e !f) then anti := !anti lxor 1;
         f := Pauli.mul !f e;
         incr next

@@ -494,7 +494,8 @@ let test_realistic_of_degrades () =
 (* Realistic qubits are simulated: the realistic twin of a device stack
    runs on QX, never on the micro-architecture. *)
 let test_realistic_runs_on_qx () =
-  let run = execute ~shots:20 ~seed:2 (Stack.realistic_of (Stack.superconducting ())) (bell_measured ()) in
+  let stack = Stack.realistic_of (Stack.superconducting ()) in
+  let run = execute ~shots:20 ~seed:2 stack (bell_measured ()) in
   Alcotest.(check bool) "no microarch" true (run.Runner.microarch_stats = None)
 
 let test_stack_engine_report () =
