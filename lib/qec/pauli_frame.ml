@@ -49,9 +49,8 @@ let round ~rng ~gate_error ~measurement_error n instructions frame =
             if raw <> Rng.bernoulli rng measurement_error then
               syndrome := Bits.set !syndrome (q - n);
             f
-        | Gate.Barrier _ -> f
-        | Gate.Conditional _ ->
-            invalid_arg "Pauli_frame: conditional gate in the extraction circuit")
+        | Gate.Conditional _ | Gate.Barrier _ ->
+            invalid_arg "Pauli_frame: not a syndrome-extraction instruction")
       frame instructions
   in
   { syndrome = !syndrome; frame }

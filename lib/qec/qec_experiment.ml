@@ -15,9 +15,8 @@ let walk_round code tableau rng ~on_measure =
       | Gate.Prep q -> if Tableau.measure tableau rng q = 1 then Tableau.x tableau q
       | Gate.Unitary (u, ops) -> Tableau.apply_gate tableau u ops
       | Gate.Measure q -> on_measure (q - n) (Tableau.measure tableau rng q)
-      | Gate.Barrier _ -> ()
-      | Gate.Conditional _ ->
-          invalid_arg "Qec_experiment: conditional gate in the extraction circuit")
+      | Gate.Conditional _ | Gate.Barrier _ ->
+          invalid_arg "Qec_experiment: not a syndrome-extraction instruction")
     (Circuit.instructions (Code.syndrome_circuit code))
 
 let prepare_logical_zero code rng =
